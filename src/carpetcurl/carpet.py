@@ -4,7 +4,8 @@ A carpet is driven by a sequence of subdivision ratios whose reciprocals are
 odd integers; at every stage each surviving square is split into an odd grid
 and the central cell is discarded.  Prefractals are kept implicit: membership,
 measures and integrals descend the subdivision tree lazily, short-circuiting
-on squares that lie entirely inside the query region.
+on squares that lie entirely inside the query region, and integrals stop one
+level above the leaves, where the prefractal is a square minus its hole.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .geometry import (
 )
 
 HALF = Fraction(1, 2)
+
+# exponent pairs (p, q) of the monomials x^p y^q that Prefractal.integrate
+# handles: every monomial of degree <= 2
+MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 class SpecError(ValueError):
@@ -71,6 +76,11 @@ class CarpetSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "ratios", tuple(Fraction(r) for r in self.ratios))
+        for i, r in enumerate(self.ratios, start=1):
+            if r <= 0 or r > Fraction(1, 3):
+                raise RatioOutOfRange(i, r)
+            if r.numerator != 1 or r.denominator % 2 == 0:
+                raise NonOddReciprocal(i, r)
         if self.generator is not None and self.generator not in GENERATORS:
             raise SpecError(f"unknown generator {self.generator!r}")
         if self.generator == "constant" and not self.ratios:
@@ -90,25 +100,19 @@ class CarpetSpec:
 
     def subdivisions(self, i: int) -> int:
         """Grid size 1/ratio at stage i, as an exact integer."""
-        r = self.ratio(i)
-        assert r.numerator == 1
-        return r.denominator
+        return self.ratio(i).denominator
 
 
 def validate_spec(spec: CarpetSpec) -> dict:
-    """Check the ratio rules and report the standard diagnostics.
+    """Report the standard diagnostics of a spec.
 
-    Returns a dict with the per-stage reciprocals, partial sums of squared
-    ratios, the shrink ratios delta_{n-1}/a_n, and hypothesis flags.  The
+    The ratio rules themselves are enforced when the spec is built.  Returns
+    a dict with the per-stage reciprocals, partial sums of squared ratios,
+    the shrink ratios delta_{n-1}/a_n, and hypothesis flags.  The
     witness construction needs both a square-summable ratio sequence (so the
     carpet keeps positive area) and shrink ratios tending to zero; for a
     finite list without generator the combined flag is indeterminate (None).
     """
-    for i, r in enumerate(spec.ratios, start=1):
-        if r <= 0 or r > Fraction(1, 3):
-            raise RatioOutOfRange(i, r)
-        if r.numerator != 1 or r.denominator % 2 == 0 or r.denominator < 3:
-            raise NonOddReciprocal(i, r)
     n_terms = len(spec.ratios)
     partial_sums = []
     acc = ZERO
@@ -375,22 +379,24 @@ class Prefractal:
 
         ``region`` may be any simple polygon with rational vertices inside the
         unit square; non-convex regions are triangulated first.  ``poly`` maps
-        (p, q) exponent pairs to coefficients.
+        (p, q) exponent pairs to coefficients; a nonzero coefficient on any
+        other monomial raises ``ValueError``.  With ``mode='f64'`` the exact
+        integral is rounded once to binary64.
         """
+        for key, coef in poly.items():
+            if coef and key not in MONOMIALS:
+                raise ValueError(f"unsupported monomial {key}")
+        poly = {key: Fraction(poly.get(key, 0)) for key in MONOMIALS}
         region = normalize_polygon(region)
-        if not region:
-            return 0.0 if mode == "f64" else ZERO
-        bx0, by0, bx1, by1 = bbox(region)
-        if bx0 < 0 or by0 < 0 or bx1 > 1 or by1 > 1:
-            raise OutOfUnitSquare("region leaves the unit square")
-        pieces = [region] if is_convex(region) else triangulate(region)
-        if mode == "f64":
-            vals = [self._integrate_convex_f64(p, poly) for p in pieces]
-            return _pairwise_sum(vals)
         total = ZERO
-        for p in pieces:
-            total += self._integrate_convex(p, poly)
-        return total
+        if region:
+            bx0, by0, bx1, by1 = bbox(region)
+            if bx0 < 0 or by0 < 0 or bx1 > 1 or by1 > 1:
+                raise OutOfUnitSquare("region leaves the unit square")
+            pieces = [region] if is_convex(region) else triangulate(region)
+            for p in pieces:
+                total += self._integrate_convex(p, poly)
+        return float(total) if mode == "f64" else total
 
     def region_measure(self, region, mode: str = "exact"):
         return self.integrate(region, {(0, 0): Fraction(1)}, mode=mode)
@@ -416,11 +422,9 @@ class Prefractal:
                 out += coef * d2 * (a * y0 * (y0 + d) + d2 * m2)
             elif (p, q) == (1, 1):
                 out += coef * d2 * a * (x0 + d / 2) * (y0 + d / 2)
-            else:
-                raise ValueError(f"unsupported monomial {(p, q)}")
         return out
 
-    def _integrate_convex(self, region, poly):
+    def _integrate_convex(self, region, coef):
         # Rescale to an integer lattice: every predicate in the tree walk then
         # runs on machine integers, and only interior closed forms and leaf
         # clipping fall back to rational arithmetic.
@@ -430,7 +434,6 @@ class Prefractal:
             scale = lcm(scale, x.denominator, y.denominator)
         for d in self.sides:
             scale = lcm(scale, d.denominator)
-        sf = Fraction(scale)
 
         def as_int(v):
             w = v * scale
@@ -461,8 +464,6 @@ class Prefractal:
         deg2 = scale * scale
         deg3 = deg2 * scale
         deg4 = deg3 * scale
-        coef = {k: poly.get(k, ZERO) for k in
-                ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
 
         def rect_leaf(a, b, c, d):
             # moments over [a, b] x [c, d] in scaled integers
@@ -541,6 +542,14 @@ class Prefractal:
                 out += coef[(1, 1)] * m11 / (24 * deg4)
             return out
 
+        def leaf(x0, y0, d):
+            # region intersect the full square [x0, x0+d] x [y0, y0+d]
+            if not is_rect:
+                return poly_leaf(x0, y0, d)
+            xa, xb = max(x0, rbx0), min(x0 + d, rbx1)
+            ya, yb = max(y0, rby0), min(y0 + d, rby1)
+            return rect_leaf(xa, xb, ya, yb) if xa < xb and ya < yb else ZERO
+
         level = self.level
 
         def walk(k, x0, y0):
@@ -563,15 +572,17 @@ class Prefractal:
                             return ZERO
             if inside:
                 return self._interior_contribution(
-                    poly, k, Fraction(x0, scale), Fraction(y0, scale))
+                    coef, k, Fraction(x0, scale), Fraction(y0, scale))
             if k == level:
-                if is_rect:
-                    return rect_leaf(max(x0, rbx0), min(x1, rbx1),
-                                     max(y0, rby0), min(y1, rby1))
-                return poly_leaf(x0, y0, d)
+                # only a level-0 walk gets here; deeper walks stop one level
+                # up with the hole complement below
+                return leaf(x0, y0, d)
             q = self.subdiv[k]
             dc = sides[k + 1]
             c = (q - 1) // 2
+            if k == level - 1:
+                # inside S the level-m set is S minus its open central hole H
+                return leaf(x0, y0, d) - leaf(x0 + c * dc, y0 + c * dc, dc)
             jx0 = max(0, (rbx0 - x0) // dc)
             jx1 = min(q - 1, (rbx1 - 1 - x0) // dc)
             jy0 = max(0, (rby0 - y0) // dc)
@@ -586,129 +597,6 @@ class Prefractal:
             return total
 
         return walk(0, 0, 0)
-
-    def _integrate_convex_f64(self, region, poly):
-        """Binary64 variant of the exact walk, deterministic pairwise sums."""
-        fregion = tuple((float(x), float(y)) for x, y in region)
-        fpoly = {k: float(v) for k, v in poly.items()}
-        fsides = [float(s) for s in self.sides]
-        farea = [float(a) for a in self.suffix_area]
-        fm2 = [float(v) for v in self.suffix_m2]
-        rb = bbox(region)
-        frb = tuple(float(v) for v in rb)
-        n = len(fregion)
-        edges = [(fregion[i], fregion[(i + 1) % n]) for i in range(n)]
-
-        def fcross(p, q, r):
-            return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-        def interior(k, x0, y0):
-            d = fsides[k]
-            a = farea[k]
-            d2 = d * d
-            out = 0.0
-            for (p, q), coef in fpoly.items():
-                if p == 0 and q == 0:
-                    out += coef * d2 * a
-                elif (p, q) == (1, 0):
-                    out += coef * d2 * a * (x0 + d / 2)
-                elif (p, q) == (0, 1):
-                    out += coef * d2 * a * (y0 + d / 2)
-                elif (p, q) == (2, 0):
-                    out += coef * d2 * (a * x0 * (x0 + d) + d2 * fm2[k])
-                elif (p, q) == (0, 2):
-                    out += coef * d2 * (a * y0 * (y0 + d) + d2 * fm2[k])
-                elif (p, q) == (1, 1):
-                    out += coef * d2 * a * (x0 + d / 2) * (y0 + d / 2)
-            return out
-
-        def fclip(poly_pts, a, b, c):
-            if not poly_pts:
-                return ()
-            out = []
-            npts = len(poly_pts)
-            for i in range(npts):
-                cur = poly_pts[i]
-                nxt = poly_pts[(i + 1) % npts]
-                fc = a * cur[0] + b * cur[1] - c
-                fn = a * nxt[0] + b * nxt[1] - c
-                if fc <= 0:
-                    out.append(cur)
-                    if fn > 0:
-                        t = fc / (fc - fn)
-                        out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-                elif fn <= 0:
-                    t = fc / (fc - fn)
-                    out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-            return tuple(out) if len(out) >= 3 else ()
-
-        def leaf(x0, y0, d):
-            clipped = fclip(fregion, -1.0, 0.0, -x0)
-            clipped = fclip(clipped, 1.0, 0.0, x0 + d)
-            clipped = fclip(clipped, 0.0, -1.0, -y0)
-            clipped = fclip(clipped, 0.0, 1.0, y0 + d)
-            if not clipped:
-                return 0.0
-            m00 = m10 = m01 = m20 = m11 = m02 = 0.0
-            npts = len(clipped)
-            for i in range(npts):
-                xa, ya = clipped[i]
-                xb, yb = clipped[(i + 1) % npts]
-                c = xa * yb - xb * ya
-                m00 += c
-                m10 += (xa + xb) * c
-                m01 += (ya + yb) * c
-                m20 += (xa * xa + xa * xb + xb * xb) * c
-                m02 += (ya * ya + ya * yb + yb * yb) * c
-                m11 += (2 * xa * ya + xa * yb + xb * ya + 2 * xb * yb) * c
-            mom = {(0, 0): m00 / 2, (1, 0): m10 / 6, (0, 1): m01 / 6,
-                   (2, 0): m20 / 12, (1, 1): m11 / 24, (0, 2): m02 / 12}
-            return sum(coef * mom[key] for key, coef in fpoly.items())
-
-        def walk(k, x0, y0):
-            d = fsides[k]
-            x1, y1 = x0 + d, y0 + d
-            if x1 <= frb[0] or x0 >= frb[2] or y1 <= frb[1] or y0 >= frb[3]:
-                return 0.0
-            corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
-            inside = True
-            for (p, q) in edges:
-                cs = [fcross(p, q, c) for c in corners]
-                if all(c < 0 for c in cs):
-                    return 0.0
-                if any(c < 0 for c in cs):
-                    inside = False
-            if inside:
-                return interior(k, x0, y0)
-            if k == self.level:
-                return leaf(x0, y0, d)
-            q_ = self.subdiv[k]
-            dc = fsides[k + 1]
-            c_ = (q_ - 1) // 2
-            vals = []
-            for jy in range(q_):
-                cy = y0 + jy * dc
-                for jx in range(q_):
-                    if jx == c_ and jy == c_:
-                        continue
-                    vals.append(walk(k + 1, x0 + jx * dc, cy))
-            return _pairwise_sum(vals)
-
-        return walk(0, 0.0, 0.0)
-
-
-def _pairwise_sum(vals):
-    if not vals:
-        return 0.0
-    work = list(vals)
-    while len(work) > 1:
-        nxt = []
-        for i in range(0, len(work) - 1, 2):
-            nxt.append(work[i] + work[i + 1])
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
 
 
 def region_measure(prefractal: Prefractal, region, mode: str = "exact"):

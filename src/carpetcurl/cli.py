@@ -132,6 +132,10 @@ def cmd_figures(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.nmax < 1:
+        raise ConfigError(f"--nmax {args.nmax}: verify needs at least one corrector stage")
+    if args.depth < 1:
+        raise ConfigError(f"--depth {args.depth}: verify needs a prefractal with holes")
     spec = _build_spec(args)
     validate_spec(spec)
     out = _out_dir(args)

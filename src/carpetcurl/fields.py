@@ -31,10 +31,6 @@ class SupportMismatch(ValueError):
     pass
 
 
-class IncompatiblePartitions(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AffinePatch:
     """Convex region with an affine value map."""
@@ -287,36 +283,6 @@ def overlay(a, b):
     if refined_area != area_a:
         raise SupportMismatch("refinement lost area; partitions do not cover the same support")
     return pieces
-
-
-def subtract_fields(a: PiecewiseAffineField, b: PiecewiseAffineField) -> PiecewiseAffineField:
-    """a - b on the common refinement; b may be supported on a subset of a."""
-    regions_b = [p.vertices for p in b.patches]
-    index = _BoxIndex(regions_b, key=bbox)
-    out = []
-    for pa in a.patches:
-        residual_area = polygon_area(pa.vertices)
-        covered = []
-        for ib in index.candidates(bbox(pa.vertices)):
-            pb = b.patches[ib]
-            piece = clip_convex(pa.vertices, pb.vertices)
-            if piece and polygon_area(piece) > 0:
-                out.append(AffinePatch(normalize_polygon(piece), pa.c0 - pb.c0,
-                                       pa.cx - pb.cx, pa.cy - pb.cy))
-                covered.append(polygon_area(piece))
-        rest = residual_area - sum(covered, ZERO)
-        if rest > 0 and not covered:
-            out.append(pa)
-        elif rest > 0:
-            raise IncompatiblePartitions(
-                "subtrahend partially covers a patch; supply aligned partitions")
-    return PiecewiseAffineField(tuple(out))
-
-
-def scale_field(field: PiecewiseAffineField, s) -> PiecewiseAffineField:
-    s = Fraction(s)
-    return PiecewiseAffineField(tuple(
-        AffinePatch(p.vertices, p.c0 * s, p.cx * s, p.cy * s) for p in field.patches))
 
 
 def sup_norm(field: PiecewiseAffineField) -> Fraction:

@@ -19,10 +19,6 @@ class NonSimplePolygon(ValueError):
     """Raised when an operation requires a simple polygon and gets none."""
 
 
-def pt(x, y):
-    return (Fraction(x), Fraction(y))
-
-
 def cross(o, a, b):
     """Signed cross product (a - o) x (b - o)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

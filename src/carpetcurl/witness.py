@@ -26,6 +26,7 @@ from .carpet import (
     side_length,
     tail_measure_bounds,
     TailDiverges,
+    validate_spec,
 )
 from .fields import (
     AffinePatch,
@@ -34,6 +35,7 @@ from .fields import (
     PiecewiseAffineField,
     ProductVectorField,
     _BoxIndex,
+    dirichlet_energy,
     l2_norm_sq,
     make_patch,
     product_with_gradient,
@@ -593,7 +595,6 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         except TailDiverges:
             tail = None
 
-    from .carpet import validate_spec
     diag = validate_spec(spec)
     report.add("hypothesis", None, "square_summable", diag["square_summable"],
                note="ratio sequence must be square summable for positive carpet area")
@@ -614,7 +615,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         report.add("witness", n, "strip_area", strip_area, a_n, strip_area <= a_n)
 
         strip_defect = coordinate_minus(stage.staircase)
-        e_strip = dirichlet_energy_of(strip_defect, pf, mode)
+        e_strip = dirichlet_energy(strip_defect, pf, mode=mode)
         report.add("witness", n, "strip_defect_energy", e_strip, a_n, e_strip <= a_n,
                    tail=(e_strip * tail[0], e_strip) if tail else None)
 
@@ -626,10 +627,9 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    note=f"total tents {len(stage.tents)}")
 
         pt_bound = per_tent_bound(spec, n)
-        worst = ZERO
-        e_tents = ZERO if mode == "exact" else 0.0
+        worst = e_tents = ZERO if mode == "exact" else 0.0
         for t in stage.tents:
-            e_one = dirichlet_energy_of(PiecewiseAffineField(t.field_patches()), pf, mode)
+            e_one = dirichlet_energy(PiecewiseAffineField(t.field_patches()), pf, mode=mode)
             e_tents += e_one
             if e_one > worst:
                 worst = e_one
@@ -645,7 +645,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    not violations)
 
         flat_defect = coordinate_minus(stage.flattened)
-        e_flat = dirichlet_energy_of(flat_defect, pf, mode)
+        e_flat = dirichlet_energy(flat_defect, pf, mode=mode)
         report.add("witness", n, "flattened_defect_energy", e_flat,
                    note="compared against (sqrt(strip bound) + sqrt(tent energy))^2",
                    bound=a_n + e_tents, passed=leq_sqrt_sum_sq(e_flat, a_n, e_tents))
@@ -657,7 +657,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                         f"{'<=' if d_prev <= Fraction(1, n) else '>'}")
 
         w_norm = l2_norm_sq(stage.witness, pf, mode=mode)
-        e_flat_grad = dirichlet_energy_of(stage.flattened, pf, mode)
+        e_flat_grad = dirichlet_energy(stage.flattened, pf, mode=mode)
         report.add("witness", n, "witness_l2", w_norm, ramp_sup ** 2 * e_flat_grad,
                    w_norm <= ramp_sup ** 2 * e_flat_grad)
         witness_norms.append(w_norm)
@@ -681,8 +681,3 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
     report.add("witness", None, "witness_l2_strictly_decreasing", decreasing,
                True, decreasing if n_max > 1 else None)
     return report
-
-
-def dirichlet_energy_of(field: PiecewiseAffineField, pf: Prefractal, mode: str):
-    from .fields import dirichlet_energy
-    return dirichlet_energy(field, pf, mode=mode)

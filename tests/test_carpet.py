@@ -1,8 +1,15 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import carpetcurl
 from carpetcurl.carpet import (
+    MONOMIALS,
     CarpetSpec,
     NonOddReciprocal,
     Prefractal,
@@ -23,11 +30,67 @@ from carpetcurl.carpet import (
     tail_measure_bounds,
     validate_spec,
 )
-from carpetcurl.geometry import clip_to_box, polygon_area
+from carpetcurl.geometry import bbox, clip_to_box, cross, normalize_polygon, polygon_moments
 
 F = Fraction
 
 UNIT = ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1)))
+
+ORACLE_RATIOS = (F(1, 3), F(1, 5), F(1, 7))
+# every hole edge down to level 3 lies on the 1/105 lattice; the finer 1/210
+# lattice lets region edges run along hole edges and also cut holes in half
+LATTICE = 210
+
+
+def convex_hull(points):
+    """CCW hull (Andrew's monotone chain), collinear points dropped."""
+    pts = sorted(set(points))
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return tuple(lower[:-1] + upper[:-1])
+
+
+@st.composite
+def oracle_cases(draw):
+    """(depth, region): a convex polygon, an L-shaped hexagon or a rectangle."""
+    depth = draw(st.integers(0, 3))
+    # at depth 3 the region stays within a window a third wide, so the
+    # brute-force oracle clips at most about a ninth of the 9216 leaf squares
+    span = LATTICE if depth < 3 else LATTICE // 3
+    ox = draw(st.integers(0, LATTICE - span))
+    oy = draw(st.integers(0, LATTICE - span))
+
+    def coords(k):
+        vals = draw(st.lists(st.integers(0, span), min_size=k, max_size=k, unique=True))
+        return sorted(vals)
+
+    kind = draw(st.sampled_from(("convex", "ell", "rect")))
+    if kind == "convex":
+        n = draw(st.integers(3, 6))
+        raw = [(draw(st.integers(0, span)), draw(st.integers(0, span))) for _ in range(n)]
+        pts = convex_hull(raw)
+    elif kind == "rect":
+        x0, x1 = coords(2)
+        y0, y1 = coords(2)
+        pts = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+    else:
+        x0, x1, x2 = coords(3)
+        y0, y1, y2 = coords(3)
+        pts = ((x0, y0), (x2, y0), (x2, y1), (x1, y1), (x1, y2), (x0, y2))
+        if draw(st.booleans()):
+            pts = tuple((span - x, y) for (x, y) in pts)
+        if draw(st.booleans()):
+            pts = tuple((x, span - y) for (x, y) in pts)
+    assume(len(pts) >= 3)
+    region = normalize_polygon((F(ox + x, LATTICE), F(oy + y, LATTICE)) for (x, y) in pts)
+    return depth, region
 
 
 class TestValidateSpec:
@@ -56,6 +119,24 @@ class TestValidateSpec:
     def test_generated_sequence_satisfies_the_hypothesis(self):
         diag = validate_spec(CarpetSpec((), generator="odd-reciprocal"))
         assert diag["hypothesis_satisfied"] is True
+
+    def test_bad_ratios_rejected_under_optimization(self):
+        # the checks live in CarpetSpec itself and are no asserts, so they
+        # hold under python -O too
+        script = (
+            "from fractions import Fraction as F\n"
+            "from carpetcurl.carpet import CarpetSpec, Prefractal\n"
+            "for ratios in ((F(1, 4),), (F(2, 7),), (F(1, 3), F(1, 2))):\n"
+            "    try:\n"
+            "        print(Prefractal(CarpetSpec(ratios), len(ratios)).measure)\n"
+            "    except ValueError as exc:\n"
+            "        print(type(exc).__name__, exc.index)\n"
+        )
+        src = str(Path(carpetcurl.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": src})
+        assert out.stdout.split("\n") == [
+            "NonOddReciprocal 1", "NonOddReciprocal 1", "RatioOutOfRange 2", ""]
 
 
 class TestScales:
@@ -168,15 +249,34 @@ class TestRegionMeasure:
         assert pf35_2.region_measure(quad) == F(16, 75)
         assert pf35_2.region_measure(quad) == prefractal_measure(pf35_2.spec, 2) / 4
 
-    def test_brute_force_oracle_on_a_triangle(self, spec35, pf35_2):
-        tri = ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))
-        d = side_length(spec35, 2)
-        expected = F(0)
-        for (x0, y0) in enumerate_squares(spec35, 2):
-            piece = clip_to_box(tri, x0, y0, x0 + d, y0 + d)
+    @given(oracle_cases())
+    @example((2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))))
+    @settings(max_examples=50, deadline=None)
+    def test_brute_force_oracle_on_a_triangle(self, case):
+        # the walk (interior closed forms, hole complements, leaf clips)
+        # against clipping the region to every surviving leaf square
+        depth, region = case
+        spec = CarpetSpec(ORACLE_RATIOS)
+        pf = Prefractal(spec, depth)
+        d = side_length(spec, depth)
+        bx0, by0, bx1, by1 = bbox(region)
+        expected = dict.fromkeys(MONOMIALS, F(0))
+        for (x0, y0) in enumerate_squares(spec, depth):
+            if x0 >= bx1 or y0 >= by1 or x0 + d <= bx0 or y0 + d <= by0:
+                continue
+            piece = clip_to_box(region, x0, y0, x0 + d, y0 + d)
             if piece:
-                expected += polygon_area(piece)
-        assert pf35_2.region_measure(tri) == expected
+                for key, value in polygon_moments(piece).items():
+                    expected[key] += value
+        for key in MONOMIALS:
+            assert pf.integrate(region, {key: F(1)}) == expected[key]
+
+    @pytest.mark.parametrize("mode", ["exact", "f64"])
+    def test_unsupported_monomial_rejected(self, pf35_2, mode):
+        tiny = ((F(1, 100), F(1, 100)), (F(1, 50), F(1, 100)), (F(1, 100), F(1, 50)))
+        for region in (tiny, UNIT):
+            with pytest.raises(ValueError, match="unsupported monomial"):
+                pf35_2.integrate(region, {(3, 0): 1}, mode=mode)
 
     def test_monotone_in_depth(self, spec357):
         tri = ((F(0), F(0)), (F(1), F(0)), (F(1, 3), F(2, 3)))

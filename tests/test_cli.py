@@ -109,6 +109,24 @@ class TestVerify:
                     "--f", "affine:1/2,1/3,0", "--out", str(out)])
         assert code in (EXIT_OK, EXIT_BOUND_FAILED)
 
+    def test_no_stage_is_config_error(self, tmp_path, capsys):
+        assert run(["verify", "--generator", "odd-reciprocal", "--nmax", "0",
+                    "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "--nmax 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_depth_zero_is_config_error(self, tmp_path, capsys):
+        assert run(["verify", "--generator", "odd-reciprocal", "--depth", "0",
+                    "--nmax", "1", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "--depth 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_depth_below_nmax_is_accepted(self, tmp_path):
+        out = tmp_path / "shallow"
+        assert run(["verify", "--ratios", "1/3,1/5", "--nmax", "2", "--depth", "1",
+                    "--out", str(out)]) in (EXIT_OK, EXIT_BOUND_FAILED)
+        assert (out / "report.json").exists()
+
     def test_bad_target_is_config_error(self, tmp_path):
         assert run(["verify", "--ratios", "1/3", "--nmax", "1", "--depth", "1",
                     "--f", "sin", "--out", str(tmp_path)]) == EXIT_CONFIG
