@@ -60,6 +60,14 @@ class OutOfUnitSquare(ValueError):
     pass
 
 
+class ConstructionError(AssertionError):
+    """An invariant of the carpet construction failed to hold.
+
+    Raised explicitly, so the check survives ``python -O``; subclassing
+    AssertionError keeps callers that catch the old asserts working.
+    """
+
+
 GENERATORS = ("odd-reciprocal", "constant")
 
 
@@ -284,7 +292,9 @@ def cell_grid(spec: CarpetSpec, n: int) -> CellGrid:
         for i in range(len(xs) - 1):
             x0, x1 = xs[i], xs[i + 1]
             y0, y1 = xs[j], xs[j + 1]
-            assert (x1 - x0) ** 2 + (y1 - y0) ** 2 <= limit
+            if (x1 - x0) ** 2 + (y1 - y0) ** 2 > limit:
+                raise ConstructionError(f"stage-{n} cell [{x0}, {x1}] x [{y0}, {y1}] has a "
+                                        f"diagonal longer than sqrt(2) * {d_prev}")
             cells.append((x0, y0, x1, y1))
     return CellGrid(stage=n, x_cuts=cuts, y_cuts=cuts, cells=tuple(cells))
 
@@ -436,9 +446,7 @@ class Prefractal:
             scale = lcm(scale, d.denominator)
 
         def as_int(v):
-            w = v * scale
-            assert w.denominator == 1
-            return w.numerator
+            return v.numerator * (scale // v.denominator)
 
         reg = tuple((as_int(x), as_int(y)) for (x, y) in region)
         sides = [as_int(d) for d in self.sides]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .carpet import Prefractal
@@ -187,36 +188,51 @@ def curl(v: ProductVectorField) -> PCScalarField:
 
 
 class _BoxIndex:
-    """Bucket index over bounding boxes for pairwise clipping."""
+    """Grid index over rational bounding boxes (x0, y0, x1, y1).
+
+    The indexed boxes are scaled once by the lcm of all their coordinates'
+    denominators, so each is stored as four exact ints and every overlap
+    test compares integers. The grid cell is the median of the boxes'
+    integer widths and heights (at least 1): a few full-width strips then
+    span many cells instead of forcing every box into one bucket.
+
+    A query box need not lie on the lattice. Its scaled bounds are rounded
+    once, low ends down and high ends up, to pick the cells; for an integer
+    b, ``b < hi`` iff ``b < ceil(hi)`` and ``b <= hi`` iff ``b <= floor(hi)``
+    (and symmetrically for the low end), so both the open-overlap test and
+    the ``closed`` one stay exact.
+
+    ``candidates`` yields indices in ascending order, whatever the cells,
+    so a refinement built from it does not depend on the bucketing.
+    """
 
     def __init__(self, items, key):
         boxes = [key(it) for it in items]
-        if boxes:
-            w = max(max(b[2] - b[0] for b in boxes), max(b[3] - b[1] for b in boxes))
-            self.cell = w if w > 0 else Fraction(1)
-        else:
-            self.cell = Fraction(1)
+        self.scale = scale = lcm(*{v.denominator for b in boxes for v in b})
+        self.boxes = [tuple(v.numerator * (scale // v.denominator) for v in b) for b in boxes]
+        extents = sorted([b[2] - b[0] for b in self.boxes] + [b[3] - b[1] for b in self.boxes])
+        self.cell = cell = max(1, extents[len(extents) // 2]) if extents else 1
         self.buckets = {}
-        self.boxes = boxes
-        for idx, b in enumerate(boxes):
-            for kx in range(int(b[0] / self.cell), int(b[2] / self.cell) + 1):
-                for ky in range(int(b[1] / self.cell), int(b[3] / self.cell) + 1):
+        for idx, (x0, y0, x1, y1) in enumerate(self.boxes):
+            for kx in range(x0 // cell, x1 // cell + 1):
+                for ky in range(y0 // cell, y1 // cell + 1):
                     self.buckets.setdefault((kx, ky), []).append(idx)
 
     def candidates(self, box, closed=False):
-        seen = set()
-        for kx in range(int(box[0] / self.cell), int(box[2] / self.cell) + 1):
-            for ky in range(int(box[1] / self.cell), int(box[3] / self.cell) + 1):
-                for idx in self.buckets.get((kx, ky), ()):
-                    if idx in seen:
-                        continue
-                    seen.add(idx)
-                    b = self.boxes[idx]
-                    if closed:
-                        if b[0] <= box[2] and box[0] <= b[2] and b[1] <= box[3] and box[1] <= b[3]:
-                            yield idx
-                    elif b[0] < box[2] and box[0] < b[2] and b[1] < box[3] and box[1] < b[3]:
-                        yield idx
+        scale, cell = self.scale, self.cell
+        fx0, fy0, fx1, fy1 = (v.numerator * scale // v.denominator for v in box)
+        cx0, cy0, cx1, cy1 = (-(-v.numerator * scale // v.denominator) for v in box)
+        hits = set()
+        for kx in range(fx0 // cell, cx1 // cell + 1):
+            for ky in range(fy0 // cell, cy1 // cell + 1):
+                hits.update(self.buckets.get((kx, ky), ()))
+        for idx in sorted(hits):
+            x0, y0, x1, y1 = self.boxes[idx]
+            if closed:
+                if x0 <= fx1 and cx0 <= x1 and y0 <= fy1 and cy0 <= y1:
+                    yield idx
+            elif x0 < cx1 and fx0 < x1 and y0 < cy1 and fy0 < y1:
+                yield idx
 
 
 def _shared_segments(poly_a, poly_b):

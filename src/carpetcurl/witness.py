@@ -18,6 +18,7 @@ from typing import Callable
 
 from .carpet import (
     CarpetSpec,
+    ConstructionError,
     Prefractal,
     cell_grid,
     column_obstacles,
@@ -76,7 +77,9 @@ class StripSet:
 def build_strips(spec: CarpetSpec, n: int) -> StripSet:
     cuts = cut_positions(spec, n)
     strips = StripSet(stage=n, y_centers=cuts, height=side_length(spec, n))
-    assert strips.total_area == spec.ratio(n)
+    if strips.total_area != spec.ratio(n):
+        raise ConstructionError(f"stage-{n} strips cover {strips.total_area}, "
+                                f"not the ratio {spec.ratio(n)}")
     return strips
 
 
@@ -181,10 +184,12 @@ def build_tents(spec: CarpetSpec, n: int):
                  [(Fraction(1), Fraction(1), "boundary")]
         for (lo_a, hi_a, kind_a), (lo_b, hi_b, kind_b) in zip(events, events[1:]):
             if hi_a >= lo_b:
-                raise AssertionError(f"overlapping obstacles in column {x_c}")
+                raise ConstructionError(f"overlapping obstacles in column {x_c}")
             gap = lo_b - hi_a
             expected = template if kind_a == kind_b == "hole" else template / 2
-            assert gap == expected, (x_c, hi_a, lo_b, kind_a, kind_b)
+            if gap != expected:
+                raise ConstructionError(f"gap {gap} between {kind_a} and {kind_b} in "
+                                        f"column {x_c} is not the expected {expected}")
             tents.append(Tent(column_x=x_c, y_lo=hi_a, y_hi=lo_b, width=width,
                               template_height=template, lower_kind=kind_a, upper_kind=kind_b))
     return tents
@@ -290,7 +295,8 @@ def build_flattened(spec: CarpetSpec, n: int, tents=None, check: bool = False):
                 tents_in_slab[(lo, hi)].append(t)
                 placed = True
                 break
-        assert placed, f"tent at {t.column_x} not inside any slope-one slab"
+        if not placed:
+            raise ConstructionError(f"tent at {t.column_x} not inside any slope-one slab")
 
     patches = []
     value = ZERO  # staircase value accumulated from y = 0
@@ -329,7 +335,8 @@ def build_flattened(spec: CarpetSpec, n: int, tents=None, check: bool = False):
                                       k, 0, 1))
         value += y1 - y0
     field = PiecewiseAffineField(tuple(patches))
-    assert field.total_area() == 1
+    if field.total_area() != 1:
+        raise ConstructionError(f"flattened patches cover {field.total_area()}, not 1")
     neighborhoods = build_neighborhoods(spec, n, tents)
     if check:
         violations = check_local_constancy(field, neighborhoods)
@@ -468,7 +475,9 @@ def build_ramp(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
         x0, y0, x1, y1 = cell
         center = ((x0 + x1) / 2, (y0 + y1) / 2)
         fv = f.value_at(center)
-        assert fv is not None, "target function must cover the cell centers"
+        if fv is None:
+            raise ConstructionError(f"target function does not cover the cell center "
+                                    f"({center[0]}, {center[1]})")
         return (-fv * center[0], fv, ZERO)
 
     return build_cell_field(spec, n, cell_map, tents=tents)

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carpetcurl.carpet import CarpetSpec, Prefractal, prefractal_measure
 from carpetcurl.fields import (
     PCScalarField,
     PiecewiseAffineField,
     SupportMismatch,
+    _BoxIndex,
     affine_field,
     constant_field,
     coordinate_field,
@@ -22,8 +25,15 @@ from carpetcurl.fields import (
     refine_pairs,
     sup_norm,
 )
-from carpetcurl.geometry import polygon_area
-from carpetcurl.witness import build_staircase, build_tent_field, coordinate_minus
+from carpetcurl.geometry import bbox, clip_convex, normalize_polygon, polygon_area
+from carpetcurl.witness import (
+    build_flattened,
+    build_ramp,
+    build_staircase,
+    build_tent_field,
+    build_tents,
+    coordinate_minus,
+)
 
 from conftest import UNIT, random_grid_field, seeded
 
@@ -89,6 +99,91 @@ class TestOverlay:
         pieces = overlay(cells, phi)
         assert sum(polygon_area(r) for r, _, _ in pieces) == 1
         assert all(len(r) == 4 for r, _, _ in pieces)
+
+
+def boxes_overlap(b, q, closed):
+    if closed:
+        return b[0] <= q[2] and q[0] <= b[2] and b[1] <= q[3] and q[1] <= b[3]
+    return b[0] < q[2] and q[0] < b[2] and b[1] < q[3] and q[1] < b[3]
+
+
+@st.composite
+def indexed_boxes(draw):
+    # boxes on two lattices, 1/105 and 1/420, so the index's scale is their
+    # lcm; widths and heights are often zero, and some boxes are full-width
+    # strips like the staircase bands
+    den = draw(st.sampled_from((105, 420)))
+
+    def interval():
+        lo = draw(st.integers(0, den))
+        size = draw(st.sampled_from((0, 1)) | st.integers(0, den - lo))
+        return F(lo, den), F(min(den, lo + size), den)
+
+    y0, y1 = interval()
+    if draw(st.integers(0, 3)) == 0:
+        return (F(0), y0, F(1), y1)
+    x0, x1 = interval()
+    return (x0, y0, x1, y1)
+
+
+@st.composite
+def query_boxes(draw, boxes):
+    # denominators 11 and 13 (and 420 times them) occur in no indexed box
+    den = draw(st.sampled_from((11, 13)))
+    if boxes and draw(st.booleans()):
+        # each end within two steps of an edge of an indexed box: the query
+        # touches it along an edge or at a corner, straddles an edge, covers
+        # it or misses it, by less than one lattice step for the fine unit
+        unit = draw(st.sampled_from((F(1, den), F(1, 420 * den))))
+
+        def near(lo, hi):
+            return sorted(draw(st.sampled_from((lo, hi))) + unit * draw(st.integers(-2, 2))
+                          for _ in range(2))
+
+        x0, y0, x1, y1 = draw(st.sampled_from(boxes))
+        (qx0, qx1), (qy0, qy1) = near(x0, x1), near(y0, y1)
+        return (qx0, qy0, qx1, qy1)
+    x0, y0 = (F(draw(st.integers(-den // 2, den)), den) for _ in range(2))
+    w, h = (F(draw(st.integers(0, den)), den) for _ in range(2))
+    return (x0, y0, x0 + w, y0 + h)
+
+
+class TestBoxIndex:
+    @given(st.lists(indexed_boxes(), max_size=30), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_candidates_are_the_exact_overlaps_in_index_order(self, boxes, data):
+        index = _BoxIndex(boxes, key=lambda b: b)
+        for _ in range(4):
+            q = data.draw(query_boxes(boxes))
+            for closed in (False, True):
+                assert list(index.candidates(q, closed)) == \
+                    [i for i, b in enumerate(boxes) if boxes_overlap(b, q, closed)]
+
+    def test_empty_index(self):
+        index = _BoxIndex([], key=bbox)
+        for closed in (False, True):
+            assert list(index.candidates((F(0), F(0), F(1), F(1)), closed)) == []
+
+    def test_refine_pairs_against_all_pairs(self):
+        # stage-2 ramp (92 patches) against the flattened field (57): the
+        # index must find exactly the pieces that trying every pair finds,
+        # in the same order
+        spec = CarpetSpec((), "odd-reciprocal")
+        tents = build_tents(spec, 2)
+        flattened, _ = build_flattened(spec, 2, tents)
+        ramp = build_ramp(spec, 2, constant_field(1), tents)
+        regions_a = [p.vertices for p in ramp.patches]
+        regions_b = [p.vertices for p in flattened.patches]
+        assert (len(regions_a), len(regions_b)) == (92, 57)
+        expected = []
+        for ia, ra in enumerate(regions_a):
+            for ib, rb in enumerate(regions_b):
+                if not boxes_overlap(bbox(rb), bbox(ra), closed=False):
+                    continue
+                piece = clip_convex(ra, rb)
+                if piece and polygon_area(piece) > 0:
+                    expected.append((normalize_polygon(piece), ia, ib))
+        assert refine_pairs(regions_a, regions_b) == expected
 
 
 class TestDirichletEnergy:

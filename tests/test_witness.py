@@ -1,7 +1,11 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import carpetcurl
 from carpetcurl.carpet import Prefractal, enumerate_holes, side_length
 from carpetcurl.fields import (
     constant_field,
@@ -209,6 +213,26 @@ class TestRamp:
         pf = Prefractal(spec35, 2)
         ramp = build_ramp(spec35, 2, constant_field(1))
         assert ramp.continuity_defects(pf, 2) == []
+
+
+    def test_uncovered_target_rejected_under_optimization(self):
+        # the coverage check is no assert, so it holds under python -O too
+        script = (
+            "from fractions import Fraction as F\n"
+            "from carpetcurl.carpet import CarpetSpec, ConstructionError\n"
+            "from carpetcurl.fields import constant_field\n"
+            "from carpetcurl.witness import build_ramp\n"
+            "corner = ((0, 0), (F(1, 10), 0), (F(1, 10), F(1, 10)), (0, F(1, 10)))\n"
+            "try:\n"
+            "    build_ramp(CarpetSpec((F(1, 3),)), 1, constant_field(1, corner))\n"
+            "except ConstructionError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(carpetcurl.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": src})
+        assert out.stdout == \
+            "ConstructionError target function does not cover the cell center (1/4, 1/4)\n"
 
 
 class TestWitnessField:
