@@ -5,28 +5,29 @@ odd integers; at every stage each surviving square is split into an odd grid
 and the central cell is discarded.  Prefractals are kept implicit: membership,
 measures and integrals descend the subdivision tree lazily, short-circuiting
 on squares that lie entirely inside the query region, and integrals stop one
-level above the leaves, where the prefractal is a square minus its hole.
+level above the leaves, where the prefractal is a square minus its hole.  The
+integration walk runs on integers throughout and divides once per monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Optional
 
 from .geometry import (
+    MOMENT_DIVISORS,
+    MONOMIALS,
     ZERO,
     bbox,
     is_convex,
+    moment_sums,
     normalize_polygon,
     triangulate,
 )
 
 HALF = Fraction(1, 2)
-
-# exponent pairs (p, q) of the monomials x^p y^q that Prefractal.integrate
-# handles: every monomial of degree <= 2
-MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 class SpecError(ValueError):
@@ -331,7 +332,11 @@ class Prefractal:
                 + (q * q - 1) * m2[k + 1]
             )
         self.suffix_area = area
-        self.suffix_m2 = m2
+        # the same data as integers over one common denominator
+        den = lcm(*(v.denominator for v in area + m2))
+        self.suffix_den = den
+        self.suffix_area_num = [v.numerator * (den // v.denominator) for v in area]
+        self.suffix_m2_num = [v.numerator * (den // v.denominator) for v in m2]
 
     @property
     def measure(self) -> Fraction:
@@ -411,49 +416,35 @@ class Prefractal:
     def region_measure(self, region, mode: str = "exact"):
         return self.integrate(region, {(0, 0): Fraction(1)}, mode=mode)
 
-    def _interior_contribution(self, poly, k, x0, y0):
-        d = self.sides[k]
-        a = self.suffix_area[k]
-        m2 = self.suffix_m2[k]
-        d2 = d * d
-        out = ZERO
-        for (p, q), coef in poly.items():
-            if coef == 0:
-                continue
-            if p == 0 and q == 0:
-                out += coef * d2 * a
-            elif (p, q) == (1, 0):
-                out += coef * d2 * a * (x0 + d / 2)
-            elif (p, q) == (0, 1):
-                out += coef * d2 * a * (y0 + d / 2)
-            elif (p, q) == (2, 0):
-                out += coef * d2 * (a * x0 * (x0 + d) + d2 * m2)
-            elif (p, q) == (0, 2):
-                out += coef * d2 * (a * y0 * (y0 + d) + d2 * m2)
-            elif (p, q) == (1, 1):
-                out += coef * d2 * a * (x0 + d / 2) * (y0 + d / 2)
-        return out
-
     def _integrate_convex(self, region, coef):
-        # Rescale to an integer lattice: every predicate in the tree walk then
-        # runs on machine integers, and only interior closed forms and leaf
-        # clipping fall back to rational arithmetic.
-        from math import lcm
-        scale = 1
-        for (x, y) in region:
-            scale = lcm(scale, x.denominator, y.denominator)
-        for d in self.sides:
-            scale = lcm(scale, d.denominator)
-
-        def as_int(v):
-            return v.numerator * (scale // v.denominator)
-
-        reg = tuple((as_int(x), as_int(y)) for (x, y) in region)
-        sides = [as_int(d) for d in self.sides]
+        needed = [i for i, key in enumerate(MONOMIALS) if coef[key]]
+        if not needed:
+            return ZERO
+        # Rescale to an integer lattice, then refine it so that every crossing
+        # of a region edge with a grid line is a lattice point: a slanted edge
+        # (dx, dy) through (x_p, y_p) meets x = X at y_p + (X - x_p) * dy / dx,
+        # an integer when dx / gcd(dx, dy) divides X - x_p, a multiple of
+        # refine; likewise for y = Y.  Clipped edges lie on region edge lines
+        # or on grid lines, so the walk, its leaf clips and its moment sums
+        # all run on integers.
+        scale = lcm(*(v.denominator for p in region for v in p),
+                    *(d.denominator for d in self.sides))
+        reg = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+               for (x, y) in region]
+        refine = 1
+        n = len(reg)
+        for i in range(n):
+            dx = reg[i][0] - reg[i - 1][0]
+            dy = reg[i][1] - reg[i - 1][1]
+            if dx and dy:
+                g = gcd(dx, dy)
+                refine = lcm(refine, abs(dx) // g, abs(dy) // g)
+        scale *= refine
+        reg = [(x * refine, y * refine) for (x, y) in reg]
+        sides = [d.numerator * (scale // d.denominator) for d in self.sides]
         xs = [p[0] for p in reg]
         ys = [p[1] for p in reg]
         rbx0, rby0, rbx1, rby1 = min(xs), min(ys), max(xs), max(ys)
-        n = len(reg)
         area2 = 0
         for i in range(n):
             x0, y0 = reg[i]
@@ -469,94 +460,50 @@ class Prefractal:
             b = p[0] - q[0]
             planes.append((-a, -b, -(a * p[0] + b * p[1])))
 
-        deg2 = scale * scale
-        deg3 = deg2 * scale
-        deg4 = deg3 * scale
+        # moment_sums of the leaf pieces, over MOMENT_DIVISORS * scale^(2+p+q)
+        leaf_sums = [0] * 6
+        # per level, over the lower-left corners (x0, y0) of the squares the
+        # region covers: count, sum x0, sum y0, sum x0^2, sum x0*y0, sum y0^2
+        covered = [[0] * 6 for _ in sides]
 
-        def rect_leaf(a, b, c, d):
-            # moments over [a, b] x [c, d] in scaled integers
-            out = ZERO
-            w, h = b - a, d - c
-            if coef[(0, 0)]:
-                out += coef[(0, 0)] * Fraction(w * h, deg2)
-            if coef[(1, 0)]:
-                out += coef[(1, 0)] * Fraction((b * b - a * a) * h, 2 * deg3)
-            if coef[(0, 1)]:
-                out += coef[(0, 1)] * Fraction(w * (d * d - c * c), 2 * deg3)
-            if coef[(2, 0)]:
-                out += coef[(2, 0)] * Fraction((b ** 3 - a ** 3) * h, 3 * deg4)
-            if coef[(0, 2)]:
-                out += coef[(0, 2)] * Fraction(w * (d ** 3 - c ** 3), 3 * deg4)
-            if coef[(1, 1)]:
-                out += coef[(1, 1)] * Fraction((b * b - a * a) * (d * d - c * c), 4 * deg4)
+        def clip(pts, a, b, c):
+            # the part of pts with a*x + b*y >= c
+            out = []
+            cur = pts[-1]
+            fc = a * cur[0] + b * cur[1] - c
+            for fol in pts:
+                fn = a * fol[0] + b * fol[1] - c
+                if fc >= 0:
+                    out.append(cur)
+                if (fc >= 0) != (fn >= 0):
+                    # cur + fc * (fol - cur) / (fc - fn), a lattice point
+                    qx, rx = divmod(fc * (fol[0] - cur[0]), fc - fn)
+                    qy, ry = divmod(fc * (fol[1] - cur[1]), fc - fn)
+                    if rx or ry:
+                        raise ConstructionError(
+                            f"edge {cur}->{fol} crosses {a}*x + {b}*y = {c} off the "
+                            f"refined lattice (refine {refine})")
+                    out.append((cur[0] + qx, cur[1] + qy))
+                cur, fc = fol, fn
             return out
 
-        def poly_leaf(x0, y0, d):
-            pts = reg
-            for (a, b, c) in ((-1, 0, -(x0 + d)), (1, 0, x0), (0, -1, -(y0 + d)), (0, 1, y0)):
-                # keep points with a*x + b*y >= c
-                if not pts:
-                    return ZERO
-                nxt = []
-                np_ = len(pts)
-                for i in range(np_):
-                    cur = pts[i]
-                    fol = pts[(i + 1) % np_]
-                    fc = a * cur[0] + b * cur[1] - c
-                    fn = a * fol[0] + b * fol[1] - c
-                    if fc >= 0:
-                        nxt.append(cur)
-                        if fn < 0:
-                            t = Fraction(fc, fc - fn)
-                            nxt.append((cur[0] + t * (fol[0] - cur[0]),
-                                        cur[1] + t * (fol[1] - cur[1])))
-                    elif fn >= 0:
-                        t = Fraction(fc, fc - fn)
-                        nxt.append((cur[0] + t * (fol[0] - cur[0]),
-                                    cur[1] + t * (fol[1] - cur[1])))
-                pts = nxt
-            if len(pts) < 3:
-                return ZERO
-            m00 = m10 = m01 = m20 = m11 = m02 = ZERO
-            np_ = len(pts)
-            for i in range(np_):
-                xa, ya = pts[i]
-                xb, yb = pts[(i + 1) % np_]
-                cr = xa * yb - xb * ya
-                if coef[(0, 0)]:
-                    m00 += cr
-                if coef[(1, 0)]:
-                    m10 += (xa + xb) * cr
-                if coef[(0, 1)]:
-                    m01 += (ya + yb) * cr
-                if coef[(2, 0)]:
-                    m20 += (xa * xa + xa * xb + xb * xb) * cr
-                if coef[(0, 2)]:
-                    m02 += (ya * ya + ya * yb + yb * yb) * cr
-                if coef[(1, 1)]:
-                    m11 += (2 * xa * ya + xa * yb + xb * ya + 2 * xb * yb) * cr
-            out = ZERO
-            if coef[(0, 0)]:
-                out += coef[(0, 0)] * m00 / (2 * deg2)
-            if coef[(1, 0)]:
-                out += coef[(1, 0)] * m10 / (6 * deg3)
-            if coef[(0, 1)]:
-                out += coef[(0, 1)] * m01 / (6 * deg3)
-            if coef[(2, 0)]:
-                out += coef[(2, 0)] * m20 / (12 * deg4)
-            if coef[(0, 2)]:
-                out += coef[(0, 2)] * m02 / (12 * deg4)
-            if coef[(1, 1)]:
-                out += coef[(1, 1)] * m11 / (24 * deg4)
-            return out
-
-        def leaf(x0, y0, d):
-            # region intersect the full square [x0, x0+d] x [y0, y0+d]
-            if not is_rect:
-                return poly_leaf(x0, y0, d)
-            xa, xb = max(x0, rbx0), min(x0 + d, rbx1)
-            ya, yb = max(y0, rby0), min(y0 + d, rby1)
-            return rect_leaf(xa, xb, ya, yb) if xa < xb and ya < yb else ZERO
+        def leaf(x0, y0, d, sign):
+            # add sign * the moment sums of region intersect [x0, x0+d] x [y0, y0+d]
+            if is_rect:
+                xa, xb = max(x0, rbx0), min(x0 + d, rbx1)
+                ya, yb = max(y0, rby0), min(y0 + d, rby1)
+                if xa >= xb or ya >= yb:
+                    return
+                pts = ((xa, ya), (xb, ya), (xb, yb), (xa, yb))
+            else:
+                pts = reg
+                for (a, b, c) in ((-1, 0, -(x0 + d)), (1, 0, x0), (0, -1, -(y0 + d)), (0, 1, y0)):
+                    pts = clip(pts, a, b, c)
+                    if not pts:
+                        return
+            sums = moment_sums(pts)
+            for i in needed:
+                leaf_sums[i] += sign * sums[i]
 
         level = self.level
 
@@ -564,7 +511,7 @@ class Prefractal:
             d = sides[k]
             x1, y1 = x0 + d, y0 + d
             if x1 <= rbx0 or x0 >= rbx1 or y1 <= rby0 or y0 >= rby1:
-                return ZERO
+                return
             if is_rect:
                 inside = rbx0 <= x0 and x1 <= rbx1 and rby0 <= y0 and y1 <= rby1
             else:
@@ -577,34 +524,69 @@ class Prefractal:
                     if v00 < 0 or v10 < 0 or v11 < 0 or v01 < 0:
                         inside = False
                         if v00 < 0 and v10 < 0 and v11 < 0 and v01 < 0:
-                            return ZERO
+                            return
             if inside:
-                return self._interior_contribution(
-                    coef, k, Fraction(x0, scale), Fraction(y0, scale))
+                t = covered[k]
+                t[0] += 1
+                t[1] += x0
+                t[2] += y0
+                t[3] += x0 * x0
+                t[4] += x0 * y0
+                t[5] += y0 * y0
+                return
             if k == level:
                 # only a level-0 walk gets here; deeper walks stop one level
                 # up with the hole complement below
-                return leaf(x0, y0, d)
+                leaf(x0, y0, d, 1)
+                return
             q = self.subdiv[k]
             dc = sides[k + 1]
             c = (q - 1) // 2
             if k == level - 1:
                 # inside S the level-m set is S minus its open central hole H
-                return leaf(x0, y0, d) - leaf(x0 + c * dc, y0 + c * dc, dc)
+                leaf(x0, y0, d, 1)
+                leaf(x0 + c * dc, y0 + c * dc, dc, -1)
+                return
             jx0 = max(0, (rbx0 - x0) // dc)
             jx1 = min(q - 1, (rbx1 - 1 - x0) // dc)
             jy0 = max(0, (rby0 - y0) // dc)
             jy1 = min(q - 1, (rby1 - 1 - y0) // dc)
-            total = ZERO
             for jy in range(jy0, jy1 + 1):
                 cy = y0 + jy * dc
                 for jx in range(jx0, jx1 + 1):
                     if jx == c and jy == c:
                         continue
-                    total += walk(k + 1, x0 + jx * dc, cy)
-            return total
+                    walk(k + 1, x0 + jx * dc, cy)
 
-        return walk(0, 0, 0)
+        walk(0, 0, 0)
+        return self._assemble(coef, needed, scale, sides, leaf_sums, covered)
+
+    def _assemble(self, coef, needed, scale, sides, leaf_sums, covered):
+        # Every moment is one integer over MOMENT_DIVISORS[i] * scale^(2+p+q)
+        # * suffix_den: the leaf sums plus, per level, the suffix closed forms
+        # applied to the covered squares' corner sums.
+        den = self.suffix_den
+        num = [den * s for s in leaf_sums]
+        for k, (cnt, sx, sy, sxx, sxy, syy) in enumerate(covered):
+            if not cnt:
+                continue
+            d = sides[k]
+            d2a = d * d * self.suffix_area_num[k]
+            d4m = cnt * d ** 4 * self.suffix_m2_num[k]
+            terms = [2 * cnt * d2a,
+                     3 * d2a * (2 * sx + cnt * d),
+                     3 * d2a * (2 * sy + cnt * d),
+                     12 * (d2a * (sxx + d * sx) + d4m),
+                     6 * d2a * (4 * sxy + 2 * d * (sx + sy) + cnt * d * d),
+                     12 * (d2a * (syy + d * sy) + d4m)]
+            for i in needed:
+                num[i] += terms[i]
+        out = ZERO
+        for i in needed:
+            p, q = MONOMIALS[i]
+            out += coef[MONOMIALS[i]] * Fraction(
+                num[i], den * MOMENT_DIVISORS[i] * scale ** (2 + p + q))
+        return out
 
 
 def region_measure(prefractal: Prefractal, region, mode: str = "exact"):

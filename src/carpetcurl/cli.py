@@ -1,7 +1,7 @@
 """Command-line front end: carpet rendering, figures, and verification runs.
 
-Exit codes: 0 when every checked bound holds, 1 when some bound fails, 2 for
-configuration errors.  All outputs are byte-deterministic for a fixed
+Exit codes: 0 when every checked bound holds, 1 when some bound fails or
+``verify`` checked none, 2 for configuration errors.  All outputs are byte-deterministic for a fixed
 configuration.
 """
 
@@ -157,6 +157,9 @@ def cmd_verify(args) -> int:
                   f"{row.value} vs {row.bound}")
     print(f"wrote {out / 'report.csv'} and {out / 'report.json'}; "
           f"{len(failed)} failed bound(s)")
+    if all(row.passed is None for row in report.rows):
+        print("no bound was checked", file=sys.stderr)
+        return EXIT_BOUND_FAILED
     return EXIT_OK if not failed else EXIT_BOUND_FAILED
 
 

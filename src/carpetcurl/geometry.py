@@ -176,15 +176,24 @@ def clip_convex(subject, clip):
     return out
 
 
-# Moments of x^p y^q over a CCW polygon via the divergence theorem,
-# exact for rational vertices.  Keys are (p, q) with p + q <= 2.
+# Moments of x^p y^q over a CCW polygon via the divergence theorem.  The
+# monomials of degree <= 2, in the order moment_sums returns them, and the
+# divisor that turns each sum into the moment.
+MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+MOMENT_DIVISORS = (2, 6, 6, 12, 24, 12)
 
-def polygon_moments(poly):
-    m00 = m10 = m01 = m20 = m11 = m02 = ZERO
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
+
+def moment_sums(poly) -> tuple:
+    """Undivided divergence-theorem sums of the MONOMIALS over a CCW polygon.
+
+    Uses only ring operations, so integer vertices give exact integer sums
+    and Fraction vertices exact Fractions.
+    """
+    m00 = m10 = m01 = m20 = m11 = m02 = 0
+    if not poly:
+        return (m00, m10, m01, m20, m11, m02)
+    x0, y0 = poly[-1]
+    for (x1, y1) in poly:
         c = x0 * y1 - x1 * y0
         m00 += c
         m10 += (x0 + x1) * c
@@ -192,14 +201,14 @@ def polygon_moments(poly):
         m20 += (x0 * x0 + x0 * x1 + x1 * x1) * c
         m02 += (y0 * y0 + y0 * y1 + y1 * y1) * c
         m11 += (2 * x0 * y0 + x0 * y1 + x1 * y0 + 2 * x1 * y1) * c
-    return {
-        (0, 0): m00 / 2,
-        (1, 0): m10 / 6,
-        (0, 1): m01 / 6,
-        (2, 0): m20 / 12,
-        (1, 1): m11 / 24,
-        (0, 2): m02 / 12,
-    }
+        x0, y0 = x1, y1
+    return (m00, m10, m01, m20, m11, m02)
+
+
+def polygon_moments(poly):
+    """Exact moments of the MONOMIALS over a CCW polygon, keyed by (p, q)."""
+    return {key: Fraction(s, div)
+            for key, s, div in zip(MONOMIALS, moment_sums(poly), MOMENT_DIVISORS)}
 
 
 def triangulate(poly):

@@ -93,6 +93,62 @@ def oracle_cases(draw):
     return depth, region
 
 
+# a prime lattice coprime to the carpet's 1/105: region edges with steep and
+# shallow slopes force a large lattice refinement in the walk
+PRIME_LATTICE = 211
+
+
+@st.composite
+def refined_lattice_cases(draw):
+    """(depth, region): a convex hull, a needle triangle or a concave dart."""
+    depth = draw(st.integers(0, 3))
+    span = PRIME_LATTICE if depth < 3 else PRIME_LATTICE // 3
+    ox = draw(st.integers(0, PRIME_LATTICE - span))
+    oy = draw(st.integers(0, PRIME_LATTICE - span))
+    kind = draw(st.sampled_from(("convex", "needle", "dart")))
+    e = draw(st.integers(1, 4))
+    f = draw(st.integers(1, 4))
+    if kind == "convex":
+        n = draw(st.integers(3, 6))
+        pts = convex_hull([(draw(st.integers(0, span)), draw(st.integers(0, span)))
+                           for _ in range(n)])
+    elif kind == "needle":
+        # a shallow edge (span, f), a steep edge (e, span) and a near-diagonal
+        pts = ((0, 0), (span, f), (e, span))
+    else:
+        # a reflex vertex at (m, m) between a shallow and a steep edge
+        m = draw(st.integers(max(e, f) + 1, span // 2))
+        pts = ((0, 0), (span, e), (m, m), (f, span))
+    if draw(st.booleans()):
+        pts = tuple((span - x, y) for (x, y) in pts)
+    if draw(st.booleans()):
+        pts = tuple((x, span - y) for (x, y) in pts)
+    assume(len(pts) >= 3)
+    region = normalize_polygon((F(ox + x, PRIME_LATTICE), F(oy + y, PRIME_LATTICE))
+                               for (x, y) in pts)
+    assume(len(region) >= 3)
+    return depth, region
+
+
+def assert_walk_matches_brute_force(depth, region):
+    """The walk against clipping the region to every surviving leaf square."""
+    spec = CarpetSpec(ORACLE_RATIOS)
+    pf = Prefractal(spec, depth)
+    d = side_length(spec, depth)
+    bx0, by0, bx1, by1 = bbox(region)
+    expected = dict.fromkeys(MONOMIALS, F(0))
+    for (x0, y0) in enumerate_squares(spec, depth):
+        if x0 >= bx1 or y0 >= by1 or x0 + d <= bx0 or y0 + d <= by0:
+            continue
+        piece = clip_to_box(region, x0, y0, x0 + d, y0 + d)
+        if piece:
+            for key, value in polygon_moments(piece).items():
+                expected[key] += value
+    for key in MONOMIALS:
+        assert pf.integrate(region, {key: F(1)}) == expected[key]
+        assert pf.integrate(region, {key: F(1)}, mode="f64") == float(expected[key])
+
+
 class TestValidateSpec:
     def test_shrink_ratio_diagnostics(self, spec357):
         diag = validate_spec(spec357)
@@ -253,23 +309,15 @@ class TestRegionMeasure:
     @example((2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))))
     @settings(max_examples=50, deadline=None)
     def test_brute_force_oracle_on_a_triangle(self, case):
-        # the walk (interior closed forms, hole complements, leaf clips)
-        # against clipping the region to every surviving leaf square
-        depth, region = case
-        spec = CarpetSpec(ORACLE_RATIOS)
-        pf = Prefractal(spec, depth)
-        d = side_length(spec, depth)
-        bx0, by0, bx1, by1 = bbox(region)
-        expected = dict.fromkeys(MONOMIALS, F(0))
-        for (x0, y0) in enumerate_squares(spec, depth):
-            if x0 >= bx1 or y0 >= by1 or x0 + d <= bx0 or y0 + d <= by0:
-                continue
-            piece = clip_to_box(region, x0, y0, x0 + d, y0 + d)
-            if piece:
-                for key, value in polygon_moments(piece).items():
-                    expected[key] += value
-        for key in MONOMIALS:
-            assert pf.integrate(region, {key: F(1)}) == expected[key]
+        # interior closed forms, hole complements and leaf clips
+        assert_walk_matches_brute_force(*case)
+
+    @given(refined_lattice_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_brute_force_oracle_on_a_refined_lattice(self, case):
+        # slanted edges cross the grid lines off the carpet's lattice, so the
+        # walk must refine its integer lattice until every crossing is on it
+        assert_walk_matches_brute_force(*case)
 
     @pytest.mark.parametrize("mode", ["exact", "f64"])
     def test_unsupported_monomial_rejected(self, pf35_2, mode):

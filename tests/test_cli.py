@@ -1,7 +1,10 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
+from carpetcurl import cli
 from carpetcurl.cli import EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK, main
+from carpetcurl.report import VerificationReport
 
 F = Fraction
 
@@ -126,6 +129,37 @@ class TestVerify:
         assert run(["verify", "--ratios", "1/3,1/5", "--nmax", "2", "--depth", "1",
                     "--out", str(out)]) in (EXIT_OK, EXIT_BOUND_FAILED)
         assert (out / "report.json").exists()
+
+    def test_nothing_checked_is_no_success(self, tmp_path, monkeypatch, capsys):
+        # a report with only unflagged rows proves nothing, so it must not exit 0
+        def unchecked(*args, **kwargs):
+            report = VerificationReport(mode=kwargs.get("mode", "exact"))
+            report.add("witness", 1, "strip_area", F(1, 3))
+            return report
+
+        monkeypatch.setattr(cli, "verify_witness_sequence", unchecked)
+        monkeypatch.setattr(cli, "verify_wedge_approximation", unchecked)
+        out = tmp_path / "empty"
+        assert run(["verify", "--ratios", "1/3,1/5", "--nmax", "2", "--depth", "2",
+                    "--out", str(out)]) == EXIT_BOUND_FAILED
+        assert "no bound was checked" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert [r["passed"] for r in report["rows"]] == [None, None]
+
+    def test_deep_walk_reproduces_the_reference_rows(self, tmp_path):
+        # the benchmark's deep_walk call, run in-process, pinned to its
+        # committed reference rows
+        reference_path = (Path(__file__).resolve().parents[1]
+                          / "perfbench" / "reference" / "deep_walk.json")
+        reference = json.loads(reference_path.read_text())
+        argv = ["verify", "--generator", "odd-reciprocal", "--nmax", "2", "--depth", "4",
+                "--f", "const"]
+        assert reference["command"] == ["carpetcurl"] + argv
+        out = tmp_path / "deep"
+        # the stage-2 witness norm exceeds the stage-1 one by design
+        assert run(argv + ["--out", str(out)]) == EXIT_BOUND_FAILED
+        report = json.loads((out / "report.json").read_text())
+        assert report["rows"] == reference["rows"]
 
     def test_bad_target_is_config_error(self, tmp_path):
         assert run(["verify", "--ratios", "1/3", "--nmax", "1", "--depth", "1",
