@@ -1,8 +1,8 @@
 """Command-line front end: carpet rendering, figures, and verification runs.
 
 Exit codes: 0 when every checked bound holds, 1 when some bound fails or
-``verify`` checked none, 2 for configuration errors.  All outputs are byte-deterministic for a fixed
-configuration.
+``verify`` checked none, 2 for configuration errors.  All outputs are
+byte-deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
