@@ -389,14 +389,13 @@ class Prefractal:
 
     # -- exact integration -------------------------------------------------
 
-    def integrate(self, region, poly, mode: str = "exact"):
+    def integrate(self, region, poly):
         """Integral of a degree<=2 polynomial over (prefractal intersect region).
 
         ``region`` may be any simple polygon with rational vertices inside the
         unit square; non-convex regions are triangulated first.  ``poly`` maps
         (p, q) exponent pairs to coefficients; a nonzero coefficient on any
-        other monomial raises ``ValueError``.  With ``mode='f64'`` the exact
-        integral is rounded once to binary64.
+        other monomial raises ``ValueError``.
         """
         for key, coef in poly.items():
             if coef and key not in MONOMIALS:
@@ -411,10 +410,11 @@ class Prefractal:
             pieces = [region] if is_convex(region) else triangulate(region)
             for p in pieces:
                 total += self._integrate_convex(p, poly)
-        return float(total) if mode == "f64" else total
+        return total
 
-    def region_measure(self, region, mode: str = "exact"):
-        return self.integrate(region, {(0, 0): Fraction(1)}, mode=mode)
+    def region_measure(self, region):
+        """Exact area of (prefractal intersect region) for a simple polygon."""
+        return self.integrate(region, {(0, 0): Fraction(1)})
 
     def _integrate_convex(self, region, coef):
         needed = [i for i, key in enumerate(MONOMIALS) if coef[key]]
@@ -587,11 +587,6 @@ class Prefractal:
             out += coef[MONOMIALS[i]] * Fraction(
                 num[i], den * MOMENT_DIVISORS[i] * scale ** (2 + p + q))
         return out
-
-
-def region_measure(prefractal: Prefractal, region, mode: str = "exact"):
-    """Exact area of (prefractal intersect region) for a simple polygon."""
-    return prefractal.region_measure(region, mode=mode)
 
 
 def column_obstacles(spec: CarpetSpec, n: int, x_cut: Fraction):

@@ -24,7 +24,7 @@ from .carpet import (
 )
 from .fields import affine_field, constant_field, coordinate_field
 from .forms import verify_wedge_approximation
-from .report import report_to_csv, report_to_json
+from .report import report_to_csv, report_to_json, rounded_to_f64
 from .svgout import carpet_svg, cells_svg, neighborhoods_svg, staircase_svg, tents_svg
 from .witness import verify_witness_sequence
 
@@ -140,14 +140,15 @@ def cmd_verify(args) -> int:
     validate_spec(spec)
     out = _out_dir(args)
     f = _target_field(args.f)
-    report = verify_witness_sequence(spec, f, n_max=args.nmax, m=args.depth,
-                                     mode=args.mode)
+    report = verify_witness_sequence(spec, f, n_max=args.nmax, m=args.depth)
     wedge_stages = tuple(n for n in (2, 3) if n <= args.nmax)
     if wedge_stages:
         wedge_report = verify_wedge_approximation(
             spec, coordinate_field("x"), coordinate_field("y"),
-            wedge_stages, m=min(args.depth, 3), mode=args.mode)
+            wedge_stages, m=min(args.depth, 3))
         report.extend(wedge_report)
+    if args.mode == "f64":
+        report = rounded_to_f64(report)
     (out / "report.csv").write_text(report_to_csv(report), encoding="utf-8")
     (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
     failed = report.failed_rows()
@@ -176,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="spec config file")
         p.add_argument("--depth", type=int, default=4, help="prefractal level m")
         p.add_argument("--nmax", type=int, default=3, help="largest corrector stage")
-        p.add_argument("--mode", default="exact", choices=["exact", "f64"])
+        p.add_argument("--mode", default="exact", choices=["exact", "f64"],
+                       help="f64 prints the exact report's rationals rounded to binary64")
         p.add_argument("--f", default="const",
                        help="target function: const | x | y | affine:a,b,c")
         p.add_argument("--out", default="out", help="output directory")

@@ -312,53 +312,42 @@ def sup_norm(field: PiecewiseAffineField) -> Fraction:
     return best
 
 
-def dirichlet_energy(field: PiecewiseAffineField, prefractal: Prefractal,
-                     mode: str = "exact", with_tail: bool = False):
-    """Sum over patches of |gradient|^2 times the prefractal measure.
-
-    With ``with_tail`` the result is (value, interval) where the interval
-    scales the value by the tail bracket, estimating the energy over the
-    un-truncated carpet.
-    """
-    total = ZERO if mode == "exact" else 0.0
+def dirichlet_energy(field: PiecewiseAffineField, prefractal: Prefractal):
+    """Sum over patches of |gradient|^2 times the prefractal measure."""
+    total = ZERO
     for p in field.patches:
         g2 = p.cx * p.cx + p.cy * p.cy
         if g2 == 0:
             continue
-        m = prefractal.region_measure(p.vertices, mode=mode)
-        total += (g2 if mode == "exact" else float(g2)) * m
-    if not with_tail:
-        return total
-    from .carpet import tail_measure_bounds
-    tail = tail_measure_bounds(prefractal.spec, prefractal.level)
-    return total, (total * tail.lower, total * tail.upper)
+        total += g2 * prefractal.region_measure(p.vertices)
+    return total
 
 
-def l2_norm_sq(obj, prefractal: Prefractal, mode: str = "exact"):
+def l2_norm_sq(obj, prefractal: Prefractal):
     """Exact squared L2 norm over the prefractal for any supported field kind."""
-    total = ZERO if mode == "exact" else 0.0
+    total = ZERO
     if isinstance(obj, PiecewiseAffineField):
         for p in obj.patches:
             ipoly = poly_mul(p.value_poly(), p.value_poly())
-            total += prefractal.integrate(p.vertices, ipoly, mode=mode)
+            total += prefractal.integrate(p.vertices, ipoly)
     elif isinstance(obj, PCVectorField):
         for (verts, px, py) in obj.pieces:
             v2 = px * px + py * py
             if v2 == 0:
                 continue
-            total += v2 * prefractal.region_measure(verts, mode=mode)
+            total += v2 * prefractal.region_measure(verts)
     elif isinstance(obj, PCScalarField):
         for (verts, val) in obj.pieces:
             if val == 0:
                 continue
-            total += val * val * prefractal.region_measure(verts, mode=mode)
+            total += val * val * prefractal.region_measure(verts)
     elif isinstance(obj, ProductVectorField):
         for (verts, (h0, hx, hy), (px, py)) in obj.pieces:
             v2 = px * px + py * py
             if v2 == 0:
                 continue
             h = affine_poly(h0, hx, hy)
-            total += prefractal.integrate(verts, poly_scale(poly_mul(h, h), v2), mode=mode)
+            total += prefractal.integrate(verts, poly_scale(poly_mul(h, h), v2))
     else:
         raise TypeError(f"cannot integrate {type(obj).__name__}")
     return total

@@ -190,12 +190,12 @@ class _AtomTable:
         return self.by_id[key]
 
 
-def inner_one(a: OneForm, b: OneForm, pf: Prefractal, mode: str = "exact"):
+def inner_one(a: OneForm, b: OneForm, pf: Prefractal):
     """Inner product of one-forms: integral of c1*c2*grad(f1).grad(f2)."""
     table = _AtomTable()
     ta = [(w, table.register(c), table.register(d)) for (w, c, d) in a.terms]
     tb = [(w, table.register(c), table.register(d)) for (w, c, d) in b.terms]
-    total = ZERO if mode == "exact" else 0.0
+    total = ZERO
     for region, idx in _common_refinement(table.partitions):
         integrand = {}
         for (w1, c1, d1) in ta:
@@ -206,7 +206,7 @@ def inner_one(a: OneForm, b: OneForm, pf: Prefractal, mode: str = "exact"):
                 piece = poly_mul(poly_mul(v1, v2), gamma_poly)
                 integrand = poly_add(integrand, poly_scale(piece, w1 * w2))
         if any(v != 0 for v in integrand.values()):
-            total += pf.integrate(region, integrand, mode=mode)
+            total += pf.integrate(region, integrand)
     return total
 
 
@@ -216,18 +216,18 @@ def _atom(table, c_part, d_part, idx):
     return vpoly, gx, gy
 
 
-def norm_sq_one(a: OneForm, pf: Prefractal, mode: str = "exact"):
-    return inner_one(a, a, pf, mode=mode)
+def norm_sq_one(a: OneForm, pf: Prefractal):
+    return inner_one(a, a, pf)
 
 
-def inner_two(a: TwoForm, b: TwoForm, pf: Prefractal, mode: str = "exact"):
+def inner_two(a: TwoForm, b: TwoForm, pf: Prefractal):
     """Inner product of two-forms via the gradient Gram determinant."""
     table = _AtomTable()
     ta = [(w, table.register(h), table.register(f), table.register(g))
           for (w, h, f, g) in a.terms]
     tb = [(w, table.register(h), table.register(f), table.register(g))
           for (w, h, f, g) in b.terms]
-    total = ZERO if mode == "exact" else 0.0
+    total = ZERO
     for region, idx in _common_refinement(table.partitions):
         integrand = {}
         for (w1, h1, f1, g1) in ta:
@@ -246,12 +246,12 @@ def inner_two(a: TwoForm, b: TwoForm, pf: Prefractal, mode: str = "exact"):
                 piece = poly_mul(poly_mul(hv1, hv2), det)
                 integrand = poly_add(integrand, poly_scale(piece, w1 * w2))
         if any(v != 0 for v in integrand.values()):
-            total += pf.integrate(region, integrand, mode=mode)
+            total += pf.integrate(region, integrand)
     return total
 
 
-def norm_sq_two(a: TwoForm, pf: Prefractal, mode: str = "exact"):
-    return inner_two(a, a, pf, mode=mode)
+def norm_sq_two(a: TwoForm, pf: Prefractal):
+    return inner_two(a, a, pf)
 
 
 @dataclass(frozen=True)
@@ -300,8 +300,7 @@ def build_cutoff_form(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
 
 
 def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
-                               g: PiecewiseAffineField, stages, m: int,
-                               mode: str = "exact") -> VerificationReport:
+                               g: PiecewiseAffineField, stages, m: int) -> VerificationReport:
     """Check the two wedge defects of the vanishing one-form sequence.
 
     For each stage n the first defect compares the wedge against the
@@ -310,7 +309,7 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
     norm itself stays bounded below, which is the whole point: a sequence of
     one-forms shrinking to zero whose derivatives do not.
     """
-    report = VerificationReport(mode=mode)
+    report = VerificationReport()
     pf = Prefractal(spec, m)
     gy = g.patches[0]
     if len(g.patches) != 1 or (gy.cx, gy.cy) != (ZERO, ONE):
@@ -319,7 +318,7 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
     gf_sup = gamma_f.essential_sup
 
     wedge_fg = wedge(d0(f), d0(g))
-    wedge_norm = norm_sq_two(wedge_fg, pf, mode=mode)
+    wedge_norm = norm_sq_two(wedge_fg, pf)
     report.add("wedge", None, "wedge_norm_sq", wedge_norm, Fraction(3, 4),
                wedge_norm > Fraction(3, 4),
                note="lower bound; equals the prefractal area for coordinate fields")
@@ -327,7 +326,7 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
     for n in stages:
         flattened, _ = build_flattened(spec, n)
         omega, remainder = build_cutoff_form(spec, n, f, flattened)
-        omega_norm = norm_sq_one(omega, pf, mode=mode)
+        omega_norm = norm_sq_one(omega, pf)
         report.add("wedge", n, "cutoff_form_l2", omega_norm)
 
         rem_sup = sup_norm(remainder)
@@ -337,13 +336,13 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
                    rem_sup * rem_sup <= osc_sq,
                    note="squared sup against squared oscillation at cell scale")
 
-        e_flat = dirichlet_energy(coordinate_minus(flattened), pf, mode=mode)
-        defect1 = norm_sq_two(wedge_fg - wedge(d0(f), d0(flattened)), pf, mode=mode)
+        e_flat = dirichlet_energy(coordinate_minus(flattened), pf)
+        defect1 = norm_sq_two(wedge_fg - wedge(d0(f), d0(flattened)), pf)
         bound1 = 2 * gf_sup ** 2 * e_flat
         report.add("wedge", n, "wedge_defect_primary", defect1, bound1,
                    defect1 <= bound1)
 
-        defect2 = norm_sq_two(wedge(d0(f), d0(flattened)) - d1(omega), pf, mode=mode)
+        defect2 = norm_sq_two(wedge(d0(f), d0(flattened)) - d1(omega), pf)
         report.add("wedge", n, "wedge_defect_secondary", defect2, ZERO,
                    defect2 == 0, note="must vanish identically")
     return report

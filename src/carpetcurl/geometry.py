@@ -248,7 +248,7 @@ def triangulate(poly):
 
 # Bivariate polynomials are dicts {(p, q): coeff}; used as exact integrands.
 
-def poly_mul(f, g, max_degree=2):
+def poly_mul(f, g):
     out = {}
     for (p1, q1), c1 in f.items():
         if c1 == 0:
@@ -257,8 +257,8 @@ def poly_mul(f, g, max_degree=2):
             if c2 == 0:
                 continue
             p, q = p1 + p2, q1 + q2
-            if p + q > max_degree:
-                raise ValueError(f"integrand degree {p + q} exceeds supported degree {max_degree}")
+            if p + q > 2:
+                raise ValueError(f"integrand degree {p + q} exceeds supported degree 2")
             key = (p, q)
             out[key] = out.get(key, ZERO) + c1 * c2
     return out

@@ -9,7 +9,7 @@ order, fixed formatting, no timestamps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -37,9 +37,6 @@ class VerificationReport:
     def failed_rows(self):
         return [r for r in self.rows if r.passed is False]
 
-    def all_passed(self) -> bool:
-        return not self.failed_rows()
-
     def get(self, section, n, name) -> Row:
         for r in self.rows:
             if r.section == section and r.n == n and r.name == name:
@@ -48,6 +45,22 @@ class VerificationReport:
 
     def extend(self, other: "VerificationReport"):
         self.rows.extend(other.rows)
+
+
+def _rounded(v):
+    return float(v) if isinstance(v, Fraction) else v
+
+
+def rounded_to_f64(report: VerificationReport) -> VerificationReport:
+    """Copy of a finished report with each rational rounded once to binary64.
+
+    Every ``Fraction`` value, bound and tail entry becomes ``float(...)``;
+    ints, bools and the pass flags are kept, so the flags stay the exact ones.
+    """
+    rows = [replace(r, value=_rounded(r.value), bound=_rounded(r.bound),
+                    tail=tuple(map(_rounded, r.tail)) if r.tail else r.tail)
+            for r in report.rows]
+    return VerificationReport(mode="f64", rows=rows)
 
 
 def _num_str(v) -> str:

@@ -49,13 +49,6 @@ from .report import VerificationReport, leq_sqrt_sum_sq, leq_with_sqrt
 HALF = Fraction(1, 2)
 
 
-class LocalConstancyViolated(AssertionError):
-    def __init__(self, cell_index, detail=""):
-        self.cell_index = cell_index
-        super().__init__(f"flattened field has nonzero gradient on a boundary "
-                         f"neighborhood of cell {cell_index} {detail}")
-
-
 @dataclass(frozen=True)
 class StripSet:
     """Horizontal strips of height side_length(n) centered on the y-cuts."""
@@ -260,14 +253,12 @@ def build_neighborhoods(spec: CarpetSpec, n: int, tents=None):
     return out
 
 
-def build_flattened(spec: CarpetSpec, n: int, tents=None, check: bool = False):
+def build_flattened(spec: CarpetSpec, n: int, tents=None):
     """The stage-n flattened coordinate: staircase minus tent cover.
 
     Built directly as a total partition: constant patches on the strip bands
     and on the tent trapezoids, slanted patches on the tent side triangles,
-    and slope-one patches elsewhere.  Returns (field, neighborhoods); with
-    ``check`` the vanishing of the gradient on every boundary neighborhood is
-    verified immediately and a violation raises LocalConstancyViolated.
+    and slope-one patches elsewhere.  Returns (field, neighborhoods).
     """
     if tents is None:
         tents = build_tents(spec, n)
@@ -337,13 +328,7 @@ def build_flattened(spec: CarpetSpec, n: int, tents=None, check: bool = False):
     field = PiecewiseAffineField(tuple(patches))
     if field.total_area() != 1:
         raise ConstructionError(f"flattened patches cover {field.total_area()}, not 1")
-    neighborhoods = build_neighborhoods(spec, n, tents)
-    if check:
-        violations = check_local_constancy(field, neighborhoods)
-        if violations:
-            cell, patch = violations[0]
-            raise LocalConstancyViolated(cell, f"(patch {patch}, {len(violations)} total)")
-    return field, neighborhoods
+    return field, build_neighborhoods(spec, n, tents)
 
 
 def check_local_constancy(flattened: PiecewiseAffineField, neighborhoods):
@@ -501,15 +486,14 @@ def coordinate_minus(field: PiecewiseAffineField) -> PiecewiseAffineField:
         AffinePatch(p.vertices, -p.c0, -p.cx, 1 - p.cy) for p in field.patches))
 
 
-def vertical_defect_sq(flattened: PiecewiseAffineField, pf: Prefractal,
-                       mode: str = "exact"):
+def vertical_defect_sq(flattened: PiecewiseAffineField, pf: Prefractal):
     """Integral of (d/dy flattened - 1)^2 over the prefractal."""
     pieces = tuple((p.vertices, p.cy - 1) for p in flattened.patches)
-    return l2_norm_sq(PCScalarField(pieces), pf, mode=mode)
+    return l2_norm_sq(PCScalarField(pieces), pf)
 
 
 def curl_defect_sq(ramp: PiecewiseAffineField, flattened: PiecewiseAffineField,
-                   f: PiecewiseAffineField, pf: Prefractal, mode: str = "exact"):
+                   f: PiecewiseAffineField, pf: Prefractal):
     """Squared L2 distance between the witness rotation and the target f.
 
     The rotation is ramp_x * flat_y - ramp_y * flat_x on every refined patch,
@@ -517,7 +501,7 @@ def curl_defect_sq(ramp: PiecewiseAffineField, flattened: PiecewiseAffineField,
     """
     pieces = refine_pairs([p.vertices for p in ramp.patches],
                           [p.vertices for p in flattened.patches])
-    total = ZERO if mode == "exact" else 0.0
+    total = ZERO
     f_regions = [p.vertices for p in f.patches]
     f_index = _BoxIndex(f_regions, key=bbox)
     for region, ir, ig in pieces:
@@ -530,7 +514,7 @@ def curl_defect_sq(ramp: PiecewiseAffineField, flattened: PiecewiseAffineField,
                 continue
             pf_patch = f.patches[jf]
             diff = {(0, 0): c - pf_patch.c0, (1, 0): -pf_patch.cx, (0, 1): -pf_patch.cy}
-            total += pf.integrate(piece, poly_mul(diff, diff), mode=mode)
+            total += pf.integrate(piece, poly_mul(diff, diff))
     return total
 
 
@@ -556,7 +540,6 @@ class StageData:
     tents: list
     strips: StripSet
     staircase: PiecewiseAffineField
-    tent_field: PiecewiseAffineField
     flattened: PiecewiseAffineField
     neighborhoods: list
     ramp: PiecewiseAffineField
@@ -567,13 +550,12 @@ def build_stage(spec: CarpetSpec, n: int, f: PiecewiseAffineField) -> StageData:
     tents = build_tents(spec, n)
     strips = build_strips(spec, n)
     staircase = build_staircase(spec, n)
-    tent_field = build_tent_field(spec, n, tents)
     flattened, neighborhoods = build_flattened(spec, n, tents)
     ramp = build_ramp(spec, n, f, tents)
     witness = product_with_gradient(ramp, flattened)
     return StageData(n=n, tents=tents, strips=strips, staircase=staircase,
-                     tent_field=tent_field, flattened=flattened,
-                     neighborhoods=neighborhoods, ramp=ramp, witness=witness)
+                     flattened=flattened, neighborhoods=neighborhoods, ramp=ramp,
+                     witness=witness)
 
 
 def oscillation(f: PiecewiseAffineField, diameter_sq: Fraction) -> Fraction:
@@ -587,14 +569,14 @@ def oscillation(f: PiecewiseAffineField, diameter_sq: Fraction) -> Fraction:
 
 
 def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
-                            n_max: int, m: int, mode: str = "exact") -> VerificationReport:
+                            n_max: int, m: int) -> VerificationReport:
     """Check every stage-n printed bound and the witness convergence trend.
 
     Produces one row per quantity with exact pass/fail flags; hypothesis
     diagnostics and tail brackets are attached where a generator rule makes
     the un-truncated carpet approachable.
     """
-    report = VerificationReport(mode=mode)
+    report = VerificationReport()
     pf = Prefractal(spec, m)
     tail = None
     if spec.generator == "odd-reciprocal":
@@ -624,7 +606,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         report.add("witness", n, "strip_area", strip_area, a_n, strip_area <= a_n)
 
         strip_defect = coordinate_minus(stage.staircase)
-        e_strip = dirichlet_energy(strip_defect, pf, mode=mode)
+        e_strip = dirichlet_energy(strip_defect, pf)
         report.add("witness", n, "strip_defect_energy", e_strip, a_n, e_strip <= a_n,
                    tail=(e_strip * tail[0], e_strip) if tail else None)
 
@@ -636,9 +618,9 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    note=f"total tents {len(stage.tents)}")
 
         pt_bound = per_tent_bound(spec, n)
-        worst = e_tents = ZERO if mode == "exact" else 0.0
+        worst = e_tents = ZERO
         for t in stage.tents:
-            e_one = dirichlet_energy(PiecewiseAffineField(t.field_patches()), pf, mode=mode)
+            e_one = dirichlet_energy(PiecewiseAffineField(t.field_patches()), pf)
             e_tents += e_one
             if e_one > worst:
                 worst = e_one
@@ -654,7 +636,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    not violations)
 
         flat_defect = coordinate_minus(stage.flattened)
-        e_flat = dirichlet_energy(flat_defect, pf, mode=mode)
+        e_flat = dirichlet_energy(flat_defect, pf)
         report.add("witness", n, "flattened_defect_energy", e_flat,
                    note="compared against (sqrt(strip bound) + sqrt(tent energy))^2",
                    bound=a_n + e_tents, passed=leq_sqrt_sum_sq(e_flat, a_n, e_tents))
@@ -665,13 +647,13 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    note=f"previous side {d_prev} vs 1/n {Fraction(1, n)}: "
                         f"{'<=' if d_prev <= Fraction(1, n) else '>'}")
 
-        w_norm = l2_norm_sq(stage.witness, pf, mode=mode)
-        e_flat_grad = dirichlet_energy(stage.flattened, pf, mode=mode)
+        w_norm = l2_norm_sq(stage.witness, pf)
+        e_flat_grad = dirichlet_energy(stage.flattened, pf)
         report.add("witness", n, "witness_l2", w_norm, ramp_sup ** 2 * e_flat_grad,
                    w_norm <= ramp_sup ** 2 * e_flat_grad)
         witness_norms.append(w_norm)
 
-        c_defect = curl_defect_sq(stage.ramp, stage.flattened, f, pf, mode)
+        c_defect = curl_defect_sq(stage.ramp, stage.flattened, f, pf)
         osc_sq = oscillation(f, 2 * d_prev ** 2)
         envelope_cross = 4 * f_sup_sq * e_flat * osc_sq * pf.measure
         env_ok = leq_with_sqrt(c_defect, f_sup_sq * e_flat, osc_sq * pf.measure,
@@ -680,7 +662,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    f_sup_sq * e_flat + osc_sq * pf.measure, env_ok,
                    note="envelope (sup|f| sqrt(E) + osc sqrt(area))^2 tested exactly")
 
-        v_defect = vertical_defect_sq(stage.flattened, pf, mode)
+        v_defect = vertical_defect_sq(stage.flattened, pf)
         report.add("witness", n, "vertical_defect", v_defect, e_flat,
                    v_defect <= e_flat,
                    note="second gradient component alone")

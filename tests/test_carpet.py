@@ -146,7 +146,6 @@ def assert_walk_matches_brute_force(depth, region):
                 expected[key] += value
     for key in MONOMIALS:
         assert pf.integrate(region, {key: F(1)}) == expected[key]
-        assert pf.integrate(region, {key: F(1)}, mode="f64") == float(expected[key])
 
 
 class TestValidateSpec:
@@ -319,12 +318,11 @@ class TestRegionMeasure:
         # walk must refine its integer lattice until every crossing is on it
         assert_walk_matches_brute_force(*case)
 
-    @pytest.mark.parametrize("mode", ["exact", "f64"])
-    def test_unsupported_monomial_rejected(self, pf35_2, mode):
+    def test_unsupported_monomial_rejected(self, pf35_2):
         tiny = ((F(1, 100), F(1, 100)), (F(1, 50), F(1, 100)), (F(1, 100), F(1, 50)))
         for region in (tiny, UNIT):
             with pytest.raises(ValueError, match="unsupported monomial"):
-                pf35_2.integrate(region, {(3, 0): 1}, mode=mode)
+                pf35_2.integrate(region, {(3, 0): 1})
 
     def test_monotone_in_depth(self, spec357):
         tri = ((F(0), F(0)), (F(1), F(0)), (F(1, 3), F(2, 3)))
@@ -351,13 +349,6 @@ class TestRegionMeasure:
     def test_second_moment_recursion_against_hand_integral(self, pf3_1):
         # integral of x^2 over the level-1 set: 1/3 minus 7/243 over the hole
         assert pf3_1.integrate(UNIT, {(2, 0): F(1)}) == F(74, 243)
-
-    def test_f64_mode_close_to_exact(self, pf35_2):
-        tri = ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))
-        exact = pf35_2.region_measure(tri)
-        approx = pf35_2.region_measure(tri, mode="f64")
-        assert abs(approx - float(exact)) < 1e-12
-        assert approx == pf35_2.region_measure(tri, mode="f64")
 
 
 class TestTailBounds:

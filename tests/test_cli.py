@@ -2,11 +2,17 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from carpetcurl import cli
 from carpetcurl.cli import EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK, main
 from carpetcurl.report import VerificationReport
 
 F = Fraction
+# report entries that are ints, not Fractions, in verify's report
+INTEGER_ENTRIES = {("tent_count_per_column_max", "value"),
+                   ("local_constancy_violations", "value"),
+                   ("local_constancy_violations", "bound")}
 
 
 def run(argv):
@@ -98,6 +104,35 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert report["mode"] == "f64"
 
+    @pytest.mark.parametrize("spec", [
+        ("--ratios", "1/3,1/5", "--nmax", "2", "--depth", "2", "--f", "x"),
+        ("--generator", "odd-reciprocal", "--nmax", "2", "--depth", "2"),
+    ])
+    def test_f64_report_is_the_exact_report_rounded_once(self, tmp_path, spec):
+        # f64 only changes how the finished report prints: its flags and exit
+        # code are the exact ones, and each rational is float(num/den)
+        exact_code = run(["verify", *spec, "--out", str(tmp_path / "exact")])
+        f64_code = run(["verify", *spec, "--mode", "f64", "--out", str(tmp_path / "f64")])
+        exact = json.loads((tmp_path / "exact" / "report.json").read_text())
+        f64 = json.loads((tmp_path / "f64" / "report.json").read_text())
+        assert f64_code == exact_code
+        assert f64["mode"] == "f64"
+
+        def rounded(row, field, v):
+            # integer counts keep their type and still print as [count, 1]
+            if isinstance(v, list) and (row["name"], field) not in INTEGER_ENTRIES:
+                return v[0] / v[1]
+            return v
+
+        expected = []
+        for row in exact["rows"]:
+            row = dict(row, value=rounded(row, "value", row["value"]),
+                       bound=rounded(row, "bound", row["bound"]))
+            if row["tail"]:
+                row["tail"] = [rounded(row, "tail", v) for v in row["tail"]]
+            expected.append(row)
+        assert f64["rows"] == expected
+
     def test_config_file_input(self, tmp_path):
         cfg = tmp_path / "spec.cfg"
         cfg.write_text("ratios = 1/3\n")
@@ -133,7 +168,7 @@ class TestVerify:
     def test_nothing_checked_is_no_success(self, tmp_path, monkeypatch, capsys):
         # a report with only unflagged rows proves nothing, so it must not exit 0
         def unchecked(*args, **kwargs):
-            report = VerificationReport(mode=kwargs.get("mode", "exact"))
+            report = VerificationReport()
             report.add("witness", 1, "strip_area", F(1, 3))
             return report
 

@@ -215,14 +215,6 @@ class TestDirichletEnergy:
         assert dirichlet_energy(PiecewiseAffineField(tuple(refined)), pf35_2) == \
             dirichlet_energy(phi, pf35_2)
 
-    def test_tail_interval_scales_the_value(self):
-        spec = CarpetSpec((F(1, 3), F(1, 5)), generator="odd-reciprocal")
-        pf = Prefractal(spec, 2)
-        value, (lo, hi) = dirichlet_energy(coordinate_field("y"), pf, with_tail=True)
-        assert value == F(64, 75)
-        assert lo == value * F(11, 12)
-        assert hi == value
-
 
 class TestL2Norm:
     def test_constant_one(self, pf35_2):

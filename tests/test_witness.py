@@ -284,7 +284,8 @@ class TestVerifySequence:
 class TestBuildWitnessApi:
     def test_checked_build_passes(self, spec35):
         from carpetcurl.witness import build_witness
-        field, _ = build_flattened(spec35, 2, check=True)
+        field, neighborhoods = build_flattened(spec35, 2)
+        assert check_local_constancy(field, neighborhoods) == []
         v = build_witness(spec35, 2, constant_field(1), flattened=field)
         assert len(v.pieces) > 0
 
