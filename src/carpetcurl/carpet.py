@@ -24,6 +24,7 @@ from .geometry import (
     is_convex,
     moment_sums,
     normalize_polygon,
+    poly_dot,
     triangulate,
 )
 
@@ -389,37 +390,49 @@ class Prefractal:
 
     # -- exact integration -------------------------------------------------
 
+    def moments(self, region):
+        """The six exact moments of MONOMIALS over (prefractal intersect region).
+
+        ``region`` may be any simple polygon with rational vertices inside the
+        unit square; non-convex regions are triangulated first.  Returns one
+        ``Fraction`` per monomial, in MONOMIALS order.
+        """
+        return tuple(self._moments(region, range(len(MONOMIALS))))
+
     def integrate(self, region, poly):
         """Integral of a degree<=2 polynomial over (prefractal intersect region).
 
-        ``region`` may be any simple polygon with rational vertices inside the
-        unit square; non-convex regions are triangulated first.  ``poly`` maps
+        The sum of coefficient times moment over MONOMIALS; only the moments
+        of monomials with a nonzero coefficient are assembled.  ``poly`` maps
         (p, q) exponent pairs to coefficients; a nonzero coefficient on any
         other monomial raises ``ValueError``.
         """
         for key, coef in poly.items():
             if coef and key not in MONOMIALS:
                 raise ValueError(f"unsupported monomial {key}")
-        poly = {key: Fraction(poly.get(key, 0)) for key in MONOMIALS}
-        region = normalize_polygon(region)
-        total = ZERO
-        if region:
-            bx0, by0, bx1, by1 = bbox(region)
-            if bx0 < 0 or by0 < 0 or bx1 > 1 or by1 > 1:
-                raise OutOfUnitSquare("region leaves the unit square")
-            pieces = [region] if is_convex(region) else triangulate(region)
-            for p in pieces:
-                total += self._integrate_convex(p, poly)
-        return total
+        needed = [i for i, key in enumerate(MONOMIALS) if poly.get(key)]
+        return poly_dot(poly, self._moments(region, needed))
 
     def region_measure(self, region):
         """Exact area of (prefractal intersect region) for a simple polygon."""
         return self.integrate(region, {(0, 0): Fraction(1)})
 
-    def _integrate_convex(self, region, coef):
-        needed = [i for i, key in enumerate(MONOMIALS) if coef[key]]
-        if not needed:
-            return ZERO
+    def _moments(self, region, needed):
+        # the moments listed in needed, ZERO for the others
+        moments = [ZERO] * len(MONOMIALS)
+        region = normalize_polygon(region)
+        if not region or not needed:
+            return moments
+        bx0, by0, bx1, by1 = bbox(region)
+        if bx0 < 0 or by0 < 0 or bx1 > 1 or by1 > 1:
+            raise OutOfUnitSquare("region leaves the unit square")
+        pieces = [region] if is_convex(region) else triangulate(region)
+        for p in pieces:
+            for i, v in zip(needed, self._moments_convex(p, needed)):
+                moments[i] += v
+        return moments
+
+    def _moments_convex(self, region, needed):
         # Rescale to an integer lattice, then refine it so that every crossing
         # of a region edge with a grid line is a lattice point: a slanted edge
         # (dx, dy) through (x_p, y_p) meets x = X at y_p + (X - x_p) * dy / dx,
@@ -559,9 +572,9 @@ class Prefractal:
                     walk(k + 1, x0 + jx * dc, cy)
 
         walk(0, 0, 0)
-        return self._assemble(coef, needed, scale, sides, leaf_sums, covered)
+        return self._assemble(needed, scale, sides, leaf_sums, covered)
 
-    def _assemble(self, coef, needed, scale, sides, leaf_sums, covered):
+    def _assemble(self, needed, scale, sides, leaf_sums, covered):
         # Every moment is one integer over MOMENT_DIVISORS[i] * scale^(2+p+q)
         # * suffix_den: the leaf sums plus, per level, the suffix closed forms
         # applied to the covered squares' corner sums.
@@ -581,11 +594,10 @@ class Prefractal:
                      12 * (d2a * (syy + d * sy) + d4m)]
             for i in needed:
                 num[i] += terms[i]
-        out = ZERO
+        out = []
         for i in needed:
             p, q = MONOMIALS[i]
-            out += coef[MONOMIALS[i]] * Fraction(
-                num[i], den * MOMENT_DIVISORS[i] * scale ** (2 + p + q))
+            out.append(Fraction(num[i], den * MOMENT_DIVISORS[i] * scale ** (2 + p + q)))
         return out
 
 

@@ -20,13 +20,20 @@ from .fields import (
     PiecewiseAffineField,
     _BoxIndex,
     constant_field,
-    dirichlet_energy,
     refine_pairs,
     sup_norm,
 )
 from .geometry import ZERO, bbox, clip_convex, polygon_area, poly_add, poly_mul, poly_scale
 from .report import VerificationReport
-from .witness import build_cell_field, build_flattened, coordinate_minus
+from .witness import (
+    affine_target,
+    build_cell_field,
+    build_flattened,
+    build_tents,
+    measure_sum,
+    partition_tags,
+    square_integral,
+)
 
 ONE = Fraction(1)
 
@@ -276,7 +283,7 @@ def gamma(f: PiecewiseAffineField, g: PiecewiseAffineField, pf: Prefractal) -> G
 
 
 def build_cutoff_form(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
-                      flattened: Optional[PiecewiseAffineField] = None):
+                      flattened: Optional[PiecewiseAffineField] = None, tents=None):
     """Stage-n one-form: localized remainder of f times d(flattened coordinate).
 
     The remainder subtracts from f its value at each cell center and fades to
@@ -287,15 +294,17 @@ def build_cutoff_form(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
     if len(f.patches) != 1:
         raise ValueError("cutoff construction expects a globally affine target")
     base = f.patches[0]
+    if tents is None:
+        tents = build_tents(spec, n)
     if flattened is None:
-        flattened, _ = build_flattened(spec, n)
+        flattened, _ = build_flattened(spec, n, tents)
 
     def cell_map(idx, cell):
         x0, y0, x1, y1 = cell
         center = ((x0 + x1) / 2, (y0 + y1) / 2)
         return (base.c0 - base.value_at(center), base.cx, base.cy)
 
-    remainder = build_cell_field(spec, n, cell_map)
+    remainder = build_cell_field(spec, n, cell_map, tents)
     return OneForm(((ONE, remainder, flattened),)), remainder
 
 
@@ -309,11 +318,12 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
     norm itself stays bounded below, which is the whole point: a sequence of
     one-forms shrinking to zero whose derivatives do not.
     """
+    base = affine_target(f)
+    gy = affine_target(g)
+    if (gy.cx, gy.cy) != (ZERO, ONE):
+        raise ValueError("the flattening approximates the vertical coordinate; pass g = y")
     report = VerificationReport()
     pf = Prefractal(spec, m)
-    gy = g.patches[0]
-    if len(g.patches) != 1 or (gy.cx, gy.cy) != (ZERO, ONE):
-        raise ValueError("the flattening approximates the vertical coordinate; pass g = y")
     gamma_f = gamma(f, f, pf)
     gf_sup = gamma_f.essential_sup
 
@@ -323,26 +333,49 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
                wedge_norm > Fraction(3, 4),
                note="lower bound; equals the prefractal area for coordinate fields")
 
+    def det(a, b):
+        return a.cx * b.cy - a.cy * b.cx
+
+    # In the plane the Gram determinant of two wedges is the product of their
+    # determinants (Cauchy-Binet), so |sum w*h*df^dg|^2 = (sum w*h*det[df, dg])^2
+    # pointwise.  The remainder is a cell field, so each of its patches lies
+    # inside the flattened patch partition_tags names, and every norm below
+    # is a sum over patches.
+    det_fg = det(base, gy)
     for n in stages:
-        flattened, _ = build_flattened(spec, n)
-        omega, remainder = build_cutoff_form(spec, n, f, flattened)
-        omega_norm = norm_sq_one(omega, pf)
+        tents = build_tents(spec, n)
+        flattened, _ = build_flattened(spec, n, tents)
+        _, remainder = build_cutoff_form(spec, n, f, flattened, tents)
+        tags, _ = partition_tags(spec, n, tents)
+        measures = [pf.region_measure(p.vertices) for p in flattened.patches]
+        # remainder patches under a nonzero flattened gradient; on the others
+        # both the cutoff form and the second defect vanish identically
+        active = [(p, flattened.patches[t]) for p, t in zip(remainder.patches, tags)
+                  if flattened.patches[t].gradient != (0, 0)]
+        moments = [pf.moments(p.vertices) for p, _ in active]
+
+        omega_norm = sum(((q.cx ** 2 + q.cy ** 2) * square_integral(p, mom)
+                          for (p, q), mom in zip(active, moments)), ZERO)
         report.add("wedge", n, "cutoff_form_l2", omega_norm)
 
         rem_sup = sup_norm(remainder)
         d_prev = side_length(spec, n - 1)
-        osc_sq = (f.patches[0].cx ** 2 + f.patches[0].cy ** 2) * 2 * d_prev ** 2
+        osc_sq = (base.cx ** 2 + base.cy ** 2) * 2 * d_prev ** 2
         report.add("wedge", n, "remainder_sup_sq", rem_sup * rem_sup, osc_sq,
                    rem_sup * rem_sup <= osc_sq,
                    note="squared sup against squared oscillation at cell scale")
 
-        e_flat = dirichlet_energy(coordinate_minus(flattened), pf)
-        defect1 = norm_sq_two(wedge_fg - wedge(d0(f), d0(flattened)), pf)
+        e_flat = measure_sum(flattened, measures, lambda q: q.cx ** 2 + (1 - q.cy) ** 2)
+        # df^dg - df^d(flattened)
+        defect1 = measure_sum(flattened, measures,
+                              lambda q: (det_fg - det(base, q)) ** 2)
         bound1 = 2 * gf_sup ** 2 * e_flat
         report.add("wedge", n, "wedge_defect_primary", defect1, bound1,
                    defect1 <= bound1)
 
-        defect2 = norm_sq_two(wedge(d0(f), d0(flattened)) - d1(omega), pf)
+        # df^d(flattened) - d(remainder)^d(flattened)
+        defect2 = sum(((det(base, q) - det(p, q)) ** 2 * mom[0]
+                       for (p, q), mom in zip(active, moments)), ZERO)
         report.add("wedge", n, "wedge_defect_secondary", defect2, ZERO,
                    defect2 == 0, note="must vanish identically")
     return report

@@ -277,3 +277,8 @@ def poly_scale(f, s):
 
 def affine_poly(c0, cx, cy):
     return {(0, 0): Fraction(c0), (1, 0): Fraction(cx), (0, 1): Fraction(cy)}
+
+
+def poly_dot(f, moments):
+    """Integral of f over a region, given the region's moments in MONOMIALS order."""
+    return sum((f[key] * m for key, m in zip(MONOMIALS, moments) if f.get(key)), ZERO)

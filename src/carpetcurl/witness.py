@@ -43,10 +43,11 @@ from .fields import (
     refine_pairs,
     sup_norm,
 )
-from .geometry import ZERO, bbox, clip_convex, polygon_area, poly_mul
+from .geometry import ZERO, affine_poly, bbox, clip_convex, polygon_area, poly_dot, poly_mul
 from .report import VerificationReport, leq_sqrt_sum_sq, leq_with_sqrt
 
 HALF = Fraction(1, 2)
+UNIT_CORNERS = {(0, 0), (1, 0), (1, 1), (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -253,79 +254,80 @@ def build_neighborhoods(spec: CarpetSpec, n: int, tents=None):
     return out
 
 
-def build_flattened(spec: CarpetSpec, n: int, tents=None):
-    """The stage-n flattened coordinate: staircase minus tent cover.
+def _rectangle(x0, y0, x1, y1):
+    return ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
 
-    Built directly as a total partition: constant patches on the strip bands
-    and on the tent trapezoids, slanted patches on the tent side triangles,
-    and slope-one patches elsewhere.  Returns (field, neighborhoods).
+
+def _flattened_layout(spec: CarpetSpec, n: int, tents):
+    """The flattened partition in order: (key, vertices, (c0, cx, cy)) per patch.
+
+    Constant patches on the strip bands and on the tent trapezoids, slanted
+    patches on the tent side triangles, and slope-one patches elsewhere.  The
+    key names the piece of the layout that ``_cell_layout`` shares: ("band", j)
+    is the band on cut j, ("slab", j, x) the slope-one rectangle of slab j
+    starting at x, and ("trap" | "left" | "right" | "below" | "above", tent)
+    the parts of one tent's column band.
     """
-    if tents is None:
-        tents = build_tents(spec, n)
     strips = build_strips(spec, n)
     h = strips.height / 2
     width = side_length(spec, n)
     one = Fraction(1)
 
-    # slab boundaries: [0, first strip bottom], strips, gaps, ..., [last top, 1]
+    # slab boundaries: [0, first strip bottom], strips, gaps, ..., [last top, 1];
+    # slab j holds cell row j, band j sits on cut j
     breaks = [ZERO]
     for c in strips.y_centers:
         breaks.extend((c - h, c + h))
     breaks.append(one)
-
-    by_slab = {}
-    for t in tents:
-        by_slab.setdefault((t.y_lo, t.y_hi), []).append(t)
-    # index tents by the slab that contains them
     slabs = [(breaks[i], breaks[i + 1]) for i in range(0, len(breaks) - 1, 2)]
-    tents_in_slab = {s: [] for s in slabs}
+    tents_in_slab = [[] for _ in slabs]
     for t in tents:
-        placed = False
-        for (lo, hi) in slabs:
-            if lo <= t.y_lo and t.y_hi <= hi:
-                tents_in_slab[(lo, hi)].append(t)
-                placed = True
-                break
-        if not placed:
+        slab = next((j for j, (lo, hi) in enumerate(slabs) if lo <= t.y_lo and t.y_hi <= hi),
+                    None)
+        if slab is None:
             raise ConstructionError(f"tent at {t.column_x} not inside any slope-one slab")
+        tents_in_slab[slab].append(t)
 
-    patches = []
     value = ZERO  # staircase value accumulated from y = 0
     for i in range(len(breaks) - 1):
         y0, y1 = breaks[i], breaks[i + 1]
         if y0 == y1:
             continue
+        j = i // 2
         if i % 2:  # strip band: staircase constant, no tents meet it
-            patches.append(make_patch(((ZERO, y0), (one, y0), (one, y1), (ZERO, y1)),
-                                      value, 0, 0))
+            yield ("band", j), _rectangle(ZERO, y0, one, y1), (value, 0, 0)
             continue
         k = value - y0  # staircase = y + k on this slab
-        xs_edges = []
-        for t in sorted(tents_in_slab[(y0, y1)], key=lambda t: t.column_x):
-            xl, xr = t.column_x - width / 2, t.column_x + width / 2
-            xs_edges.append((xl, xr, t))
         cursor = ZERO
-        for (xl, xr, t) in xs_edges:
+        for t in sorted(tents_in_slab[j], key=lambda t: t.column_x):
+            xl, xr = t.column_x - width / 2, t.column_x + width / 2
             if cursor < xl:
-                patches.append(make_patch(((cursor, y0), (xl, y0), (xl, y1), (cursor, y1)),
-                                          k, 0, 1))
+                yield ("slab", j, cursor), _rectangle(cursor, y0, xl, y1), (k, 0, 1)
             s = t.side_slope
-            patches.append(make_patch(t.trapezoid, k + t.y_lo, 0, 0))
             left, right = t.triangles
-            patches.append(make_patch(left, k + s * xl, -s, 1))
-            patches.append(make_patch(right, k - s * xr, s, 1))
+            yield ("trap", t), t.trapezoid, (k + t.y_lo, 0, 0)
+            yield ("left", t), left, (k + s * xl, -s, 1)
+            yield ("right", t), right, (k - s * xr, s, 1)
             if y0 < t.y_lo:  # truncated tent: slab remainder below (larger hole)
-                patches.append(make_patch(((xl, y0), (xr, y0), (xr, t.y_lo), (xl, t.y_lo)),
-                                          k, 0, 1))
+                yield ("below", t), _rectangle(xl, y0, xr, t.y_lo), (k, 0, 1)
             if t.y_hi < y1:  # slab remainder above
-                patches.append(make_patch(((xl, t.y_hi), (xr, t.y_hi), (xr, y1), (xl, y1)),
-                                          k, 0, 1))
+                yield ("above", t), _rectangle(xl, t.y_hi, xr, y1), (k, 0, 1)
             cursor = xr
         if cursor < one:
-            patches.append(make_patch(((cursor, y0), (one, y0), (one, y1), (cursor, y1)),
-                                      k, 0, 1))
+            yield ("slab", j, cursor), _rectangle(cursor, y0, one, y1), (k, 0, 1)
         value += y1 - y0
-    field = PiecewiseAffineField(tuple(patches))
+
+
+def build_flattened(spec: CarpetSpec, n: int, tents=None):
+    """The stage-n flattened coordinate: staircase minus tent cover.
+
+    Built directly as a total partition (see ``_flattened_layout``).
+    Returns (field, neighborhoods).
+    """
+    if tents is None:
+        tents = build_tents(spec, n)
+    field = PiecewiseAffineField(tuple(
+        make_patch(verts, *coeffs) for _, verts, coeffs in _flattened_layout(spec, n, tents)))
     if field.total_area() != 1:
         raise ConstructionError(f"flattened patches cover {field.total_area()}, not 1")
     return field, build_neighborhoods(spec, n, tents)
@@ -352,6 +354,78 @@ def check_local_constancy(flattened: PiecewiseAffineField, neighborhoods):
     return violations
 
 
+def _cell_layout(spec: CarpetSpec, n: int, tents):
+    """The cell-field partition in order: (key, vertices, owner) per patch.
+
+    ``owner`` is the index of the cell whose map a core piece uses, or, for a
+    seam triangle, the cells whose maps give the values at its three
+    vertices.  ``key`` is the ``_flattened_layout`` key of the flattened patch
+    containing the piece, known from the construction: a core lies in the
+    slope-one rectangle its row's slab has between the neighbouring tents,
+    a tent side piece in that tent's triangle or remainder rectangle, and a
+    seam in its strip band or tent trapezoid.
+    """
+    grid = cell_grid(spec, n)
+    cuts = grid.x_cuts
+    xs = (ZERO,) + cuts + (Fraction(1),)
+    ncols = len(xs) - 1
+    half = side_length(spec, n) / 2
+    one = Fraction(1)
+
+    by_col = {}
+    for t in tents:
+        by_col.setdefault(t.column_x, []).append(t)
+
+    # core pieces per cell
+    for idx, (x0, y0, x1, y1) in enumerate(grid.cells):
+        row = idx // ncols
+        y_bot = y0 + half if y0 > 0 else ZERO
+        y_top = y1 - half if y1 < 1 else one
+        tent_l = _tent_for_edge(by_col, x0, y0, y1) if x0 > 0 else None
+        tent_r = _tent_for_edge(by_col, x1, y0, y1) if x1 < 1 else None
+        x_lo = x0 + half if tent_l is not None else x0
+        x_hi = x1 - half if tent_r is not None else x1
+        if x0 == 0 or tent_l is not None:
+            slab_start = x_lo
+        yield ("slab", row, slab_start), _rectangle(x_lo, y_bot, x_hi, y_top), idx
+        # a cell meets the right triangle of the tent on its left edge and
+        # the left triangle of the tent on its right edge
+        for tent, cut, inner, side in ((tent_l, x0, x_lo, "right"), (tent_r, x1, x_hi, "left")):
+            if tent is None:
+                continue
+            g0, g1 = tent.y_lo, tent.y_hi
+            yield (side, tent), ((inner, g0), ((inner + cut) / 2, g1), (inner, g1)), idx
+            lo_x, hi_x = min(cut, inner), max(cut, inner)
+            if y_bot < g0:
+                yield ("below", tent), _rectangle(lo_x, y_bot, hi_x, g0), idx
+            if g1 < y_top:
+                yield ("above", tent), _rectangle(lo_x, g1, hi_x, y_top), idx
+
+    # strip seams between vertically adjacent cells
+    for j, cut in enumerate(cuts):
+        for i in range(ncols):
+            lower = j * ncols + i
+            upper = (j + 1) * ncols + i
+            sx0 = xs[i] + half if xs[i] > 0 else ZERO
+            sx1 = xs[i + 1] - half if xs[i + 1] < 1 else one
+            pa, pb, pc, pd = _rectangle(sx0, cut - half, sx1, cut + half)
+            yield ("band", j), (pa, pb, pc), (lower, lower, upper)
+            yield ("band", j), (pa, pc, pd), (lower, upper, upper)
+
+    # trapezoid seams between horizontally adjacent cells
+    col_of_cut = {cut: i for i, cut in enumerate(cuts)}
+    for t in tents:
+        i = col_of_cut[t.column_x]
+        # gap interiors never touch the cut lines, so bisecting on the lower
+        # end finds the unique cell row containing the tent
+        row = min(bisect_right(xs, t.y_lo) - 1, ncols - 1)
+        left = row * ncols + i
+        right = left + 1
+        (bl, br, tr, tl) = t.trapezoid
+        yield ("trap", t), (bl, br, tr), (left, right, right)
+        yield ("trap", t), (bl, tr, tl), (left, right, left)
+
+
 def build_cell_field(spec: CarpetSpec, n: int,
                      cell_map: Callable, tents=None) -> PiecewiseAffineField:
     """Glue per-cell affine maps into a field continuous on the carpet.
@@ -364,89 +438,36 @@ def build_cell_field(spec: CarpetSpec, n: int,
     """
     if tents is None:
         tents = build_tents(spec, n)
-    grid = cell_grid(spec, n)
-    cuts = grid.x_cuts
-    xs = (ZERO,) + cuts + (Fraction(1),)
-    ncols = len(xs) - 1
-    half = side_length(spec, n) / 2
-    one = Fraction(1)
-
-    coeffs = {}
-    for idx, cell in enumerate(grid.cells):
-        coeffs[idx] = tuple(Fraction(c) for c in cell_map(idx, cell))
+    coeffs = [tuple(Fraction(c) for c in cell_map(idx, cell))
+              for idx, cell in enumerate(cell_grid(spec, n).cells)]
 
     def cell_value(idx, p):
         c0, cx, cy = coeffs[idx]
         return c0 + cx * p[0] + cy * p[1]
 
-    by_col = {}
-    for t in tents:
-        by_col.setdefault(t.column_x, []).append(t)
-
     patches = []
-
-    # core pieces per cell
-    for idx, (x0, y0, x1, y1) in enumerate(grid.cells):
-        c0, cx, cy = coeffs[idx]
-        y_bot = y0 + half if y0 > 0 else ZERO
-        y_top = y1 - half if y1 < 1 else one
-        tent_l = _tent_for_edge(by_col, x0, y0, y1) if x0 > 0 else None
-        tent_r = _tent_for_edge(by_col, x1, y0, y1) if x1 < 1 else None
-        x_lo = x0 + half if tent_l is not None else x0
-        x_hi = x1 - half if tent_r is not None else x1
-        patches.append(make_patch(((x_lo, y_bot), (x_hi, y_bot), (x_hi, y_top), (x_lo, y_top)),
-                                  c0, cx, cy))
-        for tent, cut, inner in ((tent_l, x0, x_lo), (tent_r, x1, x_hi)):
-            if tent is None:
-                continue
-            g0, g1 = tent.y_lo, tent.y_hi
-            # the tent side triangle on this cell's side belongs to the core
-            tri = ((inner, g0), ((inner + cut) / 2, g1), (inner, g1))
-            patches.append(make_patch(tri, c0, cx, cy))
-            lo_x, hi_x = min(cut, inner), max(cut, inner)
-            if y_bot < g0:
-                patches.append(make_patch(((lo_x, y_bot), (hi_x, y_bot),
-                                           (hi_x, g0), (lo_x, g0)), c0, cx, cy))
-            if g1 < y_top:
-                patches.append(make_patch(((lo_x, g1), (hi_x, g1),
-                                           (hi_x, y_top), (lo_x, y_top)), c0, cx, cy))
-
-    # strip seams between vertically adjacent cells
-    for j, cut in enumerate(cuts):
-        for i in range(ncols):
-            lower = j * ncols + i
-            upper = (j + 1) * ncols + i
-            sx0 = xs[i] + half if xs[i] > 0 else ZERO
-            sx1 = xs[i + 1] - half if xs[i + 1] < 1 else one
-            yb, yt = cut - half, cut + half
-            pa = (sx0, yb)
-            pb = (sx1, yb)
-            pc = (sx1, yt)
-            pd = (sx0, yt)
-            va, vb = cell_value(lower, pa), cell_value(lower, pb)
-            vc, vd = cell_value(upper, pc), cell_value(upper, pd)
-            patches.append(patch_from_vertex_values(pa, va, pb, vb, pc, vc))
-            patches.append(patch_from_vertex_values(pa, va, pc, vc, pd, vd))
-
-    # trapezoid seams between horizontally adjacent cells
-    col_of_cut = {cut: i for i, cut in enumerate(cuts)}
-    ys = xs
-    for t in tents:
-        i = col_of_cut[t.column_x]
-        # gap interiors never touch the cut lines, so bisecting on the lower
-        # end finds the unique cell row containing the tent
-        row = bisect_right(ys, t.y_lo) - 1
-        if row == ncols:
-            row -= 1
-        left = row * ncols + i
-        right = row * ncols + i + 1
-        (bl, br, tr, tl) = t.trapezoid
-        vbl, vtl = cell_value(left, bl), cell_value(left, tl)
-        vbr, vtr = cell_value(right, br), cell_value(right, tr)
-        patches.append(patch_from_vertex_values(bl, vbl, br, vbr, tr, vtr))
-        patches.append(patch_from_vertex_values(bl, vbl, tr, vtr, tl, vtl))
-
+    for _, verts, owner in _cell_layout(spec, n, tents):
+        if isinstance(owner, int):
+            patches.append(make_patch(verts, *coeffs[owner]))
+        else:
+            (p1, p2, p3), (o1, o2, o3) = verts, owner
+            patches.append(patch_from_vertex_values(p1, cell_value(o1, p1), p2,
+                                                    cell_value(o2, p2), p3, cell_value(o3, p3)))
     return PiecewiseAffineField(tuple(patches))
+
+
+def partition_tags(spec: CarpetSpec, n: int, tents):
+    """Flattened-patch indices of the stage-n pieces, known by construction.
+
+    Returns (cell_tags, tent_tags): ``cell_tags[i]`` is the index of the
+    ``build_flattened`` patch containing patch i of every ``build_cell_field``
+    at stage n (the ramp and the cutoff remainder alike), and ``tent_tags[k]``
+    the indices of tent k's trapezoid, left and right triangle.
+    """
+    index = {key: i for i, (key, _, _) in enumerate(_flattened_layout(spec, n, tents))}
+    cell_tags = tuple(index[key] for key, _, _ in _cell_layout(spec, n, tents))
+    tent_tags = tuple((index["trap", t], index["left", t], index["right", t]) for t in tents)
+    return cell_tags, tent_tags
 
 
 def build_ramp(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
@@ -534,7 +555,11 @@ def per_tent_bound(spec: CarpetSpec, n: int) -> Fraction:
 
 @dataclass
 class StageData:
-    """All stage-n objects needed by the verifier, built once."""
+    """All stage-n objects needed by the verifier, built once.
+
+    ``tags[i]`` is the index of the flattened patch containing ramp patch i,
+    and ``tent_tags[k]`` the flattened patches of tent k (``partition_tags``).
+    """
 
     n: int
     tents: list
@@ -543,6 +568,8 @@ class StageData:
     flattened: PiecewiseAffineField
     neighborhoods: list
     ramp: PiecewiseAffineField
+    tags: tuple
+    tent_tags: tuple
     witness: ProductVectorField
 
 
@@ -552,10 +579,32 @@ def build_stage(spec: CarpetSpec, n: int, f: PiecewiseAffineField) -> StageData:
     staircase = build_staircase(spec, n)
     flattened, neighborhoods = build_flattened(spec, n, tents)
     ramp = build_ramp(spec, n, f, tents)
-    witness = product_with_gradient(ramp, flattened)
+    tags, tent_tags = partition_tags(spec, n, tents)
+    # product_with_gradient(ramp, flattened), read off the tags
+    witness = ProductVectorField(tuple(
+        (p.vertices, (p.c0, p.cx, p.cy), flattened.patches[t].gradient)
+        for p, t in zip(ramp.patches, tags) if flattened.patches[t].gradient != (0, 0)))
     return StageData(n=n, tents=tents, strips=strips, staircase=staircase,
                      flattened=flattened, neighborhoods=neighborhoods, ramp=ramp,
-                     witness=witness)
+                     tags=tags, tent_tags=tent_tags, witness=witness)
+
+
+def affine_target(f: PiecewiseAffineField) -> AffinePatch:
+    """The one affine patch of a target function defined on the whole unit square."""
+    if len(f.patches) != 1 or set(f.patches[0].vertices) != UNIT_CORNERS:
+        raise ValueError("the target must be a single affine patch covering the unit square")
+    return f.patches[0]
+
+
+def measure_sum(field: PiecewiseAffineField, measures, density: Callable) -> Fraction:
+    """Sum over the patches of a per-patch constant density times the patch's measure."""
+    return sum((density(p) * m for p, m in zip(field.patches, measures)), ZERO)
+
+
+def square_integral(patch: AffinePatch, moments) -> Fraction:
+    """Integral of the patch's affine map squared, from the patch's moments."""
+    value = patch.value_poly()
+    return poly_dot(poly_mul(value, value), moments)
 
 
 def oscillation(f: PiecewiseAffineField, diameter_sq: Fraction) -> Fraction:
@@ -574,8 +623,11 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
 
     Produces one row per quantity with exact pass/fail flags; hypothesis
     diagnostics and tail brackets are attached where a generator rule makes
-    the un-truncated carpet approachable.
+    the un-truncated carpet approachable.  The target ``f`` must be a single
+    affine patch covering the unit square; anything else raises
+    ``ValueError`` before any stage is built.
     """
+    target = affine_target(f)
     report = VerificationReport()
     pf = Prefractal(spec, m)
     tail = None
@@ -617,10 +669,19 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    Fraction(max_per_col) <= col_bound,
                    note=f"total tents {len(stage.tents)}")
 
+        # every integral below is a sum over the flattened patches, each
+        # walked once for its measure, or over the ramp patches, each walked
+        # once for its six moments and tagged with its flattened patch
+        flat = stage.flattened
+        measures = [pf.region_measure(p.vertices) for p in flat.patches]
+        ramp_moments = [pf.moments(p.vertices) for p in stage.ramp.patches]
+
         pt_bound = per_tent_bound(spec, n)
         worst = e_tents = ZERO
-        for t in stage.tents:
-            e_one = dirichlet_energy(PiecewiseAffineField(t.field_patches()), pf)
+        for t, tags in zip(stage.tents, stage.tent_tags):
+            # the tent's trapezoid and side triangles are flattened patches
+            e_one = sum(((p.cx ** 2 + p.cy ** 2) * measures[i]
+                         for p, i in zip(t.field_patches(), tags)), ZERO)
             e_tents += e_one
             if e_one > worst:
                 worst = e_one
@@ -631,12 +692,12 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    e_tents <= tf_bound,
                    tail=(e_tents * tail[0], e_tents) if tail else None)
 
-        violations = check_local_constancy(stage.flattened, stage.neighborhoods)
+        violations = check_local_constancy(flat, stage.neighborhoods)
         report.add("witness", n, "local_constancy_violations", len(violations), 0,
                    not violations)
 
-        flat_defect = coordinate_minus(stage.flattened)
-        e_flat = dirichlet_energy(flat_defect, pf)
+        # the Dirichlet energy of y - flattened
+        e_flat = measure_sum(flat, measures, lambda p: p.cx ** 2 + (1 - p.cy) ** 2)
         report.add("witness", n, "flattened_defect_energy", e_flat,
                    note="compared against (sqrt(strip bound) + sqrt(tent energy))^2",
                    bound=a_n + e_tents, passed=leq_sqrt_sum_sq(e_flat, a_n, e_tents))
@@ -647,13 +708,21 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    note=f"previous side {d_prev} vs 1/n {Fraction(1, n)}: "
                         f"{'<=' if d_prev <= Fraction(1, n) else '>'}")
 
-        w_norm = l2_norm_sq(stage.witness, pf)
-        e_flat_grad = dirichlet_energy(stage.flattened, pf)
+        w_norm = c_defect = ZERO
+        for p, t, moments in zip(stage.ramp.patches, stage.tags, ramp_moments):
+            g = flat.patches[t]
+            g2 = g.cx ** 2 + g.cy ** 2
+            if g2:
+                w_norm += g2 * square_integral(p, moments)
+            # the witness rotation ramp_x * flat_y - ramp_y * flat_x minus f
+            c = p.cx * g.cy - p.cy * g.cx
+            diff = affine_poly(c - target.c0, -target.cx, -target.cy)
+            c_defect += poly_dot(poly_mul(diff, diff), moments)
+        e_flat_grad = measure_sum(flat, measures, lambda p: p.cx ** 2 + p.cy ** 2)
         report.add("witness", n, "witness_l2", w_norm, ramp_sup ** 2 * e_flat_grad,
                    w_norm <= ramp_sup ** 2 * e_flat_grad)
         witness_norms.append(w_norm)
 
-        c_defect = curl_defect_sq(stage.ramp, stage.flattened, f, pf)
         osc_sq = oscillation(f, 2 * d_prev ** 2)
         envelope_cross = 4 * f_sup_sq * e_flat * osc_sq * pf.measure
         env_ok = leq_with_sqrt(c_defect, f_sup_sq * e_flat, osc_sq * pf.measure,
@@ -662,7 +731,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    f_sup_sq * e_flat + osc_sq * pf.measure, env_ok,
                    note="envelope (sup|f| sqrt(E) + osc sqrt(area))^2 tested exactly")
 
-        v_defect = vertical_defect_sq(stage.flattened, pf)
+        v_defect = measure_sum(flat, measures, lambda p: (p.cy - 1) ** 2)
         report.add("witness", n, "vertical_defect", v_defect, e_flat,
                    v_defect <= e_flat,
                    note="second gradient component alone")

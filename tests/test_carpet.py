@@ -131,7 +131,8 @@ def refined_lattice_cases(draw):
 
 
 def assert_walk_matches_brute_force(depth, region):
-    """The walk against clipping the region to every surviving leaf square."""
+    """The walk's integrals and moments against clipping the region to every
+    surviving leaf square."""
     spec = CarpetSpec(ORACLE_RATIOS)
     pf = Prefractal(spec, depth)
     d = side_length(spec, depth)
@@ -146,6 +147,7 @@ def assert_walk_matches_brute_force(depth, region):
                 expected[key] += value
     for key in MONOMIALS:
         assert pf.integrate(region, {key: F(1)}) == expected[key]
+    assert pf.moments(region) == tuple(expected[key] for key in MONOMIALS)
 
 
 class TestValidateSpec:

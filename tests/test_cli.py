@@ -181,20 +181,29 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert [r["passed"] for r in report["rows"]] == [None, None]
 
-    def test_deep_walk_reproduces_the_reference_rows(self, tmp_path):
-        # the benchmark's deep_walk call, run in-process, pinned to its
-        # committed reference rows
+    @staticmethod
+    def assert_reference_rows(workload, argv, tmp_path):
+        # a benchmark call, run in-process, pinned to its committed reference rows
         reference_path = (Path(__file__).resolve().parents[1]
-                          / "perfbench" / "reference" / "deep_walk.json")
+                          / "perfbench" / "reference" / f"{workload}.json")
         reference = json.loads(reference_path.read_text())
-        argv = ["verify", "--generator", "odd-reciprocal", "--nmax", "2", "--depth", "4",
-                "--f", "const"]
         assert reference["command"] == ["carpetcurl"] + argv
-        out = tmp_path / "deep"
+        out = tmp_path / workload
         # the stage-2 witness norm exceeds the stage-1 one by design
         assert run(argv + ["--out", str(out)]) == EXIT_BOUND_FAILED
         report = json.loads((out / "report.json").read_text())
         assert report["rows"] == reference["rows"]
+
+    def test_deep_walk_reproduces_the_reference_rows(self, tmp_path):
+        self.assert_reference_rows(
+            "deep_walk", ["verify", "--generator", "odd-reciprocal", "--nmax", "2",
+                          "--depth", "4", "--f", "const"], tmp_path)
+
+    def test_wide_stage_reproduces_the_reference_rows(self, tmp_path):
+        # depth 2 < stage 3: the stage-3 hole squares still carry measure
+        self.assert_reference_rows(
+            "wide_stage", ["verify", "--generator", "odd-reciprocal", "--nmax", "3",
+                           "--depth", "2", "--f", "const"], tmp_path)
 
     def test_bad_target_is_config_error(self, tmp_path):
         assert run(["verify", "--ratios", "1/3", "--nmax", "1", "--depth", "1",

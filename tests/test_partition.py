@@ -1,0 +1,157 @@
+"""The tagged stage partition against the generic refinement API.
+
+``verify`` evaluates every stage integral as a sum over one partition whose
+patches carry, by construction, the index of the flattened patch containing
+them.  The refinement API (``refine_pairs``, ``product_with_gradient``,
+``curl_defect_sq``, the form inner products) recomputes the same quantities
+independently, so these tests pin the tags and every tagged row to it.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from carpetcurl import cli, witness
+from carpetcurl.carpet import CarpetSpec, Prefractal
+from carpetcurl.fields import (
+    PiecewiseAffineField,
+    affine_field,
+    constant_field,
+    coordinate_field,
+    dirichlet_energy,
+    l2_norm_sq,
+    make_patch,
+    product_with_gradient,
+    refine_pairs,
+    sup_norm,
+)
+from carpetcurl.forms import (
+    build_cutoff_form,
+    d0,
+    d1,
+    gamma,
+    norm_sq_one,
+    norm_sq_two,
+    verify_wedge_approximation,
+    wedge,
+)
+from carpetcurl.witness import (
+    affine_target,
+    build_stage,
+    coordinate_minus,
+    curl_defect_sq,
+    verify_witness_sequence,
+    vertical_defect_sq,
+)
+
+F = Fraction
+
+SPECS = {
+    "odd-reciprocal": CarpetSpec((), generator="odd-reciprocal"),
+    "1/3,1/5 constant": CarpetSpec((F(1, 3), F(1, 5)), generator="constant"),
+    "1/5,1/3,1/7": CarpetSpec((F(1, 5), F(1, 3), F(1, 7))),
+}
+# an affine target, so the curl defect needs all six moments of a patch
+TARGET = affine_field(2, -3, 5)
+
+
+def regions(field):
+    return [p.vertices for p in field.patches]
+
+
+class TestTags:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_tags_equal_the_refinement(self, name, n):
+        spec = SPECS[name]
+        stage = build_stage(spec, n, constant_field(1))
+        flat = stage.flattened
+        assert len(stage.tags) == len(stage.ramp.patches)
+        # every ramp patch lies inside exactly its tagged flattened patch
+        assert refine_pairs(regions(stage.ramp), regions(flat)) == \
+            [(p.vertices, i, t) for i, (p, t) in enumerate(zip(stage.ramp.patches, stage.tags))]
+        # the cutoff remainder has the ramp's polygons, so the same refinement
+        _, remainder = build_cutoff_form(spec, n, coordinate_field("x"), flat, stage.tents)
+        assert regions(remainder) == regions(stage.ramp)
+        # a tent's trapezoid and side triangles are flattened patches
+        for t, tags in zip(stage.tents, stage.tent_tags):
+            assert [flat.patches[i].vertices for i in tags] == regions(
+                PiecewiseAffineField(t.field_patches()))
+
+    def test_witness_equals_the_product_with_gradient(self):
+        stage = build_stage(SPECS["1/5,1/3,1/7"], 2, TARGET)
+        assert stage.witness == product_with_gradient(stage.ramp, stage.flattened)
+
+
+def generic_rows(spec, f, n, m):
+    """Stage-n rows of both verifiers, recomputed through the refinement API."""
+    pf = Prefractal(spec, m)
+    stage = build_stage(spec, n, f)
+    flat, ramp = stage.flattened, stage.ramp
+    tent_energies = [dirichlet_energy(PiecewiseAffineField(t.field_patches()), pf)
+                     for t in stage.tents]
+    e_flat = dirichlet_energy(coordinate_minus(flat), pf)
+    ramp_sup_sq = sup_norm(ramp) ** 2
+    omega, _ = build_cutoff_form(spec, n, f, flat, stage.tents)
+    y = coordinate_field("y")
+    wedge_fg = wedge(d0(f), d0(y))
+    wedge_flat = wedge(d0(f), d0(flat))
+    return {
+        ("witness", "tent_energy_max"): (max(tent_energies), None),
+        ("witness", "tent_field_energy"): (sum(tent_energies), None),
+        ("witness", "flattened_defect_energy"): (e_flat, None),
+        ("witness", "witness_l2"): (l2_norm_sq(product_with_gradient(ramp, flat), pf),
+                                    ramp_sup_sq * dirichlet_energy(flat, pf)),
+        ("witness", "curl_defect_l2"): (curl_defect_sq(ramp, flat, f, pf), None),
+        ("witness", "vertical_defect"): (vertical_defect_sq(flat, pf), e_flat),
+        ("wedge", "cutoff_form_l2"): (norm_sq_one(omega, pf), None),
+        ("wedge", "wedge_defect_primary"): (
+            norm_sq_two(wedge_fg - wedge_flat, pf),
+            2 * gamma(f, f, pf).essential_sup ** 2 * e_flat),
+        ("wedge", "wedge_defect_secondary"): (norm_sq_two(wedge_flat - d1(omega), pf), None),
+    }
+
+
+class TestTaggedRows:
+    @pytest.mark.parametrize("name, n, m", [
+        ("odd-reciprocal", 3, 2),      # depth < n: the stage-n holes carry measure
+        ("1/3,1/5 constant", 2, 3),    # depth >= n
+    ])
+    def test_rows_equal_the_generic_path(self, name, n, m):
+        spec = SPECS[name]
+        report = verify_witness_sequence(spec, TARGET, n_max=n, m=m)
+        report.extend(verify_wedge_approximation(spec, TARGET, coordinate_field("y"), (n,), m))
+        for (section, row_name), (value, bound) in generic_rows(spec, TARGET, n, m).items():
+            row = report.get(section, n, row_name)
+            assert row.value == value, row_name
+            if bound is not None:
+                assert row.bound == bound, row_name
+
+
+UNIT = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+class TestTarget:
+    @pytest.fixture
+    def no_stage(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a stage was built for a rejected target")
+
+        monkeypatch.setattr(witness, "build_stage", fail)
+
+    def test_two_patch_target_rejected(self, spec35, no_stage):
+        halves = PiecewiseAffineField((
+            make_patch(((0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 1)), 1),
+            make_patch(((F(1, 2), 0), (1, 0), (1, 1), (F(1, 2), 1)), 1)))
+        with pytest.raises(ValueError, match="single affine patch"):
+            verify_witness_sequence(spec35, halves, n_max=2, m=2)
+
+    def test_partial_patch_rejected(self, spec35, no_stage):
+        corner = constant_field(1, ((0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)), (0, F(1, 2))))
+        with pytest.raises(ValueError, match="covering the unit square"):
+            verify_witness_sequence(spec35, corner, n_max=2, m=2)
+
+    @pytest.mark.parametrize("selector", ["const", "x", "y", "affine:1/2,-3,5"])
+    def test_every_cli_target_passes(self, selector):
+        patch = affine_target(cli._target_field(selector))
+        assert set(patch.vertices) == set(UNIT)
