@@ -343,9 +343,6 @@ class Prefractal:
     def measure(self) -> Fraction:
         return self.suffix_area[0]
 
-    def squares(self) -> Iterator:
-        return enumerate_squares(self.spec, self.level)
-
     def contains(self, p, up_to_stage: Optional[int] = None) -> bool:
         return not self.strictly_inside_hole(p, up_to_stage)
 

@@ -38,20 +38,22 @@ class ConfigError(ValueError):
 
 
 def _build_spec(args) -> CarpetSpec:
+    if args.config and (args.ratios or args.generator != "none"):
+        raise ConfigError("--config gives the whole spec; drop --ratios and --generator")
     try:
-        if getattr(args, "config", None):
-            text = Path(args.config).read_text(encoding="utf-8")
-            return parse_spec_config(text)
-        ratios = ()
-        if args.ratios:
-            ratios = tuple(Fraction(part.strip()) for part in args.ratios.split(","))
-        generator = args.generator if args.generator != "none" else None
-        spec = CarpetSpec(ratios=ratios, generator=generator)
-        if not spec.ratios and spec.generator is None:
-            raise ConfigError("no ratios given and no generator rule")
-        return spec
+        if args.config:
+            spec = parse_spec_config(Path(args.config).read_text(encoding="utf-8"))
+        else:
+            ratios = ()
+            if args.ratios:
+                ratios = tuple(Fraction(part.strip()) for part in args.ratios.split(","))
+            generator = args.generator if args.generator != "none" else None
+            spec = CarpetSpec(ratios=ratios, generator=generator)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
+    if not spec.ratios and spec.generator is None:
+        raise ConfigError("no ratios given and no generator rule")
+    return spec
 
 
 def _target_field(selector: str):
@@ -72,7 +74,10 @@ def _target_field(selector: str):
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: {exc}") from exc
     return out
 
 
@@ -99,7 +104,6 @@ def cmd_spec_check(args) -> int:
 
 def cmd_carpet(args) -> int:
     spec = _build_spec(args)
-    validate_spec(spec)
     out = _out_dir(args)
     (out / "carpet.svg").write_text(carpet_svg(spec, args.depth), encoding="utf-8")
     records = []
@@ -120,7 +124,6 @@ def cmd_carpet(args) -> int:
 
 def cmd_figures(args) -> int:
     spec = _build_spec(args)
-    validate_spec(spec)
     out = _out_dir(args)
     n = args.nmax
     (out / "cells.svg").write_text(cells_svg(spec, n), encoding="utf-8")
@@ -137,7 +140,6 @@ def cmd_verify(args) -> int:
     if args.depth < 1:
         raise ConfigError(f"--depth {args.depth}: verify needs a prefractal with holes")
     spec = _build_spec(args)
-    validate_spec(spec)
     out = _out_dir(args)
     f = _target_field(args.f)
     report = verify_witness_sequence(spec, f, n_max=args.nmax, m=args.depth)
@@ -170,23 +172,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact carpet geometry and curl non-closability checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--ratios", default="", help="comma list like 1/3,1/5,1/7")
-        p.add_argument("--generator", default="none",
-                       choices=["none", "odd-reciprocal", "constant"])
-        p.add_argument("--config", default=None, help="spec config file")
-        p.add_argument("--depth", type=int, default=4, help="prefractal level m")
-        p.add_argument("--nmax", type=int, default=3, help="largest corrector stage")
-        p.add_argument("--mode", default="exact", choices=["exact", "f64"],
-                       help="f64 prints the exact report's rationals rounded to binary64")
-        p.add_argument("--f", default="const",
-                       help="target function: const | x | y | affine:a,b,c")
-        p.add_argument("--out", default="out", help="output directory")
-
-    for name, fn in (("spec-check", cmd_spec_check), ("carpet", cmd_carpet),
-                     ("figures", cmd_figures), ("verify", cmd_verify)):
+    options = {
+        "--ratios": dict(default="", help="comma list like 1/3,1/5,1/7"),
+        "--generator": dict(default="none", choices=["none", "odd-reciprocal", "constant"]),
+        "--config": dict(default=None, help="spec config file, in place of the two above"),
+        "--depth": dict(type=int, default=4, help="prefractal level m"),
+        "--nmax": dict(type=int, default=3, help="largest corrector stage"),
+        "--mode": dict(default="exact", choices=["exact", "f64"],
+                       help="f64 prints the exact report's rationals rounded to binary64"),
+        "--f": dict(default="const", help="target function: const | x | y | affine:a,b,c"),
+        "--out": dict(default="out", help="output directory"),
+    }
+    spec_flags = ("--ratios", "--generator", "--config")
+    # each subcommand takes only the options it reads
+    for name, fn, flags in (
+            ("spec-check", cmd_spec_check, spec_flags),
+            ("carpet", cmd_carpet, spec_flags + ("--depth", "--out")),
+            ("figures", cmd_figures, spec_flags + ("--nmax", "--out")),
+            ("verify", cmd_verify, tuple(options))):
         p = sub.add_parser(name)
-        common(p)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.set_defaults(fn=fn)
     return parser
 

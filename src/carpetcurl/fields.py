@@ -151,9 +151,6 @@ class PCScalarField:
     def __len__(self):
         return len(self.pieces)
 
-    def sup(self) -> Fraction:
-        return max((abs(v) for _, v in self.pieces), default=ZERO)
-
 
 def constant_field(value, region=((0, 0), (1, 0), (1, 1), (0, 1))) -> PiecewiseAffineField:
     return PiecewiseAffineField((make_patch(region, value, 0, 0),))

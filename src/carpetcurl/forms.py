@@ -18,18 +18,18 @@ from .carpet import CarpetSpec, Prefractal, side_length
 from .fields import (
     PCScalarField,
     PiecewiseAffineField,
-    _BoxIndex,
     constant_field,
     refine_pairs,
     sup_norm,
 )
-from .geometry import ZERO, bbox, clip_convex, polygon_area, poly_add, poly_mul, poly_scale
+from .geometry import ZERO, poly_add, poly_mul, poly_scale
 from .report import VerificationReport
 from .witness import (
     affine_target,
     build_cell_field,
     build_flattened,
     build_tents,
+    flattening_density,
     measure_sum,
     partition_tags,
     square_integral,
@@ -91,10 +91,6 @@ class OneForm:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scaled(self, s):
-        s = Fraction(s)
-        return OneForm(tuple((w * s, c, d) for (w, c, d) in self.terms))
 
 
 @dataclass(frozen=True)
@@ -168,14 +164,8 @@ def _common_refinement(partitions):
         return []
     current = [(r, (i,)) for i, r in enumerate(partitions[0])]
     for part in partitions[1:]:
-        index = _BoxIndex(part, key=bbox)
-        nxt = []
-        for region, idx in current:
-            for j in index.candidates(bbox(region)):
-                piece = clip_convex(region, part[j])
-                if piece and polygon_area(piece) > 0:
-                    nxt.append((piece, idx + (j,)))
-        current = nxt
+        current = [(piece, current[i][1] + (j,))
+                   for piece, i, j in refine_pairs([r for r, _ in current], part)]
     return current
 
 
@@ -297,7 +287,7 @@ def build_cutoff_form(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
     if tents is None:
         tents = build_tents(spec, n)
     if flattened is None:
-        flattened, _ = build_flattened(spec, n, tents)
+        flattened = build_flattened(spec, n, tents)
 
     def cell_map(idx, cell):
         x0, y0, x1, y1 = cell
@@ -344,9 +334,9 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
     det_fg = det(base, gy)
     for n in stages:
         tents = build_tents(spec, n)
-        flattened, _ = build_flattened(spec, n, tents)
+        flattened = build_flattened(spec, n, tents)
         _, remainder = build_cutoff_form(spec, n, f, flattened, tents)
-        tags, _ = partition_tags(spec, n, tents)
+        tags, _, _ = partition_tags(spec, n, tents)
         measures = [pf.region_measure(p.vertices) for p in flattened.patches]
         # remainder patches under a nonzero flattened gradient; on the others
         # both the cutoff form and the second defect vanish identically
@@ -365,7 +355,7 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
                    rem_sup * rem_sup <= osc_sq,
                    note="squared sup against squared oscillation at cell scale")
 
-        e_flat = measure_sum(flattened, measures, lambda q: q.cx ** 2 + (1 - q.cy) ** 2)
+        e_flat = measure_sum(flattened, measures, flattening_density)
         # df^dg - df^d(flattened)
         defect1 = measure_sum(flattened, measures,
                               lambda q: (det_fg - det(base, q)) ** 2)

@@ -11,8 +11,6 @@ from fractions import Fraction
 from typing import Iterable
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 class NonSimplePolygon(ValueError):

@@ -35,18 +35,15 @@ from .fields import (
     PCScalarField,
     PiecewiseAffineField,
     ProductVectorField,
-    _BoxIndex,
-    dirichlet_energy,
     l2_norm_sq,
     make_patch,
     product_with_gradient,
     refine_pairs,
     sup_norm,
 )
-from .geometry import ZERO, affine_poly, bbox, clip_convex, polygon_area, poly_dot, poly_mul
+from .geometry import ZERO, affine_poly, poly_dot, poly_mul
 from .report import VerificationReport, leq_sqrt_sum_sq, leq_with_sqrt
 
-HALF = Fraction(1, 2)
 UNIT_CORNERS = {(0, 0), (1, 0), (1, 1), (0, 1)}
 
 
@@ -322,7 +319,6 @@ def build_flattened(spec: CarpetSpec, n: int, tents=None):
     """The stage-n flattened coordinate: staircase minus tent cover.
 
     Built directly as a total partition (see ``_flattened_layout``).
-    Returns (field, neighborhoods).
     """
     if tents is None:
         tents = build_tents(spec, n)
@@ -330,28 +326,20 @@ def build_flattened(spec: CarpetSpec, n: int, tents=None):
         make_patch(verts, *coeffs) for _, verts, coeffs in _flattened_layout(spec, n, tents)))
     if field.total_area() != 1:
         raise ConstructionError(f"flattened patches cover {field.total_area()}, not 1")
-    return field, build_neighborhoods(spec, n, tents)
+    return field
 
 
 def check_local_constancy(flattened: PiecewiseAffineField, neighborhoods):
     """Every patch overlapping a boundary neighborhood must have zero gradient.
 
-    Returns the list of violations; empty means the key vanishing property
-    holds exactly.
+    Returns the list of violations (cell index, flattened patch index); empty
+    means the key vanishing property holds exactly.
     """
-    violations = []
-    regions = [p.vertices for p in flattened.patches]
-    index = _BoxIndex(regions, key=bbox)
-    for nb in neighborhoods:
-        for piece in nb.pieces():
-            for ip in index.candidates(bbox(piece)):
-                patch = flattened.patches[ip]
-                if patch.cx == 0 and patch.cy == 0:
-                    continue
-                overlap = clip_convex(piece, patch.vertices)
-                if overlap and polygon_area(overlap) > 0:
-                    violations.append((nb.cell_index, ip))
-    return violations
+    pieces = [(nb.cell_index, piece) for nb in neighborhoods for piece in nb.pieces()]
+    sloped = [i for i, p in enumerate(flattened.patches) if p.gradient != (0, 0)]
+    overlaps = refine_pairs([piece for _, piece in pieces],
+                            [flattened.patches[i].vertices for i in sloped])
+    return [(pieces[ia][0], sloped[ib]) for _, ia, ib in overlaps]
 
 
 def _cell_layout(spec: CarpetSpec, n: int, tents):
@@ -459,15 +447,17 @@ def build_cell_field(spec: CarpetSpec, n: int,
 def partition_tags(spec: CarpetSpec, n: int, tents):
     """Flattened-patch indices of the stage-n pieces, known by construction.
 
-    Returns (cell_tags, tent_tags): ``cell_tags[i]`` is the index of the
-    ``build_flattened`` patch containing patch i of every ``build_cell_field``
-    at stage n (the ramp and the cutoff remainder alike), and ``tent_tags[k]``
+    Returns (cell_tags, band_tags, tent_tags): ``cell_tags[i]`` is the index
+    of the ``build_flattened`` patch containing patch i of every
+    ``build_cell_field`` at stage n (the ramp and the cutoff remainder alike),
+    ``band_tags`` the indices of the strip-band patches, and ``tent_tags[k]``
     the indices of tent k's trapezoid, left and right triangle.
     """
     index = {key: i for i, (key, _, _) in enumerate(_flattened_layout(spec, n, tents))}
     cell_tags = tuple(index[key] for key, _, _ in _cell_layout(spec, n, tents))
+    band_tags = tuple(i for key, i in index.items() if key[0] == "band")
     tent_tags = tuple((index["trap", t], index["left", t], index["right", t]) for t in tents)
-    return cell_tags, tent_tags
+    return cell_tags, band_tags, tent_tags
 
 
 def build_ramp(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
@@ -495,7 +485,7 @@ def build_witness(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
     if tents is None:
         tents = build_tents(spec, n)
     if flattened is None:
-        flattened, _ = build_flattened(spec, n, tents)
+        flattened = build_flattened(spec, n, tents)
     if ramp is None:
         ramp = build_ramp(spec, n, f, tents)
     return product_with_gradient(ramp, flattened)
@@ -523,19 +513,15 @@ def curl_defect_sq(ramp: PiecewiseAffineField, flattened: PiecewiseAffineField,
     pieces = refine_pairs([p.vertices for p in ramp.patches],
                           [p.vertices for p in flattened.patches])
     total = ZERO
-    f_regions = [p.vertices for p in f.patches]
-    f_index = _BoxIndex(f_regions, key=bbox)
-    for region, ir, ig in pieces:
+    for piece, k, jf in refine_pairs([region for region, _, _ in pieces],
+                                     [p.vertices for p in f.patches]):
+        _, ir, ig = pieces[k]
         pr = ramp.patches[ir]
         pg = flattened.patches[ig]
         c = pr.cx * pg.cy - pr.cy * pg.cx
-        for jf in f_index.candidates(bbox(region)):
-            piece = clip_convex(region, f_regions[jf])
-            if not piece or polygon_area(piece) == 0:
-                continue
-            pf_patch = f.patches[jf]
-            diff = {(0, 0): c - pf_patch.c0, (1, 0): -pf_patch.cx, (0, 1): -pf_patch.cy}
-            total += pf.integrate(piece, poly_mul(diff, diff))
+        pf_patch = f.patches[jf]
+        diff = {(0, 0): c - pf_patch.c0, (1, 0): -pf_patch.cx, (0, 1): -pf_patch.cy}
+        total += pf.integrate(piece, poly_mul(diff, diff))
     return total
 
 
@@ -558,17 +544,18 @@ class StageData:
     """All stage-n objects needed by the verifier, built once.
 
     ``tags[i]`` is the index of the flattened patch containing ramp patch i,
-    and ``tent_tags[k]`` the flattened patches of tent k (``partition_tags``).
+    ``band_tags`` the flattened strip-band patches, and ``tent_tags[k]`` the
+    flattened patches of tent k (``partition_tags``).
     """
 
     n: int
     tents: list
     strips: StripSet
-    staircase: PiecewiseAffineField
     flattened: PiecewiseAffineField
     neighborhoods: list
     ramp: PiecewiseAffineField
     tags: tuple
+    band_tags: tuple
     tent_tags: tuple
     witness: ProductVectorField
 
@@ -576,17 +563,17 @@ class StageData:
 def build_stage(spec: CarpetSpec, n: int, f: PiecewiseAffineField) -> StageData:
     tents = build_tents(spec, n)
     strips = build_strips(spec, n)
-    staircase = build_staircase(spec, n)
-    flattened, neighborhoods = build_flattened(spec, n, tents)
+    flattened = build_flattened(spec, n, tents)
+    neighborhoods = build_neighborhoods(spec, n, tents)
     ramp = build_ramp(spec, n, f, tents)
-    tags, tent_tags = partition_tags(spec, n, tents)
+    tags, band_tags, tent_tags = partition_tags(spec, n, tents)
     # product_with_gradient(ramp, flattened), read off the tags
     witness = ProductVectorField(tuple(
         (p.vertices, (p.c0, p.cx, p.cy), flattened.patches[t].gradient)
         for p, t in zip(ramp.patches, tags) if flattened.patches[t].gradient != (0, 0)))
-    return StageData(n=n, tents=tents, strips=strips, staircase=staircase,
-                     flattened=flattened, neighborhoods=neighborhoods, ramp=ramp,
-                     tags=tags, tent_tags=tent_tags, witness=witness)
+    return StageData(n=n, tents=tents, strips=strips, flattened=flattened,
+                     neighborhoods=neighborhoods, ramp=ramp, tags=tags,
+                     band_tags=band_tags, tent_tags=tent_tags, witness=witness)
 
 
 def affine_target(f: PiecewiseAffineField) -> AffinePatch:
@@ -594,6 +581,11 @@ def affine_target(f: PiecewiseAffineField) -> AffinePatch:
     if len(f.patches) != 1 or set(f.patches[0].vertices) != UNIT_CORNERS:
         raise ValueError("the target must be a single affine patch covering the unit square")
     return f.patches[0]
+
+
+def flattening_density(p: AffinePatch) -> Fraction:
+    """|grad(y - p)|^2, the flattening energy density on patch p."""
+    return p.cx ** 2 + (1 - p.cy) ** 2
 
 
 def measure_sum(field: PiecewiseAffineField, measures, density: Callable) -> Fraction:
@@ -654,11 +646,21 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         a_n = spec.ratio(n)
         d_prev = side_length(spec, n - 1)
 
+        # every integral below is a sum over the flattened patches, each
+        # walked once for its measure, or over the ramp patches, each walked
+        # once for its six moments and tagged with its flattened patch
+        flat = stage.flattened
+        measures = [pf.region_measure(p.vertices) for p in flat.patches]
+        ramp_moments = [pf.moments(p.vertices) for p in stage.ramp.patches]
+        # the flattening energy |grad(y - flattened)|^2 per patch: on the strip
+        # bands it is the strip defect (|grad(y - staircase)|^2), on a tent's
+        # three patches the tent cover's |grad psi|^2
+        defect = [flattening_density(p) * m for p, m in zip(flat.patches, measures)]
+
         strip_area = stage.strips.total_area
         report.add("witness", n, "strip_area", strip_area, a_n, strip_area <= a_n)
 
-        strip_defect = coordinate_minus(stage.staircase)
-        e_strip = dirichlet_energy(strip_defect, pf)
+        e_strip = sum((defect[i] for i in stage.band_tags), ZERO)
         report.add("witness", n, "strip_defect_energy", e_strip, a_n, e_strip <= a_n,
                    tail=(e_strip * tail[0], e_strip) if tail else None)
 
@@ -669,19 +671,10 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    Fraction(max_per_col) <= col_bound,
                    note=f"total tents {len(stage.tents)}")
 
-        # every integral below is a sum over the flattened patches, each
-        # walked once for its measure, or over the ramp patches, each walked
-        # once for its six moments and tagged with its flattened patch
-        flat = stage.flattened
-        measures = [pf.region_measure(p.vertices) for p in flat.patches]
-        ramp_moments = [pf.moments(p.vertices) for p in stage.ramp.patches]
-
         pt_bound = per_tent_bound(spec, n)
         worst = e_tents = ZERO
-        for t, tags in zip(stage.tents, stage.tent_tags):
-            # the tent's trapezoid and side triangles are flattened patches
-            e_one = sum(((p.cx ** 2 + p.cy ** 2) * measures[i]
-                         for p, i in zip(t.field_patches(), tags)), ZERO)
+        for tags in stage.tent_tags:
+            e_one = sum((defect[i] for i in tags), ZERO)
             e_tents += e_one
             if e_one > worst:
                 worst = e_one
@@ -696,8 +689,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         report.add("witness", n, "local_constancy_violations", len(violations), 0,
                    not violations)
 
-        # the Dirichlet energy of y - flattened
-        e_flat = measure_sum(flat, measures, lambda p: p.cx ** 2 + (1 - p.cy) ** 2)
+        e_flat = sum(defect, ZERO)
         report.add("witness", n, "flattened_defect_energy", e_flat,
                    note="compared against (sqrt(strip bound) + sqrt(tent energy))^2",
                    bound=a_n + e_tents, passed=leq_sqrt_sum_sq(e_flat, a_n, e_tents))

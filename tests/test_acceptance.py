@@ -45,6 +45,7 @@ from carpetcurl.forms import (
 from carpetcurl.report import leq_sqrt_sum_sq
 from carpetcurl.witness import (
     build_flattened,
+    build_neighborhoods,
     build_ramp,
     build_staircase,
     build_strips,
@@ -79,7 +80,8 @@ def witness_data():
     data = {}
     for n in (1, 2, 3):
         tents = build_tents(SPEC, n)
-        flattened, neighborhoods = build_flattened(SPEC, n, tents)
+        flattened = build_flattened(SPEC, n, tents)
+        neighborhoods = build_neighborhoods(SPEC, n, tents)
         ramp = build_ramp(SPEC, n, one, tents)
         witness = product_with_gradient(ramp, flattened)
         tent_energies = [
@@ -240,7 +242,7 @@ class TestCriterion7WedgeDefects:
         for n in (2, 3):
             secondary = rep.get("wedge", n, "wedge_defect_secondary")
             primary = rep.get("wedge", n, "wedge_defect_primary")
-            flattened, _ = build_flattened(SPEC357, n)
+            flattened = build_flattened(SPEC357, n)
             e_flat = dirichlet_energy(coordinate_minus(flattened), pf)
             step = secondary.value == 0 and primary.value <= 2 * e_flat
             ok = ok and step

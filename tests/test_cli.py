@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +35,40 @@ class TestSpecCheck:
 
     def test_missing_spec_is_config_error(self):
         assert run(["spec-check"]) == EXIT_CONFIG
+
+    def test_empty_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("generator = none\n")
+        assert run(["spec-check", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "no ratios given" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [("--ratios", "1/5"), ("--generator", "constant")])
+    def test_config_with_spec_flags_is_config_error(self, tmp_path, flags):
+        # the config file gives the whole spec; a flag beside it would be ignored
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("ratios = 1/3\n")
+        assert run(["spec-check", "--config", str(cfg), *flags]) == EXIT_CONFIG
+
+    def test_option_the_subcommand_ignores_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["carpet", "--ratios", "1/3", "--depth", "1", "--nmax", "99"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--nmax" in capsys.readouterr().err
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("command", [
+        ["verify", "--ratios", "1/3", "--nmax", "1", "--depth", "1"],
+        ["carpet", "--ratios", "1/3", "--depth", "1"],
+    ])
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, command, under):
+        # an existing file, or a path below one
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert run(command + ["--out", str(blocker / under)]) == EXIT_CONFIG
+        assert "--out" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
 
 
 class TestCarpet:
@@ -204,6 +239,19 @@ class TestVerify:
         self.assert_reference_rows(
             "wide_stage", ["verify", "--generator", "odd-reciprocal", "--nmax", "3",
                            "--depth", "2", "--f", "const"], tmp_path)
+
+    def test_default_deep_run_reproduces_the_golden_reports(self, tmp_path):
+        # the README's default deep run; an exact refactor keeps both files
+        # byte for byte (a report header would change these hashes)
+        out = tmp_path / "deep"
+        assert run(["verify", "--generator", "odd-reciprocal", "--nmax", "3", "--depth", "4",
+                    "--f", "const", "--out", str(out)]) == EXIT_BOUND_FAILED
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("report.csv", "report.json")}
+        assert digests == {
+            "report.csv": "ffc334d24d9be839aa8924e2367da422143e5524a67a44471fda3d1d84c962ea",
+            "report.json": "1f3783e6c4b64c839c9d1b04c700851f38c05266e05e3aff6569618017adf34d",
+        }
 
     def test_bad_target_is_config_error(self, tmp_path):
         assert run(["verify", "--ratios", "1/3", "--nmax", "1", "--depth", "1",

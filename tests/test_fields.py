@@ -170,7 +170,7 @@ class TestBoxIndex:
         # in the same order
         spec = CarpetSpec((), "odd-reciprocal")
         tents = build_tents(spec, 2)
-        flattened, _ = build_flattened(spec, 2, tents)
+        flattened = build_flattened(spec, 2, tents)
         ramp = build_ramp(spec, 2, constant_field(1), tents)
         regions_a = [p.vertices for p in ramp.patches]
         regions_b = [p.vertices for p in flattened.patches]
@@ -302,7 +302,7 @@ class TestVectorSerialization:
         from carpetcurl.fields import product_with_gradient, vector_field_to_json
         from carpetcurl.witness import build_flattened, build_ramp
 
-        flattened, _ = build_flattened(spec35, 1)
+        flattened = build_flattened(spec35, 1)
         ramp = build_ramp(spec35, 1, constant_field(1))
         v = product_with_gradient(ramp, flattened)
         payload = vector_field_to_json(v)

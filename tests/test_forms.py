@@ -155,7 +155,7 @@ class TestExteriorDerivative:
 class TestCutoffForm:
     def test_remainder_structure(self, spec35, pf35_2):
         fx = coordinate_field("x")
-        flattened, _ = build_flattened(spec35, 2)
+        flattened = build_flattened(spec35, 2)
         omega, remainder = build_cutoff_form(spec35, 2, fx, flattened)
         assert sup_norm(remainder) <= F(1, 5)
         # off the seams the remainder shifts x by the cell-center abscissa
@@ -164,13 +164,13 @@ class TestCutoffForm:
 
     def test_norm_matches_witness_integral(self, spec357, pf357_3):
         fx = coordinate_field("x")
-        flattened, _ = build_flattened(spec357, 2)
+        flattened = build_flattened(spec357, 2)
         omega, _ = build_cutoff_form(spec357, 2, fx, flattened)
         assert norm_sq_one(omega, pf357_3) == F(138571421, 1944810000)
 
     def test_norm_bounded_by_sup_times_energy(self, spec35, pf35_2):
         fx = coordinate_field("x")
-        flattened, _ = build_flattened(spec35, 2)
+        flattened = build_flattened(spec35, 2)
         omega, remainder = build_cutoff_form(spec35, 2, fx, flattened)
         bound = sup_norm(remainder) ** 2 * dirichlet_energy(flattened, pf35_2)
         assert norm_sq_one(omega, pf35_2) <= bound

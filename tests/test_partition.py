@@ -38,6 +38,7 @@ from carpetcurl.forms import (
 from carpetcurl.witness import (
     affine_target,
     build_stage,
+    build_staircase,
     coordinate_minus,
     curl_defect_sq,
     verify_witness_sequence,
@@ -97,6 +98,8 @@ def generic_rows(spec, f, n, m):
     wedge_fg = wedge(d0(f), d0(y))
     wedge_flat = wedge(d0(f), d0(flat))
     return {
+        ("witness", "strip_defect_energy"): (
+            dirichlet_energy(coordinate_minus(build_staircase(spec, n)), pf), None),
         ("witness", "tent_energy_max"): (max(tent_energies), None),
         ("witness", "tent_field_energy"): (sum(tent_energies), None),
         ("witness", "flattened_defect_energy"): (e_flat, None),
@@ -126,6 +129,18 @@ class TestTaggedRows:
             assert row.value == value, row_name
             if bound is not None:
                 assert row.bound == bound, row_name
+
+
+    def test_rows_need_no_staircase_and_no_tent_patches(self, spec35, monkeypatch):
+        # the strip defect and tent energies are read off the flattened patches
+        expected = verify_witness_sequence(spec35, TARGET, n_max=2, m=2).rows
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the verifier rebuilt a piece of the flattened partition")
+
+        monkeypatch.setattr(witness, "build_staircase", fail)
+        monkeypatch.setattr(witness.Tent, "field_patches", fail)
+        assert verify_witness_sequence(spec35, TARGET, n_max=2, m=2).rows == expected
 
 
 UNIT = ((0, 0), (1, 0), (1, 1), (0, 1))

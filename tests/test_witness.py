@@ -165,13 +165,14 @@ class TestTentField:
 
 class TestFlattened:
     def test_total_cover_and_continuity(self, spec35):
-        field, _ = build_flattened(spec35, 2)
+        field = build_flattened(spec35, 2)
         assert field.total_area() == 1
         pf = Prefractal(spec35, 2)
         assert field.continuity_defects(pf, 2) == []
 
     def test_local_constancy_stage_two(self, spec35):
-        field, neighborhoods = build_flattened(spec35, 2)
+        field = build_flattened(spec35, 2)
+        neighborhoods = build_neighborhoods(spec35, 2)
         assert check_local_constancy(field, neighborhoods) == []
 
     def test_neighborhood_census(self, spec35):
@@ -185,14 +186,14 @@ class TestFlattened:
 
     def test_triangle_inequality_instance(self, spec357):
         pf = Prefractal(spec357, 3)
-        field, _ = build_flattened(spec357, 2)
+        field = build_flattened(spec357, 2)
         e_flat = dirichlet_energy(coordinate_minus(field), pf)
         e_tent = dirichlet_energy(build_tent_field(spec357, 2), pf)
         assert leq_sqrt_sum_sq(e_flat, F(1, 5), e_tent)
 
     def test_vertical_defect_below_full_defect(self, spec357):
         pf = Prefractal(spec357, 3)
-        field, _ = build_flattened(spec357, 2)
+        field = build_flattened(spec357, 2)
         vd = vertical_defect_sq(field, pf)
         assert vd <= dirichlet_energy(coordinate_minus(field), pf)
 
@@ -239,7 +240,8 @@ class TestWitnessField:
     def test_vanishes_on_neighborhoods(self, spec35):
         from carpetcurl.geometry import clip_convex
 
-        flattened, neighborhoods = build_flattened(spec35, 2)
+        flattened = build_flattened(spec35, 2)
+        neighborhoods = build_neighborhoods(spec35, 2)
         ramp = build_ramp(spec35, 2, constant_field(1))
         v = product_with_gradient(ramp, flattened)
         # product pieces only exist where the flattened gradient is nonzero,
@@ -256,13 +258,13 @@ class TestWitnessField:
     def test_norm_against_forms_path(self, spec357, pf357_3):
         # the same integral arises as the squared norm of the stage-two
         # cutoff one-form; the two code paths must agree exactly
-        flattened, _ = build_flattened(spec357, 2)
+        flattened = build_flattened(spec357, 2)
         ramp = build_ramp(spec357, 2, constant_field(1))
         v = product_with_gradient(ramp, flattened)
         assert l2_norm_sq(v, pf357_3) == F(138571421, 1944810000)
 
     def test_curl_defect_equals_vertical_defect_for_unit_target(self, spec357, pf357_3):
-        flattened, _ = build_flattened(spec357, 2)
+        flattened = build_flattened(spec357, 2)
         ramp = build_ramp(spec357, 2, constant_field(1))
         cd = curl_defect_sq(ramp, flattened, constant_field(1), pf357_3)
         assert cd == vertical_defect_sq(flattened, pf357_3)
@@ -284,7 +286,8 @@ class TestVerifySequence:
 class TestBuildWitnessApi:
     def test_checked_build_passes(self, spec35):
         from carpetcurl.witness import build_witness
-        field, neighborhoods = build_flattened(spec35, 2)
+        field = build_flattened(spec35, 2)
+        neighborhoods = build_neighborhoods(spec35, 2)
         assert check_local_constancy(field, neighborhoods) == []
         v = build_witness(spec35, 2, constant_field(1), flattened=field)
         assert len(v.pieces) > 0
@@ -292,7 +295,8 @@ class TestBuildWitnessApi:
     def test_violation_detected_on_a_broken_field(self, spec35):
         from carpetcurl.fields import PiecewiseAffineField, make_patch
 
-        field, neighborhoods = build_flattened(spec35, 2)
+        field = build_flattened(spec35, 2)
+        neighborhoods = build_neighborhoods(spec35, 2)
         # tilt one constant strip-band patch: it overlaps the neighborhoods
         band = next(p for p in field.patches if (p.cx, p.cy) == (F(0), F(0)))
         others = tuple(p for p in field.patches if p is not band)
