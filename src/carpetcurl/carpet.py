@@ -20,10 +20,12 @@ from .geometry import (
     MOMENT_DIVISORS,
     MONOMIALS,
     ZERO,
-    bbox,
-    is_convex,
+    _area2,
+    _convex,
+    _lattice,
+    _lattice_scale,
+    _normalize,
     moment_sums,
-    normalize_polygon,
     poly_dot,
     triangulate,
 )
@@ -333,8 +335,11 @@ class Prefractal:
                 + (q * q - 1) * m2[k + 1]
             )
         self.suffix_area = area
+        # the lattice on which every side length is an integer, and the sides on it
+        self.side_scale = _lattice_scale(self.sides)
+        self.side_ints = [d.numerator * (self.side_scale // d.denominator) for d in self.sides]
         # the same data as integers over one common denominator
-        den = lcm(*(v.denominator for v in area + m2))
+        den = _lattice_scale(area + m2)
         self.suffix_den = den
         self.suffix_area_num = [v.numerator * (den // v.denominator) for v in area]
         self.suffix_m2_num = [v.numerator * (den // v.denominator) for v in m2]
@@ -417,30 +422,31 @@ class Prefractal:
     def _moments(self, region, needed):
         # the moments listed in needed, ZERO for the others
         moments = [ZERO] * len(MONOMIALS)
-        region = normalize_polygon(region)
-        if not region or not needed:
+        # one integer lattice for normalizing, the unit-square test and the
+        # convexity test; only a non-convex region goes back to Fractions
+        verts, pts, scale = _normalize(region)
+        if not verts or not needed:
             return moments
-        bx0, by0, bx1, by1 = bbox(region)
-        if bx0 < 0 or by0 < 0 or bx1 > 1 or by1 > 1:
+        if min(min(p) for p in pts) < 0 or max(max(p) for p in pts) > scale:
             raise OutOfUnitSquare("region leaves the unit square")
-        pieces = [region] if is_convex(region) else triangulate(region)
-        for p in pieces:
-            for i, v in zip(needed, self._moments_convex(p, needed)):
+        if _convex(pts):
+            pieces = [(scale, pts)]
+        else:
+            pieces = [_lattice(t) for t in triangulate(verts)]
+        for scale, pts in pieces:
+            for i, v in zip(needed, self._moments_convex(pts, scale, needed)):
                 moments[i] += v
         return moments
 
-    def _moments_convex(self, region, needed):
-        # Rescale to an integer lattice, then refine it so that every crossing
-        # of a region edge with a grid line is a lattice point: a slanted edge
-        # (dx, dy) through (x_p, y_p) meets x = X at y_p + (X - x_p) * dy / dx,
-        # an integer when dx / gcd(dx, dy) divides X - x_p, a multiple of
-        # refine; likewise for y = Y.  Clipped edges lie on region edge lines
-        # or on grid lines, so the walk, its leaf clips and its moment sums
-        # all run on integers.
-        scale = lcm(*(v.denominator for p in region for v in p),
-                    *(d.denominator for d in self.sides))
-        reg = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-               for (x, y) in region]
+    def _moments_convex(self, reg, scale, needed):
+        # reg is a CCW convex region as integer vertices over scale.  Move it
+        # to a lattice on which every side length is an integer, refined so
+        # that every crossing of a region edge with a grid line is a lattice
+        # point: a slanted edge (dx, dy) through (x_p, y_p) meets x = X at
+        # y_p + (X - x_p) * dy / dx, an integer when dx / gcd(dx, dy) divides
+        # X - x_p, a multiple of refine; likewise for y = Y.  Clipped edges lie
+        # on region edge lines or on grid lines, so the walk, its leaf clips
+        # and its moment sums all run on integers.
         refine = 1
         n = len(reg)
         for i in range(n):
@@ -449,17 +455,14 @@ class Prefractal:
             if dx and dy:
                 g = gcd(dx, dy)
                 refine = lcm(refine, abs(dx) // g, abs(dy) // g)
-        scale *= refine
-        reg = [(x * refine, y * refine) for (x, y) in reg]
-        sides = [d.numerator * (scale // d.denominator) for d in self.sides]
+        up = lcm(scale, self.side_scale) // scale * refine
+        scale *= up
+        reg = [(x * up, y * up) for (x, y) in reg]
+        sides = [d * (scale // self.side_scale) for d in self.side_ints]
         xs = [p[0] for p in reg]
         ys = [p[1] for p in reg]
         rbx0, rby0, rbx1, rby1 = min(xs), min(ys), max(xs), max(ys)
-        area2 = 0
-        for i in range(n):
-            x0, y0 = reg[i]
-            x1, y1 = reg[(i + 1) % n]
-            area2 += x0 * y1 - x1 * y0
+        area2 = _area2(reg)
         is_rect = (n == 4 and area2 == 2 * (rbx1 - rbx0) * (rby1 - rby0))
         # half-plane form a*x + b*y >= c for each CCW edge
         planes = []

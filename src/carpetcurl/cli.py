@@ -72,12 +72,19 @@ def _target_field(selector: str):
     raise ConfigError(f"unknown target function {selector!r}")
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, names) -> Path:
+    """Make the --out directory; each output name in it must not be a directory.
+
+    Called before any work, so an unwritable output fails fast with exit 2.
+    """
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {args.out}: {exc}") from exc
+    for name in names:
+        if (out / name).is_dir():
+            raise ConfigError(f"--out {args.out}: {out / name} is a directory")
     return out
 
 
@@ -104,7 +111,7 @@ def cmd_spec_check(args) -> int:
 
 def cmd_carpet(args) -> int:
     spec = _build_spec(args)
-    out = _out_dir(args)
+    out = _out_dir(args, ("carpet.svg", "carpet.json"))
     (out / "carpet.svg").write_text(carpet_svg(spec, args.depth), encoding="utf-8")
     records = []
     for stage in range(1, args.depth + 1):
@@ -122,15 +129,16 @@ def cmd_carpet(args) -> int:
     return EXIT_OK
 
 
+FIGURES = {"cells.svg": cells_svg, "phi.svg": staircase_svg, "psi.svg": tents_svg,
+           "unk.svg": neighborhoods_svg}
+
+
 def cmd_figures(args) -> int:
     spec = _build_spec(args)
-    out = _out_dir(args)
-    n = args.nmax
-    (out / "cells.svg").write_text(cells_svg(spec, n), encoding="utf-8")
-    (out / "phi.svg").write_text(staircase_svg(spec, n), encoding="utf-8")
-    (out / "psi.svg").write_text(tents_svg(spec, n), encoding="utf-8")
-    (out / "unk.svg").write_text(neighborhoods_svg(spec, n), encoding="utf-8")
-    print(f"wrote cells.svg, phi.svg, psi.svg, unk.svg in {out}")
+    out = _out_dir(args, FIGURES)
+    for name, draw in FIGURES.items():
+        (out / name).write_text(draw(spec, args.nmax), encoding="utf-8")
+    print(f"wrote {', '.join(FIGURES)} in {out}")
     return EXIT_OK
 
 
@@ -140,7 +148,7 @@ def cmd_verify(args) -> int:
     if args.depth < 1:
         raise ConfigError(f"--depth {args.depth}: verify needs a prefractal with holes")
     spec = _build_spec(args)
-    out = _out_dir(args)
+    out = _out_dir(args, ("report.csv", "report.json"))
     f = _target_field(args.f)
     report = verify_witness_sequence(spec, f, n_max=args.nmax, m=args.depth)
     wedge_stages = tuple(n for n in (2, 3) if n <= args.nmax)

@@ -10,16 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .carpet import Prefractal
 from .geometry import (
     ZERO,
+    _convex,
+    _lattice_scale,
+    _normalize,
     affine_poly,
     bbox,
     clip_convex,
-    is_convex,
+    cross,
     normalize_polygon,
     point_in_convex,
     polygon_area,
@@ -53,10 +55,10 @@ class AffinePatch:
 
 
 def make_patch(vertices, c0, cx=0, cy=0) -> AffinePatch:
-    verts = normalize_polygon(vertices)
+    verts, pts, _ = _normalize(vertices)
     if len(verts) < 3:
         raise ValueError("degenerate patch")
-    if not is_convex(verts):
+    if not _convex(pts):
         raise ValueError("patches must be convex")
     return AffinePatch(verts, Fraction(c0), Fraction(cx), Fraction(cy))
 
@@ -188,10 +190,11 @@ class _BoxIndex:
     """Grid index over rational bounding boxes (x0, y0, x1, y1).
 
     The indexed boxes are scaled once by the lcm of all their coordinates'
-    denominators, so each is stored as four exact ints and every overlap
-    test compares integers. The grid cell is the median of the boxes'
-    integer widths and heights (at least 1): a few full-width strips then
-    span many cells instead of forcing every box into one bucket.
+    denominators (the helper the ``geometry`` predicates scale with), so each
+    is stored as four exact ints and every overlap test compares integers.
+    The grid cell is the median of the boxes' integer widths and heights (at
+    least 1): a few full-width strips then span many cells instead of forcing
+    every box into one bucket.
 
     A query box need not lie on the lattice. Its scaled bounds are rounded
     once, low ends down and high ends up, to pick the cells; for an integer
@@ -205,7 +208,7 @@ class _BoxIndex:
 
     def __init__(self, items, key):
         boxes = [key(it) for it in items]
-        self.scale = scale = lcm(*{v.denominator for b in boxes for v in b})
+        self.scale = scale = _lattice_scale(v for b in boxes for v in b)
         self.boxes = [tuple(v.numerator * (scale // v.denominator) for v in b) for b in boxes]
         extents = sorted([b[2] - b[0] for b in self.boxes] + [b[3] - b[1] for b in self.boxes])
         self.cell = cell = max(1, extents[len(extents) // 2]) if extents else 1
@@ -241,7 +244,7 @@ def _shared_segments(poly_a, poly_b):
         for j in range(nb):
             q1, q2 = poly_b[j], poly_b[(j + 1) % nb]
             # collinearity of the two edges
-            if _cross3(p1, p2, q1) != 0 or _cross3(p1, p2, q2) != 0:
+            if cross(p1, p2, q1) != 0 or cross(p1, p2, q2) != 0:
                 continue
             dx, dy = p2[0] - p1[0], p2[1] - p1[1]
             den = dx * dx + dy * dy
@@ -259,10 +262,6 @@ def _shared_segments(poly_a, poly_b):
             b = (p1[0] + hi * dx, p1[1] + hi * dy)
             out.append((a, b))
     return out
-
-
-def _cross3(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def refine_pairs(regions_a, regions_b):

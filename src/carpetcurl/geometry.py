@@ -1,13 +1,17 @@
 """Exact 2-D polygon primitives over rational coordinates.
 
-Everything here works on ``fractions.Fraction`` pairs, so predicates
+Polygons go in and come out as ``fractions.Fraction`` pairs, so predicates
 (orientation, containment) and quantities (areas, clipped regions, moments up
-to degree two) are exact and never depend on tolerances.
+to degree two) are exact and never depend on tolerances.  Normalization,
+convexity, area and clipping scale their polygons once per call by the lcm of
+the vertex denominators and run on that integer lattice; a clipped crossing
+off the lattice stays an exact int + Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 ZERO = Fraction(0)
@@ -22,51 +26,87 @@ def cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _lattice_scale(values) -> int:
+    """The least positive integer whose multiples of the given rationals are ints."""
+    return lcm(*{v.denominator for v in values})
+
+
+def _on_lattice(poly, scale):
+    """The vertices of a rational polygon times scale, as exact ints."""
+    return [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in poly]
+
+
+def _lattice(poly):
+    """(scale, integer vertices) of a rational polygon on its own lattice."""
+    scale = _lattice_scale(v for p in poly for v in p)
+    return scale, _on_lattice(poly, scale)
+
+
+def _area2(poly):
+    # the shoelace sum; ring-generic, so integer vertices give an int
+    s = 0
+    x0, y0 = poly[-1] if poly else (0, 0)
+    for x1, y1 in poly:
+        s += x0 * y1 - x1 * y0
+        x0, y0 = x1, y1
+    return s
+
+
 def polygon_area2(poly) -> Fraction:
     """Twice the signed area (positive for counterclockwise order)."""
-    s = ZERO
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return s
+    scale, pts = _lattice(poly)
+    return Fraction(_area2(pts), scale * scale)
 
 
 def polygon_area(poly) -> Fraction:
     return polygon_area2(poly) / 2
 
 
+def _normalize(points):
+    """Canonical vertices of a polygon, their lattice points and the lattice scale.
+
+    Returns (the given vertices as Fractions at the kept indices, the same
+    vertices on the polygon's integer lattice, its scale).
+    """
+    raw = [(x if type(x) is Fraction else Fraction(x),
+            y if type(y) is Fraction else Fraction(y)) for x, y in points]
+    scale, pts = _lattice(raw)
+    order = list(range(len(pts)))
+    if _area2(pts) < 0:
+        order.reverse()
+    ring = [pts[i] for i in order]
+    keep = []
+    prev = ring[-1] if ring else None
+    for k, cur in enumerate(ring):
+        nxt = ring[(k + 1) % len(ring)]
+        if cur != prev and not (
+                cross(prev, cur, nxt) == 0 and (cur[0] - prev[0]) * (nxt[0] - cur[0]) >= 0
+                and (cur[1] - prev[1]) * (nxt[1] - cur[1]) >= 0):  # collinear interior vertex
+            keep.append(order[k])
+        prev = cur
+    return tuple(raw[i] for i in keep), [pts[i] for i in keep], scale
+
+
 def normalize_polygon(points: Iterable) -> tuple:
     """Canonical form: Fractions, no repeated/collinear vertices, CCW order."""
-    raw = [(Fraction(x), Fraction(y)) for x, y in points]
-    if polygon_area2(tuple(raw)) < 0:
-        raw.reverse()
-    out = []
-    n = len(raw)
-    for i in range(n):
-        prev = raw[(i - 1) % n]
-        cur = raw[i]
-        nxt = raw[(i + 1) % n]
-        if cur == prev:
-            continue
-        if cross(prev, cur, nxt) == 0 and (cur[0] - prev[0]) * (nxt[0] - cur[0]) >= 0 \
-                and (cur[1] - prev[1]) * (nxt[1] - cur[1]) >= 0:
-            # collinear interior vertex
-            continue
-        out.append(cur)
-    return tuple(out)
+    return _normalize(points)[0]
 
 
-def is_convex(poly) -> bool:
-    """True for a CCW convex polygon (collinear vertices allowed)."""
+def _convex(poly) -> bool:
+    # ring-generic body of is_convex
     n = len(poly)
     if n < 3:
         return False
     for i in range(n):
-        if cross(poly[i], poly[(i + 1) % n], poly[(i + 2) % n]) < 0:
+        if cross(poly[i - 2], poly[i - 1], poly[i]) < 0:
             return False
     return True
+
+
+def is_convex(poly) -> bool:
+    """True for a CCW convex polygon (collinear vertices allowed)."""
+    return _convex(_lattice(poly)[1])
 
 
 def is_simple(poly) -> bool:
@@ -115,25 +155,33 @@ def point_in_convex(poly, p) -> bool:
     return True
 
 
+def _shift(v, num, den):
+    # v + num / den, an int when den divides num
+    q, r = divmod(num, den)
+    return v + q if not r else v + Fraction(num, den)
+
+
 def clip_halfplane(poly, a, b, c):
-    """Clip a polygon to the half-plane a*x + b*y <= c (Sutherland-Hodgman)."""
+    """Clip a polygon to the half-plane a*x + b*y <= c (Sutherland-Hodgman).
+
+    Ring-generic: a crossing is cur + fc * (nxt - cur) / (fc - fn), an int
+    when the division is exact and an int + Fraction otherwise, so integer
+    lattice input gives the exact clip too.
+    """
     if not poly:
         return ()
     out = []
-    n = len(poly)
-    for i in range(n):
-        cur = poly[i]
-        nxt = poly[(i + 1) % n]
-        fc = a * cur[0] + b * cur[1] - c
+    cur = poly[0]
+    fc = a * cur[0] + b * cur[1] - c
+    for nxt in poly[1:] + poly[:1]:
         fn = a * nxt[0] + b * nxt[1] - c
         if fc <= 0:
             out.append(cur)
-            if fn > 0:
-                t = fc / (fc - fn)
-                out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-        elif fn <= 0:
-            t = fc / (fc - fn)
-            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+        if (fc <= 0) != (fn <= 0):
+            den = fc - fn
+            out.append((_shift(cur[0], fc * (nxt[0] - cur[0]), den),
+                        _shift(cur[1], fc * (nxt[1] - cur[1]), den)))
+        cur, fc = nxt, fn
     # drop consecutive duplicates produced by vertices lying on the cut line
     dedup = []
     for p in out:
@@ -157,21 +205,23 @@ def clip_to_box(poly, x0, y0, x1, y1):
 
 
 def clip_convex(subject, clip):
-    """Intersection of a polygon with a CCW convex clip polygon."""
-    out = subject
-    n = len(clip)
-    for i in range(n):
-        p = clip[i]
-        q = clip[(i + 1) % n]
+    """Intersection of a polygon with a CCW convex clip polygon.
+
+    Both are scaled onto the lattice of all their denominators together,
+    clipped there edge by edge, and scaled back.
+    """
+    scale = _lattice_scale(v for poly in (subject, clip) for p in poly for v in p)
+    out = _on_lattice(subject, scale)
+    pts = _on_lattice(clip, scale)
+    for p, q in zip(pts, pts[1:] + pts[:1]):
         # inside of edge p->q of a CCW polygon is cross(p, q, x) >= 0,
         # which rearranges to (qy-py)*x + (px-qx)*y <= (qy-py)*px + (px-qx)*py
         a = q[1] - p[1]
         b = p[0] - q[0]
-        c = a * p[0] + b * p[1]
-        out = clip_halfplane(out, a, b, c)
+        out = clip_halfplane(out, a, b, a * p[0] + b * p[1])
         if not out:
             return ()
-    return out
+    return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in out)
 
 
 # Moments of x^p y^q over a CCW polygon via the divergence theorem.  The

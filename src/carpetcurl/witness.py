@@ -216,10 +216,22 @@ class CellNeighborhood:
         return self.rectangles + self.trapezoids
 
 
-def _tent_for_edge(tents_by_column, x_cut, y0, y1):
-    for t in tents_by_column.get(x_cut, ()):
-        if y0 <= t.y_lo and t.y_hi <= y1:
-            return t
+def _tents_by_cut(cuts, tents):
+    """For each cut index, the indices in ``tents`` of the tents on that cut."""
+    col_of_cut = {cut: i for i, cut in enumerate(cuts)}
+    by_cut = [[] for _ in cuts]
+    for k, t in enumerate(tents):
+        by_cut[col_of_cut[t.column_x]].append(k)
+    return by_cut
+
+
+def _tent_for_edge(tents, by_cut, cut, y0, y1):
+    # index of the tent on segment [y0, y1] of the cut with index cut, or None
+    if not 0 <= cut < len(by_cut):  # the unit square's own edge
+        return None
+    for k in by_cut[cut]:
+        if y0 <= tents[k].y_lo and tents[k].y_hi <= y1:
+            return k
     return None
 
 
@@ -227,10 +239,9 @@ def build_neighborhoods(spec: CarpetSpec, n: int, tents=None):
     """One CellNeighborhood per grid cell (strip rectangles and tent trapezoids)."""
     if tents is None:
         tents = build_tents(spec, n)
-    by_col = {}
-    for t in tents:
-        by_col.setdefault(t.column_x, []).append(t)
     grid = cell_grid(spec, n)
+    by_cut = _tents_by_cut(grid.x_cuts, tents)
+    ncols = len(grid.x_cuts) + 1
     half = side_length(spec, n) / 2
     out = []
     for idx, (x0, y0, x1, y1) in enumerate(grid.cells):
@@ -240,12 +251,12 @@ def build_neighborhoods(spec: CarpetSpec, n: int, tents=None):
             rects.append(((x0, y0 - half), (x1, y0 - half), (x1, y0 + half), (x0, y0 + half)))
         if y1 < 1:
             rects.append(((x0, y1 - half), (x1, y1 - half), (x1, y1 + half), (x0, y1 + half)))
-        for cut in (x0, x1):
-            if cut in (ZERO, Fraction(1)):
-                continue
-            t = _tent_for_edge(by_col, cut, y0, y1)
-            if t is not None:
-                traps.append(t.trapezoid)
+        # cut i - 1 is the cell's left edge, cut i its right edge
+        i = idx % ncols
+        for cut in (i - 1, i):
+            k = _tent_for_edge(tents, by_cut, cut, y0, y1)
+            if k is not None:
+                traps.append(tents[k].trapezoid)
         out.append(CellNeighborhood(cell_index=idx, cell=(x0, y0, x1, y1),
                                     rectangles=tuple(rects), trapezoids=tuple(traps)))
     return out
@@ -261,9 +272,9 @@ def _flattened_layout(spec: CarpetSpec, n: int, tents):
     Constant patches on the strip bands and on the tent trapezoids, slanted
     patches on the tent side triangles, and slope-one patches elsewhere.  The
     key names the piece of the layout that ``_cell_layout`` shares: ("band", j)
-    is the band on cut j, ("slab", j, x) the slope-one rectangle of slab j
-    starting at x, and ("trap" | "left" | "right" | "below" | "above", tent)
-    the parts of one tent's column band.
+    is the band on cut j, ("slab", j, p) the slope-one rectangle of slab j
+    right of p of its tents, and ("trap" | "left" | "right" | "below" |
+    "above", k) the parts of the column band of tent ``tents[k]``.
     """
     strips = build_strips(spec, n)
     h = strips.height / 2
@@ -278,12 +289,12 @@ def _flattened_layout(spec: CarpetSpec, n: int, tents):
     breaks.append(one)
     slabs = [(breaks[i], breaks[i + 1]) for i in range(0, len(breaks) - 1, 2)]
     tents_in_slab = [[] for _ in slabs]
-    for t in tents:
+    for k, t in enumerate(tents):
         slab = next((j for j, (lo, hi) in enumerate(slabs) if lo <= t.y_lo and t.y_hi <= hi),
                     None)
         if slab is None:
             raise ConstructionError(f"tent at {t.column_x} not inside any slope-one slab")
-        tents_in_slab[slab].append(t)
+        tents_in_slab[slab].append(k)
 
     value = ZERO  # staircase value accumulated from y = 0
     for i in range(len(breaks) - 1):
@@ -296,22 +307,24 @@ def _flattened_layout(spec: CarpetSpec, n: int, tents):
             continue
         k = value - y0  # staircase = y + k on this slab
         cursor = ZERO
-        for t in sorted(tents_in_slab[j], key=lambda t: t.column_x):
+        in_slab = sorted(tents_in_slab[j], key=lambda ti: tents[ti].column_x)
+        for p, ti in enumerate(in_slab):
+            t = tents[ti]
             xl, xr = t.column_x - width / 2, t.column_x + width / 2
             if cursor < xl:
-                yield ("slab", j, cursor), _rectangle(cursor, y0, xl, y1), (k, 0, 1)
+                yield ("slab", j, p), _rectangle(cursor, y0, xl, y1), (k, 0, 1)
             s = t.side_slope
             left, right = t.triangles
-            yield ("trap", t), t.trapezoid, (k + t.y_lo, 0, 0)
-            yield ("left", t), left, (k + s * xl, -s, 1)
-            yield ("right", t), right, (k - s * xr, s, 1)
+            yield ("trap", ti), t.trapezoid, (k + t.y_lo, 0, 0)
+            yield ("left", ti), left, (k + s * xl, -s, 1)
+            yield ("right", ti), right, (k - s * xr, s, 1)
             if y0 < t.y_lo:  # truncated tent: slab remainder below (larger hole)
-                yield ("below", t), _rectangle(xl, y0, xr, t.y_lo), (k, 0, 1)
+                yield ("below", ti), _rectangle(xl, y0, xr, t.y_lo), (k, 0, 1)
             if t.y_hi < y1:  # slab remainder above
-                yield ("above", t), _rectangle(xl, t.y_hi, xr, y1), (k, 0, 1)
+                yield ("above", ti), _rectangle(xl, t.y_hi, xr, y1), (k, 0, 1)
             cursor = xr
         if cursor < one:
-            yield ("slab", j, cursor), _rectangle(cursor, y0, one, y1), (k, 0, 1)
+            yield ("slab", j, len(in_slab)), _rectangle(cursor, y0, one, y1), (k, 0, 1)
         value += y1 - y0
 
 
@@ -360,34 +373,35 @@ def _cell_layout(spec: CarpetSpec, n: int, tents):
     half = side_length(spec, n) / 2
     one = Fraction(1)
 
-    by_col = {}
-    for t in tents:
-        by_col.setdefault(t.column_x, []).append(t)
+    by_cut = _tents_by_cut(cuts, tents)
 
     # core pieces per cell
     for idx, (x0, y0, x1, y1) in enumerate(grid.cells):
-        row = idx // ncols
+        row, i = divmod(idx, ncols)
         y_bot = y0 + half if y0 > 0 else ZERO
         y_top = y1 - half if y1 < 1 else one
-        tent_l = _tent_for_edge(by_col, x0, y0, y1) if x0 > 0 else None
-        tent_r = _tent_for_edge(by_col, x1, y0, y1) if x1 < 1 else None
+        tent_l = _tent_for_edge(tents, by_cut, i - 1, y0, y1)
+        tent_r = _tent_for_edge(tents, by_cut, i, y0, y1)
         x_lo = x0 + half if tent_l is not None else x0
         x_hi = x1 - half if tent_r is not None else x1
-        if x0 == 0 or tent_l is not None:
-            slab_start = x_lo
-        yield ("slab", row, slab_start), _rectangle(x_lo, y_bot, x_hi, y_top), idx
+        # the core lies in the slab rectangle right of the row's tents so far
+        if i == 0:
+            piece = 0
+        elif tent_l is not None:
+            piece += 1
+        yield ("slab", row, piece), _rectangle(x_lo, y_bot, x_hi, y_top), idx
         # a cell meets the right triangle of the tent on its left edge and
         # the left triangle of the tent on its right edge
-        for tent, cut, inner, side in ((tent_l, x0, x_lo, "right"), (tent_r, x1, x_hi, "left")):
-            if tent is None:
+        for k, cut, inner, side in ((tent_l, x0, x_lo, "right"), (tent_r, x1, x_hi, "left")):
+            if k is None:
                 continue
-            g0, g1 = tent.y_lo, tent.y_hi
-            yield (side, tent), ((inner, g0), ((inner + cut) / 2, g1), (inner, g1)), idx
+            g0, g1 = tents[k].y_lo, tents[k].y_hi
+            yield (side, k), ((inner, g0), ((inner + cut) / 2, g1), (inner, g1)), idx
             lo_x, hi_x = min(cut, inner), max(cut, inner)
             if y_bot < g0:
-                yield ("below", tent), _rectangle(lo_x, y_bot, hi_x, g0), idx
+                yield ("below", k), _rectangle(lo_x, y_bot, hi_x, g0), idx
             if g1 < y_top:
-                yield ("above", tent), _rectangle(lo_x, g1, hi_x, y_top), idx
+                yield ("above", k), _rectangle(lo_x, g1, hi_x, y_top), idx
 
     # strip seams between vertically adjacent cells
     for j, cut in enumerate(cuts):
@@ -402,7 +416,7 @@ def _cell_layout(spec: CarpetSpec, n: int, tents):
 
     # trapezoid seams between horizontally adjacent cells
     col_of_cut = {cut: i for i, cut in enumerate(cuts)}
-    for t in tents:
+    for k, t in enumerate(tents):
         i = col_of_cut[t.column_x]
         # gap interiors never touch the cut lines, so bisecting on the lower
         # end finds the unique cell row containing the tent
@@ -410,8 +424,8 @@ def _cell_layout(spec: CarpetSpec, n: int, tents):
         left = row * ncols + i
         right = left + 1
         (bl, br, tr, tl) = t.trapezoid
-        yield ("trap", t), (bl, br, tr), (left, right, right)
-        yield ("trap", t), (bl, tr, tl), (left, right, left)
+        yield ("trap", k), (bl, br, tr), (left, right, right)
+        yield ("trap", k), (bl, tr, tl), (left, right, left)
 
 
 def build_cell_field(spec: CarpetSpec, n: int,
@@ -456,7 +470,8 @@ def partition_tags(spec: CarpetSpec, n: int, tents):
     index = {key: i for i, (key, _, _) in enumerate(_flattened_layout(spec, n, tents))}
     cell_tags = tuple(index[key] for key, _, _ in _cell_layout(spec, n, tents))
     band_tags = tuple(i for key, i in index.items() if key[0] == "band")
-    tent_tags = tuple((index["trap", t], index["left", t], index["right", t]) for t in tents)
+    tent_tags = tuple((index["trap", k], index["left", k], index["right", k])
+                      for k in range(len(tents)))
     return cell_tags, band_tags, tent_tags
 
 

@@ -30,7 +30,15 @@ from carpetcurl.carpet import (
     tail_measure_bounds,
     validate_spec,
 )
-from carpetcurl.geometry import bbox, clip_to_box, cross, normalize_polygon, polygon_moments
+from carpetcurl.geometry import (
+    bbox,
+    clip_to_box,
+    cross,
+    is_convex,
+    normalize_polygon,
+    polygon_moments,
+    triangulate,
+)
 
 F = Fraction
 
@@ -128,6 +136,22 @@ def refined_lattice_cases(draw):
                                for (x, y) in pts)
     assume(len(region) >= 3)
     return depth, region
+
+
+# the eight rational directions of a star around the centre of the unit square
+STAR_DIRECTIONS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
+@st.composite
+def star_regions(draw):
+    """Non-convex star-shaped octagons: vertex k at a rational radius along
+    direction k from (1/2, 1/2), inside the unit square."""
+    radii = [draw(st.fractions(min_value=F(1, 12), max_value=F(1, 2), max_denominator=12))
+             for _ in STAR_DIRECTIONS]
+    region = tuple((F(1, 2) + r * dx, F(1, 2) + r * dy)
+                   for r, (dx, dy) in zip(radii, STAR_DIRECTIONS))
+    assume(not is_convex(normalize_polygon(region)))
+    return region
 
 
 def assert_walk_matches_brute_force(depth, region):
@@ -347,6 +371,15 @@ class TestRegionMeasure:
             ((F(0), F(1, 3)), (F(1, 3), F(1, 3)), (F(1, 3), F(1)), (F(0), F(1))),
         ]
         assert direct == sum(pf3_1.region_measure(p) for p in parts)
+
+    @given(star_regions(), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_nonconvex_moments_are_the_sum_over_the_triangulation(self, region, depth):
+        # a non-convex region leaves the convex path; each triangle is walked
+        # on its own lattice
+        pf = Prefractal(CarpetSpec(ORACLE_RATIOS), depth)
+        parts = [pf.moments(t) for t in triangulate(region)]
+        assert pf.moments(region) == tuple(sum(col, F(0)) for col in zip(*parts))
 
     def test_second_moment_recursion_against_hand_integral(self, pf3_1):
         # integral of x^2 over the level-1 set: 1/3 minus 7/243 over the hole

@@ -70,6 +70,29 @@ class TestOutDir:
         assert "--out" in capsys.readouterr().err
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command, names", [
+        (["verify", "--ratios", "1/3", "--nmax", "1", "--depth", "1"],
+         ("report.csv", "report.json")),
+        (["carpet", "--ratios", "1/3", "--depth", "1"], ("carpet.svg", "carpet.json")),
+        (["figures", "--ratios", "1/3", "--nmax", "1"],
+         ("cells.svg", "phi.svg", "psi.svg", "unk.svg")),
+    ])
+    def test_output_name_taken_by_a_directory(self, tmp_path, capsys, monkeypatch,
+                                              command, names):
+        # each output file name is checked before any work starts, so no
+        # verification runs and no other output file is written
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output names were checked")
+
+        for attr in ("verify_witness_sequence", "carpet_svg"):
+            monkeypatch.setattr(cli, attr, no_work)
+        for name in names:
+            out = tmp_path / name.replace(".", "_")
+            (out / name).mkdir(parents=True)
+            assert run(command + ["--out", str(out)]) == EXIT_CONFIG
+            assert f"{name} is a directory" in capsys.readouterr().err
+            assert [p.name for p in out.iterdir()] == [name]
+
 
 class TestCarpet:
     def test_level_one_has_eight_squares(self, tmp_path):

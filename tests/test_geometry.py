@@ -1,18 +1,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from carpetcurl.geometry import (
     NonSimplePolygon,
     clip_convex,
     clip_to_box,
+    cross,
     is_convex,
     is_simple,
     normalize_polygon,
     point_in_convex,
     polygon_area,
+    polygon_area2,
     polygon_moments,
     triangulate,
 )
@@ -124,3 +126,155 @@ def test_moments_additive_under_vertical_split(quad, t):
 def test_convexity_detected(quad):
     assert is_convex(quad)
     assert is_simple(quad)
+
+
+# Reference versions of the lattice predicates, written directly in Fractions:
+# the oracle for the integer code in carpetcurl.geometry.
+
+def ref_polygon_area2(poly):
+    s = F(0)
+    n = len(poly)
+    for i in range(n):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % n]
+        s += x0 * y1 - x1 * y0
+    return s
+
+
+def ref_normalize_polygon(points):
+    raw = [(F(x), F(y)) for x, y in points]
+    if ref_polygon_area2(tuple(raw)) < 0:
+        raw.reverse()
+    out = []
+    n = len(raw)
+    for i in range(n):
+        prev = raw[(i - 1) % n]
+        cur = raw[i]
+        nxt = raw[(i + 1) % n]
+        if cur == prev:
+            continue
+        if cross(prev, cur, nxt) == 0 and (cur[0] - prev[0]) * (nxt[0] - cur[0]) >= 0 \
+                and (cur[1] - prev[1]) * (nxt[1] - cur[1]) >= 0:
+            continue
+        out.append(cur)
+    return tuple(out)
+
+
+def ref_is_convex(poly):
+    n = len(poly)
+    if n < 3:
+        return False
+    return all(cross(poly[i], poly[(i + 1) % n], poly[(i + 2) % n]) >= 0 for i in range(n))
+
+
+def ref_clip_halfplane(poly, a, b, c):
+    if not poly:
+        return ()
+    out = []
+    n = len(poly)
+    for i in range(n):
+        cur = poly[i]
+        nxt = poly[(i + 1) % n]
+        fc = a * cur[0] + b * cur[1] - c
+        fn = a * nxt[0] + b * nxt[1] - c
+        if fc <= 0:
+            out.append(cur)
+            if fn > 0:
+                t = fc / (fc - fn)
+                out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+        elif fn <= 0:
+            t = fc / (fc - fn)
+            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+    dedup = []
+    for p in out:
+        if not dedup or dedup[-1] != p:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return tuple(dedup) if len(dedup) >= 3 else ()
+
+
+def ref_clip_convex(subject, clip):
+    out = subject
+    n = len(clip)
+    for i in range(n):
+        p = clip[i]
+        q = clip[(i + 1) % n]
+        a = q[1] - p[1]
+        b = p[0] - q[0]
+        out = ref_clip_halfplane(out, a, b, a * p[0] + b * p[1])
+        if not out:
+            return ()
+    return out
+
+
+wide_coords = st.fractions(min_value=-1, max_value=2, max_denominator=9)
+
+
+@st.composite
+def rough_polygons(draw):
+    """Rational polygons in either orientation, with repeated vertices and
+    collinear vertices inserted on their edges; not necessarily simple."""
+    pts = draw(st.lists(st.tuples(wide_coords, wide_coords), min_size=3, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(pts) - 1))
+        (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % len(pts)]
+        t = draw(st.sampled_from((F(0), F(1, 3), F(1, 2), F(3, 4))))
+        # t = 0 repeats the vertex, any other t is a collinear point on the edge
+        pts.insert(i + 1, (x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    if draw(st.booleans()):
+        pts.reverse()
+    return tuple(pts)
+
+
+@st.composite
+def convex_clips(draw):
+    """CCW convex polygons with slanted edges: the hull of rational points."""
+    pts = draw(st.lists(st.tuples(wide_coords, wide_coords), min_size=3, max_size=6))
+    n = len(pts)
+    # gift wrapping keeps the code independent of the predicates under test
+    hull = []
+    start = min(pts)
+    cur = start
+    while True:
+        hull.append(cur)
+        nxt = pts[0] if pts[0] != cur else pts[1 % n]
+        for p in pts:
+            turn = cross(cur, nxt, p)
+            if turn < 0 or (turn == 0 and (p[0] - cur[0]) ** 2 + (p[1] - cur[1]) ** 2
+                            > (nxt[0] - cur[0]) ** 2 + (nxt[1] - cur[1]) ** 2):
+                nxt = p
+        cur = nxt
+        if cur == start or len(hull) > n:
+            break
+    assume(len(hull) >= 3 and ref_polygon_area2(hull) > 0)
+    return tuple(hull)
+
+
+# the unit square clipped by x + 2y <= 2 crosses x = 1 at y = 1/2, off the
+# integer lattice of both inputs
+OFF_LATTICE_CLIP = ((F(0), F(0)), (F(2), F(0)), (F(0), F(1)))
+
+
+@given(rough_polygons())
+@settings(max_examples=200, deadline=None)
+def test_lattice_predicates_match_the_fraction_reference(poly):
+    assert polygon_area2(poly) == ref_polygon_area2(poly)
+    assert normalize_polygon(poly) == ref_normalize_polygon(poly)
+    assert is_convex(poly) == ref_is_convex(poly)
+    canon = ref_normalize_polygon(poly)
+    assert is_convex(canon) == ref_is_convex(canon)
+
+
+@given(rough_polygons(), convex_clips())
+@example(SQUARE, OFF_LATTICE_CLIP)
+@settings(max_examples=150, deadline=None)
+def test_lattice_clip_matches_the_fraction_reference(subject, clip):
+    assert clip_convex(subject, clip) == ref_clip_convex(subject, clip)
+
+
+def test_clip_crossing_off_the_lattice_stays_exact():
+    out = clip_convex(SQUARE, OFF_LATTICE_CLIP)
+    assert out == ref_clip_convex(SQUARE, OFF_LATTICE_CLIP)
+    assert (F(1), F(1, 2)) in out
+    assert polygon_area(out) == F(3, 4)
