@@ -19,6 +19,7 @@ from .carpet import (
     geometry_json_records,
     parse_spec_config,
     prefractal_measure,
+    side_length,
     tail_measure_bounds,
     validate_spec,
 )
@@ -72,10 +73,17 @@ def _target_field(selector: str):
     raise ConfigError(f"unknown target function {selector!r}")
 
 
+def _require_stages(spec: CarpetSpec, last: int) -> None:
+    """Fail with exit 2 unless the spec defines every stage up to ``last``."""
+    side_length(spec, last)  # raises StageBeyondSpec at the first missing stage
+
+
 def _out_dir(args, names) -> Path:
     """Make the --out directory; each output name in it must not be a directory.
 
-    Called before any work, so an unwritable output fails fast with exit 2.
+    Called after every other configuration check and before any work, so a
+    bad configuration leaves no directory behind and an unwritable output
+    fails fast with exit 2.
     """
     out = Path(args.out)
     try:
@@ -111,6 +119,7 @@ def cmd_spec_check(args) -> int:
 
 def cmd_carpet(args) -> int:
     spec = _build_spec(args)
+    _require_stages(spec, args.depth)
     out = _out_dir(args, ("carpet.svg", "carpet.json"))
     (out / "carpet.svg").write_text(carpet_svg(spec, args.depth), encoding="utf-8")
     records = []
@@ -134,7 +143,10 @@ FIGURES = {"cells.svg": cells_svg, "phi.svg": staircase_svg, "psi.svg": tents_sv
 
 
 def cmd_figures(args) -> int:
+    if args.nmax < 1:
+        raise ConfigError(f"--nmax {args.nmax}: the figures draw a corrector stage")
     spec = _build_spec(args)
+    _require_stages(spec, args.nmax)
     out = _out_dir(args, FIGURES)
     for name, draw in FIGURES.items():
         (out / name).write_text(draw(spec, args.nmax), encoding="utf-8")
@@ -148,8 +160,9 @@ def cmd_verify(args) -> int:
     if args.depth < 1:
         raise ConfigError(f"--depth {args.depth}: verify needs a prefractal with holes")
     spec = _build_spec(args)
-    out = _out_dir(args, ("report.csv", "report.json"))
     f = _target_field(args.f)
+    _require_stages(spec, max(args.nmax, args.depth))
+    out = _out_dir(args, ("report.csv", "report.json"))
     report = verify_witness_sequence(spec, f, n_max=args.nmax, m=args.depth)
     wedge_stages = tuple(n for n in (2, 3) if n <= args.nmax)
     if wedge_stages:

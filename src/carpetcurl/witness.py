@@ -107,7 +107,10 @@ class Tent:
     one from the full-width base at the bottom of the gap to the half-width
     top edge, and the two side triangles fall off linearly in x.  Gaps ending
     at a larger hole or at the square boundary are shorter than the template
-    height and reuse the same shape scaled to the actual gap.
+    height and reuse the same shape scaled to the actual gap.  ``cut`` is the
+    index of the column in ``cut_positions`` and ``row`` the cell row holding
+    the gap, so the tent sits on the edge between cells ``cut`` and
+    ``cut + 1`` of that row.
     """
 
     column_x: Fraction
@@ -117,6 +120,8 @@ class Tent:
     template_height: Fraction
     lower_kind: str
     upper_kind: str
+    cut: int
+    row: int
 
     @property
     def height(self) -> Fraction:
@@ -167,8 +172,9 @@ def build_tents(spec: CarpetSpec, n: int):
     """All tents at stage n, ordered by column then height."""
     width = side_length(spec, n)
     template = gap_height(spec, n)
+    cuts = cut_positions(spec, n)
     tents = []
-    for x_c in cut_positions(spec, n):
+    for cut, x_c in enumerate(cuts):
         obstacles = column_obstacles(spec, n, x_c)
         events = [(ZERO, ZERO, "boundary")] + \
                  [(lo, hi, "hole" if stage == n else "big") for (lo, hi, stage) in obstacles] + \
@@ -181,15 +187,19 @@ def build_tents(spec: CarpetSpec, n: int):
             if gap != expected:
                 raise ConstructionError(f"gap {gap} between {kind_a} and {kind_b} in "
                                         f"column {x_c} is not the expected {expected}")
+            # every crossing of two cut lines lies inside a hole, so a gap
+            # never touches a cut and the cuts below it count its row
             tents.append(Tent(column_x=x_c, y_lo=hi_a, y_hi=lo_b, width=width,
-                              template_height=template, lower_kind=kind_a, upper_kind=kind_b))
+                              template_height=template, lower_kind=kind_a, upper_kind=kind_b,
+                              cut=cut, row=bisect_right(cuts, hi_a)))
     return tents
 
 
 def tents_per_column(tents) -> dict:
+    """The number of tents on each cut, keyed by cut index."""
     counts = {}
     for t in tents:
-        counts[t.column_x] = counts.get(t.column_x, 0) + 1
+        counts[t.cut] = counts.get(t.cut, 0) + 1
     return counts
 
 
@@ -216,23 +226,12 @@ class CellNeighborhood:
         return self.rectangles + self.trapezoids
 
 
-def _tents_by_cut(cuts, tents):
-    """For each cut index, the indices in ``tents`` of the tents on that cut."""
-    col_of_cut = {cut: i for i, cut in enumerate(cuts)}
-    by_cut = [[] for _ in cuts]
-    for k, t in enumerate(tents):
-        by_cut[col_of_cut[t.column_x]].append(k)
-    return by_cut
-
-
-def _tent_for_edge(tents, by_cut, cut, y0, y1):
-    # index of the tent on segment [y0, y1] of the cut with index cut, or None
-    if not 0 <= cut < len(by_cut):  # the unit square's own edge
-        return None
-    for k in by_cut[cut]:
-        if y0 <= tents[k].y_lo and tents[k].y_hi <= y1:
-            return k
-    return None
+def _tent_index(tents) -> dict:
+    """(cut, row) -> the index in ``tents`` of the tent on that cell edge."""
+    index = {(t.cut, t.row): k for k, t in enumerate(tents)}
+    if len(index) != len(tents):
+        raise ConstructionError("two tents on one cell edge")
+    return index
 
 
 def build_neighborhoods(spec: CarpetSpec, n: int, tents=None):
@@ -240,7 +239,7 @@ def build_neighborhoods(spec: CarpetSpec, n: int, tents=None):
     if tents is None:
         tents = build_tents(spec, n)
     grid = cell_grid(spec, n)
-    by_cut = _tents_by_cut(grid.x_cuts, tents)
+    tent_at = _tent_index(tents)
     ncols = len(grid.x_cuts) + 1
     half = side_length(spec, n) / 2
     out = []
@@ -252,9 +251,9 @@ def build_neighborhoods(spec: CarpetSpec, n: int, tents=None):
         if y1 < 1:
             rects.append(((x0, y1 - half), (x1, y1 - half), (x1, y1 + half), (x0, y1 + half)))
         # cut i - 1 is the cell's left edge, cut i its right edge
-        i = idx % ncols
+        row, i = divmod(idx, ncols)
         for cut in (i - 1, i):
-            k = _tent_for_edge(tents, by_cut, cut, y0, y1)
+            k = tent_at.get((cut, row))
             if k is not None:
                 traps.append(tents[k].trapezoid)
         out.append(CellNeighborhood(cell_index=idx, cell=(x0, y0, x1, y1),
@@ -266,77 +265,96 @@ def _rectangle(x0, y0, x1, y1):
     return ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
 
 
-def _flattened_layout(spec: CarpetSpec, n: int, tents):
-    """The flattened partition in order: (key, vertices, (c0, cx, cy)) per patch.
+_BAND = "band"
 
-    Constant patches on the strip bands and on the tent trapezoids, slanted
-    patches on the tent side triangles, and slope-one patches elsewhere.  The
-    key names the piece of the layout that ``_cell_layout`` shares: ("band", j)
-    is the band on cut j, ("slab", j, p) the slope-one rectangle of slab j
-    right of p of its tents, and ("trap" | "left" | "right" | "below" |
-    "above", k) the parts of the column band of tent ``tents[k]``.
+
+def _stage_layout(spec: CarpetSpec, n: int, tents):
+    """The stage-n partition: each flattened patch with the cell pieces inside it.
+
+    Walks the slab rows bottom to top, each left to right, and yields
+    (part, vertices, (c0, cx, cy), pieces) per flattened patch, in
+    ``build_flattened`` order.  The flattened coordinate is constant on the
+    strip bands (part ``_BAND``) and on the tent trapezoids, slanted on the
+    tent side triangles (part k for the trapezoid and triangles of
+    ``tents[k]``), and slope-one on the slab rectangles between tents and on
+    the slab remainders below and above a truncated tent (part None).
+
+    ``pieces`` are the ``build_cell_field`` pieces inside the patch, as
+    (vertices, owner): ``owner`` is the index of the cell whose map a core or
+    tent-side piece uses, or, for a seam triangle, the cells whose maps give
+    the values at its three vertices.  Cell cores lie in their slab
+    rectangle, a cell's side of a tent is the tent's triangle itself, each
+    slab remainder splits at the cut between the two cells, and the seams
+    triangulate the strip bands and the tent trapezoids.
     """
     strips = build_strips(spec, n)
-    h = strips.height / 2
-    width = side_length(spec, n)
+    cuts = strips.y_centers
+    height = strips.height
+    half = height / 2
     one = Fraction(1)
+    xs = (ZERO,) + cuts + (one,)
+    ncols = len(xs) - 1
+    # the cell edges moved half a strip inward (the unit square's own edges
+    # stay): a tent or band on a cell edge ends the cell's core there, and
+    # slab j = [inner_lo[j], inner_hi[j]] holds cell row j, band j above it
+    inner_lo = [ZERO] + [x + half for x in cuts]
+    inner_hi = [x - half for x in cuts] + [one]
 
-    # slab boundaries: [0, first strip bottom], strips, gaps, ..., [last top, 1];
-    # slab j holds cell row j, band j sits on cut j
-    breaks = [ZERO]
-    for c in strips.y_centers:
-        breaks.extend((c - h, c + h))
-    breaks.append(one)
-    slabs = [(breaks[i], breaks[i + 1]) for i in range(0, len(breaks) - 1, 2)]
-    tents_in_slab = [[] for _ in slabs]
-    for k, t in enumerate(tents):
-        slab = next((j for j, (lo, hi) in enumerate(slabs) if lo <= t.y_lo and t.y_hi <= hi),
-                    None)
-        if slab is None:
-            raise ConstructionError(f"tent at {t.column_x} not inside any slope-one slab")
-        tents_in_slab[slab].append(k)
+    for t in tents:
+        if not (0 <= t.row < ncols and inner_lo[t.row] <= t.y_lo and t.y_hi <= inner_hi[t.row]):
+            raise ConstructionError(f"tent at {t.column_x} not inside the slab of its row {t.row}")
+    tent_at = _tent_index(tents)
 
-    value = ZERO  # staircase value accumulated from y = 0
-    for i in range(len(breaks) - 1):
-        y0, y1 = breaks[i], breaks[i + 1]
-        if y0 == y1:
-            continue
-        j = i // 2
-        if i % 2:  # strip band: staircase constant, no tents meet it
-            yield ("band", j), _rectangle(ZERO, y0, one, y1), (value, 0, 0)
-            continue
-        k = value - y0  # staircase = y + k on this slab
-        cursor = ZERO
-        in_slab = sorted(tents_in_slab[j], key=lambda ti: tents[ti].column_x)
-        for p, ti in enumerate(in_slab):
+    for j in range(ncols):
+        y0, y1 = inner_lo[j], inner_hi[j]
+        k = -j * height  # the staircase is y + k on slab j
+        base = j * ncols  # index of the row's first cell
+        cursor, cores = ZERO, []
+        for i in range(ncols):
+            ti = tent_at.get((i, j))
+            x_lo = inner_lo[i] if (i - 1, j) in tent_at else xs[i]
+            x_hi = inner_hi[i] if ti is not None else xs[i + 1]
+            cores.append((_rectangle(x_lo, y0, x_hi, y1), base + i))
+            if ti is None:
+                continue
+            # the tent on the cell's right edge ends the slab rectangle
             t = tents[ti]
-            xl, xr = t.column_x - width / 2, t.column_x + width / 2
-            if cursor < xl:
-                yield ("slab", j, p), _rectangle(cursor, y0, xl, y1), (k, 0, 1)
+            xl, xc, xr = x_hi, xs[i + 1], inner_lo[i + 1]
+            cell, right_cell = base + i, base + i + 1
             s = t.side_slope
+            bl, br, tr, tl = trap = t.trapezoid
             left, right = t.triangles
-            yield ("trap", ti), t.trapezoid, (k + t.y_lo, 0, 0)
-            yield ("left", ti), left, (k + s * xl, -s, 1)
-            yield ("right", ti), right, (k - s * xr, s, 1)
-            if y0 < t.y_lo:  # truncated tent: slab remainder below (larger hole)
-                yield ("below", ti), _rectangle(xl, y0, xr, t.y_lo), (k, 0, 1)
-            if t.y_hi < y1:  # slab remainder above
-                yield ("above", ti), _rectangle(xl, t.y_hi, xr, y1), (k, 0, 1)
-            cursor = xr
-        if cursor < one:
-            yield ("slab", j, len(in_slab)), _rectangle(cursor, y0, one, y1), (k, 0, 1)
-        value += y1 - y0
+            yield None, _rectangle(cursor, y0, xl, y1), (k, 0, 1), cores
+            yield ti, trap, (k + t.y_lo, 0, 0), [((bl, br, tr), (cell, right_cell, right_cell)),
+                                                 ((bl, tr, tl), (cell, right_cell, cell))]
+            yield ti, left, (k + s * xl, -s, 1), [(left, cell)]
+            yield ti, right, (k - s * xr, s, 1), [((right[0], right[2], right[1]), right_cell)]
+            for lo, hi in ((y0, t.y_lo), (t.y_hi, y1)):
+                if lo < hi:  # truncated tent: slab remainder below or above
+                    yield None, _rectangle(xl, lo, xr, hi), (k, 0, 1), [
+                        (_rectangle(xl, lo, xc, hi), cell), (_rectangle(xc, lo, xr, hi), right_cell)]
+            cursor, cores = xr, []
+        yield None, _rectangle(cursor, y0, one, y1), (k, 0, 1), cores
+        if j < len(cuts):
+            b1 = inner_lo[j + 1]
+            seams = []
+            for i in range(ncols):
+                lower, upper = base + i, base + ncols + i
+                pa, pb, pc, pd = _rectangle(inner_lo[i], y1, inner_hi[i], b1)
+                seams += [((pa, pb, pc), (lower, lower, upper)),
+                          ((pa, pc, pd), (lower, upper, upper))]
+            yield _BAND, _rectangle(ZERO, y1, one, b1), (y1 + k, 0, 0), seams
 
 
 def build_flattened(spec: CarpetSpec, n: int, tents=None):
     """The stage-n flattened coordinate: staircase minus tent cover.
 
-    Built directly as a total partition (see ``_flattened_layout``).
+    Built directly as a total partition (the patches of ``_stage_layout``).
     """
     if tents is None:
         tents = build_tents(spec, n)
     field = PiecewiseAffineField(tuple(
-        make_patch(verts, *coeffs) for _, verts, coeffs in _flattened_layout(spec, n, tents)))
+        make_patch(verts, *coeffs) for _, verts, coeffs, _ in _stage_layout(spec, n, tents)))
     if field.total_area() != 1:
         raise ConstructionError(f"flattened patches cover {field.total_area()}, not 1")
     return field
@@ -355,79 +373,6 @@ def check_local_constancy(flattened: PiecewiseAffineField, neighborhoods):
     return [(pieces[ia][0], sloped[ib]) for _, ia, ib in overlaps]
 
 
-def _cell_layout(spec: CarpetSpec, n: int, tents):
-    """The cell-field partition in order: (key, vertices, owner) per patch.
-
-    ``owner`` is the index of the cell whose map a core piece uses, or, for a
-    seam triangle, the cells whose maps give the values at its three
-    vertices.  ``key`` is the ``_flattened_layout`` key of the flattened patch
-    containing the piece, known from the construction: a core lies in the
-    slope-one rectangle its row's slab has between the neighbouring tents,
-    a tent side piece in that tent's triangle or remainder rectangle, and a
-    seam in its strip band or tent trapezoid.
-    """
-    grid = cell_grid(spec, n)
-    cuts = grid.x_cuts
-    xs = (ZERO,) + cuts + (Fraction(1),)
-    ncols = len(xs) - 1
-    half = side_length(spec, n) / 2
-    one = Fraction(1)
-
-    by_cut = _tents_by_cut(cuts, tents)
-
-    # core pieces per cell
-    for idx, (x0, y0, x1, y1) in enumerate(grid.cells):
-        row, i = divmod(idx, ncols)
-        y_bot = y0 + half if y0 > 0 else ZERO
-        y_top = y1 - half if y1 < 1 else one
-        tent_l = _tent_for_edge(tents, by_cut, i - 1, y0, y1)
-        tent_r = _tent_for_edge(tents, by_cut, i, y0, y1)
-        x_lo = x0 + half if tent_l is not None else x0
-        x_hi = x1 - half if tent_r is not None else x1
-        # the core lies in the slab rectangle right of the row's tents so far
-        if i == 0:
-            piece = 0
-        elif tent_l is not None:
-            piece += 1
-        yield ("slab", row, piece), _rectangle(x_lo, y_bot, x_hi, y_top), idx
-        # a cell meets the right triangle of the tent on its left edge and
-        # the left triangle of the tent on its right edge
-        for k, cut, inner, side in ((tent_l, x0, x_lo, "right"), (tent_r, x1, x_hi, "left")):
-            if k is None:
-                continue
-            g0, g1 = tents[k].y_lo, tents[k].y_hi
-            yield (side, k), ((inner, g0), ((inner + cut) / 2, g1), (inner, g1)), idx
-            lo_x, hi_x = min(cut, inner), max(cut, inner)
-            if y_bot < g0:
-                yield ("below", k), _rectangle(lo_x, y_bot, hi_x, g0), idx
-            if g1 < y_top:
-                yield ("above", k), _rectangle(lo_x, g1, hi_x, y_top), idx
-
-    # strip seams between vertically adjacent cells
-    for j, cut in enumerate(cuts):
-        for i in range(ncols):
-            lower = j * ncols + i
-            upper = (j + 1) * ncols + i
-            sx0 = xs[i] + half if xs[i] > 0 else ZERO
-            sx1 = xs[i + 1] - half if xs[i + 1] < 1 else one
-            pa, pb, pc, pd = _rectangle(sx0, cut - half, sx1, cut + half)
-            yield ("band", j), (pa, pb, pc), (lower, lower, upper)
-            yield ("band", j), (pa, pc, pd), (lower, upper, upper)
-
-    # trapezoid seams between horizontally adjacent cells
-    col_of_cut = {cut: i for i, cut in enumerate(cuts)}
-    for k, t in enumerate(tents):
-        i = col_of_cut[t.column_x]
-        # gap interiors never touch the cut lines, so bisecting on the lower
-        # end finds the unique cell row containing the tent
-        row = min(bisect_right(xs, t.y_lo) - 1, ncols - 1)
-        left = row * ncols + i
-        right = left + 1
-        (bl, br, tr, tl) = t.trapezoid
-        yield ("trap", k), (bl, br, tr), (left, right, right)
-        yield ("trap", k), (bl, tr, tl), (left, right, left)
-
-
 def build_cell_field(spec: CarpetSpec, n: int,
                      cell_map: Callable, tents=None) -> PiecewiseAffineField:
     """Glue per-cell affine maps into a field continuous on the carpet.
@@ -436,7 +381,8 @@ def build_cell_field(spec: CarpetSpec, n: int,
     map is used verbatim on the cell minus its boundary neighborhood; across
     strip bands and tent trapezoids the values are joined by triangulated
     affine interpolation.  Jumps may remain only along edges buried inside
-    removed holes, which the carpet never sees.
+    removed holes, which the carpet never sees.  The patches are the pieces
+    of ``_stage_layout``, in its order.
     """
     if tents is None:
         tents = build_tents(spec, n)
@@ -448,31 +394,35 @@ def build_cell_field(spec: CarpetSpec, n: int,
         return c0 + cx * p[0] + cy * p[1]
 
     patches = []
-    for _, verts, owner in _cell_layout(spec, n, tents):
-        if isinstance(owner, int):
-            patches.append(make_patch(verts, *coeffs[owner]))
-        else:
-            (p1, p2, p3), (o1, o2, o3) = verts, owner
-            patches.append(patch_from_vertex_values(p1, cell_value(o1, p1), p2,
-                                                    cell_value(o2, p2), p3, cell_value(o3, p3)))
+    for _, _, _, pieces in _stage_layout(spec, n, tents):
+        for verts, owner in pieces:
+            if isinstance(owner, int):
+                patches.append(make_patch(verts, *coeffs[owner]))
+            else:
+                (p1, p2, p3), (o1, o2, o3) = verts, owner
+                patches.append(patch_from_vertex_values(p1, cell_value(o1, p1), p2,
+                                                        cell_value(o2, p2), p3, cell_value(o3, p3)))
     return PiecewiseAffineField(tuple(patches))
 
 
 def partition_tags(spec: CarpetSpec, n: int, tents):
-    """Flattened-patch indices of the stage-n pieces, known by construction.
+    """Flattened-patch indices of the stage-n pieces, read off the nested layout.
 
     Returns (cell_tags, band_tags, tent_tags): ``cell_tags[i]`` is the index
     of the ``build_flattened`` patch containing patch i of every
-    ``build_cell_field`` at stage n (the ramp and the cutoff remainder alike),
-    ``band_tags`` the indices of the strip-band patches, and ``tent_tags[k]``
-    the indices of tent k's trapezoid, left and right triangle.
+    ``build_cell_field`` at stage n (the ramp and the cutoff remainder
+    alike), because ``_stage_layout`` yields each cell piece with its
+    flattened patch; ``band_tags`` are the indices of the strip-band patches
+    and ``tent_tags[k]`` those of tent k's trapezoid, left and right triangle.
     """
-    index = {key: i for i, (key, _, _) in enumerate(_flattened_layout(spec, n, tents))}
-    cell_tags = tuple(index[key] for key, _, _ in _cell_layout(spec, n, tents))
-    band_tags = tuple(i for key, i in index.items() if key[0] == "band")
-    tent_tags = tuple((index["trap", k], index["left", k], index["right", k])
-                      for k in range(len(tents)))
-    return cell_tags, band_tags, tent_tags
+    cell_tags, band_tags, tent_tags = [], [], [[] for _ in tents]
+    for i, (part, _, _, pieces) in enumerate(_stage_layout(spec, n, tents)):
+        cell_tags.extend([i] * len(pieces))
+        if part == _BAND:
+            band_tags.append(i)
+        elif part is not None:
+            tent_tags[part].append(i)
+    return tuple(cell_tags), tuple(band_tags), tuple(map(tuple, tent_tags))
 
 
 def build_ramp(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
@@ -558,9 +508,11 @@ def per_tent_bound(spec: CarpetSpec, n: int) -> Fraction:
 class StageData:
     """All stage-n objects needed by the verifier, built once.
 
-    ``tags[i]`` is the index of the flattened patch containing ramp patch i,
-    ``band_tags`` the flattened strip-band patches, and ``tent_tags[k]`` the
-    flattened patches of tent k (``partition_tags``).
+    The flattened field, the ramp and the tags are read off one nested
+    layout that yields each flattened patch with the ramp pieces inside it
+    (``partition_tags``): ``tags[i]`` is the index of the flattened patch
+    containing ramp patch i, ``band_tags`` the flattened strip-band patches,
+    and ``tent_tags[k]`` the flattened trapezoid and side triangles of tent k.
     """
 
     n: int

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from carpetcurl import cli
+from carpetcurl import cli, witness
 from carpetcurl.cli import EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK, main
 from carpetcurl.report import VerificationReport
 
@@ -92,6 +92,28 @@ class TestOutDir:
             assert run(command + ["--out", str(out)]) == EXIT_CONFIG
             assert f"{name} is a directory" in capsys.readouterr().err
             assert [p.name for p in out.iterdir()] == [name]
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("command", [
+        ["verify", "--ratios", "1/3", "--nmax", "1", "--depth", "1", "--f", "bogus"],
+        ["verify", "--ratios", "1/3,1/5,1/7", "--nmax", "4", "--depth", "2"],
+        ["verify", "--ratios", "1/3,1/5,1/7", "--nmax", "2", "--depth", "4"],
+        ["carpet", "--ratios", "1/3", "--depth", "2"],
+        ["figures", "--ratios", "1/3", "--nmax", "2"],
+        ["figures", "--ratios", "1/3", "--nmax", "0"],
+    ])
+    def test_config_error_leaves_no_out_dir(self, tmp_path, monkeypatch, command):
+        # every configuration check, including that the spec defines each
+        # stage the run needs, comes before the output directory and before
+        # the first stage is built
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage was built before the configuration was checked")
+
+        monkeypatch.setattr(witness, "build_stage", no_stage)
+        out = tmp_path / "new"
+        assert run(command + ["--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestCarpet:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from carpetcurl import cli, witness
-from carpetcurl.carpet import CarpetSpec, Prefractal
+from carpetcurl.carpet import CarpetSpec, Prefractal, side_length
 from carpetcurl.fields import (
     PiecewiseAffineField,
     affine_field,
@@ -35,6 +35,7 @@ from carpetcurl.forms import (
     verify_wedge_approximation,
     wedge,
 )
+from carpetcurl.geometry import polygon_area
 from carpetcurl.witness import (
     affine_target,
     build_stage,
@@ -78,6 +79,18 @@ class TestTags:
         for t, tags in zip(stage.tents, stage.tent_tags):
             assert [flat.patches[i].vertices for i in tags] == regions(
                 PiecewiseAffineField(t.field_patches()))
+        # the tagged pieces tile each flattened patch, except that the cell
+        # field leaves out the stage-n hole squares on the strip bands:
+        # side_n^2 per cut a band crosses, a_n^2 in all
+        tiled = [F(0)] * len(flat.patches)
+        for p, t in zip(stage.ramp.patches, stage.tags):
+            tiled[t] += polygon_area(p.vertices)
+        hole = side_length(spec, n) ** 2
+        cuts = len(stage.strips.y_centers)
+        for i, patch in enumerate(flat.patches):
+            short = cuts * hole if i in stage.band_tags else 0
+            assert tiled[i] == polygon_area(patch.vertices) - short
+        assert len(stage.band_tags) * cuts * hole == spec.ratio(n) ** 2
 
     def test_witness_equals_the_product_with_gradient(self):
         stage = build_stage(SPECS["1/5,1/3,1/7"], 2, TARGET)

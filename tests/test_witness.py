@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import carpetcurl
-from carpetcurl.carpet import Prefractal, enumerate_holes, side_length
+from carpetcurl.carpet import Prefractal, cell_grid, enumerate_holes, side_length
 from carpetcurl.fields import (
     constant_field,
     dirichlet_energy,
@@ -33,8 +33,12 @@ from carpetcurl.witness import (
     vertical_defect_sq,
     verify_witness_sequence,
 )
+from test_partition import SPECS
 
 F = Fraction
+
+# the source tree of the imported package, for the python -O subprocesses
+SRC = str(Path(carpetcurl.__file__).resolve().parents[1])
 
 
 def lambda_energy_minus_holes(spec, m, field):
@@ -125,6 +129,38 @@ class TestTents:
         for t in build_tents(spec35, 2):
             if t.lower_kind == t.upper_kind == "hole":
                 assert t.height == t.template_height
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_tents_carry_their_cell_edge(self, name, n):
+        # cut and row name the edge between cells cut and cut + 1 of the row
+        spec = SPECS[name]
+        grid = cell_grid(spec, n)
+        row_lines = (F(0),) + grid.y_cuts + (F(1),)
+        tents = build_tents(spec, n)
+        for t in tents:
+            assert grid.x_cuts[t.cut] == t.column_x
+            assert row_lines[t.row] <= t.y_lo < t.y_hi <= row_lines[t.row + 1]
+        assert len({(t.cut, t.row) for t in tents}) == len(tents)
+
+    def test_tent_outside_its_row_rejected_under_optimization(self):
+        # the layout checks each tent against the slab of its own row with
+        # no assert, so a shifted row fails under python -O too
+        script = (
+            "import dataclasses\n"
+            "from carpetcurl.carpet import CarpetSpec, ConstructionError\n"
+            "from carpetcurl.witness import build_flattened, build_tents\n"
+            "spec = CarpetSpec((), 'odd-reciprocal')\n"
+            "tents = build_tents(spec, 2)\n"
+            "tents[0] = dataclasses.replace(tents[0], row=tents[0].row + 1)\n"
+            "try:\n"
+            "    build_flattened(spec, 2, tents)\n"
+            "except ConstructionError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": SRC})
+        assert out.stdout == "ConstructionError tent at 1/6 not inside the slab of its row 1\n"
 
     def test_closed_form_energy_bound(self, spec3579):
         for n in (1, 2, 3):
@@ -229,9 +265,8 @@ class TestRamp:
             "except ConstructionError as exc:\n"
             "    print(type(exc).__name__, exc)\n"
         )
-        src = str(Path(carpetcurl.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                             text=True, check=True, env={"PYTHONPATH": src})
+                             text=True, check=True, env={"PYTHONPATH": SRC})
         assert out.stdout == \
             "ConstructionError target function does not cover the cell center (1/4, 1/4)\n"
 
