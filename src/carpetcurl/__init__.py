@@ -23,38 +23,14 @@ from .carpet import (
 )
 from .fields import (
     AffinePatch,
-    PCScalarField,
-    PCVectorField,
     PiecewiseAffineField,
     ProductVectorField,
     affine_field,
     constant_field,
     coordinate_field,
-    curl,
-    dirichlet_energy,
-    gradient,
-    l2_norm_sq,
-    overlay,
     sup_norm,
 )
-from .forms import (
-    GammaDensity,
-    OneForm,
-    ProductField,
-    TwoForm,
-    build_cutoff_form,
-    d0,
-    d1,
-    gamma,
-    inner_one,
-    inner_two,
-    multiply,
-    multiply_two,
-    norm_sq_one,
-    norm_sq_two,
-    verify_wedge_approximation,
-    wedge,
-)
+from .forms import verify_wedge_approximation
 from .report import VerificationReport, report_to_csv, report_to_json
 from .witness import (
     CellNeighborhood,
@@ -66,9 +42,7 @@ from .witness import (
     build_ramp,
     build_staircase,
     build_strips,
-    build_tent_field,
     build_tents,
-    build_witness,
     check_local_constancy,
     verify_witness_sequence,
 )

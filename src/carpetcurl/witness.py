@@ -32,12 +32,9 @@ from .carpet import (
 from .fields import (
     AffinePatch,
     patch_from_vertex_values,
-    PCScalarField,
     PiecewiseAffineField,
     ProductVectorField,
-    l2_norm_sq,
     make_patch,
-    product_with_gradient,
     refine_pairs,
     sup_norm,
 )
@@ -151,22 +148,6 @@ class Tent:
                  (self.column_x + q, self.y_hi))
         return (left, right)
 
-    def field_patches(self):
-        s = self.side_slope
-        xl = self.column_x - self.width / 2
-        xr = self.column_x + self.width / 2
-        left, right = self.triangles
-        return (
-            make_patch(self.trapezoid, -self.y_lo, 0, 1),
-            make_patch(left, -s * xl, s, 0),
-            make_patch(right, s * xr, -s, 0),
-        )
-
-    def lambda_energy(self) -> Fraction:
-        """Energy over the full rectangle under plain area measure."""
-        h, w = self.height, self.width
-        return Fraction(3, 4) * h * w + 4 * h ** 3 / w
-
 
 def build_tents(spec: CarpetSpec, n: int):
     """All tents at stage n, ordered by column then height."""
@@ -201,16 +182,6 @@ def tents_per_column(tents) -> dict:
     for t in tents:
         counts[t.cut] = counts.get(t.cut, 0) + 1
     return counts
-
-
-def build_tent_field(spec: CarpetSpec, n: int, tents=None) -> PiecewiseAffineField:
-    """The nonnegative tent cover, supported on the tent rectangles."""
-    if tents is None:
-        tents = build_tents(spec, n)
-    patches = []
-    for t in tents:
-        patches.extend(t.field_patches())
-    return PiecewiseAffineField(tuple(patches))
 
 
 @dataclass(frozen=True)
@@ -444,52 +415,6 @@ def build_ramp(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
     return build_cell_field(spec, n, cell_map, tents=tents)
 
 
-def build_witness(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
-                  flattened=None, ramp=None, tents=None) -> ProductVectorField:
-    """The stage-n witness vector field: ramp times flattened gradient."""
-    if tents is None:
-        tents = build_tents(spec, n)
-    if flattened is None:
-        flattened = build_flattened(spec, n, tents)
-    if ramp is None:
-        ramp = build_ramp(spec, n, f, tents)
-    return product_with_gradient(ramp, flattened)
-
-
-def coordinate_minus(field: PiecewiseAffineField) -> PiecewiseAffineField:
-    """The field y - given(x, y) on the given field's partition."""
-    return PiecewiseAffineField(tuple(
-        AffinePatch(p.vertices, -p.c0, -p.cx, 1 - p.cy) for p in field.patches))
-
-
-def vertical_defect_sq(flattened: PiecewiseAffineField, pf: Prefractal):
-    """Integral of (d/dy flattened - 1)^2 over the prefractal."""
-    pieces = tuple((p.vertices, p.cy - 1) for p in flattened.patches)
-    return l2_norm_sq(PCScalarField(pieces), pf)
-
-
-def curl_defect_sq(ramp: PiecewiseAffineField, flattened: PiecewiseAffineField,
-                   f: PiecewiseAffineField, pf: Prefractal):
-    """Squared L2 distance between the witness rotation and the target f.
-
-    The rotation is ramp_x * flat_y - ramp_y * flat_x on every refined patch,
-    including those where the flattened gradient vanishes.
-    """
-    pieces = refine_pairs([p.vertices for p in ramp.patches],
-                          [p.vertices for p in flattened.patches])
-    total = ZERO
-    for piece, k, jf in refine_pairs([region for region, _, _ in pieces],
-                                     [p.vertices for p in f.patches]):
-        _, ir, ig = pieces[k]
-        pr = ramp.patches[ir]
-        pg = flattened.patches[ig]
-        c = pr.cx * pg.cy - pr.cy * pg.cx
-        pf_patch = f.patches[jf]
-        diff = {(0, 0): c - pf_patch.c0, (1, 0): -pf_patch.cx, (0, 1): -pf_patch.cy}
-        total += pf.integrate(piece, poly_mul(diff, diff))
-    return total
-
-
 def tent_field_bound(spec: CarpetSpec, n: int) -> Fraction:
     """Advertised envelope for the tent-cover energy at stage n."""
     a = spec.ratio(n)
@@ -534,7 +459,7 @@ def build_stage(spec: CarpetSpec, n: int, f: PiecewiseAffineField) -> StageData:
     neighborhoods = build_neighborhoods(spec, n, tents)
     ramp = build_ramp(spec, n, f, tents)
     tags, band_tags, tent_tags = partition_tags(spec, n, tents)
-    # product_with_gradient(ramp, flattened), read off the tags
+    # the ramp times the flattened gradient, read off the tags
     witness = ProductVectorField(tuple(
         (p.vertices, (p.c0, p.cx, p.cy), flattened.patches[t].gradient)
         for p, t in zip(ramp.patches, tags) if flattened.patches[t].gradient != (0, 0)))

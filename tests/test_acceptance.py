@@ -23,25 +23,8 @@ from carpetcurl.carpet import (
     validate_spec,
 )
 from carpetcurl.cli import main as cli_main
-from carpetcurl.fields import (
-    PiecewiseAffineField,
-    constant_field,
-    coordinate_field,
-    dirichlet_energy,
-    l2_norm_sq,
-    product_with_gradient,
-)
-from carpetcurl.forms import (
-    ProductField,
-    d0,
-    d1,
-    multiply,
-    multiply_two,
-    norm_sq_one,
-    norm_sq_two,
-    verify_wedge_approximation,
-    wedge,
-)
+from carpetcurl.fields import PiecewiseAffineField, constant_field, coordinate_field
+from carpetcurl.forms import verify_wedge_approximation
 from carpetcurl.report import leq_sqrt_sum_sq
 from carpetcurl.witness import (
     build_flattened,
@@ -49,16 +32,30 @@ from carpetcurl.witness import (
     build_ramp,
     build_staircase,
     build_strips,
-    build_tent_field,
     build_tents,
     check_local_constancy,
-    coordinate_minus,
-    curl_defect_sq,
     per_tent_bound,
     tent_field_bound,
 )
 
 from conftest import random_affine_field, random_grid_field, seeded
+from oracles import (
+    ProductField,
+    build_tent_field,
+    coordinate_minus,
+    curl_defect_sq,
+    d0,
+    d1,
+    dirichlet_energy,
+    field_patches,
+    l2_norm_sq,
+    multiply,
+    multiply_two,
+    norm_sq_one,
+    norm_sq_two,
+    product_with_gradient,
+    wedge,
+)
 
 F = Fraction
 
@@ -85,7 +82,7 @@ def witness_data():
         ramp = build_ramp(SPEC, n, one, tents)
         witness = product_with_gradient(ramp, flattened)
         tent_energies = [
-            dirichlet_energy(PiecewiseAffineField(t.field_patches()), pf)
+            dirichlet_energy(PiecewiseAffineField(field_patches(t)), pf)
             for t in tents
         ]
         data[n] = {
@@ -139,7 +136,7 @@ class TestCriterion3TentBound:
             energies = witness_data[3]["tent_energies"]
         else:
             pf = Prefractal(SPEC, n + 1)
-            energies = [dirichlet_energy(PiecewiseAffineField(t.field_patches()), pf)
+            energies = [dirichlet_energy(PiecewiseAffineField(field_patches(t)), pf)
                         for t in build_tents(SPEC, n)]
         worst = max(energies)
         ok = worst <= bound

@@ -6,36 +6,34 @@ from hypothesis import strategies as st
 
 from carpetcurl.carpet import CarpetSpec, Prefractal, prefractal_measure
 from carpetcurl.fields import (
-    PCScalarField,
     PiecewiseAffineField,
-    SupportMismatch,
     _BoxIndex,
     affine_field,
     constant_field,
     coordinate_field,
+    make_patch,
+    refine_pairs,
+    sup_norm,
+)
+from carpetcurl.geometry import bbox, clip_convex, normalize_polygon, polygon_area
+from carpetcurl.witness import build_flattened, build_ramp, build_staircase, build_tents
+
+from conftest import UNIT, random_grid_field, seeded
+from oracles import (
+    PCScalarField,
+    SupportMismatch,
+    build_tent_field,
+    continuity_defects,
+    coordinate_minus,
     curl,
     dirichlet_energy,
     field_from_json,
     field_to_json,
     gradient,
     l2_norm_sq,
-    make_patch,
     overlay,
     product_with_gradient,
-    refine_pairs,
-    sup_norm,
 )
-from carpetcurl.geometry import bbox, clip_convex, normalize_polygon, polygon_area
-from carpetcurl.witness import (
-    build_flattened,
-    build_ramp,
-    build_staircase,
-    build_tent_field,
-    build_tents,
-    coordinate_minus,
-)
-
-from conftest import UNIT, random_grid_field, seeded
 
 F = Fraction
 
@@ -280,13 +278,13 @@ class TestPatchInvariants:
         rng = seeded(5)
         for _ in range(5):
             f = random_grid_field(rng)
-            assert f.continuity_defects() == []
+            assert continuity_defects(f) == []
 
     def test_continuity_check_spots_a_jump(self):
         left = make_patch(((F(0), F(0)), (F(1, 2), F(0)), (F(1, 2), F(1)), (F(0), F(1))), 0, 0, 0)
         right = make_patch(((F(1, 2), F(0)), (F(1), F(0)), (F(1), F(1)), (F(1, 2), F(1))), 1, 0, 0)
         field = PiecewiseAffineField((left, right))
-        assert field.continuity_defects() != []
+        assert continuity_defects(field) != []
 
 
 class TestSerialization:
@@ -299,8 +297,7 @@ class TestSerialization:
 
 class TestVectorSerialization:
     def test_product_field_wire_format(self, spec35):
-        from carpetcurl.fields import product_with_gradient, vector_field_to_json
-        from carpetcurl.witness import build_flattened, build_ramp
+        from oracles import vector_field_to_json
 
         flattened = build_flattened(spec35, 1)
         ramp = build_ramp(spec35, 1, constant_field(1))
@@ -312,7 +309,7 @@ class TestVectorSerialization:
         assert all(len(triple) == 3 for triple in piece["coeffs"])
 
     def test_constant_field_wire_format(self):
-        from carpetcurl.fields import vector_field_to_json
+        from oracles import vector_field_to_json
         payload = vector_field_to_json(gradient(coordinate_field("y")))
         assert payload["kind"] == "constant"
         assert payload["pieces"][0]["coeffs"][1][0] == [1, 1]

@@ -1,21 +1,22 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 
-from carpetcurl.fields import (
-    affine_field,
-    constant_field,
-    coordinate_field,
-    dirichlet_energy,
-    sup_norm,
-)
-from carpetcurl.forms import (
+from carpetcurl import geometry
+from carpetcurl.fields import affine_field, constant_field, coordinate_field, sup_norm
+from carpetcurl.forms import verify_wedge_approximation
+from carpetcurl.witness import build_flattened, build_staircase
+
+from conftest import random_affine_field, random_grid_field, seeded
+from oracles import (
     OneForm,
     ProductField,
     build_cutoff_form,
     d0,
     d1,
+    dirichlet_energy,
     gamma,
     inner_one,
     inner_two,
@@ -23,12 +24,9 @@ from carpetcurl.forms import (
     multiply_two,
     norm_sq_one,
     norm_sq_two,
-    verify_wedge_approximation,
+    one_form_to_json,
     wedge,
 )
-from carpetcurl.witness import build_flattened, build_staircase
-
-from conftest import random_affine_field, random_grid_field, seeded
 
 F = Fraction
 
@@ -186,6 +184,26 @@ class TestWedgeVerification:
         assert primary.value == F(536, 2205)
         assert primary.passed
 
+    def test_wedge_section_clips_nothing(self, spec357, monkeypatch):
+        def run():
+            return verify_wedge_approximation(
+                spec357, coordinate_field("x"), coordinate_field("y"), (2,), m=3).rows
+
+        expected = run()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the wedge section clipped a polygon")
+
+        # every binding of clip_convex in a carpetcurl module, not only geometry's
+        clip = geometry.clip_convex
+        bindings = [(module, attr) for name, module in list(sys.modules.items())
+                    if name == "carpetcurl" or name.startswith("carpetcurl.")
+                    for attr, obj in vars(module).items() if obj is clip]
+        assert (geometry, "clip_convex") in bindings
+        for module, attr in bindings:
+            monkeypatch.setattr(module, attr, fail)
+        assert run() == expected
+
     def test_requires_vertical_target(self, spec357):
         with pytest.raises(ValueError):
             verify_wedge_approximation(
@@ -194,7 +212,6 @@ class TestWedgeVerification:
 
 class TestFormSerialization:
     def test_terms_wrapper(self, spec35):
-        from carpetcurl.forms import build_cutoff_form, one_form_to_json
         omega, _ = build_cutoff_form(spec35, 1, coordinate_field("x"))
         payload = one_form_to_json(omega)
         assert len(payload["terms"]) == 1

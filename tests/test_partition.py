@@ -2,7 +2,8 @@
 
 ``verify`` evaluates every stage integral as a sum over one partition whose
 patches carry, by construction, the index of the flattened patch containing
-them.  The refinement API (``refine_pairs``, ``product_with_gradient``,
+them, and reads the wedge constants off closed forms.  The refinement
+calculus in ``oracles`` (``refine_pairs``, ``product_with_gradient``,
 ``curl_defect_sq``, the form inner products) recomputes the same quantities
 independently, so these tests pin the tags and every tagged row to it.
 """
@@ -10,6 +11,8 @@ independently, so these tests pin the tags and every tagged row to it.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carpetcurl import cli, witness
 from carpetcurl.carpet import CarpetSpec, Prefractal, side_length
@@ -18,32 +21,33 @@ from carpetcurl.fields import (
     affine_field,
     constant_field,
     coordinate_field,
-    dirichlet_energy,
-    l2_norm_sq,
     make_patch,
-    product_with_gradient,
     refine_pairs,
     sup_norm,
 )
-from carpetcurl.forms import (
-    build_cutoff_form,
-    d0,
-    d1,
-    gamma,
-    norm_sq_one,
-    norm_sq_two,
-    verify_wedge_approximation,
-    wedge,
-)
+from carpetcurl.forms import verify_wedge_approximation
 from carpetcurl.geometry import polygon_area
 from carpetcurl.witness import (
     affine_target,
     build_stage,
     build_staircase,
+    verify_witness_sequence,
+)
+from oracles import (
+    build_cutoff_form,
     coordinate_minus,
     curl_defect_sq,
-    verify_witness_sequence,
+    d0,
+    d1,
+    dirichlet_energy,
+    field_patches,
+    gamma,
+    l2_norm_sq,
+    norm_sq_one,
+    norm_sq_two,
+    product_with_gradient,
     vertical_defect_sq,
+    wedge,
 )
 
 F = Fraction
@@ -78,7 +82,7 @@ class TestTags:
         # a tent's trapezoid and side triangles are flattened patches
         for t, tags in zip(stage.tents, stage.tent_tags):
             assert [flat.patches[i].vertices for i in tags] == regions(
-                PiecewiseAffineField(t.field_patches()))
+                PiecewiseAffineField(field_patches(t)))
         # the tagged pieces tile each flattened patch, except that the cell
         # field leaves out the stage-n hole squares on the strip bands:
         # side_n^2 per cut a band crosses, a_n^2 in all
@@ -102,7 +106,7 @@ def generic_rows(spec, f, n, m):
     pf = Prefractal(spec, m)
     stage = build_stage(spec, n, f)
     flat, ramp = stage.flattened, stage.ramp
-    tent_energies = [dirichlet_energy(PiecewiseAffineField(t.field_patches()), pf)
+    tent_energies = [dirichlet_energy(PiecewiseAffineField(field_patches(t)), pf)
                      for t in stage.tents]
     e_flat = dirichlet_energy(coordinate_minus(flat), pf)
     ramp_sup_sq = sup_norm(ramp) ** 2
@@ -111,20 +115,21 @@ def generic_rows(spec, f, n, m):
     wedge_fg = wedge(d0(f), d0(y))
     wedge_flat = wedge(d0(f), d0(flat))
     return {
-        ("witness", "strip_defect_energy"): (
+        ("witness", n, "strip_defect_energy"): (
             dirichlet_energy(coordinate_minus(build_staircase(spec, n)), pf), None),
-        ("witness", "tent_energy_max"): (max(tent_energies), None),
-        ("witness", "tent_field_energy"): (sum(tent_energies), None),
-        ("witness", "flattened_defect_energy"): (e_flat, None),
-        ("witness", "witness_l2"): (l2_norm_sq(product_with_gradient(ramp, flat), pf),
-                                    ramp_sup_sq * dirichlet_energy(flat, pf)),
-        ("witness", "curl_defect_l2"): (curl_defect_sq(ramp, flat, f, pf), None),
-        ("witness", "vertical_defect"): (vertical_defect_sq(flat, pf), e_flat),
-        ("wedge", "cutoff_form_l2"): (norm_sq_one(omega, pf), None),
-        ("wedge", "wedge_defect_primary"): (
+        ("witness", n, "tent_energy_max"): (max(tent_energies), None),
+        ("witness", n, "tent_field_energy"): (sum(tent_energies), None),
+        ("witness", n, "flattened_defect_energy"): (e_flat, None),
+        ("witness", n, "witness_l2"): (l2_norm_sq(product_with_gradient(ramp, flat), pf),
+                                       ramp_sup_sq * dirichlet_energy(flat, pf)),
+        ("witness", n, "curl_defect_l2"): (curl_defect_sq(ramp, flat, f, pf), None),
+        ("witness", n, "vertical_defect"): (vertical_defect_sq(flat, pf), e_flat),
+        ("wedge", None, "wedge_norm_sq"): (norm_sq_two(wedge_fg, pf), None),
+        ("wedge", n, "cutoff_form_l2"): (norm_sq_one(omega, pf), None),
+        ("wedge", n, "wedge_defect_primary"): (
             norm_sq_two(wedge_fg - wedge_flat, pf),
             2 * gamma(f, f, pf).essential_sup ** 2 * e_flat),
-        ("wedge", "wedge_defect_secondary"): (norm_sq_two(wedge_flat - d1(omega), pf), None),
+        ("wedge", n, "wedge_defect_secondary"): (norm_sq_two(wedge_flat - d1(omega), pf), None),
     }
 
 
@@ -137,8 +142,8 @@ class TestTaggedRows:
         spec = SPECS[name]
         report = verify_witness_sequence(spec, TARGET, n_max=n, m=m)
         report.extend(verify_wedge_approximation(spec, TARGET, coordinate_field("y"), (n,), m))
-        for (section, row_name), (value, bound) in generic_rows(spec, TARGET, n, m).items():
-            row = report.get(section, n, row_name)
+        for (section, stage, row_name), (value, bound) in generic_rows(spec, TARGET, n, m).items():
+            row = report.get(section, stage, row_name)
             assert row.value == value, row_name
             if bound is not None:
                 assert row.bound == bound, row_name
@@ -152,8 +157,24 @@ class TestTaggedRows:
             raise AssertionError("the verifier rebuilt a piece of the flattened partition")
 
         monkeypatch.setattr(witness, "build_staircase", fail)
-        monkeypatch.setattr(witness.Tent, "field_patches", fail)
         assert verify_witness_sequence(spec35, TARGET, n_max=2, m=2).rows == expected
+
+
+RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
+AFFINE = st.builds(affine_field, RATIONALS, RATIONALS, RATIONALS)
+
+
+class TestWedgeClosedForms:
+    @given(st.sampled_from(sorted(SPECS)), st.integers(1, 3), AFFINE, AFFINE)
+    @settings(max_examples=60, deadline=None)
+    def test_closed_forms_equal_the_oracle(self, name, m, f, g):
+        # the wedge section's constants for affine f and g, against the
+        # common-refinement inner product and gamma density
+        pf = Prefractal(SPECS[name], m)
+        a, b = f.patches[0], g.patches[0]
+        det = a.cx * b.cy - a.cy * b.cx
+        assert det ** 2 * pf.measure == norm_sq_two(wedge(d0(f), d0(g)), pf)
+        assert a.cx ** 2 + a.cy ** 2 == gamma(f, f, pf).essential_sup
 
 
 UNIT = ((0, 0), (1, 0), (1, 1), (0, 1))
