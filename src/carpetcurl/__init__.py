@@ -34,6 +34,7 @@ from .forms import verify_wedge_approximation
 from .report import VerificationReport, report_to_csv, report_to_json
 from .witness import (
     CellNeighborhood,
+    FlattenedField,
     StripSet,
     Tent,
     build_cell_field,

@@ -126,10 +126,10 @@ def cmd_carpet(args) -> int:
     for stage in range(1, args.depth + 1):
         records.extend(geometry_json_records(spec, stage))
     import json
+    measure = prefractal_measure(spec, args.depth)
     payload = {
         "depth": args.depth,
-        "measure": [prefractal_measure(spec, args.depth).numerator,
-                    prefractal_measure(spec, args.depth).denominator],
+        "measure": [measure.numerator, measure.denominator],
         "holes": records,
     }
     (out / "carpet.json").write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",

@@ -16,30 +16,31 @@ from .geometry import ZERO
 from .report import VerificationReport
 from .witness import (
     affine_target,
+    FlattenedField,
     build_cell_field,
     build_flattened,
-    build_tents,
     flattening_density,
     measure_sum,
-    partition_tags,
     square_integral,
 )
 
 
-def cutoff_remainder(spec: CarpetSpec, n: int, base: AffinePatch, tents) -> PiecewiseAffineField:
+def cutoff_remainder(spec: CarpetSpec, n: int, base: AffinePatch,
+                     flattened: FlattenedField) -> PiecewiseAffineField:
     """Stage-n remainder of the affine map ``base``, localized to the cells.
 
     The remainder subtracts from the map its value at each cell center and
     fades to zero across the boundary neighborhoods, where the flattened
     coordinate is locally constant; its values there never contribute to any
-    norm.  Times d(flattened) it is the stage-n cutoff one-form.
+    norm.  Times d(flattened) it is the stage-n cutoff one-form.  Its
+    patches are the cell pieces that ``flattened`` carries.
     """
     def cell_map(idx, cell):
         x0, y0, x1, y1 = cell
         center = ((x0 + x1) / 2, (y0 + y1) / 2)
         return (base.c0 - base.value_at(center), base.cx, base.cy)
 
-    return build_cell_field(spec, n, cell_map, tents)
+    return build_cell_field(spec, n, cell_map, flattened)
 
 
 def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
@@ -74,18 +75,17 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
 
     # In the plane the Gram determinant of two wedges is the product of their
     # determinants (Cauchy-Binet), so |sum w*h*df^dg|^2 = (sum w*h*det[df, dg])^2
-    # pointwise.  The remainder is a cell field, so each of its patches lies
-    # inside the flattened patch partition_tags names, and every norm below
-    # is a sum over patches.
+    # pointwise.  The remainder is built on the cell pieces the flattened
+    # field carries, so each of its patches lies inside the flattened patch
+    # its cell tag names, and every norm below is a sum over patches.
     for n in stages:
-        tents = build_tents(spec, n)
-        flattened = build_flattened(spec, n, tents)
-        remainder = cutoff_remainder(spec, n, base, tents)
-        tags, _, _ = partition_tags(spec, n, tents)
+        flattened = build_flattened(spec, n)
+        remainder = cutoff_remainder(spec, n, base, flattened)
         measures = [pf.region_measure(p.vertices) for p in flattened.patches]
         # remainder patches under a nonzero flattened gradient; on the others
         # both the cutoff form and the second defect vanish identically
-        active = [(p, flattened.patches[t]) for p, t in zip(remainder.patches, tags)
+        active = [(p, flattened.patches[t])
+                  for p, t in zip(remainder.patches, flattened.cell_tags)
                   if flattened.patches[t].gradient != (0, 0)]
         moments = [pf.moments(p.vertices) for p, _ in active]
 

@@ -67,10 +67,13 @@ def _normalize(points):
     """Canonical vertices of a polygon, their lattice points and the lattice scale.
 
     Returns (the given vertices as Fractions at the kept indices, the same
-    vertices on the polygon's integer lattice, its scale).
+    vertices on the polygon's integer lattice, its scale).  A canonical tuple
+    of Fraction pairs comes back as itself, so its holders share it.
     """
-    raw = [(x if type(x) is Fraction else Fraction(x),
-            y if type(y) is Fraction else Fraction(y)) for x, y in points]
+    exact = type(points) is tuple and all(
+        type(p) is tuple and type(p[0]) is type(p[1]) is Fraction for p in points)
+    raw = points if exact else [(x if type(x) is Fraction else Fraction(x),
+                                 y if type(y) is Fraction else Fraction(y)) for x, y in points]
     scale, pts = _lattice(raw)
     order = list(range(len(pts)))
     if _area2(pts) < 0:
@@ -85,6 +88,8 @@ def _normalize(points):
                 and (cur[1] - prev[1]) * (nxt[1] - cur[1]) >= 0):  # collinear interior vertex
             keep.append(order[k])
         prev = cur
+    if exact and keep == list(range(len(pts))):
+        return points, pts, scale
     return tuple(raw[i] for i in keep), [pts[i] for i in keep], scale
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -44,6 +45,10 @@ from .report import VerificationReport, leq_sqrt_sum_sq, leq_with_sqrt
 UNIT_CORNERS = {(0, 0), (1, 0), (1, 1), (0, 1)}
 
 
+def _rectangle(x0, y0, x1, y1):
+    return ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+
+
 @dataclass(frozen=True)
 class StripSet:
     """Horizontal strips of height side_length(n) centered on the y-cuts."""
@@ -58,8 +63,7 @@ class StripSet:
 
     def regions(self):
         h = self.height / 2
-        return [((ZERO, c - h), (Fraction(1), c - h), (Fraction(1), c + h), (ZERO, c + h))
-                for c in self.y_centers]
+        return [_rectangle(ZERO, c - h, Fraction(1), c + h) for c in self.y_centers]
 
 
 def build_strips(spec: CarpetSpec, n: int) -> StripSet:
@@ -90,8 +94,7 @@ def build_staircase(spec: CarpetSpec, n: int) -> PiecewiseAffineField:
             continue
         slope = ZERO if i % 2 else Fraction(1)
         c0 = value - slope * y0
-        patches.append(make_patch(
-            ((ZERO, y0), (Fraction(1), y0), (Fraction(1), y1), (ZERO, y1)), c0, 0, slope))
+        patches.append(make_patch(_rectangle(ZERO, y0, Fraction(1), y1), c0, 0, slope))
         value += slope * (y1 - y0)
     return PiecewiseAffineField(tuple(patches))
 
@@ -107,7 +110,8 @@ class Tent:
     height and reuse the same shape scaled to the actual gap.  ``cut`` is the
     index of the column in ``cut_positions`` and ``row`` the cell row holding
     the gap, so the tent sits on the edge between cells ``cut`` and
-    ``cut + 1`` of that row.
+    ``cut + 1`` of that row.  The trapezoid, triangles and side slope are
+    cached, so every patch built on them shares one tuple.
     """
 
     column_x: Fraction
@@ -129,17 +133,17 @@ class Tent:
         w = self.width / 2
         return (self.column_x - w, self.y_lo, self.column_x + w, self.y_hi)
 
-    @property
+    @cached_property
     def trapezoid(self):
         w, q = self.width / 2, self.width / 4
         return ((self.column_x - w, self.y_lo), (self.column_x + w, self.y_lo),
                 (self.column_x + q, self.y_hi), (self.column_x - q, self.y_hi))
 
-    @property
+    @cached_property
     def side_slope(self) -> Fraction:
         return 4 * self.height / self.width
 
-    @property
+    @cached_property
     def triangles(self):
         w, q = self.width / 2, self.width / 4
         left = ((self.column_x - w, self.y_lo), (self.column_x - q, self.y_hi),
@@ -215,25 +219,14 @@ def build_neighborhoods(spec: CarpetSpec, n: int, tents=None):
     half = side_length(spec, n) / 2
     out = []
     for idx, (x0, y0, x1, y1) in enumerate(grid.cells):
-        rects = []
-        traps = []
-        if y0 > 0:
-            rects.append(((x0, y0 - half), (x1, y0 - half), (x1, y0 + half), (x0, y0 + half)))
-        if y1 < 1:
-            rects.append(((x0, y1 - half), (x1, y1 - half), (x1, y1 + half), (x0, y1 + half)))
+        rects = tuple(_rectangle(x0, y - half, x1, y + half) for y in (y0, y1) if 0 < y < 1)
         # cut i - 1 is the cell's left edge, cut i its right edge
         row, i = divmod(idx, ncols)
-        for cut in (i - 1, i):
-            k = tent_at.get((cut, row))
-            if k is not None:
-                traps.append(tents[k].trapezoid)
+        traps = tuple(tents[tent_at[edge]].trapezoid
+                      for edge in ((i - 1, row), (i, row)) if edge in tent_at)
         out.append(CellNeighborhood(cell_index=idx, cell=(x0, y0, x1, y1),
-                                    rectangles=tuple(rects), trapezoids=tuple(traps)))
+                                    rectangles=rects, trapezoids=traps))
     return out
-
-
-def _rectangle(x0, y0, x1, y1):
-    return ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
 
 
 _BAND = "band"
@@ -317,15 +310,41 @@ def _stage_layout(spec: CarpetSpec, n: int, tents):
             yield _BAND, _rectangle(ZERO, y1, one, b1), (y1 + k, 0, 0), seams
 
 
-def build_flattened(spec: CarpetSpec, n: int, tents=None):
+@dataclass(frozen=True)
+class FlattenedField(PiecewiseAffineField):
+    """The flattened coordinate with the cell pieces (vertices, owner) nested in it.
+
+    An owner indexes the grid ``cells``; piece i lies in patch ``cell_tags[i]``;
+    ``band_tags`` are the strip-band patches and ``tent_tags[k]`` the
+    trapezoid and triangles of tent k.
+    """
+
+    pieces: tuple
+    cell_tags: tuple
+    band_tags: tuple
+    tent_tags: tuple
+    cells: tuple
+
+
+def build_flattened(spec: CarpetSpec, n: int, tents=None) -> FlattenedField:
     """The stage-n flattened coordinate: staircase minus tent cover.
 
-    Built directly as a total partition (the patches of ``_stage_layout``).
+    Built as a total partition in the one walk of ``_stage_layout`` per stage.
     """
     if tents is None:
         tents = build_tents(spec, n)
-    field = PiecewiseAffineField(tuple(
-        make_patch(verts, *coeffs) for _, verts, coeffs, _ in _stage_layout(spec, n, tents)))
+    patches, pieces, cell_tags, band_tags = [], [], [], []
+    tent_tags = [[] for _ in tents]
+    for i, (part, verts, coeffs, cell_pieces) in enumerate(_stage_layout(spec, n, tents)):
+        patches.append(make_patch(verts, *coeffs))
+        pieces += cell_pieces
+        cell_tags += [i] * len(cell_pieces)
+        if part is _BAND:
+            band_tags.append(i)
+        elif part is not None:
+            tent_tags[part].append(i)
+    field = FlattenedField(tuple(patches), tuple(pieces), tuple(cell_tags), tuple(band_tags),
+                           tuple(map(tuple, tent_tags)), cell_grid(spec, n).cells)
     if field.total_area() != 1:
         raise ConstructionError(f"flattened patches cover {field.total_area()}, not 1")
     return field
@@ -344,8 +363,8 @@ def check_local_constancy(flattened: PiecewiseAffineField, neighborhoods):
     return [(pieces[ia][0], sloped[ib]) for _, ia, ib in overlaps]
 
 
-def build_cell_field(spec: CarpetSpec, n: int,
-                     cell_map: Callable, tents=None) -> PiecewiseAffineField:
+def build_cell_field(spec: CarpetSpec, n: int, cell_map: Callable,
+                     flattened=None) -> PiecewiseAffineField:
     """Glue per-cell affine maps into a field continuous on the carpet.
 
     ``cell_map(index, cell)`` returns (c0, cx, cy) for each grid cell.  The
@@ -353,55 +372,37 @@ def build_cell_field(spec: CarpetSpec, n: int,
     strip bands and tent trapezoids the values are joined by triangulated
     affine interpolation.  Jumps may remain only along edges buried inside
     removed holes, which the carpet never sees.  The patches are the pieces
-    of ``_stage_layout``, in its order.
+    that the stage-n ``flattened`` field carries (built here when not
+    given), in its order, so patch i lies in flattened patch
+    ``flattened.cell_tags[i]``.
     """
-    if tents is None:
-        tents = build_tents(spec, n)
+    if flattened is None:
+        flattened = build_flattened(spec, n)
     coeffs = [tuple(Fraction(c) for c in cell_map(idx, cell))
-              for idx, cell in enumerate(cell_grid(spec, n).cells)]
+              for idx, cell in enumerate(flattened.cells)]
 
     def cell_value(idx, p):
         c0, cx, cy = coeffs[idx]
         return c0 + cx * p[0] + cy * p[1]
 
     patches = []
-    for _, _, _, pieces in _stage_layout(spec, n, tents):
-        for verts, owner in pieces:
-            if isinstance(owner, int):
-                patches.append(make_patch(verts, *coeffs[owner]))
-            else:
-                (p1, p2, p3), (o1, o2, o3) = verts, owner
-                patches.append(patch_from_vertex_values(p1, cell_value(o1, p1), p2,
-                                                        cell_value(o2, p2), p3, cell_value(o3, p3)))
+    for verts, owner in flattened.pieces:
+        if isinstance(owner, int):
+            patches.append(make_patch(verts, *coeffs[owner]))
+        else:
+            (p1, p2, p3), (o1, o2, o3) = verts, owner
+            patches.append(patch_from_vertex_values(p1, cell_value(o1, p1), p2,
+                                                    cell_value(o2, p2), p3, cell_value(o3, p3)))
     return PiecewiseAffineField(tuple(patches))
 
 
-def partition_tags(spec: CarpetSpec, n: int, tents):
-    """Flattened-patch indices of the stage-n pieces, read off the nested layout.
-
-    Returns (cell_tags, band_tags, tent_tags): ``cell_tags[i]`` is the index
-    of the ``build_flattened`` patch containing patch i of every
-    ``build_cell_field`` at stage n (the ramp and the cutoff remainder
-    alike), because ``_stage_layout`` yields each cell piece with its
-    flattened patch; ``band_tags`` are the indices of the strip-band patches
-    and ``tent_tags[k]`` those of tent k's trapezoid, left and right triangle.
-    """
-    cell_tags, band_tags, tent_tags = [], [], [[] for _ in tents]
-    for i, (part, _, _, pieces) in enumerate(_stage_layout(spec, n, tents)):
-        cell_tags.extend([i] * len(pieces))
-        if part == _BAND:
-            band_tags.append(i)
-        elif part is not None:
-            tent_tags[part].append(i)
-    return tuple(cell_tags), tuple(band_tags), tuple(map(tuple, tent_tags))
-
-
 def build_ramp(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
-               tents=None) -> PiecewiseAffineField:
+               flattened=None) -> PiecewiseAffineField:
     """Per-cell horizontal ramp: value-of-f-at-center times (x - center_x).
 
     Off the boundary neighborhoods the gradient is exactly (f(center), 0);
-    the sup norm is at most sup|f| times the previous side length.
+    the sup norm is at most sup|f| times the previous side length.  The
+    patches are the cell pieces of ``flattened`` (see ``build_cell_field``).
     """
     def cell_map(idx, cell):
         x0, y0, x1, y1 = cell
@@ -412,7 +413,7 @@ def build_ramp(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
                                     f"({center[0]}, {center[1]})")
         return (-fv * center[0], fv, ZERO)
 
-    return build_cell_field(spec, n, cell_map, tents=tents)
+    return build_cell_field(spec, n, cell_map, flattened)
 
 
 def tent_field_bound(spec: CarpetSpec, n: int) -> Fraction:
@@ -433,39 +434,32 @@ def per_tent_bound(spec: CarpetSpec, n: int) -> Fraction:
 class StageData:
     """All stage-n objects needed by the verifier, built once.
 
-    The flattened field, the ramp and the tags are read off one nested
-    layout that yields each flattened patch with the ramp pieces inside it
-    (``partition_tags``): ``tags[i]`` is the index of the flattened patch
-    containing ramp patch i, ``band_tags`` the flattened strip-band patches,
-    and ``tent_tags[k]`` the flattened trapezoid and side triangles of tent k.
+    The flattened field carries the stage partition (see ``FlattenedField``):
+    the ramp's patches are its cell pieces, and the verifier reads the
+    strip-band, tent and ramp tags off it.
     """
 
     n: int
     tents: list
     strips: StripSet
-    flattened: PiecewiseAffineField
+    flattened: FlattenedField
     neighborhoods: list
     ramp: PiecewiseAffineField
-    tags: tuple
-    band_tags: tuple
-    tent_tags: tuple
     witness: ProductVectorField
 
 
 def build_stage(spec: CarpetSpec, n: int, f: PiecewiseAffineField) -> StageData:
     tents = build_tents(spec, n)
-    strips = build_strips(spec, n)
     flattened = build_flattened(spec, n, tents)
-    neighborhoods = build_neighborhoods(spec, n, tents)
-    ramp = build_ramp(spec, n, f, tents)
-    tags, band_tags, tent_tags = partition_tags(spec, n, tents)
+    ramp = build_ramp(spec, n, f, flattened)
     # the ramp times the flattened gradient, read off the tags
     witness = ProductVectorField(tuple(
         (p.vertices, (p.c0, p.cx, p.cy), flattened.patches[t].gradient)
-        for p, t in zip(ramp.patches, tags) if flattened.patches[t].gradient != (0, 0)))
-    return StageData(n=n, tents=tents, strips=strips, flattened=flattened,
-                     neighborhoods=neighborhoods, ramp=ramp, tags=tags,
-                     band_tags=band_tags, tent_tags=tent_tags, witness=witness)
+        for p, t in zip(ramp.patches, flattened.cell_tags)
+        if flattened.patches[t].gradient != (0, 0)))
+    return StageData(n=n, tents=tents, strips=build_strips(spec, n), flattened=flattened,
+                     neighborhoods=build_neighborhoods(spec, n, tents), ramp=ramp,
+                     witness=witness)
 
 
 def affine_target(f: PiecewiseAffineField) -> AffinePatch:
@@ -552,7 +546,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         strip_area = stage.strips.total_area
         report.add("witness", n, "strip_area", strip_area, a_n, strip_area <= a_n)
 
-        e_strip = sum((defect[i] for i in stage.band_tags), ZERO)
+        e_strip = sum((defect[i] for i in flat.band_tags), ZERO)
         report.add("witness", n, "strip_defect_energy", e_strip, a_n, e_strip <= a_n,
                    tail=(e_strip * tail[0], e_strip) if tail else None)
 
@@ -565,7 +559,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
 
         pt_bound = per_tent_bound(spec, n)
         worst = e_tents = ZERO
-        for tags in stage.tent_tags:
+        for tags in flat.tent_tags:
             e_one = sum((defect[i] for i in tags), ZERO)
             e_tents += e_one
             if e_one > worst:
@@ -593,7 +587,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                         f"{'<=' if d_prev <= Fraction(1, n) else '>'}")
 
         w_norm = c_defect = ZERO
-        for p, t, moments in zip(stage.ramp.patches, stage.tags, ramp_moments):
+        for p, t, moments in zip(stage.ramp.patches, flat.cell_tags, ramp_moments):
             g = flat.patches[t]
             g2 = g.cx ** 2 + g.cy ** 2
             if g2:

@@ -485,18 +485,16 @@ def gamma(f: PiecewiseAffineField, g: PiecewiseAffineField, pf: Prefractal) -> G
 
 
 def build_cutoff_form(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
-                      flattened: Optional[PiecewiseAffineField] = None, tents=None):
+                      flattened: Optional[PiecewiseAffineField] = None):
     """Stage-n one-form: the cutoff remainder of f times d(flattened coordinate).
 
     Returns (one_form, remainder_field).
     """
     if len(f.patches) != 1:
         raise ValueError("cutoff construction expects a globally affine target")
-    if tents is None:
-        tents = build_tents(spec, n)
     if flattened is None:
-        flattened = build_flattened(spec, n, tents)
-    remainder = cutoff_remainder(spec, n, f.patches[0], tents)
+        flattened = build_flattened(spec, n)
+    remainder = cutoff_remainder(spec, n, f.patches[0], flattened)
     return OneForm(((ONE, remainder, flattened),)), remainder
 
 
@@ -544,14 +542,12 @@ def build_tent_field(spec: CarpetSpec, n: int, tents=None) -> PiecewiseAffineFie
 
 
 def build_witness(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
-                  flattened=None, ramp=None, tents=None) -> ProductVectorField:
+                  flattened=None, ramp=None) -> ProductVectorField:
     """The stage-n witness vector field: ramp times flattened gradient."""
-    if tents is None:
-        tents = build_tents(spec, n)
     if flattened is None:
-        flattened = build_flattened(spec, n, tents)
+        flattened = build_flattened(spec, n)
     if ramp is None:
-        ramp = build_ramp(spec, n, f, tents)
+        ramp = build_ramp(spec, n, f, flattened)
     return product_with_gradient(ramp, flattened)
 
 

@@ -79,7 +79,7 @@ def witness_data():
         tents = build_tents(SPEC, n)
         flattened = build_flattened(SPEC, n, tents)
         neighborhoods = build_neighborhoods(SPEC, n, tents)
-        ramp = build_ramp(SPEC, n, one, tents)
+        ramp = build_ramp(SPEC, n, one, flattened)
         witness = product_with_gradient(ramp, flattened)
         tent_energies = [
             dirichlet_energy(PiecewiseAffineField(field_patches(t)), pf)

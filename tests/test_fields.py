@@ -169,7 +169,7 @@ class TestBoxIndex:
         spec = CarpetSpec((), "odd-reciprocal")
         tents = build_tents(spec, 2)
         flattened = build_flattened(spec, 2, tents)
-        ramp = build_ramp(spec, 2, constant_field(1), tents)
+        ramp = build_ramp(spec, 2, constant_field(1), flattened)
         regions_a = [p.vertices for p in ramp.patches]
         regions_b = [p.vertices for p in flattened.patches]
         assert (len(regions_a), len(regions_b)) == (92, 57)

@@ -34,6 +34,16 @@ def test_normalize_drops_collinear_vertices():
     assert len(normalize_polygon(poly)) == 4
 
 
+def test_normalize_returns_a_canonical_tuple_itself():
+    assert normalize_polygon(SQUARE) is SQUARE
+    # anything it has to convert, turn or prune is a new tuple
+    for poly in (list(SQUARE), ((0, 0), (1, 0), (1, 1), (0, 1)), SQUARE[::-1],
+                 SQUARE[:1] + ((F(1, 2), F(0)),) + SQUARE[1:]):
+        out = normalize_polygon(poly)
+        assert out is not poly
+        assert set(out) == set(SQUARE) and polygon_area(out) == 1
+
+
 def test_unit_square_moments_match_analytic_integrals():
     mom = polygon_moments(SQUARE)
     assert mom[(0, 0)] == 1

@@ -72,29 +72,53 @@ class TestTags:
         spec = SPECS[name]
         stage = build_stage(spec, n, constant_field(1))
         flat = stage.flattened
-        assert len(stage.tags) == len(stage.ramp.patches)
+        assert len(flat.cell_tags) == len(stage.ramp.patches)
         # every ramp patch lies inside exactly its tagged flattened patch
-        assert refine_pairs(regions(stage.ramp), regions(flat)) == \
-            [(p.vertices, i, t) for i, (p, t) in enumerate(zip(stage.ramp.patches, stage.tags))]
+        assert refine_pairs(regions(stage.ramp), regions(flat)) == [
+            (p.vertices, i, t) for i, (p, t) in enumerate(zip(stage.ramp.patches, flat.cell_tags))]
         # the cutoff remainder has the ramp's polygons, so the same refinement
-        _, remainder = build_cutoff_form(spec, n, coordinate_field("x"), flat, stage.tents)
+        _, remainder = build_cutoff_form(spec, n, coordinate_field("x"), flat)
         assert regions(remainder) == regions(stage.ramp)
         # a tent's trapezoid and side triangles are flattened patches
-        for t, tags in zip(stage.tents, stage.tent_tags):
+        for t, tags in zip(stage.tents, flat.tent_tags):
             assert [flat.patches[i].vertices for i in tags] == regions(
                 PiecewiseAffineField(field_patches(t)))
         # the tagged pieces tile each flattened patch, except that the cell
         # field leaves out the stage-n hole squares on the strip bands:
         # side_n^2 per cut a band crosses, a_n^2 in all
         tiled = [F(0)] * len(flat.patches)
-        for p, t in zip(stage.ramp.patches, stage.tags):
+        for p, t in zip(stage.ramp.patches, flat.cell_tags):
             tiled[t] += polygon_area(p.vertices)
         hole = side_length(spec, n) ** 2
         cuts = len(stage.strips.y_centers)
         for i, patch in enumerate(flat.patches):
-            short = cuts * hole if i in stage.band_tags else 0
+            short = cuts * hole if i in flat.band_tags else 0
             assert tiled[i] == polygon_area(patch.vertices) - short
-        assert len(stage.band_tags) * cuts * hole == spec.ratio(n) ** 2
+        assert len(flat.band_tags) * cuts * hole == spec.ratio(n) ** 2
+
+    def test_each_stage_walks_its_layout_once(self, monkeypatch):
+        calls = []
+        walk = witness._stage_layout
+
+        def counted(*args):
+            calls.append(args[1])
+            return walk(*args)
+
+        monkeypatch.setattr(witness, "_stage_layout", counted)
+        spec = SPECS["odd-reciprocal"]
+        stage = build_stage(spec, 2, constant_field(1))
+        assert calls == [2]
+        # the tents' own tuples are the flattened trapezoids and triangles
+        # and the neighbourhood trapezoids
+        flat, t = stage.flattened, stage.tents[0]
+        assert [flat.patches[i].vertices for i in flat.tent_tags[0]] == [
+            t.trapezoid, *t.triangles]
+        assert flat.patches[flat.tent_tags[0][0]].vertices is t.trapezoid
+        assert any(q is t.trapezoid for nb in stage.neighborhoods for q in nb.trapezoids)
+        calls.clear()
+        verify_wedge_approximation(spec, coordinate_field("x"), coordinate_field("y"),
+                                   (2, 3), m=1)
+        assert calls == [2, 3]
 
     def test_witness_equals_the_product_with_gradient(self):
         stage = build_stage(SPECS["1/5,1/3,1/7"], 2, TARGET)
@@ -110,7 +134,7 @@ def generic_rows(spec, f, n, m):
                      for t in stage.tents]
     e_flat = dirichlet_energy(coordinate_minus(flat), pf)
     ramp_sup_sq = sup_norm(ramp) ** 2
-    omega, _ = build_cutoff_form(spec, n, f, flat, stage.tents)
+    omega, _ = build_cutoff_form(spec, n, f, flat)
     y = coordinate_field("y")
     wedge_fg = wedge(d0(f), d0(y))
     wedge_flat = wedge(d0(f), d0(flat))
