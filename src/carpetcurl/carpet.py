@@ -6,7 +6,8 @@ and the central cell is discarded.  Prefractals are kept implicit: membership,
 measures and integrals descend the subdivision tree lazily, short-circuiting
 on squares that lie entirely inside the query region, and integrals stop one
 level above the leaves, where the prefractal is a square minus its hole.  The
-integration walk runs on integers throughout and divides once per monomial.
+integration walk runs on integers throughout and divides once per monomial,
+and runs once per translation class of regions.
 """
 
 from __future__ import annotations
@@ -309,6 +310,13 @@ class Prefractal:
     Carries the per-level side lengths together with the suffix pattern data
     (area fraction and normalized second moment) that let integrals treat any
     fully-covered square in closed form instead of descending to the leaves.
+
+    Every surviving level-j square holds the same pattern, so a convex region
+    is walked once per translation class: the lattice scale, the deepest level
+    j whose side is at least the region's bbox extent, the survival mask of
+    the level-j squares its open bbox meets, and its vertices relative to
+    that block's corner.  ``_classes`` keeps the moments relative to the
+    corner; a translate reads its own off them by the binomial shift.
     """
 
     def __init__(self, spec: CarpetSpec, level: int):
@@ -343,6 +351,8 @@ class Prefractal:
         self.suffix_den = den
         self.suffix_area_num = [v.numerator * (den // v.denominator) for v in area]
         self.suffix_m2_num = [v.numerator * (den // v.denominator) for v in m2]
+        # translation class -> moment numerators relative to the class corner
+        self._classes = {}
 
     @property
     def measure(self) -> Fraction:
@@ -399,33 +409,30 @@ class Prefractal:
         unit square; non-convex regions are triangulated first.  Returns one
         ``Fraction`` per monomial, in MONOMIALS order.
         """
-        return tuple(self._moments(region, range(len(MONOMIALS))))
+        return tuple(self._moments(region))
 
     def integrate(self, region, poly):
         """Integral of a degree<=2 polynomial over (prefractal intersect region).
 
-        The sum of coefficient times moment over MONOMIALS; only the moments
-        of monomials with a nonzero coefficient are assembled.  ``poly`` maps
+        The sum of coefficient times moment over MONOMIALS.  ``poly`` maps
         (p, q) exponent pairs to coefficients; a nonzero coefficient on any
         other monomial raises ``ValueError``.
         """
         for key, coef in poly.items():
             if coef and key not in MONOMIALS:
                 raise ValueError(f"unsupported monomial {key}")
-        needed = [i for i, key in enumerate(MONOMIALS) if poly.get(key)]
-        return poly_dot(poly, self._moments(region, needed))
+        return poly_dot(poly, self._moments(region))
 
     def region_measure(self, region):
         """Exact area of (prefractal intersect region) for a simple polygon."""
         return self.integrate(region, {(0, 0): Fraction(1)})
 
-    def _moments(self, region, needed):
-        # the moments listed in needed, ZERO for the others
+    def _moments(self, region):
         moments = [ZERO] * len(MONOMIALS)
         # one integer lattice for normalizing, the unit-square test and the
         # convexity test; only a non-convex region goes back to Fractions
         verts, pts, scale = _normalize(region)
-        if not verts or not needed:
+        if not verts:
             return moments
         if min(min(p) for p in pts) < 0 or max(max(p) for p in pts) > scale:
             raise OutOfUnitSquare("region leaves the unit square")
@@ -434,11 +441,11 @@ class Prefractal:
         else:
             pieces = [_lattice(t) for t in triangulate(verts)]
         for scale, pts in pieces:
-            for i, v in zip(needed, self._moments_convex(pts, scale, needed)):
+            for i, v in enumerate(self._moments_convex(pts, scale)):
                 moments[i] += v
         return moments
 
-    def _moments_convex(self, reg, scale, needed):
+    def _moments_convex(self, reg, scale):
         # reg is a CCW convex region as integer vertices over scale.  Move it
         # to a lattice on which every side length is an integer, refined so
         # that every crossing of a region edge with a grid line is a lattice
@@ -448,8 +455,7 @@ class Prefractal:
         # on region edge lines or on grid lines, so the walk, its leaf clips
         # and its moment sums all run on integers.
         refine = 1
-        n = len(reg)
-        for i in range(n):
+        for i in range(len(reg)):
             dx = reg[i][0] - reg[i - 1][0]
             dy = reg[i][1] - reg[i - 1][1]
             if dx and dy:
@@ -459,9 +465,38 @@ class Prefractal:
         scale *= up
         reg = [(x * up, y * up) for (x, y) in reg]
         sides = [d * (scale // self.side_scale) for d in self.side_ints]
-        xs = [p[0] for p in reg]
-        ys = [p[1] for p in reg]
-        rbx0, rby0, rbx1, rby1 = min(xs), min(ys), max(xs), max(ys)
+        bbox = (min(p[0] for p in reg), min(p[1] for p in reg),
+                max(p[0] for p in reg), max(p[1] for p in reg))
+        # The translation class: j is the deepest level whose squares are at
+        # least as wide as the bbox, so the open bbox meets a block of at most
+        # 2 x 2 level-j squares.  Every stage-k hole with k <= j is a union of
+        # level-j squares and every surviving one holds the same deeper
+        # pattern, so the block's survival mask and the region's vertices
+        # relative to the block's corner fix the moments up to translation.
+        j = self.level
+        while sides[j] < max(bbox[2] - bbox[0], bbox[3] - bbox[1]):
+            j -= 1
+        d = sides[j]
+        x0, y0 = bbox[0] // d * d, bbox[1] // d * d
+        # a level-j square is removed iff both of its level-k digits are the
+        # centre digit at some level k <= j
+        mask = tuple(tuple(all(x // sides[k] % q != q // 2 or y // sides[k] % q != q // 2
+                               for k, q in enumerate(self.subdiv[:j], start=1))
+                           for x in range(x0, bbox[2], d))
+                     for y in range(y0, bbox[3], d))
+        key = (scale, j, mask, tuple((x - x0, y - y0) for x, y in reg))
+        base = self._classes.get(key)
+        if base is None:
+            base = self._classes[key] = _translate(self._walk(reg, scale, sides, bbox), -x0, -y0)
+        den = 24 * self.suffix_den
+        return [Fraction(t, den * scale ** (2 + p + q))
+                for t, (p, q) in zip(_translate(base, x0, y0), MONOMIALS)]
+
+    def _walk(self, reg, scale, sides, bbox):
+        # the six moments of reg over the prefractal as integers over
+        # 24 * suffix_den * scale^(2+p+q)
+        rbx0, rby0, rbx1, rby1 = bbox
+        n = len(reg)
         area2 = _area2(reg)
         is_rect = (n == 4 and area2 == 2 * (rbx1 - rbx0) * (rby1 - rby0))
         # half-plane form a*x + b*y >= c for each CCW edge
@@ -495,7 +530,7 @@ class Prefractal:
                     if rx or ry:
                         raise ConstructionError(
                             f"edge {cur}->{fol} crosses {a}*x + {b}*y = {c} off the "
-                            f"refined lattice (refine {refine})")
+                            f"lattice of scale {scale}")
                     out.append((cur[0] + qx, cur[1] + qy))
                 cur, fc = fol, fn
             return out
@@ -514,9 +549,8 @@ class Prefractal:
                     pts = clip(pts, a, b, c)
                     if not pts:
                         return
-            sums = moment_sums(pts)
-            for i in needed:
-                leaf_sums[i] += sign * sums[i]
+            for i, s in enumerate(moment_sums(pts)):
+                leaf_sums[i] += sign * s
 
         level = self.level
 
@@ -572,14 +606,9 @@ class Prefractal:
                     walk(k + 1, x0 + jx * dc, cy)
 
         walk(0, 0, 0)
-        return self._assemble(needed, scale, sides, leaf_sums, covered)
-
-    def _assemble(self, needed, scale, sides, leaf_sums, covered):
-        # Every moment is one integer over MOMENT_DIVISORS[i] * scale^(2+p+q)
-        # * suffix_den: the leaf sums plus, per level, the suffix closed forms
-        # applied to the covered squares' corner sums.
-        den = self.suffix_den
-        num = [den * s for s in leaf_sums]
+        # the leaf sums plus, per level, the suffix closed forms applied to
+        # the covered squares' corner sums
+        num = [self.suffix_den * s for s in leaf_sums]
         for k, (cnt, sx, sy, sxx, sxy, syy) in enumerate(covered):
             if not cnt:
                 continue
@@ -592,13 +621,19 @@ class Prefractal:
                      12 * (d2a * (sxx + d * sx) + d4m),
                      6 * d2a * (4 * sxy + 2 * d * (sx + sy) + cnt * d * d),
                      12 * (d2a * (syy + d * sy) + d4m)]
-            for i in needed:
-                num[i] += terms[i]
-        out = []
-        for i in needed:
-            p, q = MONOMIALS[i]
-            out.append(Fraction(num[i], den * MOMENT_DIVISORS[i] * scale ** (2 + p + q)))
-        return out
+            for i, t in enumerate(terms):
+                num[i] += t
+        return [v * (24 // div) for v, div in zip(num, MOMENT_DIVISORS)]
+
+
+def _translate(t, a, b):
+    """Moment numerators over 24 * den * scale^(2+p+q) of a region moved by
+    the lattice vector (a, b): the binomial expansion of (x + a)^p (y + b)^q."""
+    t00, t10, t01, t20, t11, t02 = t
+    return (t00, t10 + a * t00, t01 + b * t00,
+            t20 + 2 * a * t10 + a * a * t00,
+            t11 + a * t01 + b * t10 + a * b * t00,
+            t02 + 2 * b * t01 + b * b * t00)
 
 
 def column_obstacles(spec: CarpetSpec, n: int, x_cut: Fraction):

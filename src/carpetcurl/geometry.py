@@ -78,16 +78,15 @@ def _normalize(points):
     order = list(range(len(pts)))
     if _area2(pts) < 0:
         order.reverse()
+    # one copy of each run of repeated vertices, then no collinear interior vertex
+    order = [i for k, i in enumerate(order) if pts[i] != pts[order[k - 1]]]
     ring = [pts[i] for i in order]
     keep = []
-    prev = ring[-1] if ring else None
     for k, cur in enumerate(ring):
-        nxt = ring[(k + 1) % len(ring)]
-        if cur != prev and not (
-                cross(prev, cur, nxt) == 0 and (cur[0] - prev[0]) * (nxt[0] - cur[0]) >= 0
-                and (cur[1] - prev[1]) * (nxt[1] - cur[1]) >= 0):  # collinear interior vertex
+        prev, nxt = ring[k - 1], ring[(k + 1) % len(ring)]
+        if not (cross(prev, cur, nxt) == 0 and (cur[0] - prev[0]) * (nxt[0] - cur[0]) >= 0
+                and (cur[1] - prev[1]) * (nxt[1] - cur[1]) >= 0):
             keep.append(order[k])
-        prev = cur
     if exact and keep == list(range(len(pts))):
         return points, pts, scale
     return tuple(raw[i] for i in keep), [pts[i] for i in keep], scale

@@ -1,3 +1,5 @@
+import functools
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -384,6 +386,80 @@ class TestRegionMeasure:
     def test_second_moment_recursion_against_hand_integral(self, pf3_1):
         # integral of x^2 over the level-1 set: 1/3 minus 7/243 over the hole
         assert pf3_1.integrate(UNIT, {(2, 0): F(1)}) == F(74, 243)
+
+
+@functools.lru_cache(maxsize=None)
+def level_survivors(j):
+    """Survival flags of the level-j squares of the ORACLE_RATIOS carpet, row
+    by row from the bottom, read off ``contains`` at each square's centre
+    (which lies on no grid line of level <= j); and the lower-left indices of
+    the blocks of 1 x 1 up to 2 x 2 of them, keyed by the blocks' masks."""
+    spec = CarpetSpec(ORACLE_RATIOS)
+    pf = Prefractal(spec, len(ORACLE_RATIOS))
+    d = side_length(spec, j)
+    count = int(1 / d)
+    alive = [[pf.contains(((ix + F(1, 2)) * d, (iy + F(1, 2)) * d), up_to_stage=j)
+              for ix in range(count)] for iy in range(count)]
+    blocks = {}
+    for nx, ny in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        for iy in range(count - ny + 1):
+            for ix in range(count - nx + 1):
+                mask = tuple(tuple(row[ix:ix + nx]) for row in alive[iy:iy + ny])
+                blocks.setdefault(mask, []).append((ix, iy))
+    return alive, blocks
+
+
+@st.composite
+def translated_regions(draw):
+    """(depth, region, moved): a convex region and its translate by a level-j
+    lattice vector onto a block with the same survival mask, j being the
+    deepest level <= depth whose side is at least the region's bbox extent."""
+    spec = CarpetSpec(ORACLE_RATIOS)
+    depth = draw(st.integers(0, 3))
+    # a window as wide as a level-k square, anywhere on the 1/210 lattice
+    w = side_length(spec, draw(st.integers(0, depth)))
+    ox = F(draw(st.integers(0, int((1 - w) * LATTICE))), LATTICE)
+    oy = F(draw(st.integers(0, int((1 - w) * LATTICE))), LATTICE)
+    n = draw(st.integers(3, 6))
+    region = convex_hull([(ox + w * draw(st.integers(0, 12)) / 12,
+                           oy + w * draw(st.integers(0, 12)) / 12) for _ in range(n)])
+    assume(len(region) >= 3)
+    bx0, by0, bx1, by1 = bbox(region)
+    j = max(k for k in range(depth + 1) if side_length(spec, k) >= max(bx1 - bx0, by1 - by0))
+    d = side_length(spec, j)
+    # the level-j squares that the open bbox meets
+    ix0, iy0 = math.floor(bx0 / d), math.floor(by0 / d)
+    ix1, iy1 = math.ceil(bx1 / d), math.ceil(by1 / d)
+    alive, blocks = level_survivors(j)
+    mask = tuple(tuple(row[ix0:ix1]) for row in alive[iy0:iy1])
+    ix, iy = draw(st.sampled_from(blocks[mask]))
+    moved = tuple((x + (ix - ix0) * d, y + (iy - iy0) * d) for x, y in region)
+    return depth, region, moved
+
+
+class TestTranslationClasses:
+    @given(translated_regions())
+    @settings(max_examples=80, deadline=None)
+    def test_a_warm_class_gives_a_translate_its_fresh_moments(self, case):
+        depth, region, moved = case
+        spec = CarpetSpec(ORACLE_RATIOS)
+        warm = Prefractal(spec, depth)
+        warm.moments(moved)
+        assert warm.moments(region) == Prefractal(spec, depth).moments(region)
+        # the region was read off its translate's class, not walked again
+        assert len(warm._classes) == 1
+
+    def test_a_translate_onto_another_mask_gets_its_own_class(self):
+        # level-1 squares (0, 0) and (1, 0) survive; moved up by 1/3 the
+        # triangle lies over (0, 1) and the stage-1 hole (1, 1)
+        spec = CarpetSpec(ORACLE_RATIOS)
+        pf = Prefractal(spec, 2)
+        tri = ((F(1, 6), F(1, 30)), (F(1, 2), F(1, 30)), (F(1, 3), F(3, 10)))
+        moved = tuple((x, y + F(1, 3)) for x, y in tri)
+        area = pf.region_measure(tri)
+        assert 0 < pf.region_measure(moved) < area
+        assert len(pf._classes) == 2
+        assert pf.moments(moved) == Prefractal(spec, 2).moments(moved)
 
 
 class TestTailBounds:

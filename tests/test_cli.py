@@ -298,6 +298,18 @@ class TestVerify:
             "report.json": "1f3783e6c4b64c839c9d1b04c700851f38c05266e05e3aff6569618017adf34d",
         }
 
+    def test_depth_five_run_reproduces_the_golden_reports(self, tmp_path):
+        # the README's routine depth-5 run, pinned like the default deep run
+        out = tmp_path / "depth5"
+        assert run(["verify", "--generator", "odd-reciprocal", "--nmax", "3", "--depth", "5",
+                    "--f", "const", "--out", str(out)]) == EXIT_BOUND_FAILED
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("report.csv", "report.json")}
+        assert digests == {
+            "report.csv": "d25812e2c652c20e53765a18ea45122e94359c03694a0f7e79087b340a2cd9b5",
+            "report.json": "68b76828845fc387537f177a92b709176cf7dc39f252369f2f945c7c2e06f83a",
+        }
+
     def test_bad_target_is_config_error(self, tmp_path):
         assert run(["verify", "--ratios", "1/3", "--nmax", "1", "--depth", "1",
                     "--f", "sin", "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from carpetcurl.carpet import CarpetSpec, Prefractal
+from carpetcurl.fields import make_patch
 from carpetcurl.geometry import (
     NonSimplePolygon,
     clip_convex,
@@ -42,6 +44,19 @@ def test_normalize_returns_a_canonical_tuple_itself():
         out = normalize_polygon(poly)
         assert out is not poly
         assert set(out) == set(SQUARE) and polygon_area(out) == 1
+
+
+@pytest.mark.parametrize("poly", [
+    ((0, 0), (0, 0), (1, 0), (1, 1), (0, 1)),  # a doubled corner
+    ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)),  # a closed ring
+    ((0, 1), (1, 1), (1, 0), (1, 0), (1, 0), (0, 0), (0, 1)),  # clockwise, both
+])
+def test_normalize_keeps_one_copy_of_a_repeated_vertex(poly):
+    out = normalize_polygon(poly)
+    assert len(out) == 4 and set(out) == set(SQUARE) and polygon_area(out) == 1
+    assert make_patch(poly, 1).vertices == out
+    pf = Prefractal(CarpetSpec((F(1, 3), F(1, 5))), 2)
+    assert pf.moments(poly) == pf.moments(SQUARE)
 
 
 def test_unit_square_moments_match_analytic_integrals():
@@ -155,14 +170,14 @@ def ref_normalize_polygon(points):
     raw = [(F(x), F(y)) for x, y in points]
     if ref_polygon_area2(tuple(raw)) < 0:
         raw.reverse()
+    # one copy of each run of repeated vertices, the ring being cyclic
+    raw = [p for i, p in enumerate(raw) if p != raw[i - 1]]
     out = []
     n = len(raw)
     for i in range(n):
         prev = raw[(i - 1) % n]
         cur = raw[i]
         nxt = raw[(i + 1) % n]
-        if cur == prev:
-            continue
         if cross(prev, cur, nxt) == 0 and (cur[0] - prev[0]) * (nxt[0] - cur[0]) >= 0 \
                 and (cur[1] - prev[1]) * (nxt[1] - cur[1]) >= 0:
             continue

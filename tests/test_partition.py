@@ -8,6 +8,7 @@ calculus in ``oracles`` (``refine_pairs``, ``product_with_gradient``,
 independently, so these tests pin the tags and every tagged row to it.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,40 @@ def generic_rows(spec, f, n, m):
             2 * gamma(f, f, pf).essential_sup ** 2 * e_flat),
         ("wedge", n, "wedge_defect_secondary"): (norm_sq_two(wedge_flat - d1(omega), pf), None),
     }
+
+
+@functools.lru_cache(maxsize=None)
+def stage_regions(name, n):
+    """The vertex tuples of the stage-n ramp and flattened patches."""
+    stage = build_stage(SPECS[name], n, constant_field(1))
+    return tuple(p.vertices for p in stage.ramp.patches + stage.flattened.patches)
+
+
+class TestTranslationClasses:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_shared_classes_give_every_patch_its_fresh_moments(self, name, n):
+        spec = SPECS[name]
+        for m in range(1, 5 if spec.generator else len(spec.ratios) + 1):
+            shared = Prefractal(spec, m)
+            assert [shared.moments(r) for r in stage_regions(name, n)] == \
+                [Prefractal(spec, m).moments(r) for r in stage_regions(name, n)], m
+
+    def test_stage_three_at_depth_four_takes_few_walks(self, monkeypatch):
+        walks = []
+        walk = Prefractal._walk
+
+        def counted(self, *args):
+            walks.append(args)
+            return walk(self, *args)
+
+        monkeypatch.setattr(Prefractal, "_walk", counted)
+        pf = Prefractal(SPECS["odd-reciprocal"], 4)
+        for region in stage_regions("odd-reciprocal", 3):
+            pf.moments(region)
+        # one walk per translation class; each of the 2,605 patches was one
+        # walk before the classes
+        assert len(walks) == len(pf._classes) <= 150
 
 
 class TestTaggedRows:
