@@ -307,16 +307,15 @@ def cell_grid(spec: CarpetSpec, n: int) -> CellGrid:
 class Prefractal:
     """Implicit level-m prefractal with exact integration support.
 
-    Carries the per-level side lengths together with the suffix pattern data
-    (area fraction and normalized second moment) that let integrals treat any
-    fully-covered square in closed form instead of descending to the leaves.
-
-    Every surviving level-j square holds the same pattern, so a convex region
-    is walked once per translation class: the lattice scale, the deepest level
-    j whose side is at least the region's bbox extent, the survival mask of
-    the level-j squares its open bbox meets, and its vertices relative to
-    that block's corner.  ``_classes`` keeps the moments relative to the
-    corner; a translate reads its own off them by the binomial shift.
+    Every surviving level-k square holds the same pattern, whose moments at
+    the origin are ``pattern[k]``; ``_shifted_moments`` moves them to any
+    set of corners, so integrals take fully-covered squares without
+    descending to the leaves.  A convex region is walked once per translation
+    class: the lattice scale, the deepest level j whose side is at least the
+    region's bbox extent, the survival mask of the level-j squares its open
+    bbox meets, and its vertices relative to that block's corner.
+    ``_classes`` keeps the moments relative to the corner, and a translate
+    shifts them to its own.
     """
 
     def __init__(self, spec: CarpetSpec, level: int):
@@ -326,37 +325,30 @@ class Prefractal:
         self.level = level
         self.sides = [side_length(spec, k) for k in range(level + 1)]
         self.subdiv = [spec.subdivisions(k) for k in range(1, level + 1)]
-        # suffix data: area[k] and the second moment of the normalized pattern
-        # formed by stages k+1..m inside one surviving level-k square
-        area = [Fraction(1)] * (level + 1)
-        m2 = [Fraction(1, 3)] * (level + 1)
-        for k in range(level - 1, -1, -1):
-            q = self.subdiv[k]
-            a = spec.ratio(k + 1)
-            c = (q - 1) // 2
-            s1 = q * (q - 1) // 2
-            s2 = q * (q - 1) * (2 * q - 1) // 6
-            area[k] = (1 - a * a) * area[k + 1]
-            m2[k] = a ** 4 * (
-                area[k + 1] * (q * s2 - c * c)
-                + area[k + 1] * (q * s1 - c)
-                + (q * q - 1) * m2[k + 1]
-            )
-        self.suffix_area = area
         # the lattice on which every side length is an integer, and the sides on it
         self.side_scale = _lattice_scale(self.sides)
         self.side_ints = [d.numerator * (self.side_scale // d.denominator) for d in self.sides]
-        # the same data as integers over one common denominator
-        den = _lattice_scale(area + m2)
-        self.suffix_den = den
-        self.suffix_area_num = [v.numerator * (den // v.denominator) for v in area]
-        self.suffix_m2_num = [v.numerator * (den // v.denominator) for v in m2]
+        # pattern[k]: 24 times the moments of the level-m set inside the
+        # level-k square at the origin, on the side lattice.  At level m that
+        # set is the square; above, it is the next level's pattern moved to
+        # the child corners (a, b), a and b in ``row``, but the central one.
+        d = self.side_ints[level]
+        self.pattern = [None] * level + [(24 * d ** 2, 12 * d ** 3, 12 * d ** 3,
+                                          8 * d ** 4, 6 * d ** 4, 8 * d ** 4)]
+        for k in range(level - 1, -1, -1):
+            q, dc = self.subdiv[k], self.side_ints[k + 1]
+            row = range(0, q * dc, dc)
+            hole = row[q // 2]
+            lin = q * sum(row) - hole
+            sq = q * sum(a * a for a in row) - hole * hole
+            corners = (q * q - 1, lin, lin, sq, sum(row) ** 2 - hole * hole, sq)
+            self.pattern[k] = _shifted_moments(self.pattern[k + 1], corners)
         # translation class -> moment numerators relative to the class corner
         self._classes = {}
 
     @property
     def measure(self) -> Fraction:
-        return self.suffix_area[0]
+        return Fraction(self.pattern[0][0], 24 * self.side_scale ** 2)
 
     def contains(self, p, up_to_stage: Optional[int] = None) -> bool:
         return not self.strictly_inside_hole(p, up_to_stage)
@@ -487,14 +479,14 @@ class Prefractal:
         key = (scale, j, mask, tuple((x - x0, y - y0) for x, y in reg))
         base = self._classes.get(key)
         if base is None:
-            base = self._classes[key] = _translate(self._walk(reg, scale, sides, bbox), -x0, -y0)
-        den = 24 * self.suffix_den
-        return [Fraction(t, den * scale ** (2 + p + q))
-                for t, (p, q) in zip(_translate(base, x0, y0), MONOMIALS)]
+            base = self._classes[key] = _shifted_moments(
+                self._walk(reg, scale, sides, bbox), (1, -x0, -y0, x0 * x0, x0 * y0, y0 * y0))
+        moved = _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0))
+        return [Fraction(t, 24 * scale ** (2 + p + q)) for t, (p, q) in zip(moved, MONOMIALS)]
 
     def _walk(self, reg, scale, sides, bbox):
         # the six moments of reg over the prefractal as integers over
-        # 24 * suffix_den * scale^(2+p+q)
+        # 24 * scale^(2+p+q)
         rbx0, rby0, rbx1, rby1 = bbox
         n = len(reg)
         area2 = _area2(reg)
@@ -606,34 +598,28 @@ class Prefractal:
                     walk(k + 1, x0 + jx * dc, cy)
 
         walk(0, 0, 0)
-        # the leaf sums plus, per level, the suffix closed forms applied to
-        # the covered squares' corner sums
-        num = [self.suffix_den * s for s in leaf_sums]
-        for k, (cnt, sx, sy, sxx, sxy, syy) in enumerate(covered):
-            if not cnt:
-                continue
-            d = sides[k]
-            d2a = d * d * self.suffix_area_num[k]
-            d4m = cnt * d ** 4 * self.suffix_m2_num[k]
-            terms = [2 * cnt * d2a,
-                     3 * d2a * (2 * sx + cnt * d),
-                     3 * d2a * (2 * sy + cnt * d),
-                     12 * (d2a * (sxx + d * sx) + d4m),
-                     6 * d2a * (4 * sxy + 2 * d * (sx + sy) + cnt * d * d),
-                     12 * (d2a * (syy + d * sy) + d4m)]
-            for i, t in enumerate(terms):
-                num[i] += t
-        return [v * (24 // div) for v, div in zip(num, MOMENT_DIVISORS)]
+        # the leaf sums plus, per level, the pattern moments on this lattice
+        # shifted to the covered squares' corners
+        up = scale // self.side_scale
+        num = [s * (24 // div) for s, div in zip(leaf_sums, MOMENT_DIVISORS)]
+        for pattern, sums in zip(self.pattern, covered):
+            if sums[0]:
+                scaled = [v * up ** (2 + p + q) for v, (p, q) in zip(pattern, MONOMIALS)]
+                num = [a + b for a, b in zip(num, _shifted_moments(scaled, sums))]
+        return num
 
 
-def _translate(t, a, b):
-    """Moment numerators over 24 * den * scale^(2+p+q) of a region moved by
-    the lattice vector (a, b): the binomial expansion of (x + a)^p (y + b)^q."""
+def _shifted_moments(t, s):
+    """The moments ``t`` of a set summed over its translates by a set of
+    vectors (a, b), given their power sums ``s`` = (count, sum a, sum b,
+    sum a^2, sum ab, sum b^2): the binomial expansion of (x + a)^p (y + b)^q.
+    Integer moments and integer vectors give integers."""
     t00, t10, t01, t20, t11, t02 = t
-    return (t00, t10 + a * t00, t01 + b * t00,
-            t20 + 2 * a * t10 + a * a * t00,
-            t11 + a * t01 + b * t10 + a * b * t00,
-            t02 + 2 * b * t01 + b * b * t00)
+    n, sa, sb, saa, sab, sbb = s
+    return (n * t00, n * t10 + sa * t00, n * t01 + sb * t00,
+            n * t20 + 2 * sa * t10 + saa * t00,
+            n * t11 + sa * t01 + sb * t10 + sab * t00,
+            n * t02 + 2 * sb * t01 + sbb * t00)
 
 
 def column_obstacles(spec: CarpetSpec, n: int, x_cut: Fraction):

@@ -184,11 +184,9 @@ def sup_norm(field: PiecewiseAffineField) -> Fraction:
     return best
 
 
-def patch_from_vertex_values(p1, v1, p2, v2, p3, v3) -> AffinePatch:
-    """Affine patch on a triangle interpolating three vertex values."""
-    x1, y1 = p1
-    x2, y2 = p2
-    x3, y3 = p3
+def patch_from_vertex_values(triangle, v1, v2, v3) -> AffinePatch:
+    """Affine patch on a triangle, kept as its vertices, interpolating three vertex values."""
+    (x1, y1), (x2, y2), (x3, y3) = triangle
     det = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
     if det == 0:
         raise ValueError("degenerate triangle")
@@ -196,4 +194,4 @@ def patch_from_vertex_values(p1, v1, p2, v2, p3, v3) -> AffinePatch:
     cx = ((v2 - v1) * (y3 - y1) - (v3 - v1) * (y2 - y1)) / det
     cy = ((v3 - v1) * (x2 - x1) - (v2 - v1) * (x3 - x1)) / det
     c0 = v1 - cx * x1 - cy * y1
-    return make_patch((p1, p2, p3), c0, cx, cy)
+    return make_patch(triangle, c0, cx, cy)

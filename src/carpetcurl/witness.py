@@ -292,7 +292,7 @@ def _stage_layout(spec: CarpetSpec, n: int, tents):
             yield ti, trap, (k + t.y_lo, 0, 0), [((bl, br, tr), (cell, right_cell, right_cell)),
                                                  ((bl, tr, tl), (cell, right_cell, cell))]
             yield ti, left, (k + s * xl, -s, 1), [(left, cell)]
-            yield ti, right, (k - s * xr, s, 1), [((right[0], right[2], right[1]), right_cell)]
+            yield ti, right, (k - s * xr, s, 1), [(right, right_cell)]
             for lo, hi in ((y0, t.y_lo), (t.y_hi, y1)):
                 if lo < hi:  # truncated tent: slab remainder below or above
                     yield None, _rectangle(xl, lo, xr, hi), (k, 0, 1), [
@@ -390,9 +390,8 @@ def build_cell_field(spec: CarpetSpec, n: int, cell_map: Callable,
         if isinstance(owner, int):
             patches.append(make_patch(verts, *coeffs[owner]))
         else:
-            (p1, p2, p3), (o1, o2, o3) = verts, owner
-            patches.append(patch_from_vertex_values(p1, cell_value(o1, p1), p2,
-                                                    cell_value(o2, p2), p3, cell_value(o3, p3)))
+            patches.append(patch_from_vertex_values(
+                verts, *(cell_value(o, p) for o, p in zip(owner, verts))))
     return PiecewiseAffineField(tuple(patches))
 
 

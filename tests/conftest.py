@@ -75,10 +75,10 @@ def random_grid_field(rng, max_cuts=2):
             br = (xs[i + 1], ys[j])
             tr = (xs[i + 1], ys[j + 1])
             tl = (xs[i], ys[j + 1])
-            patches.append(patch_from_vertex_values(bl, values[bl], br, values[br],
-                                                    tr, values[tr]))
-            patches.append(patch_from_vertex_values(bl, values[bl], tr, values[tr],
-                                                    tl, values[tl]))
+            patches.append(patch_from_vertex_values((bl, br, tr), values[bl], values[br],
+                                                    values[tr]))
+            patches.append(patch_from_vertex_values((bl, tr, tl), values[bl], values[tr],
+                                                    values[tl]))
     return PiecewiseAffineField(tuple(patches))
 
 

@@ -19,6 +19,7 @@ from carpetcurl.carpet import (
     SpecError,
     StageBeyondSpec,
     TailDiverges,
+    _shifted_moments,
     cell_grid,
     column_obstacles,
     enumerate_holes,
@@ -33,14 +34,16 @@ from carpetcurl.carpet import (
     validate_spec,
 )
 from carpetcurl.geometry import (
+    MOMENT_DIVISORS,
     bbox,
-    clip_to_box,
+    clip_halfplane,
     cross,
     is_convex,
     normalize_polygon,
-    polygon_moments,
+    moment_sums,
     triangulate,
 )
+from test_partition import SPECS
 
 F = Fraction
 
@@ -156,24 +159,30 @@ def star_regions(draw):
     return region
 
 
-def assert_walk_matches_brute_force(depth, region):
+def assert_walk_matches_brute_force(depth, region, spec=CarpetSpec(ORACLE_RATIOS)):
     """The walk's integrals and moments against clipping the region to every
-    surviving leaf square."""
-    spec = CarpetSpec(ORACLE_RATIOS)
+    surviving leaf square, on the integer lattice of the region and the leaves."""
     pf = Prefractal(spec, depth)
     d = side_length(spec, depth)
-    bx0, by0, bx1, by1 = bbox(region)
-    expected = dict.fromkeys(MONOMIALS, F(0))
+    scale = math.lcm(d.denominator, *(v.denominator for p in region for v in p))
+    poly = tuple((int(x * scale), int(y * scale)) for x, y in region)
+    side = int(d * scale)
+    bx0, by0, bx1, by1 = bbox(poly)
+    sums = [0] * len(MONOMIALS)
     for (x0, y0) in enumerate_squares(spec, depth):
-        if x0 >= bx1 or y0 >= by1 or x0 + d <= bx0 or y0 + d <= by0:
+        x0, y0 = int(x0 * scale), int(y0 * scale)
+        if x0 >= bx1 or y0 >= by1 or x0 + side <= bx0 or y0 + side <= by0:
             continue
-        piece = clip_to_box(region, x0, y0, x0 + d, y0 + d)
-        if piece:
-            for key, value in polygon_moments(piece).items():
-                expected[key] += value
-    for key in MONOMIALS:
-        assert pf.integrate(region, {key: F(1)}) == expected[key]
-    assert pf.moments(region) == tuple(expected[key] for key in MONOMIALS)
+        piece = poly
+        for a, b, c in ((-1, 0, -x0), (1, 0, x0 + side), (0, -1, -y0), (0, 1, y0 + side)):
+            piece = clip_halfplane(piece, a, b, c)
+        for i, v in enumerate(moment_sums(piece)):
+            sums[i] += v
+    expected = [F(v) / (div * scale ** (2 + p + q))
+                for v, div, (p, q) in zip(sums, MOMENT_DIVISORS, MONOMIALS)]
+    for key, value in zip(MONOMIALS, expected):
+        assert pf.integrate(region, {key: F(1)}) == value
+    assert pf.moments(region) == tuple(expected)
 
 
 class TestValidateSpec:
@@ -386,6 +395,65 @@ class TestRegionMeasure:
     def test_second_moment_recursion_against_hand_integral(self, pf3_1):
         # integral of x^2 over the level-1 set: 1/3 minus 7/243 over the hole
         assert pf3_1.integrate(UNIT, {(2, 0): F(1)}) == F(74, 243)
+
+
+PATTERN_SPECS = {"ORACLE_RATIOS": CarpetSpec(ORACLE_RATIOS), **SPECS}
+
+
+def power_sums(vectors):
+    """(count, sum a, sum b, sum a^2, sum ab, sum b^2) of the vectors (a, b)."""
+    return (len(vectors), sum(a for a, _ in vectors), sum(b for _, b in vectors),
+            sum(a * a for a, _ in vectors), sum(a * b for a, b in vectors),
+            sum(b * b for _, b in vectors))
+
+
+vectors = st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=5)
+
+
+class TestPatternMoments:
+    @pytest.mark.parametrize("k, m", [(k, m) for m in range(4) for k in range(m + 1)])
+    @pytest.mark.parametrize("name", PATTERN_SPECS)
+    def test_a_level_k_square_against_the_leaves(self, name, k, m):
+        # the level-k square at the origin is covered at level k: its moments
+        # are pattern[k]; its left half on the doubled lattice is covered at
+        # the levels below and clipped at the leaves
+        spec = PATTERN_SPECS[name]
+        d = side_length(spec, k)
+        for w in (d, d / 2):
+            assert_walk_matches_brute_force(m, ((F(0), F(0)), (w, F(0)), (w, d), (F(0), d)),
+                                            spec)
+
+    @pytest.mark.parametrize("name", PATTERN_SPECS)
+    def test_the_measure_is_the_product_of_the_survival_fractions(self, name):
+        # up to level 4, or to the last level a spec without generator defines
+        spec = PATTERN_SPECS[name]
+        for m in range(5 if spec.generator else len(spec.ratios) + 1):
+            assert Prefractal(spec, m).measure == prefractal_measure(spec, m)
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=6, max_size=6), vectors, vectors)
+    @settings(max_examples=200, deadline=None)
+    def test_the_shift_is_additive_and_composes(self, t, a, b):
+        assert _shifted_moments(t, power_sums(a + b)) == tuple(
+            u + v for u, v in zip(_shifted_moments(t, power_sums(a)),
+                                  _shifted_moments(t, power_sums(b))))
+        assert _shifted_moments(t, power_sums([])) == (0,) * 6
+        for (a1, a2), (b1, b2) in zip(a, b):
+            assert _shifted_moments(_shifted_moments(t, power_sums([(a1, a2)])),
+                                    power_sums([(b1, b2)])) == \
+                _shifted_moments(t, power_sums([(a1 + b1, a2 + b2)]))
+
+    @given(oracle_cases(), st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+    @settings(max_examples=50, deadline=None)
+    def test_the_shift_moves_a_polygon(self, case, shift):
+        # 24 times the moments of a lattice polygon, against its translate's
+        _, region = case
+        pts = [(int(x * LATTICE), int(y * LATTICE)) for x, y in region]
+        moved = [(x + shift[0], y + shift[1]) for x, y in pts]
+
+        def numerators(poly):
+            return tuple(v * (24 // div) for v, div in zip(moment_sums(poly), MOMENT_DIVISORS))
+
+        assert _shifted_moments(numerators(pts), power_sums([shift])) == numerators(moved)
 
 
 @functools.lru_cache(maxsize=None)

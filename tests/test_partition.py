@@ -121,6 +121,13 @@ class TestTags:
                                    (2, 3), m=1)
         assert calls == [2, 3]
 
+    def test_every_cell_patch_holds_its_piece_tuple(self):
+        # cores, tent sides and seams keep the vertex tuple the layout yields
+        stage = build_stage(SPECS["odd-reciprocal"], 3, constant_field(1))
+        pieces = stage.flattened.pieces
+        assert len(pieces) == len(stage.ramp.patches) == 1668
+        assert all(p.vertices is verts for p, (verts, _) in zip(stage.ramp.patches, pieces))
+
     def test_witness_equals_the_product_with_gradient(self):
         stage = build_stage(SPECS["1/5,1/3,1/7"], 2, TARGET)
         assert stage.witness == product_with_gradient(stage.ramp, stage.flattened)

@@ -1,6 +1,8 @@
-"""Source checks that keep the package's invariants independent of ``python -O``."""
+"""Source checks on the package: invariants that hold under ``python -O``, and no
+private helper without a caller."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import carpetcurl
@@ -20,3 +22,25 @@ def test_no_bare_assert_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def loaded_names(node):
+    """Every name the code under ``node`` reads, as a variable or an attribute."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+
+def test_every_private_helper_has_a_caller():
+    # a private function or class (module-level, or a method) that nothing
+    # in the package reads outside its own body is dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES]
+    loaded = Counter(name for tree in trees for name in loaded_names(tree))
+    uncalled = [f"{path.name}:{node.lineno} {node.name}"
+                for path, tree in zip(SOURCES, trees)
+                for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+                for node in scope.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and loaded[node.name] == loaded_names(node).count(node.name)]
+    assert uncalled == []
