@@ -315,7 +315,9 @@ class Prefractal:
     region's bbox extent, the survival mask of the level-j squares its open
     bbox meets, and its vertices relative to that block's corner.
     ``_classes`` keeps the moments relative to the corner, and a translate
-    shifts them to its own.
+    shifts them to its own.  ``_regions`` remembers the finished moments of
+    each hashable region by its exact vertex tuple, so a region asked for
+    again, by any caller sharing the instance, is looked up, not recomputed.
     """
 
     def __init__(self, spec: CarpetSpec, level: int):
@@ -345,6 +347,8 @@ class Prefractal:
             self.pattern[k] = _shifted_moments(self.pattern[k + 1], corners)
         # translation class -> moment numerators relative to the class corner
         self._classes = {}
+        # region, as given -> its six moments, an immutable tuple
+        self._regions = {}
 
     @property
     def measure(self) -> Fraction:
@@ -398,10 +402,11 @@ class Prefractal:
         """The six exact moments of MONOMIALS over (prefractal intersect region).
 
         ``region`` may be any simple polygon with rational vertices inside the
-        unit square; non-convex regions are triangulated first.  Returns one
-        ``Fraction`` per monomial, in MONOMIALS order.
+        unit square; non-convex regions are triangulated first.  Returns a
+        tuple of one ``Fraction`` per monomial, in MONOMIALS order; a
+        hashable region's tuple is computed once per instance.
         """
-        return tuple(self._moments(region))
+        return self._moments(region)
 
     def integrate(self, region, poly):
         """Integral of a degree<=2 polynomial over (prefractal intersect region).
@@ -420,22 +425,33 @@ class Prefractal:
         return self.integrate(region, {(0, 0): Fraction(1)})
 
     def _moments(self, region):
-        moments = [ZERO] * len(MONOMIALS)
+        # a hashable region's moments are computed once and then looked up;
+        # an unhashable region, such as a list of lists, and a region that
+        # raises are computed on every call and never stored
+        try:
+            return self._regions[region]
+        except KeyError:
+            pass
+        except TypeError:
+            return self._region_moments(region)
+        moments = self._regions[region] = self._region_moments(region)
+        return moments
+
+    def _region_moments(self, region):
         # one integer lattice for normalizing, the unit-square test and the
         # convexity test; only a non-convex region goes back to Fractions
         verts, pts, scale = _normalize(region)
         if not verts:
-            return moments
+            return (ZERO,) * len(MONOMIALS)
         if min(min(p) for p in pts) < 0 or max(max(p) for p in pts) > scale:
             raise OutOfUnitSquare("region leaves the unit square")
         if _convex(pts):
-            pieces = [(scale, pts)]
-        else:
-            pieces = [_lattice(t) for t in triangulate(verts)]
-        for scale, pts in pieces:
+            return self._moments_convex(pts, scale)
+        moments = [ZERO] * len(MONOMIALS)
+        for scale, pts in map(_lattice, triangulate(verts)):
             for i, v in enumerate(self._moments_convex(pts, scale)):
                 moments[i] += v
-        return moments
+        return tuple(moments)
 
     def _moments_convex(self, reg, scale):
         # reg is a CCW convex region as integer vertices over scale.  Move it
@@ -482,7 +498,7 @@ class Prefractal:
             base = self._classes[key] = _shifted_moments(
                 self._walk(reg, scale, sides, bbox), (1, -x0, -y0, x0 * x0, x0 * y0, y0 * y0))
         moved = _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0))
-        return [Fraction(t, 24 * scale ** (2 + p + q)) for t, (p, q) in zip(moved, MONOMIALS)]
+        return tuple(Fraction(t, 24 * scale ** (2 + p + q)) for t, (p, q) in zip(moved, MONOMIALS))
 
     def _walk(self, reg, scale, sides, bbox):
         # the six moments of reg over the prefractal as integers over

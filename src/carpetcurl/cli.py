@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .carpet import (
     CarpetSpec,
+    Prefractal,
     SpecError,
     TailDiverges,
     geometry_json_records,
@@ -163,12 +164,17 @@ def cmd_verify(args) -> int:
     f = _target_field(args.f)
     _require_stages(spec, max(args.nmax, args.depth))
     out = _out_dir(args, ("report.csv", "report.json"))
-    report = verify_witness_sequence(spec, f, n_max=args.nmax, m=args.depth)
+    # one prefractal per level per run: the wedge section, at level
+    # min(depth, 3), shares the witness section's when the levels agree and
+    # so looks up the moments of every region both sections integrate
+    pf = Prefractal(spec, args.depth)
+    report = verify_witness_sequence(spec, f, n_max=args.nmax, pf=pf)
     wedge_stages = tuple(n for n in (2, 3) if n <= args.nmax)
     if wedge_stages:
+        wedge_pf = pf if args.depth <= 3 else Prefractal(spec, 3)
         wedge_report = verify_wedge_approximation(
             spec, coordinate_field("x"), coordinate_field("y"),
-            wedge_stages, m=min(args.depth, 3))
+            wedge_stages, pf=wedge_pf)
         report.extend(wedge_report)
     if args.mode == "f64":
         report = rounded_to_f64(report)

@@ -44,21 +44,26 @@ def cutoff_remainder(spec: CarpetSpec, n: int, base: AffinePatch,
 
 
 def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
-                               g: PiecewiseAffineField, stages, m: int) -> VerificationReport:
+                               g: PiecewiseAffineField, stages,
+                               pf: Prefractal) -> VerificationReport:
     """Check the two wedge defects of the vanishing one-form sequence.
 
     For each stage n the first defect compares the wedge against the
     flattened coordinate and must stay below 2*esssup(gamma(f))^2 times the
     flattening energy; the second defect must vanish identically.  The wedge
     norm itself stays bounded below, which is the whole point: a sequence of
-    one-forms shrinking to zero whose derivatives do not.
+    one-forms shrinking to zero whose derivatives do not.  Every integral is
+    taken over ``pf``, the level-m prefractal of ``spec``; a ``pf`` the
+    witness section has used already holds the moments of every region the
+    two sections share.  A ``pf`` of another spec raises ``ValueError``.
     """
     base = affine_target(f)
     gy = affine_target(g)
     if (gy.cx, gy.cy) != (0, 1):
         raise ValueError("the flattening approximates the vertical coordinate; pass g = y")
+    if pf.spec != spec:
+        raise ValueError(f"the prefractal is of {pf.spec}, not of {spec}")
     report = VerificationReport()
-    pf = Prefractal(spec, m)
 
     def det(a, b):
         return a.cx * b.cy - a.cy * b.cx

@@ -196,18 +196,6 @@ def clip_halfplane(poly, a, b, c):
     return tuple(dedup) if len(dedup) >= 3 else ()
 
 
-def clip_to_box(poly, x0, y0, x1, y1):
-    """Intersection of a polygon with an axis-aligned box."""
-    out = clip_halfplane(poly, Fraction(-1), ZERO, -x0)
-    if out:
-        out = clip_halfplane(out, Fraction(1), ZERO, x1)
-    if out:
-        out = clip_halfplane(out, ZERO, Fraction(-1), -y0)
-    if out:
-        out = clip_halfplane(out, ZERO, Fraction(1), y1)
-    return out
-
-
 def clip_convex(subject, clip):
     """Intersection of a polygon with a CCW convex clip polygon.
 
@@ -255,12 +243,6 @@ def moment_sums(poly) -> tuple:
         m11 += (2 * x0 * y0 + x0 * y1 + x1 * y0 + 2 * x1 * y1) * c
         x0, y0 = x1, y1
     return (m00, m10, m01, m20, m11, m02)
-
-
-def polygon_moments(poly):
-    """Exact moments of the MONOMIALS over a CCW polygon, keyed by (p, q)."""
-    return {key: Fraction(s, div)
-            for key, s, div in zip(MONOMIALS, moment_sums(poly), MOMENT_DIVISORS)}
 
 
 def triangulate(poly):
@@ -314,17 +296,6 @@ def poly_mul(f, g):
             key = (p, q)
             out[key] = out.get(key, ZERO) + c1 * c2
     return out
-
-
-def poly_add(f, g):
-    out = dict(f)
-    for k, v in g.items():
-        out[k] = out.get(k, ZERO) + v
-    return out
-
-
-def poly_scale(f, s):
-    return {k: v * s for k, v in f.items()}
 
 
 def affine_poly(c0, cx, cy):

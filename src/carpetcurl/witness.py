@@ -495,22 +495,26 @@ def oscillation(f: PiecewiseAffineField, diameter_sq: Fraction) -> Fraction:
 
 
 def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
-                            n_max: int, m: int) -> VerificationReport:
+                            n_max: int, pf: Prefractal) -> VerificationReport:
     """Check every stage-n printed bound and the witness convergence trend.
 
     Produces one row per quantity with exact pass/fail flags; hypothesis
     diagnostics and tail brackets are attached where a generator rule makes
-    the un-truncated carpet approachable.  The target ``f`` must be a single
-    affine patch covering the unit square; anything else raises
-    ``ValueError`` before any stage is built.
+    the un-truncated carpet approachable.  Every integral is taken over
+    ``pf``, the level-m prefractal of ``spec``; the caller may share it with
+    the wedge section, which then looks up the moments of every region this
+    section has integrated.  The target ``f`` must be a single affine patch
+    covering the unit square; anything else, or a ``pf`` of another spec,
+    raises ``ValueError`` before any stage is built.
     """
     target = affine_target(f)
+    if pf.spec != spec:
+        raise ValueError(f"the prefractal is of {pf.spec}, not of {spec}")
     report = VerificationReport()
-    pf = Prefractal(spec, m)
     tail = None
     if spec.generator == "odd-reciprocal":
         try:
-            t = tail_measure_bounds(spec, m)
+            t = tail_measure_bounds(spec, pf.level)
             tail = (t.lower, t.upper)
         except TailDiverges:
             tail = None

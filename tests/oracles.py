@@ -6,7 +6,9 @@ of the fields' partitions (``carpetcurl.fields.refine_pairs``): piecewise
 constant and product vector fields, energies and squared L2 norms, one- and
 two-forms with their exact inner products, the tent cover and the witness
 defects.  Identities that hold pointwise (Leibniz rule, alternation, the
-vanishing of the second wedge defect) come out as exact zeros.
+vanishing of the second wedge defect) come out as exact zeros.  The polygon
+and polynomial helpers it needs beyond ``carpetcurl.geometry`` (box clipping,
+moments keyed by monomial, polynomial sums and scaling) live here too.
 """
 
 from __future__ import annotations
@@ -27,19 +29,53 @@ from carpetcurl.fields import (
 )
 from carpetcurl.forms import cutoff_remainder
 from carpetcurl.geometry import (
+    MOMENT_DIVISORS,
+    MONOMIALS,
     ZERO,
     affine_poly,
     bbox,
+    clip_halfplane,
     cross,
+    moment_sums,
     normalize_polygon,
-    poly_add,
     poly_mul,
-    poly_scale,
     polygon_area,
 )
 from carpetcurl.witness import build_flattened, build_ramp, build_tents
 
 ONE = Fraction(1)
+
+
+# --- polygons and polynomials ---------------------------------------------
+
+
+def clip_to_box(poly, x0, y0, x1, y1):
+    """Intersection of a polygon with an axis-aligned box."""
+    out = clip_halfplane(poly, Fraction(-1), ZERO, -x0)
+    if out:
+        out = clip_halfplane(out, Fraction(1), ZERO, x1)
+    if out:
+        out = clip_halfplane(out, ZERO, Fraction(-1), -y0)
+    if out:
+        out = clip_halfplane(out, ZERO, Fraction(1), y1)
+    return out
+
+
+def polygon_moments(poly):
+    """Exact moments of the MONOMIALS over a CCW polygon, keyed by (p, q)."""
+    return {key: Fraction(s, div)
+            for key, s, div in zip(MONOMIALS, moment_sums(poly), MOMENT_DIVISORS)}
+
+
+def poly_add(f, g):
+    out = dict(f)
+    for k, v in g.items():
+        out[k] = out.get(k, ZERO) + v
+    return out
+
+
+def poly_scale(f, s):
+    return {k: v * s for k, v in f.items()}
 
 
 # --- fields ---------------------------------------------------------------

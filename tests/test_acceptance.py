@@ -229,9 +229,9 @@ class TestCriterion6FormIdentities:
 
 class TestCriterion7WedgeDefects:
     def test_defects_at_stages_two_and_three(self):
-        rep = verify_wedge_approximation(SPEC357, coordinate_field("x"),
-                                         coordinate_field("y"), (2, 3), m=3)
         pf = Prefractal(SPEC357, 3)
+        rep = verify_wedge_approximation(SPEC357, coordinate_field("x"),
+                                         coordinate_field("y"), (2, 3), pf=pf)
         ok = True
         norm_row = rep.get("wedge", None, "wedge_norm_sq")
         ok = ok and norm_row.value == prefractal_measure(SPEC357, 3) > F(3, 4)

@@ -14,6 +14,7 @@ from carpetcurl.carpet import (
     MONOMIALS,
     CarpetSpec,
     NonOddReciprocal,
+    OutOfUnitSquare,
     Prefractal,
     RatioOutOfRange,
     SpecError,
@@ -528,6 +529,29 @@ class TestTranslationClasses:
         assert 0 < pf.region_measure(moved) < area
         assert len(pf._classes) == 2
         assert pf.moments(moved) == Prefractal(spec, 2).moments(moved)
+
+
+class TestRegionMemo:
+    TRI = ((F(1, 7), F(1, 9)), (F(6, 7), F(1, 9)), (F(1, 3), F(5, 6)))
+
+    def test_a_list_of_lists_gives_the_moments_of_its_tuple(self, spec357):
+        pf = Prefractal(spec357, 3)
+        listed = [list(p) for p in self.TRI]
+        assert pf.moments(listed) == pf.moments(self.TRI) == \
+            Prefractal(spec357, 3).moments(self.TRI)
+        assert pf.region_measure(listed) == pf.region_measure(self.TRI)
+        # the unhashable region is computed on each call and never stored
+        assert list(pf._regions) == [self.TRI]
+
+    def test_a_region_outside_the_unit_square_raises_on_every_call(self, spec35):
+        pf = Prefractal(spec35, 2)
+        out = tuple((x, y + F(1, 2)) for x, y in self.TRI)
+        for _ in range(2):
+            with pytest.raises(OutOfUnitSquare):
+                pf.moments(out)
+            with pytest.raises(OutOfUnitSquare):
+                pf.region_measure(out)
+        assert pf._regions == {}
 
 
 class TestTailBounds:

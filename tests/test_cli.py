@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from carpetcurl import cli, witness
+from carpetcurl.carpet import Prefractal
 from carpetcurl.cli import EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK, main
 from carpetcurl.report import VerificationReport
 
@@ -313,6 +314,51 @@ class TestVerify:
     def test_bad_target_is_config_error(self, tmp_path):
         assert run(["verify", "--ratios", "1/3", "--nmax", "1", "--depth", "1",
                     "--f", "sin", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+class TestOnePrefractalPerLevel:
+    """``verify`` shares one prefractal per level between its two sections,
+    and the prefractal integrates each region once."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        computed, built = [], []
+        compute, init = Prefractal._region_moments, Prefractal.__init__
+
+        def counted_compute(self, region):
+            computed.append(region)
+            return compute(self, region)
+
+        def counted_init(self, spec, level):
+            built.append(level)
+            init(self, spec, level)
+
+        monkeypatch.setattr(Prefractal, "_region_moments", counted_compute)
+        monkeypatch.setattr(Prefractal, "__init__", counted_init)
+        return computed, built
+
+    @staticmethod
+    def verify(nmax, depth, out):
+        return run(["verify", "--generator", "odd-reciprocal", "--nmax", str(nmax),
+                    "--depth", str(depth), "--out", str(out)])
+
+    @pytest.mark.parametrize("nmax, depth, regions", [
+        (3, 2, 2061),   # wide_stage: 4,567 with a prefractal per section and no memo
+        (2, 4, 189),    # deep_walk: 277 likewise
+    ])
+    def test_each_region_is_integrated_once_per_level(self, counted, tmp_path,
+                                                      nmax, depth, regions):
+        computed, _ = counted
+        self.verify(nmax, depth, tmp_path)
+        assert len(computed) == regions
+
+    @pytest.mark.parametrize("depth, levels", [(2, [2]), (3, [3]), (4, [4, 3])])
+    def test_the_wedge_section_reuses_the_prefractal_of_its_level(self, counted, tmp_path,
+                                                                  depth, levels):
+        # the wedge section integrates over P_min(depth, 3)
+        _, built = counted
+        self.verify(2, depth, tmp_path)
+        assert built == levels
 
 
 class TestSvgDeterminism:

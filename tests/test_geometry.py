@@ -9,7 +9,6 @@ from carpetcurl.fields import make_patch
 from carpetcurl.geometry import (
     NonSimplePolygon,
     clip_convex,
-    clip_to_box,
     cross,
     is_convex,
     is_simple,
@@ -17,9 +16,9 @@ from carpetcurl.geometry import (
     point_in_convex,
     polygon_area,
     polygon_area2,
-    polygon_moments,
     triangulate,
 )
+from oracles import clip_to_box, polygon_moments
 
 F = Fraction
 

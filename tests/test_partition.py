@@ -118,7 +118,7 @@ class TestTags:
         assert any(q is t.trapezoid for nb in stage.neighborhoods for q in nb.trapezoids)
         calls.clear()
         verify_wedge_approximation(spec, coordinate_field("x"), coordinate_field("y"),
-                                   (2, 3), m=1)
+                                   (2, 3), pf=Prefractal(spec, 1))
         assert calls == [2, 3]
 
     def test_every_cell_patch_holds_its_piece_tuple(self):
@@ -177,10 +177,16 @@ class TestTranslationClasses:
     @pytest.mark.parametrize("name", SPECS)
     def test_shared_classes_give_every_patch_its_fresh_moments(self, name, n):
         spec = SPECS[name]
+        regions = stage_regions(name, n)
         for m in range(1, 5 if spec.generator else len(spec.ratios) + 1):
             shared = Prefractal(spec, m)
-            assert [shared.moments(r) for r in stage_regions(name, n)] == \
-                [Prefractal(spec, m).moments(r) for r in stage_regions(name, n)], m
+            fresh = [Prefractal(spec, m).moments(r) for r in regions]
+            # cold, the regions share translation classes; warm, each region's
+            # moments are looked up
+            assert [shared.moments(r) for r in regions] == fresh, m
+            assert [shared.moments(r) for r in regions] == fresh, m
+            assert len(shared._regions) == len(set(regions))
+            assert all(type(v) is tuple for v in shared._regions.values())
 
     def test_stage_three_at_depth_four_takes_few_walks(self, monkeypatch):
         walks = []
@@ -206,8 +212,10 @@ class TestTaggedRows:
     ])
     def test_rows_equal_the_generic_path(self, name, n, m):
         spec = SPECS[name]
-        report = verify_witness_sequence(spec, TARGET, n_max=n, m=m)
-        report.extend(verify_wedge_approximation(spec, TARGET, coordinate_field("y"), (n,), m))
+        # one prefractal for both sections, as in ``verify``
+        pf = Prefractal(spec, m)
+        report = verify_witness_sequence(spec, TARGET, n_max=n, pf=pf)
+        report.extend(verify_wedge_approximation(spec, TARGET, coordinate_field("y"), (n,), pf))
         for (section, stage, row_name), (value, bound) in generic_rows(spec, TARGET, n, m).items():
             row = report.get(section, stage, row_name)
             assert row.value == value, row_name
@@ -217,13 +225,17 @@ class TestTaggedRows:
 
     def test_rows_need_no_staircase_and_no_tent_patches(self, spec35, monkeypatch):
         # the strip defect and tent energies are read off the flattened patches
-        expected = verify_witness_sequence(spec35, TARGET, n_max=2, m=2).rows
+        def rows():
+            return verify_witness_sequence(spec35, TARGET, n_max=2,
+                                           pf=Prefractal(spec35, 2)).rows
+
+        expected = rows()
 
         def fail(*args, **kwargs):
             raise AssertionError("the verifier rebuilt a piece of the flattened partition")
 
         monkeypatch.setattr(witness, "build_staircase", fail)
-        assert verify_witness_sequence(spec35, TARGET, n_max=2, m=2).rows == expected
+        assert rows() == expected
 
 
 RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
@@ -259,12 +271,19 @@ class TestTarget:
             make_patch(((0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 1)), 1),
             make_patch(((F(1, 2), 0), (1, 0), (1, 1), (F(1, 2), 1)), 1)))
         with pytest.raises(ValueError, match="single affine patch"):
-            verify_witness_sequence(spec35, halves, n_max=2, m=2)
+            verify_witness_sequence(spec35, halves, n_max=2, pf=Prefractal(spec35, 2))
 
     def test_partial_patch_rejected(self, spec35, no_stage):
         corner = constant_field(1, ((0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)), (0, F(1, 2))))
         with pytest.raises(ValueError, match="covering the unit square"):
-            verify_witness_sequence(spec35, corner, n_max=2, m=2)
+            verify_witness_sequence(spec35, corner, n_max=2, pf=Prefractal(spec35, 2))
+
+    def test_prefractal_of_another_spec_rejected(self, spec35, spec357, no_stage):
+        pf = Prefractal(spec357, 2)
+        with pytest.raises(ValueError, match="prefractal"):
+            verify_witness_sequence(spec35, TARGET, n_max=2, pf=pf)
+        with pytest.raises(ValueError, match="prefractal"):
+            verify_wedge_approximation(spec35, TARGET, coordinate_field("y"), (2,), pf)
 
     @pytest.mark.parametrize("selector", ["const", "x", "y", "affine:1/2,-3,5"])
     def test_every_cli_target_passes(self, selector):

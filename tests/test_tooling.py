@@ -1,5 +1,6 @@
-"""Source checks on the package: invariants that hold under ``python -O``, and no
-private helper without a caller."""
+"""Source checks on the package: invariants that hold under ``python -O``, no
+private helper without a caller, and no public helper that is neither called
+nor exported."""
 
 import ast
 from collections import Counter
@@ -44,3 +45,20 @@ def test_every_private_helper_has_a_caller():
                 and node.name.startswith("_") and not node.name.startswith("__")
                 and loaded[node.name] == loaded_names(node).count(node.name)]
     assert uncalled == []
+
+
+def test_every_public_helper_has_a_caller_or_is_exported():
+    # a module-level public function or class that nothing in the package
+    # reads outside its own body is API only if the package exports it
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES}
+    loaded = Counter(name for tree in trees.values() for name in loaded_names(tree))
+    exported = {alias.asname or alias.name
+                for node in ast.walk(trees[Path(carpetcurl.__file__)])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in exported
+              and loaded[node.name] == loaded_names(node).count(node.name)]
+    assert unused == []

@@ -8,7 +8,7 @@ import pytest
 import carpetcurl
 from carpetcurl.carpet import Prefractal, cell_grid, enumerate_holes, side_length
 from carpetcurl.fields import constant_field, sup_norm
-from carpetcurl.geometry import clip_to_box, polygon_area
+from carpetcurl.geometry import polygon_area
 from carpetcurl.report import leq_sqrt_sum_sq
 from carpetcurl.witness import (
     build_flattened,
@@ -26,6 +26,7 @@ from carpetcurl.witness import (
 from oracles import (
     build_tent_field,
     build_witness,
+    clip_to_box,
     continuity_defects,
     coordinate_minus,
     curl_defect_sq,
@@ -310,7 +311,8 @@ class TestWitnessField:
 
 class TestVerifySequence:
     def test_small_run_flags(self, spec35):
-        report = verify_witness_sequence(spec35, constant_field(1), n_max=2, m=2)
+        report = verify_witness_sequence(spec35, constant_field(1), n_max=2,
+                                         pf=Prefractal(spec35, 2))
         assert report.get("witness", 1, "strip_area").value == F(1, 3)
         assert report.get("witness", 2, "tent_count_per_column_max").passed
         assert report.get("witness", 2, "local_constancy_violations").passed
