@@ -6,8 +6,9 @@ and the central cell is discarded.  Prefractals are kept implicit: membership,
 measures and integrals descend the subdivision tree lazily, short-circuiting
 on squares that lie entirely inside the query region, and integrals stop one
 level above the leaves, where the prefractal is a square minus its hole.  The
-integration walk runs on integers throughout and divides once per monomial,
-and runs once per translation class of regions.
+query regions are convex polygons.  The integration walk runs on integers
+throughout and divides once per monomial, and runs once per translation class
+of regions.
 """
 
 from __future__ import annotations
@@ -21,14 +22,11 @@ from .geometry import (
     MOMENT_DIVISORS,
     MONOMIALS,
     ZERO,
-    _area2,
     _convex,
-    _lattice,
     _lattice_scale,
     _normalize,
     moment_sums,
     poly_dot,
-    triangulate,
 )
 
 HALF = Fraction(1, 2)
@@ -310,10 +308,11 @@ class Prefractal:
     Every surviving level-k square holds the same pattern, whose moments at
     the origin are ``pattern[k]``; ``_shifted_moments`` moves them to any
     set of corners, so integrals take fully-covered squares without
-    descending to the leaves.  A convex region is walked once per translation
-    class: the lattice scale, the deepest level j whose side is at least the
-    region's bbox extent, the survival mask of the level-j squares its open
-    bbox meets, and its vertices relative to that block's corner.
+    descending to the leaves.  Regions are convex, and each takes the one
+    walk once per translation class: the lattice scale, the deepest level j
+    whose side is at least the region's bbox extent, the survival mask of the
+    level-j squares its open bbox meets, and its vertices relative to that
+    block's corner.
     ``_classes`` keeps the moments relative to the corner, and a translate
     shifts them to its own.  ``_regions`` remembers the finished moments of
     each hashable region by its exact vertex tuple, so a region asked for
@@ -401,17 +400,21 @@ class Prefractal:
     def moments(self, region):
         """The six exact moments of MONOMIALS over (prefractal intersect region).
 
-        ``region`` may be any simple polygon with rational vertices inside the
-        unit square; non-convex regions are triangulated first.  Returns a
-        tuple of one ``Fraction`` per monomial, in MONOMIALS order; a
-        hashable region's tuple is computed once per instance.
+        ``region`` is a convex polygon with rational vertices inside the unit
+        square, in either orientation.  A region that normalizes to fewer
+        than three vertices has six zero moments; a non-convex one raises
+        ``ValueError``.  Every region takes the one integer walk, rectangles
+        included.  Returns a tuple of one ``Fraction`` per monomial, in
+        MONOMIALS order; a hashable region's tuple is computed once per
+        instance.
         """
         return self._moments(region)
 
     def integrate(self, region, poly):
         """Integral of a degree<=2 polynomial over (prefractal intersect region).
 
-        The sum of coefficient times moment over MONOMIALS.  ``poly`` maps
+        ``region`` is as for ``moments``; the integral is the sum of
+        coefficient times moment over MONOMIALS.  ``poly`` maps
         (p, q) exponent pairs to coefficients; a nonzero coefficient on any
         other monomial raises ``ValueError``.
         """
@@ -421,7 +424,7 @@ class Prefractal:
         return poly_dot(poly, self._moments(region))
 
     def region_measure(self, region):
-        """Exact area of (prefractal intersect region) for a simple polygon."""
+        """Exact area of (prefractal intersect region) for a convex polygon."""
         return self.integrate(region, {(0, 0): Fraction(1)})
 
     def _moments(self, region):
@@ -438,20 +441,16 @@ class Prefractal:
         return moments
 
     def _region_moments(self, region):
-        # one integer lattice for normalizing, the unit-square test and the
-        # convexity test; only a non-convex region goes back to Fractions
-        verts, pts, scale = _normalize(region)
-        if not verts:
+        # one integer lattice for normalizing, the unit-square test, the
+        # convexity test and the walk
+        _, pts, scale = _normalize(region)
+        if len(pts) < 3:
             return (ZERO,) * len(MONOMIALS)
         if min(min(p) for p in pts) < 0 or max(max(p) for p in pts) > scale:
             raise OutOfUnitSquare("region leaves the unit square")
-        if _convex(pts):
-            return self._moments_convex(pts, scale)
-        moments = [ZERO] * len(MONOMIALS)
-        for scale, pts in map(_lattice, triangulate(verts)):
-            for i, v in enumerate(self._moments_convex(pts, scale)):
-                moments[i] += v
-        return tuple(moments)
+        if not _convex(pts):
+            raise ValueError(f"region with {len(pts)} vertices is not convex")
+        return self._moments_convex(pts, scale)
 
     def _moments_convex(self, reg, scale):
         # reg is a CCW convex region as integer vertices over scale.  Move it
@@ -504,14 +503,9 @@ class Prefractal:
         # the six moments of reg over the prefractal as integers over
         # 24 * scale^(2+p+q)
         rbx0, rby0, rbx1, rby1 = bbox
-        n = len(reg)
-        area2 = _area2(reg)
-        is_rect = (n == 4 and area2 == 2 * (rbx1 - rbx0) * (rby1 - rby0))
         # half-plane form a*x + b*y >= c for each CCW edge
         planes = []
-        for i in range(n):
-            p = reg[i]
-            q = reg[(i + 1) % n]
+        for p, q in zip(reg, reg[1:] + reg[:1]):
             a = q[1] - p[1]
             b = p[0] - q[0]
             planes.append((-a, -b, -(a * p[0] + b * p[1])))
@@ -545,18 +539,11 @@ class Prefractal:
 
         def leaf(x0, y0, d, sign):
             # add sign * the moment sums of region intersect [x0, x0+d] x [y0, y0+d]
-            if is_rect:
-                xa, xb = max(x0, rbx0), min(x0 + d, rbx1)
-                ya, yb = max(y0, rby0), min(y0 + d, rby1)
-                if xa >= xb or ya >= yb:
+            pts = reg
+            for (a, b, c) in ((-1, 0, -(x0 + d)), (1, 0, x0), (0, -1, -(y0 + d)), (0, 1, y0)):
+                pts = clip(pts, a, b, c)
+                if not pts:
                     return
-                pts = ((xa, ya), (xb, ya), (xb, yb), (xa, yb))
-            else:
-                pts = reg
-                for (a, b, c) in ((-1, 0, -(x0 + d)), (1, 0, x0), (0, -1, -(y0 + d)), (0, 1, y0)):
-                    pts = clip(pts, a, b, c)
-                    if not pts:
-                        return
             for i, s in enumerate(moment_sums(pts)):
                 leaf_sums[i] += sign * s
 
@@ -567,19 +554,16 @@ class Prefractal:
             x1, y1 = x0 + d, y0 + d
             if x1 <= rbx0 or x0 >= rbx1 or y1 <= rby0 or y0 >= rby1:
                 return
-            if is_rect:
-                inside = rbx0 <= x0 and x1 <= rbx1 and rby0 <= y0 and y1 <= rby1
-            else:
-                inside = True
-                for (a, b, c) in planes:
-                    v00 = a * x0 + b * y0 - c
-                    v10 = a * x1 + b * y0 - c
-                    v11 = a * x1 + b * y1 - c
-                    v01 = a * x0 + b * y1 - c
-                    if v00 < 0 or v10 < 0 or v11 < 0 or v01 < 0:
-                        inside = False
-                        if v00 < 0 and v10 < 0 and v11 < 0 and v01 < 0:
-                            return
+            inside = True
+            for (a, b, c) in planes:
+                v00 = a * x0 + b * y0 - c
+                v10 = a * x1 + b * y0 - c
+                v11 = a * x1 + b * y1 - c
+                v01 = a * x0 + b * y1 - c
+                if v00 < 0 or v10 < 0 or v11 < 0 or v01 < 0:
+                    inside = False
+                    if v00 < 0 and v10 < 0 and v11 < 0 and v01 < 0:
+                        return
             if inside:
                 t = covered[k]
                 t[0] += 1

@@ -173,8 +173,7 @@ def cmd_verify(args) -> int:
     if wedge_stages:
         wedge_pf = pf if args.depth <= 3 else Prefractal(spec, 3)
         wedge_report = verify_wedge_approximation(
-            spec, coordinate_field("x"), coordinate_field("y"),
-            wedge_stages, pf=wedge_pf)
+            spec, coordinate_field("x"), wedge_stages, pf=wedge_pf)
         report.extend(wedge_report)
     if args.mode == "f64":
         report = rounded_to_f64(report)

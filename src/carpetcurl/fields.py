@@ -18,7 +18,6 @@ from .geometry import (
     _convex,
     _lattice_scale,
     _normalize,
-    affine_poly,
     bbox,
     clip_convex,
     normalize_polygon,
@@ -42,9 +41,6 @@ class AffinePatch:
     @property
     def gradient(self):
         return (self.cx, self.cy)
-
-    def value_poly(self):
-        return affine_poly(self.c0, self.cx, self.cy)
 
 
 def make_patch(vertices, c0, cx=0, cy=0) -> AffinePatch:

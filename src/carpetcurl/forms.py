@@ -1,9 +1,10 @@
 """The wedge-approximation check of the vanishing one-form sequence.
 
 The stage-n one-form is a localized remainder of the target f times the
-differential of the flattened coordinate.  For an affine f and g = y every
-norm of the check is a closed form or a sum over the patches of one tagged
-stage partition, so no common refinement is built and no polygon is clipped.
+differential of the flattened coordinate, which approximates g = y.  For an
+affine f every norm of the check is a closed form or a sum over the patches
+of one tagged stage partition, so no common refinement is built and no
+polygon is clipped.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from .carpet import CarpetSpec, Prefractal, side_length
 from .fields import AffinePatch, PiecewiseAffineField, sup_norm
-from .geometry import ZERO
+from .geometry import ZERO, square_integral
 from .report import VerificationReport
 from .witness import (
     affine_target,
@@ -21,12 +22,10 @@ from .witness import (
     build_flattened,
     flattening_density,
     measure_sum,
-    square_integral,
 )
 
 
-def cutoff_remainder(spec: CarpetSpec, n: int, base: AffinePatch,
-                     flattened: FlattenedField) -> PiecewiseAffineField:
+def cutoff_remainder(flattened: FlattenedField, base: AffinePatch) -> PiecewiseAffineField:
     """Stage-n remainder of the affine map ``base``, localized to the cells.
 
     The remainder subtracts from the map its value at each cell center and
@@ -40,27 +39,24 @@ def cutoff_remainder(spec: CarpetSpec, n: int, base: AffinePatch,
         center = ((x0 + x1) / 2, (y0 + y1) / 2)
         return (base.c0 - base.value_at(center), base.cx, base.cy)
 
-    return build_cell_field(spec, n, cell_map, flattened)
+    return build_cell_field(flattened, cell_map)
 
 
-def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
-                               g: PiecewiseAffineField, stages,
+def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages,
                                pf: Prefractal) -> VerificationReport:
     """Check the two wedge defects of the vanishing one-form sequence.
 
-    For each stage n the first defect compares the wedge against the
-    flattened coordinate and must stay below 2*esssup(gamma(f))^2 times the
-    flattening energy; the second defect must vanish identically.  The wedge
-    norm itself stays bounded below, which is the whole point: a sequence of
-    one-forms shrinking to zero whose derivatives do not.  Every integral is
-    taken over ``pf``, the level-m prefractal of ``spec``; a ``pf`` the
-    witness section has used already holds the moments of every region the
-    two sections share.  A ``pf`` of another spec raises ``ValueError``.
+    The second function of the wedge is g = y, the coordinate the flattened
+    fields approximate.  For each stage n the first defect compares the
+    wedge against the flattened coordinate and must stay below
+    2*esssup(gamma(f))^2 times the flattening energy; the second defect must
+    vanish identically.  The wedge norm itself stays bounded below, which is
+    the whole point: a sequence of one-forms shrinking to zero whose
+    derivatives do not.  Every integral is taken over ``pf``, the level-m
+    prefractal of ``spec``; a ``pf`` the witness section has used already
+    holds the moments of every region the two sections share.  A ``pf`` of another spec raises ``ValueError``.
     """
     base = affine_target(f)
-    gy = affine_target(g)
-    if (gy.cx, gy.cy) != (0, 1):
-        raise ValueError("the flattening approximates the vertical coordinate; pass g = y")
     if pf.spec != spec:
         raise ValueError(f"the prefractal is of {pf.spec}, not of {spec}")
     report = VerificationReport()
@@ -68,10 +64,10 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
     def det(a, b):
         return a.cx * b.cy - a.cy * b.cx
 
-    # f and g are affine and every ratio is at most 1/3, so |P_m| > 0: the
-    # wedge norm is the constant det(grad f, grad g)^2 integrated over P_m,
-    # and the essential sup of gamma(f, f) is the constant |grad f|^2
-    det_fg = det(base, gy)
+    # f and g = y are affine and every ratio is at most 1/3, so |P_m| > 0: the
+    # wedge norm is the constant det(grad f, grad g)^2 = (df/dx)^2 integrated
+    # over P_m, and the essential sup of gamma(f, f) is the constant |grad f|^2
+    det_fg = base.cx
     gf_sup = base.cx ** 2 + base.cy ** 2
     wedge_norm = det_fg ** 2 * pf.measure
     report.add("wedge", None, "wedge_norm_sq", wedge_norm, Fraction(3, 4),
@@ -85,7 +81,7 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
     # its cell tag names, and every norm below is a sum over patches.
     for n in stages:
         flattened = build_flattened(spec, n)
-        remainder = cutoff_remainder(spec, n, base, flattened)
+        remainder = cutoff_remainder(flattened, base)
         measures = [pf.region_measure(p.vertices) for p in flattened.patches]
         # remainder patches under a nonzero flattened gradient; on the others
         # both the cutoff form and the second defect vanish identically
@@ -94,7 +90,7 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField,
                   if flattened.patches[t].gradient != (0, 0)]
         moments = [pf.moments(p.vertices) for p, _ in active]
 
-        omega_norm = sum(((q.cx ** 2 + q.cy ** 2) * square_integral(p, mom)
+        omega_norm = sum(((q.cx ** 2 + q.cy ** 2) * square_integral(p.c0, p.cx, p.cy, mom)
                           for (p, q), mom in zip(active, moments)), ZERO)
         report.add("wedge", n, "cutoff_form_l2", omega_norm)
 

@@ -2,10 +2,14 @@
 
 Polygons go in and come out as ``fractions.Fraction`` pairs, so predicates
 (orientation, containment) and quantities (areas, clipped regions, moments up
-to degree two) are exact and never depend on tolerances.  Normalization,
-convexity, area and clipping scale their polygons once per call by the lcm of
-the vertex denominators and run on that integer lattice; a clipped crossing
-off the lattice stays an exact int + Fraction.
+to degree two) are exact and never depend on tolerances.  Every region the
+package integrates is convex, and ``_convex`` tests that on the integer
+lattice of ``_normalize``; a non-convex region is rejected, never split, and
+``carpet.Prefractal`` walks every convex one, rectangles included, one way.
+Normalization, area and clipping scale their polygons once per call by the
+lcm of the vertex denominators and run on that integer lattice; a clipped
+crossing off the lattice stays an exact int + Fraction.  A degree-<=2
+integrand over a region is a dot product with the region's six moments.
 """
 
 from __future__ import annotations
@@ -15,10 +19,6 @@ from math import lcm
 from typing import Iterable
 
 ZERO = Fraction(0)
-
-
-class NonSimplePolygon(ValueError):
-    """Raised when an operation requires a simple polygon and gets none."""
 
 
 def cross(o, a, b):
@@ -98,49 +98,14 @@ def normalize_polygon(points: Iterable) -> tuple:
 
 
 def _convex(poly) -> bool:
-    # ring-generic body of is_convex
+    # True for a CCW convex polygon of at least three vertices, collinear
+    # vertices allowed; ring-generic, so lattice points give an exact answer
     n = len(poly)
     if n < 3:
         return False
     for i in range(n):
         if cross(poly[i - 2], poly[i - 1], poly[i]) < 0:
             return False
-    return True
-
-
-def is_convex(poly) -> bool:
-    """True for a CCW convex polygon (collinear vertices allowed)."""
-    return _convex(_lattice(poly)[1])
-
-
-def is_simple(poly) -> bool:
-    """Quadratic-time simplicity check (non-adjacent edges must not meet)."""
-    n = len(poly)
-    if n < 3:
-        return False
-    edges = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
-
-    def segs_intersect(p1, p2, q1, q2):
-        d1 = cross(q1, q2, p1)
-        d2 = cross(q1, q2, p2)
-        d3 = cross(p1, p2, q1)
-        d4 = cross(p1, p2, q2)
-        if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
-           ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-            return True
-
-        def on(a, b, c):
-            return cross(a, b, c) == 0 and min(a[0], b[0]) <= c[0] <= max(a[0], b[0]) \
-                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-
-        return on(q1, q2, p1) or on(q1, q2, p2) or on(p1, p2, q1) or on(p1, p2, q2)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if segs_intersect(*edges[i], *edges[j]):
-                return False
     return True
 
 
@@ -245,63 +210,24 @@ def moment_sums(poly) -> tuple:
     return (m00, m10, m01, m20, m11, m02)
 
 
-def triangulate(poly):
-    """Ear-clipping triangulation of a simple CCW polygon."""
-    poly = normalize_polygon(poly)
-    if len(poly) < 3:
-        return []
-    if is_convex(poly):
-        return [(poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1)]
-    if not is_simple(poly):
-        raise NonSimplePolygon(f"polygon with {len(poly)} vertices is self-intersecting")
-    verts = list(poly)
-    tris = []
-    guard = 0
-    while len(verts) > 3:
-        guard += 1
-        if guard > 10000:
-            raise NonSimplePolygon("ear clipping failed to terminate")
-        n = len(verts)
-        clipped = False
-        for i in range(n):
-            a, b, c = verts[(i - 1) % n], verts[i], verts[(i + 1) % n]
-            if cross(a, b, c) <= 0:
-                continue
-            ear = (a, b, c)
-            if any(point_in_convex(ear, v) and v not in ear for v in verts):
-                continue
-            tris.append(ear)
-            del verts[i]
-            clipped = True
-            break
-        if not clipped:
-            raise NonSimplePolygon("no ear found; polygon is degenerate")
-    tris.append(tuple(verts))
-    return tris
-
-
-# Bivariate polynomials are dicts {(p, q): coeff}; used as exact integrands.
-
-def poly_mul(f, g):
-    out = {}
-    for (p1, q1), c1 in f.items():
-        if c1 == 0:
-            continue
-        for (p2, q2), c2 in g.items():
-            if c2 == 0:
-                continue
-            p, q = p1 + p2, q1 + q2
-            if p + q > 2:
-                raise ValueError(f"integrand degree {p + q} exceeds supported degree 2")
-            key = (p, q)
-            out[key] = out.get(key, ZERO) + c1 * c2
-    return out
-
-
-def affine_poly(c0, cx, cy):
-    return {(0, 0): Fraction(c0), (1, 0): Fraction(cx), (0, 1): Fraction(cy)}
-
+# A degree-<=2 integrand is a dict {(p, q): coefficient} over MONOMIALS, or,
+# for the square of an affine map, its three coefficients.
 
 def poly_dot(f, moments):
     """Integral of f over a region, given the region's moments in MONOMIALS order."""
     return sum((f[key] * m for key, m in zip(MONOMIALS, moments) if f.get(key)), ZERO)
+
+
+def square_integral(c0, cx, cy, moments):
+    """Integral of (c0 + cx*x + cy*y)^2 over a region, given its moments in
+    MONOMIALS order.  The terms of a zero cx or cy are skipped, so a constant
+    map costs one product and a map with one slope three."""
+    m00, m10, m01, m20, m11, m02 = moments
+    out = c0 * c0 * m00
+    if cx:
+        out += cx * (2 * c0 * m10 + cx * m20)
+        if cy:
+            out += 2 * cx * cy * m11
+    if cy:
+        out += cy * (2 * c0 * m01 + cy * m02)
+    return out

@@ -39,7 +39,7 @@ from .fields import (
     refine_pairs,
     sup_norm,
 )
-from .geometry import ZERO, affine_poly, poly_dot, poly_mul
+from .geometry import ZERO, square_integral
 from .report import VerificationReport, leq_sqrt_sum_sq, leq_with_sqrt
 
 UNIT_CORNERS = {(0, 0), (1, 0), (1, 1), (0, 1)}
@@ -249,7 +249,7 @@ def _stage_layout(spec: CarpetSpec, n: int, tents):
     the values at its three vertices.  Cell cores lie in their slab
     rectangle, a cell's side of a tent is the tent's triangle itself, each
     slab remainder splits at the cut between the two cells, and the seams
-    triangulate the strip bands and the tent trapezoids.
+    cut the strip bands and the tent trapezoids into triangles.
     """
     strips = build_strips(spec, n)
     cuts = strips.y_centers
@@ -363,21 +363,17 @@ def check_local_constancy(flattened: PiecewiseAffineField, neighborhoods):
     return [(pieces[ia][0], sloped[ib]) for _, ia, ib in overlaps]
 
 
-def build_cell_field(spec: CarpetSpec, n: int, cell_map: Callable,
-                     flattened=None) -> PiecewiseAffineField:
+def build_cell_field(flattened: FlattenedField, cell_map: Callable) -> PiecewiseAffineField:
     """Glue per-cell affine maps into a field continuous on the carpet.
 
     ``cell_map(index, cell)`` returns (c0, cx, cy) for each grid cell.  The
     map is used verbatim on the cell minus its boundary neighborhood; across
-    strip bands and tent trapezoids the values are joined by triangulated
-    affine interpolation.  Jumps may remain only along edges buried inside
+    strip bands and tent trapezoids the values are joined by affine
+    interpolation on triangles.  Jumps may remain only along edges buried inside
     removed holes, which the carpet never sees.  The patches are the pieces
-    that the stage-n ``flattened`` field carries (built here when not
-    given), in its order, so patch i lies in flattened patch
-    ``flattened.cell_tags[i]``.
+    that the stage's ``flattened`` field carries, in its order, so patch i
+    lies in flattened patch ``flattened.cell_tags[i]``.
     """
-    if flattened is None:
-        flattened = build_flattened(spec, n)
     coeffs = [tuple(Fraction(c) for c in cell_map(idx, cell))
               for idx, cell in enumerate(flattened.cells)]
 
@@ -395,8 +391,7 @@ def build_cell_field(spec: CarpetSpec, n: int, cell_map: Callable,
     return PiecewiseAffineField(tuple(patches))
 
 
-def build_ramp(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
-               flattened=None) -> PiecewiseAffineField:
+def build_ramp(flattened: FlattenedField, f: PiecewiseAffineField) -> PiecewiseAffineField:
     """Per-cell horizontal ramp: value-of-f-at-center times (x - center_x).
 
     Off the boundary neighborhoods the gradient is exactly (f(center), 0);
@@ -412,7 +407,7 @@ def build_ramp(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
                                     f"({center[0]}, {center[1]})")
         return (-fv * center[0], fv, ZERO)
 
-    return build_cell_field(spec, n, cell_map, flattened)
+    return build_cell_field(flattened, cell_map)
 
 
 def tent_field_bound(spec: CarpetSpec, n: int) -> Fraction:
@@ -450,7 +445,7 @@ class StageData:
 def build_stage(spec: CarpetSpec, n: int, f: PiecewiseAffineField) -> StageData:
     tents = build_tents(spec, n)
     flattened = build_flattened(spec, n, tents)
-    ramp = build_ramp(spec, n, f, flattened)
+    ramp = build_ramp(flattened, f)
     # the ramp times the flattened gradient, read off the tags
     witness = ProductVectorField(tuple(
         (p.vertices, (p.c0, p.cx, p.cy), flattened.patches[t].gradient)
@@ -476,12 +471,6 @@ def flattening_density(p: AffinePatch) -> Fraction:
 def measure_sum(field: PiecewiseAffineField, measures, density: Callable) -> Fraction:
     """Sum over the patches of a per-patch constant density times the patch's measure."""
     return sum((density(p) * m for p, m in zip(field.patches, measures)), ZERO)
-
-
-def square_integral(patch: AffinePatch, moments) -> Fraction:
-    """Integral of the patch's affine map squared, from the patch's moments."""
-    value = patch.value_poly()
-    return poly_dot(poly_mul(value, value), moments)
 
 
 def oscillation(f: PiecewiseAffineField, diameter_sq: Fraction) -> Fraction:
@@ -594,11 +583,10 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
             g = flat.patches[t]
             g2 = g.cx ** 2 + g.cy ** 2
             if g2:
-                w_norm += g2 * square_integral(p, moments)
+                w_norm += g2 * square_integral(p.c0, p.cx, p.cy, moments)
             # the witness rotation ramp_x * flat_y - ramp_y * flat_x minus f
             c = p.cx * g.cy - p.cy * g.cx
-            diff = affine_poly(c - target.c0, -target.cx, -target.cy)
-            c_defect += poly_dot(poly_mul(diff, diff), moments)
+            c_defect += square_integral(c - target.c0, -target.cx, -target.cy, moments)
         e_flat_grad = measure_sum(flat, measures, lambda p: p.cx ** 2 + p.cy ** 2)
         report.add("witness", n, "witness_l2", w_norm, ramp_sup ** 2 * e_flat_grad,
                    w_norm <= ramp_sup ** 2 * e_flat_grad)

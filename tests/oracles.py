@@ -8,7 +8,9 @@ two-forms with their exact inner products, the tent cover and the witness
 defects.  Identities that hold pointwise (Leibniz rule, alternation, the
 vanishing of the second wedge defect) come out as exact zeros.  The polygon
 and polynomial helpers it needs beyond ``carpetcurl.geometry`` (box clipping,
-moments keyed by monomial, polynomial sums and scaling) live here too.
+moments keyed by monomial, and the dict polynomials {(p, q): coefficient}
+with their products, sums and scaling) live here too; the dict product is
+also the oracle of ``geometry.square_integral``.
 """
 
 from __future__ import annotations
@@ -32,13 +34,11 @@ from carpetcurl.geometry import (
     MOMENT_DIVISORS,
     MONOMIALS,
     ZERO,
-    affine_poly,
     bbox,
     clip_halfplane,
     cross,
     moment_sums,
     normalize_polygon,
-    poly_mul,
     polygon_area,
 )
 from carpetcurl.witness import build_flattened, build_ramp, build_tents
@@ -65,6 +65,31 @@ def polygon_moments(poly):
     """Exact moments of the MONOMIALS over a CCW polygon, keyed by (p, q)."""
     return {key: Fraction(s, div)
             for key, s, div in zip(MONOMIALS, moment_sums(poly), MOMENT_DIVISORS)}
+
+
+def poly_mul(f, g):
+    out = {}
+    for (p1, q1), c1 in f.items():
+        if c1 == 0:
+            continue
+        for (p2, q2), c2 in g.items():
+            if c2 == 0:
+                continue
+            p, q = p1 + p2, q1 + q2
+            if p + q > 2:
+                raise ValueError(f"integrand degree {p + q} exceeds supported degree 2")
+            key = (p, q)
+            out[key] = out.get(key, ZERO) + c1 * c2
+    return out
+
+
+def affine_poly(c0, cx, cy):
+    return {(0, 0): Fraction(c0), (1, 0): Fraction(cx), (0, 1): Fraction(cy)}
+
+
+def value_poly(patch: AffinePatch):
+    """The patch's affine map as a dict polynomial."""
+    return affine_poly(patch.c0, patch.cx, patch.cy)
 
 
 def poly_add(f, g):
@@ -208,7 +233,7 @@ def l2_norm_sq(obj, prefractal: Prefractal):
     total = ZERO
     if isinstance(obj, PiecewiseAffineField):
         for p in obj.patches:
-            ipoly = poly_mul(p.value_poly(), p.value_poly())
+            ipoly = poly_mul(value_poly(p), value_poly(p))
             total += prefractal.integrate(p.vertices, ipoly)
     elif isinstance(obj, PCVectorField):
         for (verts, px, py) in obj.pieces:
@@ -311,8 +336,8 @@ class ProductField:
                                            [p.vertices for p in self.v.patches]):
             pu = self.u.patches[iu]
             pv = self.v.patches[iv]
-            upoly = pu.value_poly()
-            vpoly = pv.value_poly()
+            upoly = value_poly(pu)
+            vpoly = value_poly(pv)
             value = poly_mul(upoly, vpoly)
             gx = poly_add(poly_scale(upoly, pv.cx), poly_scale(vpoly, pu.cx))
             gy = poly_add(poly_scale(upoly, pv.cy), poly_scale(vpoly, pu.cy))
@@ -325,7 +350,7 @@ def _field_atoms(obj):
     """Uniform atom view: (regions, [(value_poly, gx_poly, gy_poly)])."""
     if isinstance(obj, PiecewiseAffineField):
         regions = [p.vertices for p in obj.patches]
-        data = [(p.value_poly(), {(0, 0): p.cx}, {(0, 0): p.cy}) for p in obj.patches]
+        data = [(value_poly(p), {(0, 0): p.cx}, {(0, 0): p.cy}) for p in obj.patches]
         return regions, data
     if isinstance(obj, ProductField):
         return obj.atoms()
@@ -530,7 +555,7 @@ def build_cutoff_form(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
         raise ValueError("cutoff construction expects a globally affine target")
     if flattened is None:
         flattened = build_flattened(spec, n)
-    remainder = cutoff_remainder(spec, n, f.patches[0], flattened)
+    remainder = cutoff_remainder(flattened, f.patches[0])
     return OneForm(((ONE, remainder, flattened),)), remainder
 
 
@@ -583,7 +608,7 @@ def build_witness(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
     if flattened is None:
         flattened = build_flattened(spec, n)
     if ramp is None:
-        ramp = build_ramp(spec, n, f, flattened)
+        ramp = build_ramp(flattened, f)
     return product_with_gradient(ramp, flattened)
 
 

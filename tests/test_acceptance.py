@@ -79,7 +79,7 @@ def witness_data():
         tents = build_tents(SPEC, n)
         flattened = build_flattened(SPEC, n, tents)
         neighborhoods = build_neighborhoods(SPEC, n, tents)
-        ramp = build_ramp(SPEC, n, one, flattened)
+        ramp = build_ramp(flattened, one)
         witness = product_with_gradient(ramp, flattened)
         tent_energies = [
             dirichlet_energy(PiecewiseAffineField(field_patches(t)), pf)
@@ -230,8 +230,7 @@ class TestCriterion6FormIdentities:
 class TestCriterion7WedgeDefects:
     def test_defects_at_stages_two_and_three(self):
         pf = Prefractal(SPEC357, 3)
-        rep = verify_wedge_approximation(SPEC357, coordinate_field("x"),
-                                         coordinate_field("y"), (2, 3), pf=pf)
+        rep = verify_wedge_approximation(SPEC357, coordinate_field("x"), (2, 3), pf=pf)
         ok = True
         norm_row = rep.get("wedge", None, "wedge_norm_sq")
         ok = ok and norm_row.value == prefractal_measure(SPEC357, 3) > F(3, 4)

@@ -36,13 +36,13 @@ from carpetcurl.carpet import (
 )
 from carpetcurl.geometry import (
     MOMENT_DIVISORS,
+    _convex,
+    _normalize,
     bbox,
     clip_halfplane,
     cross,
-    is_convex,
     normalize_polygon,
     moment_sums,
-    triangulate,
 )
 from test_partition import SPECS
 
@@ -73,7 +73,7 @@ def convex_hull(points):
 
 @st.composite
 def oracle_cases(draw):
-    """(depth, region): a convex polygon, an L-shaped hexagon or a rectangle."""
+    """(depth, region): a convex polygon or a rectangle."""
     depth = draw(st.integers(0, 3))
     # at depth 3 the region stays within a window a third wide, so the
     # brute-force oracle clips at most about a ninth of the 9216 leaf squares
@@ -85,23 +85,14 @@ def oracle_cases(draw):
         vals = draw(st.lists(st.integers(0, span), min_size=k, max_size=k, unique=True))
         return sorted(vals)
 
-    kind = draw(st.sampled_from(("convex", "ell", "rect")))
-    if kind == "convex":
+    if draw(st.booleans()):
         n = draw(st.integers(3, 6))
         raw = [(draw(st.integers(0, span)), draw(st.integers(0, span))) for _ in range(n)]
         pts = convex_hull(raw)
-    elif kind == "rect":
+    else:
         x0, x1 = coords(2)
         y0, y1 = coords(2)
         pts = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
-    else:
-        x0, x1, x2 = coords(3)
-        y0, y1, y2 = coords(3)
-        pts = ((x0, y0), (x2, y0), (x2, y1), (x1, y1), (x1, y2), (x0, y2))
-        if draw(st.booleans()):
-            pts = tuple((span - x, y) for (x, y) in pts)
-        if draw(st.booleans()):
-            pts = tuple((x, span - y) for (x, y) in pts)
     assume(len(pts) >= 3)
     region = normalize_polygon((F(ox + x, LATTICE), F(oy + y, LATTICE)) for (x, y) in pts)
     return depth, region
@@ -114,12 +105,12 @@ PRIME_LATTICE = 211
 
 @st.composite
 def refined_lattice_cases(draw):
-    """(depth, region): a convex hull, a needle triangle or a concave dart."""
+    """(depth, region): a convex hull, a needle triangle or a kite."""
     depth = draw(st.integers(0, 3))
     span = PRIME_LATTICE if depth < 3 else PRIME_LATTICE // 3
     ox = draw(st.integers(0, PRIME_LATTICE - span))
     oy = draw(st.integers(0, PRIME_LATTICE - span))
-    kind = draw(st.sampled_from(("convex", "needle", "dart")))
+    kind = draw(st.sampled_from(("convex", "needle", "kite")))
     e = draw(st.integers(1, 4))
     f = draw(st.integers(1, 4))
     if kind == "convex":
@@ -130,9 +121,9 @@ def refined_lattice_cases(draw):
         # a shallow edge (span, f), a steep edge (e, span) and a near-diagonal
         pts = ((0, 0), (span, f), (e, span))
     else:
-        # a reflex vertex at (m, m) between a shallow and a steep edge
-        m = draw(st.integers(max(e, f) + 1, span // 2))
-        pts = ((0, 0), (span, e), (m, m), (f, span))
+        # a convex vertex at (m, m) between a shallow and a steep edge
+        m = draw(st.integers(span // 2 + 1, span))
+        pts = convex_hull(((0, 0), (span, e), (m, m), (f, span)))
     if draw(st.booleans()):
         pts = tuple((span - x, y) for (x, y) in pts)
     if draw(st.booleans()):
@@ -156,7 +147,7 @@ def star_regions(draw):
              for _ in STAR_DIRECTIONS]
     region = tuple((F(1, 2) + r * dx, F(1, 2) + r * dy)
                    for r, (dx, dy) in zip(radii, STAR_DIRECTIONS))
-    assume(not is_convex(normalize_polygon(region)))
+    assume(not _convex(_normalize(region)[1]))
     return region
 
 
@@ -374,24 +365,47 @@ class TestRegionMeasure:
         assert pf35_2.region_measure(quad) == \
             pf35_2.region_measure(a) + pf35_2.region_measure(b)
 
-    def test_nonconvex_region_is_triangulated(self, pf3_1):
+    @staticmethod
+    def assert_rejected(pf, region):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not convex"):
+                pf.moments(region)
+            with pytest.raises(ValueError, match="not convex"):
+                pf.region_measure(region)
+        assert pf._regions == {}
+
+    def test_an_l_shape_is_rejected(self):
+        # every region the verifier integrates is a convex patch
         ell = ((F(0), F(0)), (F(1), F(0)), (F(1), F(1, 3)), (F(1, 3), F(1, 3)),
                (F(1, 3), F(1)), (F(0), F(1)))
-        direct = pf3_1.region_measure(ell)
-        parts = [
-            ((F(0), F(0)), (F(1), F(0)), (F(1), F(1, 3)), (F(0), F(1, 3))),
-            ((F(0), F(1, 3)), (F(1, 3), F(1, 3)), (F(1, 3), F(1)), (F(0), F(1))),
-        ]
-        assert direct == sum(pf3_1.region_measure(p) for p in parts)
+        self.assert_rejected(Prefractal(CarpetSpec((F(1, 3),)), 1), ell)
 
     @given(star_regions(), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
-    def test_nonconvex_moments_are_the_sum_over_the_triangulation(self, region, depth):
-        # a non-convex region leaves the convex path; each triangle is walked
-        # on its own lattice
-        pf = Prefractal(CarpetSpec(ORACLE_RATIOS), depth)
-        parts = [pf.moments(t) for t in triangulate(region)]
-        assert pf.moments(region) == tuple(sum(col, F(0)) for col in zip(*parts))
+    def test_a_star_region_is_rejected(self, region, depth):
+        self.assert_rejected(Prefractal(CarpetSpec(ORACLE_RATIOS), depth), region)
+
+    @pytest.mark.parametrize("region", [
+        ((F(0), F(0)), (F(1, 2), F(1, 2)), (F(1), F(1))),
+        ((F(1, 5), F(1, 3)), (F(4, 5), F(1, 3)), (F(2, 5), F(1, 3)), (F(3, 5), F(1, 3))),
+        ((F(1, 7), F(1, 9)),),
+        (),
+    ])
+    def test_a_collinear_region_has_zero_moments(self, pf35_2, region):
+        assert pf35_2.moments(region) == (F(0),) * len(MONOMIALS)
+        assert pf35_2.region_measure(region) == 0
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("rect", [
+        (F(2, 105), F(1, 15), F(31, 105), F(2, 5)),    # on the level-3 side lattice
+        (F(1, 210), F(11, 211), F(97, 210), F(7, 11)),  # off it
+        (F(1, 5), F(3, 10), F(4, 5), F(7, 10)),         # over the stage-1 hole
+    ])
+    def test_brute_force_oracle_on_a_rectangle(self, rect, depth):
+        # a rectangle takes the half-plane test and the lattice-checked clip
+        # like any other convex region
+        x0, y0, x1, y1 = rect
+        assert_walk_matches_brute_force(depth, ((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
 
     def test_second_moment_recursion_against_hand_integral(self, pf3_1):
         # integral of x^2 over the level-1 set: 1/3 minus 7/243 over the hole

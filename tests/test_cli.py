@@ -1,10 +1,13 @@
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import carpetcurl
 from carpetcurl import cli, witness
 from carpetcurl.carpet import Prefractal
 from carpetcurl.cli import EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK, main
@@ -292,6 +295,23 @@ class TestVerify:
         out = tmp_path / "deep"
         assert run(["verify", "--generator", "odd-reciprocal", "--nmax", "3", "--depth", "4",
                     "--f", "const", "--out", str(out)]) == EXIT_BOUND_FAILED
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("report.csv", "report.json")}
+        assert digests == {
+            "report.csv": "ffc334d24d9be839aa8924e2367da422143e5524a67a44471fda3d1d84c962ea",
+            "report.json": "1f3783e6c4b64c839c9d1b04c700851f38c05266e05e3aff6569618017adf34d",
+        }
+
+    def test_default_deep_run_reproduces_the_golden_reports_under_optimization(self, tmp_path):
+        # python -O strips every assert, so the same bytes show that no
+        # invariant of the deep run rests on one
+        out = tmp_path / "deep-O"
+        argv = ["verify", "--generator", "odd-reciprocal", "--nmax", "3", "--depth", "4",
+                "--f", "const", "--out", str(out)]
+        src = str(Path(carpetcurl.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-O", "-m", "carpetcurl.cli", *argv],
+                              capture_output=True, text=True, env={"PYTHONPATH": src})
+        assert done.returncode == EXIT_BOUND_FAILED, done.stderr
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("report.csv", "report.json")}
         assert digests == {

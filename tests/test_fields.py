@@ -169,7 +169,7 @@ class TestBoxIndex:
         spec = CarpetSpec((), "odd-reciprocal")
         tents = build_tents(spec, 2)
         flattened = build_flattened(spec, 2, tents)
-        ramp = build_ramp(spec, 2, constant_field(1), flattened)
+        ramp = build_ramp(flattened, constant_field(1))
         regions_a = [p.vertices for p in ramp.patches]
         regions_b = [p.vertices for p in flattened.patches]
         assert (len(regions_a), len(regions_b)) == (92, 57)
@@ -300,7 +300,7 @@ class TestVectorSerialization:
         from oracles import vector_field_to_json
 
         flattened = build_flattened(spec35, 1)
-        ramp = build_ramp(spec35, 1, constant_field(1))
+        ramp = build_ramp(flattened, constant_field(1))
         v = product_with_gradient(ramp, flattened)
         payload = vector_field_to_json(v)
         assert payload["kind"] == "product"

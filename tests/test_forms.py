@@ -1,9 +1,6 @@
 import sys
 from fractions import Fraction
 
-import pytest
-
-
 from carpetcurl import geometry
 from carpetcurl.carpet import Prefractal
 from carpetcurl.fields import affine_field, constant_field, coordinate_field, sup_norm
@@ -178,8 +175,7 @@ class TestCutoffForm:
 class TestWedgeVerification:
     def test_canonical_stage_two(self, spec357):
         report = verify_wedge_approximation(
-            spec357, coordinate_field("x"), coordinate_field("y"), (2,),
-            pf=Prefractal(spec357, 3))
+            spec357, coordinate_field("x"), (2,), pf=Prefractal(spec357, 3))
         assert report.get("wedge", None, "wedge_norm_sq").value == F(1024, 1225)
         assert report.get("wedge", 2, "wedge_defect_secondary").value == 0
         primary = report.get("wedge", 2, "wedge_defect_primary")
@@ -189,8 +185,7 @@ class TestWedgeVerification:
     def test_wedge_section_clips_nothing(self, spec357, monkeypatch):
         def run():
             return verify_wedge_approximation(
-                spec357, coordinate_field("x"), coordinate_field("y"), (2,),
-                pf=Prefractal(spec357, 3)).rows
+                spec357, coordinate_field("x"), (2,), pf=Prefractal(spec357, 3)).rows
 
         expected = run()
 
@@ -206,12 +201,6 @@ class TestWedgeVerification:
         for module, attr in bindings:
             monkeypatch.setattr(module, attr, fail)
         assert run() == expected
-
-    def test_requires_vertical_target(self, spec357):
-        with pytest.raises(ValueError):
-            verify_wedge_approximation(
-                spec357, coordinate_field("x"), coordinate_field("x"), (2,),
-                pf=Prefractal(spec357, 2))
 
 
 class TestFormSerialization:

@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 from carpetcurl.carpet import CarpetSpec, Prefractal
 from carpetcurl.fields import make_patch
 from carpetcurl.geometry import (
-    NonSimplePolygon,
+    _convex,
+    _lattice,
+    _normalize,
     clip_convex,
     cross,
-    is_convex,
-    is_simple,
     normalize_polygon,
     point_in_convex,
+    poly_dot,
     polygon_area,
     polygon_area2,
-    triangulate,
+    square_integral,
 )
-from oracles import clip_to_box, polygon_moments
+from oracles import affine_poly, clip_to_box, poly_mul, polygon_moments
 
 F = Fraction
 
@@ -99,21 +100,22 @@ def test_point_in_convex_boundary_counts_as_inside():
     assert not point_in_convex(SQUARE, (F(2), F(0)))
 
 
-def test_triangulate_l_shape_preserves_area():
-    ell = ((F(0), F(0)), (F(1), F(0)), (F(1), F(1, 2)), (F(1, 2), F(1, 2)),
-           (F(1, 2), F(1)), (F(0), F(1)))
-    tris = triangulate(ell)
-    assert sum(polygon_area(t) for t in tris) == F(3, 4)
-
-
-def test_bowtie_is_rejected():
-    bowtie = ((F(0), F(0)), (F(1), F(1)), (F(1), F(0)), (F(0), F(1)))
-    assert not is_simple(bowtie)
-    with pytest.raises(NonSimplePolygon):
-        triangulate(bowtie)
-
-
 coords = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+slope = st.one_of(st.just(F(0)), small)
+
+
+@given(small, slope, slope, st.lists(small, min_size=6, max_size=6))
+@example(F(2, 3), F(0), F(0), [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13)])
+@example(F(2, 3), F(-5, 2), F(0), [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13)])
+@example(F(2, 3), F(0), F(7, 3), [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13)])
+@example(F(0), F(-5, 2), F(7, 3), [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13)])
+@settings(max_examples=200, deadline=None)
+def test_square_integral_matches_the_dict_oracle(c0, cx, cy, moments):
+    # the kernel skips the terms of a zero slope; the dict product never does
+    a = affine_poly(c0, cx, cy)
+    assert square_integral(c0, cx, cy, moments) == poly_dot(poly_mul(a, a), moments)
 
 
 @st.composite
@@ -148,8 +150,7 @@ def test_moments_additive_under_vertical_split(quad, t):
 @given(convex_quads())
 @settings(max_examples=30, deadline=None)
 def test_convexity_detected(quad):
-    assert is_convex(quad)
-    assert is_simple(quad)
+    assert _convex(_lattice(quad)[1])
 
 
 # Reference versions of the lattice predicates, written directly in Fractions:
@@ -285,9 +286,11 @@ OFF_LATTICE_CLIP = ((F(0), F(0)), (F(2), F(0)), (F(0), F(1)))
 def test_lattice_predicates_match_the_fraction_reference(poly):
     assert polygon_area2(poly) == ref_polygon_area2(poly)
     assert normalize_polygon(poly) == ref_normalize_polygon(poly)
-    assert is_convex(poly) == ref_is_convex(poly)
+    # the convexity test of make_patch and Prefractal.moments, on the
+    # lattice points as given and as _normalize leaves them
+    assert _convex(_lattice(poly)[1]) == ref_is_convex(poly)
     canon = ref_normalize_polygon(poly)
-    assert is_convex(canon) == ref_is_convex(canon)
+    assert _convex(_normalize(poly)[1]) == ref_is_convex(canon)
 
 
 @given(rough_polygons(), convex_clips())

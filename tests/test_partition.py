@@ -117,8 +117,7 @@ class TestTags:
         assert flat.patches[flat.tent_tags[0][0]].vertices is t.trapezoid
         assert any(q is t.trapezoid for nb in stage.neighborhoods for q in nb.trapezoids)
         calls.clear()
-        verify_wedge_approximation(spec, coordinate_field("x"), coordinate_field("y"),
-                                   (2, 3), pf=Prefractal(spec, 1))
+        verify_wedge_approximation(spec, coordinate_field("x"), (2, 3), pf=Prefractal(spec, 1))
         assert calls == [2, 3]
 
     def test_every_cell_patch_holds_its_piece_tuple(self):
@@ -215,7 +214,7 @@ class TestTaggedRows:
         # one prefractal for both sections, as in ``verify``
         pf = Prefractal(spec, m)
         report = verify_witness_sequence(spec, TARGET, n_max=n, pf=pf)
-        report.extend(verify_wedge_approximation(spec, TARGET, coordinate_field("y"), (n,), pf))
+        report.extend(verify_wedge_approximation(spec, TARGET, (n,), pf))
         for (section, stage, row_name), (value, bound) in generic_rows(spec, TARGET, n, m).items():
             row = report.get(section, stage, row_name)
             assert row.value == value, row_name
@@ -283,7 +282,7 @@ class TestTarget:
         with pytest.raises(ValueError, match="prefractal"):
             verify_witness_sequence(spec35, TARGET, n_max=2, pf=pf)
         with pytest.raises(ValueError, match="prefractal"):
-            verify_wedge_approximation(spec35, TARGET, coordinate_field("y"), (2,), pf)
+            verify_wedge_approximation(spec35, TARGET, (2,), pf)
 
     @pytest.mark.parametrize("selector", ["const", "x", "y", "affine:1/2,-3,5"])
     def test_every_cli_target_passes(self, selector):

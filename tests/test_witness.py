@@ -239,19 +239,19 @@ class TestFlattened:
 
 class TestRamp:
     def test_sup_below_previous_side(self, spec35):
-        ramp = build_ramp(spec35, 2, constant_field(1))
+        ramp = build_ramp(build_flattened(spec35, 2), constant_field(1))
         assert sup_norm(ramp) == F(1, 6)
         assert sup_norm(ramp) <= side_length(spec35, 1)
 
     def test_core_gradient_is_horizontal(self, spec35):
         # off the seams the ramp must slide horizontally at unit rate
-        ramp = build_ramp(spec35, 2, constant_field(1))
+        ramp = build_ramp(build_flattened(spec35, 2), constant_field(1))
         horizontal = [p for p in ramp.patches if (p.cx, p.cy) == (F(1), F(0))]
         assert sum(polygon_area(p.vertices) for p in horizontal) > F(1, 2)
 
     def test_continuity_off_holes(self, spec35):
         pf = Prefractal(spec35, 2)
-        ramp = build_ramp(spec35, 2, constant_field(1))
+        ramp = build_ramp(build_flattened(spec35, 2), constant_field(1))
         assert continuity_defects(ramp, pf, 2) == []
 
 
@@ -261,10 +261,11 @@ class TestRamp:
             "from fractions import Fraction as F\n"
             "from carpetcurl.carpet import CarpetSpec, ConstructionError\n"
             "from carpetcurl.fields import constant_field\n"
-            "from carpetcurl.witness import build_ramp\n"
+            "from carpetcurl.witness import build_flattened, build_ramp\n"
             "corner = ((0, 0), (F(1, 10), 0), (F(1, 10), F(1, 10)), (0, F(1, 10)))\n"
+            "flattened = build_flattened(CarpetSpec((F(1, 3),)), 1)\n"
             "try:\n"
-            "    build_ramp(CarpetSpec((F(1, 3),)), 1, constant_field(1, corner))\n"
+            "    build_ramp(flattened, constant_field(1, corner))\n"
             "except ConstructionError as exc:\n"
             "    print(type(exc).__name__, exc)\n"
         )
@@ -280,7 +281,7 @@ class TestWitnessField:
 
         flattened = build_flattened(spec35, 2)
         neighborhoods = build_neighborhoods(spec35, 2)
-        ramp = build_ramp(spec35, 2, constant_field(1))
+        ramp = build_ramp(flattened, constant_field(1))
         v = product_with_gradient(ramp, flattened)
         # product pieces only exist where the flattened gradient is nonzero,
         # so no piece may overlap a boundary neighborhood
@@ -297,13 +298,13 @@ class TestWitnessField:
         # the same integral arises as the squared norm of the stage-two
         # cutoff one-form; the two code paths must agree exactly
         flattened = build_flattened(spec357, 2)
-        ramp = build_ramp(spec357, 2, constant_field(1))
+        ramp = build_ramp(flattened, constant_field(1))
         v = product_with_gradient(ramp, flattened)
         assert l2_norm_sq(v, pf357_3) == F(138571421, 1944810000)
 
     def test_curl_defect_equals_vertical_defect_for_unit_target(self, spec357, pf357_3):
         flattened = build_flattened(spec357, 2)
-        ramp = build_ramp(spec357, 2, constant_field(1))
+        ramp = build_ramp(flattened, constant_field(1))
         cd = curl_defect_sq(ramp, flattened, constant_field(1), pf357_3)
         assert cd == vertical_defect_sq(flattened, pf357_3)
         assert cd == F(536, 2205)
