@@ -1,10 +1,11 @@
 """The wedge-approximation check of the vanishing one-form sequence.
 
-The stage-n one-form is a localized remainder of the target f times the
-differential of the flattened coordinate, which approximates g = y.  For an
-affine f every norm of the check is a closed form or a sum over the patches
-of one tagged stage partition, so no common refinement is built and no
-polygon is clipped.
+The stage-n one-form is a remainder of the target f times the differential
+of the flattened coordinate, which approximates g = y.  The remainder is the
+cell field of f's gradient (``witness.build_cell_field``): on each grid cell
+it is f minus its value at the cell center.  For an affine f every norm of
+the check is a closed form or a sum over the patches of one tagged stage
+partition, so no common refinement is built and no polygon is clipped.
 """
 
 from __future__ import annotations
@@ -12,34 +13,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .carpet import CarpetSpec, Prefractal, side_length
-from .fields import AffinePatch, PiecewiseAffineField, sup_norm
+from .fields import PiecewiseAffineField, sup_norm
 from .geometry import ZERO, square_integral
 from .report import VerificationReport
 from .witness import (
     affine_target,
-    FlattenedField,
     build_cell_field,
     build_flattened,
     flattening_density,
     measure_sum,
 )
-
-
-def cutoff_remainder(flattened: FlattenedField, base: AffinePatch) -> PiecewiseAffineField:
-    """Stage-n remainder of the affine map ``base``, localized to the cells.
-
-    The remainder subtracts from the map its value at each cell center and
-    fades to zero across the boundary neighborhoods, where the flattened
-    coordinate is locally constant; its values there never contribute to any
-    norm.  Times d(flattened) it is the stage-n cutoff one-form.  Its
-    patches are the cell pieces that ``flattened`` carries.
-    """
-    def cell_map(idx, cell):
-        x0, y0, x1, y1 = cell
-        center = ((x0 + x1) / 2, (y0 + y1) / 2)
-        return (base.c0 - base.value_at(center), base.cx, base.cy)
-
-    return build_cell_field(flattened, cell_map)
 
 
 def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages,
@@ -52,9 +35,11 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages
     2*esssup(gamma(f))^2 times the flattening energy; the second defect must
     vanish identically.  The wedge norm itself stays bounded below, which is
     the whole point: a sequence of one-forms shrinking to zero whose
-    derivatives do not.  Every integral is taken over ``pf``, the level-m
-    prefractal of ``spec``; a ``pf`` the witness section has used already
-    holds the moments of every region the two sections share.  A ``pf`` of another spec raises ``ValueError``.
+    derivatives do not.  The stage-n one-form is the cell field with f's
+    gradient on every cell, times d(flattened).  Every integral is taken
+    over ``pf``, the level-m prefractal of ``spec``; a ``pf`` the witness
+    section has used already holds the moments of every region the two
+    sections share.  A ``pf`` of another spec raises ``ValueError``.
     """
     base = affine_target(f)
     if pf.spec != spec:
@@ -81,7 +66,7 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages
     # its cell tag names, and every norm below is a sum over patches.
     for n in stages:
         flattened = build_flattened(spec, n)
-        remainder = cutoff_remainder(flattened, base)
+        remainder = build_cell_field(flattened, [base.gradient] * len(flattened.cells))
         measures = [pf.region_measure(p.vertices) for p in flattened.patches]
         # remainder patches under a nonzero flattened gradient; on the others
         # both the cutoff form and the second defect vanish identically

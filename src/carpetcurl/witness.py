@@ -363,19 +363,22 @@ def check_local_constancy(flattened: PiecewiseAffineField, neighborhoods):
     return [(pieces[ia][0], sloped[ib]) for _, ia, ib in overlaps]
 
 
-def build_cell_field(flattened: FlattenedField, cell_map: Callable) -> PiecewiseAffineField:
-    """Glue per-cell affine maps into a field continuous on the carpet.
+def build_cell_field(flattened: FlattenedField, slopes) -> PiecewiseAffineField:
+    """Glue per-cell maps, each zero at its cell center, into a field continuous on the carpet.
 
-    ``cell_map(index, cell)`` returns (c0, cx, cy) for each grid cell.  The
-    map is used verbatim on the cell minus its boundary neighborhood; across
-    strip bands and tent trapezoids the values are joined by affine
-    interpolation on triangles.  Jumps may remain only along edges buried inside
-    removed holes, which the carpet never sees.  The patches are the pieces
-    that the stage's ``flattened`` field carries, in its order, so patch i
-    lies in flattened patch ``flattened.cell_tags[i]``.
+    ``slopes`` holds one gradient (gx, gy) per grid cell, in ``flattened.cells``
+    order; the cell's map is gx*(x - c_x) + gy*(y - c_y) about its center
+    (c_x, c_y).  The map is used verbatim on the cell minus its boundary
+    neighborhood; across strip bands and tent trapezoids the values are joined
+    by affine interpolation on triangles.  Jumps may remain only along edges
+    buried inside removed holes, which the carpet never sees.  The patches are
+    the pieces that the stage's ``flattened`` field carries, in its order, so
+    patch i lies in flattened patch ``flattened.cell_tags[i]``.
     """
-    coeffs = [tuple(Fraction(c) for c in cell_map(idx, cell))
-              for idx, cell in enumerate(flattened.cells)]
+    coeffs = []
+    for (x0, y0, x1, y1), (gx, gy) in zip(flattened.cells, slopes, strict=True):
+        gx, gy = Fraction(gx), Fraction(gy)
+        coeffs.append((-gx * (x0 + x1) / 2 - gy * (y0 + y1) / 2, gx, gy))
 
     def cell_value(idx, p):
         c0, cx, cy = coeffs[idx]
@@ -398,16 +401,15 @@ def build_ramp(flattened: FlattenedField, f: PiecewiseAffineField) -> PiecewiseA
     the sup norm is at most sup|f| times the previous side length.  The
     patches are the cell pieces of ``flattened`` (see ``build_cell_field``).
     """
-    def cell_map(idx, cell):
-        x0, y0, x1, y1 = cell
+    slopes = []
+    for x0, y0, x1, y1 in flattened.cells:
         center = ((x0 + x1) / 2, (y0 + y1) / 2)
         fv = f.value_at(center)
         if fv is None:
             raise ConstructionError(f"target function does not cover the cell center "
                                     f"({center[0]}, {center[1]})")
-        return (-fv * center[0], fv, ZERO)
-
-    return build_cell_field(flattened, cell_map)
+        slopes.append((fv, ZERO))
+    return build_cell_field(flattened, slopes)
 
 
 def tent_field_bound(spec: CarpetSpec, n: int) -> Fraction:
@@ -471,16 +473,6 @@ def flattening_density(p: AffinePatch) -> Fraction:
 def measure_sum(field: PiecewiseAffineField, measures, density: Callable) -> Fraction:
     """Sum over the patches of a per-patch constant density times the patch's measure."""
     return sum((density(p) * m for p, m in zip(field.patches, measures)), ZERO)
-
-
-def oscillation(f: PiecewiseAffineField, diameter_sq: Fraction) -> Fraction:
-    """Cheap upper bound for the oscillation of f at a given scale.
-
-    Uses sup|gradient| times the diameter, evaluated without square roots:
-    returns osc^2 = diameter_sq * max(|grad|^2).
-    """
-    g2 = max(((p.cx ** 2 + p.cy ** 2) for p in f.patches), default=ZERO)
-    return diameter_sq * g2
 
 
 def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
@@ -592,7 +584,9 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    w_norm <= ramp_sup ** 2 * e_flat_grad)
         witness_norms.append(w_norm)
 
-        osc_sq = oscillation(f, 2 * d_prev ** 2)
+        # the target's squared oscillation at cell scale, |grad f|^2 times the
+        # squared diagonal 2*d_prev^2, as the wedge section's remainder bound
+        osc_sq = 2 * d_prev ** 2 * (target.cx ** 2 + target.cy ** 2)
         envelope_cross = 4 * f_sup_sq * e_flat * osc_sq * pf.measure
         env_ok = leq_with_sqrt(c_defect, f_sup_sq * e_flat, osc_sq * pf.measure,
                                envelope_cross)

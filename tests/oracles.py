@@ -29,7 +29,6 @@ from carpetcurl.fields import (
     make_patch,
     refine_pairs,
 )
-from carpetcurl.forms import cutoff_remainder
 from carpetcurl.geometry import (
     MOMENT_DIVISORS,
     MONOMIALS,
@@ -41,7 +40,7 @@ from carpetcurl.geometry import (
     normalize_polygon,
     polygon_area,
 )
-from carpetcurl.witness import build_flattened, build_ramp, build_tents
+from carpetcurl.witness import build_cell_field, build_flattened, build_ramp, build_tents
 
 ONE = Fraction(1)
 
@@ -555,7 +554,7 @@ def build_cutoff_form(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
         raise ValueError("cutoff construction expects a globally affine target")
     if flattened is None:
         flattened = build_flattened(spec, n)
-    remainder = cutoff_remainder(flattened, f.patches[0])
+    remainder = build_cell_field(flattened, [f.patches[0].gradient] * len(flattened.cells))
     return OneForm(((ONE, remainder, flattened),)), remainder
 
 

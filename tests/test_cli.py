@@ -265,6 +265,19 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert [r["passed"] for r in report["rows"]] == [None, None]
 
+    def test_classical_carpet_is_a_negative_control(self, tmp_path):
+        # the classical carpet has measure zero: its curl defect stalls from
+        # stage 2 to stage 3 and its wedge norm stays below 3/4, so it fails
+        out = tmp_path / "classical"
+        assert run(["verify", "--ratios", "1/3", "--generator", "constant", "--nmax", "3",
+                    "--depth", "4", "--out", str(out)]) == EXIT_BOUND_FAILED
+        rows = {(r["section"], r["n"], r["name"]): r
+                for r in json.loads((out / "report.json").read_text())["rows"]}
+        assert [rows["witness", n, "curl_defect_l2"]["value"] for n in (1, 2, 3)] == [
+            [3511, 13122], [1756, 6561], [1760, 6561]]
+        wedge = rows["wedge", None, "wedge_norm_sq"]
+        assert (wedge["value"], wedge["bound"], wedge["passed"]) == ([512, 729], [3, 4], False)
+
     @staticmethod
     def assert_reference_rows(workload, argv, tmp_path):
         # a benchmark call, run in-process, pinned to its committed reference rows

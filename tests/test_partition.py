@@ -30,6 +30,9 @@ from carpetcurl.forms import verify_wedge_approximation
 from carpetcurl.geometry import polygon_area
 from carpetcurl.witness import (
     affine_target,
+    build_cell_field,
+    build_flattened,
+    build_ramp,
     build_stage,
     build_staircase,
     verify_witness_sequence,
@@ -130,6 +133,55 @@ class TestTags:
     def test_witness_equals_the_product_with_gradient(self):
         stage = build_stage(SPECS["1/5,1/3,1/7"], 2, TARGET)
         assert stage.witness == product_with_gradient(stage.ramp, stage.flattened)
+
+
+class TestCellFields:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_owned_pieces_carry_their_cell_maps(self, name, n):
+        # a core or tent-side piece takes its owner's map verbatim, written
+        # out here in full: f(c)*(x - c_x) for the ramp, b - b(c) for the
+        # wedge remainder of the affine map b
+        spec = SPECS[name]
+        flat = build_flattened(spec, n)
+        centers = [((x0 + x1) / 2, (y0 + y1) / 2) for x0, y0, x1, y1 in flat.cells]
+        b = TARGET.patches[0]
+        _, remainder = build_cutoff_form(spec, n, TARGET, flat)
+
+        def ramp_maps(g):
+            return [(-g.value_at(c) * c[0], g.value_at(c), F(0)) for c in centers]
+
+        cases = {
+            "ramp of 1": (build_ramp(flat, constant_field(1)),
+                          ramp_maps(constant_field(1).patches[0])),
+            "ramp of TARGET": (build_ramp(flat, TARGET), ramp_maps(b)),
+            "remainder of TARGET": (remainder,
+                                    [(b.c0 - b.value_at(c), b.cx, b.cy) for c in centers]),
+        }
+        for label, (field, maps) in cases.items():
+            owned = [((p.c0, p.cx, p.cy), maps[owner])
+                     for p, (_, owner) in zip(field.patches, flat.pieces)
+                     if isinstance(owner, int)]
+            assert owned, label
+            assert all(got == want for got, want in owned), label
+
+    def test_one_slope_per_cell(self):
+        flat = build_flattened(SPECS["odd-reciprocal"], 1)
+        for slopes in ([(1, 0)] * (len(flat.cells) - 1), [(1, 0)] * (len(flat.cells) + 1)):
+            with pytest.raises(ValueError):
+                build_cell_field(flat, slopes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_the_remainder_of_x_is_the_ramp_of_one(self, name, n):
+        # x - c_x on every cell either way, so the two fields agree patch
+        # for patch, seams included
+        flat = build_flattened(SPECS[name], n)
+        _, remainder = build_cutoff_form(SPECS[name], n, coordinate_field("x"), flat)
+        ramp = build_ramp(flat, constant_field(1))
+        assert any(not isinstance(owner, int) for _, owner in flat.pieces)
+        assert [(p.vertices, p.c0, p.cx, p.cy) for p in remainder.patches] == [
+            (p.vertices, p.c0, p.cx, p.cy) for p in ramp.patches]
 
 
 def generic_rows(spec, f, n, m):

@@ -1,6 +1,6 @@
 """Source checks on the package: invariants that hold under ``python -O``, no
-private helper without a caller, and no public helper that is neither called
-nor exported."""
+parameter its function never reads, no private helper without a caller, and
+no public helper that is neither called nor exported."""
 
 import ast
 from collections import Counter
@@ -30,6 +30,29 @@ def loaded_names(node):
     return [n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+
+def unread_parameters(node):
+    """The parameters of a function or lambda that its body never reads."""
+    args = node.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    body = node.body if isinstance(node.body, list) else [node.body]
+    read = {n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [a.arg for a in params
+            if a is not None and a.arg not in ("self", "cls")
+            and not a.arg.startswith("_") and a.arg not in read]
+
+
+def test_every_parameter_is_read():
+    # a parameter no function or lambda reads is a protocol nobody uses;
+    # self, cls and _-prefixed names are exempt by convention
+    unread = [f"{path.name}:{node.lineno} {name}"
+              for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              for name in unread_parameters(node)]
+    assert unread == []
 
 
 def test_every_private_helper_has_a_caller():
