@@ -5,6 +5,12 @@ affine map value(x, y) = c0 + cx*x + cy*y.  Patches may cover less than the
 unit square; integration treats the complement as zero, so fields supported
 on small regions (tent covers, seams) need no explicit complement patches.
 ``refine_pairs`` overlays two partitions.
+
+``make_patch`` normalizes a patch's vertices and checks that they bound a
+convex region.  A builder that has already proved its polygon canonical may
+construct ``AffinePatch`` directly: ``witness.build_cell_field`` does so for
+its seam triangles, whose maps it writes in closed form from their owner
+cells' maps and whose orientation determinant it checks instead.
 """
 
 from __future__ import annotations
@@ -170,24 +176,21 @@ def refine_pairs(regions_a, regions_b):
 
 
 def sup_norm(field: PiecewiseAffineField) -> Fraction:
-    """Max of |value| over patch vertices; affine maps peak at vertices."""
-    best = ZERO
+    """Max of |value| over patch vertices; affine maps peak at vertices.
+
+    A zero slope's term is never evaluated, and each value is compared
+    against the best so far and its negative, so only a new best is negated.
+    """
+    best = neg = ZERO
     for p in field.patches:
-        for v in p.vertices:
-            val = abs(p.value_at(v))
-            if val > best:
-                best = val
+        c0, cx, cy = p.c0, p.cx, p.cy
+        for x, y in p.vertices:
+            v = c0
+            if cx:
+                v += cx * x
+            if cy:
+                v += cy * y
+            if v > best or v < neg:
+                best = v if v > 0 else -v
+                neg = -best
     return best
-
-
-def patch_from_vertex_values(triangle, v1, v2, v3) -> AffinePatch:
-    """Affine patch on a triangle, kept as its vertices, interpolating three vertex values."""
-    (x1, y1), (x2, y2), (x3, y3) = triangle
-    det = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-    if det == 0:
-        raise ValueError("degenerate triangle")
-    v1, v2, v3 = Fraction(v1), Fraction(v2), Fraction(v3)
-    cx = ((v2 - v1) * (y3 - y1) - (v3 - v1) * (y2 - y1)) / det
-    cy = ((v3 - v1) * (x2 - x1) - (v2 - v1) * (x3 - x1)) / det
-    c0 = v1 - cx * x1 - cy * y1
-    return make_patch(triangle, c0, cx, cy)

@@ -32,14 +32,13 @@ from .carpet import (
 )
 from .fields import (
     AffinePatch,
-    patch_from_vertex_values,
     PiecewiseAffineField,
     ProductVectorField,
     make_patch,
     refine_pairs,
     sup_norm,
 )
-from .geometry import ZERO, square_integral
+from .geometry import ZERO, cross, square_integral
 from .report import VerificationReport, leq_sqrt_sum_sq, leq_with_sqrt
 
 UNIT_CORNERS = {(0, 0), (1, 0), (1, 1), (0, 1)}
@@ -374,23 +373,50 @@ def build_cell_field(flattened: FlattenedField, slopes) -> PiecewiseAffineField:
     buried inside removed holes, which the carpet never sees.  The patches are
     the pieces that the stage's ``flattened`` field carries, in its order, so
     patch i lies in flattened patch ``flattened.cell_tags[i]``.
+
+    A seam triangle (p_0, p_1, p_2) has two vertices owned by one cell a and
+    an odd vertex p_k owned by a cell b, so its map is in closed form
+    map_a + delta * lambda_k, with delta = map_b(p_k) - map_a(p_k) and lambda_k
+    = cross(p_i, p_j, p) / cross(p_i, p_j, p_k) the barycentric coordinate of
+    p_k; for delta = 0 it is map_a.  The determinant cross(p_0, p_1, p_2) > 0
+    is what ``make_patch`` checks of a canonical triangle (three distinct,
+    non-collinear, counterclockwise vertices), so a seam keeps its vertex
+    tuple as given and any other seam raises ``ConstructionError``.
     """
     coeffs = []
     for (x0, y0, x1, y1), (gx, gy) in zip(flattened.cells, slopes, strict=True):
         gx, gy = Fraction(gx), Fraction(gy)
         coeffs.append((-gx * (x0 + x1) / 2 - gy * (y0 + y1) / 2, gx, gy))
 
-    def cell_value(idx, p):
-        c0, cx, cy = coeffs[idx]
-        return c0 + cx * p[0] + cy * p[1]
-
     patches = []
-    for verts, owner in flattened.pieces:
+    for i, (verts, owner) in enumerate(flattened.pieces):
         if isinstance(owner, int):
             patches.append(make_patch(verts, *coeffs[owner]))
-        else:
-            patches.append(patch_from_vertex_values(
-                verts, *(cell_value(o, p) for o, p in zip(owner, verts))))
+            continue
+        d = cross(*verts)
+        if d <= 0:
+            raise ConstructionError(f"seam {i} is not a counterclockwise triangle: "
+                                    + ", ".join(f"({x}, {y})" for x, y in verts))
+        o0, o1, o2 = owner
+        # k is the odd vertex; its two neighbours, p_i then p_j, belong to a
+        k = 0 if o1 == o2 else 1 if o0 == o2 else 2 if o0 == o1 else None
+        if k is None:
+            raise ConstructionError(f"seam {i} has three owners {owner}")
+        a0, ax, ay = coeffs[owner[k - 1]]
+        b0, bx, by = coeffs[owner[k]]
+        px, py = verts[k]
+        delta = b0 - a0
+        if bx != ax:
+            delta += (bx - ax) * px
+        if by != ay:
+            delta += (by - ay) * py
+        if not delta:
+            patches.append(AffinePatch(verts, a0, ax, ay))
+            continue
+        (xi, yi), (xj, yj) = verts[k - 2], verts[k - 1]
+        ex, ey = xj - xi, yj - yi
+        t = delta / d
+        patches.append(AffinePatch(verts, a0 + t * (ey * xi - ex * yi), ax - t * ey, ay + t * ex))
     return PiecewiseAffineField(tuple(patches))
 
 

@@ -60,6 +60,23 @@ def clip_to_box(poly, x0, y0, x1, y1):
     return out
 
 
+def patch_from_vertex_values(triangle, v1, v2, v3) -> AffinePatch:
+    """Affine patch on a triangle, kept as its vertices, interpolating three vertex values.
+
+    The 3x3 solve by Cramer's rule; the oracle of the closed-form seams of
+    ``witness.build_cell_field``.
+    """
+    (x1, y1), (x2, y2), (x3, y3) = triangle
+    det = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+    if det == 0:
+        raise ValueError("degenerate triangle")
+    v1, v2, v3 = Fraction(v1), Fraction(v2), Fraction(v3)
+    cx = ((v2 - v1) * (y3 - y1) - (v3 - v1) * (y2 - y1)) / det
+    cy = ((v3 - v1) * (x2 - x1) - (v2 - v1) * (x3 - x1)) / det
+    c0 = v1 - cx * x1 - cy * y1
+    return make_patch(triangle, c0, cx, cy)
+
+
 def polygon_moments(poly):
     """Exact moments of the MONOMIALS over a CCW polygon, keyed by (p, q)."""
     return {key: Fraction(s, div)

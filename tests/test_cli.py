@@ -24,6 +24,32 @@ def run(argv):
     return main(argv)
 
 
+def report_digests(out):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("report.csv", "report.json")}
+
+
+# sha256 of report.csv and report.json of the wide_stage benchmark call
+# (verify --generator odd-reciprocal --nmax 3 --depth 2) per target: the
+# benchmark's own f = 1, a held-out-style constant, and a target with both
+# slopes nonzero, under which the ramp's band seams interpolate two maps
+WIDE_STAGE_ARGV = ["verify", "--generator", "odd-reciprocal", "--nmax", "3", "--depth", "2"]
+WIDE_STAGE_GOLDEN = {
+    "const": {
+        "report.csv": "ad18ee3ff7ed29e50d7166a9b788debbd5f07ffe586c2cdb0e0c3ad59443e4c2",
+        "report.json": "1e12b29f6d397cfa86729d9864d5a12cea7cbb5cfa5cef313df64d22a8034458",
+    },
+    "affine:-7/3,0,0": {
+        "report.csv": "bee3cab1919df5dd525ad610941eb14e2e4cf36777087feb0074d6353f19c936",
+        "report.json": "949fc38deceb80aba46223fe96b6629743364b33a3fc96f9bd931cd73da71568",
+    },
+    "affine:1/3,2/5,-3/7": {
+        "report.csv": "365605f63118c8f9589a14edad049c9b023637c3b76bb7a2e8bf8a652f01b5ed",
+        "report.json": "bd8772459ee73bce334d5852cc7f19d4db2831519653945b6dd0989e150773f3",
+    },
+}
+
+
 class TestSpecCheck:
     def test_valid_spec(self, capsys):
         assert run(["spec-check", "--ratios", "1/3,1/5,1/7",
@@ -308,9 +334,7 @@ class TestVerify:
         out = tmp_path / "deep"
         assert run(["verify", "--generator", "odd-reciprocal", "--nmax", "3", "--depth", "4",
                     "--f", "const", "--out", str(out)]) == EXIT_BOUND_FAILED
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("report.csv", "report.json")}
-        assert digests == {
+        assert report_digests(out) == {
             "report.csv": "ffc334d24d9be839aa8924e2367da422143e5524a67a44471fda3d1d84c962ea",
             "report.json": "1f3783e6c4b64c839c9d1b04c700851f38c05266e05e3aff6569618017adf34d",
         }
@@ -325,9 +349,7 @@ class TestVerify:
         done = subprocess.run([sys.executable, "-O", "-m", "carpetcurl.cli", *argv],
                               capture_output=True, text=True, env={"PYTHONPATH": src})
         assert done.returncode == EXIT_BOUND_FAILED, done.stderr
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("report.csv", "report.json")}
-        assert digests == {
+        assert report_digests(out) == {
             "report.csv": "ffc334d24d9be839aa8924e2367da422143e5524a67a44471fda3d1d84c962ea",
             "report.json": "1f3783e6c4b64c839c9d1b04c700851f38c05266e05e3aff6569618017adf34d",
         }
@@ -337,12 +359,28 @@ class TestVerify:
         out = tmp_path / "depth5"
         assert run(["verify", "--generator", "odd-reciprocal", "--nmax", "3", "--depth", "5",
                     "--f", "const", "--out", str(out)]) == EXIT_BOUND_FAILED
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("report.csv", "report.json")}
-        assert digests == {
+        assert report_digests(out) == {
             "report.csv": "d25812e2c652c20e53765a18ea45122e94359c03694a0f7e79087b340a2cd9b5",
             "report.json": "68b76828845fc387537f177a92b709176cf7dc39f252369f2f945c7c2e06f83a",
         }
+
+    @pytest.mark.parametrize("target", WIDE_STAGE_GOLDEN)
+    def test_wide_stage_reproduces_the_golden_reports(self, tmp_path, target):
+        # the stage-3 tent energy and the witness norm trend fail by design
+        out = tmp_path / "wide"
+        assert run(WIDE_STAGE_ARGV + ["--f", target, "--out", str(out)]) == EXIT_BOUND_FAILED
+        assert report_digests(out) == WIDE_STAGE_GOLDEN[target]
+
+    def test_wide_stage_reproduces_the_golden_reports_under_optimization(self, tmp_path):
+        # the seams' orientation check is no assert, so python -O gives the
+        # same bytes
+        out = tmp_path / "wide-O"
+        src = str(Path(carpetcurl.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-O", "-m", "carpetcurl.cli", *WIDE_STAGE_ARGV,
+                               "--f", "const", "--out", str(out)],
+                              capture_output=True, text=True, env={"PYTHONPATH": src})
+        assert done.returncode == EXIT_BOUND_FAILED, done.stderr
+        assert report_digests(out) == WIDE_STAGE_GOLDEN["const"]
 
     def test_bad_target_is_config_error(self, tmp_path):
         assert run(["verify", "--ratios", "1/3", "--nmax", "1", "--depth", "1",

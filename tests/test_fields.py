@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from carpetcurl.carpet import CarpetSpec, Prefractal, prefractal_measure
 from carpetcurl.fields import (
+    AffinePatch,
     PiecewiseAffineField,
     _BoxIndex,
     affine_field,
@@ -241,7 +242,21 @@ class TestL2Norm:
         assert l2_norm_sq(field, pf3_1) == 4 * F(8, 9)
 
 
+SMALL = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+# zero slopes often, so that each of the four slope patterns comes up
+COEFF = st.one_of(st.just(F(0)), SMALL)
+PATCHES = st.builds(AffinePatch, st.lists(st.tuples(SMALL, SMALL), min_size=1, max_size=5)
+                    .map(tuple), COEFF, COEFF, COEFF)
+
+
 class TestSupNorm:
+    @given(st.lists(PATCHES, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_max_of_the_vertex_values(self, patches):
+        field = PiecewiseAffineField(tuple(patches))
+        assert sup_norm(field) == max((abs(p.value_at(v)) for p in patches for v in p.vertices),
+                                      default=0)
+
     def test_coordinate(self):
         assert sup_norm(coordinate_field("y")) == 1
 

@@ -12,7 +12,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from carpetcurl import cli, witness
@@ -49,6 +49,7 @@ from oracles import (
     l2_norm_sq,
     norm_sq_one,
     norm_sq_two,
+    patch_from_vertex_values,
     product_with_gradient,
     vertical_defect_sq,
     wedge,
@@ -63,10 +64,41 @@ SPECS = {
 }
 # an affine target, so the curl defect needs all six moments of a patch
 TARGET = affine_field(2, -3, 5)
+RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
 
 
 def regions(field):
     return [p.vertices for p in field.patches]
+
+
+def patch_tuples(field):
+    return [(p.vertices, p.c0, p.cx, p.cy) for p in field.patches]
+
+
+@functools.lru_cache(maxsize=None)
+def flattened_stage(name, n):
+    return build_flattened(SPECS[name], n)
+
+
+def solved_cell_field(flat, slopes):
+    """The cell field with each cell's map written about its centre and every
+    seam solved from its three vertex values, each its owner's map there."""
+    maps = [(F(gx), F(gy), (x0 + x1) / 2, (y0 + y1) / 2)
+            for (x0, y0, x1, y1), (gx, gy) in zip(flat.cells, slopes, strict=True)]
+
+    def value(owner, p):
+        gx, gy, cx, cy = maps[owner]
+        return gx * (p[0] - cx) + gy * (p[1] - cy)
+
+    patches = []
+    for verts, owner in flat.pieces:
+        if isinstance(owner, int):
+            gx, gy, cx, cy = maps[owner]
+            patches.append(make_patch(verts, -gx * cx - gy * cy, gx, gy))
+        else:
+            patches.append(patch_from_vertex_values(
+                verts, *(value(o, p) for o, p in zip(owner, verts))))
+    return PiecewiseAffineField(tuple(patches))
 
 
 class TestTags:
@@ -164,6 +196,42 @@ class TestCellFields:
                      if isinstance(owner, int)]
             assert owned, label
             assert all(got == want for got, want in owned), label
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_seams_equal_the_vertex_value_solve(self, name, n):
+        # the closed-form seams against the 3x3 solve, patch for patch
+        flat = flattened_stage(name, n)
+        b = TARGET.patches[0]
+        centers = [((x0 + x1) / 2, (y0 + y1) / 2) for x0, y0, x1, y1 in flat.cells]
+        cases = {
+            "ramp of 1": [(1, 0)] * len(centers),
+            "ramp of TARGET": [(b.value_at(c), 0) for c in centers],
+            "wedge gradient": [b.gradient] * len(centers),
+        }
+        for label, slopes in cases.items():
+            field = build_cell_field(flat, slopes)
+            assert patch_tuples(field) == patch_tuples(solved_cell_field(flat, slopes)), label
+            assert sup_norm(field) == max(abs(p.value_at(v))
+                                          for p in field.patches for v in p.vertices), label
+        # TARGET varies in y, so the owners of a band seam differ there and
+        # the seam is sloped in y although every cell map is horizontal
+        ramp = build_ramp(flat, TARGET)
+        band = set(flat.band_tags)
+        assert any(p.cy for p, t in zip(ramp.patches, flat.cell_tags) if t in band)
+
+    # no shrink phase: shrinking a list of 256 slopes takes minutes, and the
+    # failing patch shows in the assertion's first differing index anyway
+    @given(st.data())
+    @settings(max_examples=30, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_seams_equal_the_solve_for_any_slopes(self, data):
+        flat = flattened_stage(data.draw(st.sampled_from(sorted(SPECS))),
+                               data.draw(st.integers(1, 3)))
+        slopes = data.draw(st.lists(st.tuples(RATIONALS, RATIONALS),
+                                    min_size=len(flat.cells), max_size=len(flat.cells)))
+        assert patch_tuples(build_cell_field(flat, slopes)) == patch_tuples(
+            solved_cell_field(flat, slopes))
 
     def test_one_slope_per_cell(self):
         flat = build_flattened(SPECS["odd-reciprocal"], 1)
@@ -289,7 +357,6 @@ class TestTaggedRows:
         assert rows() == expected
 
 
-RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
 AFFINE = st.builds(affine_field, RATIONALS, RATIONALS, RATIONALS)
 
 

@@ -274,6 +274,33 @@ class TestRamp:
         assert out.stdout == \
             "ConstructionError target function does not cover the cell center (1/4, 1/4)\n"
 
+    def test_bad_seam_rejected_under_optimization(self):
+        # a seam keeps its vertex tuple unnormalized, so its orientation
+        # check, and the check that two of its vertices share an owner, are
+        # no asserts: a clockwise, a degenerate and a three-owner seam
+        script = (
+            "from fractions import Fraction as F\n"
+            "from carpetcurl.carpet import ConstructionError\n"
+            "from carpetcurl.witness import FlattenedField, build_cell_field\n"
+            "z, h, o = F(0), F(1, 2), F(1)\n"
+            "cells = ((z, z, h, h), (h, z, o, h), (z, h, o, o))\n"
+            "for seam in ((((z, z), (z, o), (o, z)), (0, 1, 1)),\n"
+            "             (((z, z), (h, h), (o, o)), (0, 1, 1)),\n"
+            "             (((z, z), (o, z), (o, o)), (0, 1, 2))):\n"
+            "    flattened = FlattenedField((), (seam,), (0,), (), (), cells)\n"
+            "    try:\n"
+            "        build_cell_field(flattened, [(1, 0)] * 3)\n"
+            "    except ConstructionError as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": SRC})
+        assert out.stdout == (
+            "ConstructionError seam 0 is not a counterclockwise triangle: (0, 0), (0, 1), (1, 0)\n"
+            "ConstructionError seam 0 is not a counterclockwise triangle: "
+            "(0, 0), (1/2, 1/2), (1, 1)\n"
+            "ConstructionError seam 0 has three owners (0, 1, 2)\n")
+
 
 class TestWitnessField:
     def test_vanishes_on_neighborhoods(self, spec35):
