@@ -5,10 +5,10 @@ odd integers; at every stage each surviving square is split into an odd grid
 and the central cell is discarded.  Prefractals are kept implicit: membership,
 measures and integrals descend the subdivision tree lazily, short-circuiting
 on squares that lie entirely inside the query region, and integrals stop one
-level above the leaves, where the prefractal is a square minus its hole.  The
-query regions are convex polygons.  The integration walk runs on integers
-throughout and divides once per monomial, and runs once per translation class
-of regions.
+level above the leaves, where the prefractal is a square minus its hole.  A
+query region is a convex polygon given as a tuple of vertex pairs.  Each
+translation class of regions is walked once, on the block of squares that
+keys it, on integers that are divided once per monomial.
 """
 
 from __future__ import annotations
@@ -308,15 +308,15 @@ class Prefractal:
     Every surviving level-k square holds the same pattern, whose moments at
     the origin are ``pattern[k]``; ``_shifted_moments`` moves them to any
     set of corners, so integrals take fully-covered squares without
-    descending to the leaves.  Regions are convex, and each takes the one
-    walk once per translation class: the lattice scale, the deepest level j
+    descending to the leaves.  ``moments`` is the one region path: its
+    ``_regions`` keeps the finished moments of each region by its exact
+    vertex tuple, so a region asked for again is looked up.  A new region is
+    keyed by its translation class: the lattice scale, the deepest level j
     whose side is at least the region's bbox extent, the survival mask of the
     level-j squares its open bbox meets, and its vertices relative to that
-    block's corner.
-    ``_classes`` keeps the moments relative to the corner, and a translate
-    shifts them to its own.  ``_regions`` remembers the finished moments of
-    each hashable region by its exact vertex tuple, so a region asked for
-    again, by any caller sharing the instance, is looked up, not recomputed.
+    block's corner.  ``_walk`` reads only the key and starts at the mask's
+    surviving squares, so ``_classes`` keeps each class's moments relative
+    to the corner, and a translate shifts them to its own.
     """
 
     def __init__(self, spec: CarpetSpec, level: int):
@@ -400,15 +400,18 @@ class Prefractal:
     def moments(self, region):
         """The six exact moments of MONOMIALS over (prefractal intersect region).
 
-        ``region`` is a convex polygon with rational vertices inside the unit
-        square, in either orientation.  A region that normalizes to fewer
-        than three vertices has six zero moments; a non-convex one raises
-        ``ValueError``.  Every region takes the one integer walk, rectangles
-        included.  Returns a tuple of one ``Fraction`` per monomial, in
-        MONOMIALS order; a hashable region's tuple is computed once per
-        instance.
+        ``region`` is a tuple of vertex pairs: a convex polygon with rational
+        vertices inside the unit square, in either orientation.  A region that
+        normalizes to fewer than three vertices has six zero moments; a
+        non-convex one raises ``ValueError`` and a list ``TypeError``.  This is
+        the one region path: each region is computed once per instance and
+        then looked up.  Returns a tuple of one ``Fraction`` per monomial, in
+        MONOMIALS order.
         """
-        return self._moments(region)
+        moments = self._regions.get(region)
+        if moments is None:
+            moments = self._regions[region] = self._region_moments(region)
+        return moments
 
     def integrate(self, region, poly):
         """Integral of a degree<=2 polynomial over (prefractal intersect region).
@@ -421,40 +424,24 @@ class Prefractal:
         for key, coef in poly.items():
             if coef and key not in MONOMIALS:
                 raise ValueError(f"unsupported monomial {key}")
-        return poly_dot(poly, self._moments(region))
+        return poly_dot(poly, self.moments(region))
 
     def region_measure(self, region):
         """Exact area of (prefractal intersect region) for a convex polygon."""
         return self.integrate(region, {(0, 0): Fraction(1)})
 
-    def _moments(self, region):
-        # a hashable region's moments are computed once and then looked up;
-        # an unhashable region, such as a list of lists, and a region that
-        # raises are computed on every call and never stored
-        try:
-            return self._regions[region]
-        except KeyError:
-            pass
-        except TypeError:
-            return self._region_moments(region)
-        moments = self._regions[region] = self._region_moments(region)
-        return moments
-
     def _region_moments(self, region):
         # one integer lattice for normalizing, the unit-square test, the
         # convexity test and the walk
-        _, pts, scale = _normalize(region)
-        if len(pts) < 3:
+        _, reg, scale = _normalize(region)
+        if len(reg) < 3:
             return (ZERO,) * len(MONOMIALS)
-        if min(min(p) for p in pts) < 0 or max(max(p) for p in pts) > scale:
+        if min(min(p) for p in reg) < 0 or max(max(p) for p in reg) > scale:
             raise OutOfUnitSquare("region leaves the unit square")
-        if not _convex(pts):
-            raise ValueError(f"region with {len(pts)} vertices is not convex")
-        return self._moments_convex(pts, scale)
-
-    def _moments_convex(self, reg, scale):
-        # reg is a CCW convex region as integer vertices over scale.  Move it
-        # to a lattice on which every side length is an integer, refined so
+        if not _convex(reg):
+            raise ValueError(f"region with {len(reg)} vertices is not convex")
+        # reg is now a CCW convex region as integer vertices over scale.  Move
+        # it to a lattice on which every side length is an integer, refined so
         # that every crossing of a region edge with a grid line is a lattice
         # point: a slanted edge (dx, dy) through (x_p, y_p) meets x = X at
         # y_p + (X - x_p) * dy / dx, an integer when dx / gcd(dx, dy) divides
@@ -491,18 +478,21 @@ class Prefractal:
                                for k, q in enumerate(self.subdiv[:j], start=1))
                            for x in range(x0, bbox[2], d))
                      for y in range(y0, bbox[3], d))
-        key = (scale, j, mask, tuple((x - x0, y - y0) for x, y in reg))
+        rel = tuple((x - x0, y - y0) for x, y in reg)
+        key = (scale, j, mask, rel)
         base = self._classes.get(key)
         if base is None:
-            base = self._classes[key] = _shifted_moments(
-                self._walk(reg, scale, sides, bbox), (1, -x0, -y0, x0 * x0, x0 * y0, y0 * y0))
+            base = self._classes[key] = self._walk(rel, sides, j, mask)
         moved = _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0))
         return tuple(Fraction(t, 24 * scale ** (2 + p + q)) for t, (p, q) in zip(moved, MONOMIALS))
 
-    def _walk(self, reg, scale, sides, bbox):
-        # the six moments of reg over the prefractal as integers over
-        # 24 * scale^(2+p+q)
-        rbx0, rby0, rbx1, rby1 = bbox
+    def _walk(self, reg, sides, j, mask):
+        # the six moments of reg over the level-m set inside the block of
+        # level-j squares whose survival is mask, reg and the block relative to
+        # the block's corner, as integers over 24 * scale^(2+p+q)
+        scale = sides[0]
+        xs, ys = [x for x, _ in reg], [y for _, y in reg]
+        rbx0, rby0, rbx1, rby1 = min(xs), min(ys), max(xs), max(ys)
         # half-plane form a*x + b*y >= c for each CCW edge
         planes = []
         for p, q in zip(reg, reg[1:] + reg[:1]):
@@ -574,8 +564,8 @@ class Prefractal:
                 t[5] += y0 * y0
                 return
             if k == level:
-                # only a level-0 walk gets here; deeper walks stop one level
-                # up with the hole complement below
+                # only a walk that starts at level m gets here; the others
+                # stop one level up with the hole complement below
                 leaf(x0, y0, d, 1)
                 return
             q = self.subdiv[k]
@@ -597,7 +587,12 @@ class Prefractal:
                         continue
                     walk(k + 1, x0 + jx * dc, cy)
 
-        walk(0, 0, 0)
+        # the walk enters the block only at its surviving level-j squares
+        d = sides[j]
+        for iy, row in enumerate(mask):
+            for ix, alive in enumerate(row):
+                if alive:
+                    walk(j, ix * d, iy * d)
         # the leaf sums plus, per level, the pattern moments on this lattice
         # shifted to the covered squares' corners
         up = scale // self.side_scale

@@ -97,20 +97,20 @@ class ProductVectorField:
         return len(self.pieces)
 
 
-def constant_field(value, region=((0, 0), (1, 0), (1, 1), (0, 1))) -> PiecewiseAffineField:
-    return PiecewiseAffineField((make_patch(region, value, 0, 0),))
+def constant_field(value) -> PiecewiseAffineField:
+    return affine_field(value, 0, 0)
 
 
-def coordinate_field(axis: str, region=((0, 0), (1, 0), (1, 1), (0, 1))) -> PiecewiseAffineField:
+def coordinate_field(axis: str) -> PiecewiseAffineField:
     if axis == "x":
-        return PiecewiseAffineField((make_patch(region, 0, 1, 0),))
+        return affine_field(0, 1, 0)
     if axis == "y":
-        return PiecewiseAffineField((make_patch(region, 0, 0, 1),))
+        return affine_field(0, 0, 1)
     raise ValueError(axis)
 
 
-def affine_field(c0, cx, cy, region=((0, 0), (1, 0), (1, 1), (0, 1))) -> PiecewiseAffineField:
-    return PiecewiseAffineField((make_patch(region, c0, cx, cy),))
+def affine_field(c0, cx, cy) -> PiecewiseAffineField:
+    return PiecewiseAffineField((make_patch(((0, 0), (1, 0), (1, 1), (0, 1)), c0, cx, cy),))
 
 
 class _BoxIndex:

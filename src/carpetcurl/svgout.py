@@ -142,14 +142,14 @@ def tents_svg(spec, n: int) -> str:
 def neighborhoods_svg(spec, n: int) -> str:
     """Boundary neighborhoods (strip rectangles and tent trapezoids) per cell."""
     from .carpet import cell_grid
-    from .witness import build_neighborhoods
+    from .witness import build_neighborhoods, build_tents
 
     canvas = SvgCanvas(f"stage {n} boundary neighborhoods")
     canvas.rect(0, 0, 1, 1, fill="white", stroke="black")
     grid = cell_grid(spec, n)
     for (x0, y0, x1, y1) in grid.cells:
         canvas.rect(x0, y0, x1, y1, fill="none", stroke="#bbbbbb")
-    for nb in build_neighborhoods(spec, n):
+    for nb in build_neighborhoods(spec, n, build_tents(spec, n)):
         for region in nb.rectangles:
             canvas.polygon(region, fill="yellow", stroke="none", opacity="0.45")
         for region in nb.trapezoids:

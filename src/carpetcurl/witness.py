@@ -208,10 +208,8 @@ def _tent_index(tents) -> dict:
     return index
 
 
-def build_neighborhoods(spec: CarpetSpec, n: int, tents=None):
-    """One CellNeighborhood per grid cell (strip rectangles and tent trapezoids)."""
-    if tents is None:
-        tents = build_tents(spec, n)
+def build_neighborhoods(spec: CarpetSpec, n: int, tents):
+    """One CellNeighborhood per grid cell (strip rectangles and the trapezoids of ``tents``)."""
     grid = cell_grid(spec, n)
     tent_at = _tent_index(tents)
     ncols = len(grid.x_cuts) + 1
@@ -315,7 +313,7 @@ class FlattenedField(PiecewiseAffineField):
 
     An owner indexes the grid ``cells``; piece i lies in patch ``cell_tags[i]``;
     ``band_tags`` are the strip-band patches and ``tent_tags[k]`` the
-    trapezoid and triangles of tent k.
+    trapezoid and triangles of ``tents[k]``, the stage's tents.
     """
 
     pieces: tuple
@@ -323,15 +321,16 @@ class FlattenedField(PiecewiseAffineField):
     band_tags: tuple
     tent_tags: tuple
     cells: tuple
+    tents: tuple
 
 
-def build_flattened(spec: CarpetSpec, n: int, tents=None) -> FlattenedField:
+def build_flattened(spec: CarpetSpec, n: int) -> FlattenedField:
     """The stage-n flattened coordinate: staircase minus tent cover.
 
-    Built as a total partition in the one walk of ``_stage_layout`` per stage.
+    Builds the stage's tents and walks ``_stage_layout`` over them once, as a
+    total partition.
     """
-    if tents is None:
-        tents = build_tents(spec, n)
+    tents = tuple(build_tents(spec, n))
     patches, pieces, cell_tags, band_tags = [], [], [], []
     tent_tags = [[] for _ in tents]
     for i, (part, verts, coeffs, cell_pieces) in enumerate(_stage_layout(spec, n, tents)):
@@ -343,7 +342,7 @@ def build_flattened(spec: CarpetSpec, n: int, tents=None) -> FlattenedField:
         elif part is not None:
             tent_tags[part].append(i)
     field = FlattenedField(tuple(patches), tuple(pieces), tuple(cell_tags), tuple(band_tags),
-                           tuple(map(tuple, tent_tags)), cell_grid(spec, n).cells)
+                           tuple(map(tuple, tent_tags)), cell_grid(spec, n).cells, tents)
     if field.total_area() != 1:
         raise ConstructionError(f"flattened patches cover {field.total_area()}, not 1")
     return field
@@ -423,19 +422,15 @@ def build_cell_field(flattened: FlattenedField, slopes) -> PiecewiseAffineField:
 def build_ramp(flattened: FlattenedField, f: PiecewiseAffineField) -> PiecewiseAffineField:
     """Per-cell horizontal ramp: value-of-f-at-center times (x - center_x).
 
+    ``f`` must be one affine patch covering the unit square (``affine_target``
+    raises ``ValueError`` otherwise), and is evaluated at each cell center.
     Off the boundary neighborhoods the gradient is exactly (f(center), 0);
     the sup norm is at most sup|f| times the previous side length.  The
     patches are the cell pieces of ``flattened`` (see ``build_cell_field``).
     """
-    slopes = []
-    for x0, y0, x1, y1 in flattened.cells:
-        center = ((x0 + x1) / 2, (y0 + y1) / 2)
-        fv = f.value_at(center)
-        if fv is None:
-            raise ConstructionError(f"target function does not cover the cell center "
-                                    f"({center[0]}, {center[1]})")
-        slopes.append((fv, ZERO))
-    return build_cell_field(flattened, slopes)
+    target = affine_target(f)
+    return build_cell_field(flattened, [(target.value_at(((x0 + x1) / 2, (y0 + y1) / 2)), ZERO)
+                                        for x0, y0, x1, y1 in flattened.cells])
 
 
 def tent_field_bound(spec: CarpetSpec, n: int) -> Fraction:
@@ -462,7 +457,7 @@ class StageData:
     """
 
     n: int
-    tents: list
+    tents: tuple
     strips: StripSet
     flattened: FlattenedField
     neighborhoods: list
@@ -471,16 +466,16 @@ class StageData:
 
 
 def build_stage(spec: CarpetSpec, n: int, f: PiecewiseAffineField) -> StageData:
-    tents = build_tents(spec, n)
-    flattened = build_flattened(spec, n, tents)
+    flattened = build_flattened(spec, n)
     ramp = build_ramp(flattened, f)
     # the ramp times the flattened gradient, read off the tags
     witness = ProductVectorField(tuple(
         (p.vertices, (p.c0, p.cx, p.cy), flattened.patches[t].gradient)
         for p, t in zip(ramp.patches, flattened.cell_tags)
         if flattened.patches[t].gradient != (0, 0)))
-    return StageData(n=n, tents=tents, strips=build_strips(spec, n), flattened=flattened,
-                     neighborhoods=build_neighborhoods(spec, n, tents), ramp=ramp,
+    return StageData(n=n, tents=flattened.tents, strips=build_strips(spec, n),
+                     flattened=flattened,
+                     neighborhoods=build_neighborhoods(spec, n, flattened.tents), ramp=ramp,
                      witness=witness)
 
 

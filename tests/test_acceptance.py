@@ -76,8 +76,8 @@ def witness_data():
     one = constant_field(1)
     data = {}
     for n in (1, 2, 3):
-        tents = build_tents(SPEC, n)
-        flattened = build_flattened(SPEC, n, tents)
+        flattened = build_flattened(SPEC, n)
+        tents = flattened.tents
         neighborhoods = build_neighborhoods(SPEC, n, tents)
         ramp = build_ramp(flattened, one)
         witness = product_with_gradient(ramp, flattened)

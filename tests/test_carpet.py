@@ -548,14 +548,15 @@ class TestTranslationClasses:
 class TestRegionMemo:
     TRI = ((F(1, 7), F(1, 9)), (F(6, 7), F(1, 9)), (F(1, 3), F(5, 6)))
 
-    def test_a_list_of_lists_gives_the_moments_of_its_tuple(self, spec357):
+    def test_a_list_region_is_rejected(self, spec357):
+        # regions are tuples of vertex pairs; a list is neither computed nor stored
         pf = Prefractal(spec357, 3)
         listed = [list(p) for p in self.TRI]
-        assert pf.moments(listed) == pf.moments(self.TRI) == \
-            Prefractal(spec357, 3).moments(self.TRI)
-        assert pf.region_measure(listed) == pf.region_measure(self.TRI)
-        # the unhashable region is computed on each call and never stored
-        assert list(pf._regions) == [self.TRI]
+        with pytest.raises(TypeError):
+            pf.moments(listed)
+        with pytest.raises(TypeError):
+            pf.region_measure(listed)
+        assert pf._regions == {}
 
     def test_a_region_outside_the_unit_square_raises_on_every_call(self, spec35):
         pf = Prefractal(spec35, 2)

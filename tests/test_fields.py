@@ -17,7 +17,7 @@ from carpetcurl.fields import (
     sup_norm,
 )
 from carpetcurl.geometry import bbox, clip_convex, normalize_polygon, polygon_area
-from carpetcurl.witness import build_flattened, build_ramp, build_staircase, build_tents
+from carpetcurl.witness import build_flattened, build_ramp, build_staircase
 
 from conftest import UNIT, random_grid_field, seeded
 from oracles import (
@@ -168,8 +168,7 @@ class TestBoxIndex:
         # index must find exactly the pieces that trying every pair finds,
         # in the same order
         spec = CarpetSpec((), "odd-reciprocal")
-        tents = build_tents(spec, 2)
-        flattened = build_flattened(spec, 2, tents)
+        flattened = build_flattened(spec, 2)
         ramp = build_ramp(flattened, constant_field(1))
         regions_a = [p.vertices for p in ramp.patches]
         regions_b = [p.vertices for p in flattened.patches]

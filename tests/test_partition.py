@@ -35,6 +35,7 @@ from carpetcurl.witness import (
     build_ramp,
     build_stage,
     build_staircase,
+    build_tents,
     verify_witness_sequence,
 )
 from oracles import (
@@ -131,6 +132,17 @@ class TestTags:
             short = cuts * hole if i in flat.band_tags else 0
             assert tiled[i] == polygon_area(patch.vertices) - short
         assert len(flat.band_tags) * cuts * hole == spec.ratio(n) ** 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_the_flattened_field_carries_its_tents(self, name, n):
+        flat = flattened_stage(name, n)
+        assert flat.tents == tuple(build_tents(SPECS[name], n))
+        # tent_tags[k] are the patches built on the very tuples of tents[k]
+        for t, tags in zip(flat.tents, flat.tent_tags, strict=True):
+            verts = [flat.patches[i].vertices for i in tags]
+            assert len(verts) == 3
+            assert all(v is w for v, w in zip(verts, (t.trapezoid, *t.triangles)))
 
     def test_each_stage_walks_its_layout_once(self, monkeypatch):
         calls = []
@@ -392,7 +404,8 @@ class TestTarget:
             verify_witness_sequence(spec35, halves, n_max=2, pf=Prefractal(spec35, 2))
 
     def test_partial_patch_rejected(self, spec35, no_stage):
-        corner = constant_field(1, ((0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)), (0, F(1, 2))))
+        corner = PiecewiseAffineField((
+            make_patch(((0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)), (0, F(1, 2))), 1),))
         with pytest.raises(ValueError, match="covering the unit square"):
             verify_witness_sequence(spec35, corner, n_max=2, pf=Prefractal(spec35, 2))
 

@@ -152,12 +152,12 @@ class TestTents:
         script = (
             "import dataclasses\n"
             "from carpetcurl.carpet import CarpetSpec, ConstructionError\n"
-            "from carpetcurl.witness import build_flattened, build_tents\n"
+            "from carpetcurl.witness import _stage_layout, build_tents\n"
             "spec = CarpetSpec((), 'odd-reciprocal')\n"
             "tents = build_tents(spec, 2)\n"
             "tents[0] = dataclasses.replace(tents[0], row=tents[0].row + 1)\n"
             "try:\n"
-            "    build_flattened(spec, 2, tents)\n"
+            "    next(_stage_layout(spec, 2, tents))\n"
             "except ConstructionError as exc:\n"
             "    print(type(exc).__name__, exc)\n"
         )
@@ -211,11 +211,11 @@ class TestFlattened:
 
     def test_local_constancy_stage_two(self, spec35):
         field = build_flattened(spec35, 2)
-        neighborhoods = build_neighborhoods(spec35, 2)
+        neighborhoods = build_neighborhoods(spec35, 2, field.tents)
         assert check_local_constancy(field, neighborhoods) == []
 
     def test_neighborhood_census(self, spec35):
-        nbs = build_neighborhoods(spec35, 2)
+        nbs = build_neighborhoods(spec35, 2, build_tents(spec35, 2))
         interior = [nb for nb in nbs
                     if nb.cell[0] > 0 and nb.cell[1] > 0 and nb.cell[2] < 1 and nb.cell[3] < 1]
         assert len(interior) == 4
@@ -256,23 +256,25 @@ class TestRamp:
 
 
     def test_uncovered_target_rejected_under_optimization(self):
-        # the coverage check is no assert, so it holds under python -O too
+        # the ramp reads the one affine patch of its target, and the check
+        # that it covers the unit square is no assert, so it holds under
+        # python -O too
         script = (
             "from fractions import Fraction as F\n"
-            "from carpetcurl.carpet import CarpetSpec, ConstructionError\n"
-            "from carpetcurl.fields import constant_field\n"
+            "from carpetcurl.carpet import CarpetSpec\n"
+            "from carpetcurl.fields import PiecewiseAffineField, make_patch\n"
             "from carpetcurl.witness import build_flattened, build_ramp\n"
             "corner = ((0, 0), (F(1, 10), 0), (F(1, 10), F(1, 10)), (0, F(1, 10)))\n"
             "flattened = build_flattened(CarpetSpec((F(1, 3),)), 1)\n"
             "try:\n"
-            "    build_ramp(flattened, constant_field(1, corner))\n"
-            "except ConstructionError as exc:\n"
+            "    build_ramp(flattened, PiecewiseAffineField((make_patch(corner, 1),)))\n"
+            "except ValueError as exc:\n"
             "    print(type(exc).__name__, exc)\n"
         )
         out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                              text=True, check=True, env={"PYTHONPATH": SRC})
-        assert out.stdout == \
-            "ConstructionError target function does not cover the cell center (1/4, 1/4)\n"
+        assert out.stdout == ("ValueError the target must be a single affine patch "
+                              "covering the unit square\n")
 
     def test_bad_seam_rejected_under_optimization(self):
         # a seam keeps its vertex tuple unnormalized, so its orientation
@@ -287,7 +289,7 @@ class TestRamp:
             "for seam in ((((z, z), (z, o), (o, z)), (0, 1, 1)),\n"
             "             (((z, z), (h, h), (o, o)), (0, 1, 1)),\n"
             "             (((z, z), (o, z), (o, o)), (0, 1, 2))):\n"
-            "    flattened = FlattenedField((), (seam,), (0,), (), (), cells)\n"
+            "    flattened = FlattenedField((), (seam,), (0,), (), (), cells, ())\n"
             "    try:\n"
             "        build_cell_field(flattened, [(1, 0)] * 3)\n"
             "    except ConstructionError as exc:\n"
@@ -307,7 +309,7 @@ class TestWitnessField:
         from carpetcurl.geometry import clip_convex
 
         flattened = build_flattened(spec35, 2)
-        neighborhoods = build_neighborhoods(spec35, 2)
+        neighborhoods = build_neighborhoods(spec35, 2, flattened.tents)
         ramp = build_ramp(flattened, constant_field(1))
         v = product_with_gradient(ramp, flattened)
         # product pieces only exist where the flattened gradient is nonzero,
@@ -353,7 +355,7 @@ class TestVerifySequence:
 class TestBuildWitnessApi:
     def test_checked_build_passes(self, spec35):
         field = build_flattened(spec35, 2)
-        neighborhoods = build_neighborhoods(spec35, 2)
+        neighborhoods = build_neighborhoods(spec35, 2, field.tents)
         assert check_local_constancy(field, neighborhoods) == []
         v = build_witness(spec35, 2, constant_field(1), flattened=field)
         assert len(v.pieces) > 0
@@ -362,7 +364,7 @@ class TestBuildWitnessApi:
         from carpetcurl.fields import PiecewiseAffineField, make_patch
 
         field = build_flattened(spec35, 2)
-        neighborhoods = build_neighborhoods(spec35, 2)
+        neighborhoods = build_neighborhoods(spec35, 2, field.tents)
         # tilt one constant strip-band patch: it overlaps the neighborhoods
         band = next(p for p in field.patches if (p.cx, p.cy) == (F(0), F(0)))
         others = tuple(p for p in field.patches if p is not band)
