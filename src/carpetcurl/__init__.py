@@ -28,7 +28,6 @@ from .fields import (
     affine_field,
     constant_field,
     coordinate_field,
-    sup_norm,
 )
 from .forms import verify_wedge_approximation
 from .report import VerificationReport, report_to_csv, report_to_json

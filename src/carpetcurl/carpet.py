@@ -6,31 +6,33 @@ and the central cell is discarded.  Prefractals are kept implicit: membership,
 measures and integrals descend the subdivision tree lazily, short-circuiting
 on squares that lie entirely inside the query region, and integrals stop one
 level above the leaves, where the prefractal is a square minus its hole.  A
-query region is a convex polygon given as a tuple of vertex pairs.  Each
+query region is a convex polygon given as a tuple of int vertex pairs with
+the scale they are over: the point (x, y) is (x / scale, y / scale).  Each
 translation class of regions is walked once, on the block of squares that
-keys it, on integers that are divided once per monomial.
+keys it, on integers that are divided once per monomial.  A stage-n
+partition lies on (1/L_n)Z^2, L_n = ``stage_scale(spec, n)``: its cell lines
+are ``stage_lines`` and ``column_obstacles`` works on that lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, lcm, prod
 from typing import Iterator, Optional
 
 from .geometry import (
     MOMENT_DIVISORS,
     MONOMIALS,
     ZERO,
+    _area2,
     _convex,
     _lattice_scale,
-    _normalize,
+    cross,
     moment_sums,
     poly_dot,
 )
-
-HALF = Fraction(1, 2)
-
 
 class SpecError(ValueError):
     pass
@@ -173,6 +175,18 @@ def gap_height(spec: CarpetSpec, n: int) -> Fraction:
     return (1 - spec.ratio(n)) * side_length(spec, n - 1)
 
 
+def stage_scale(spec: CarpetSpec, n: int) -> int:
+    """L_n = 4 / side_length(spec, n): the stage-n partition lies on (1/L_n)Z^2.
+
+    The cuts sit at odd multiples of half the previous side, the strips and
+    tents are one stage-n side wide and a tent's top edge half of one, so a
+    quarter of the stage-n side is the lattice step.
+    """
+    if n < 1:
+        raise SpecError(f"stage {n} must be >= 1")
+    return 4 * prod(spec.subdivisions(i) for i in range(1, n + 1))
+
+
 @dataclass(frozen=True)
 class Hole:
     """A removed central square: stage, center point and side length."""
@@ -276,10 +290,20 @@ class CellGrid:
     cells: tuple  # rectangles (x0, y0, x1, y1)
 
 
+def stage_lines(spec: CarpetSpec, n: int):
+    """(L_n, the cell lines): 0, the cuts and L_n, as ints on the stage-n lattice.
+
+    The previous side is 4 * q_n lattice steps, and the cuts, through the
+    stage-n hole centres, sit at its odd halves.
+    """
+    scale = stage_scale(spec, n)
+    step = 4 * spec.subdivisions(n)
+    return scale, (0,) + tuple(range(step // 2, scale, step)) + (scale,)
+
+
 def cut_positions(spec: CarpetSpec, n: int) -> tuple:
-    d_prev = side_length(spec, n - 1)
-    count = int(1 / d_prev)
-    return tuple((j + HALF) * d_prev for j in range(count))
+    scale, lines = stage_lines(spec, n)
+    return tuple(Fraction(x, scale) for x in lines[1:-1])
 
 
 def cell_grid(spec: CarpetSpec, n: int) -> CellGrid:
@@ -308,10 +332,12 @@ class Prefractal:
     Every surviving level-k square holds the same pattern, whose moments at
     the origin are ``pattern[k]``; ``_shifted_moments`` moves them to any
     set of corners, so integrals take fully-covered squares without
-    descending to the leaves.  ``moments`` is the one region path: its
-    ``_regions`` keeps the finished moments of each region by its exact
-    vertex tuple, so a region asked for again is looked up.  A new region is
-    keyed by its translation class: the lattice scale, the deepest level j
+    descending to the leaves.  ``moments`` is the one region path: a region
+    is a tuple of int vertices with the scale they are over, and
+    ``_regions`` keeps the finished moments of each region by the flat
+    tuple (scale, x_0, y_0, ...) divided by its gcd, so a region asked for
+    again is one int-tuple lookup.  A new region is keyed by its
+    translation class: the lattice scale, the deepest level j
     whose side is at least the region's bbox extent, the survival mask of the
     level-j squares its open bbox meets, and its vertices relative to that
     block's corner.  ``_walk`` reads only the key and starts at the mask's
@@ -346,7 +372,7 @@ class Prefractal:
             self.pattern[k] = _shifted_moments(self.pattern[k + 1], corners)
         # translation class -> moment numerators relative to the class corner
         self._classes = {}
-        # region, as given -> its six moments, an immutable tuple
+        # (scale, x_0, y_0, ...) over its gcd -> six moments, an immutable tuple
         self._regions = {}
 
     @property
@@ -397,44 +423,59 @@ class Prefractal:
 
     # -- exact integration -------------------------------------------------
 
-    def moments(self, region):
+    def moments(self, region, scale):
         """The six exact moments of MONOMIALS over (prefractal intersect region).
 
-        ``region`` is a tuple of vertex pairs: a convex polygon with rational
-        vertices inside the unit square, in either orientation.  A region that
-        normalizes to fewer than three vertices has six zero moments; a
-        non-convex one raises ``ValueError`` and a list ``TypeError``.  This is
-        the one region path: each region is computed once per instance and
-        then looked up.  Returns a tuple of one ``Fraction`` per monomial, in
-        MONOMIALS order.
+        ``region`` is a tuple of int vertex pairs over ``scale``: a convex
+        polygon inside the unit square, in either orientation.  A region of
+        zero area whose vertices are collinear has six zero moments; any
+        other non-convex one raises ``ValueError``, a list ``TypeError``.
+        This is the one region path: each region is computed once per
+        instance and then looked up, keyed by the flat tuple (scale, x_0,
+        y_0, x_1, ...) divided by its gcd, so one polygon given on two
+        lattices is one entry and one int tuple on two scales is two.
+        Returns a tuple of one ``Fraction`` per monomial, in MONOMIALS order.
         """
-        moments = self._regions.get(region)
+        if type(region) is not tuple:
+            raise TypeError(f"a region is a tuple of vertex pairs, not a {type(region).__name__}")
+        key = (scale, *chain.from_iterable(region))
+        g = gcd(*key)
+        if g > 1:
+            key = tuple(v // g for v in key)
+        moments = self._regions.get(key)
         if moments is None:
-            moments = self._regions[region] = self._region_moments(region)
+            if g > 1:
+                region = tuple(zip(key[1::2], key[2::2]))
+            moments = self._regions[key] = self._region_moments(region, key[0])
         return moments
 
-    def integrate(self, region, poly):
+    def integrate(self, region, scale, poly):
         """Integral of a degree<=2 polynomial over (prefractal intersect region).
 
-        ``region`` is as for ``moments``; the integral is the sum of
-        coefficient times moment over MONOMIALS.  ``poly`` maps
-        (p, q) exponent pairs to coefficients; a nonzero coefficient on any
-        other monomial raises ``ValueError``.
+        ``region`` and ``scale`` are as for ``moments``; the integral is the
+        sum of coefficient times moment over MONOMIALS.  ``poly`` maps
+        (p, q) exponent pairs to coefficients in unit coordinates; a nonzero
+        coefficient on any other monomial raises ``ValueError``.
         """
         for key, coef in poly.items():
             if coef and key not in MONOMIALS:
                 raise ValueError(f"unsupported monomial {key}")
-        return poly_dot(poly, self.moments(region))
+        return poly_dot(poly, self.moments(region, scale))
 
-    def region_measure(self, region):
+    def region_measure(self, region, scale):
         """Exact area of (prefractal intersect region) for a convex polygon."""
-        return self.integrate(region, {(0, 0): Fraction(1)})
+        return self.integrate(region, scale, {(0, 0): Fraction(1)})
 
-    def _region_moments(self, region):
-        # one integer lattice for normalizing, the unit-square test, the
-        # convexity test and the walk
-        _, reg, scale = _normalize(region)
-        if len(reg) < 3:
+    def _region_moments(self, reg, scale):
+        # reg is on its own lattice (the gcd of scale and the coordinates is
+        # 1); orient it counterclockwise and drop repeated vertices, so the
+        # convexity test reads every turn
+        area2 = _area2(reg)
+        if area2 < 0:
+            reg = reg[::-1]
+        reg = [p for i, p in enumerate(reg) if p != reg[i - 1]]
+        if not area2 and all(cross(reg[i - 2], reg[i - 1], reg[i]) == 0
+                             for i in range(len(reg))):
             return (ZERO,) * len(MONOMIALS)
         if min(min(p) for p in reg) < 0 or max(max(p) for p in reg) > scale:
             raise OutOfUnitSquare("region leaves the unit square")
@@ -617,29 +658,33 @@ def _shifted_moments(t, s):
             n * t02 + 2 * sb * t01 + sbb * t00)
 
 
-def column_obstacles(spec: CarpetSpec, n: int, x_cut: Fraction):
+def column_obstacles(spec: CarpetSpec, n: int, x_cut: int):
     """Holes met by the vertical line x = x_cut, sorted by height.
 
     Returns (y_lo, y_hi, stage) triples covering stage-n holes centered on the
-    line plus any earlier-stage hole whose interior the line crosses.
+    line plus any earlier-stage hole whose interior the line crosses.  The
+    line and the heights are ints on the stage-n lattice, whose scale is
+    ``stage_scale(spec, n)``: there the level-k side is 4 times the product
+    of the subdivisions of stages k+1 to n.
     """
+    sides = [4]
+    for i in range(n, 0, -1):
+        sides.append(sides[-1] * spec.subdivisions(i))
+    sides.reverse()
     obstacles = []
 
     def walk(k, x0, y0):
-        d = side_length(spec, k)
+        d = sides[k]
         if not (x0 < x_cut < x0 + d):
             return
         if k == n - 1:
-            c = (x0 + d / 2, y0 + d / 2)
-            h = side_length(spec, n)
-            obstacles.append((c[1] - h / 2, c[1] + h / 2, n))
+            lo = y0 + (d - sides[n]) // 2
+            obstacles.append((lo, lo + sides[n], n))
             return
         q = spec.subdivisions(k + 1)
-        dc = side_length(spec, k + 1)
+        dc = sides[k + 1]
         c = (q - 1) // 2
-        jx = int((x_cut - x0) / dc)
-        if jx >= q:
-            jx = q - 1
+        jx = min((x_cut - x0) // dc, q - 1)
         for jy in range(q):
             if jx == c and jy == c:
                 lo = y0 + jy * dc
@@ -647,7 +692,7 @@ def column_obstacles(spec: CarpetSpec, n: int, x_cut: Fraction):
                 continue
             walk(k + 1, x0 + jx * dc, y0 + jy * dc)
 
-    walk(0, ZERO, ZERO)
+    walk(0, 0, 0)
     obstacles.sort()
     return obstacles
 

@@ -1,16 +1,19 @@
 """Piecewise-affine scalar fields on convex patches.
 
 Fields are finite collections of convex polygonal patches, each carrying an
-affine map value(x, y) = c0 + cx*x + cy*y.  Patches may cover less than the
-unit square; integration treats the complement as zero, so fields supported
-on small regions (tent covers, seams) need no explicit complement patches.
-``refine_pairs`` overlays two partitions.
+affine map value(x, y) = c0 + cx*x + cy*y.  A field's patch vertices lie on
+the lattice of its ``scale``, so vertex (X, Y) is the point (X / scale,
+Y / scale), while the maps stay in unit coordinates: a stage field has int
+vertices on its stage lattice and a target or a test field ``Fraction``
+vertices at scale 1.  Patches may cover less than the unit square;
+integration treats the complement as zero, so fields supported on small
+regions (tent covers, seams) need no explicit complement patches.
+``refine_pairs`` overlays two partitions on one lattice.
 
-``make_patch`` normalizes a patch's vertices and checks that they bound a
-convex region.  A builder that has already proved its polygon canonical may
-construct ``AffinePatch`` directly: ``witness.build_cell_field`` does so for
-its seam triangles, whose maps it writes in closed form from their owner
-cells' maps and whose orientation determinant it checks instead.
+``make_patch`` normalizes a patch's vertices to ``Fraction`` pairs and
+checks that they bound a convex region.  A builder that has already proved
+its polygon canonical constructs ``AffinePatch`` directly: the stage layout
+in ``witness`` checks its int polygons itself.
 """
 
 from __future__ import annotations
@@ -60,9 +63,13 @@ def make_patch(vertices, c0, cx=0, cy=0) -> AffinePatch:
 
 @dataclass(frozen=True)
 class PiecewiseAffineField:
-    """Finite set of affine patches with pairwise disjoint interiors."""
+    """Finite set of affine patches with pairwise disjoint interiors.
+
+    Vertices are over ``scale``; maps are in unit coordinates.
+    """
 
     patches: tuple
+    scale: int
 
     def __iter__(self):
         return iter(self.patches)
@@ -71,24 +78,46 @@ class PiecewiseAffineField:
         return len(self.patches)
 
     def total_area(self) -> Fraction:
-        return sum((polygon_area(p.vertices) for p in self.patches), ZERO)
+        return sum((polygon_area(p.vertices) for p in self.patches), ZERO) / self.scale ** 2
 
     def value_at(self, p) -> Optional[Fraction]:
+        """The value at the unit-coordinate point p, or None off the patches."""
+        s = self.scale
         for patch in self.patches:
-            if point_in_convex(patch.vertices, p):
+            if point_in_convex(patch.vertices, (p[0] * s, p[1] * s)):
                 return patch.value_at(p)
         return None
+
+    def sup_norm(self) -> Fraction:
+        """Max of |value| over patch vertices; affine maps peak at vertices.
+
+        A constant patch's value is its c0, and each value is compared
+        against the best so far and its negative, so only a new best is
+        negated.
+        """
+        s = self.scale
+        best = neg = ZERO
+        for p in self.patches:
+            c0, cx, cy = p.c0, p.cx, p.cy
+            for x, y in p.vertices:
+                v = c0 + (cx * x + cy * y) / s if cx or cy else c0
+                if v > best or v < neg:
+                    best = v if v > 0 else -v
+                    neg = -best
+        return best
 
 
 @dataclass(frozen=True)
 class ProductVectorField:
     """Vector field of the form (affine h) * (constant vector) per piece.
 
-    Pieces are (vertices, (h0, hx, hy), (px, py)); this keeps products such
-    as a scalar ramp times a gradient exactly representable.
+    Pieces are (vertices, (h0, hx, hy), (px, py)), the vertices over
+    ``scale`` and the maps in unit coordinates; this keeps products such as
+    a scalar ramp times a gradient exactly representable.
     """
 
     pieces: tuple
+    scale: int
 
     def __iter__(self):
         return iter(self.pieces)
@@ -110,7 +139,7 @@ def coordinate_field(axis: str) -> PiecewiseAffineField:
 
 
 def affine_field(c0, cx, cy) -> PiecewiseAffineField:
-    return PiecewiseAffineField((make_patch(((0, 0), (1, 0), (1, 1), (0, 1)), c0, cx, cy),))
+    return PiecewiseAffineField((make_patch(((0, 0), (1, 0), (1, 1), (0, 1)), c0, cx, cy),), 1)
 
 
 class _BoxIndex:
@@ -173,24 +202,3 @@ def refine_pairs(regions_a, regions_b):
             if piece and polygon_area(piece) > 0:
                 out.append((normalize_polygon(piece), ia, ib))
     return out
-
-
-def sup_norm(field: PiecewiseAffineField) -> Fraction:
-    """Max of |value| over patch vertices; affine maps peak at vertices.
-
-    A zero slope's term is never evaluated, and each value is compared
-    against the best so far and its negative, so only a new best is negated.
-    """
-    best = neg = ZERO
-    for p in field.patches:
-        c0, cx, cy = p.c0, p.cx, p.cy
-        for x, y in p.vertices:
-            v = c0
-            if cx:
-                v += cx * x
-            if cy:
-                v += cy * y
-            if v > best or v < neg:
-                best = v if v > 0 else -v
-                neg = -best
-    return best

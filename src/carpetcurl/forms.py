@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .carpet import CarpetSpec, Prefractal, side_length
-from .fields import PiecewiseAffineField, sup_norm
+from .fields import PiecewiseAffineField
 from .geometry import ZERO, square_integral
 from .report import VerificationReport
 from .witness import (
@@ -67,19 +67,19 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages
     for n in stages:
         flattened = build_flattened(spec, n)
         remainder = build_cell_field(flattened, [base.gradient] * len(flattened.cells))
-        measures = [pf.region_measure(p.vertices) for p in flattened.patches]
+        measures = [pf.region_measure(p.vertices, flattened.scale) for p in flattened.patches]
         # remainder patches under a nonzero flattened gradient; on the others
         # both the cutoff form and the second defect vanish identically
         active = [(p, flattened.patches[t])
                   for p, t in zip(remainder.patches, flattened.cell_tags)
                   if flattened.patches[t].gradient != (0, 0)]
-        moments = [pf.moments(p.vertices) for p, _ in active]
+        moments = [pf.moments(p.vertices, flattened.scale) for p, _ in active]
 
         omega_norm = sum(((q.cx ** 2 + q.cy ** 2) * square_integral(p.c0, p.cx, p.cy, mom)
                           for (p, q), mom in zip(active, moments)), ZERO)
         report.add("wedge", n, "cutoff_form_l2", omega_norm)
 
-        rem_sup = sup_norm(remainder)
+        rem_sup = remainder.sup_norm()
         d_prev = side_length(spec, n - 1)
         osc_sq = gf_sup * 2 * d_prev ** 2
         report.add("wedge", n, "remainder_sup_sq", rem_sup * rem_sup, osc_sq,

@@ -1,15 +1,18 @@
-"""Exact 2-D polygon primitives over rational coordinates.
+"""Exact 2-D polygon primitives over integer or rational coordinates.
 
-Polygons go in and come out as ``fractions.Fraction`` pairs, so predicates
-(orientation, containment) and quantities (areas, clipped regions, moments up
-to degree two) are exact and never depend on tolerances.  Every region the
-package integrates is convex, and ``_convex`` tests that on the integer
-lattice of ``_normalize``; a non-convex region is rejected, never split, and
-``carpet.Prefractal`` walks every convex one, rectangles included, one way.
-Normalization, area and clipping scale their polygons once per call by the
-lcm of the vertex denominators and run on that integer lattice; a clipped
-crossing off the lattice stays an exact int + Fraction.  A degree-<=2
-integrand over a region is a dot product with the region's six moments.
+Predicates (orientation, containment, ``_convex``) and sums (``_area2``,
+``moment_sums``, the half-plane clip) are ring-generic: a stage polygon's
+int vertices on its lattice give exact ints, ``Fraction`` vertices exact
+Fractions, and nothing depends on a tolerance.  Every region the package
+integrates is convex, and ``_convex`` tests that on integer vertices; a
+non-convex region is rejected, never split, and ``carpet.Prefractal`` walks
+every convex one, rectangles included, one way.  Normalization, area and
+convex clipping take ints or Fractions, scale their polygons once per call
+by the lcm of the vertex denominators and run on that integer lattice;
+``normalize_polygon`` and ``clip_convex`` return ``Fraction`` pairs, and a
+clipped crossing off the lattice stays an exact int + Fraction.  A
+degree-<=2 integrand over a region is a dot product with the region's six
+moments.
 """
 
 from __future__ import annotations

@@ -125,23 +125,30 @@ def staircase_svg(spec, n: int) -> str:
     return canvas.render()
 
 
+def _unit(values, scale):
+    """Lattice ints over ``scale`` as Fractions."""
+    return tuple(Fraction(v, scale) for v in values)
+
+
 def tents_svg(spec, n: int) -> str:
     """Tent rectangles with their trapezoids at stage n."""
+    from .carpet import stage_scale
     from .witness import build_tents
 
     canvas = SvgCanvas(f"stage {n} tents")
     canvas.rect(0, 0, 1, 1, fill="white", stroke="black")
+    scale = stage_scale(spec, n)
     for t in build_tents(spec, n):
-        x0, y0, x1, y1 = t.rectangle
-        canvas.rect(x0, y0, x1, y1, fill="yellow", stroke="none", opacity="0.5")
-        canvas.polygon(t.trapezoid, stroke="blue")
-        canvas.line(t.column_x, t.y_lo, t.column_x, t.y_hi, stroke="red", dash="4,3")
+        canvas.rect(*_unit(t.rectangle, scale), fill="yellow", stroke="none", opacity="0.5")
+        canvas.polygon([_unit(p, scale) for p in t.trapezoid], stroke="blue")
+        canvas.line(*_unit((t.column_x, t.y_lo, t.column_x, t.y_hi), scale),
+                    stroke="red", dash="4,3")
     return canvas.render()
 
 
 def neighborhoods_svg(spec, n: int) -> str:
     """Boundary neighborhoods (strip rectangles and tent trapezoids) per cell."""
-    from .carpet import cell_grid
+    from .carpet import cell_grid, stage_scale
     from .witness import build_neighborhoods, build_tents
 
     canvas = SvgCanvas(f"stage {n} boundary neighborhoods")
@@ -149,9 +156,12 @@ def neighborhoods_svg(spec, n: int) -> str:
     grid = cell_grid(spec, n)
     for (x0, y0, x1, y1) in grid.cells:
         canvas.rect(x0, y0, x1, y1, fill="none", stroke="#bbbbbb")
+    scale = stage_scale(spec, n)
     for nb in build_neighborhoods(spec, n, build_tents(spec, n)):
         for region in nb.rectangles:
-            canvas.polygon(region, fill="yellow", stroke="none", opacity="0.45")
+            canvas.polygon([_unit(p, scale) for p in region], fill="yellow", stroke="none",
+                           opacity="0.45")
         for region in nb.trapezoids:
-            canvas.polygon(region, fill="orange", stroke="none", opacity="0.45")
+            canvas.polygon([_unit(p, scale) for p in region], fill="orange", stroke="none",
+                           opacity="0.45")
     return canvas.render()

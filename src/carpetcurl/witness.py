@@ -5,27 +5,32 @@ cell boundaries of the stage-n grid: horizontal strips absorb the slope of a
 staircase profile, tent-shaped bump fields absorb it along the vertical cut
 segments between holes, and per-cell horizontal ramps turn the flattened
 gradient into a vector field whose rotation approximates a target function
-while the field itself shrinks to zero.  All patches are exact rational
-polygons, so every energy comparison below is an exact inequality.
+while the field itself shrinks to zero.  Stage n is built on integers: every
+vertex of its partition (tents, flattened patches, cell pieces and
+neighbourhoods) is an int on the lattice (1/L_n)Z^2, L_n =
+``stage_scale(spec, n)``, and each patch's map stays a ``Fraction`` affine
+map in unit coordinates, so every energy comparison below is an exact
+inequality.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .carpet import (
     CarpetSpec,
     ConstructionError,
     Prefractal,
-    cell_grid,
     column_obstacles,
     cut_positions,
     gap_height,
     side_length,
+    stage_lines,
     tail_measure_bounds,
     TailDiverges,
     validate_spec,
@@ -36,9 +41,8 @@ from .fields import (
     ProductVectorField,
     make_patch,
     refine_pairs,
-    sup_norm,
 )
-from .geometry import ZERO, cross, square_integral
+from .geometry import ZERO, _area2, cross, square_integral
 from .report import VerificationReport, leq_sqrt_sum_sq, leq_with_sqrt
 
 UNIT_CORNERS = {(0, 0), (1, 0), (1, 1), (0, 1)}
@@ -77,7 +81,8 @@ def build_strips(spec: CarpetSpec, n: int) -> StripSet:
 def build_staircase(spec: CarpetSpec, n: int) -> PiecewiseAffineField:
     """Continuous profile in y: slope 0 across strips, slope 1 elsewhere.
 
-    Equals zero on the bottom edge; patches are full-width horizontal bands.
+    Equals zero on the bottom edge; patches are full-width horizontal bands,
+    with ``Fraction`` vertices at scale 1.
     """
     strips = build_strips(spec, n)
     h = strips.height / 2
@@ -95,7 +100,7 @@ def build_staircase(spec: CarpetSpec, n: int) -> PiecewiseAffineField:
         c0 = value - slope * y0
         patches.append(make_patch(_rectangle(ZERO, y0, Fraction(1), y1), c0, 0, slope))
         value += slope * (y1 - y0)
-    return PiecewiseAffineField(tuple(patches))
+    return PiecewiseAffineField(tuple(patches), 1)
 
 
 @dataclass(frozen=True)
@@ -109,42 +114,45 @@ class Tent:
     height and reuse the same shape scaled to the actual gap.  ``cut`` is the
     index of the column in ``cut_positions`` and ``row`` the cell row holding
     the gap, so the tent sits on the edge between cells ``cut`` and
-    ``cut + 1`` of that row.  The trapezoid, triangles and side slope are
-    cached, so every patch built on them shares one tuple.
+    ``cut + 1`` of that row.  Every length is an int on the stage-n lattice,
+    whose scale is ``stage_scale(spec, n)``; there the width is 4, so the
+    quarter width is one lattice step and the side slope 4 * height / width
+    is the int height.  The trapezoid, triangles and side slope are cached,
+    so every patch built on them shares one tuple.
     """
 
-    column_x: Fraction
-    y_lo: Fraction
-    y_hi: Fraction
-    width: Fraction
-    template_height: Fraction
+    column_x: int
+    y_lo: int
+    y_hi: int
+    width: int
+    template_height: int
     lower_kind: str
     upper_kind: str
     cut: int
     row: int
 
     @property
-    def height(self) -> Fraction:
+    def height(self) -> int:
         return self.y_hi - self.y_lo
 
     @property
     def rectangle(self):
-        w = self.width / 2
+        w = self.width // 2
         return (self.column_x - w, self.y_lo, self.column_x + w, self.y_hi)
 
     @cached_property
     def trapezoid(self):
-        w, q = self.width / 2, self.width / 4
+        w, q = self.width // 2, self.width // 4
         return ((self.column_x - w, self.y_lo), (self.column_x + w, self.y_lo),
                 (self.column_x + q, self.y_hi), (self.column_x - q, self.y_hi))
 
     @cached_property
-    def side_slope(self) -> Fraction:
-        return 4 * self.height / self.width
+    def side_slope(self) -> int:
+        return 4 * self.height // self.width
 
     @cached_property
     def triangles(self):
-        w, q = self.width / 2, self.width / 4
+        w, q = self.width // 2, self.width // 4
         left = ((self.column_x - w, self.y_lo), (self.column_x - q, self.y_hi),
                 (self.column_x - w, self.y_hi))
         right = ((self.column_x + w, self.y_lo), (self.column_x + w, self.y_hi),
@@ -153,24 +161,27 @@ class Tent:
 
 
 def build_tents(spec: CarpetSpec, n: int):
-    """All tents at stage n, ordered by column then height."""
-    width = side_length(spec, n)
-    template = gap_height(spec, n)
-    cuts = cut_positions(spec, n)
+    """All tents at stage n, ordered by column then height, on the stage-n lattice."""
+    scale, lines = stage_lines(spec, n)
+    cuts = lines[1:-1]
+    # the stage-n side and the gap height (1 - 1/q_n) * (previous side) there
+    width = 4
+    template = 4 * (spec.subdivisions(n) - 1)
     tents = []
     for cut, x_c in enumerate(cuts):
         obstacles = column_obstacles(spec, n, x_c)
-        events = [(ZERO, ZERO, "boundary")] + \
+        events = [(0, 0, "boundary")] + \
                  [(lo, hi, "hole" if stage == n else "big") for (lo, hi, stage) in obstacles] + \
-                 [(Fraction(1), Fraction(1), "boundary")]
+                 [(scale, scale, "boundary")]
         for (lo_a, hi_a, kind_a), (lo_b, hi_b, kind_b) in zip(events, events[1:]):
             if hi_a >= lo_b:
-                raise ConstructionError(f"overlapping obstacles in column {x_c}")
+                raise ConstructionError(f"overlapping obstacles in column {x_c}/{scale}")
             gap = lo_b - hi_a
-            expected = template if kind_a == kind_b == "hole" else template / 2
+            expected = template if kind_a == kind_b == "hole" else template // 2
             if gap != expected:
-                raise ConstructionError(f"gap {gap} between {kind_a} and {kind_b} in "
-                                        f"column {x_c} is not the expected {expected}")
+                raise ConstructionError(f"gap {gap}/{scale} between {kind_a} and {kind_b} in "
+                                        f"column {x_c}/{scale} is not the expected "
+                                        f"{expected}/{scale}")
             # every crossing of two cut lines lies inside a hole, so a gap
             # never touches a cut and the cuts below it count its row
             tents.append(Tent(column_x=x_c, y_lo=hi_a, y_hi=lo_b, width=width,
@@ -189,7 +200,10 @@ def tents_per_column(tents) -> dict:
 
 @dataclass(frozen=True)
 class CellNeighborhood:
-    """Boundary neighborhood of one grid cell: strip pieces plus trapezoids."""
+    """Boundary neighborhood of one grid cell: strip pieces plus trapezoids.
+
+    The cell box and the pieces are ints on the stage-n lattice.
+    """
 
     cell_index: int
     cell: tuple
@@ -208,15 +222,21 @@ def _tent_index(tents) -> dict:
     return index
 
 
+def _cells(lines):
+    """The grid cells (x0, y0, x1, y1) between the cell lines, row-major."""
+    return tuple((x0, y0, x1, y1) for y0, y1 in zip(lines, lines[1:])
+                 for x0, x1 in zip(lines, lines[1:]))
+
+
 def build_neighborhoods(spec: CarpetSpec, n: int, tents):
     """One CellNeighborhood per grid cell (strip rectangles and the trapezoids of ``tents``)."""
-    grid = cell_grid(spec, n)
+    scale, lines = stage_lines(spec, n)
     tent_at = _tent_index(tents)
-    ncols = len(grid.x_cuts) + 1
-    half = side_length(spec, n) / 2
+    ncols = len(lines) - 1
+    half = 2  # half the stage-n side
     out = []
-    for idx, (x0, y0, x1, y1) in enumerate(grid.cells):
-        rects = tuple(_rectangle(x0, y - half, x1, y + half) for y in (y0, y1) if 0 < y < 1)
+    for idx, (x0, y0, x1, y1) in enumerate(_cells(lines)):
+        rects = tuple(_rectangle(x0, y - half, x1, y + half) for y in (y0, y1) if 0 < y < scale)
         # cut i - 1 is the cell's left edge, cut i its right edge
         row, i = divmod(idx, ncols)
         traps = tuple(tents[tent_at[edge]].trapezoid
@@ -234,11 +254,14 @@ def _stage_layout(spec: CarpetSpec, n: int, tents):
 
     Walks the slab rows bottom to top, each left to right, and yields
     (part, vertices, (c0, cx, cy), pieces) per flattened patch, in
-    ``build_flattened`` order.  The flattened coordinate is constant on the
-    strip bands (part ``_BAND``) and on the tent trapezoids, slanted on the
-    tent side triangles (part k for the trapezoid and triangles of
-    ``tents[k]``), and slope-one on the slab rectangles between tents and on
-    the slab remainders below and above a truncated tent (part None).
+    ``build_flattened`` order, all ints on the stage-n lattice: vertices
+    over L_n, the map's slopes in unit coordinates and c0 times L_n, so the
+    patch's map is c0 / L_n + cx*x + cy*y.  The flattened coordinate is
+    constant on the strip bands (part ``_BAND``) and on the tent trapezoids,
+    slanted on the tent side triangles (part k for the trapezoid and
+    triangles of ``tents[k]``), and slope-one on the slab rectangles between
+    tents and on the slab remainders below and above a truncated tent (part
+    None).
 
     ``pieces`` are the ``build_cell_field`` pieces inside the patch, as
     (vertices, owner): ``owner`` is the index of the cell whose map a core or
@@ -248,29 +271,28 @@ def _stage_layout(spec: CarpetSpec, n: int, tents):
     slab remainder splits at the cut between the two cells, and the seams
     cut the strip bands and the tent trapezoids into triangles.
     """
-    strips = build_strips(spec, n)
-    cuts = strips.y_centers
-    height = strips.height
-    half = height / 2
-    one = Fraction(1)
-    xs = (ZERO,) + cuts + (one,)
+    one, xs = stage_lines(spec, n)  # one is L_n, the unit length on the lattice
+    cuts = xs[1:-1]
+    height = 4  # the stage-n side: the strip height
+    half = 2
     ncols = len(xs) - 1
     # the cell edges moved half a strip inward (the unit square's own edges
     # stay): a tent or band on a cell edge ends the cell's core there, and
     # slab j = [inner_lo[j], inner_hi[j]] holds cell row j, band j above it
-    inner_lo = [ZERO] + [x + half for x in cuts]
+    inner_lo = [0] + [x + half for x in cuts]
     inner_hi = [x - half for x in cuts] + [one]
 
     for t in tents:
         if not (0 <= t.row < ncols and inner_lo[t.row] <= t.y_lo and t.y_hi <= inner_hi[t.row]):
-            raise ConstructionError(f"tent at {t.column_x} not inside the slab of its row {t.row}")
+            raise ConstructionError(f"tent at {t.column_x}/{one} not inside the slab of its "
+                                    f"row {t.row}")
     tent_at = _tent_index(tents)
 
     for j in range(ncols):
         y0, y1 = inner_lo[j], inner_hi[j]
         k = -j * height  # the staircase is y + k on slab j
         base = j * ncols  # index of the row's first cell
-        cursor, cores = ZERO, []
+        cursor, cores = 0, []
         for i in range(ncols):
             ti = tent_at.get((i, j))
             x_lo = inner_lo[i] if (i - 1, j) in tent_at else xs[i]
@@ -304,16 +326,34 @@ def _stage_layout(spec: CarpetSpec, n: int, tents):
                 pa, pb, pc, pd = _rectangle(inner_lo[i], y1, inner_hi[i], b1)
                 seams += [((pa, pb, pc), (lower, lower, upper)),
                           ((pa, pc, pd), (lower, upper, upper))]
-            yield _BAND, _rectangle(ZERO, y1, one, b1), (y1 + k, 0, 0), seams
+            yield _BAND, _rectangle(0, y1, one, b1), (y1 + k, 0, 0), seams
+
+
+def _check_convex(verts, what):
+    # make_patch's canonical convex patch, tested on the lattice: at least
+    # three vertices, each a strict left turn, so the polygon is convex and
+    # counterclockwise with no repeated or collinear vertex
+    if len(verts) >= 3:
+        (ax, ay), (bx, by) = verts[-2], verts[-1]
+        for cx, cy in verts:
+            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
+                break
+            ax, ay, bx, by = bx, by, cx, cy
+        else:
+            return
+    raise ConstructionError(f"{what} is not a counterclockwise convex polygon: "
+                            + ", ".join(f"({x}, {y})" for x, y in verts))
 
 
 @dataclass(frozen=True)
 class FlattenedField(PiecewiseAffineField):
     """The flattened coordinate with the cell pieces (vertices, owner) nested in it.
 
-    An owner indexes the grid ``cells``; piece i lies in patch ``cell_tags[i]``;
-    ``band_tags`` are the strip-band patches and ``tent_tags[k]`` the
-    trapezoid and triangles of ``tents[k]``, the stage's tents.
+    Vertices, pieces and the grid ``cells`` (x0, y0, x1, y1) are ints over
+    ``scale``, L_n.  An owner indexes the grid ``cells``; piece i lies in
+    patch ``cell_tags[i]``; ``band_tags`` are the strip-band patches and
+    ``tent_tags[k]`` the trapezoid and triangles of ``tents[k]``, the
+    stage's tents.
     """
 
     pieces: tuple
@@ -328,31 +368,41 @@ def build_flattened(spec: CarpetSpec, n: int) -> FlattenedField:
     """The stage-n flattened coordinate: staircase minus tent cover.
 
     Builds the stage's tents and walks ``_stage_layout`` over them once, as a
-    total partition.
+    total partition.  Every patch and piece must be a counterclockwise convex
+    polygon on the lattice, and the patches must cover the unit square, or
+    ``ConstructionError`` is raised.
     """
     tents = tuple(build_tents(spec, n))
+    scale, lines = stage_lines(spec, n)
     patches, pieces, cell_tags, band_tags = [], [], [], []
     tent_tags = [[] for _ in tents]
-    for i, (part, verts, coeffs, cell_pieces) in enumerate(_stage_layout(spec, n, tents)):
-        patches.append(make_patch(verts, *coeffs))
-        pieces += cell_pieces
+    area2 = 0
+    frac = cache(Fraction)  # one Fraction per value, shared by the patches
+    for i, (part, verts, (c0, cx, cy), cell_pieces) in enumerate(_stage_layout(spec, n, tents)):
+        _check_convex(verts, f"stage-{n} patch {i}")
+        for piece in cell_pieces:
+            _check_convex(piece[0], f"stage-{n} piece {len(pieces)}")
+            pieces.append(piece)
+        area2 += _area2(verts)
+        patches.append(AffinePatch(verts, frac(c0, scale), frac(cx), frac(cy)))
         cell_tags += [i] * len(cell_pieces)
         if part is _BAND:
             band_tags.append(i)
         elif part is not None:
             tent_tags[part].append(i)
-    field = FlattenedField(tuple(patches), tuple(pieces), tuple(cell_tags), tuple(band_tags),
-                           tuple(map(tuple, tent_tags)), cell_grid(spec, n).cells, tents)
-    if field.total_area() != 1:
-        raise ConstructionError(f"flattened patches cover {field.total_area()}, not 1")
-    return field
+    if area2 != 2 * scale * scale:
+        raise ConstructionError(f"flattened patches cover {Fraction(area2, 2 * scale * scale)}, "
+                                "not 1")
+    return FlattenedField(tuple(patches), scale, tuple(pieces), tuple(cell_tags),
+                          tuple(band_tags), tuple(map(tuple, tent_tags)), _cells(lines), tents)
 
 
 def check_local_constancy(flattened: PiecewiseAffineField, neighborhoods):
     """Every patch overlapping a boundary neighborhood must have zero gradient.
 
-    Returns the list of violations (cell index, flattened patch index); empty
-    means the key vanishing property holds exactly.
+    The neighborhoods are on the lattice of ``flattened``.  Returns the list
+    of violations (cell index, flattened patch index); empty means the key
+    vanishing property holds exactly.
     """
     pieces = [(nb.cell_index, piece) for nb in neighborhoods for piece in nb.pieces()]
     sloped = [i for i, p in enumerate(flattened.patches) if p.gradient != (0, 0)]
@@ -361,7 +411,50 @@ def check_local_constancy(flattened: PiecewiseAffineField, neighborhoods):
     return [(pieces[ia][0], sloped[ib]) for _, ia, ib in overlaps]
 
 
-def build_cell_field(flattened: FlattenedField, slopes) -> PiecewiseAffineField:
+@dataclass(frozen=True)
+class CellField(PiecewiseAffineField):
+    """A field glued from per-cell affine maps: patch i is piece i of ``flattened``.
+
+    Every vertex of a piece takes the map of its owner cell, which is
+    gx*(x - c_x) + gy*(y - c_y) about the cell centre c; a piece with one
+    owner carries that map itself.  ``scale`` is the flattened field's.
+    """
+
+    flattened: FlattenedField
+
+    def sup_norm(self) -> Fraction:
+        """Max of |value| over patch vertices, one cell at a time.
+
+        A vertex takes its owner's map, so the sup is the max over cells of
+        |gx*(X - C_x) + gy*(Y - C_y)| / L over the vertices (X, Y) the cell
+        owns.  With gx = a / D and gy = b / D that is an int max of
+        |a*(2X - x0 - x1) + b*(2Y - y0 - y1)| over the cell's vertices,
+        divided by 2*L*D: one ``Fraction`` per cell.
+        """
+        pieces, cells = self.flattened.pieces, self.flattened.cells
+        slopes = [None] * len(cells)
+        for p, (_, owner) in zip(self.patches, pieces):
+            if isinstance(owner, int):
+                slopes[owner] = p.gradient
+        maps, dens = [], []
+        for (x0, y0, x1, y1), (gx, gy) in zip(cells, slopes):
+            den = lcm(gx.denominator, gy.denominator)
+            maps.append((gx.numerator * (den // gx.denominator),
+                         gy.numerator * (den // gy.denominator), x0 + x1, y0 + y1))
+            dens.append(den)
+        peak = [0] * len(maps)
+        for verts, owner in pieces:
+            owners = (owner,) * len(verts) if isinstance(owner, int) else owner
+            for (x, y), o in zip(verts, owners):
+                a, b, sx, sy = maps[o]
+                v = abs(a * (2 * x - sx) + b * (2 * y - sy))
+                if v > peak[o]:
+                    peak[o] = v
+        two_l = 2 * self.scale
+        return max((Fraction(p, two_l * den) for p, den in zip(peak, dens) if p), default=ZERO)
+
+
+def build_cell_field(flattened: FlattenedField, slopes) -> CellField:
     """Glue per-cell maps, each zero at its cell center, into a field continuous on the carpet.
 
     ``slopes`` holds one gradient (gx, gy) per grid cell, in ``flattened.cells``
@@ -370,27 +463,31 @@ def build_cell_field(flattened: FlattenedField, slopes) -> PiecewiseAffineField:
     neighborhood; across strip bands and tent trapezoids the values are joined
     by affine interpolation on triangles.  Jumps may remain only along edges
     buried inside removed holes, which the carpet never sees.  The patches are
-    the pieces that the stage's ``flattened`` field carries, in its order, so
-    patch i lies in flattened patch ``flattened.cell_tags[i]``.
+    the pieces that the stage's ``flattened`` field carries, in its order and
+    on its lattice, so patch i lies in flattened patch
+    ``flattened.cell_tags[i]``; their maps are in unit coordinates.
 
     A seam triangle (p_0, p_1, p_2) has two vertices owned by one cell a and
     an odd vertex p_k owned by a cell b, so its map is in closed form
     map_a + delta * lambda_k, with delta = map_b(p_k) - map_a(p_k) and lambda_k
     = cross(p_i, p_j, p) / cross(p_i, p_j, p_k) the barycentric coordinate of
-    p_k; for delta = 0 it is map_a.  The determinant cross(p_0, p_1, p_2) > 0
-    is what ``make_patch`` checks of a canonical triangle (three distinct,
-    non-collinear, counterclockwise vertices), so a seam keeps its vertex
-    tuple as given and any other seam raises ``ConstructionError``.
+    p_k; for delta = 0 it is map_a.  On the lattice of scale L the
+    determinant d = cross(p_0, p_1, p_2) is an int, L^2 times the unit one,
+    so with t = delta / d the map adds t * (ey*xi - ex*yi) to c0 and
+    t * L * (-ey, ex) to the gradient, (ex, ey) being p_j - p_i.  A seam keeps
+    its vertex tuple as given: d > 0 is what ``build_flattened`` checks of
+    every piece, and any other seam raises ``ConstructionError``.
     """
+    scale = flattened.scale
     coeffs = []
     for (x0, y0, x1, y1), (gx, gy) in zip(flattened.cells, slopes, strict=True):
         gx, gy = Fraction(gx), Fraction(gy)
-        coeffs.append((-gx * (x0 + x1) / 2 - gy * (y0 + y1) / 2, gx, gy))
+        coeffs.append((-(gx * (x0 + x1) + gy * (y0 + y1)) / (2 * scale), gx, gy))
 
     patches = []
     for i, (verts, owner) in enumerate(flattened.pieces):
         if isinstance(owner, int):
-            patches.append(make_patch(verts, *coeffs[owner]))
+            patches.append(AffinePatch(verts, *coeffs[owner]))
             continue
         d = cross(*verts)
         if d <= 0:
@@ -406,20 +503,21 @@ def build_cell_field(flattened: FlattenedField, slopes) -> PiecewiseAffineField:
         px, py = verts[k]
         delta = b0 - a0
         if bx != ax:
-            delta += (bx - ax) * px
+            delta += (bx - ax) * px / scale
         if by != ay:
-            delta += (by - ay) * py
+            delta += (by - ay) * py / scale
         if not delta:
             patches.append(AffinePatch(verts, a0, ax, ay))
             continue
         (xi, yi), (xj, yj) = verts[k - 2], verts[k - 1]
         ex, ey = xj - xi, yj - yi
         t = delta / d
-        patches.append(AffinePatch(verts, a0 + t * (ey * xi - ex * yi), ax - t * ey, ay + t * ex))
-    return PiecewiseAffineField(tuple(patches))
+        patches.append(AffinePatch(verts, a0 + t * (ey * xi - ex * yi), ax - t * scale * ey,
+                                   ay + t * scale * ex))
+    return CellField(tuple(patches), scale, flattened)
 
 
-def build_ramp(flattened: FlattenedField, f: PiecewiseAffineField) -> PiecewiseAffineField:
+def build_ramp(flattened: FlattenedField, f: PiecewiseAffineField) -> CellField:
     """Per-cell horizontal ramp: value-of-f-at-center times (x - center_x).
 
     ``f`` must be one affine patch covering the unit square (``affine_target``
@@ -429,8 +527,10 @@ def build_ramp(flattened: FlattenedField, f: PiecewiseAffineField) -> PiecewiseA
     patches are the cell pieces of ``flattened`` (see ``build_cell_field``).
     """
     target = affine_target(f)
-    return build_cell_field(flattened, [(target.value_at(((x0 + x1) / 2, (y0 + y1) / 2)), ZERO)
-                                        for x0, y0, x1, y1 in flattened.cells])
+    two_l = 2 * flattened.scale
+    return build_cell_field(flattened, [
+        (target.value_at((Fraction(x0 + x1, two_l), Fraction(y0 + y1, two_l))), ZERO)
+        for x0, y0, x1, y1 in flattened.cells])
 
 
 def tent_field_bound(spec: CarpetSpec, n: int) -> Fraction:
@@ -472,7 +572,7 @@ def build_stage(spec: CarpetSpec, n: int, f: PiecewiseAffineField) -> StageData:
     witness = ProductVectorField(tuple(
         (p.vertices, (p.c0, p.cx, p.cy), flattened.patches[t].gradient)
         for p, t in zip(ramp.patches, flattened.cell_tags)
-        if flattened.patches[t].gradient != (0, 0)))
+        if flattened.patches[t].gradient != (0, 0)), flattened.scale)
     return StageData(n=n, tents=flattened.tents, strips=build_strips(spec, n),
                      flattened=flattened,
                      neighborhoods=build_neighborhoods(spec, n, flattened.tents), ramp=ramp,
@@ -481,7 +581,7 @@ def build_stage(spec: CarpetSpec, n: int, f: PiecewiseAffineField) -> StageData:
 
 def affine_target(f: PiecewiseAffineField) -> AffinePatch:
     """The one affine patch of a target function defined on the whole unit square."""
-    if len(f.patches) != 1 or set(f.patches[0].vertices) != UNIT_CORNERS:
+    if f.scale != 1 or len(f.patches) != 1 or set(f.patches[0].vertices) != UNIT_CORNERS:
         raise ValueError("the target must be a single affine patch covering the unit square")
     return f.patches[0]
 
@@ -529,7 +629,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
     for i, r in enumerate(diag["shrink_ratios"], start=1):
         report.add("hypothesis", i, "shrink_ratio", r)
 
-    f_sup = sup_norm(f)
+    f_sup = f.sup_norm()
     f_sup_sq = f_sup * f_sup
     witness_norms = []
     for n in range(1, n_max + 1):
@@ -541,8 +641,8 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         # walked once for its measure, or over the ramp patches, each walked
         # once for its six moments and tagged with its flattened patch
         flat = stage.flattened
-        measures = [pf.region_measure(p.vertices) for p in flat.patches]
-        ramp_moments = [pf.moments(p.vertices) for p in stage.ramp.patches]
+        measures = [pf.region_measure(p.vertices, flat.scale) for p in flat.patches]
+        ramp_moments = [pf.moments(p.vertices, flat.scale) for p in stage.ramp.patches]
         # the flattening energy |grad(y - flattened)|^2 per patch: on the strip
         # bands it is the strip defect (|grad(y - staircase)|^2), on a tent's
         # three patches the tent cover's |grad psi|^2
@@ -585,7 +685,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    note="compared against (sqrt(strip bound) + sqrt(tent energy))^2",
                    bound=a_n + e_tents, passed=leq_sqrt_sum_sq(e_flat, a_n, e_tents))
 
-        ramp_sup = sup_norm(stage.ramp)
+        ramp_sup = stage.ramp.sup_norm()
         report.add("witness", n, "ramp_sup", ramp_sup, f_sup * d_prev,
                    ramp_sup <= f_sup * d_prev,
                    note=f"previous side {d_prev} vs 1/n {Fraction(1, n)}: "

@@ -76,7 +76,7 @@ def random_grid_field(rng, max_cuts=2):
                                                     values[tr]))
             patches.append(patch_from_vertex_values((bl, tr, tl), values[bl], values[tr],
                                                     values[tl]))
-    return PiecewiseAffineField(tuple(patches))
+    return PiecewiseAffineField(tuple(patches), 1)
 
 
 def seeded(seed):

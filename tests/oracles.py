@@ -11,15 +11,31 @@ and polynomial helpers it needs beyond ``carpetcurl.geometry`` (box clipping,
 moments keyed by monomial, and the dict polynomials {(p, q): coefficient}
 with their products, sums and scaling) live here too; the dict product is
 also the oracle of ``geometry.square_integral``.
+
+The oracles work in unit coordinates: a stage field's int vertices are
+divided by its scale on the way in (``in_unit``), and a rational region is
+put on its own integer lattice (``on_lattice``) for ``Prefractal``.  The
+``Fraction`` stage construction the package replaced by the int one is kept
+at the end (``fraction_tents``, ``fraction_layout``,
+``fraction_neighborhoods``) as the oracle of the stage lattice.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from carpetcurl.carpet import CarpetSpec, Prefractal
+from carpetcurl.carpet import (
+    CarpetSpec,
+    ConstructionError,
+    Prefractal,
+    gap_height,
+    side_length,
+    stage_scale,
+)
 from carpetcurl.fields import (
     AffinePatch,
     PiecewiseAffineField,
@@ -33,6 +49,7 @@ from carpetcurl.geometry import (
     MOMENT_DIVISORS,
     MONOMIALS,
     ZERO,
+    _lattice,
     bbox,
     clip_halfplane,
     cross,
@@ -40,9 +57,51 @@ from carpetcurl.geometry import (
     normalize_polygon,
     polygon_area,
 )
-from carpetcurl.witness import build_cell_field, build_flattened, build_ramp, build_tents
+from carpetcurl.witness import (
+    CellNeighborhood,
+    build_cell_field,
+    build_flattened,
+    build_ramp,
+    build_tents,
+)
 
 ONE = Fraction(1)
+
+
+# --- lattices -------------------------------------------------------------
+
+
+def on_lattice(region):
+    """(int vertices, scale) of a rational polygon on its own lattice, the
+    form ``Prefractal.moments`` takes."""
+    scale, pts = _lattice(region)
+    return tuple(pts), scale
+
+
+def unit_polygon(verts, scale):
+    """The points of a polygon over ``scale`` as Fraction pairs."""
+    return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in verts)
+
+
+def in_unit(obj):
+    """A field or product vector field at scale 1, its vertices as Fractions."""
+    s = obj.scale
+    if s == 1:
+        return obj
+    if isinstance(obj, ProductVectorField):
+        return ProductVectorField(tuple((unit_polygon(v, s), h, w) for v, h, w in obj.pieces), 1)
+    return PiecewiseAffineField(tuple(AffinePatch(unit_polygon(p.vertices, s), p.c0, p.cx, p.cy)
+                                      for p in obj.patches), 1)
+
+
+def unit_integral(pf, region, poly):
+    """``Prefractal.integrate`` over a rational region."""
+    return pf.integrate(*on_lattice(region), poly)
+
+
+def unit_measure(pf, region):
+    """``Prefractal.region_measure`` of a rational region."""
+    return pf.region_measure(*on_lattice(region))
 
 
 # --- polygons and polynomials ---------------------------------------------
@@ -148,6 +207,7 @@ def continuity_defects(field: PiecewiseAffineField, prefractal: Optional[Prefrac
     the closure of a removed hole (up to ``hole_stage``) are exempt: the
     field is free there, only its restriction off the holes matters.
     """
+    field = in_unit(field)
     defects = []
     index = _BoxIndex(field.patches, key=lambda p: bbox(p.vertices))
     for i, a in enumerate(field.patches):
@@ -195,7 +255,7 @@ def _shared_segments(poly_a, poly_b):
 
 def gradient(field: PiecewiseAffineField) -> PCVectorField:
     """Per-patch gradient; constant on every patch of an affine field."""
-    return PCVectorField(tuple((p.vertices, p.cx, p.cy) for p in field.patches))
+    return PCVectorField(tuple((p.vertices, p.cx, p.cy) for p in in_unit(field).patches))
 
 
 def curl(v: ProductVectorField) -> PCScalarField:
@@ -218,7 +278,7 @@ def overlay(a, b):
     """
     def regions(x):
         if isinstance(x, PiecewiseAffineField):
-            return [p.vertices for p in x.patches]
+            return [p.vertices for p in in_unit(x).patches]
         return [normalize_polygon(r) for r in x]
 
     regions_a, regions_b = regions(a), regions(b)
@@ -236,46 +296,49 @@ def overlay(a, b):
 def dirichlet_energy(field: PiecewiseAffineField, prefractal: Prefractal):
     """Sum over patches of |gradient|^2 times the prefractal measure."""
     total = ZERO
-    for p in field.patches:
+    for p in in_unit(field).patches:
         g2 = p.cx * p.cx + p.cy * p.cy
         if g2 == 0:
             continue
-        total += g2 * prefractal.region_measure(p.vertices)
+        total += g2 * unit_measure(prefractal, p.vertices)
     return total
 
 
 def l2_norm_sq(obj, prefractal: Prefractal):
     """Exact squared L2 norm over the prefractal for any supported field kind."""
     total = ZERO
+    if isinstance(obj, (PiecewiseAffineField, ProductVectorField)):
+        obj = in_unit(obj)
     if isinstance(obj, PiecewiseAffineField):
         for p in obj.patches:
             ipoly = poly_mul(value_poly(p), value_poly(p))
-            total += prefractal.integrate(p.vertices, ipoly)
+            total += unit_integral(prefractal, p.vertices, ipoly)
     elif isinstance(obj, PCVectorField):
         for (verts, px, py) in obj.pieces:
             v2 = px * px + py * py
             if v2 == 0:
                 continue
-            total += v2 * prefractal.region_measure(verts)
+            total += v2 * unit_measure(prefractal, verts)
     elif isinstance(obj, PCScalarField):
         for (verts, val) in obj.pieces:
             if val == 0:
                 continue
-            total += val * val * prefractal.region_measure(verts)
+            total += val * val * unit_measure(prefractal, verts)
     elif isinstance(obj, ProductVectorField):
         for (verts, (h0, hx, hy), (px, py)) in obj.pieces:
             v2 = px * px + py * py
             if v2 == 0:
                 continue
             h = affine_poly(h0, hx, hy)
-            total += prefractal.integrate(verts, poly_scale(poly_mul(h, h), v2))
+            total += unit_integral(prefractal, verts, poly_scale(poly_mul(h, h), v2))
     else:
         raise TypeError(f"cannot integrate {type(obj).__name__}")
     return total
 
 
 def product_with_gradient(h: PiecewiseAffineField, g: PiecewiseAffineField) -> ProductVectorField:
-    """The vector field h * grad(g) on the common refinement."""
+    """The vector field h * grad(g) on the common refinement, at scale 1."""
+    h, g = in_unit(h), in_unit(g)
     pieces = []
     for region, ih, ig in refine_pairs([p.vertices for p in h.patches],
                                        [p.vertices for p in g.patches]):
@@ -283,7 +346,7 @@ def product_with_gradient(h: PiecewiseAffineField, g: PiecewiseAffineField) -> P
         if pg.cx == 0 and pg.cy == 0:
             continue
         pieces.append((region, (ph.c0, ph.cx, ph.cy), (pg.cx, pg.cy)))
-    return ProductVectorField(tuple(pieces))
+    return ProductVectorField(tuple(pieces), 1)
 
 
 def _frac(x):
@@ -296,6 +359,7 @@ def _verts(region):
 
 
 def field_to_json(field: PiecewiseAffineField) -> dict:
+    field = in_unit(field)
     return {"patches": [{"vertices": _verts(p.vertices),
                          "coeffs": [_frac(p.c0), _frac(p.cx), _frac(p.cy)]}
                         for p in field.patches]}
@@ -307,7 +371,7 @@ def field_from_json(data: dict) -> PiecewiseAffineField:
         verts = tuple((Fraction(xn, xd), Fraction(yn, yd)) for (xn, xd), (yn, yd) in rec["vertices"])
         (c0n, c0d), (cxn, cxd), (cyn, cyd) = rec["coeffs"]
         patches.append(AffinePatch(verts, Fraction(c0n, c0d), Fraction(cxn, cxd), Fraction(cyn, cyd)))
-    return PiecewiseAffineField(tuple(patches))
+    return PiecewiseAffineField(tuple(patches), 1)
 
 
 def vector_field_to_json(v) -> dict:
@@ -323,6 +387,7 @@ def vector_field_to_json(v) -> dict:
                                                [_frac(py), _frac(0), _frac(0)]]}
             for (r, px, py) in v.pieces]}
     if isinstance(v, ProductVectorField):
+        v = in_unit(v)
         return {"kind": "product", "pieces": [
             {"vertices": _verts(r),
              "coeffs": [[_frac(h0), _frac(hx), _frac(hy)],
@@ -348,10 +413,11 @@ class ProductField:
     def atoms(self):
         regions = []
         data = []
-        for region, iu, iv in refine_pairs([p.vertices for p in self.u.patches],
-                                           [p.vertices for p in self.v.patches]):
-            pu = self.u.patches[iu]
-            pv = self.v.patches[iv]
+        u, v = in_unit(self.u), in_unit(self.v)
+        for region, iu, iv in refine_pairs([p.vertices for p in u.patches],
+                                           [p.vertices for p in v.patches]):
+            pu = u.patches[iu]
+            pv = v.patches[iv]
             upoly = value_poly(pu)
             vpoly = value_poly(pv)
             value = poly_mul(upoly, vpoly)
@@ -365,6 +431,7 @@ class ProductField:
 def _field_atoms(obj):
     """Uniform atom view: (regions, [(value_poly, gx_poly, gy_poly)])."""
     if isinstance(obj, PiecewiseAffineField):
+        obj = in_unit(obj)
         regions = [p.vertices for p in obj.patches]
         data = [(value_poly(p), {(0, 0): p.cx}, {(0, 0): p.cy}) for p in obj.patches]
         return regions, data
@@ -492,7 +559,7 @@ def inner_one(a: OneForm, b: OneForm, pf: Prefractal):
                 piece = poly_mul(poly_mul(v1, v2), gamma_poly)
                 integrand = poly_add(integrand, poly_scale(piece, w1 * w2))
         if any(v != 0 for v in integrand.values()):
-            total += pf.integrate(region, integrand)
+            total += unit_integral(pf, region, integrand)
     return total
 
 
@@ -532,7 +599,7 @@ def inner_two(a: TwoForm, b: TwoForm, pf: Prefractal):
                 piece = poly_mul(poly_mul(hv1, hv2), det)
                 integrand = poly_add(integrand, poly_scale(piece, w1 * w2))
         if any(v != 0 for v in integrand.values()):
-            total += pf.integrate(region, integrand)
+            total += unit_integral(pf, region, integrand)
     return total
 
 
@@ -549,6 +616,7 @@ class GammaDensity:
 
 
 def gamma(f: PiecewiseAffineField, g: PiecewiseAffineField, pf: Prefractal) -> GammaDensity:
+    f, g = in_unit(f), in_unit(g)
     pieces = []
     ess = ZERO
     for region, i, j in refine_pairs([p.vertices for p in f.patches],
@@ -556,7 +624,7 @@ def gamma(f: PiecewiseAffineField, g: PiecewiseAffineField, pf: Prefractal) -> G
         pf_, pg_ = f.patches[i], g.patches[j]
         val = pf_.cx * pg_.cx + pf_.cy * pg_.cy
         pieces.append((region, val))
-        if abs(val) > ess and pf.region_measure(region) > 0:
+        if abs(val) > ess and unit_measure(pf, region) > 0:
             ess = abs(val)
     return GammaDensity(density=PCScalarField(tuple(pieces)), essential_sup=ess)
 
@@ -592,30 +660,31 @@ def one_form_to_json(omega: OneForm) -> dict:
 # --- witness --------------------------------------------------------------
 
 
-def field_patches(tent):
-    """The tent's trapezoid and two side triangles as patches of its cover."""
+def field_patches(tent, scale):
+    """The tent's trapezoid and two side triangles as patches of its cover,
+    in unit coordinates; ``scale`` is the lattice the tent is on."""
     s = tent.side_slope
-    xl = tent.column_x - tent.width / 2
-    xr = tent.column_x + tent.width / 2
+    xl = Fraction(2 * tent.column_x - tent.width, 2 * scale)
+    xr = Fraction(2 * tent.column_x + tent.width, 2 * scale)
     left, right = tent.triangles
     return (
-        make_patch(tent.trapezoid, -tent.y_lo, 0, 1),
-        make_patch(left, -s * xl, s, 0),
-        make_patch(right, s * xr, -s, 0),
+        make_patch(unit_polygon(tent.trapezoid, scale), Fraction(-tent.y_lo, scale), 0, 1),
+        make_patch(unit_polygon(left, scale), -s * xl, s, 0),
+        make_patch(unit_polygon(right, scale), s * xr, -s, 0),
     )
 
 
-def lambda_energy(tent) -> Fraction:
+def lambda_energy(tent, scale) -> Fraction:
     """The tent cover's energy over the full rectangle under plain area measure."""
-    h, w = tent.height, tent.width
+    h, w = Fraction(tent.height, scale), Fraction(tent.width, scale)
     return Fraction(3, 4) * h * w + 4 * h ** 3 / w
 
 
-def build_tent_field(spec: CarpetSpec, n: int, tents=None) -> PiecewiseAffineField:
+def build_tent_field(spec: CarpetSpec, n: int) -> PiecewiseAffineField:
     """The nonnegative tent cover, supported on the tent rectangles."""
-    if tents is None:
-        tents = build_tents(spec, n)
-    return PiecewiseAffineField(tuple(p for t in tents for p in field_patches(t)))
+    scale = stage_scale(spec, n)
+    return PiecewiseAffineField(tuple(p for t in build_tents(spec, n)
+                                      for p in field_patches(t, scale)), 1)
 
 
 def build_witness(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
@@ -631,12 +700,12 @@ def build_witness(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
 def coordinate_minus(field: PiecewiseAffineField) -> PiecewiseAffineField:
     """The field y - given(x, y) on the given field's partition."""
     return PiecewiseAffineField(tuple(
-        AffinePatch(p.vertices, -p.c0, -p.cx, 1 - p.cy) for p in field.patches))
+        AffinePatch(p.vertices, -p.c0, -p.cx, 1 - p.cy) for p in field.patches), field.scale)
 
 
 def vertical_defect_sq(flattened: PiecewiseAffineField, pf: Prefractal):
     """Integral of (d/dy flattened - 1)^2 over the prefractal."""
-    pieces = tuple((p.vertices, p.cy - 1) for p in flattened.patches)
+    pieces = tuple((p.vertices, p.cy - 1) for p in in_unit(flattened).patches)
     return l2_norm_sq(PCScalarField(pieces), pf)
 
 
@@ -647,6 +716,7 @@ def curl_defect_sq(ramp: PiecewiseAffineField, flattened: PiecewiseAffineField,
     The rotation is ramp_x * flat_y - ramp_y * flat_x on every refined patch,
     including those where the flattened gradient vanishes.
     """
+    ramp, flattened, f = in_unit(ramp), in_unit(flattened), in_unit(f)
     pieces = refine_pairs([p.vertices for p in ramp.patches],
                           [p.vertices for p in flattened.patches])
     total = ZERO
@@ -658,5 +728,238 @@ def curl_defect_sq(ramp: PiecewiseAffineField, flattened: PiecewiseAffineField,
         c = pr.cx * pg.cy - pr.cy * pg.cx
         pf_patch = f.patches[jf]
         diff = {(0, 0): c - pf_patch.c0, (1, 0): -pf_patch.cx, (0, 1): -pf_patch.cy}
-        total += pf.integrate(piece, poly_mul(diff, diff))
+        total += unit_integral(pf, piece, poly_mul(diff, diff))
     return total
+
+
+# --- the Fraction stage construction --------------------------------------
+
+
+def _rectangle(x0, y0, x1, y1):
+    return ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+
+
+def fraction_cut_positions(spec: CarpetSpec, n: int) -> tuple:
+    d_prev = side_length(spec, n - 1)
+    count = int(1 / d_prev)
+    return tuple((j + Fraction(1, 2)) * d_prev for j in range(count))
+
+
+def fraction_column_obstacles(spec: CarpetSpec, n: int, x_cut: Fraction):
+    """Holes met by the vertical line x = x_cut, sorted by height.
+
+    Returns (y_lo, y_hi, stage) triples covering stage-n holes centered on the
+    line plus any earlier-stage hole whose interior the line crosses.
+    """
+    obstacles = []
+
+    def walk(k, x0, y0):
+        d = side_length(spec, k)
+        if not (x0 < x_cut < x0 + d):
+            return
+        if k == n - 1:
+            c = (x0 + d / 2, y0 + d / 2)
+            h = side_length(spec, n)
+            obstacles.append((c[1] - h / 2, c[1] + h / 2, n))
+            return
+        q = spec.subdivisions(k + 1)
+        dc = side_length(spec, k + 1)
+        c = (q - 1) // 2
+        jx = int((x_cut - x0) / dc)
+        if jx >= q:
+            jx = q - 1
+        for jy in range(q):
+            if jx == c and jy == c:
+                lo = y0 + jy * dc
+                obstacles.append((lo, lo + dc, k + 1))
+                continue
+            walk(k + 1, x0 + jx * dc, y0 + jy * dc)
+
+    walk(0, ZERO, ZERO)
+    obstacles.sort()
+    return obstacles
+
+
+@dataclass(frozen=True)
+class FractionTent:
+    """One tent over a vertical gap between obstacles in a cut column.
+
+    The rectangle spans the full gap; the enclosed trapezoid rises with slope
+    one from the full-width base at the bottom of the gap to the half-width
+    top edge, and the two side triangles fall off linearly in x.  Gaps ending
+    at a larger hole or at the square boundary are shorter than the template
+    height and reuse the same shape scaled to the actual gap.  ``cut`` is the
+    index of the column in ``cut_positions`` and ``row`` the cell row holding
+    the gap, so the tent sits on the edge between cells ``cut`` and
+    ``cut + 1`` of that row.  The trapezoid, triangles and side slope are
+    cached, so every patch built on them shares one tuple.
+    """
+
+    column_x: Fraction
+    y_lo: Fraction
+    y_hi: Fraction
+    width: Fraction
+    template_height: Fraction
+    lower_kind: str
+    upper_kind: str
+    cut: int
+    row: int
+
+    @property
+    def height(self) -> Fraction:
+        return self.y_hi - self.y_lo
+
+    @property
+    def rectangle(self):
+        w = self.width / 2
+        return (self.column_x - w, self.y_lo, self.column_x + w, self.y_hi)
+
+    @cached_property
+    def trapezoid(self):
+        w, q = self.width / 2, self.width / 4
+        return ((self.column_x - w, self.y_lo), (self.column_x + w, self.y_lo),
+                (self.column_x + q, self.y_hi), (self.column_x - q, self.y_hi))
+
+    @cached_property
+    def side_slope(self) -> Fraction:
+        return 4 * self.height / self.width
+
+    @cached_property
+    def triangles(self):
+        w, q = self.width / 2, self.width / 4
+        left = ((self.column_x - w, self.y_lo), (self.column_x - q, self.y_hi),
+                (self.column_x - w, self.y_hi))
+        right = ((self.column_x + w, self.y_lo), (self.column_x + w, self.y_hi),
+                 (self.column_x + q, self.y_hi))
+        return (left, right)
+
+
+def fraction_tents(spec: CarpetSpec, n: int):
+    """All tents at stage n, ordered by column then height."""
+    width = side_length(spec, n)
+    template = gap_height(spec, n)
+    cuts = fraction_cut_positions(spec, n)
+    tents = []
+    for cut, x_c in enumerate(cuts):
+        obstacles = fraction_column_obstacles(spec, n, x_c)
+        events = [(ZERO, ZERO, "boundary")] + \
+                 [(lo, hi, "hole" if stage == n else "big") for (lo, hi, stage) in obstacles] + \
+                 [(Fraction(1), Fraction(1), "boundary")]
+        for (lo_a, hi_a, kind_a), (lo_b, hi_b, kind_b) in zip(events, events[1:]):
+            if hi_a >= lo_b:
+                raise ConstructionError(f"overlapping obstacles in column {x_c}")
+            gap = lo_b - hi_a
+            expected = template if kind_a == kind_b == "hole" else template / 2
+            if gap != expected:
+                raise ConstructionError(f"gap {gap} between {kind_a} and {kind_b} in "
+                                        f"column {x_c} is not the expected {expected}")
+            # every crossing of two cut lines lies inside a hole, so a gap
+            # never touches a cut and the cuts below it count its row
+            tents.append(FractionTent(column_x=x_c, y_lo=hi_a, y_hi=lo_b, width=width,
+                              template_height=template, lower_kind=kind_a, upper_kind=kind_b,
+                              cut=cut, row=bisect_right(cuts, hi_a)))
+    return tents
+
+
+def _fraction_tent_index(tents) -> dict:
+    """(cut, row) -> the index in ``tents`` of the tent on that cell edge."""
+    index = {(t.cut, t.row): k for k, t in enumerate(tents)}
+    if len(index) != len(tents):
+        raise ConstructionError("two tents on one cell edge")
+    return index
+
+
+def fraction_neighborhoods(spec: CarpetSpec, n: int, tents):
+    """One CellNeighborhood per grid cell (strip rectangles and the trapezoids of ``tents``)."""
+    xs = (ZERO,) + fraction_cut_positions(spec, n) + (ONE,)
+    cells = [(x0, y0, x1, y1) for y0, y1 in zip(xs, xs[1:]) for x0, x1 in zip(xs, xs[1:])]
+    tent_at = _fraction_tent_index(tents)
+    ncols = len(xs) - 1
+    half = side_length(spec, n) / 2
+    out = []
+    for idx, (x0, y0, x1, y1) in enumerate(cells):
+        rects = tuple(_rectangle(x0, y - half, x1, y + half) for y in (y0, y1) if 0 < y < 1)
+        # cut i - 1 is the cell's left edge, cut i its right edge
+        row, i = divmod(idx, ncols)
+        traps = tuple(tents[tent_at[edge]].trapezoid
+                      for edge in ((i - 1, row), (i, row)) if edge in tent_at)
+        out.append(CellNeighborhood(cell_index=idx, cell=(x0, y0, x1, y1),
+                                    rectangles=rects, trapezoids=traps))
+    return out
+
+
+def fraction_layout(spec: CarpetSpec, n: int, tents):
+    """The stage-n partition: each flattened patch with the cell pieces inside it.
+
+    Walks the slab rows bottom to top, each left to right, and yields
+    (part, vertices, (c0, cx, cy), pieces) per flattened patch, in
+    ``build_flattened`` order.  The flattened coordinate is constant on the
+    strip bands (part "band") and on the tent trapezoids, slanted on the
+    tent side triangles (part k for the trapezoid and triangles of
+    ``tents[k]``), and slope-one on the slab rectangles between tents and on
+    the slab remainders below and above a truncated tent (part None).
+
+    ``pieces`` are the ``build_cell_field`` pieces inside the patch, as
+    (vertices, owner): ``owner`` is the index of the cell whose map a core or
+    tent-side piece uses, or, for a seam triangle, the cells whose maps give
+    the values at its three vertices.  Cell cores lie in their slab
+    rectangle, a cell's side of a tent is the tent's triangle itself, each
+    slab remainder splits at the cut between the two cells, and the seams
+    cut the strip bands and the tent trapezoids into triangles.
+    """
+    cuts = fraction_cut_positions(spec, n)
+    height = side_length(spec, n)
+    half = height / 2
+    one = Fraction(1)
+    xs = (ZERO,) + cuts + (one,)
+    ncols = len(xs) - 1
+    # the cell edges moved half a strip inward (the unit square's own edges
+    # stay): a tent or band on a cell edge ends the cell's core there, and
+    # slab j = [inner_lo[j], inner_hi[j]] holds cell row j, band j above it
+    inner_lo = [ZERO] + [x + half for x in cuts]
+    inner_hi = [x - half for x in cuts] + [one]
+
+    for t in tents:
+        if not (0 <= t.row < ncols and inner_lo[t.row] <= t.y_lo and t.y_hi <= inner_hi[t.row]):
+            raise ConstructionError(f"tent at {t.column_x} not inside the slab of its row {t.row}")
+    tent_at = _fraction_tent_index(tents)
+
+    for j in range(ncols):
+        y0, y1 = inner_lo[j], inner_hi[j]
+        k = -j * height  # the staircase is y + k on slab j
+        base = j * ncols  # index of the row's first cell
+        cursor, cores = ZERO, []
+        for i in range(ncols):
+            ti = tent_at.get((i, j))
+            x_lo = inner_lo[i] if (i - 1, j) in tent_at else xs[i]
+            x_hi = inner_hi[i] if ti is not None else xs[i + 1]
+            cores.append((_rectangle(x_lo, y0, x_hi, y1), base + i))
+            if ti is None:
+                continue
+            # the tent on the cell's right edge ends the slab rectangle
+            t = tents[ti]
+            xl, xc, xr = x_hi, xs[i + 1], inner_lo[i + 1]
+            cell, right_cell = base + i, base + i + 1
+            s = t.side_slope
+            bl, br, tr, tl = trap = t.trapezoid
+            left, right = t.triangles
+            yield None, _rectangle(cursor, y0, xl, y1), (k, 0, 1), cores
+            yield ti, trap, (k + t.y_lo, 0, 0), [((bl, br, tr), (cell, right_cell, right_cell)),
+                                                 ((bl, tr, tl), (cell, right_cell, cell))]
+            yield ti, left, (k + s * xl, -s, 1), [(left, cell)]
+            yield ti, right, (k - s * xr, s, 1), [(right, right_cell)]
+            for lo, hi in ((y0, t.y_lo), (t.y_hi, y1)):
+                if lo < hi:  # truncated tent: slab remainder below or above
+                    yield None, _rectangle(xl, lo, xr, hi), (k, 0, 1), [
+                        (_rectangle(xl, lo, xc, hi), cell), (_rectangle(xc, lo, xr, hi), right_cell)]
+            cursor, cores = xr, []
+        yield None, _rectangle(cursor, y0, one, y1), (k, 0, 1), cores
+        if j < len(cuts):
+            b1 = inner_lo[j + 1]
+            seams = []
+            for i in range(ncols):
+                lower, upper = base + i, base + ncols + i
+                pa, pb, pc, pd = _rectangle(inner_lo[i], y1, inner_hi[i], b1)
+                seams += [((pa, pb, pc), (lower, lower, upper)),
+                          ((pa, pc, pd), (lower, upper, upper))]
+            yield "band", _rectangle(ZERO, y1, one, b1), (y1 + k, 0, 0), seams

@@ -19,6 +19,7 @@ from carpetcurl.carpet import (
     enumerate_squares,
     prefractal_measure,
     side_length,
+    stage_scale,
     tail_measure_bounds,
     validate_spec,
 )
@@ -82,7 +83,7 @@ def witness_data():
         ramp = build_ramp(flattened, one)
         witness = product_with_gradient(ramp, flattened)
         tent_energies = [
-            dirichlet_energy(PiecewiseAffineField(field_patches(t)), pf)
+            dirichlet_energy(PiecewiseAffineField(field_patches(t, flattened.scale), 1), pf)
             for t in tents
         ]
         data[n] = {
@@ -136,7 +137,8 @@ class TestCriterion3TentBound:
             energies = witness_data[3]["tent_energies"]
         else:
             pf = Prefractal(SPEC, n + 1)
-            energies = [dirichlet_energy(PiecewiseAffineField(field_patches(t)), pf)
+            scale = stage_scale(SPEC, n)
+            energies = [dirichlet_energy(PiecewiseAffineField(field_patches(t, scale), 1), pf)
                         for t in build_tents(SPEC, n)]
         worst = max(energies)
         ok = worst <= bound

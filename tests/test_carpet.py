@@ -30,6 +30,7 @@ from carpetcurl.carpet import (
     parse_spec_config,
     prefractal_measure,
     side_length,
+    stage_scale,
     square_count,
     tail_measure_bounds,
     validate_spec,
@@ -44,6 +45,7 @@ from carpetcurl.geometry import (
     normalize_polygon,
     moment_sums,
 )
+from oracles import on_lattice
 from test_partition import SPECS
 
 F = Fraction
@@ -151,9 +153,11 @@ def star_regions(draw):
     return region
 
 
-def assert_walk_matches_brute_force(depth, region, spec=CarpetSpec(ORACLE_RATIOS)):
+def assert_walk_matches_brute_force(depth, region, spec=CarpetSpec(ORACLE_RATIOS), k=1):
     """The walk's integrals and moments against clipping the region to every
-    surviving leaf square, on the integer lattice of the region and the leaves."""
+    surviving leaf square, on the integer lattice of the region and the leaves;
+    and so the moments of the region's lattice vertices times k over k times
+    its scale, on a fresh prefractal, since they are the same polygon."""
     pf = Prefractal(spec, depth)
     d = side_length(spec, depth)
     scale = math.lcm(d.denominator, *(v.denominator for p in region for v in p))
@@ -173,8 +177,11 @@ def assert_walk_matches_brute_force(depth, region, spec=CarpetSpec(ORACLE_RATIOS
     expected = [F(v) / (div * scale ** (2 + p + q))
                 for v, div, (p, q) in zip(sums, MOMENT_DIVISORS, MONOMIALS)]
     for key, value in zip(MONOMIALS, expected):
-        assert pf.integrate(region, {key: F(1)}) == value
-    assert pf.moments(region) == tuple(expected)
+        assert pf.integrate(*on_lattice(region), {key: F(1)}) == value
+    assert pf.moments(*on_lattice(region)) == tuple(expected)
+    pts, lattice = on_lattice(region)
+    scaled = tuple((k * x, k * y) for x, y in pts)
+    assert Prefractal(spec, depth).moments(scaled, k * lattice) == tuple(expected)
 
 
 class TestValidateSpec:
@@ -322,56 +329,56 @@ class TestCellGrid:
 
 class TestRegionMeasure:
     def test_full_square_equals_measure(self, pf3_1):
-        assert pf3_1.region_measure(UNIT) == F(8, 9)
+        assert pf3_1.region_measure(*on_lattice(UNIT)) == F(8, 9)
 
     def test_hole_has_zero_measure(self, pf3_1):
         hole = ((F(1, 3), F(1, 3)), (F(2, 3), F(1, 3)), (F(2, 3), F(2, 3)), (F(1, 3), F(2, 3)))
-        assert pf3_1.region_measure(hole) == 0
+        assert pf3_1.region_measure(*on_lattice(hole)) == 0
 
     def test_quadrant_by_symmetry(self, pf35_2):
         quad = ((F(0), F(0)), (F(1, 2), F(0)), (F(1, 2), F(1, 2)), (F(0), F(1, 2)))
-        assert pf35_2.region_measure(quad) == F(16, 75)
-        assert pf35_2.region_measure(quad) == prefractal_measure(pf35_2.spec, 2) / 4
+        assert pf35_2.region_measure(*on_lattice(quad)) == F(16, 75)
+        assert pf35_2.region_measure(*on_lattice(quad)) == prefractal_measure(pf35_2.spec, 2) / 4
 
-    @given(oracle_cases())
-    @example((2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))))
+    @given(oracle_cases(), st.integers(1, 12))
+    @example((2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))), 7)
     @settings(max_examples=50, deadline=None)
-    def test_brute_force_oracle_on_a_triangle(self, case):
+    def test_brute_force_oracle_on_a_triangle(self, case, k):
         # interior closed forms, hole complements and leaf clips
-        assert_walk_matches_brute_force(*case)
+        assert_walk_matches_brute_force(*case, k=k)
 
-    @given(refined_lattice_cases())
+    @given(refined_lattice_cases(), st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
-    def test_brute_force_oracle_on_a_refined_lattice(self, case):
+    def test_brute_force_oracle_on_a_refined_lattice(self, case, k):
         # slanted edges cross the grid lines off the carpet's lattice, so the
         # walk must refine its integer lattice until every crossing is on it
-        assert_walk_matches_brute_force(*case)
+        assert_walk_matches_brute_force(*case, k=k)
 
     def test_unsupported_monomial_rejected(self, pf35_2):
         tiny = ((F(1, 100), F(1, 100)), (F(1, 50), F(1, 100)), (F(1, 100), F(1, 50)))
         for region in (tiny, UNIT):
             with pytest.raises(ValueError, match="unsupported monomial"):
-                pf35_2.integrate(region, {(3, 0): 1})
+                pf35_2.integrate(*on_lattice(region), {(3, 0): 1})
 
     def test_monotone_in_depth(self, spec357):
         tri = ((F(0), F(0)), (F(1), F(0)), (F(1, 3), F(2, 3)))
-        vals = [Prefractal(spec357, m).region_measure(tri) for m in (0, 1, 2, 3)]
+        vals = [Prefractal(spec357, m).region_measure(*on_lattice(tri)) for m in (0, 1, 2, 3)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_additive_over_partition(self, pf35_2):
         quad = ((F(1, 7), F(1, 9)), (F(6, 7), F(1, 9)), (F(6, 7), F(5, 6)), (F(1, 7), F(5, 6)))
         a = ((F(1, 7), F(1, 9)), (F(6, 7), F(1, 9)), (F(6, 7), F(5, 6)))
         b = ((F(1, 7), F(1, 9)), (F(6, 7), F(5, 6)), (F(1, 7), F(5, 6)))
-        assert pf35_2.region_measure(quad) == \
-            pf35_2.region_measure(a) + pf35_2.region_measure(b)
+        assert pf35_2.region_measure(*on_lattice(quad)) == \
+            pf35_2.region_measure(*on_lattice(a)) + pf35_2.region_measure(*on_lattice(b))
 
     @staticmethod
     def assert_rejected(pf, region):
         for _ in range(2):
             with pytest.raises(ValueError, match="not convex"):
-                pf.moments(region)
+                pf.moments(*on_lattice(region))
             with pytest.raises(ValueError, match="not convex"):
-                pf.region_measure(region)
+                pf.region_measure(*on_lattice(region))
         assert pf._regions == {}
 
     def test_an_l_shape_is_rejected(self):
@@ -392,8 +399,8 @@ class TestRegionMeasure:
         (),
     ])
     def test_a_collinear_region_has_zero_moments(self, pf35_2, region):
-        assert pf35_2.moments(region) == (F(0),) * len(MONOMIALS)
-        assert pf35_2.region_measure(region) == 0
+        assert pf35_2.moments(*on_lattice(region)) == (F(0),) * len(MONOMIALS)
+        assert pf35_2.region_measure(*on_lattice(region)) == 0
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     @pytest.mark.parametrize("rect", [
@@ -409,7 +416,7 @@ class TestRegionMeasure:
 
     def test_second_moment_recursion_against_hand_integral(self, pf3_1):
         # integral of x^2 over the level-1 set: 1/3 minus 7/243 over the hole
-        assert pf3_1.integrate(UNIT, {(2, 0): F(1)}) == F(74, 243)
+        assert pf3_1.integrate(*on_lattice(UNIT), {(2, 0): F(1)}) == F(74, 243)
 
 
 PATTERN_SPECS = {"ORACLE_RATIOS": CarpetSpec(ORACLE_RATIOS), **SPECS}
@@ -527,8 +534,8 @@ class TestTranslationClasses:
         depth, region, moved = case
         spec = CarpetSpec(ORACLE_RATIOS)
         warm = Prefractal(spec, depth)
-        warm.moments(moved)
-        assert warm.moments(region) == Prefractal(spec, depth).moments(region)
+        warm.moments(*on_lattice(moved))
+        assert warm.moments(*on_lattice(region)) == Prefractal(spec, depth).moments(*on_lattice(region))
         # the region was read off its translate's class, not walked again
         assert len(warm._classes) == 1
 
@@ -539,10 +546,10 @@ class TestTranslationClasses:
         pf = Prefractal(spec, 2)
         tri = ((F(1, 6), F(1, 30)), (F(1, 2), F(1, 30)), (F(1, 3), F(3, 10)))
         moved = tuple((x, y + F(1, 3)) for x, y in tri)
-        area = pf.region_measure(tri)
-        assert 0 < pf.region_measure(moved) < area
+        area = pf.region_measure(*on_lattice(tri))
+        assert 0 < pf.region_measure(*on_lattice(moved)) < area
         assert len(pf._classes) == 2
-        assert pf.moments(moved) == Prefractal(spec, 2).moments(moved)
+        assert pf.moments(*on_lattice(moved)) == Prefractal(spec, 2).moments(*on_lattice(moved))
 
 
 class TestRegionMemo:
@@ -551,21 +558,56 @@ class TestRegionMemo:
     def test_a_list_region_is_rejected(self, spec357):
         # regions are tuples of vertex pairs; a list is neither computed nor stored
         pf = Prefractal(spec357, 3)
-        listed = [list(p) for p in self.TRI]
+        pts, scale = on_lattice(self.TRI)
+        listed = [list(p) for p in pts]
         with pytest.raises(TypeError):
-            pf.moments(listed)
+            pf.moments(listed, scale)
         with pytest.raises(TypeError):
-            pf.region_measure(listed)
+            pf.region_measure(listed, scale)
         assert pf._regions == {}
+
+    def test_fraction_vertices_are_rejected(self, spec357):
+        # vertices are ints over their scale
+        pf = Prefractal(spec357, 3)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                pf.moments(self.TRI, 1)
+        assert pf._regions == {}
+
+    def test_one_int_tuple_on_two_scales_is_two_regions(self, spec357):
+        pf = Prefractal(spec357, 3)
+        tri = ((1, 1), (7, 1), (1, 7))
+        at_60, at_420 = pf.moments(tri, 60), pf.moments(tri, 420)
+        assert at_60 != at_420
+        assert at_60 == Prefractal(spec357, 3).moments(tri, 60)
+        assert at_420 == Prefractal(spec357, 3).moments(tri, 420)
+        assert len(pf._regions) == 2
+
+    def test_one_polygon_on_two_lattices_is_one_region(self, spec357, monkeypatch):
+        computed = []
+        compute = Prefractal._region_moments
+
+        def counted(self, region, scale):
+            computed.append((region, scale))
+            return compute(self, region, scale)
+
+        monkeypatch.setattr(Prefractal, "_region_moments", counted)
+        pf = Prefractal(spec357, 3)
+        tri = ((1, 1), (7, 1), (1, 7))
+        on_420 = tuple((7 * x, 7 * y) for x, y in tri)
+        assert pf.moments(tri, 60) == pf.moments(on_420, 420)
+        assert pf.region_measure(on_420, 420) == pf.moments(tri, 60)[0]
+        assert computed == [(tri, 60)]
+        assert list(pf._regions) == [(60, 1, 1, 7, 1, 1, 7)]
 
     def test_a_region_outside_the_unit_square_raises_on_every_call(self, spec35):
         pf = Prefractal(spec35, 2)
         out = tuple((x, y + F(1, 2)) for x, y in self.TRI)
         for _ in range(2):
             with pytest.raises(OutOfUnitSquare):
-                pf.moments(out)
+                pf.moments(*on_lattice(out))
             with pytest.raises(OutOfUnitSquare):
-                pf.region_measure(out)
+                pf.region_measure(*on_lattice(out))
         assert pf._regions == {}
 
 
@@ -606,12 +648,15 @@ class TestHoleMembership:
 
 
 class TestColumnObstacles:
+    # on the stage-2 lattice of scale 60
     def test_center_column_sees_the_big_hole(self, spec35):
-        obs = column_obstacles(spec35, 2, F(1, 2))
-        assert obs == [(F(2, 15), F(1, 5), 2), (F(1, 3), F(2, 3), 1), (F(4, 5), F(13, 15), 2)]
+        assert stage_scale(spec35, 2) == 60
+        obs = column_obstacles(spec35, 2, 30)
+        assert obs == [(8, 12, 2), (20, 40, 1), (48, 52, 2)]
+        assert all(type(v) is int for ob in obs for v in ob)
 
     def test_side_column_sees_three_small_holes(self, spec35):
-        obs = column_obstacles(spec35, 2, F(1, 6))
+        obs = column_obstacles(spec35, 2, 10)
         assert [stage for (_, _, stage) in obs] == [2, 2, 2]
 
 

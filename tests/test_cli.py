@@ -396,9 +396,9 @@ class TestOnePrefractalPerLevel:
         computed, built = [], []
         compute, init = Prefractal._region_moments, Prefractal.__init__
 
-        def counted_compute(self, region):
-            computed.append(region)
-            return compute(self, region)
+        def counted_compute(self, region, scale):
+            computed.append((region, scale))
+            return compute(self, region, scale)
 
         def counted_init(self, spec, level):
             built.append(level)

@@ -14,7 +14,6 @@ from carpetcurl.fields import (
     coordinate_field,
     make_patch,
     refine_pairs,
-    sup_norm,
 )
 from carpetcurl.geometry import bbox, clip_convex, normalize_polygon, polygon_area
 from carpetcurl.witness import build_flattened, build_ramp, build_staircase
@@ -32,6 +31,7 @@ from oracles import (
     field_to_json,
     gradient,
     l2_norm_sq,
+    on_lattice,
     overlay,
     product_with_gradient,
 )
@@ -45,7 +45,7 @@ class TestGradient:
         assert g.pieces[0][1:] == (F(0), F(1))
 
     def test_constant_strip_patch(self):
-        field = PiecewiseAffineField((make_patch(UNIT, F(7), 0, 0),))
+        field = PiecewiseAffineField((make_patch(UNIT, F(7), 0, 0),), 1)
         assert gradient(field).pieces[0][1:] == (F(0), F(0))
 
     def test_tent_side_patch_slope(self, spec35):
@@ -210,7 +210,7 @@ class TestDirichletEnergy:
         for region, ip, _ in refine_pairs([p.vertices for p in phi.patches], cells):
             src = phi.patches[ip]
             refined.append(make_patch(region, src.c0, src.cx, src.cy))
-        assert dirichlet_energy(PiecewiseAffineField(tuple(refined)), pf35_2) == \
+        assert dirichlet_energy(PiecewiseAffineField(tuple(refined), 1), pf35_2) == \
             dirichlet_energy(phi, pf35_2)
 
 
@@ -231,10 +231,10 @@ class TestL2Norm:
         assert l2_norm_sq(coordinate_field("x"), pf0) == F(1, 3)
         assert l2_norm_sq(coordinate_field("y"), pf0) == F(1, 3)
         # the squared quadratic x^2 integrates to 1/5 over the unit square
-        sq = pf0.integrate(UNIT, {(2, 0): F(0), (0, 0): F(0), (1, 0): F(0)})
+        sq = pf0.integrate(*on_lattice(UNIT), {(2, 0): F(0), (0, 0): F(0), (1, 0): F(0)})
         assert sq == 0
         quartic = {(2, 0): F(1)}
-        assert pf0.integrate(UNIT, quartic) == F(1, 3)
+        assert pf0.integrate(*on_lattice(UNIT), quartic) == F(1, 3)
 
     def test_pc_scalar(self, pf3_1):
         field = PCScalarField(((UNIT, F(2)),))
@@ -252,23 +252,23 @@ class TestSupNorm:
     @given(st.lists(PATCHES, max_size=6))
     @settings(max_examples=300, deadline=None)
     def test_max_of_the_vertex_values(self, patches):
-        field = PiecewiseAffineField(tuple(patches))
-        assert sup_norm(field) == max((abs(p.value_at(v)) for p in patches for v in p.vertices),
+        field = PiecewiseAffineField(tuple(patches), 1)
+        assert field.sup_norm() == max((abs(p.value_at(v)) for p in patches for v in p.vertices),
                                       default=0)
 
     def test_coordinate(self):
-        assert sup_norm(coordinate_field("y")) == 1
+        assert coordinate_field("y").sup_norm() == 1
 
     def test_shifted(self):
-        assert sup_norm(affine_field(F(-1, 2), 1, 0)) == F(1, 2)
+        assert affine_field(F(-1, 2), 1, 0).sup_norm() == F(1, 2)
 
     def test_tent_cover_peaks_at_gap_height(self, spec35):
-        assert sup_norm(build_tent_field(spec35, 2)) == F(4, 15)
+        assert build_tent_field(spec35, 2).sup_norm() == F(4, 15)
 
     def test_vertex_dominates_interior_samples(self):
         rng = seeded(11)
         field = random_grid_field(rng)
-        bound = sup_norm(field)
+        bound = field.sup_norm()
         for _ in range(1000):
             p = (F(rng.randint(0, 64), 64), F(rng.randint(0, 64), 64))
             v = field.value_at(p)
@@ -297,7 +297,7 @@ class TestPatchInvariants:
     def test_continuity_check_spots_a_jump(self):
         left = make_patch(((F(0), F(0)), (F(1, 2), F(0)), (F(1, 2), F(1)), (F(0), F(1))), 0, 0, 0)
         right = make_patch(((F(1, 2), F(0)), (F(1), F(0)), (F(1), F(1)), (F(1, 2), F(1))), 1, 0, 0)
-        field = PiecewiseAffineField((left, right))
+        field = PiecewiseAffineField((left, right), 1)
         assert continuity_defects(field) != []
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from carpetcurl import geometry
 from carpetcurl.carpet import Prefractal
-from carpetcurl.fields import affine_field, constant_field, coordinate_field, sup_norm
+from carpetcurl.fields import affine_field, constant_field, coordinate_field
 from carpetcurl.forms import verify_wedge_approximation
 from carpetcurl.witness import build_flattened, build_staircase
 
@@ -80,7 +80,7 @@ class TestInnerOne:
         split = PiecewiseAffineField((
             make_patch(((F(0), F(0)), (F(1, 2), F(0)), (F(1, 2), F(1)), (F(0), F(1))), 0, 0, 1),
             make_patch(((F(1, 2), F(0)), (F(1), F(0)), (F(1), F(1)), (F(1, 2), F(1))), 0, 0, 1),
-        ))
+        ), 1)
         fx = coordinate_field("x")
         assert norm_sq_one(multiply(fx, d0(fy)), pf3_1) == \
             norm_sq_one(multiply(fx, d0(split)), pf3_1)
@@ -153,7 +153,7 @@ class TestCutoffForm:
         fx = coordinate_field("x")
         flattened = build_flattened(spec35, 2)
         omega, remainder = build_cutoff_form(spec35, 2, fx, flattened)
-        assert sup_norm(remainder) <= F(1, 5)
+        assert remainder.sup_norm() <= F(1, 5)
         # off the seams the remainder shifts x by the cell-center abscissa
         assert remainder.value_at((F(1, 12), F(1, 12))) == F(1, 12) - F(1, 12)
         assert remainder.value_at((F(1, 3), F(1, 3))) == F(1, 3) - F(1, 3)
@@ -168,7 +168,7 @@ class TestCutoffForm:
         fx = coordinate_field("x")
         flattened = build_flattened(spec35, 2)
         omega, remainder = build_cutoff_form(spec35, 2, fx, flattened)
-        bound = sup_norm(remainder) ** 2 * dirichlet_energy(flattened, pf35_2)
+        bound = remainder.sup_norm() ** 2 * dirichlet_energy(flattened, pf35_2)
         assert norm_sq_one(omega, pf35_2) <= bound
 
 

@@ -16,15 +16,15 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from carpetcurl import cli, witness
-from carpetcurl.carpet import CarpetSpec, Prefractal, side_length
+from carpetcurl.carpet import CarpetSpec, Prefractal, cell_grid, side_length, stage_scale
 from carpetcurl.fields import (
+    AffinePatch,
     PiecewiseAffineField,
     affine_field,
     constant_field,
     coordinate_field,
     make_patch,
     refine_pairs,
-    sup_norm,
 )
 from carpetcurl.forms import verify_wedge_approximation
 from carpetcurl.geometry import polygon_area
@@ -32,6 +32,7 @@ from carpetcurl.witness import (
     affine_target,
     build_cell_field,
     build_flattened,
+    build_neighborhoods,
     build_ramp,
     build_stage,
     build_staircase,
@@ -46,6 +47,11 @@ from oracles import (
     d1,
     dirichlet_energy,
     field_patches,
+    fraction_layout,
+    fraction_neighborhoods,
+    fraction_tents,
+    in_unit,
+    unit_polygon,
     gamma,
     l2_norm_sq,
     norm_sq_one,
@@ -81,11 +87,18 @@ def flattened_stage(name, n):
     return build_flattened(SPECS[name], n)
 
 
+def unit_centers(flat):
+    """The grid cells' centres in unit coordinates."""
+    return [(F(x0 + x1, 2 * flat.scale), F(y0 + y1, 2 * flat.scale))
+            for x0, y0, x1, y1 in flat.cells]
+
+
 def solved_cell_field(flat, slopes):
     """The cell field with each cell's map written about its centre and every
-    seam solved from its three vertex values, each its owner's map there."""
-    maps = [(F(gx), F(gy), (x0 + x1) / 2, (y0 + y1) / 2)
-            for (x0, y0, x1, y1), (gx, gy) in zip(flat.cells, slopes, strict=True)]
+    seam solved from its three vertex values, each its owner's map there, in
+    unit coordinates."""
+    maps = [(F(gx), F(gy), cx, cy)
+            for (cx, cy), (gx, gy) in zip(unit_centers(flat), slopes, strict=True)]
 
     def value(owner, p):
         gx, gy, cx, cy = maps[owner]
@@ -93,13 +106,14 @@ def solved_cell_field(flat, slopes):
 
     patches = []
     for verts, owner in flat.pieces:
+        verts = unit_polygon(verts, flat.scale)
         if isinstance(owner, int):
             gx, gy, cx, cy = maps[owner]
             patches.append(make_patch(verts, -gx * cx - gy * cy, gx, gy))
         else:
             patches.append(patch_from_vertex_values(
                 verts, *(value(o, p) for o, p in zip(owner, verts))))
-    return PiecewiseAffineField(tuple(patches))
+    return PiecewiseAffineField(tuple(patches), 1)
 
 
 class TestTags:
@@ -118,20 +132,20 @@ class TestTags:
         assert regions(remainder) == regions(stage.ramp)
         # a tent's trapezoid and side triangles are flattened patches
         for t, tags in zip(stage.tents, flat.tent_tags):
-            assert [flat.patches[i].vertices for i in tags] == regions(
-                PiecewiseAffineField(field_patches(t)))
+            assert [unit_polygon(flat.patches[i].vertices, flat.scale) for i in tags] == regions(
+                PiecewiseAffineField(field_patches(t, flat.scale), 1))
         # the tagged pieces tile each flattened patch, except that the cell
         # field leaves out the stage-n hole squares on the strip bands:
-        # side_n^2 per cut a band crosses, a_n^2 in all
+        # side_n^2 per cut a band crosses, a_n^2 in all; areas on the lattice
         tiled = [F(0)] * len(flat.patches)
         for p, t in zip(stage.ramp.patches, flat.cell_tags):
             tiled[t] += polygon_area(p.vertices)
-        hole = side_length(spec, n) ** 2
+        hole = (side_length(spec, n) * flat.scale) ** 2
         cuts = len(stage.strips.y_centers)
         for i, patch in enumerate(flat.patches):
             short = cuts * hole if i in flat.band_tags else 0
             assert tiled[i] == polygon_area(patch.vertices) - short
-        assert len(flat.band_tags) * cuts * hole == spec.ratio(n) ** 2
+        assert len(flat.band_tags) * cuts * hole == (spec.ratio(n) * flat.scale) ** 2
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", SPECS)
@@ -176,7 +190,75 @@ class TestTags:
 
     def test_witness_equals_the_product_with_gradient(self):
         stage = build_stage(SPECS["1/5,1/3,1/7"], 2, TARGET)
-        assert stage.witness == product_with_gradient(stage.ramp, stage.flattened)
+        assert in_unit(stage.witness) == product_with_gradient(stage.ramp, stage.flattened)
+
+
+# L_n, the scale of the stage-n lattice, for stages 1 to 3
+SCALES = {"odd-reciprocal": (12, 60, 420), "1/3,1/5 constant": (12, 60, 300),
+          "1/5,1/3,1/7": (20, 60, 420)}
+
+
+def int_polygons(polys):
+    return all(type(v) is int for poly in polys for p in poly for v in p)
+
+
+class TestStageLattice:
+    """The int stage against the Fraction construction it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_the_stage_is_the_fraction_stage_on_its_lattice(self, name, n):
+        spec = SPECS[name]
+        flat = flattened_stage(name, n)
+        scale = flat.scale
+        assert scale == stage_scale(spec, n) == SCALES[name][n - 1]
+
+        def unit(poly):
+            return unit_polygon(poly, scale)
+
+        old_tents = fraction_tents(spec, n)
+        for t, o in zip(flat.tents, old_tents, strict=True):
+            lengths = (t.column_x, t.y_lo, t.y_hi, t.width, t.template_height)
+            assert all(type(v) is int for v in lengths)
+            assert [F(v, scale) for v in lengths] == [
+                o.column_x, o.y_lo, o.y_hi, o.width, o.template_height]
+            assert (t.lower_kind, t.upper_kind, t.cut, t.row) == (
+                o.lower_kind, o.upper_kind, o.cut, o.row)
+            assert t.side_slope == o.side_slope
+            shapes = (t.trapezoid, *t.triangles)
+            assert int_polygons(shapes)
+            assert [unit(p) for p in shapes] == [o.trapezoid, *o.triangles]
+
+        pieces = []
+        for (part, verts, (c0, cx, cy), cell_pieces), old, patch in zip(
+                witness._stage_layout(spec, n, flat.tents),
+                fraction_layout(spec, n, old_tents), flat.patches, strict=True):
+            o_part, o_verts, o_coeffs, o_pieces = old
+            assert part == o_part
+            assert patch.vertices == verts and int_polygons([verts])
+            assert all(type(v) is int for v in (c0, cx, cy))
+            assert (F(c0, scale), cx, cy) == o_coeffs
+            # make_patch of the Fraction patch, which the int checks replace
+            assert AffinePatch(unit(verts), patch.c0, patch.cx, patch.cy) == make_patch(
+                o_verts, *o_coeffs)
+            assert int_polygons([v for v, _ in cell_pieces])
+            assert [(unit(v), owner) for v, owner in cell_pieces] == o_pieces
+            assert all(make_patch(v, 0).vertices == v for v, _ in o_pieces)
+            pieces += cell_pieces
+        assert list(flat.pieces) == pieces
+
+        old_neighborhoods = fraction_neighborhoods(spec, n, old_tents)
+        assert [tuple(F(v, scale) for v in cell) for cell in flat.cells] == [
+            old.cell for old in old_neighborhoods]
+        assert [tuple(F(v, scale) for v in cell) for cell in flat.cells] == list(
+            cell_grid(spec, n).cells)
+        for nb, old in zip(build_neighborhoods(spec, n, flat.tents), old_neighborhoods,
+                           strict=True):
+            assert nb.cell_index == old.cell_index
+            assert all(type(v) is int for v in nb.cell)
+            assert tuple(F(v, scale) for v in nb.cell) == old.cell
+            assert int_polygons(nb.pieces())
+            assert [unit(p) for p in nb.pieces()] == list(old.pieces())
 
 
 class TestCellFields:
@@ -188,7 +270,7 @@ class TestCellFields:
         # wedge remainder of the affine map b
         spec = SPECS[name]
         flat = build_flattened(spec, n)
-        centers = [((x0 + x1) / 2, (y0 + y1) / 2) for x0, y0, x1, y1 in flat.cells]
+        centers = unit_centers(flat)
         b = TARGET.patches[0]
         _, remainder = build_cutoff_form(spec, n, TARGET, flat)
 
@@ -215,7 +297,7 @@ class TestCellFields:
         # the closed-form seams against the 3x3 solve, patch for patch
         flat = flattened_stage(name, n)
         b = TARGET.patches[0]
-        centers = [((x0 + x1) / 2, (y0 + y1) / 2) for x0, y0, x1, y1 in flat.cells]
+        centers = unit_centers(flat)
         cases = {
             "ramp of 1": [(1, 0)] * len(centers),
             "ramp of TARGET": [(b.value_at(c), 0) for c in centers],
@@ -223,9 +305,10 @@ class TestCellFields:
         }
         for label, slopes in cases.items():
             field = build_cell_field(flat, slopes)
-            assert patch_tuples(field) == patch_tuples(solved_cell_field(flat, slopes)), label
-            assert sup_norm(field) == max(abs(p.value_at(v))
-                                          for p in field.patches for v in p.vertices), label
+            assert patch_tuples(in_unit(field)) == patch_tuples(solved_cell_field(flat, slopes)), label
+            # the per-cell int sup against every patch at every vertex over L
+            assert field.sup_norm() == max(abs(p.value_at(v)) for p in in_unit(field).patches
+                                           for v in p.vertices), label
         # TARGET varies in y, so the owners of a band seam differ there and
         # the seam is sloped in y although every cell map is horizontal
         ramp = build_ramp(flat, TARGET)
@@ -242,8 +325,10 @@ class TestCellFields:
                                data.draw(st.integers(1, 3)))
         slopes = data.draw(st.lists(st.tuples(RATIONALS, RATIONALS),
                                     min_size=len(flat.cells), max_size=len(flat.cells)))
-        assert patch_tuples(build_cell_field(flat, slopes)) == patch_tuples(
-            solved_cell_field(flat, slopes))
+        field = build_cell_field(flat, slopes)
+        assert patch_tuples(in_unit(field)) == patch_tuples(solved_cell_field(flat, slopes))
+        assert field.sup_norm() == max(abs(p.value_at(v)) for p in in_unit(field).patches
+                                       for v in p.vertices)
 
     def test_one_slope_per_cell(self):
         flat = build_flattened(SPECS["odd-reciprocal"], 1)
@@ -269,10 +354,10 @@ def generic_rows(spec, f, n, m):
     pf = Prefractal(spec, m)
     stage = build_stage(spec, n, f)
     flat, ramp = stage.flattened, stage.ramp
-    tent_energies = [dirichlet_energy(PiecewiseAffineField(field_patches(t)), pf)
+    tent_energies = [dirichlet_energy(PiecewiseAffineField(field_patches(t, flat.scale), 1), pf)
                      for t in stage.tents]
     e_flat = dirichlet_energy(coordinate_minus(flat), pf)
-    ramp_sup_sq = sup_norm(ramp) ** 2
+    ramp_sup_sq = ramp.sup_norm() ** 2
     omega, _ = build_cutoff_form(spec, n, f, flat)
     y = coordinate_field("y")
     wedge_fg = wedge(d0(f), d0(y))
@@ -298,9 +383,10 @@ def generic_rows(spec, f, n, m):
 
 @functools.lru_cache(maxsize=None)
 def stage_regions(name, n):
-    """The vertex tuples of the stage-n ramp and flattened patches."""
+    """The vertex tuples of the stage-n ramp and flattened patches, and their scale."""
     stage = build_stage(SPECS[name], n, constant_field(1))
-    return tuple(p.vertices for p in stage.ramp.patches + stage.flattened.patches)
+    return (tuple(p.vertices for p in stage.ramp.patches + stage.flattened.patches),
+            stage.flattened.scale)
 
 
 class TestTranslationClasses:
@@ -308,14 +394,14 @@ class TestTranslationClasses:
     @pytest.mark.parametrize("name", SPECS)
     def test_shared_classes_give_every_patch_its_fresh_moments(self, name, n):
         spec = SPECS[name]
-        regions = stage_regions(name, n)
+        regions, scale = stage_regions(name, n)
         for m in range(1, 5 if spec.generator else len(spec.ratios) + 1):
             shared = Prefractal(spec, m)
-            fresh = [Prefractal(spec, m).moments(r) for r in regions]
+            fresh = [Prefractal(spec, m).moments(r, scale) for r in regions]
             # cold, the regions share translation classes; warm, each region's
             # moments are looked up
-            assert [shared.moments(r) for r in regions] == fresh, m
-            assert [shared.moments(r) for r in regions] == fresh, m
+            assert [shared.moments(r, scale) for r in regions] == fresh, m
+            assert [shared.moments(r, scale) for r in regions] == fresh, m
             assert len(shared._regions) == len(set(regions))
             assert all(type(v) is tuple for v in shared._regions.values())
 
@@ -329,8 +415,9 @@ class TestTranslationClasses:
 
         monkeypatch.setattr(Prefractal, "_walk", counted)
         pf = Prefractal(SPECS["odd-reciprocal"], 4)
-        for region in stage_regions("odd-reciprocal", 3):
-            pf.moments(region)
+        regions, scale = stage_regions("odd-reciprocal", 3)
+        for region in regions:
+            pf.moments(region, scale)
         # one walk per translation class; each of the 2,605 patches was one
         # walk before the classes
         assert len(walks) == len(pf._classes) <= 150
@@ -399,13 +486,13 @@ class TestTarget:
     def test_two_patch_target_rejected(self, spec35, no_stage):
         halves = PiecewiseAffineField((
             make_patch(((0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 1)), 1),
-            make_patch(((F(1, 2), 0), (1, 0), (1, 1), (F(1, 2), 1)), 1)))
+            make_patch(((F(1, 2), 0), (1, 0), (1, 1), (F(1, 2), 1)), 1)), 1)
         with pytest.raises(ValueError, match="single affine patch"):
             verify_witness_sequence(spec35, halves, n_max=2, pf=Prefractal(spec35, 2))
 
     def test_partial_patch_rejected(self, spec35, no_stage):
         corner = PiecewiseAffineField((
-            make_patch(((0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)), (0, F(1, 2))), 1),))
+            make_patch(((0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)), (0, F(1, 2))), 1),), 1)
         with pytest.raises(ValueError, match="covering the unit square"):
             verify_witness_sequence(spec35, corner, n_max=2, pf=Prefractal(spec35, 2))
 

@@ -1,6 +1,7 @@
 """Source checks on the package: invariants that hold under ``python -O``, no
-parameter its function never reads, no private helper without a caller, and
-no public helper that is neither called nor exported."""
+parameter its function never reads, no private helper without a caller, no
+public helper that is neither called nor exported, and a stage lattice built
+without ``Fraction``."""
 
 import ast
 from collections import Counter
@@ -85,3 +86,27 @@ def test_every_public_helper_has_a_caller_or_is_exported():
               and not node.name.startswith("_") and node.name not in exported
               and loaded[node.name] == loaded_names(node).count(node.name)]
     assert unused == []
+
+
+# the stage-lattice builders and the Fraction names they must not read: the
+# class itself and the module constants that hold Fractions
+INT_BUILDERS = {"build_tents", "_stage_layout"}
+FRACTION_NAMES = {"Fraction", "ZERO", "HALF"}
+
+
+def fraction_uses(source):
+    """(function, name) for each Fraction name read in an int builder."""
+    tree = ast.parse(source)
+    builders = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name in INT_BUILDERS]
+    if {node.name for node in builders} != INT_BUILDERS:
+        raise LookupError("an int builder is missing from witness.py")
+    return [(node.name, name) for node in builders
+            for name in loaded_names(node) if name in FRACTION_NAMES]
+
+
+def test_the_stage_lattice_is_built_without_fractions():
+    # build_tents and _stage_layout emit ints on the stage lattice, so they
+    # construct no Fraction and read no Fraction constant
+    witness = Path(carpetcurl.__file__).parent / "witness.py"
+    assert fraction_uses(witness.read_text(encoding="utf-8")) == []

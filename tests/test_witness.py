@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import carpetcurl
-from carpetcurl.carpet import Prefractal, cell_grid, enumerate_holes, side_length
-from carpetcurl.fields import constant_field, sup_norm
+from carpetcurl.carpet import Prefractal, cell_grid, enumerate_holes, side_length, stage_scale
+from carpetcurl.fields import constant_field
 from carpetcurl.geometry import polygon_area
 from carpetcurl.report import leq_sqrt_sum_sq
 from carpetcurl.witness import (
@@ -111,12 +111,13 @@ class TestStaircase:
 
 class TestTents:
     def test_stage_one_boundary_tents(self, spec3):
+        # on the stage-1 lattice of scale 12
         tents = build_tents(spec3, 1)
         assert len(tents) == 2
-        assert all(t.width == F(1, 3) for t in tents)
+        assert all(t.width == 4 for t in tents)  # 1/3
         # the template height 2/3 exceeds the boundary gaps of 1/3
-        assert all(t.template_height == F(2, 3) for t in tents)
-        assert sorted((t.y_lo, t.y_hi) for t in tents) == [(F(0), F(1, 3)), (F(2, 3), F(1))]
+        assert all(t.template_height == 8 for t in tents)
+        assert sorted((t.y_lo, t.y_hi) for t in tents) == [(0, 4), (8, 12)]
 
     def test_stage_two_census(self, spec35):
         tents = build_tents(spec35, 2)
@@ -126,7 +127,7 @@ class TestTents:
         assert max(per_col.values()) <= 2 / side_length(spec35, 1)
         full = [t for t in tents if t.height == t.template_height]
         assert len(full) == 4
-        assert all(t.height == F(2, 15) for t in tents if t not in full)
+        assert all(t.height == 8 for t in tents if t not in full)  # 2/15 at scale 60
 
     def test_interior_gap_is_template_height(self, spec35):
         for t in build_tents(spec35, 2):
@@ -140,10 +141,11 @@ class TestTents:
         spec = SPECS[name]
         grid = cell_grid(spec, n)
         row_lines = (F(0),) + grid.y_cuts + (F(1),)
+        scale = stage_scale(spec, n)
         tents = build_tents(spec, n)
         for t in tents:
-            assert grid.x_cuts[t.cut] == t.column_x
-            assert row_lines[t.row] <= t.y_lo < t.y_hi <= row_lines[t.row + 1]
+            assert grid.x_cuts[t.cut] == F(t.column_x, scale)
+            assert row_lines[t.row] <= F(t.y_lo, scale) < F(t.y_hi, scale) <= row_lines[t.row + 1]
         assert len({(t.cut, t.row) for t in tents}) == len(tents)
 
     def test_tent_outside_its_row_rejected_under_optimization(self):
@@ -163,20 +165,59 @@ class TestTents:
         )
         out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                              text=True, check=True, env={"PYTHONPATH": SRC})
-        assert out.stdout == "ConstructionError tent at 1/6 not inside the slab of its row 1\n"
+        assert out.stdout == "ConstructionError tent at 10/60 not inside the slab of its row 1\n"
+
+    def test_bad_layout_polygon_rejected_under_optimization(self):
+        # the int checks that replace make_patch on the stage layout are no
+        # asserts: a clockwise and a non-convex trapezoid, then a clockwise
+        # core piece, all fail under python -O too
+        script = (
+            "from carpetcurl import witness\n"
+            "from carpetcurl.carpet import CarpetSpec, ConstructionError\n"
+            "spec = CarpetSpec((), 'odd-reciprocal')\n"
+            "tents = witness.build_tents(spec, 2)\n"
+            "witness.build_tents = lambda spec, n: tents\n"
+            "bl, br, tr, tl = tents[0].trapezoid\n"
+            "dart = (br[0] - 2, bl[1] + 1)\n"
+            "layout = witness._stage_layout\n"
+            "def flipped(*args):\n"
+            "    for part, verts, coeffs, pieces in layout(*args):\n"
+            "        yield part, verts, coeffs, [(v[::-1], owner) for v, owner in pieces]\n"
+            "for bad in ((bl, tl, tr, br), (bl, br, dart, tl), None):\n"
+            "    if bad is None:\n"
+            "        del tents[0].__dict__['trapezoid']\n"
+            "        witness._stage_layout = flipped\n"
+            "    else:\n"
+            "        tents[0].__dict__['trapezoid'] = bad\n"
+            "    try:\n"
+            "        witness.build_flattened(spec, 2)\n"
+            "    except ConstructionError as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": SRC})
+        assert out.stdout == (
+            "ConstructionError stage-2 patch 1 is not a counterclockwise convex polygon: "
+            "(8, 0), (9, 8), (11, 8), (12, 0)\n"
+            "ConstructionError stage-2 patch 1 is not a counterclockwise convex polygon: "
+            "(8, 0), (12, 0), (10, 1), (9, 8)\n"
+            "ConstructionError stage-2 piece 0 is not a counterclockwise convex polygon: "
+            "(0, 8), (8, 8), (8, 0), (0, 0)\n")
 
     def test_closed_form_energy_bound(self, spec3579):
         for n in (1, 2, 3):
             bound = per_tent_bound(spec3579, n)
+            scale = stage_scale(spec3579, n)
             for t in build_tents(spec3579, n):
-                e = lambda_energy(t)
-                assert e == F(3, 4) * t.height * t.width + 4 * t.height ** 3 / t.width
+                e = lambda_energy(t, scale)
+                h, w = F(t.height, scale), F(t.width, scale)
+                assert e == F(3, 4) * h * w + 4 * h ** 3 / w
                 assert e <= bound
 
 
 class TestTentField:
     def test_sup_is_the_gap_height(self, spec35):
-        assert sup_norm(build_tent_field(spec35, 2)) == F(4, 15)
+        assert build_tent_field(spec35, 2).sup_norm() == F(4, 15)
 
     def test_stage_two_energy_against_hole_oracle(self, spec357):
         pf = Prefractal(spec357, 3)
@@ -217,7 +258,7 @@ class TestFlattened:
     def test_neighborhood_census(self, spec35):
         nbs = build_neighborhoods(spec35, 2, build_tents(spec35, 2))
         interior = [nb for nb in nbs
-                    if nb.cell[0] > 0 and nb.cell[1] > 0 and nb.cell[2] < 1 and nb.cell[3] < 1]
+                    if nb.cell[0] > 0 and nb.cell[1] > 0 and nb.cell[2] < 60 and nb.cell[3] < 60]
         assert len(interior) == 4
         for nb in interior:
             assert len(nb.rectangles) == 2
@@ -240,8 +281,8 @@ class TestFlattened:
 class TestRamp:
     def test_sup_below_previous_side(self, spec35):
         ramp = build_ramp(build_flattened(spec35, 2), constant_field(1))
-        assert sup_norm(ramp) == F(1, 6)
-        assert sup_norm(ramp) <= side_length(spec35, 1)
+        assert ramp.sup_norm() == F(1, 6)
+        assert ramp.sup_norm() <= side_length(spec35, 1)
 
     def test_core_gradient_is_horizontal(self, spec35):
         # off the seams the ramp must slide horizontally at unit rate
@@ -267,7 +308,7 @@ class TestRamp:
             "corner = ((0, 0), (F(1, 10), 0), (F(1, 10), F(1, 10)), (0, F(1, 10)))\n"
             "flattened = build_flattened(CarpetSpec((F(1, 3),)), 1)\n"
             "try:\n"
-            "    build_ramp(flattened, PiecewiseAffineField((make_patch(corner, 1),)))\n"
+            "    build_ramp(flattened, PiecewiseAffineField((make_patch(corner, 1),), 1))\n"
             "except ValueError as exc:\n"
             "    print(type(exc).__name__, exc)\n"
         )
@@ -281,15 +322,14 @@ class TestRamp:
         # check, and the check that two of its vertices share an owner, are
         # no asserts: a clockwise, a degenerate and a three-owner seam
         script = (
-            "from fractions import Fraction as F\n"
             "from carpetcurl.carpet import ConstructionError\n"
             "from carpetcurl.witness import FlattenedField, build_cell_field\n"
-            "z, h, o = F(0), F(1, 2), F(1)\n"
+            "z, h, o = 0, 1, 2  # on the lattice of scale 2\n"
             "cells = ((z, z, h, h), (h, z, o, h), (z, h, o, o))\n"
             "for seam in ((((z, z), (z, o), (o, z)), (0, 1, 1)),\n"
             "             (((z, z), (h, h), (o, o)), (0, 1, 1)),\n"
             "             (((z, z), (o, z), (o, o)), (0, 1, 2))):\n"
-            "    flattened = FlattenedField((), (seam,), (0,), (), (), cells, ())\n"
+            "    flattened = FlattenedField((), 2, (seam,), (0,), (), (), cells, ())\n"
             "    try:\n"
             "        build_cell_field(flattened, [(1, 0)] * 3)\n"
             "    except ConstructionError as exc:\n"
@@ -298,9 +338,9 @@ class TestRamp:
         out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                              text=True, check=True, env={"PYTHONPATH": SRC})
         assert out.stdout == (
-            "ConstructionError seam 0 is not a counterclockwise triangle: (0, 0), (0, 1), (1, 0)\n"
+            "ConstructionError seam 0 is not a counterclockwise triangle: (0, 0), (0, 2), (2, 0)\n"
             "ConstructionError seam 0 is not a counterclockwise triangle: "
-            "(0, 0), (1/2, 1/2), (1, 1)\n"
+            "(0, 0), (1, 1), (2, 2)\n"
             "ConstructionError seam 0 has three owners (0, 1, 2)\n")
 
 
@@ -369,5 +409,5 @@ class TestBuildWitnessApi:
         band = next(p for p in field.patches if (p.cx, p.cy) == (F(0), F(0)))
         others = tuple(p for p in field.patches if p is not band)
         broken = PiecewiseAffineField(others + (
-            make_patch(band.vertices, band.c0, 1, 1),))
+            make_patch(band.vertices, band.c0, 1, 1),), field.scale)
         assert check_local_constancy(broken, neighborhoods) != []
