@@ -2,7 +2,6 @@
 
 from .carpet import (
     CarpetSpec,
-    CellGrid,
     Hole,
     NonOddReciprocal,
     Prefractal,
@@ -11,13 +10,11 @@ from .carpet import (
     StageBeyondSpec,
     TailDiverges,
     TailInterval,
-    cell_grid,
     enumerate_holes,
     enumerate_squares,
     gap_height,
     prefractal_measure,
     side_length,
-    square_count,
     tail_measure_bounds,
     validate_spec,
 )
@@ -34,14 +31,12 @@ from .report import VerificationReport, report_to_csv, report_to_json
 from .witness import (
     CellNeighborhood,
     FlattenedField,
-    StripSet,
     Tent,
     build_cell_field,
     build_flattened,
     build_neighborhoods,
     build_ramp,
     build_staircase,
-    build_strips,
     build_tents,
     check_local_constancy,
     verify_witness_sequence,

@@ -2,8 +2,8 @@
 
 A carpet is driven by a sequence of subdivision ratios whose reciprocals are
 odd integers; at every stage each surviving square is split into an odd grid
-and the central cell is discarded.  Prefractals are kept implicit: membership,
-measures and integrals descend the subdivision tree lazily, short-circuiting
+and the central cell is discarded.  Prefractals are kept implicit: measures
+and integrals descend the subdivision tree lazily, short-circuiting
 on squares that lie entirely inside the query region, and integrals stop one
 level above the leaves, where the prefractal is a square minus its hole.  A
 query region is a convex polygon given as a tuple of int vertex pairs with
@@ -234,13 +234,6 @@ def enumerate_holes(spec: CarpetSpec, n: int) -> Iterator:
         yield Hole(stage=n, center=(x0 + d_prev / 2, y0 + d_prev / 2), side=d)
 
 
-def square_count(spec: CarpetSpec, m: int) -> int:
-    out = 1
-    for i in range(1, m + 1):
-        out *= spec.subdivisions(i) ** 2 - 1
-    return out
-
-
 def prefractal_measure(spec: CarpetSpec, m: int) -> Fraction:
     """Area of the level-m prefractal: the product of (1 - ratio_i^2)."""
     out = Fraction(1)
@@ -280,50 +273,28 @@ def tail_measure_bounds(spec: CarpetSpec, m: int) -> TailInterval:
     return TailInterval(lower=1 - total, upper=Fraction(1))
 
 
-@dataclass(frozen=True)
-class CellGrid:
-    """Axis grid through the stage-n hole centers, cells listed row-major."""
-
-    stage: int
-    x_cuts: tuple
-    y_cuts: tuple
-    cells: tuple  # rectangles (x0, y0, x1, y1)
-
-
 def stage_lines(spec: CarpetSpec, n: int):
     """(L_n, the cell lines): 0, the cuts and L_n, as ints on the stage-n lattice.
 
     The previous side is 4 * q_n lattice steps, and the cuts, through the
-    stage-n hole centres, sit at its odd halves.
+    stage-n hole centres, sit at its odd halves.  The lines must bound cells
+    whose diagonals are at most sqrt(2) times the previous side, or
+    ``ConstructionError`` is raised.
     """
     scale = stage_scale(spec, n)
     step = 4 * spec.subdivisions(n)
-    return scale, (0,) + tuple(range(step // 2, scale, step)) + (scale,)
+    lines = (0,) + tuple(range(step // 2, scale, step)) + (scale,)
+    _check_cell_diagonals(n, lines, step)
+    return scale, lines
 
 
-def cut_positions(spec: CarpetSpec, n: int) -> tuple:
-    scale, lines = stage_lines(spec, n)
-    return tuple(Fraction(x, scale) for x in lines[1:-1])
-
-
-def cell_grid(spec: CarpetSpec, n: int) -> CellGrid:
-    """Cells bounded by axis-parallel lines through stage-n hole centers."""
-    if n < 1:
-        raise SpecError(f"stage {n} must be >= 1")
-    cuts = cut_positions(spec, n)
-    xs = (ZERO,) + cuts + (Fraction(1),)
-    d_prev = side_length(spec, n - 1)
-    limit = 2 * d_prev * d_prev
-    cells = []
-    for j in range(len(xs) - 1):
-        for i in range(len(xs) - 1):
-            x0, x1 = xs[i], xs[i + 1]
-            y0, y1 = xs[j], xs[j + 1]
-            if (x1 - x0) ** 2 + (y1 - y0) ** 2 > limit:
-                raise ConstructionError(f"stage-{n} cell [{x0}, {x1}] x [{y0}, {y1}] has a "
-                                        f"diagonal longer than sqrt(2) * {d_prev}")
-            cells.append((x0, y0, x1, y1))
-    return CellGrid(stage=n, x_cuts=cuts, y_cuts=cuts, cells=tuple(cells))
+def _check_cell_diagonals(n, lines, side):
+    # the longest cell diagonal is sqrt(2) times the widest gap between two
+    # lines, so it is at most sqrt(2) * side exactly when no gap exceeds side
+    widest = max(b - a for a, b in zip(lines, lines[1:]))
+    if widest > side:
+        raise ConstructionError(f"a stage-{n} cell {widest}/{lines[-1]} wide has a diagonal "
+                                f"longer than sqrt(2) * {side}/{lines[-1]}")
 
 
 class Prefractal:
@@ -350,11 +321,11 @@ class Prefractal:
             raise SpecError("level must be >= 0")
         self.spec = spec
         self.level = level
-        self.sides = [side_length(spec, k) for k in range(level + 1)]
+        sides = [side_length(spec, k) for k in range(level + 1)]
         self.subdiv = [spec.subdivisions(k) for k in range(1, level + 1)]
         # the lattice on which every side length is an integer, and the sides on it
-        self.side_scale = _lattice_scale(self.sides)
-        self.side_ints = [d.numerator * (self.side_scale // d.denominator) for d in self.sides]
+        self.side_scale = _lattice_scale(sides)
+        self.side_ints = [d.numerator * (self.side_scale // d.denominator) for d in sides]
         # pattern[k]: 24 times the moments of the level-m set inside the
         # level-k square at the origin, on the side lattice.  At level m that
         # set is the square; above, it is the next level's pattern moved to
@@ -378,48 +349,6 @@ class Prefractal:
     @property
     def measure(self) -> Fraction:
         return Fraction(self.pattern[0][0], 24 * self.side_scale ** 2)
-
-    def contains(self, p, up_to_stage: Optional[int] = None) -> bool:
-        return not self.strictly_inside_hole(p, up_to_stage)
-
-    def strictly_inside_hole(self, p, up_to_stage: Optional[int] = None) -> bool:
-        """True when p lies in the open interior of a removed square."""
-        return self._hole_test(p, up_to_stage, closed=False)
-
-    def meets_closed_hole(self, p, up_to_stage: Optional[int] = None) -> bool:
-        """True when p lies in the closure of a removed square."""
-        return self._hole_test(p, up_to_stage, closed=True)
-
-    def _hole_test(self, p, up_to_stage, closed: bool) -> bool:
-        cap = self.level if up_to_stage is None else min(up_to_stage, self.level)
-        x, y = Fraction(p[0]), Fraction(p[1])
-        if not (0 <= x <= 1 and 0 <= y <= 1):
-            raise OutOfUnitSquare(f"point {p} outside the unit square")
-        x0 = y0 = ZERO
-        for k in range(cap):
-            q = self.subdiv[k]
-            d = self.sides[k + 1]
-            c = (q - 1) // 2
-            jx, rx = divmod(x - x0, d)
-            jy, ry = divmod(y - y0, d)
-            if closed:
-                # candidate children whose closed square contains the point
-                cands_x = {int(jx)} | ({int(jx) - 1} if rx == 0 and jx > 0 else set())
-                cands_y = {int(jy)} | ({int(jy) - 1} if ry == 0 and jy > 0 else set())
-                cands_x = {j for j in cands_x if 0 <= j < q}
-                cands_y = {j for j in cands_y if 0 <= j < q}
-                if c in cands_x and c in cands_y:
-                    return True
-            if rx == 0 or ry == 0:
-                # on the level-(k+1) lattice inside this square; holes of
-                # later stages stay strictly inside their parent square
-                return False
-            jx, jy = int(jx), int(jy)
-            if jx == c and jy == c:
-                return True
-            x0 += jx * d
-            y0 += jy * d
-        return False
 
     # -- exact integration -------------------------------------------------
 
@@ -711,9 +640,13 @@ def geometry_json_records(spec: CarpetSpec, n: int):
 
 
 def parse_spec_config(text: str) -> CarpetSpec:
-    """Parse the plain-text config: 'ratios = 1/3, 1/5' and optional generator."""
+    """Parse the plain-text config: 'ratios = 1/3, 1/5' and optional generator.
+
+    Each key may appear once; a repeated key raises ``SpecError``.
+    """
     ratios = ()
     generator = None
+    seen = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -723,6 +656,9 @@ def parse_spec_config(text: str) -> CarpetSpec:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
+        if key in seen:
+            raise SpecError(f"repeated config key {key!r}: {raw!r}")
+        seen.add(key)
         if key == "ratios":
             if value:
                 try:

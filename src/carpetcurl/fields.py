@@ -3,24 +3,29 @@
 Fields are finite collections of convex polygonal patches, each carrying an
 affine map value(x, y) = c0 + cx*x + cy*y.  A field's patch vertices lie on
 the lattice of its ``scale``, so vertex (X, Y) is the point (X / scale,
-Y / scale), while the maps stay in unit coordinates: a stage field has int
-vertices on its stage lattice and a target or a test field ``Fraction``
-vertices at scale 1.  Patches may cover less than the unit square;
-integration treats the complement as zero, so fields supported on small
-regions (tent covers, seams) need no explicit complement patches.
+Y / scale), while the maps stay in unit coordinates: a stage field (the
+flattened coordinate, the staircase, a cell field) has int vertices on its
+stage lattice and a target or a test field ``Fraction`` vertices at scale 1.
+Patches may cover less than the unit square; integration treats the
+complement as zero, so fields supported on small regions (tent covers,
+seams) need no explicit complement patches.  A field is read through its
+``patches`` and a product vector field through its ``pieces``: neither is
+iterable, and no field is searched for the patch holding a point, since
+every quantity the package takes of a field is a sum over its patches or a
+max over their vertices.
 ``refine_pairs`` overlays two partitions on one lattice.
 
 ``make_patch`` normalizes a patch's vertices to ``Fraction`` pairs and
 checks that they bound a convex region.  A builder that has already proved
 its polygon canonical constructs ``AffinePatch`` directly: the stage layout
-in ``witness`` checks its int polygons itself.
+in ``witness`` checks its int polygons itself, and the staircase's bands
+are counterclockwise rectangles by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .geometry import (
     ZERO,
@@ -30,7 +35,6 @@ from .geometry import (
     bbox,
     clip_convex,
     normalize_polygon,
-    point_in_convex,
     polygon_area,
 )
 
@@ -71,23 +75,6 @@ class PiecewiseAffineField:
     patches: tuple
     scale: int
 
-    def __iter__(self):
-        return iter(self.patches)
-
-    def __len__(self):
-        return len(self.patches)
-
-    def total_area(self) -> Fraction:
-        return sum((polygon_area(p.vertices) for p in self.patches), ZERO) / self.scale ** 2
-
-    def value_at(self, p) -> Optional[Fraction]:
-        """The value at the unit-coordinate point p, or None off the patches."""
-        s = self.scale
-        for patch in self.patches:
-            if point_in_convex(patch.vertices, (p[0] * s, p[1] * s)):
-                return patch.value_at(p)
-        return None
-
     def sup_norm(self) -> Fraction:
         """Max of |value| over patch vertices; affine maps peak at vertices.
 
@@ -118,12 +105,6 @@ class ProductVectorField:
 
     pieces: tuple
     scale: int
-
-    def __iter__(self):
-        return iter(self.pieces)
-
-    def __len__(self):
-        return len(self.pieces)
 
 
 def constant_field(value) -> PiecewiseAffineField:

@@ -1,6 +1,6 @@
 """Exact 2-D polygon primitives over integer or rational coordinates.
 
-Predicates (orientation, containment, ``_convex``) and sums (``_area2``,
+Predicates (orientation, ``_convex``) and sums (``_area2``,
 ``moment_sums``, the half-plane clip) are ring-generic: a stage polygon's
 int vertices on its lattice give exact ints, ``Fraction`` vertices exact
 Fractions, and nothing depends on a tolerance.  Every region the package
@@ -116,15 +116,6 @@ def bbox(poly):
     xs = [p[0] for p in poly]
     ys = [p[1] for p in poly]
     return (min(xs), min(ys), max(xs), max(ys))
-
-
-def point_in_convex(poly, p) -> bool:
-    """Closed containment test for a CCW convex polygon."""
-    n = len(poly)
-    for i in range(n):
-        if cross(poly[i], poly[(i + 1) % n], p) < 0:
-            return False
-    return True
 
 
 def _shift(v, num, den):

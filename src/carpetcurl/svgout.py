@@ -3,6 +3,9 @@
 Coordinates are scaled by 1000 and rendered from exact rationals with twelve
 decimal digits via integer arithmetic, so identical inputs give byte-identical
 files.  The y axis is flipped so that the origin sits at the bottom left.
+The stage figures are drawn from the ints of the stage-n lattice
+(``carpet.stage_lines`` and the stage builders), divided by L_n only as they
+are emitted.
 """
 
 from __future__ import annotations
@@ -86,48 +89,52 @@ def carpet_svg(spec, m: int) -> str:
     return canvas.render()
 
 
+def _unit(values, scale):
+    """Lattice ints over ``scale`` as Fractions."""
+    return tuple(Fraction(v, scale) for v in values)
+
+
 def cells_svg(spec, n: int) -> str:
     """Cell grid with dashed cut lines and stage-n holes."""
-    from .carpet import cell_grid, enumerate_holes
+    from .carpet import enumerate_holes, stage_lines
+    from .witness import _cells
 
     canvas = SvgCanvas(f"stage {n} cell grid")
     canvas.rect(0, 0, 1, 1, fill="white", stroke="black")
-    grid = cell_grid(spec, n)
-    for (x0, y0, x1, y1) in grid.cells:
-        canvas.rect(x0, y0, x1, y1, fill="none", stroke="#bbbbbb")
+    scale, lines = stage_lines(spec, n)
+    for cell in _cells(lines):
+        canvas.rect(*_unit(cell, scale), fill="none", stroke="#bbbbbb")
     for h in enumerate_holes(spec, n):
         (hx0, hx1), (hy0, hy1) = h.x_range, h.y_range
         canvas.rect(hx0, hy0, hx1, hy1, fill="none", stroke="black")
-    for c in grid.x_cuts:
-        canvas.line(c, 0, c, 1, stroke="green", dash="6,4")
-    for c in grid.y_cuts:
-        canvas.line(0, c, 1, c, stroke="red", dash="6,4")
+    cuts = lines[1:-1]
+    for c in cuts:
+        canvas.line(*_unit((c, 0, c, scale), scale), stroke="green", dash="6,4")
+    for c in cuts:
+        canvas.line(*_unit((0, c, scale, c), scale), stroke="red", dash="6,4")
     return canvas.render()
 
 
 def staircase_svg(spec, n: int) -> str:
     """Strip set plus the staircase profile drawn against y."""
-    from .witness import build_staircase, build_strips
+    from .witness import build_staircase
 
     canvas = SvgCanvas(f"stage {n} staircase")
     canvas.rect(0, 0, 1, 1, fill="white", stroke="black")
-    strips = build_strips(spec, n)
-    for region in strips.regions():
-        canvas.polygon(region, fill="yellow", stroke="blue", opacity="0.6")
     field = build_staircase(spec, n)
+    scale = field.scale
+    # the strips are the staircase's flat bands
+    for patch in field.patches:
+        if not patch.cy:
+            canvas.polygon([_unit(p, scale) for p in patch.vertices], fill="yellow",
+                           stroke="blue", opacity="0.6")
     profile = []
     for patch in field.patches:
-        ys = sorted({v[1] for v in patch.vertices})
-        for y in ys:
+        for y in sorted({Fraction(v[1], scale) for v in patch.vertices}):
             profile.append((patch.value_at((Fraction(0), y)), y))
     profile = sorted(set(profile), key=lambda p: (p[1], p[0]))
     canvas.polyline(profile, stroke="blue")
     return canvas.render()
-
-
-def _unit(values, scale):
-    """Lattice ints over ``scale`` as Fractions."""
-    return tuple(Fraction(v, scale) for v in values)
 
 
 def tents_svg(spec, n: int) -> str:
@@ -148,15 +155,14 @@ def tents_svg(spec, n: int) -> str:
 
 def neighborhoods_svg(spec, n: int) -> str:
     """Boundary neighborhoods (strip rectangles and tent trapezoids) per cell."""
-    from .carpet import cell_grid, stage_scale
-    from .witness import build_neighborhoods, build_tents
+    from .carpet import stage_lines
+    from .witness import _cells, build_neighborhoods, build_tents
 
     canvas = SvgCanvas(f"stage {n} boundary neighborhoods")
     canvas.rect(0, 0, 1, 1, fill="white", stroke="black")
-    grid = cell_grid(spec, n)
-    for (x0, y0, x1, y1) in grid.cells:
-        canvas.rect(x0, y0, x1, y1, fill="none", stroke="#bbbbbb")
-    scale = stage_scale(spec, n)
+    scale, lines = stage_lines(spec, n)
+    for cell in _cells(lines):
+        canvas.rect(*_unit(cell, scale), fill="none", stroke="#bbbbbb")
     for nb in build_neighborhoods(spec, n, build_tents(spec, n)):
         for region in nb.rectangles:
             canvas.polygon([_unit(p, scale) for p in region], fill="yellow", stroke="none",

@@ -27,7 +27,6 @@ from .carpet import (
     ConstructionError,
     Prefractal,
     column_obstacles,
-    cut_positions,
     gap_height,
     side_length,
     stage_lines,
@@ -39,7 +38,6 @@ from .fields import (
     AffinePatch,
     PiecewiseAffineField,
     ProductVectorField,
-    make_patch,
     refine_pairs,
 )
 from .geometry import ZERO, _area2, cross, square_integral
@@ -52,55 +50,26 @@ def _rectangle(x0, y0, x1, y1):
     return ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
 
 
-@dataclass(frozen=True)
-class StripSet:
-    """Horizontal strips of height side_length(n) centered on the y-cuts."""
-
-    stage: int
-    y_centers: tuple
-    height: Fraction
-
-    @property
-    def total_area(self) -> Fraction:
-        return len(self.y_centers) * self.height
-
-    def regions(self):
-        h = self.height / 2
-        return [_rectangle(ZERO, c - h, Fraction(1), c + h) for c in self.y_centers]
-
-
-def build_strips(spec: CarpetSpec, n: int) -> StripSet:
-    cuts = cut_positions(spec, n)
-    strips = StripSet(stage=n, y_centers=cuts, height=side_length(spec, n))
-    if strips.total_area != spec.ratio(n):
-        raise ConstructionError(f"stage-{n} strips cover {strips.total_area}, "
-                                f"not the ratio {spec.ratio(n)}")
-    return strips
-
-
 def build_staircase(spec: CarpetSpec, n: int) -> PiecewiseAffineField:
     """Continuous profile in y: slope 0 across strips, slope 1 elsewhere.
 
-    Equals zero on the bottom edge; patches are full-width horizontal bands,
-    with ``Fraction`` vertices at scale 1.
+    Equals zero on the bottom edge.  The patches are full-width horizontal
+    bands with int vertices on the stage-n lattice, L_n = ``stage_scale(spec,
+    n)``: each strip is the stage-n side, 4 steps, high about its cut.
     """
-    strips = build_strips(spec, n)
-    h = strips.height / 2
-    breaks = [ZERO]
-    for c in strips.y_centers:
-        breaks.extend((c - h, c + h))
-    breaks.append(Fraction(1))
+    scale, lines = stage_lines(spec, n)
+    breaks = [0]
+    for c in lines[1:-1]:
+        breaks += (c - 2, c + 2)
+    breaks.append(scale)
     patches = []
-    value = ZERO
-    for i in range(len(breaks) - 1):
-        y0, y1 = breaks[i], breaks[i + 1]
-        if y0 == y1:
-            continue
-        slope = ZERO if i % 2 else Fraction(1)
-        c0 = value - slope * y0
-        patches.append(make_patch(_rectangle(ZERO, y0, Fraction(1), y1), c0, 0, slope))
+    value = 0  # the profile at the band's lower edge, times L_n
+    for i, (y0, y1) in enumerate(zip(breaks, breaks[1:])):
+        slope = 0 if i % 2 else 1
+        patches.append(AffinePatch(_rectangle(0, y0, scale, y1),
+                                   Fraction(value - slope * y0, scale), ZERO, Fraction(slope)))
         value += slope * (y1 - y0)
-    return PiecewiseAffineField(tuple(patches), 1)
+    return PiecewiseAffineField(tuple(patches), scale)
 
 
 @dataclass(frozen=True)
@@ -112,12 +81,12 @@ class Tent:
     top edge, and the two side triangles fall off linearly in x.  Gaps ending
     at a larger hole or at the square boundary are shorter than the template
     height and reuse the same shape scaled to the actual gap.  ``cut`` is the
-    index of the column in ``cut_positions`` and ``row`` the cell row holding
-    the gap, so the tent sits on the edge between cells ``cut`` and
-    ``cut + 1`` of that row.  Every length is an int on the stage-n lattice,
-    whose scale is ``stage_scale(spec, n)``; there the width is 4, so the
-    quarter width is one lattice step and the side slope 4 * height / width
-    is the int height.  The trapezoid, triangles and side slope are cached,
+    index of the column among the cuts of ``stage_lines`` and ``row`` the
+    cell row holding the gap, so the tent sits on the edge between cells
+    ``cut`` and ``cut + 1`` of that row.  Every length is an int on the
+    stage-n lattice, whose scale is ``stage_scale(spec, n)``; there the width
+    is 4, so the quarter width is one lattice step and the side slope
+    4 * height / width is the int height.  The trapezoid, triangles and side slope are cached,
     so every patch built on them shares one tuple.
     """
 
@@ -369,30 +338,36 @@ def build_flattened(spec: CarpetSpec, n: int) -> FlattenedField:
 
     Builds the stage's tents and walks ``_stage_layout`` over them once, as a
     total partition.  Every patch and piece must be a counterclockwise convex
-    polygon on the lattice, and the patches must cover the unit square, or
-    ``ConstructionError`` is raised.
+    polygon on the lattice, the patches must cover the unit square and the
+    strip bands the area a_n, or ``ConstructionError`` is raised.
     """
     tents = tuple(build_tents(spec, n))
     scale, lines = stage_lines(spec, n)
     patches, pieces, cell_tags, band_tags = [], [], [], []
     tent_tags = [[] for _ in tents]
-    area2 = 0
+    area2 = band_area2 = 0
     frac = cache(Fraction)  # one Fraction per value, shared by the patches
     for i, (part, verts, (c0, cx, cy), cell_pieces) in enumerate(_stage_layout(spec, n, tents)):
         _check_convex(verts, f"stage-{n} patch {i}")
         for piece in cell_pieces:
             _check_convex(piece[0], f"stage-{n} piece {len(pieces)}")
             pieces.append(piece)
-        area2 += _area2(verts)
+        a2 = _area2(verts)
+        area2 += a2
         patches.append(AffinePatch(verts, frac(c0, scale), frac(cx), frac(cy)))
         cell_tags += [i] * len(cell_pieces)
         if part is _BAND:
             band_tags.append(i)
+            band_area2 += a2
         elif part is not None:
             tent_tags[part].append(i)
-    if area2 != 2 * scale * scale:
-        raise ConstructionError(f"flattened patches cover {Fraction(area2, 2 * scale * scale)}, "
-                                "not 1")
+    whole = 2 * scale * scale  # twice the unit square's area on the lattice
+    if area2 != whole:
+        raise ConstructionError(f"flattened patches cover {Fraction(area2, whole)}, not 1")
+    # the strip bands cover a_n = 1 / q_n
+    if band_area2 * spec.subdivisions(n) != whole:
+        raise ConstructionError(f"stage-{n} strips cover {Fraction(band_area2, whole)}, "
+                                f"not the ratio {spec.ratio(n)}")
     return FlattenedField(tuple(patches), scale, tuple(pieces), tuple(cell_tags),
                           tuple(band_tags), tuple(map(tuple, tent_tags)), _cells(lines), tents)
 
@@ -558,7 +533,6 @@ class StageData:
 
     n: int
     tents: tuple
-    strips: StripSet
     flattened: FlattenedField
     neighborhoods: list
     ramp: PiecewiseAffineField
@@ -573,8 +547,7 @@ def build_stage(spec: CarpetSpec, n: int, f: PiecewiseAffineField) -> StageData:
         (p.vertices, (p.c0, p.cx, p.cy), flattened.patches[t].gradient)
         for p, t in zip(ramp.patches, flattened.cell_tags)
         if flattened.patches[t].gradient != (0, 0)), flattened.scale)
-    return StageData(n=n, tents=flattened.tents, strips=build_strips(spec, n),
-                     flattened=flattened,
+    return StageData(n=n, tents=flattened.tents, flattened=flattened,
                      neighborhoods=build_neighborhoods(spec, n, flattened.tents), ramp=ramp,
                      witness=witness)
 
@@ -648,7 +621,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         # three patches the tent cover's |grad psi|^2
         defect = [flattening_density(p) * m for p, m in zip(flat.patches, measures)]
 
-        strip_area = stage.strips.total_area
+        strip_area = Fraction(4 * len(flat.band_tags), flat.scale)
         report.add("witness", n, "strip_area", strip_area, a_n, strip_area <= a_n)
 
         e_strip = sum((defect[i] for i in flat.band_tags), ZERO)

@@ -7,16 +7,20 @@ constant and product vector fields, energies and squared L2 norms, one- and
 two-forms with their exact inner products, the tent cover and the witness
 defects.  Identities that hold pointwise (Leibniz rule, alternation, the
 vanishing of the second wedge defect) come out as exact zeros.  The polygon
-and polynomial helpers it needs beyond ``carpetcurl.geometry`` (box clipping,
-moments keyed by monomial, and the dict polynomials {(p, q): coefficient}
-with their products, sums and scaling) live here too; the dict product is
-also the oracle of ``geometry.square_integral``.
+and polynomial helpers it needs beyond ``carpetcurl.geometry`` (point
+containment, box clipping, moments keyed by monomial, and the dict
+polynomials {(p, q): coefficient} with their products, sums and scaling)
+live here too; the dict product is also the oracle of
+``geometry.square_integral``.  So do the queries ``verify`` never
+makes: carpet membership by descent (``contains``, ``strictly_inside_hole``,
+``meets_closed_hole``), the surviving-square count ``square_count``, and a
+field's value at a point (``value_at``).
 
 The oracles work in unit coordinates: a stage field's int vertices are
 divided by its scale on the way in (``in_unit``), and a rational region is
 put on its own integer lattice (``on_lattice``) for ``Prefractal``.  The
 ``Fraction`` stage construction the package replaced by the int one is kept
-at the end (``fraction_tents``, ``fraction_layout``,
+at the end (``fraction_cells``, ``fraction_tents``, ``fraction_layout``,
 ``fraction_neighborhoods``) as the oracle of the stage lattice.
 """
 
@@ -31,6 +35,7 @@ from typing import Optional
 from carpetcurl.carpet import (
     CarpetSpec,
     ConstructionError,
+    OutOfUnitSquare,
     Prefractal,
     gap_height,
     side_length,
@@ -104,7 +109,76 @@ def unit_measure(pf, region):
     return pf.region_measure(*on_lattice(region))
 
 
+# --- carpet membership ----------------------------------------------------
+
+
+def square_count(spec: CarpetSpec, m: int) -> int:
+    """The number of surviving level-m squares: the product of q_i^2 - 1."""
+    out = 1
+    for i in range(1, m + 1):
+        out *= spec.subdivisions(i) ** 2 - 1
+    return out
+
+
+def contains(pf: Prefractal, p, up_to_stage: Optional[int] = None) -> bool:
+    """True when p lies in the prefractal, holes up to ``up_to_stage`` removed."""
+    return not strictly_inside_hole(pf, p, up_to_stage)
+
+
+def strictly_inside_hole(pf: Prefractal, p, up_to_stage: Optional[int] = None) -> bool:
+    """True when p lies in the open interior of a removed square."""
+    return _hole_test(pf, p, up_to_stage, closed=False)
+
+
+def meets_closed_hole(pf: Prefractal, p, up_to_stage: Optional[int] = None) -> bool:
+    """True when p lies in the closure of a removed square."""
+    return _hole_test(pf, p, up_to_stage, closed=True)
+
+
+def _hole_test(pf, p, up_to_stage, closed: bool) -> bool:
+    # descend the subdivision tree of the level-m prefractal to the square
+    # holding p, one stage at a time
+    cap = pf.level if up_to_stage is None else min(up_to_stage, pf.level)
+    x, y = Fraction(p[0]), Fraction(p[1])
+    if not (0 <= x <= 1 and 0 <= y <= 1):
+        raise OutOfUnitSquare(f"point {p} outside the unit square")
+    x0 = y0 = ZERO
+    for k in range(cap):
+        q = pf.spec.subdivisions(k + 1)
+        d = side_length(pf.spec, k + 1)
+        c = (q - 1) // 2
+        jx, rx = divmod(x - x0, d)
+        jy, ry = divmod(y - y0, d)
+        if closed:
+            # candidate children whose closed square contains the point
+            cands_x = {int(jx)} | ({int(jx) - 1} if rx == 0 and jx > 0 else set())
+            cands_y = {int(jy)} | ({int(jy) - 1} if ry == 0 and jy > 0 else set())
+            cands_x = {j for j in cands_x if 0 <= j < q}
+            cands_y = {j for j in cands_y if 0 <= j < q}
+            if c in cands_x and c in cands_y:
+                return True
+        if rx == 0 or ry == 0:
+            # on the level-(k+1) lattice inside this square; holes of
+            # later stages stay strictly inside their parent square
+            return False
+        jx, jy = int(jx), int(jy)
+        if jx == c and jy == c:
+            return True
+        x0 += jx * d
+        y0 += jy * d
+    return False
+
+
 # --- polygons and polynomials ---------------------------------------------
+
+
+def point_in_convex(poly, p) -> bool:
+    """Closed containment test for a CCW convex polygon."""
+    n = len(poly)
+    for i in range(n):
+        if cross(poly[i], poly[(i + 1) % n], p) < 0:
+            return False
+    return True
 
 
 def clip_to_box(poly, x0, y0, x1, y1):
@@ -185,6 +259,15 @@ class SupportMismatch(ValueError):
     pass
 
 
+def value_at(field: PiecewiseAffineField, p) -> Optional[Fraction]:
+    """The field's value at the unit-coordinate point p, or None off its patches."""
+    s = field.scale
+    for patch in field.patches:
+        if point_in_convex(patch.vertices, (p[0] * s, p[1] * s)):
+            return patch.value_at(p)
+    return None
+
+
 @dataclass(frozen=True)
 class PCVectorField:
     """Per-patch constant vector field: pieces (vertices, px, py)."""
@@ -217,7 +300,7 @@ def continuity_defects(field: PiecewiseAffineField, prefractal: Optional[Prefrac
             b = field.patches[j]
             for (p1, p2) in _shared_segments(a.vertices, b.vertices):
                 mid = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2)
-                if prefractal is not None and prefractal.meets_closed_hole(mid, hole_stage):
+                if prefractal is not None and meets_closed_hole(prefractal, mid, hole_stage):
                     continue
                 for q in (p1, p2, mid):
                     if a.value_at(q) != b.value_at(q):
@@ -789,9 +872,9 @@ class FractionTent:
     top edge, and the two side triangles fall off linearly in x.  Gaps ending
     at a larger hole or at the square boundary are shorter than the template
     height and reuse the same shape scaled to the actual gap.  ``cut`` is the
-    index of the column in ``cut_positions`` and ``row`` the cell row holding
-    the gap, so the tent sits on the edge between cells ``cut`` and
-    ``cut + 1`` of that row.  The trapezoid, triangles and side slope are
+    index of the column in ``fraction_cut_positions`` and ``row`` the cell
+    row holding the gap, so the tent sits on the edge between cells ``cut``
+    and ``cut + 1`` of that row.  The trapezoid, triangles and side slope are
     cached, so every patch built on them shares one tuple.
     """
 
@@ -869,12 +952,17 @@ def _fraction_tent_index(tents) -> dict:
     return index
 
 
+def fraction_cells(spec: CarpetSpec, n: int):
+    """The grid cells (x0, y0, x1, y1) between 0, the cuts and 1, row-major."""
+    xs = (ZERO,) + fraction_cut_positions(spec, n) + (ONE,)
+    return [(x0, y0, x1, y1) for y0, y1 in zip(xs, xs[1:]) for x0, x1 in zip(xs, xs[1:])]
+
+
 def fraction_neighborhoods(spec: CarpetSpec, n: int, tents):
     """One CellNeighborhood per grid cell (strip rectangles and the trapezoids of ``tents``)."""
-    xs = (ZERO,) + fraction_cut_positions(spec, n) + (ONE,)
-    cells = [(x0, y0, x1, y1) for y0, y1 in zip(xs, xs[1:]) for x0, x1 in zip(xs, xs[1:])]
+    cells = fraction_cells(spec, n)
     tent_at = _fraction_tent_index(tents)
-    ncols = len(xs) - 1
+    ncols = len(fraction_cut_positions(spec, n)) + 1
     half = side_length(spec, n) / 2
     out = []
     for idx, (x0, y0, x1, y1) in enumerate(cells):

@@ -26,13 +26,13 @@ from carpetcurl.carpet import (
 from carpetcurl.cli import main as cli_main
 from carpetcurl.fields import PiecewiseAffineField, constant_field, coordinate_field
 from carpetcurl.forms import verify_wedge_approximation
+from carpetcurl.geometry import polygon_area
 from carpetcurl.report import leq_sqrt_sum_sq
 from carpetcurl.witness import (
     build_flattened,
     build_neighborhoods,
     build_ramp,
     build_staircase,
-    build_strips,
     build_tents,
     check_local_constancy,
     per_tent_bound,
@@ -122,9 +122,11 @@ class TestCriterion2StripBound:
         defect = coordinate_minus(build_staircase(SPEC, n))
         energy = dirichlet_energy(defect, pf)
         a_n = SPEC.ratio(n)
-        strips = build_strips(SPEC, n)
-        area = strips.total_area
-        ok = energy <= a_n and area == len(strips.y_centers) * strips.height and area <= a_n
+        # the strips are the strip-band patches of the flattened field
+        flat = build_flattened(SPEC, n)
+        bands = [flat.patches[i].vertices for i in flat.band_tags]
+        area = sum((polygon_area(b) for b in bands), F(0)) / flat.scale ** 2
+        ok = energy <= a_n and area == len(bands) * side_length(SPEC, n) and area <= a_n
         assert report("criterion 2", ok,
                       f"n={n}: defect energy {energy} <= {a_n}, strip area {area} <= {a_n}")
 

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import carpetcurl
+from carpetcurl import carpet
 from carpetcurl.carpet import (
     MONOMIALS,
     CarpetSpec,
@@ -21,7 +22,6 @@ from carpetcurl.carpet import (
     StageBeyondSpec,
     TailDiverges,
     _shifted_moments,
-    cell_grid,
     column_obstacles,
     enumerate_holes,
     enumerate_squares,
@@ -30,8 +30,8 @@ from carpetcurl.carpet import (
     parse_spec_config,
     prefractal_measure,
     side_length,
+    stage_lines,
     stage_scale,
-    square_count,
     tail_measure_bounds,
     validate_spec,
 )
@@ -45,7 +45,8 @@ from carpetcurl.geometry import (
     normalize_polygon,
     moment_sums,
 )
-from oracles import on_lattice
+from carpetcurl.witness import _cells
+from oracles import contains, on_lattice, square_count, strictly_inside_hole
 from test_partition import SPECS
 
 F = Fraction
@@ -295,36 +296,81 @@ class TestMeasure:
 
 
 class TestCellGrid:
+    # the int grid: the stage lines and the cells between them, over L_n
     def test_first_stage(self, spec35):
-        grid = cell_grid(spec35, 1)
-        assert grid.x_cuts == (F(1, 2),)
-        assert len(grid.cells) == 4
+        scale, lines = stage_lines(spec35, 1)
+        assert tuple(F(x, scale) for x in lines[1:-1]) == (F(1, 2),)
+        assert len(_cells(lines)) == 4
 
     def test_second_stage(self, spec35):
-        grid = cell_grid(spec35, 2)
-        assert grid.x_cuts == (F(1, 6), F(1, 2), F(5, 6))
-        assert len(grid.cells) == 16
-        cell = next(c for c in grid.cells if c[0] == F(1, 6) and c[1] == F(1, 6))
+        scale, lines = stage_lines(spec35, 2)
+        assert tuple(F(x, scale) for x in lines[1:-1]) == (F(1, 6), F(1, 2), F(5, 6))
+        cells = _cells(lines)
+        assert len(cells) == 16
+        cell = next(c for c in cells if F(c[0], scale) == F(1, 6) and F(c[1], scale) == F(1, 6))
         d1 = side_length(spec35, 1)
-        assert (cell[2] - cell[0]) ** 2 + (cell[3] - cell[1]) ** 2 == 2 * d1 * d1
+        assert F((cell[2] - cell[0]) ** 2 + (cell[3] - cell[1]) ** 2, scale ** 2) == 2 * d1 * d1
 
     def test_third_stage_cuts_match_hole_centers(self, spec357):
-        grid = cell_grid(spec357, 3)
+        scale, lines = stage_lines(spec357, 3)
+        cuts = tuple(F(x, scale) for x in lines[1:-1])
         xs = {h.center[0] for h in enumerate_holes(spec357, 3)}
-        assert set(grid.x_cuts) == xs
-        assert len(grid.x_cuts) == 15
-        assert len(grid.cells) == (len(grid.x_cuts) + 1) ** 2
+        assert set(cuts) == xs
+        assert len(cuts) == 15
+        assert len(_cells(lines)) == (len(cuts) + 1) ** 2
 
     def test_cells_cover_unit_square(self, spec35):
-        grid = cell_grid(spec35, 2)
-        total = sum((x1 - x0) * (y1 - y0) for (x0, y0, x1, y1) in grid.cells)
-        assert total == 1
+        scale, lines = stage_lines(spec35, 2)
+        total = sum((x1 - x0) * (y1 - y0) for (x0, y0, x1, y1) in _cells(lines))
+        assert total == scale ** 2
 
     def test_every_hole_center_on_cut_lines(self, spec35):
-        grid = cell_grid(spec35, 2)
+        scale, lines = stage_lines(spec35, 2)
+        cuts = {F(x, scale) for x in lines[1:-1]}
         for h in enumerate_holes(spec35, 2):
-            assert h.center[0] in grid.x_cuts
-            assert h.center[1] in grid.y_cuts
+            assert h.center[0] in cuts
+            assert h.center[1] in cuts
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_stage_lines_check_their_cells(self, name, n, monkeypatch):
+        # every stage_lines call checks its own lines against the previous
+        # side, 4 * q_n lattice steps
+        spec = SPECS[name]
+        checked = []
+        monkeypatch.setattr(carpet, "_check_cell_diagonals",
+                            lambda *args: checked.append(args))
+        scale, lines = stage_lines(spec, n)
+        assert checked == [(n, lines, 4 * spec.subdivisions(n))]
+        assert scale == lines[-1] == stage_scale(spec, n)
+
+    def test_a_wide_cell_is_rejected_under_optimization(self):
+        # the diagonal check is no assert, so it holds under python -O too: a
+        # cut moved one step into a half-width border cell widens no gap past
+        # the previous side, 20 steps at stage 2, and one moved the other way
+        # widens a full gap to 21
+        script = (
+            "from carpetcurl.carpet import (CarpetSpec, ConstructionError,\n"
+            "                               _check_cell_diagonals, stage_lines)\n"
+            "spec = CarpetSpec((), 'odd-reciprocal')\n"
+            "scale, lines = stage_lines(spec, 2)\n"
+            "side = 4 * spec.subdivisions(2)\n"
+            "for cuts in (lines, (0, 11, 30, 50, 60), (0, 10, 30, 49, 60), (0, 9, 30, 50, 60),\n"
+            "             (0, 10, 29, 50, 60), (0, 10, 31, 50, 60), (0, 10, 30, 51, 60)):\n"
+            "    try:\n"
+            "        _check_cell_diagonals(2, cuts, side)\n"
+            "        print('ok', cuts)\n"
+            "    except ConstructionError as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(carpetcurl.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": src})
+        wide = ("ConstructionError a stage-2 cell 21/60 wide has a diagonal longer than "
+                "sqrt(2) * 20/60")
+        assert out.stdout.split("\n") == [
+            "ok (0, 10, 30, 50, 60)", "ok (0, 11, 30, 50, 60)", "ok (0, 10, 30, 49, 60)",
+            wide, wide, wide, wide, ""]
 
 
 class TestRegionMeasure:
@@ -488,7 +534,7 @@ def level_survivors(j):
     pf = Prefractal(spec, len(ORACLE_RATIOS))
     d = side_length(spec, j)
     count = int(1 / d)
-    alive = [[pf.contains(((ix + F(1, 2)) * d, (iy + F(1, 2)) * d), up_to_stage=j)
+    alive = [[contains(pf, ((ix + F(1, 2)) * d, (iy + F(1, 2)) * d), up_to_stage=j)
               for ix in range(count)] for iy in range(count)]
     blocks = {}
     for nx, ny in ((1, 1), (2, 1), (1, 2), (2, 2)):
@@ -638,13 +684,14 @@ class TestTailBounds:
 
 
 class TestHoleMembership:
+    # the membership oracle of tests/oracles.py
     def test_points(self, pf35_2):
-        assert pf35_2.strictly_inside_hole((F(1, 2), F(1, 2)))
-        assert pf35_2.strictly_inside_hole((F(1, 6), F(1, 6)), up_to_stage=2)
-        assert not pf35_2.strictly_inside_hole((F(1, 6), F(1, 6)), up_to_stage=1)
+        assert strictly_inside_hole(pf35_2, (F(1, 2), F(1, 2)))
+        assert strictly_inside_hole(pf35_2, (F(1, 6), F(1, 6)), up_to_stage=2)
+        assert not strictly_inside_hole(pf35_2, (F(1, 6), F(1, 6)), up_to_stage=1)
         # hole boundaries belong to the carpet
-        assert not pf35_2.strictly_inside_hole((F(1, 3), F(1, 2)))
-        assert pf35_2.contains((F(0), F(0)))
+        assert not strictly_inside_hole(pf35_2, (F(1, 3), F(1, 2)))
+        assert contains(pf35_2, (F(0), F(0)))
 
 
 class TestColumnObstacles:

@@ -72,6 +72,15 @@ class TestSpecCheck:
         assert run(["spec-check", "--config", str(cfg)]) == EXIT_CONFIG
         assert "no ratios given" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["ratios = 1/3\nratios = 1/5\n",
+                                      "ratios = 1/3\ngenerator = none\nGenerator = constant\n"])
+    def test_repeated_config_key_is_config_error(self, tmp_path, capsys, text):
+        # a repeated key must not silently win over the first
+        cfg = tmp_path / "repeated.cfg"
+        cfg.write_text(text)
+        assert run(["spec-check", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "repeated config key" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [("--ratios", "1/5"), ("--generator", "constant")])
     def test_config_with_spec_flags_is_config_error(self, tmp_path, flags):
         # the config file gives the whole spec; a flag beside it would be ignored
@@ -178,6 +187,30 @@ class TestFigures:
             content = (out / name).read_text()
             assert content.startswith("<?xml")
             assert "<svg" in content
+
+    # sha256 of the four stage figures per command; they pin the bytes of the
+    # Fraction grid that the int stage lines replaced
+    FIGURES_GOLDEN = {
+        ("--ratios", "1/3,1/5", "--nmax", "2"): {
+            "cells.svg": "82ebc7098044a642b07a2e2d9992d7f6805142aa9252be7dafce2fa1440b1a35",
+            "phi.svg": "305aa13f73e8761b2eb97712137cae555126e4c2958aa783d234e78bed21b65d",
+            "psi.svg": "79806df52cee57e9e74efd75ad2c0b9741a4d54c6543fd8956da919574889fb0",
+            "unk.svg": "42de3d0cbbfd39cae268721e11eafc05ce46b74bab2a8207f6249f9d93ff4a46",
+        },
+        ("--generator", "odd-reciprocal", "--nmax", "3"): {
+            "cells.svg": "509999cb8abf7d1e1e7470f657ff3935a421bab757cab51ad8225603f6528efb",
+            "phi.svg": "eef75363f04a5071e9239871c3607a56a28a27ff3be689c936372a0ba6261e9d",
+            "psi.svg": "2c4d7a7ee1ba04b7ef1ab5a550bf5d18ecd5b68b39e0d815c98bcf8ebf45d45c",
+            "unk.svg": "3caff3d1eb00eaf4d5751b44b759bfaeef75cd704a2d6d63ef06939235e18d80",
+        },
+    }
+
+    @pytest.mark.parametrize("args", FIGURES_GOLDEN)
+    def test_figures_reproduce_the_golden_bytes(self, tmp_path, args):
+        out = tmp_path / "golden"
+        assert run(["figures", *args, "--out", str(out)]) == EXIT_OK
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in cli.FIGURES} == self.FIGURES_GOLDEN[args]
 
     def test_tent_figure_counts_trapezoids(self, tmp_path):
         out = tmp_path / "figs2"

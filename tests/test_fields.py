@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpetcurl.carpet import CarpetSpec, Prefractal, prefractal_measure
+from carpetcurl.carpet import CarpetSpec, Prefractal, prefractal_measure, stage_lines
 from carpetcurl.fields import (
     AffinePatch,
     PiecewiseAffineField,
@@ -16,7 +16,7 @@ from carpetcurl.fields import (
     refine_pairs,
 )
 from carpetcurl.geometry import bbox, clip_convex, normalize_polygon, polygon_area
-from carpetcurl.witness import build_flattened, build_ramp, build_staircase
+from carpetcurl.witness import _cells, _rectangle, build_flattened, build_ramp, build_staircase
 
 from conftest import UNIT, random_grid_field, seeded
 from oracles import (
@@ -30,10 +30,13 @@ from oracles import (
     field_from_json,
     field_to_json,
     gradient,
+    in_unit,
     l2_norm_sq,
     on_lattice,
     overlay,
     product_with_gradient,
+    unit_polygon,
+    value_at,
 )
 
 F = Fraction
@@ -91,9 +94,8 @@ class TestOverlay:
             overlay(a, b)
 
     def test_grid_times_strips_all_rectangles(self, spec35):
-        from carpetcurl.carpet import cell_grid
-        grid = cell_grid(spec35, 2)
-        cells = [((x0, y0), (x1, y0), (x1, y1), (x0, y1)) for (x0, y0, x1, y1) in grid.cells]
+        scale, lines = stage_lines(spec35, 2)
+        cells = [unit_polygon(_rectangle(*cell), scale) for cell in _cells(lines)]
         phi = build_staircase(spec35, 2)
         pieces = overlay(cells, phi)
         assert sum(polygon_area(r) for r, _, _ in pieces) == 1
@@ -202,15 +204,15 @@ class TestDirichletEnergy:
         assert value <= F(1, 5)
 
     def test_energy_invariant_under_refinement(self, spec35, pf35_2):
-        from carpetcurl.carpet import cell_grid
+        # the staircase and the cells on one stage lattice
         phi = build_staircase(spec35, 2)
-        grid = cell_grid(spec35, 2)
-        cells = [((x0, y0), (x1, y0), (x1, y1), (x0, y1)) for (x0, y0, x1, y1) in grid.cells]
+        _, lines = stage_lines(spec35, 2)
+        cells = [_rectangle(*cell) for cell in _cells(lines)]
         refined = []
         for region, ip, _ in refine_pairs([p.vertices for p in phi.patches], cells):
             src = phi.patches[ip]
             refined.append(make_patch(region, src.c0, src.cx, src.cy))
-        assert dirichlet_energy(PiecewiseAffineField(tuple(refined), 1), pf35_2) == \
+        assert dirichlet_energy(PiecewiseAffineField(tuple(refined), phi.scale), pf35_2) == \
             dirichlet_energy(phi, pf35_2)
 
 
@@ -271,7 +273,7 @@ class TestSupNorm:
         bound = field.sup_norm()
         for _ in range(1000):
             p = (F(rng.randint(0, 64), 64), F(rng.randint(0, 64), 64))
-            v = field.value_at(p)
+            v = value_at(field, p)
             if v is not None:
                 assert abs(v) <= bound
 
@@ -303,10 +305,12 @@ class TestPatchInvariants:
 
 class TestSerialization:
     def test_round_trip(self, spec35):
+        # the wire format is in unit coordinates, so the staircase comes back
+        # with its lattice vertices over L_2
         phi = build_staircase(spec35, 2)
         data = field_to_json(phi)
         back = field_from_json(data)
-        assert back == phi
+        assert back == in_unit(phi)
 
 
 class TestVectorSerialization:

@@ -23,6 +23,7 @@ from oracles import (
     norm_sq_one,
     norm_sq_two,
     one_form_to_json,
+    value_at,
     wedge,
 )
 
@@ -155,8 +156,8 @@ class TestCutoffForm:
         omega, remainder = build_cutoff_form(spec35, 2, fx, flattened)
         assert remainder.sup_norm() <= F(1, 5)
         # off the seams the remainder shifts x by the cell-center abscissa
-        assert remainder.value_at((F(1, 12), F(1, 12))) == F(1, 12) - F(1, 12)
-        assert remainder.value_at((F(1, 3), F(1, 3))) == F(1, 3) - F(1, 3)
+        assert value_at(remainder, (F(1, 12), F(1, 12))) == F(1, 12) - F(1, 12)
+        assert value_at(remainder, (F(1, 3), F(1, 3))) == F(1, 3) - F(1, 3)
 
     def test_norm_matches_witness_integral(self, spec357, pf357_3):
         fx = coordinate_field("x")

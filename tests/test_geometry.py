@@ -13,13 +13,19 @@ from carpetcurl.geometry import (
     clip_convex,
     cross,
     normalize_polygon,
-    point_in_convex,
     poly_dot,
     polygon_area,
     polygon_area2,
     square_integral,
 )
-from oracles import affine_poly, clip_to_box, on_lattice, poly_mul, polygon_moments
+from oracles import (
+    affine_poly,
+    clip_to_box,
+    on_lattice,
+    point_in_convex,
+    poly_mul,
+    polygon_moments,
+)
 
 F = Fraction
 

@@ -16,7 +16,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from carpetcurl import cli, witness
-from carpetcurl.carpet import CarpetSpec, Prefractal, cell_grid, side_length, stage_scale
+from carpetcurl.carpet import CarpetSpec, Prefractal, side_length, stage_lines, stage_scale
 from carpetcurl.fields import (
     AffinePatch,
     PiecewiseAffineField,
@@ -47,6 +47,7 @@ from oracles import (
     d1,
     dirichlet_energy,
     field_patches,
+    fraction_cells,
     fraction_layout,
     fraction_neighborhoods,
     fraction_tents,
@@ -141,7 +142,7 @@ class TestTags:
         for p, t in zip(stage.ramp.patches, flat.cell_tags):
             tiled[t] += polygon_area(p.vertices)
         hole = (side_length(spec, n) * flat.scale) ** 2
-        cuts = len(stage.strips.y_centers)
+        cuts = len(stage_lines(spec, n)[1]) - 2
         for i, patch in enumerate(flat.patches):
             short = cuts * hole if i in flat.band_tags else 0
             assert tiled[i] == polygon_area(patch.vertices) - short
@@ -250,8 +251,8 @@ class TestStageLattice:
         old_neighborhoods = fraction_neighborhoods(spec, n, old_tents)
         assert [tuple(F(v, scale) for v in cell) for cell in flat.cells] == [
             old.cell for old in old_neighborhoods]
-        assert [tuple(F(v, scale) for v in cell) for cell in flat.cells] == list(
-            cell_grid(spec, n).cells)
+        assert [tuple(F(v, scale) for v in cell) for cell in flat.cells] == fraction_cells(
+            spec, n)
         for nb, old in zip(build_neighborhoods(spec, n, flat.tents), old_neighborhoods,
                            strict=True):
             assert nb.cell_index == old.cell_index

@@ -1,7 +1,7 @@
 """Source checks on the package: invariants that hold under ``python -O``, no
 parameter its function never reads, no private helper without a caller, no
-public helper that is neither called nor exported, and a stage lattice built
-without ``Fraction``."""
+public helper that is neither called nor exported, no public method without
+a caller, and a stage lattice built without ``Fraction``."""
 
 import ast
 from collections import Counter
@@ -73,18 +73,30 @@ def test_every_private_helper_has_a_caller():
 
 def test_every_public_helper_has_a_caller_or_is_exported():
     # a module-level public function or class that nothing in the package
-    # reads outside its own body is API only if the package exports it
+    # reads outside its own body is API only if the package exports it; a
+    # public method of a module-level class is read outside its own body or
+    # is dead, whether or not its class is exported
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES}
     loaded = Counter(name for tree in trees.values() for name in loaded_names(tree))
     exported = {alias.asname or alias.name
                 for node in ast.walk(trees[Path(carpetcurl.__file__)])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    def unread(node):
+        return (not node.name.startswith("_")
+                and loaded[node.name] == loaded_names(node).count(node.name))
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     unused = [f"{path.name}:{node.lineno} {node.name}"
               for path, tree in trees.items()
               for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in exported
-              and loaded[node.name] == loaded_names(node).count(node.name)]
+              if isinstance(node, defs + (ast.ClassDef,)) and node.name not in exported
+              and unread(node)]
+    unused += [f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+               for path, tree in trees.items()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, defs) and unread(node)]
     assert unused == []
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import carpetcurl
-from carpetcurl.carpet import Prefractal, cell_grid, enumerate_holes, side_length, stage_scale
+from carpetcurl.carpet import Prefractal, enumerate_holes, side_length, stage_lines, stage_scale
 from carpetcurl.fields import constant_field
 from carpetcurl.geometry import polygon_area
 from carpetcurl.report import leq_sqrt_sum_sq
@@ -15,7 +15,6 @@ from carpetcurl.witness import (
     build_neighborhoods,
     build_ramp,
     build_staircase,
-    build_strips,
     build_tents,
     check_local_constancy,
     per_tent_bound,
@@ -34,6 +33,7 @@ from oracles import (
     lambda_energy,
     l2_norm_sq,
     product_with_gradient,
+    value_at,
     vertical_defect_sq,
 )
 from test_partition import SPECS
@@ -69,37 +69,84 @@ def lambda_energy_minus_holes(spec, m, field):
     return total
 
 
+def strips(spec, n):
+    """The strip bands of the stage-n flattened field, full-width rectangles
+    on the stage lattice: their centres, their heights and their total area,
+    in unit coordinates."""
+    flat = build_flattened(spec, n)
+    s = flat.scale
+    bands = [flat.patches[i].vertices for i in flat.band_tags]
+    assert all(b == ((0, b[0][1]), (s, b[0][1]), (s, b[2][1]), (0, b[2][1])) for b in bands)
+    centers = tuple(F(b[0][1] + b[2][1], 2 * s) for b in bands)
+    heights = {F(b[2][1] - b[0][1], s) for b in bands}
+    return centers, heights, sum((polygon_area(b) for b in bands), F(0)) / s ** 2
+
+
 class TestStrips:
     def test_stage_two(self, spec35):
-        s = build_strips(spec35, 2)
-        assert s.y_centers == (F(1, 6), F(1, 2), F(5, 6))
-        assert s.height == F(1, 15)
-        assert s.total_area == F(1, 5)
+        centers, heights, area = strips(spec35, 2)
+        assert centers == (F(1, 6), F(1, 2), F(5, 6))
+        assert heights == {F(1, 15)}
+        assert area == F(1, 5)
 
     def test_stage_one(self, spec3):
-        s = build_strips(spec3, 1)
-        assert s.y_centers == (F(1, 2),)
-        assert s.total_area == F(1, 3)
+        centers, _, area = strips(spec3, 1)
+        assert centers == (F(1, 2),)
+        assert area == F(1, 3)
 
     def test_stage_three_count_is_inverse_side(self, spec357):
-        s = build_strips(spec357, 3)
-        assert len(s.y_centers) == 15
-        assert s.total_area == F(15, 105) == F(1, 7)
-        assert len(s.y_centers) <= 1 / side_length(spec357, 2)
+        centers, _, area = strips(spec357, 3)
+        assert len(centers) == 15
+        assert area == F(15, 105) == F(1, 7)
+        assert len(centers) <= 1 / side_length(spec357, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_strip_area_row_is_the_band_area(self, name, n):
+        # the strips are centred on the cuts, one stage-n side high, and the
+        # strip_area row, 4 steps per band over L_n, is their area and a_n
+        spec = SPECS[name]
+        scale, lines = stage_lines(spec, n)
+        centers, heights, area = strips(spec, n)
+        assert centers == tuple(F(c, scale) for c in lines[1:-1])
+        assert heights == {side_length(spec, n)}
+        flat = build_flattened(spec, n)
+        assert F(4 * len(flat.band_tags), flat.scale) == area == spec.ratio(n)
+
+    def test_strip_cover_rejected_under_optimization(self):
+        # the strip cover is no assert: a slab rectangle tagged as a band
+        # keeps the total cover but not the strip area, under python -O too
+        script = (
+            "from carpetcurl import witness\n"
+            "from carpetcurl.carpet import CarpetSpec, ConstructionError\n"
+            "layout = witness._stage_layout\n"
+            "def tagged(*args):\n"
+            "    for k, (part, *rest) in enumerate(layout(*args)):\n"
+            "        yield (witness._BAND if k == 0 else part, *rest)\n"
+            "witness._stage_layout = tagged\n"
+            "try:\n"
+            "    witness.build_flattened(CarpetSpec((), 'odd-reciprocal'), 2)\n"
+            "except ConstructionError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": SRC})
+        # the first slab rectangle, a square of side 8/60, adds 4/225 to the bands' 1/5
+        assert out.stdout == "ConstructionError stage-2 strips cover 49/225, not the ratio 1/5\n"
 
 
 class TestStaircase:
     def test_profile_shape(self, spec35):
         phi = build_staircase(spec35, 2)
-        assert phi.value_at((F(1, 2), F(0))) == 0
-        assert phi.value_at((F(1, 2), F(1))) == 1 - F(1, 5)
+        assert value_at(phi, (F(1, 2), F(0))) == 0
+        assert value_at(phi, (F(1, 2), F(1))) == 1 - F(1, 5)
         grads = {(p.cx, p.cy) for p in phi.patches}
         assert grads <= {(F(0), F(0)), (F(0), F(1))}
 
     def test_nondecreasing_in_y(self, spec35):
         phi = build_staircase(spec35, 2)
         samples = [F(k, 37) for k in range(38)]
-        values = [phi.value_at((F(1, 3), y)) for y in samples]
+        values = [value_at(phi, (F(1, 3), y)) for y in samples]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -138,14 +185,13 @@ class TestTents:
     @pytest.mark.parametrize("name", SPECS)
     def test_tents_carry_their_cell_edge(self, name, n):
         # cut and row name the edge between cells cut and cut + 1 of the row
+        # on the int grid: cut k is line k + 1, and row j lies between lines j and j + 1
         spec = SPECS[name]
-        grid = cell_grid(spec, n)
-        row_lines = (F(0),) + grid.y_cuts + (F(1),)
-        scale = stage_scale(spec, n)
+        _, lines = stage_lines(spec, n)
         tents = build_tents(spec, n)
         for t in tents:
-            assert grid.x_cuts[t.cut] == F(t.column_x, scale)
-            assert row_lines[t.row] <= F(t.y_lo, scale) < F(t.y_hi, scale) <= row_lines[t.row + 1]
+            assert lines[1 + t.cut] == t.column_x
+            assert lines[t.row] <= t.y_lo < t.y_hi <= lines[t.row + 1]
         assert len({(t.cut, t.row) for t in tents}) == len(tents)
 
     def test_tent_outside_its_row_rejected_under_optimization(self):
@@ -246,7 +292,7 @@ class TestTentField:
 class TestFlattened:
     def test_total_cover_and_continuity(self, spec35):
         field = build_flattened(spec35, 2)
-        assert field.total_area() == 1
+        assert sum(polygon_area(p.vertices) for p in field.patches) / field.scale ** 2 == 1
         pf = Prefractal(spec35, 2)
         assert continuity_defects(field, pf, 2) == []
 
