@@ -28,7 +28,6 @@ from .geometry import (
     ZERO,
     _area2,
     _convex,
-    _lattice_scale,
     cross,
     moment_sums,
     poly_dot,
@@ -321,11 +320,12 @@ class Prefractal:
             raise SpecError("level must be >= 0")
         self.spec = spec
         self.level = level
-        sides = [side_length(spec, k) for k in range(level + 1)]
         self.subdiv = [spec.subdivisions(k) for k in range(1, level + 1)]
-        # the lattice on which every side length is an integer, and the sides on it
-        self.side_scale = _lattice_scale(sides)
-        self.side_ints = [d.numerator * (self.side_scale // d.denominator) for d in sides]
+        # the lattice on which every side length is an integer, and the sides
+        # on it: the level-k side is the product of the subdivisions of
+        # stages k+1 to level
+        self.side_scale = prod(self.subdiv)
+        self.side_ints = [prod(self.subdiv[k:]) for k in range(level + 1)]
         # pattern[k]: 24 times the moments of the level-m set inside the
         # level-k square at the origin, on the side lattice.  At level m that
         # set is the square; above, it is the next level's pattern moved to

@@ -5,7 +5,7 @@ affine map value(x, y) = c0 + cx*x + cy*y.  A field's patch vertices lie on
 the lattice of its ``scale``, so vertex (X, Y) is the point (X / scale,
 Y / scale), while the maps stay in unit coordinates: a stage field (the
 flattened coordinate, the staircase, a cell field) has int vertices on its
-stage lattice and a target or a test field ``Fraction`` vertices at scale 1.
+stage lattice, and a target the int corners of the unit square at scale 1.
 Patches may cover less than the unit square; integration treats the
 complement as zero, so fields supported on small regions (tent covers,
 seams) need no explicit complement patches.  A field is read through its
@@ -13,13 +13,14 @@ seams) need no explicit complement patches.  A field is read through its
 iterable, and no field is searched for the patch holding a point, since
 every quantity the package takes of a field is a sum over its patches or a
 max over their vertices.
-``refine_pairs`` overlays two partitions on one lattice.
 
-``make_patch`` normalizes a patch's vertices to ``Fraction`` pairs and
-checks that they bound a convex region.  A builder that has already proved
-its polygon canonical constructs ``AffinePatch`` directly: the stage layout
-in ``witness`` checks its int polygons itself, and the staircase's bands
-are counterclockwise rectangles by construction.
+Every builder constructs ``AffinePatch`` directly from a polygon it has
+proved convex and counterclockwise: the stage layout in ``witness`` checks
+its int polygons itself, and the unit square of ``affine_field`` and the
+staircase's bands are counterclockwise rectangles by construction.
+``refine_pairs`` overlays two partitions given on one lattice and returns
+each clip as ``geometry.clip_convex`` leaves it, with no rescaling and no
+conversion; its ``_BoxIndex`` buckets the boxes as given.
 """
 
 from __future__ import annotations
@@ -27,16 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import (
-    ZERO,
-    _convex,
-    _lattice_scale,
-    _normalize,
-    bbox,
-    clip_convex,
-    normalize_polygon,
-    polygon_area,
-)
+from .geometry import ZERO, bbox, clip_convex, polygon_area
 
 
 @dataclass(frozen=True)
@@ -54,15 +46,6 @@ class AffinePatch:
     @property
     def gradient(self):
         return (self.cx, self.cy)
-
-
-def make_patch(vertices, c0, cx=0, cy=0) -> AffinePatch:
-    verts, pts, _ = _normalize(vertices)
-    if len(verts) < 3:
-        raise ValueError("degenerate patch")
-    if not _convex(pts):
-        raise ValueError("patches must be convex")
-    return AffinePatch(verts, Fraction(c0), Fraction(cx), Fraction(cy))
 
 
 @dataclass(frozen=True)
@@ -120,66 +103,59 @@ def coordinate_field(axis: str) -> PiecewiseAffineField:
 
 
 def affine_field(c0, cx, cy) -> PiecewiseAffineField:
-    return PiecewiseAffineField((make_patch(((0, 0), (1, 0), (1, 1), (0, 1)), c0, cx, cy),), 1)
+    unit = ((0, 0), (1, 0), (1, 1), (0, 1))
+    return PiecewiseAffineField((AffinePatch(unit, Fraction(c0), Fraction(cx), Fraction(cy)),), 1)
 
 
 class _BoxIndex:
-    """Grid index over rational bounding boxes (x0, y0, x1, y1).
+    """Grid index over bounding boxes (x0, y0, x1, y1), stored as given.
 
-    The indexed boxes are scaled once by the lcm of all their coordinates'
-    denominators (the helper the ``geometry`` predicates scale with), so each
-    is stored as four exact ints and every overlap test compares integers.
-    The grid cell is the median of the boxes' integer widths and heights (at
-    least 1): a few full-width strips then span many cells instead of forcing
-    every box into one bucket.
-
-    A query box need not lie on the lattice. Its scaled bounds are rounded
-    once, low ends down and high ends up, to pick the cells; for an integer
-    b, ``b < hi`` iff ``b < ceil(hi)`` and ``b <= hi`` iff ``b <= floor(hi)``
-    (and symmetrically for the low end), so both the open-overlap test and
-    the ``closed`` one stay exact.
+    The grid cell is the median of the boxes' positive widths and heights,
+    and ``//`` on it picks a box's cells, so int and ``Fraction`` boxes
+    alike spread over many cells, full-width strips included, and every
+    overlap test is exact.
 
     ``candidates`` yields indices in ascending order, whatever the cells,
     so a refinement built from it does not depend on the bucketing.
     """
 
     def __init__(self, items, key):
-        boxes = [key(it) for it in items]
-        self.scale = scale = _lattice_scale(v for b in boxes for v in b)
-        self.boxes = [tuple(v.numerator * (scale // v.denominator) for v in b) for b in boxes]
-        extents = sorted([b[2] - b[0] for b in self.boxes] + [b[3] - b[1] for b in self.boxes])
-        self.cell = cell = max(1, extents[len(extents) // 2]) if extents else 1
+        self.boxes = boxes = [key(it) for it in items]
+        extents = sorted(e for b in boxes for e in (b[2] - b[0], b[3] - b[1]) if e > 0)
+        self.cell = cell = extents[len(extents) // 2] if extents else 1
         self.buckets = {}
-        for idx, (x0, y0, x1, y1) in enumerate(self.boxes):
+        for idx, (x0, y0, x1, y1) in enumerate(boxes):
             for kx in range(x0 // cell, x1 // cell + 1):
                 for ky in range(y0 // cell, y1 // cell + 1):
                     self.buckets.setdefault((kx, ky), []).append(idx)
 
-    def candidates(self, box, closed=False):
-        scale, cell = self.scale, self.cell
-        fx0, fy0, fx1, fy1 = (v.numerator * scale // v.denominator for v in box)
-        cx0, cy0, cx1, cy1 = (-(-v.numerator * scale // v.denominator) for v in box)
+    def _near(self, box):
+        """The indices, ascending, of the boxes sharing a cell with ``box``."""
+        cell = self.cell
         hits = set()
-        for kx in range(fx0 // cell, cx1 // cell + 1):
-            for ky in range(fy0 // cell, cy1 // cell + 1):
+        for kx in range(box[0] // cell, box[2] // cell + 1):
+            for ky in range(box[1] // cell, box[3] // cell + 1):
                 hits.update(self.buckets.get((kx, ky), ()))
-        for idx in sorted(hits):
+        return sorted(hits)
+
+    def candidates(self, box):
+        """The indices, ascending, of the boxes that overlap ``box`` in more
+        than an edge or a corner."""
+        qx0, qy0, qx1, qy1 = box
+        for idx in self._near(box):
             x0, y0, x1, y1 = self.boxes[idx]
-            if closed:
-                if x0 <= fx1 and cx0 <= x1 and y0 <= fy1 and cy0 <= y1:
-                    yield idx
-            elif x0 < cx1 and fx0 < x1 and y0 < cy1 and fy0 < y1:
+            if x0 < qx1 and qx0 < x1 and y0 < qy1 and qy0 < y1:
                 yield idx
 
 
 def refine_pairs(regions_a, regions_b):
-    """All positive-area intersections (region, ia, ib) of two region lists."""
+    """All positive-area intersections (clip, ia, ib) of two lists of
+    convex CCW regions on one lattice, each as ``clip_convex`` returns it."""
     out = []
     index = _BoxIndex(regions_b, key=bbox)
     for ia, ra in enumerate(regions_a):
-        box_a = bbox(ra)
-        for ib in index.candidates(box_a):
+        for ib in index.candidates(bbox(ra)):
             piece = clip_convex(ra, regions_b[ib])
             if piece and polygon_area(piece) > 0:
-                out.append((normalize_polygon(piece), ia, ib))
+                out.append((piece, ia, ib))
     return out

@@ -1,25 +1,21 @@
 """Exact 2-D polygon primitives over integer or rational coordinates.
 
-Predicates (orientation, ``_convex``) and sums (``_area2``,
-``moment_sums``, the half-plane clip) are ring-generic: a stage polygon's
-int vertices on its lattice give exact ints, ``Fraction`` vertices exact
-Fractions, and nothing depends on a tolerance.  Every region the package
-integrates is convex, and ``_convex`` tests that on integer vertices; a
-non-convex region is rejected, never split, and ``carpet.Prefractal`` walks
-every convex one, rectangles included, one way.  Normalization, area and
-convex clipping take ints or Fractions, scale their polygons once per call
-by the lcm of the vertex denominators and run on that integer lattice;
-``normalize_polygon`` and ``clip_convex`` return ``Fraction`` pairs, and a
-clipped crossing off the lattice stays an exact int + Fraction.  A
-degree-<=2 integrand over a region is a dot product with the region's six
-moments.
+Every routine works on the vertices it is given, with no rescaling: the
+predicates (orientation, ``_convex``), the sums (``_area2``,
+``polygon_area``, ``moment_sums``) and the half-plane and convex clips are
+ring-generic, so a stage polygon's int vertices on its lattice give exact
+ints, ``Fraction`` vertices exact Fractions, and nothing depends on a
+tolerance.  A clip keeps int input int but at a crossing between lattice
+points, which comes back as an exact ``Fraction``.  Every region the
+package integrates is convex; a non-convex region is rejected, never split,
+and ``carpet.Prefractal`` walks every convex one, rectangles included, one
+way.  A degree-<=2 integrand over a region is a dot product with the
+region's six moments.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable
 
 ZERO = Fraction(0)
 
@@ -27,23 +23,6 @@ ZERO = Fraction(0)
 def cross(o, a, b):
     """Signed cross product (a - o) x (b - o)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _lattice_scale(values) -> int:
-    """The least positive integer whose multiples of the given rationals are ints."""
-    return lcm(*{v.denominator for v in values})
-
-
-def _on_lattice(poly, scale):
-    """The vertices of a rational polygon times scale, as exact ints."""
-    return [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-            for x, y in poly]
-
-
-def _lattice(poly):
-    """(scale, integer vertices) of a rational polygon on its own lattice."""
-    scale = _lattice_scale(v for p in poly for v in p)
-    return scale, _on_lattice(poly, scale)
 
 
 def _area2(poly):
@@ -56,48 +35,10 @@ def _area2(poly):
     return s
 
 
-def polygon_area2(poly) -> Fraction:
-    """Twice the signed area (positive for counterclockwise order)."""
-    scale, pts = _lattice(poly)
-    return Fraction(_area2(pts), scale * scale)
-
-
 def polygon_area(poly) -> Fraction:
-    return polygon_area2(poly) / 2
-
-
-def _normalize(points):
-    """Canonical vertices of a polygon, their lattice points and the lattice scale.
-
-    Returns (the given vertices as Fractions at the kept indices, the same
-    vertices on the polygon's integer lattice, its scale).  A canonical tuple
-    of Fraction pairs comes back as itself, so its holders share it.
-    """
-    exact = type(points) is tuple and all(
-        type(p) is tuple and type(p[0]) is type(p[1]) is Fraction for p in points)
-    raw = points if exact else [(x if type(x) is Fraction else Fraction(x),
-                                 y if type(y) is Fraction else Fraction(y)) for x, y in points]
-    scale, pts = _lattice(raw)
-    order = list(range(len(pts)))
-    if _area2(pts) < 0:
-        order.reverse()
-    # one copy of each run of repeated vertices, then no collinear interior vertex
-    order = [i for k, i in enumerate(order) if pts[i] != pts[order[k - 1]]]
-    ring = [pts[i] for i in order]
-    keep = []
-    for k, cur in enumerate(ring):
-        prev, nxt = ring[k - 1], ring[(k + 1) % len(ring)]
-        if not (cross(prev, cur, nxt) == 0 and (cur[0] - prev[0]) * (nxt[0] - cur[0]) >= 0
-                and (cur[1] - prev[1]) * (nxt[1] - cur[1]) >= 0):
-            keep.append(order[k])
-    if exact and keep == list(range(len(pts))):
-        return points, pts, scale
-    return tuple(raw[i] for i in keep), [pts[i] for i in keep], scale
-
-
-def normalize_polygon(points: Iterable) -> tuple:
-    """Canonical form: Fractions, no repeated/collinear vertices, CCW order."""
-    return _normalize(points)[0]
+    """The signed area (positive for counterclockwise order), in the units
+    of the vertices."""
+    return Fraction(_area2(poly), 2)
 
 
 def _convex(poly) -> bool:
@@ -119,17 +60,18 @@ def bbox(poly):
 
 
 def _shift(v, num, den):
-    # v + num / den, an int when den divides num
-    q, r = divmod(num, den)
-    return v + q if not r else v + Fraction(num, den)
+    # v + num / den, an int when it is one, whether v is an int or a Fraction
+    top = v * den + num
+    q, r = divmod(top, den)
+    return Fraction(top, den) if r else q
 
 
 def clip_halfplane(poly, a, b, c):
     """Clip a polygon to the half-plane a*x + b*y <= c (Sutherland-Hodgman).
 
     Ring-generic: a crossing is cur + fc * (nxt - cur) / (fc - fn), an int
-    when the division is exact and an int + Fraction otherwise, so integer
-    lattice input gives the exact clip too.
+    when it is a lattice point and a Fraction otherwise, so integer lattice
+    input gives the exact clip too.
     """
     if not poly:
         return ()
@@ -158,13 +100,11 @@ def clip_halfplane(poly, a, b, c):
 def clip_convex(subject, clip):
     """Intersection of a polygon with a CCW convex clip polygon.
 
-    Both are scaled onto the lattice of all their denominators together,
-    clipped there edge by edge, and scaled back.
+    Clipped edge by edge on the vertices as given, so int input gives int
+    vertices but at crossings off its lattice.
     """
-    scale = _lattice_scale(v for poly in (subject, clip) for p in poly for v in p)
-    out = _on_lattice(subject, scale)
-    pts = _on_lattice(clip, scale)
-    for p, q in zip(pts, pts[1:] + pts[:1]):
+    out = subject
+    for p, q in zip(clip, clip[1:] + clip[:1]):
         # inside of edge p->q of a CCW polygon is cross(p, q, x) >= 0,
         # which rearranges to (qy-py)*x + (px-qx)*y <= (qy-py)*px + (px-qx)*py
         a = q[1] - p[1]
@@ -172,7 +112,7 @@ def clip_convex(subject, clip):
         out = clip_halfplane(out, a, b, a * p[0] + b * p[1])
         if not out:
             return ()
-    return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in out)
+    return out
 
 
 # Moments of x^p y^q over a CCW polygon via the divergence theorem.  The

@@ -299,7 +299,7 @@ def _stage_layout(spec: CarpetSpec, n: int, tents):
 
 
 def _check_convex(verts, what):
-    # make_patch's canonical convex patch, tested on the lattice: at least
+    # a canonical convex patch, tested on the lattice: at least
     # three vertices, each a strict left turn, so the polygon is convex and
     # counterclockwise with no repeated or collinear vertex
     if len(verts) >= 3:

@@ -19,6 +19,11 @@ field's value at a point (``value_at``).
 The oracles work in unit coordinates: a stage field's int vertices are
 divided by its scale on the way in (``in_unit``), and a rational region is
 put on its own integer lattice (``on_lattice``) for ``Prefractal``.  The
+rational polygon layer the package no longer carries lives here as well:
+the lcm lattice of a polygon (``on_lattice``), its doubled area taken there
+(``polygon_area2``), the canonical form ``normalize_polygon`` and the
+checked patch constructor ``make_patch``, and the closed box query
+``touching`` that ``continuity_defects`` runs on a ``_BoxIndex``.  The
 ``Fraction`` stage construction the package replaced by the int one is kept
 at the end (``fraction_cells``, ``fraction_tents``, ``fraction_layout``,
 ``fraction_neighborhoods``) as the oracle of the stage lattice.
@@ -30,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from carpetcurl.carpet import (
@@ -47,19 +53,18 @@ from carpetcurl.fields import (
     ProductVectorField,
     _BoxIndex,
     constant_field,
-    make_patch,
     refine_pairs,
 )
 from carpetcurl.geometry import (
     MOMENT_DIVISORS,
     MONOMIALS,
     ZERO,
-    _lattice,
+    _area2,
+    _convex,
     bbox,
     clip_halfplane,
     cross,
     moment_sums,
-    normalize_polygon,
     polygon_area,
 )
 from carpetcurl.witness import (
@@ -77,10 +82,62 @@ ONE = Fraction(1)
 
 
 def on_lattice(region):
-    """(int vertices, scale) of a rational polygon on its own lattice, the
-    form ``Prefractal.moments`` takes."""
-    scale, pts = _lattice(region)
-    return tuple(pts), scale
+    """(int vertices, scale) of a rational polygon on its own lattice, whose
+    scale is the lcm of the vertex denominators: the form
+    ``Prefractal.moments`` takes."""
+    scale = lcm(*{v.denominator for p in region for v in p})
+    return tuple((x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+                 for x, y in region), scale
+
+
+def polygon_area2(poly) -> Fraction:
+    """Twice the signed area of a rational polygon, taken on its lattice."""
+    pts, scale = on_lattice(poly)
+    return Fraction(_area2(pts), scale * scale)
+
+
+def _normalize(points):
+    """Canonical vertices of a polygon, their lattice points and the lattice scale.
+
+    Returns (the given vertices as Fractions at the kept indices, the same
+    vertices on the polygon's integer lattice, its scale).  A canonical tuple
+    of Fraction pairs comes back as itself.
+    """
+    exact = type(points) is tuple and all(
+        type(p) is tuple and type(p[0]) is type(p[1]) is Fraction for p in points)
+    raw = points if exact else [(x if type(x) is Fraction else Fraction(x),
+                                 y if type(y) is Fraction else Fraction(y)) for x, y in points]
+    pts, scale = on_lattice(raw)
+    order = list(range(len(pts)))
+    if _area2(pts) < 0:
+        order.reverse()
+    # one copy of each run of repeated vertices, then no collinear interior vertex
+    order = [i for k, i in enumerate(order) if pts[i] != pts[order[k - 1]]]
+    ring = [pts[i] for i in order]
+    keep = []
+    for k, cur in enumerate(ring):
+        prev, nxt = ring[k - 1], ring[(k + 1) % len(ring)]
+        if not (cross(prev, cur, nxt) == 0 and (cur[0] - prev[0]) * (nxt[0] - cur[0]) >= 0
+                and (cur[1] - prev[1]) * (nxt[1] - cur[1]) >= 0):
+            keep.append(order[k])
+    if exact and keep == list(range(len(pts))):
+        return points, pts, scale
+    return tuple(raw[i] for i in keep), [pts[i] for i in keep], scale
+
+
+def normalize_polygon(points) -> tuple:
+    """Canonical form: Fractions, no repeated/collinear vertices, CCW order."""
+    return _normalize(points)[0]
+
+
+def make_patch(vertices, c0, cx=0, cy=0) -> AffinePatch:
+    """An affine patch on the canonical form of a rational convex polygon."""
+    verts, pts, _ = _normalize(vertices)
+    if len(verts) < 3:
+        raise ValueError("degenerate patch")
+    if not _convex(pts):
+        raise ValueError("patches must be convex")
+    return AffinePatch(verts, Fraction(c0), Fraction(cx), Fraction(cy))
 
 
 def unit_polygon(verts, scale):
@@ -282,6 +339,16 @@ class PCScalarField:
     pieces: tuple
 
 
+def touching(index: _BoxIndex, box):
+    """The indices, ascending, of the boxes of ``index`` that meet ``box``,
+    along an edge or at a corner included: the closed overlap test, on the
+    cells ``_BoxIndex.candidates`` reads."""
+    qx0, qy0, qx1, qy1 = box
+    return [i for i in index._near(box)
+            for x0, y0, x1, y1 in [index.boxes[i]]
+            if x0 <= qx1 and qx0 <= x1 and y0 <= qy1 and qy0 <= y1]
+
+
 def continuity_defects(field: PiecewiseAffineField, prefractal: Optional[Prefractal] = None,
                        hole_stage: Optional[int] = None):
     """Pairs of patches disagreeing along a shared edge segment.
@@ -294,7 +361,7 @@ def continuity_defects(field: PiecewiseAffineField, prefractal: Optional[Prefrac
     defects = []
     index = _BoxIndex(field.patches, key=lambda p: bbox(p.vertices))
     for i, a in enumerate(field.patches):
-        for j in index.candidates(bbox(a.vertices), closed=True):
+        for j in touching(index, bbox(a.vertices)):
             if j <= i:
                 continue
             b = field.patches[j]

@@ -38,15 +38,20 @@ from carpetcurl.carpet import (
 from carpetcurl.geometry import (
     MOMENT_DIVISORS,
     _convex,
-    _normalize,
     bbox,
     clip_halfplane,
     cross,
-    normalize_polygon,
     moment_sums,
 )
 from carpetcurl.witness import _cells
-from oracles import contains, on_lattice, square_count, strictly_inside_hole
+from oracles import (
+    _normalize,
+    contains,
+    normalize_polygon,
+    on_lattice,
+    square_count,
+    strictly_inside_hole,
+)
 from test_partition import SPECS
 
 F = Fraction

@@ -12,10 +12,9 @@ from carpetcurl.fields import (
     affine_field,
     constant_field,
     coordinate_field,
-    make_patch,
     refine_pairs,
 )
-from carpetcurl.geometry import bbox, clip_convex, normalize_polygon, polygon_area
+from carpetcurl.geometry import bbox, clip_convex, polygon_area
 from carpetcurl.witness import _cells, _rectangle, build_flattened, build_ramp, build_staircase
 
 from conftest import UNIT, random_grid_field, seeded
@@ -32,9 +31,11 @@ from oracles import (
     gradient,
     in_unit,
     l2_norm_sq,
+    make_patch,
     on_lattice,
     overlay,
     product_with_gradient,
+    touching,
     unit_polygon,
     value_at,
 )
@@ -156,14 +157,26 @@ class TestBoxIndex:
         index = _BoxIndex(boxes, key=lambda b: b)
         for _ in range(4):
             q = data.draw(query_boxes(boxes))
-            for closed in (False, True):
-                assert list(index.candidates(q, closed)) == \
-                    [i for i, b in enumerate(boxes) if boxes_overlap(b, q, closed)]
+            assert list(index.candidates(q)) == \
+                [i for i, b in enumerate(boxes) if boxes_overlap(b, q, closed=False)]
+            assert touching(index, q) == \
+                [i for i, b in enumerate(boxes) if boxes_overlap(b, q, closed=True)]
 
     def test_empty_index(self):
         index = _BoxIndex([], key=bbox)
-        for closed in (False, True):
-            assert list(index.candidates((F(0), F(0), F(1), F(1)), closed)) == []
+        assert list(index.candidates((F(0), F(0), F(1), F(1)))) == []
+        assert touching(index, (F(0), F(0), F(1), F(1))) == []
+
+    def test_unit_boxes_spread_over_cells_below_one(self):
+        # a 4 x 4 grid of 1/5 squares inside the unit square: the cell is
+        # their median side, so the boxes spread over many buckets and a
+        # query meets only its neighbours; a cell of at least 1 would put
+        # them all in one bucket and make every query scan every box
+        boxes = [(F(i, 5), F(j, 5), F(i + 1, 5), F(j + 1, 5)) for i in range(4) for j in range(4)]
+        index = _BoxIndex(boxes, key=lambda b: b)
+        assert index.cell == F(1, 5)
+        assert len(index.buckets) == 25
+        assert index._near(boxes[0]) == [0, 1, 4, 5]
 
     def test_refine_pairs_against_all_pairs(self):
         # stage-2 ramp (92 patches) against the flattened field (57): the
@@ -182,7 +195,7 @@ class TestBoxIndex:
                     continue
                 piece = clip_convex(ra, rb)
                 if piece and polygon_area(piece) > 0:
-                    expected.append((normalize_polygon(piece), ia, ib))
+                    expected.append((piece, ia, ib))
         assert refine_pairs(regions_a, regions_b) == expected
 
 

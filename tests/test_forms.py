@@ -76,7 +76,8 @@ class TestInnerOne:
         assert norm_sq_one(d0(phi), pf35_2) == dirichlet_energy(phi, pf35_2)
 
     def test_refinement_invariance(self, pf3_1):
-        from carpetcurl.fields import PiecewiseAffineField, make_patch
+        from carpetcurl.fields import PiecewiseAffineField
+        from oracles import make_patch
         fy = coordinate_field("y")
         split = PiecewiseAffineField((
             make_patch(((F(0), F(0)), (F(1, 2), F(0)), (F(1, 2), F(1)), (F(0), F(1))), 0, 0, 1),

@@ -1,29 +1,22 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from carpetcurl.carpet import CarpetSpec, Prefractal
-from carpetcurl.fields import make_patch
-from carpetcurl.geometry import (
-    _convex,
-    _lattice,
-    _normalize,
-    clip_convex,
-    cross,
-    normalize_polygon,
-    poly_dot,
-    polygon_area,
-    polygon_area2,
-    square_integral,
-)
+from carpetcurl.geometry import _convex, clip_convex, cross, poly_dot, polygon_area, square_integral
 from oracles import (
+    _normalize,
     affine_poly,
     clip_to_box,
+    make_patch,
+    normalize_polygon,
     on_lattice,
     point_in_convex,
     poly_mul,
+    polygon_area2,
     polygon_moments,
 )
 
@@ -156,7 +149,7 @@ def test_moments_additive_under_vertical_split(quad, t):
 @given(convex_quads())
 @settings(max_examples=30, deadline=None)
 def test_convexity_detected(quad):
-    assert _convex(_lattice(quad)[1])
+    assert _convex(on_lattice(quad)[0])
 
 
 # Reference versions of the lattice predicates, written directly in Fractions:
@@ -240,28 +233,37 @@ def ref_clip_convex(subject, clip):
 
 
 wide_coords = st.fractions(min_value=-1, max_value=2, max_denominator=9)
+# the same range as ints over the scale 12, the way a stage polygon is given
+lattice_coords = st.integers(-12, 24)
 
 
 @st.composite
-def rough_polygons(draw):
-    """Rational polygons in either orientation, with repeated vertices and
-    collinear vertices inserted on their edges; not necessarily simple."""
-    pts = draw(st.lists(st.tuples(wide_coords, wide_coords), min_size=3, max_size=7))
+def rough_polygons(draw, coords=wide_coords):
+    """Polygons in either orientation, with repeated vertices and collinear
+    vertices inserted on their edges; not necessarily simple.  On int
+    ``coords`` an inserted vertex is a lattice point of its edge."""
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=3, max_size=7))
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(pts) - 1))
         (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % len(pts)]
-        t = draw(st.sampled_from((F(0), F(1, 3), F(1, 2), F(3, 4))))
-        # t = 0 repeats the vertex, any other t is a collinear point on the edge
-        pts.insert(i + 1, (x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+        # k = 0 or t = 0 repeats the vertex, anything else is a collinear
+        # point on the edge
+        if coords is lattice_coords:
+            g = gcd(x1 - x0, y1 - y0) or 1
+            k = draw(st.integers(0, g - 1))
+            pts.insert(i + 1, (x0 + k * (x1 - x0) // g, y0 + k * (y1 - y0) // g))
+        else:
+            t = draw(st.sampled_from((F(0), F(1, 3), F(1, 2), F(3, 4))))
+            pts.insert(i + 1, (x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
     if draw(st.booleans()):
         pts.reverse()
     return tuple(pts)
 
 
 @st.composite
-def convex_clips(draw):
-    """CCW convex polygons with slanted edges: the hull of rational points."""
-    pts = draw(st.lists(st.tuples(wide_coords, wide_coords), min_size=3, max_size=6))
+def convex_clips(draw, coords=wide_coords):
+    """CCW convex polygons with slanted edges: the hull of ``coords`` points."""
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=3, max_size=6))
     n = len(pts)
     # gift wrapping keeps the code independent of the predicates under test
     hull = []
@@ -285,25 +287,42 @@ def convex_clips(draw):
 # the unit square clipped by x + 2y <= 2 crosses x = 1 at y = 1/2, off the
 # integer lattice of both inputs
 OFF_LATTICE_CLIP = ((F(0), F(0)), (F(2), F(0)), (F(0), F(1)))
+# the same two as ints over the scale 1, and both doubled, where the
+# crossing (2, 1) is a lattice point
+INT_SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
+INT_CLIP = ((0, 0), (2, 0), (0, 1))
 
 
 @given(rough_polygons())
 @settings(max_examples=200, deadline=None)
 def test_lattice_predicates_match_the_fraction_reference(poly):
-    assert polygon_area2(poly) == ref_polygon_area2(poly)
+    assert 2 * polygon_area(poly) == polygon_area2(poly) == ref_polygon_area2(poly)
     assert normalize_polygon(poly) == ref_normalize_polygon(poly)
     # the convexity test of make_patch and Prefractal.moments, on the
     # lattice points as given and as _normalize leaves them
-    assert _convex(_lattice(poly)[1]) == ref_is_convex(poly)
+    assert _convex(on_lattice(poly)[0]) == ref_is_convex(poly)
     canon = ref_normalize_polygon(poly)
     assert _convex(_normalize(poly)[1]) == ref_is_convex(canon)
 
 
-@given(rough_polygons(), convex_clips())
+def fraction_image(poly):
+    return tuple((F(x), F(y)) for x, y in poly)
+
+
+@given(rough_polygons() | rough_polygons(lattice_coords),
+       convex_clips() | convex_clips(lattice_coords))
 @example(SQUARE, OFF_LATTICE_CLIP)
-@settings(max_examples=150, deadline=None)
+@example(INT_SQUARE, INT_CLIP)
+@example(tuple((2 * x, 2 * y) for x, y in INT_SQUARE), tuple((2 * x, 2 * y) for x, y in INT_CLIP))
+@settings(max_examples=300, deadline=None)
 def test_lattice_clip_matches_the_fraction_reference(subject, clip):
-    assert clip_convex(subject, clip) == ref_clip_convex(subject, clip)
+    # the clip of the vertices as given, equal by value to the reference
+    # clip of their Fraction images; on int input a crossing at a lattice
+    # point comes back an int and one between lattice points a Fraction
+    out = clip_convex(subject, clip)
+    assert out == ref_clip_convex(fraction_image(subject), fraction_image(clip))
+    if all(type(v) is int for poly in (subject, clip) for p in poly for v in p):
+        assert all(type(v) is (int if v.denominator == 1 else F) for p in out for v in p)
 
 
 def test_clip_crossing_off_the_lattice_stays_exact():
@@ -311,3 +330,8 @@ def test_clip_crossing_off_the_lattice_stays_exact():
     assert out == ref_clip_convex(SQUARE, OFF_LATTICE_CLIP)
     assert (F(1), F(1, 2)) in out
     assert polygon_area(out) == F(3, 4)
+    # on ints the lattice points stay ints, and the crossing (1, 1/2) is an
+    # int and a Fraction
+    assert clip_convex(INT_SQUARE, INT_CLIP) == ((0, 0), (1, 0), (1, F(1, 2)), (0, 1))
+    assert [tuple(map(type, p)) for p in clip_convex(INT_SQUARE, INT_CLIP)] == [
+        (int, int), (int, int), (int, F), (int, int)]

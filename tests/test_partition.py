@@ -23,11 +23,10 @@ from carpetcurl.fields import (
     affine_field,
     constant_field,
     coordinate_field,
-    make_patch,
     refine_pairs,
 )
 from carpetcurl.forms import verify_wedge_approximation
-from carpetcurl.geometry import polygon_area
+from carpetcurl.geometry import bbox, polygon_area
 from carpetcurl.witness import (
     affine_target,
     build_cell_field,
@@ -55,6 +54,7 @@ from oracles import (
     unit_polygon,
     gamma,
     l2_norm_sq,
+    make_patch,
     norm_sq_one,
     norm_sq_two,
     patch_from_vertex_values,
@@ -62,6 +62,7 @@ from oracles import (
     vertical_defect_sq,
     wedge,
 )
+from test_geometry import ref_clip_convex, ref_polygon_area2
 
 F = Fraction
 
@@ -147,6 +148,34 @@ class TestTags:
             short = cuts * hole if i in flat.band_tags else 0
             assert tiled[i] == polygon_area(patch.vertices) - short
         assert len(flat.band_tags) * cuts * hole == (spec.ratio(n) * flat.scale) ** 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_local_constancy_refinement_is_the_brute_force(self, name, n):
+        # check_local_constancy's overlay of the int neighbourhood pieces
+        # with the sloped flattened patches, then with every flattened patch
+        # so that the pairs are not all empty: refine_pairs finds the pairs,
+        # and pieces of the unit areas, that clipping every pair whose open
+        # bboxes meet finds on the Fraction images
+        flat = flattened_stage(name, n)
+        scale = flat.scale
+        pieces = [piece for nb in build_neighborhoods(SPECS[name], n, flat.tents)
+                  for piece in nb.pieces()]
+        sloped = [p.vertices for p in flat.patches if p.gradient != (0, 0)]
+        for regions_b in (sloped, regions(flat)):
+            boxes_b = [bbox(b) for b in regions_b]
+            expected = []
+            for ia, a in enumerate(pieces):
+                ax0, ay0, ax1, ay1 = bbox(a)
+                for ib, (bx0, by0, bx1, by1) in enumerate(boxes_b):
+                    if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1:
+                        clip = ref_clip_convex(unit_polygon(a, scale),
+                                               unit_polygon(regions_b[ib], scale))
+                        if clip and ref_polygon_area2(clip) > 0:
+                            expected.append((ia, ib, ref_polygon_area2(clip) / 2))
+            assert [(ia, ib, polygon_area(piece) / scale ** 2)
+                    for piece, ia, ib in refine_pairs(pieces, regions_b)] == expected
+        assert expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", SPECS)

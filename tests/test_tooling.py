@@ -1,7 +1,8 @@
 """Source checks on the package: invariants that hold under ``python -O``, no
 parameter its function never reads, no private helper without a caller, no
 public helper that is neither called nor exported, no public method without
-a caller, and a stage lattice built without ``Fraction``."""
+a caller, a stage lattice built without ``Fraction``, and a clip chain that
+works on the vertices it is given."""
 
 import ast
 from collections import Counter
@@ -104,21 +105,39 @@ def test_every_public_helper_has_a_caller_or_is_exported():
 # class itself and the module constants that hold Fractions
 INT_BUILDERS = {"build_tents", "_stage_layout"}
 FRACTION_NAMES = {"Fraction", "ZERO", "HALF"}
+# the clip chain of check_local_constancy, by module, and the names that
+# would put its polygons on a common lattice: the lcm, a rational's parts and
+# the lattice and canonical-form helpers
+GIVEN_VERTICES = {"geometry.py": {"clip_convex"}, "fields.py": {"refine_pairs", "_BoxIndex"}}
+LATTICE_NAMES = {"lcm", "numerator", "denominator", "_lattice_scale", "_on_lattice", "_lattice",
+                 "_normalize", "normalize_polygon"}
 
 
-def fraction_uses(source):
-    """(function, name) for each Fraction name read in an int builder."""
+def forbidden_uses(source, names, forbidden):
+    """(definition, name) for each forbidden name read in the named
+    module-level functions and classes of ``source``."""
     tree = ast.parse(source)
-    builders = [node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name in INT_BUILDERS]
-    if {node.name for node in builders} != INT_BUILDERS:
-        raise LookupError("an int builder is missing from witness.py")
-    return [(node.name, name) for node in builders
-            for name in loaded_names(node) if name in FRACTION_NAMES]
+    found = [node for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names]
+    if {node.name for node in found} != names:
+        raise LookupError(f"{sorted(names)} are not all defined")
+    return [(node.name, name) for node in found
+            for name in loaded_names(node) if name in forbidden]
 
 
 def test_the_stage_lattice_is_built_without_fractions():
     # build_tents and _stage_layout emit ints on the stage lattice, so they
     # construct no Fraction and read no Fraction constant
     witness = Path(carpetcurl.__file__).parent / "witness.py"
-    assert fraction_uses(witness.read_text(encoding="utf-8")) == []
+    assert forbidden_uses(witness.read_text(encoding="utf-8"), INT_BUILDERS, FRACTION_NAMES) == []
+
+
+def test_the_clip_chain_works_on_the_given_vertices():
+    # clip_convex, refine_pairs and _BoxIndex neither convert to Fraction nor
+    # rescale: int stage polygons stay ints, and the rational polygon layer
+    # lives in the tests' oracles
+    root = Path(carpetcurl.__file__).parent
+    found = [(module, use) for module, names in GIVEN_VERTICES.items()
+             for use in forbidden_uses((root / module).read_text(encoding="utf-8"), names,
+                                       FRACTION_NAMES | LATTICE_NAMES)]
+    assert found == []

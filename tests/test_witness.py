@@ -349,12 +349,12 @@ class TestRamp:
         script = (
             "from fractions import Fraction as F\n"
             "from carpetcurl.carpet import CarpetSpec\n"
-            "from carpetcurl.fields import PiecewiseAffineField, make_patch\n"
+            "from carpetcurl.fields import AffinePatch, PiecewiseAffineField\n"
             "from carpetcurl.witness import build_flattened, build_ramp\n"
             "corner = ((0, 0), (F(1, 10), 0), (F(1, 10), F(1, 10)), (0, F(1, 10)))\n"
             "flattened = build_flattened(CarpetSpec((F(1, 3),)), 1)\n"
             "try:\n"
-            "    build_ramp(flattened, PiecewiseAffineField((make_patch(corner, 1),), 1))\n"
+            "    build_ramp(flattened, PiecewiseAffineField((AffinePatch(corner, F(1), F(0), F(0)),), 1))\n"
             "except ValueError as exc:\n"
             "    print(type(exc).__name__, exc)\n"
         )
@@ -447,7 +447,8 @@ class TestBuildWitnessApi:
         assert len(v.pieces) > 0
 
     def test_violation_detected_on_a_broken_field(self, spec35):
-        from carpetcurl.fields import PiecewiseAffineField, make_patch
+        from carpetcurl.fields import PiecewiseAffineField
+        from oracles import make_patch
 
         field = build_flattened(spec35, 2)
         neighborhoods = build_neighborhoods(spec35, 2, field.tents)
