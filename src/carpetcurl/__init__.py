@@ -2,7 +2,6 @@
 
 from .carpet import (
     CarpetSpec,
-    Hole,
     NonOddReciprocal,
     Prefractal,
     RatioOutOfRange,

@@ -6,19 +6,21 @@ and the central cell is discarded.  Prefractals are kept implicit: measures
 and integrals descend the subdivision tree lazily, short-circuiting
 on squares that lie entirely inside the query region, and integrals stop one
 level above the leaves, where the prefractal is a square minus its hole.  A
-query region is a convex polygon given as a tuple of int vertex pairs with
-the scale they are over: the point (x, y) is (x / scale, y / scale).  Each
+query region is taken as the stage layout builds it: a canonical convex
+polygon (``geometry.strictly_convex``), a tuple of int vertex pairs with the
+scale they are over, so the point (x, y) is (x / scale, y / scale).  Each
 translation class of regions is walked once, on the block of squares that
-keys it, on integers that are divided once per monomial.  A stage-n
-partition lies on (1/L_n)Z^2, L_n = ``stage_scale(spec, n)``: its cell lines
-are ``stage_lines`` and ``column_obstacles`` works on that lattice.
+keys it, on integers that are divided once per monomial.  Squares and holes
+are ints too: ``enumerate_squares`` gives level-m corners on the lattice of
+the level-m side, and a stage-n partition lies on (1/L_n)Z^2, L_n =
+``stage_scale(spec, n)``, where ``enumerate_holes`` gives the hole boxes,
+``stage_lines`` the cell lines and ``column_obstacles`` the holes on a cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm, prod
 from typing import Iterator, Optional
 
@@ -26,11 +28,9 @@ from .geometry import (
     MOMENT_DIVISORS,
     MONOMIALS,
     ZERO,
-    _area2,
-    _convex,
-    cross,
     moment_sums,
     poly_dot,
+    strictly_convex,
 )
 
 class SpecError(ValueError):
@@ -186,51 +186,45 @@ def stage_scale(spec: CarpetSpec, n: int) -> int:
     return 4 * prod(spec.subdivisions(i) for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class Hole:
-    """A removed central square: stage, center point and side length."""
-
-    stage: int
-    center: tuple
-    side: Fraction
-
-    @property
-    def x_range(self):
-        return (self.center[0] - self.side / 2, self.center[0] + self.side / 2)
-
-    @property
-    def y_range(self):
-        return (self.center[1] - self.side / 2, self.center[1] + self.side / 2)
-
-
-def _surviving_squares(spec, level, x0=ZERO, y0=ZERO, k=0):
-    if k == level:
+def _surviving_squares(subdiv, k, x0, y0, d):
+    # the surviving squares inside the level-k square of side d at (x0, y0)
+    if k == len(subdiv):
         yield (x0, y0)
         return
-    q = spec.subdivisions(k + 1)
-    d = side_length(spec, k + 1)
-    c = (q - 1) // 2
+    q = subdiv[k]
+    d //= q
+    c = q // 2
     for jy in range(q):
         for jx in range(q):
-            if jx == c and jy == c:
-                continue
-            yield from _surviving_squares(spec, level, x0 + jx * d, y0 + jy * d, k + 1)
+            if jx != c or jy != c:
+                yield from _surviving_squares(subdiv, k + 1, x0 + jx * d, y0 + jy * d, d)
 
 
 def enumerate_squares(spec: CarpetSpec, level: int) -> Iterator:
-    """Stream the lower-left corners of all surviving level-``level`` squares."""
-    side_length(spec, level)  # raises StageBeyondSpec early
-    return _surviving_squares(spec, level)
+    """Stream the lower-left corners of all surviving level-``level`` squares.
+
+    The corners are ints over the product of q_i for i <= ``level``, the
+    lattice on which every such square has side 1.
+    """
+    if level < 0:
+        raise SpecError(f"level {level} must be >= 0")
+    subdiv = [spec.subdivisions(i) for i in range(1, level + 1)]  # raises StageBeyondSpec early
+    return _surviving_squares(subdiv, 0, 0, 0, prod(subdiv))
 
 
 def enumerate_holes(spec: CarpetSpec, n: int) -> Iterator:
-    """Stream the stage-n holes (one per surviving level-(n-1) square)."""
+    """Stream the stage-n holes (one per surviving level-(n-1) square).
+
+    Each hole is an int box (x0, y0, x1, y1) on the stage-n lattice, whose
+    scale is ``stage_scale(spec, n)``: a level-(n-1) square is 4 * q_n steps
+    wide and its hole the middle 4 of them.
+    """
     if n < 1:
         raise SpecError(f"stage {n} must be >= 1")
-    d_prev = side_length(spec, n - 1)
-    d = side_length(spec, n)
-    for (x0, y0) in enumerate_squares(spec, n - 1):
-        yield Hole(stage=n, center=(x0 + d_prev / 2, y0 + d_prev / 2), side=d)
+    step = 4 * spec.subdivisions(n)
+    lo = step // 2 - 2
+    return ((x * step + lo, y * step + lo, x * step + lo + 4, y * step + lo + 4)
+            for x, y in enumerate_squares(spec, n - 1))
 
 
 def prefractal_measure(spec: CarpetSpec, m: int) -> Fraction:
@@ -303,16 +297,16 @@ class Prefractal:
     the origin are ``pattern[k]``; ``_shifted_moments`` moves them to any
     set of corners, so integrals take fully-covered squares without
     descending to the leaves.  ``moments`` is the one region path: a region
-    is a tuple of int vertices with the scale they are over, and
-    ``_regions`` keeps the finished moments of each region by the flat
-    tuple (scale, x_0, y_0, ...) divided by its gcd, so a region asked for
-    again is one int-tuple lookup.  A new region is keyed by its
-    translation class: the lattice scale, the deepest level j
-    whose side is at least the region's bbox extent, the survival mask of the
-    level-j squares its open bbox meets, and its vertices relative to that
-    block's corner.  ``_walk`` reads only the key and starts at the mask's
-    surviving squares, so ``_classes`` keeps each class's moments relative
-    to the corner, and a translate shifts them to its own.
+    is a canonical convex polygon, a tuple of int vertices, with the scale
+    they are over, and ``_regions`` keeps the finished moments of each by
+    ``(scale, region)`` as given, so a region asked for again is one
+    lookup.  A new region is keyed by its translation class: the lattice
+    scale, the deepest level j whose side is at least the region's bbox
+    extent, the survival mask of the level-j squares its open bbox meets,
+    and its vertices relative to that block's corner.  ``_walk`` reads only
+    the key and starts at the mask's surviving squares, so ``_classes``
+    keeps each class's moments relative to the corner, and a translate
+    shifts them to its own.
     """
 
     def __init__(self, spec: CarpetSpec, level: int):
@@ -343,7 +337,7 @@ class Prefractal:
             self.pattern[k] = _shifted_moments(self.pattern[k + 1], corners)
         # translation class -> moment numerators relative to the class corner
         self._classes = {}
-        # (scale, x_0, y_0, ...) over its gcd -> six moments, an immutable tuple
+        # (scale, region) -> six moments, an immutable tuple
         self._regions = {}
 
     @property
@@ -355,27 +349,26 @@ class Prefractal:
     def moments(self, region, scale):
         """The six exact moments of MONOMIALS over (prefractal intersect region).
 
-        ``region`` is a tuple of int vertex pairs over ``scale``: a convex
-        polygon inside the unit square, in either orientation.  A region of
-        zero area whose vertices are collinear has six zero moments; any
-        other non-convex one raises ``ValueError``, a list ``TypeError``.
-        This is the one region path: each region is computed once per
-        instance and then looked up, keyed by the flat tuple (scale, x_0,
-        y_0, x_1, ...) divided by its gcd, so one polygon given on two
-        lattices is one entry and one int tuple on two scales is two.
-        Returns a tuple of one ``Fraction`` per monomial, in MONOMIALS order.
+        ``region`` is a tuple of int vertex pairs over the int ``scale``, as
+        the stage layout builds it: a canonical convex polygon inside the
+        unit square (``geometry.strictly_convex``).  A list, a non-int vertex
+        or a non-int scale raises ``TypeError`` on every call; a region is
+        checked for the rest when it is first computed, before anything is
+        stored: a non-canonical one raises ``ValueError`` and one leaving the
+        unit square ``OutOfUnitSquare``.  This is the one region path: each
+        region is computed once per instance and then looked up by ``(scale,
+        region)`` as given.  Returns a tuple of one ``Fraction`` per
+        monomial, in MONOMIALS order.
         """
         if type(region) is not tuple:
             raise TypeError(f"a region is a tuple of vertex pairs, not a {type(region).__name__}")
-        key = (scale, *chain.from_iterable(region))
-        g = gcd(*key)
-        if g > 1:
-            key = tuple(v // g for v in key)
+        if type(scale) is not int or any(type(x) is not int or type(y) is not int
+                                         for x, y in region):
+            raise TypeError(f"a region is int vertices over an int scale, not {region} over {scale}")
+        key = (scale, region)
         moments = self._regions.get(key)
         if moments is None:
-            if g > 1:
-                region = tuple(zip(key[1::2], key[2::2]))
-            moments = self._regions[key] = self._region_moments(region, key[0])
+            moments = self._regions[key] = self._region_moments(region, scale)
         return moments
 
     def integrate(self, region, scale, poly):
@@ -396,21 +389,12 @@ class Prefractal:
         return self.integrate(region, scale, {(0, 0): Fraction(1)})
 
     def _region_moments(self, reg, scale):
-        # reg is on its own lattice (the gcd of scale and the coordinates is
-        # 1); orient it counterclockwise and drop repeated vertices, so the
-        # convexity test reads every turn
-        area2 = _area2(reg)
-        if area2 < 0:
-            reg = reg[::-1]
-        reg = [p for i, p in enumerate(reg) if p != reg[i - 1]]
-        if not area2 and all(cross(reg[i - 2], reg[i - 1], reg[i]) == 0
-                             for i in range(len(reg))):
-            return (ZERO,) * len(MONOMIALS)
+        if not strictly_convex(reg):
+            raise ValueError(f"region with {len(reg)} vertices is not convex and "
+                             "counterclockwise with a strict turn at each vertex")
         if min(min(p) for p in reg) < 0 or max(max(p) for p in reg) > scale:
             raise OutOfUnitSquare("region leaves the unit square")
-        if not _convex(reg):
-            raise ValueError(f"region with {len(reg)} vertices is not convex")
-        # reg is now a CCW convex region as integer vertices over scale.  Move
+        # reg is a CCW convex region as integer vertices over scale.  Move
         # it to a lattice on which every side length is an integer, refined so
         # that every crossing of a region edge with a grid line is a lattice
         # point: a slanted edge (dx, dy) through (x_p, y_p) meets x = X at
@@ -627,14 +611,17 @@ def column_obstacles(spec: CarpetSpec, n: int, x_cut: int):
 
 
 def geometry_json_records(spec: CarpetSpec, n: int):
-    """Hole records in the wire format {stage, center:[num,den,...], side}."""
+    """Hole records in the wire format {stage, center:[num,den,...], side},
+    the lattice ints divided by the stage-n scale as they are emitted."""
+    scale = stage_scale(spec, n)
+    side = Fraction(4, scale)
     recs = []
-    for h in enumerate_holes(spec, n):
+    for x0, y0, _, _ in enumerate_holes(spec, n):
+        cx, cy = Fraction(x0 + 2, scale), Fraction(y0 + 2, scale)
         recs.append({
-            "stage": h.stage,
-            "center": [h.center[0].numerator, h.center[0].denominator,
-                       h.center[1].numerator, h.center[1].denominator],
-            "side": [h.side.numerator, h.side.denominator],
+            "stage": n,
+            "center": [cx.numerator, cx.denominator, cy.numerator, cy.denominator],
+            "side": [side.numerator, side.denominator],
         })
     return recs
 

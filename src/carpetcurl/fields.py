@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import ZERO, bbox, clip_convex, polygon_area
+from .geometry import bbox, clip_convex, polygon_area
 
 
 @dataclass(frozen=True)
@@ -57,24 +57,6 @@ class PiecewiseAffineField:
 
     patches: tuple
     scale: int
-
-    def sup_norm(self) -> Fraction:
-        """Max of |value| over patch vertices; affine maps peak at vertices.
-
-        A constant patch's value is its c0, and each value is compared
-        against the best so far and its negative, so only a new best is
-        negated.
-        """
-        s = self.scale
-        best = neg = ZERO
-        for p in self.patches:
-            c0, cx, cy = p.c0, p.cx, p.cy
-            for x, y in p.vertices:
-                v = c0 + (cx * x + cy * y) / s if cx or cy else c0
-                if v > best or v < neg:
-                    best = v if v > 0 else -v
-                    neg = -best
-        return best
 
 
 @dataclass(frozen=True)

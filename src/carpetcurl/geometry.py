@@ -1,16 +1,18 @@
 """Exact 2-D polygon primitives over integer or rational coordinates.
 
 Every routine works on the vertices it is given, with no rescaling: the
-predicates (orientation, ``_convex``), the sums (``_area2``,
+predicates (``cross``, ``strictly_convex``), the sums (``_area2``,
 ``polygon_area``, ``moment_sums``) and the half-plane and convex clips are
 ring-generic, so a stage polygon's int vertices on its lattice give exact
 ints, ``Fraction`` vertices exact Fractions, and nothing depends on a
 tolerance.  A clip keeps int input int but at a crossing between lattice
-points, which comes back as an exact ``Fraction``.  Every region the
-package integrates is convex; a non-convex region is rejected, never split,
-and ``carpet.Prefractal`` walks every convex one, rectangles included, one
-way.  A degree-<=2 integrand over a region is a dot product with the
-region's six moments.
+points, which comes back as an exact ``Fraction``.  Every polygon the stage
+layout builds and every region the package integrates is canonical:
+counterclockwise and convex with a strict left turn at every vertex, which
+``strictly_convex`` tests; the layout raises ``ConstructionError`` and
+``carpet.Prefractal`` ``ValueError`` on anything else, and neither
+reorients or prunes a polygon.  A degree-<=2 integrand over a region is a
+dot product with the region's six moments.
 """
 
 from __future__ import annotations
@@ -41,16 +43,28 @@ def polygon_area(poly) -> Fraction:
     return Fraction(_area2(poly), 2)
 
 
-def _convex(poly) -> bool:
-    # True for a CCW convex polygon of at least three vertices, collinear
-    # vertices allowed; ring-generic, so lattice points give an exact answer
-    n = len(poly)
-    if n < 3:
+def strictly_convex(poly) -> bool:
+    """True for a canonical convex polygon: at least three vertices, each a
+    strict left turn, on a boundary that turns around once, so it is
+    counterclockwise and convex with no repeated or collinear vertex.
+    Ring-generic, so lattice points give an exact answer."""
+    if len(poly) < 3:
         return False
-    for i in range(n):
-        if cross(poly[i - 2], poly[i - 1], poly[i]) < 0:
+    (ax, ay), (bx, by) = poly[-2], poly[-1]
+    dx, dy = bx - ax, by - ay
+    upper = dy > 0 or (dy == 0 and dx < 0)
+    wraps = 0
+    for cx, cy in poly:
+        ex, ey = cx - bx, cy - by
+        if dx * ey - dy * ex <= 0:
             return False
-    return True
+        up = ey > 0 or (ey == 0 and ex < 0)
+        if up and not upper:
+            wraps += 1
+        bx, by, dx, dy, upper = cx, cy, ex, ey, up
+    # each turn is less than a half turn, so the edge direction enters the
+    # upper half-plane once per time around: twice for a pentagram
+    return wraps == 1
 
 
 def bbox(poly):

@@ -83,9 +83,10 @@ def carpet_svg(spec, m: int) -> str:
 
     canvas = SvgCanvas(f"prefractal level {m}")
     canvas.rect(0, 0, 1, 1, fill="white", stroke="black")
-    d = side_length(spec, m)
+    # the squares have side 1 on the lattice of their corners
+    scale = side_length(spec, m).denominator
     for (x0, y0) in enumerate_squares(spec, m):
-        canvas.rect(x0, y0, x0 + d, y0 + d, fill="black")
+        canvas.rect(*_unit((x0, y0, x0 + 1, y0 + 1), scale), fill="black")
     return canvas.render()
 
 
@@ -104,9 +105,8 @@ def cells_svg(spec, n: int) -> str:
     scale, lines = stage_lines(spec, n)
     for cell in _cells(lines):
         canvas.rect(*_unit(cell, scale), fill="none", stroke="#bbbbbb")
-    for h in enumerate_holes(spec, n):
-        (hx0, hx1), (hy0, hy1) = h.x_range, h.y_range
-        canvas.rect(hx0, hy0, hx1, hy1, fill="none", stroke="black")
+    for hole in enumerate_holes(spec, n):
+        canvas.rect(*_unit(hole, scale), fill="none", stroke="black")
     cuts = lines[1:-1]
     for c in cuts:
         canvas.line(*_unit((c, 0, c, scale), scale), stroke="green", dash="6,4")

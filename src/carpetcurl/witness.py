@@ -40,7 +40,7 @@ from .fields import (
     ProductVectorField,
     refine_pairs,
 )
-from .geometry import ZERO, _area2, cross, square_integral
+from .geometry import ZERO, _area2, cross, square_integral, strictly_convex
 from .report import VerificationReport, leq_sqrt_sum_sq, leq_with_sqrt
 
 UNIT_CORNERS = {(0, 0), (1, 0), (1, 1), (0, 1)}
@@ -80,23 +80,20 @@ class Tent:
     one from the full-width base at the bottom of the gap to the half-width
     top edge, and the two side triangles fall off linearly in x.  Gaps ending
     at a larger hole or at the square boundary are shorter than the template
-    height and reuse the same shape scaled to the actual gap.  ``cut`` is the
-    index of the column among the cuts of ``stage_lines`` and ``row`` the
-    cell row holding the gap, so the tent sits on the edge between cells
-    ``cut`` and ``cut + 1`` of that row.  Every length is an int on the
-    stage-n lattice, whose scale is ``stage_scale(spec, n)``; there the width
-    is 4, so the quarter width is one lattice step and the side slope
-    4 * height / width is the int height.  The trapezoid, triangles and side slope are cached,
-    so every patch built on them shares one tuple.
+    height 4 * (q_n - 1) and reuse the same shape scaled to the actual gap.
+    ``cut`` is the index of the column among the cuts of ``stage_lines`` and
+    ``row`` the cell row holding the gap, so the tent sits on the edge
+    between cells ``cut`` and ``cut + 1`` of that row.  Every length is an
+    int on the stage-n lattice, whose scale is ``stage_scale(spec, n)``:
+    there every tent is 4 steps wide, the stage-n side, so its half width is
+    2, its quarter width 1 and its side slope 4 * height / width the int
+    height.  The trapezoid and triangles are cached, so every patch built on
+    them shares one tuple.
     """
 
     column_x: int
     y_lo: int
     y_hi: int
-    width: int
-    template_height: int
-    lower_kind: str
-    upper_kind: str
     cut: int
     row: int
 
@@ -106,26 +103,18 @@ class Tent:
 
     @property
     def rectangle(self):
-        w = self.width // 2
-        return (self.column_x - w, self.y_lo, self.column_x + w, self.y_hi)
+        return (self.column_x - 2, self.y_lo, self.column_x + 2, self.y_hi)
 
     @cached_property
     def trapezoid(self):
-        w, q = self.width // 2, self.width // 4
-        return ((self.column_x - w, self.y_lo), (self.column_x + w, self.y_lo),
-                (self.column_x + q, self.y_hi), (self.column_x - q, self.y_hi))
-
-    @cached_property
-    def side_slope(self) -> int:
-        return 4 * self.height // self.width
+        x = self.column_x
+        return ((x - 2, self.y_lo), (x + 2, self.y_lo), (x + 1, self.y_hi), (x - 1, self.y_hi))
 
     @cached_property
     def triangles(self):
-        w, q = self.width // 2, self.width // 4
-        left = ((self.column_x - w, self.y_lo), (self.column_x - q, self.y_hi),
-                (self.column_x - w, self.y_hi))
-        right = ((self.column_x + w, self.y_lo), (self.column_x + w, self.y_hi),
-                 (self.column_x + q, self.y_hi))
+        x = self.column_x
+        left = ((x - 2, self.y_lo), (x - 1, self.y_hi), (x - 2, self.y_hi))
+        right = ((x + 2, self.y_lo), (x + 2, self.y_hi), (x + 1, self.y_hi))
         return (left, right)
 
 
@@ -133,8 +122,7 @@ def build_tents(spec: CarpetSpec, n: int):
     """All tents at stage n, ordered by column then height, on the stage-n lattice."""
     scale, lines = stage_lines(spec, n)
     cuts = lines[1:-1]
-    # the stage-n side and the gap height (1 - 1/q_n) * (previous side) there
-    width = 4
+    # the gap height (1 - 1/q_n) * (previous side) on the lattice
     template = 4 * (spec.subdivisions(n) - 1)
     tents = []
     for cut, x_c in enumerate(cuts):
@@ -153,9 +141,8 @@ def build_tents(spec: CarpetSpec, n: int):
                                         f"{expected}/{scale}")
             # every crossing of two cut lines lies inside a hole, so a gap
             # never touches a cut and the cuts below it count its row
-            tents.append(Tent(column_x=x_c, y_lo=hi_a, y_hi=lo_b, width=width,
-                              template_height=template, lower_kind=kind_a, upper_kind=kind_b,
-                              cut=cut, row=bisect_right(cuts, hi_a)))
+            tents.append(Tent(column_x=x_c, y_lo=hi_a, y_hi=lo_b, cut=cut,
+                              row=bisect_right(cuts, hi_a)))
     return tents
 
 
@@ -273,7 +260,7 @@ def _stage_layout(spec: CarpetSpec, n: int, tents):
             t = tents[ti]
             xl, xc, xr = x_hi, xs[i + 1], inner_lo[i + 1]
             cell, right_cell = base + i, base + i + 1
-            s = t.side_slope
+            s = t.height  # the side slope
             bl, br, tr, tl = trap = t.trapezoid
             left, right = t.triangles
             yield None, _rectangle(cursor, y0, xl, y1), (k, 0, 1), cores
@@ -299,19 +286,10 @@ def _stage_layout(spec: CarpetSpec, n: int, tents):
 
 
 def _check_convex(verts, what):
-    # a canonical convex patch, tested on the lattice: at least
-    # three vertices, each a strict left turn, so the polygon is convex and
-    # counterclockwise with no repeated or collinear vertex
-    if len(verts) >= 3:
-        (ax, ay), (bx, by) = verts[-2], verts[-1]
-        for cx, cy in verts:
-            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0:
-                break
-            ax, ay, bx, by = bx, by, cx, cy
-        else:
-            return
-    raise ConstructionError(f"{what} is not a counterclockwise convex polygon: "
-                            + ", ".join(f"({x}, {y})" for x, y in verts))
+    # a canonical convex patch, tested on the lattice
+    if not strictly_convex(verts):
+        raise ConstructionError(f"{what} is not a counterclockwise convex polygon: "
+                                + ", ".join(f"({x}, {y})" for x, y in verts))
 
 
 @dataclass(frozen=True)
@@ -602,7 +580,8 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
     for i, r in enumerate(diag["shrink_ratios"], start=1):
         report.add("hypothesis", i, "shrink_ratio", r)
 
-    f_sup = f.sup_norm()
+    # an affine map peaks at a vertex: one of the unit square's corners
+    f_sup = max(abs(target.value_at(v)) for v in target.vertices)
     f_sup_sq = f_sup * f_sup
     witness_norms = []
     for n in range(1, n_max + 1):

@@ -13,12 +13,14 @@ polynomials {(p, q): coefficient} with their products, sums and scaling)
 live here too; the dict product is also the oracle of
 ``geometry.square_integral``.  So do the queries ``verify`` never
 makes: carpet membership by descent (``contains``, ``strictly_inside_hole``,
-``meets_closed_hole``), the surviving-square count ``square_count``, and a
-field's value at a point (``value_at``).
+``meets_closed_hole``), the surviving-square count ``square_count``, a
+field's value at a point (``value_at``) and its max of |value| over the
+patch vertices (``sup_norm``).
 
 The oracles work in unit coordinates: a stage field's int vertices are
 divided by its scale on the way in (``in_unit``), and a rational region is
-put on its own integer lattice (``on_lattice``) for ``Prefractal``.  The
+put on its own integer lattice (``on_lattice``) for ``Prefractal``, which
+takes canonical regions only (``normalize_polygon`` gives one).  The
 rational polygon layer the package no longer carries lives here as well:
 the lcm lattice of a polygon (``on_lattice``), its doubled area taken there
 (``polygon_area2``), the canonical form ``normalize_polygon`` and the
@@ -60,12 +62,12 @@ from carpetcurl.geometry import (
     MONOMIALS,
     ZERO,
     _area2,
-    _convex,
     bbox,
     clip_halfplane,
     cross,
     moment_sums,
     polygon_area,
+    strictly_convex,
 )
 from carpetcurl.witness import (
     CellNeighborhood,
@@ -100,13 +102,9 @@ def _normalize(points):
     """Canonical vertices of a polygon, their lattice points and the lattice scale.
 
     Returns (the given vertices as Fractions at the kept indices, the same
-    vertices on the polygon's integer lattice, its scale).  A canonical tuple
-    of Fraction pairs comes back as itself.
+    vertices on the polygon's integer lattice, its scale).
     """
-    exact = type(points) is tuple and all(
-        type(p) is tuple and type(p[0]) is type(p[1]) is Fraction for p in points)
-    raw = points if exact else [(x if type(x) is Fraction else Fraction(x),
-                                 y if type(y) is Fraction else Fraction(y)) for x, y in points]
+    raw = [(Fraction(x), Fraction(y)) for x, y in points]
     pts, scale = on_lattice(raw)
     order = list(range(len(pts)))
     if _area2(pts) < 0:
@@ -120,8 +118,6 @@ def _normalize(points):
         if not (cross(prev, cur, nxt) == 0 and (cur[0] - prev[0]) * (nxt[0] - cur[0]) >= 0
                 and (cur[1] - prev[1]) * (nxt[1] - cur[1]) >= 0):
             keep.append(order[k])
-    if exact and keep == list(range(len(pts))):
-        return points, pts, scale
     return tuple(raw[i] for i in keep), [pts[i] for i in keep], scale
 
 
@@ -135,7 +131,7 @@ def make_patch(vertices, c0, cx=0, cy=0) -> AffinePatch:
     verts, pts, _ = _normalize(vertices)
     if len(verts) < 3:
         raise ValueError("degenerate patch")
-    if not _convex(pts):
+    if not strictly_convex(pts):
         raise ValueError("patches must be convex")
     return AffinePatch(verts, Fraction(c0), Fraction(cx), Fraction(cy))
 
@@ -314,6 +310,24 @@ def poly_scale(f, s):
 
 class SupportMismatch(ValueError):
     pass
+
+
+def sup_norm(field: PiecewiseAffineField) -> Fraction:
+    """Max of |value| over patch vertices; affine maps peak at vertices.
+
+    A constant patch's value is its c0, and each value is compared against
+    the best so far and its negative, so only a new best is negated.
+    """
+    s = field.scale
+    best = neg = ZERO
+    for p in field.patches:
+        c0, cx, cy = p.c0, p.cx, p.cy
+        for x, y in p.vertices:
+            v = c0 + (cx * x + cy * y) / s if cx or cy else c0
+            if v > best or v < neg:
+                best = v if v > 0 else -v
+                neg = -best
+    return best
 
 
 def value_at(field: PiecewiseAffineField, p) -> Optional[Fraction]:
@@ -813,9 +827,9 @@ def one_form_to_json(omega: OneForm) -> dict:
 def field_patches(tent, scale):
     """The tent's trapezoid and two side triangles as patches of its cover,
     in unit coordinates; ``scale`` is the lattice the tent is on."""
-    s = tent.side_slope
-    xl = Fraction(2 * tent.column_x - tent.width, 2 * scale)
-    xr = Fraction(2 * tent.column_x + tent.width, 2 * scale)
+    s = tent.height  # the side slope: a tent is 4 lattice steps wide
+    xl = Fraction(tent.column_x - 2, scale)
+    xr = Fraction(tent.column_x + 2, scale)
     left, right = tent.triangles
     return (
         make_patch(unit_polygon(tent.trapezoid, scale), Fraction(-tent.y_lo, scale), 0, 1),
@@ -826,7 +840,7 @@ def field_patches(tent, scale):
 
 def lambda_energy(tent, scale) -> Fraction:
     """The tent cover's energy over the full rectangle under plain area measure."""
-    h, w = Fraction(tent.height, scale), Fraction(tent.width, scale)
+    h, w = Fraction(tent.height, scale), Fraction(4, scale)
     return Fraction(3, 4) * h * w + 4 * h ** 3 / w
 
 

@@ -37,20 +37,22 @@ from carpetcurl.carpet import (
 )
 from carpetcurl.geometry import (
     MOMENT_DIVISORS,
-    _convex,
     bbox,
     clip_halfplane,
     cross,
     moment_sums,
+    strictly_convex,
 )
 from carpetcurl.witness import _cells
 from oracles import (
     _normalize,
     contains,
+    meets_closed_hole,
     normalize_polygon,
     on_lattice,
     square_count,
     strictly_inside_hole,
+    unit_polygon,
 )
 from test_partition import SPECS
 
@@ -155,7 +157,7 @@ def star_regions(draw):
              for _ in STAR_DIRECTIONS]
     region = tuple((F(1, 2) + r * dx, F(1, 2) + r * dy)
                    for r, (dx, dy) in zip(radii, STAR_DIRECTIONS))
-    assume(not _convex(_normalize(region)[1]))
+    assume(not strictly_convex(_normalize(region)[1]))
     return region
 
 
@@ -168,11 +170,12 @@ def assert_walk_matches_brute_force(depth, region, spec=CarpetSpec(ORACLE_RATIOS
     d = side_length(spec, depth)
     scale = math.lcm(d.denominator, *(v.denominator for p in region for v in p))
     poly = tuple((int(x * scale), int(y * scale)) for x, y in region)
-    side = int(d * scale)
+    # the leaf corners are ints over 1 / d, on which a leaf has side 1
+    side = scale // d.denominator
     bx0, by0, bx1, by1 = bbox(poly)
     sums = [0] * len(MONOMIALS)
     for (x0, y0) in enumerate_squares(spec, depth):
-        x0, y0 = int(x0 * scale), int(y0 * scale)
+        x0, y0 = x0 * side, y0 * side
         if x0 >= bx1 or y0 >= by1 or x0 + side <= bx0 or y0 + side <= by0:
             continue
         piece = poly
@@ -262,24 +265,45 @@ class TestScales:
 
 
 class TestHoles:
+    # int boxes (x0, y0, x1, y1) on the stage-n lattice of scale L_n
     def test_first_stage_single_central_hole(self, spec35):
-        holes = list(enumerate_holes(spec35, 1))
-        assert len(holes) == 1
-        assert holes[0].center == (F(1, 2), F(1, 2))
-        assert holes[0].side == F(1, 3)
+        assert stage_scale(spec35, 1) == 12
+        assert list(enumerate_holes(spec35, 1)) == [(4, 4, 8, 8)]
 
     def test_second_stage_holes_at_surviving_centers(self, spec35):
+        scale = stage_scale(spec35, 2)
         holes = list(enumerate_holes(spec35, 2))
         assert len(holes) == 8
-        assert all(h.side == F(1, 15) for h in holes)
+        assert all(F(x1 - x0, scale) == F(y1 - y0, scale) == F(1, 15)
+                   for x0, y0, x1, y1 in holes)
         centers = {(F(a, 6), F(b, 6)) for a in (1, 3, 5) for b in (1, 3, 5)}
         centers.discard((F(1, 2), F(1, 2)))
-        assert {h.center for h in holes} == centers
+        assert {(F(x0 + x1, 2 * scale), F(y0 + y1, 2 * scale))
+                for x0, y0, x1, y1 in holes} == centers
 
     def test_third_stage_count(self, spec357):
         holes = list(enumerate_holes(spec357, 3))
         assert len(holes) == 192
-        assert all(h.side == F(1, 105) for h in holes)
+        # 1/105 on the lattice of scale 420
+        assert all(x1 - x0 == y1 - y0 == 4 for x0, y0, x1, y1 in holes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_hole_boxes_against_the_membership_oracle(self, name, n):
+        # each box is 4 x 4 ints on the stage-n lattice; its centre lies in a
+        # stage-n hole and in no earlier one, and its corners on the closure
+        spec = SPECS[name]
+        scale = stage_scale(spec, n)
+        pf = Prefractal(spec, n)
+        holes = list(enumerate_holes(spec, n))
+        assert len(set(holes)) == len(holes) == square_count(spec, n - 1)
+        for x0, y0, x1, y1 in holes:
+            assert all(type(v) is int for v in (x0, y0, x1, y1))
+            assert x1 - x0 == y1 - y0 == 4
+            centre = (F(x0 + 2, scale), F(y0 + 2, scale))
+            assert strictly_inside_hole(pf, centre, up_to_stage=n)
+            assert not strictly_inside_hole(pf, centre, up_to_stage=n - 1)
+            assert meets_closed_hole(pf, (F(x0, scale), F(y1, scale)))
 
     def test_json_records_shape(self, spec35):
         recs = geometry_json_records(spec35, 1)
@@ -298,6 +322,20 @@ class TestMeasure:
         total = sum(d * d for _ in enumerate_squares(spec357, m))
         assert total == prefractal_measure(spec357, m)
         assert prefractal_measure(spec357, m) == square_count(spec357, m) * d * d
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_squares_have_side_one_on_their_lattice(self, spec357, m):
+        # int corners over 1 / d: each unit square's centre is in the
+        # carpet, and the squares tile P_m without overlap
+        d = side_length(spec357, m)
+        pf = Prefractal(spec357, m)
+        corners = list(enumerate_squares(spec357, m))
+        assert len(set(corners)) == len(corners) == square_count(spec357, m)
+        assert all(type(x) is type(y) is int and 0 <= x < d.denominator and 0 <= y < d.denominator
+                   for x, y in corners)
+        assert all(contains(pf, ((x + F(1, 2)) * d, (y + F(1, 2)) * d)) for x, y in corners)
+        assert list(enumerate_squares(CarpetSpec((F(1, 3),)), 1)) == [
+            (0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
 
 
 class TestCellGrid:
@@ -318,8 +356,8 @@ class TestCellGrid:
 
     def test_third_stage_cuts_match_hole_centers(self, spec357):
         scale, lines = stage_lines(spec357, 3)
-        cuts = tuple(F(x, scale) for x in lines[1:-1])
-        xs = {h.center[0] for h in enumerate_holes(spec357, 3)}
+        cuts = lines[1:-1]
+        xs = {x0 + 2 for x0, _, _, _ in enumerate_holes(spec357, 3)}
         assert set(cuts) == xs
         assert len(cuts) == 15
         assert len(_cells(lines)) == (len(cuts) + 1) ** 2
@@ -330,11 +368,11 @@ class TestCellGrid:
         assert total == scale ** 2
 
     def test_every_hole_center_on_cut_lines(self, spec35):
-        scale, lines = stage_lines(spec35, 2)
-        cuts = {F(x, scale) for x in lines[1:-1]}
-        for h in enumerate_holes(spec35, 2):
-            assert h.center[0] in cuts
-            assert h.center[1] in cuts
+        _, lines = stage_lines(spec35, 2)
+        cuts = set(lines[1:-1])
+        for x0, y0, _, _ in enumerate_holes(spec35, 2):
+            assert x0 + 2 in cuts
+            assert y0 + 2 in cuts
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", SPECS)
@@ -449,9 +487,36 @@ class TestRegionMeasure:
         ((F(1, 7), F(1, 9)),),
         (),
     ])
-    def test_a_collinear_region_has_zero_moments(self, pf35_2, region):
-        assert pf35_2.moments(*on_lattice(region)) == (F(0),) * len(MONOMIALS)
-        assert pf35_2.region_measure(*on_lattice(region)) == 0
+    def test_a_collinear_region_is_rejected(self, spec35, region):
+        # a region of zero area is no canonical convex polygon
+        self.assert_rejected(Prefractal(spec35, 2), region)
+
+    @pytest.mark.parametrize("region", [
+        ((0, 0), (0, 12), (12, 12), (12, 0)),         # clockwise
+        ((0, 0), (6, 0), (12, 0), (12, 12), (0, 12)),  # a collinear vertex
+        ((0, 0), (12, 0), (12, 0), (12, 12), (0, 12)),  # a repeated vertex
+        ((0, 0), (12, 0), (12, 12), (0, 12), (0, 0)),  # a closed ring
+    ])
+    def test_a_non_canonical_polygon_is_rejected(self, spec35, region):
+        # the region is taken as given: nothing reorients or prunes it
+        pf = Prefractal(spec35, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not convex"):
+                pf.moments(region, 12)
+        assert pf._regions == {} and pf._classes == {}
+        canon = on_lattice(normalize_polygon(unit_polygon(region, 12)))
+        assert pf.moments(*canon) == pf.moments(((0, 0), (1, 0), (1, 1), (0, 1)), 1)
+
+    @pytest.mark.parametrize("region", [
+        ((50, 10), (74, 85), (10, 39), (90, 39), (26, 85)),  # a pentagram
+        ((0, 0), (100, 0), (100, 100), (0, 100)) * 2,       # a square twice around
+    ])
+    def test_a_boundary_winding_twice_is_rejected(self, spec357, region):
+        # every vertex is a strict left turn, but the region is no convex polygon
+        pf = Prefractal(spec357, 2)
+        with pytest.raises(ValueError, match="not convex"):
+            pf.moments(region, 100)
+        assert pf._regions == {}
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     @pytest.mark.parametrize("rect", [
@@ -618,12 +683,20 @@ class TestRegionMemo:
         assert pf._regions == {}
 
     def test_fraction_vertices_are_rejected(self, spec357):
-        # vertices are ints over their scale
+        # vertices are ints over an int scale; the rectangle has no slanted
+        # edge, so only the type check can reject it
         pf = Prefractal(spec357, 3)
-        for _ in range(2):
-            with pytest.raises(TypeError):
-                pf.moments(self.TRI, 1)
-        assert pf._regions == {}
+        rect = ((F(1, 7), F(1, 9)), (F(6, 7), F(1, 9)), (F(6, 7), F(5, 6)), (F(1, 7), F(5, 6)))
+        pts, scale = on_lattice(self.TRI)
+        for region, over in ((self.TRI, 1), (rect, 1), (pts, F(scale))):
+            for _ in range(2):
+                with pytest.raises(TypeError):
+                    pf.moments(region, over)
+        assert pf._regions == {} and pf._classes == {}
+        # equal values hash alike, so the check runs on a stored region too
+        pf.moments(pts, scale)
+        with pytest.raises(TypeError):
+            pf.moments(tuple((F(x), F(y)) for x, y in pts), scale)
 
     def test_one_int_tuple_on_two_scales_is_two_regions(self, spec357):
         pf = Prefractal(spec357, 3)
@@ -634,7 +707,9 @@ class TestRegionMemo:
         assert at_420 == Prefractal(spec357, 3).moments(tri, 420)
         assert len(pf._regions) == 2
 
-    def test_one_polygon_on_two_lattices_is_one_region(self, spec357, monkeypatch):
+    def test_the_memo_keys_a_region_as_given(self, spec357, monkeypatch):
+        # one polygon on two lattices is two entries with equal moments;
+        # each is computed once and then looked up
         computed = []
         compute = Prefractal._region_moments
 
@@ -648,8 +723,8 @@ class TestRegionMemo:
         on_420 = tuple((7 * x, 7 * y) for x, y in tri)
         assert pf.moments(tri, 60) == pf.moments(on_420, 420)
         assert pf.region_measure(on_420, 420) == pf.moments(tri, 60)[0]
-        assert computed == [(tri, 60)]
-        assert list(pf._regions) == [(60, 1, 1, 7, 1, 1, 7)]
+        assert computed == [(tri, 60), (on_420, 420)]
+        assert list(pf._regions) == [(60, tri), (420, on_420)]
 
     def test_a_region_outside_the_unit_square_raises_on_every_call(self, spec35):
         pf = Prefractal(spec35, 2)

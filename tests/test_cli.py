@@ -466,6 +466,26 @@ class TestOnePrefractalPerLevel:
 
 
 class TestSvgDeterminism:
+    # sha256 of carpet.svg and carpet.json per command, as the Fraction
+    # square and hole enumeration wrote them
+    CARPET_GOLDEN = {
+        ("--ratios", "1/3,1/5", "--depth", "2"): {
+            "carpet.svg": "476589e2956be7d56baad8a3616d68fd1a13209b36eba226cd513fb2e46ac7ad",
+            "carpet.json": "e12e7bc067536b8921ceae56d1b661a5bbddece0385651c9add29c807574bc9e",
+        },
+        ("--generator", "odd-reciprocal", "--depth", "3"): {
+            "carpet.svg": "1a44bee0b13cae3d960997ffb97378bb64ea5647f411711b4b1bb204f6b0849c",
+            "carpet.json": "19402c6cb2049c1cf5f26b35750bd9b54452b3aeff8d03703b3615d98a9d9108",
+        },
+    }
+
+    @pytest.mark.parametrize("args", CARPET_GOLDEN)
+    def test_carpet_reproduces_the_golden_bytes(self, tmp_path, args):
+        out = tmp_path / "golden"
+        assert run(["carpet", *args, "--out", str(out)]) == EXIT_OK
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("carpet.svg", "carpet.json")} == self.CARPET_GOLDEN[args]
+
     def test_carpet_svg_byte_identical(self, tmp_path):
         args = ["carpet", "--ratios", "1/3,1/5", "--depth", "2"]
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -6,7 +6,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from carpetcurl.carpet import CarpetSpec, Prefractal
-from carpetcurl.geometry import _convex, clip_convex, cross, poly_dot, polygon_area, square_integral
+from carpetcurl.geometry import (
+    clip_convex,
+    cross,
+    poly_dot,
+    polygon_area,
+    square_integral,
+    strictly_convex,
+)
 from oracles import (
     _normalize,
     affine_poly,
@@ -35,16 +42,6 @@ def test_normalize_drops_collinear_vertices():
     assert len(normalize_polygon(poly)) == 4
 
 
-def test_normalize_returns_a_canonical_tuple_itself():
-    assert normalize_polygon(SQUARE) is SQUARE
-    # anything it has to convert, turn or prune is a new tuple
-    for poly in (list(SQUARE), ((0, 0), (1, 0), (1, 1), (0, 1)), SQUARE[::-1],
-                 SQUARE[:1] + ((F(1, 2), F(0)),) + SQUARE[1:]):
-        out = normalize_polygon(poly)
-        assert out is not poly
-        assert set(out) == set(SQUARE) and polygon_area(out) == 1
-
-
 @pytest.mark.parametrize("poly", [
     ((0, 0), (0, 0), (1, 0), (1, 1), (0, 1)),  # a doubled corner
     ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0)),  # a closed ring
@@ -54,8 +51,11 @@ def test_normalize_keeps_one_copy_of_a_repeated_vertex(poly):
     out = normalize_polygon(poly)
     assert len(out) == 4 and set(out) == set(SQUARE) and polygon_area(out) == 1
     assert make_patch(poly, 1).vertices == out
+    # Prefractal takes canonical regions only: the oracle's canonical form
     pf = Prefractal(CarpetSpec((F(1, 3), F(1, 5))), 2)
-    assert pf.moments(*on_lattice(poly)) == pf.moments(*on_lattice(SQUARE))
+    assert pf.moments(*on_lattice(out)) == pf.moments(*on_lattice(SQUARE))
+    with pytest.raises(ValueError, match="not convex"):
+        pf.moments(*on_lattice(poly))
 
 
 def test_unit_square_moments_match_analytic_integrals():
@@ -149,7 +149,7 @@ def test_moments_additive_under_vertical_split(quad, t):
 @given(convex_quads())
 @settings(max_examples=30, deadline=None)
 def test_convexity_detected(quad):
-    assert _convex(on_lattice(quad)[0])
+    assert strictly_convex(on_lattice(quad)[0])
 
 
 # Reference versions of the lattice predicates, written directly in Fractions:
@@ -184,11 +184,15 @@ def ref_normalize_polygon(points):
     return tuple(out)
 
 
-def ref_is_convex(poly):
+def ref_is_strictly_convex(poly):
+    # strict left turns at distinct vertices, each edge with every vertex on
+    # its closed left side: a boundary that turns around once
     n = len(poly)
-    if n < 3:
+    if n < 3 or len(set(poly)) < n:
         return False
-    return all(cross(poly[i], poly[(i + 1) % n], poly[(i + 2) % n]) >= 0 for i in range(n))
+    return all(cross(poly[i], poly[(i + 1) % n], poly[(i + 2) % n]) > 0
+               and all(cross(poly[i], poly[(i + 1) % n], v) >= 0 for v in poly)
+               for i in range(n))
 
 
 def ref_clip_halfplane(poly, a, b, c):
@@ -293,16 +297,25 @@ INT_SQUARE = ((0, 0), (1, 0), (1, 1), (0, 1))
 INT_CLIP = ((0, 0), (2, 0), (0, 1))
 
 
+# every vertex a strict left turn, on boundaries that turn around twice
+PENTAGRAM = ((F(1, 2), F(1, 10)), (F(37, 50), F(17, 20)), (F(1, 10), F(39, 100)),
+             (F(9, 10), F(39, 100)), (F(13, 50), F(17, 20)))
+SQUARE_TWICE = SQUARE + SQUARE
+
+
 @given(rough_polygons())
+@example(PENTAGRAM)
+@example(SQUARE_TWICE)
 @settings(max_examples=200, deadline=None)
 def test_lattice_predicates_match_the_fraction_reference(poly):
     assert 2 * polygon_area(poly) == polygon_area2(poly) == ref_polygon_area2(poly)
     assert normalize_polygon(poly) == ref_normalize_polygon(poly)
-    # the convexity test of make_patch and Prefractal.moments, on the
-    # lattice points as given and as _normalize leaves them
-    assert _convex(on_lattice(poly)[0]) == ref_is_convex(poly)
+    # the convexity test of make_patch, build_flattened and
+    # Prefractal.moments, on the lattice points as given and as _normalize
+    # leaves them
+    assert strictly_convex(on_lattice(poly)[0]) == ref_is_strictly_convex(poly)
     canon = ref_normalize_polygon(poly)
-    assert _convex(_normalize(poly)[1]) == ref_is_convex(canon)
+    assert strictly_convex(_normalize(poly)[1]) == ref_is_strictly_convex(canon)
 
 
 def fraction_image(poly):

@@ -247,14 +247,17 @@ class TestStageLattice:
             return unit_polygon(poly, scale)
 
         old_tents = fraction_tents(spec, n)
+        # a tent is 4 steps wide, its template gap 4 * (q_n - 1), and its
+        # side slope its int height
+        template = 4 * (spec.subdivisions(n) - 1)
         for t, o in zip(flat.tents, old_tents, strict=True):
-            lengths = (t.column_x, t.y_lo, t.y_hi, t.width, t.template_height)
+            lengths = (t.column_x, t.y_lo, t.y_hi, 4, template)
             assert all(type(v) is int for v in lengths)
             assert [F(v, scale) for v in lengths] == [
                 o.column_x, o.y_lo, o.y_hi, o.width, o.template_height]
-            assert (t.lower_kind, t.upper_kind, t.cut, t.row) == (
-                o.lower_kind, o.upper_kind, o.cut, o.row)
-            assert t.side_slope == o.side_slope
+            assert (t.cut, t.row) == (o.cut, o.row)
+            assert t.height == o.side_slope
+            assert [F(v, scale) for v in t.rectangle] == list(o.rectangle)
             shapes = (t.trapezoid, *t.triangles)
             assert int_polygons(shapes)
             assert [unit(p) for p in shapes] == [o.trapezoid, *o.triangles]

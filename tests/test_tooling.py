@@ -1,8 +1,9 @@
 """Source checks on the package: invariants that hold under ``python -O``, no
 parameter its function never reads, no private helper without a caller, no
 public helper that is neither called nor exported, no public method without
-a caller, a stage lattice built without ``Fraction``, and a clip chain that
-works on the vertices it is given."""
+a caller, no dataclass field that nothing reads, a stage lattice built
+without ``Fraction``, and a clip chain that works on the vertices it is
+given."""
 
 import ast
 from collections import Counter
@@ -99,6 +100,36 @@ def test_every_public_helper_has_a_caller_or_is_exported():
                for node in cls.body
                if isinstance(node, defs) and unread(node)]
     assert unused == []
+
+
+# the benchmark's tracer reads package objects by attribute too
+TRACER = Path(carpetcurl.__file__).resolve().parents[2] / "perfbench" / "tracer.py"
+
+
+def is_dataclass(node):
+    return any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+
+
+def attributes_read(node):
+    """Every attribute name the code under ``node`` reads."""
+    return [n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
+
+def test_every_dataclass_field_is_read():
+    # an annotated field of a package dataclass that nothing reads as an
+    # attribute outside its own class body, in the package or the tracer,
+    # is state that no caller uses
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in SOURCES + [TRACER]}
+    read = Counter(name for tree in trees.values() for name in attributes_read(tree))
+    unread = [f"{path.name}:{field.lineno} {cls.name}.{field.target.id}"
+              for path in SOURCES
+              for cls in trees[path].body if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+              for field in cls.body
+              if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+              and read[field.target.id] == attributes_read(cls).count(field.target.id)]
+    assert unread == []
 
 
 # the stage-lattice builders and the Fraction names they must not read: the

@@ -7,7 +7,7 @@ import pytest
 
 import carpetcurl
 from carpetcurl.carpet import Prefractal, enumerate_holes, side_length, stage_lines, stage_scale
-from carpetcurl.fields import constant_field
+from carpetcurl.fields import affine_field, constant_field
 from carpetcurl.geometry import polygon_area
 from carpetcurl.report import leq_sqrt_sum_sq
 from carpetcurl.witness import (
@@ -30,9 +30,11 @@ from oracles import (
     coordinate_minus,
     curl_defect_sq,
     dirichlet_energy,
+    fraction_tents,
     lambda_energy,
     l2_norm_sq,
     product_with_gradient,
+    sup_norm,
     value_at,
     vertical_defect_sq,
 )
@@ -48,9 +50,9 @@ def lambda_energy_minus_holes(spec, m, field):
     """Independent energy oracle: full-plane energy minus hole overlaps."""
     holes = []
     for stage in range(1, m + 1):
-        for h in enumerate_holes(spec, stage):
-            (x0, x1), (y0, y1) = h.x_range, h.y_range
-            holes.append((x0, y0, x1, y1))
+        scale = stage_scale(spec, stage)
+        for box in enumerate_holes(spec, stage):
+            holes.append(tuple(F(v, scale) for v in box))
     total = F(0)
     for patch in field.patches:
         g2 = patch.cx ** 2 + patch.cy ** 2
@@ -161,9 +163,8 @@ class TestTents:
         # on the stage-1 lattice of scale 12
         tents = build_tents(spec3, 1)
         assert len(tents) == 2
-        assert all(t.width == 4 for t in tents)  # 1/3
-        # the template height 2/3 exceeds the boundary gaps of 1/3
-        assert all(t.template_height == 8 for t in tents)
+        assert all(t.rectangle[2] - t.rectangle[0] == 4 for t in tents)  # 1/3
+        # the boundary gaps of 1/3 are half the template height 4 * (3 - 1), 2/3
         assert sorted((t.y_lo, t.y_hi) for t in tents) == [(0, 4), (8, 12)]
 
     def test_stage_two_census(self, spec35):
@@ -172,14 +173,19 @@ class TestTents:
         per_col = tents_per_column(tents)
         assert set(per_col.values()) == {4}
         assert max(per_col.values()) <= 2 / side_length(spec35, 1)
-        full = [t for t in tents if t.height == t.template_height]
+        template = 4 * (spec35.subdivisions(2) - 1)  # 4/15 at scale 60
+        full = [t for t in tents if t.height == template]
         assert len(full) == 4
         assert all(t.height == 8 for t in tents if t not in full)  # 2/15 at scale 60
 
     def test_interior_gap_is_template_height(self, spec35):
-        for t in build_tents(spec35, 2):
-            if t.lower_kind == t.upper_kind == "hole":
-                assert t.height == t.template_height
+        # between two stage-n holes the gap is the template 4 * (q_n - 1); the
+        # Fraction construction names the obstacles on either side
+        template = 4 * (spec35.subdivisions(2) - 1)
+        kinds = [(o.lower_kind, o.upper_kind) for o in fraction_tents(spec35, 2)]
+        assert kinds.count(("hole", "hole")) == 4
+        for t, kind in zip(build_tents(spec35, 2), kinds, strict=True):
+            assert (t.height == template) == (kind == ("hole", "hole"))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", SPECS)
@@ -256,14 +262,14 @@ class TestTents:
             scale = stage_scale(spec3579, n)
             for t in build_tents(spec3579, n):
                 e = lambda_energy(t, scale)
-                h, w = F(t.height, scale), F(t.width, scale)
+                h, w = F(t.height, scale), F(4, scale)
                 assert e == F(3, 4) * h * w + 4 * h ** 3 / w
                 assert e <= bound
 
 
 class TestTentField:
     def test_sup_is_the_gap_height(self, spec35):
-        assert build_tent_field(spec35, 2).sup_norm() == F(4, 15)
+        assert sup_norm(build_tent_field(spec35, 2)) == F(4, 15)
 
     def test_stage_two_energy_against_hole_oracle(self, spec357):
         pf = Prefractal(spec357, 3)
@@ -436,6 +442,17 @@ class TestVerifySequence:
         # the witness norm rises from the degenerate first stage to the
         # second: the strict-decrease flag reports that honestly
         assert report.get("witness", None, "witness_l2_strictly_decreasing").passed is False
+
+    @pytest.mark.parametrize("f", [constant_field(1), constant_field(F(-7, 3)),
+                                   affine_field(0, 1, 0), affine_field(F(1, 3), F(2, 5), F(-3, 7)),
+                                   affine_field(F(1, 2), -1, -1)])
+    def test_f_sup_is_the_vertex_sup_norm(self, spec35, f):
+        # sup|f| is read off the target's corners: the oracle's max of
+        # |value| over the patch vertices, times the previous side
+        report = verify_witness_sequence(spec35, f, n_max=2, pf=Prefractal(spec35, 1))
+        for n in (1, 2):
+            assert report.get("witness", n, "ramp_sup").bound == \
+                sup_norm(f) * side_length(spec35, n - 1)
 
 
 class TestBuildWitnessApi:
