@@ -10,7 +10,9 @@ query region is taken as the stage layout builds it: a canonical convex
 polygon (``geometry.strictly_convex``), a tuple of int vertex pairs with the
 scale they are over, so the point (x, y) is (x / scale, y / scale).  Each
 translation class of regions is walked once, on the block of squares that
-keys it, on integers that are divided once per monomial.  Squares and holes
+keys it, on integers, and a region's moments stay ints: numerators over the
+scale of the lattice the walk refined it to (``Prefractal.moments``), which
+the rows sum as ints before they make one ``Fraction``.  Squares and holes
 are ints too: ``enumerate_squares`` gives level-m corners on the lattice of
 the level-m side, and a stage-n partition lies on (1/L_n)Z^2, L_n =
 ``stage_scale(spec, n)``, where ``enumerate_holes`` gives the hole boxes,
@@ -298,8 +300,8 @@ class Prefractal:
     set of corners, so integrals take fully-covered squares without
     descending to the leaves.  ``moments`` is the one region path: a region
     is a canonical convex polygon, a tuple of int vertices, with the scale
-    they are over, and ``_regions`` keeps the finished moments of each by
-    ``(scale, region)`` as given, so a region asked for again is one
+    they are over, and ``_regions`` keeps the finished int moments of each
+    by ``(scale, region)`` as given, so a region asked for again is one
     lookup.  A new region is keyed by its translation class: the lattice
     scale, the deepest level j whose side is at least the region's bbox
     extent, the survival mask of the level-j squares its open bbox meets,
@@ -337,7 +339,7 @@ class Prefractal:
             self.pattern[k] = _shifted_moments(self.pattern[k + 1], corners)
         # translation class -> moment numerators relative to the class corner
         self._classes = {}
-        # (scale, region) -> six moments, an immutable tuple
+        # (scale, region) -> (six int moment numerators, their scale)
         self._regions = {}
 
     @property
@@ -347,7 +349,10 @@ class Prefractal:
     # -- exact integration -------------------------------------------------
 
     def moments(self, region, scale):
-        """The six exact moments of MONOMIALS over (prefractal intersect region).
+        """The six exact moments of MONOMIALS over (prefractal intersect region),
+        as ints: a pair (t, s) of six int numerators and the int scale s of
+        the lattice the region was refined to, monomial (p, q) being
+        t[i] / (24 * s^(2+p+q)).
 
         ``region`` is a tuple of int vertex pairs over the int ``scale``, as
         the stage layout builds it: a canonical convex polygon inside the
@@ -357,8 +362,11 @@ class Prefractal:
         stored: a non-canonical one raises ``ValueError`` and one leaving the
         unit square ``OutOfUnitSquare``.  This is the one region path: each
         region is computed once per instance and then looked up by ``(scale,
-        region)`` as given.  Returns a tuple of one ``Fraction`` per
-        monomial, in MONOMIALS order.
+        region)`` as given.  The numerators are in MONOMIALS order and not
+        reduced: s is a multiple of ``scale`` fixed by the region's edges
+        (``_region_moments``), so one polygon on two scales may give two
+        pairs of equal value.  ``geometry.poly_dot`` and
+        ``geometry.square_integral`` integrate over them on ints.
         """
         if type(region) is not tuple:
             raise TypeError(f"a region is a tuple of vertex pairs, not a {type(region).__name__}")
@@ -375,18 +383,19 @@ class Prefractal:
         """Integral of a degree<=2 polynomial over (prefractal intersect region).
 
         ``region`` and ``scale`` are as for ``moments``; the integral is the
-        sum of coefficient times moment over MONOMIALS.  ``poly`` maps
-        (p, q) exponent pairs to coefficients in unit coordinates; a nonzero
+        sum of coefficient times moment over MONOMIALS, summed on ints and
+        returned as one ``Fraction``.  ``poly`` maps (p, q) exponent pairs to
+        int or ``Fraction`` coefficients in unit coordinates; a nonzero
         coefficient on any other monomial raises ``ValueError``.
         """
         for key, coef in poly.items():
             if coef and key not in MONOMIALS:
                 raise ValueError(f"unsupported monomial {key}")
-        return poly_dot(poly, self.moments(region, scale))
+        return Fraction(*poly_dot(poly, self.moments(region, scale)))
 
     def region_measure(self, region, scale):
         """Exact area of (prefractal intersect region) for a convex polygon."""
-        return self.integrate(region, scale, {(0, 0): Fraction(1)})
+        return self.integrate(region, scale, {(0, 0): 1})
 
     def _region_moments(self, reg, scale):
         if not strictly_convex(reg):
@@ -437,8 +446,7 @@ class Prefractal:
         base = self._classes.get(key)
         if base is None:
             base = self._classes[key] = self._walk(rel, sides, j, mask)
-        moved = _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0))
-        return tuple(Fraction(t, 24 * scale ** (2 + p + q)) for t, (p, q) in zip(moved, MONOMIALS))
+        return _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0)), scale
 
     def _walk(self, reg, sides, j, mask):
         # the six moments of reg over the level-m set inside the block of

@@ -6,6 +6,7 @@ cell field of f's gradient (``witness.build_cell_field``): on each grid cell
 it is f minus its value at the cell center.  For an affine f every norm of
 the check is a closed form or a sum over the patches of one tagged stage
 partition, so no common refinement is built and no polygon is clipped.
+The sums are taken on ints, one ``Fraction`` per row, as in ``witness``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from .fields import PiecewiseAffineField
 from .geometry import ZERO, square_integral
 from .report import VerificationReport
 from .witness import (
+    _over_lcd,
+    _RowSum,
     affine_target,
     build_cell_field,
     build_flattened,
@@ -45,9 +48,8 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages
     if pf.spec != spec:
         raise ValueError(f"the prefractal is of {pf.spec}, not of {spec}")
     report = VerificationReport()
-
-    def det(a, b):
-        return a.cx * b.cy - a.cy * b.cx
+    # grad f = (bx, by) / e, as ints
+    bx, by, e = _over_lcd(base.cx, base.cy)
 
     # f and g = y are affine and every ratio is at most 1/3, so |P_m| > 0: the
     # wedge norm is the constant det(grad f, grad g)^2 = (df/dx)^2 integrated
@@ -68,15 +70,26 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages
         flattened = build_flattened(spec, n)
         remainder = build_cell_field(flattened, [base.gradient] * len(flattened.cells))
         measures = [pf.region_measure(p.vertices, flattened.scale) for p in flattened.patches]
+        # each flattened patch's gradient (qx, qy) / dq, as ints
+        grads = [_over_lcd(q.cx, q.cy) for q in flattened.patches]
         # remainder patches under a nonzero flattened gradient; on the others
         # both the cutoff form and the second defect vanish identically
-        active = [(p, flattened.patches[t])
-                  for p, t in zip(remainder.patches, flattened.cell_tags)
-                  if flattened.patches[t].gradient != (0, 0)]
+        active = [(p, grads[t]) for p, t in zip(remainder.patches, flattened.cell_tags)
+                  if grads[t][0] or grads[t][1]]
         moments = [pf.moments(p.vertices, flattened.scale) for p, _ in active]
 
-        omega_norm = sum(((q.cx ** 2 + q.cy ** 2) * square_integral(p.c0, p.cx, p.cy, mom)
-                          for (p, q), mom in zip(active, moments)), ZERO)
+        # per active patch: the cutoff form's |grad q|^2 * remainder^2 and the
+        # second defect's (det(grad f, grad q) - det(grad p, grad q))^2, the
+        # remainder's map p over d
+        omega_sum, defect2_sum = _RowSum(), _RowSum()
+        for (p, (qx, qy, dq)), mom in zip(active, moments):
+            a0, ax, ay, d = _over_lcd(p.c0, p.cx, p.cy)
+            num, den = square_integral(a0, ax, ay, d, mom)
+            omega_sum.add((qx * qx + qy * qy) * num, dq * dq * den)
+            diff = (bx * qy - by * qx) * d - (ax * qy - ay * qx) * e
+            t, s = mom  # the measure is t[0] / (24 * s^2)
+            defect2_sum.add(diff * diff * t[0], 24 * s * s * (e * d * dq) ** 2)
+        omega_norm, defect2 = omega_sum.value(), defect2_sum.value()
         report.add("wedge", n, "cutoff_form_l2", omega_norm)
 
         rem_sup = remainder.sup_norm()
@@ -86,17 +99,15 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages
                    rem_sup * rem_sup <= osc_sq,
                    note="squared sup against squared oscillation at cell scale")
 
-        e_flat = measure_sum(flattened, measures, flattening_density)
-        # df^dg - df^d(flattened)
-        defect1 = measure_sum(flattened, measures,
-                              lambda q: (det_fg - det(base, q)) ** 2)
+        e_flat = measure_sum(measures, (flattening_density(*g) for g in grads))
+        # df^dg - df^d(flattened): (det_fg - det(grad f, grad q))^2 per patch
+        defect1 = measure_sum(measures, (((bx * (dq - qy) + by * qx) ** 2, (e * dq) ** 2)
+                                         for qx, qy, dq in grads))
         bound1 = 2 * gf_sup ** 2 * e_flat
         report.add("wedge", n, "wedge_defect_primary", defect1, bound1,
                    defect1 <= bound1)
 
         # df^d(flattened) - d(remainder)^d(flattened)
-        defect2 = sum(((det(base, q) - det(p, q)) ** 2 * mom[0]
-                       for (p, q), mom in zip(active, moments)), ZERO)
         report.add("wedge", n, "wedge_defect_secondary", defect2, ZERO,
                    defect2 == 0, note="must vanish identically")
     return report

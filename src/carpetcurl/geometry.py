@@ -12,12 +12,18 @@ counterclockwise and convex with a strict left turn at every vertex, which
 ``strictly_convex`` tests; the layout raises ``ConstructionError`` and
 ``carpet.Prefractal`` ``ValueError`` on anything else, and neither
 reorients or prunes a polygon.  A degree-<=2 integrand over a region is a
-dot product with the region's six moments.
+dot product with the region's six moments, taken on ints: a region's
+moments are int numerators t over the int scale s of its refined lattice,
+monomial (p, q) over 24 * s^(2+p+q) (``carpet.Prefractal.moments``), and
+the kernels ``poly_dot`` and ``square_integral`` return the integral as an
+int pair (numerator, denominator), leaving the one ``Fraction`` to their
+caller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
 
@@ -159,23 +165,36 @@ def moment_sums(poly) -> tuple:
 
 
 # A degree-<=2 integrand is a dict {(p, q): coefficient} over MONOMIALS, or,
-# for the square of an affine map, its three coefficients.
+# for the square of an affine map, its three coefficients.  Both kernels take
+# a region's moments (t, s) as Prefractal.moments gives them and return
+# (numerator, denominator) ints: multiplied by 24 * s^4, monomial (p, q) is
+# t[i] * s^(2-p-q).
 
 def poly_dot(f, moments):
-    """Integral of f over a region, given the region's moments in MONOMIALS order."""
-    return sum((f[key] * m for key, m in zip(MONOMIALS, moments) if f.get(key)), ZERO)
+    """Integral of f over a region, given the region's moments (t, s), as an
+    int pair over 24 * s^4 times the lcm of f's coefficient denominators.
+    The coefficients are ints or Fractions."""
+    t, s = moments
+    den = lcm(*(c.denominator for c in f.values()))
+    num = 0
+    for key, m in zip(MONOMIALS, t):
+        c = f.get(key)
+        if c:
+            num += c.numerator * (den // c.denominator) * m * s ** (2 - key[0] - key[1])
+    return num, 24 * s ** 4 * den
 
 
-def square_integral(c0, cx, cy, moments):
-    """Integral of (c0 + cx*x + cy*y)^2 over a region, given its moments in
-    MONOMIALS order.  The terms of a zero cx or cy are skipped, so a constant
+def square_integral(c0, cx, cy, d, moments):
+    """Integral of ((c0 + cx*x + cy*y) / d)^2 over a region, for ints c0, cx,
+    cy and d, given the region's moments (t, s), as an int pair over
+    24 * s^4 * d^2.  The terms of a zero cx or cy are skipped, so a constant
     map costs one product and a map with one slope three."""
-    m00, m10, m01, m20, m11, m02 = moments
-    out = c0 * c0 * m00
+    (m00, m10, m01, m20, m11, m02), s = moments
+    out = c0 * c0 * m00 * s * s
     if cx:
-        out += cx * (2 * c0 * m10 + cx * m20)
+        out += cx * (2 * c0 * m10 * s + cx * m20)
         if cy:
             out += 2 * cx * cy * m11
     if cy:
-        out += cy * (2 * c0 * m01 + cy * m02)
-    return out
+        out += cy * (2 * c0 * m01 * s + cy * m02)
+    return out, 24 * s ** 4 * d * d

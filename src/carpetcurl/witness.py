@@ -10,7 +10,11 @@ vertex of its partition (tents, flattened patches, cell pieces and
 neighbourhoods) is an int on the lattice (1/L_n)Z^2, L_n =
 ``stage_scale(spec, n)``, and each patch's map stays a ``Fraction`` affine
 map in unit coordinates, so every energy comparison below is an exact
-inequality.
+inequality.  The rows are summed on ints: each term is an int pair
+(numerator, denominator) built from the region moments of
+``Prefractal.moments`` and the maps' coefficients over their common
+denominator, the pairs are added per denominator, and each row makes one
+``Fraction`` (``_RowSum``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Callable
 
 from .carpet import (
     CarpetSpec,
@@ -478,11 +481,14 @@ def build_ramp(flattened: FlattenedField, f: PiecewiseAffineField) -> CellField:
     Off the boundary neighborhoods the gradient is exactly (f(center), 0);
     the sup norm is at most sup|f| times the previous side length.  The
     patches are the cell pieces of ``flattened`` (see ``build_cell_field``).
+    With f = (b0 + bx*x + by*y) / e, the value at the centre of the cell
+    (x0, y0, x1, y1) is an int over 2*L*e: one ``Fraction`` per cell.
     """
     target = affine_target(f)
+    b0, bx, by, e = _over_lcd(target.c0, target.cx, target.cy)
     two_l = 2 * flattened.scale
     return build_cell_field(flattened, [
-        (target.value_at((Fraction(x0 + x1, two_l), Fraction(y0 + y1, two_l))), ZERO)
+        (Fraction(b0 * two_l + bx * (x0 + x1) + by * (y0 + y1), two_l * e), ZERO)
         for x0, y0, x1, y1 in flattened.cells])
 
 
@@ -537,14 +543,46 @@ def affine_target(f: PiecewiseAffineField) -> AffinePatch:
     return f.patches[0]
 
 
-def flattening_density(p: AffinePatch) -> Fraction:
-    """|grad(y - p)|^2, the flattening energy density on patch p."""
-    return p.cx ** 2 + (1 - p.cy) ** 2
+def _over_lcd(*values):
+    # ints or Fractions as int numerators followed by their least common denominator
+    den = lcm(*(v.denominator for v in values))
+    return (*(v.numerator * (den // v.denominator) for v in values), den)
 
 
-def measure_sum(field: PiecewiseAffineField, measures, density: Callable) -> Fraction:
-    """Sum over the patches of a per-patch constant density times the patch's measure."""
-    return sum((density(p) * m for p, m in zip(field.patches, measures)), ZERO)
+class _RowSum:
+    """A row summed on ints: each term is an int pair (numerator,
+    denominator), the numerators are added per denominator, and ``value``
+    is one ``Fraction`` over the lcm of the distinct denominators."""
+
+    def __init__(self, terms=()):
+        self.sums = {}
+        for num, den in terms:
+            self.add(num, den)
+
+    def add(self, num, den):
+        self.sums[den] = self.sums.get(den, 0) + num
+
+    def value(self) -> Fraction:
+        common = lcm(*self.sums)
+        return Fraction(sum(num * (common // den) for den, num in self.sums.items()), common)
+
+
+def flattening_density(gx: int, gy: int, d: int):
+    """|grad(y - p)|^2, the flattening energy density on a patch p whose
+    gradient is (gx, gy) / d, as an int pair (numerator, denominator)."""
+    return gx * gx + (d - gy) ** 2, d * d
+
+
+def _weighted(measures, densities):
+    # each patch's density, an int pair, times its Fraction measure
+    return ((a * m.numerator, b * m.denominator) for (a, b), m in zip(densities, measures))
+
+
+def measure_sum(measures, densities) -> Fraction:
+    """Sum over the patches of a per-patch constant density times the patch's
+    measure, each density an int pair (numerator, denominator) and each
+    measure a ``Fraction``: taken on ints, one ``Fraction``."""
+    return _RowSum(_weighted(measures, densities)).value()
 
 
 def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
@@ -583,6 +621,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
     # an affine map peaks at a vertex: one of the unit square's corners
     f_sup = max(abs(target.value_at(v)) for v in target.vertices)
     f_sup_sq = f_sup * f_sup
+    b0, bx, by, e = _over_lcd(target.c0, target.cx, target.cy)
     witness_norms = []
     for n in range(1, n_max + 1):
         stage = build_stage(spec, n, f)
@@ -595,15 +634,17 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         flat = stage.flattened
         measures = [pf.region_measure(p.vertices, flat.scale) for p in flat.patches]
         ramp_moments = [pf.moments(p.vertices, flat.scale) for p in stage.ramp.patches]
-        # the flattening energy |grad(y - flattened)|^2 per patch: on the strip
-        # bands it is the strip defect (|grad(y - staircase)|^2), on a tent's
-        # three patches the tent cover's |grad psi|^2
-        defect = [flattening_density(p) * m for p, m in zip(flat.patches, measures)]
+        # each flattened patch's gradient (gx, gy) / dg as ints, and its
+        # flattening energy |grad(y - flattened)|^2 as an int pair: on the
+        # strip bands it is the strip defect (|grad(y - staircase)|^2), on a
+        # tent's three patches the tent cover's |grad psi|^2
+        grads = [_over_lcd(g.cx, g.cy) for g in flat.patches]
+        defect = list(_weighted(measures, [flattening_density(*g) for g in grads]))
 
         strip_area = Fraction(4 * len(flat.band_tags), flat.scale)
         report.add("witness", n, "strip_area", strip_area, a_n, strip_area <= a_n)
 
-        e_strip = sum((defect[i] for i in flat.band_tags), ZERO)
+        e_strip = _RowSum(defect[i] for i in flat.band_tags).value()
         report.add("witness", n, "strip_defect_energy", e_strip, a_n, e_strip <= a_n,
                    tail=(e_strip * tail[0], e_strip) if tail else None)
 
@@ -615,12 +656,9 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    note=f"total tents {len(stage.tents)}")
 
         pt_bound = per_tent_bound(spec, n)
-        worst = e_tents = ZERO
-        for tags in flat.tent_tags:
-            e_one = sum((defect[i] for i in tags), ZERO)
-            e_tents += e_one
-            if e_one > worst:
-                worst = e_one
+        worst = max((_RowSum(defect[i] for i in tags).value() for tags in flat.tent_tags),
+                    default=ZERO)
+        e_tents = _RowSum(defect[i] for tags in flat.tent_tags for i in tags).value()
         report.add("witness", n, "tent_energy_max", worst, pt_bound, worst <= pt_bound)
 
         tf_bound = tent_field_bound(spec, n)
@@ -632,7 +670,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         report.add("witness", n, "local_constancy_violations", len(violations), 0,
                    not violations)
 
-        e_flat = sum(defect, ZERO)
+        e_flat = _RowSum(defect).value()
         report.add("witness", n, "flattened_defect_energy", e_flat,
                    note="compared against (sqrt(strip bound) + sqrt(tent energy))^2",
                    bound=a_n + e_tents, passed=leq_sqrt_sum_sq(e_flat, a_n, e_tents))
@@ -643,16 +681,23 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    note=f"previous side {d_prev} vs 1/n {Fraction(1, n)}: "
                         f"{'<=' if d_prev <= Fraction(1, n) else '>'}")
 
-        w_norm = c_defect = ZERO
+        # each ramp patch's map (a0 + ax*x + ay*y) / d, as ints; the target
+        # is (b0 + bx*x + by*y) / e
+        w_sum, c_sum = _RowSum(), _RowSum()
         for p, t, moments in zip(stage.ramp.patches, flat.cell_tags, ramp_moments):
-            g = flat.patches[t]
-            g2 = g.cx ** 2 + g.cy ** 2
+            gx, gy, dg = grads[t]
+            a0, ax, ay, d = _over_lcd(p.c0, p.cx, p.cy)
+            g2 = gx * gx + gy * gy
             if g2:
-                w_norm += g2 * square_integral(p.c0, p.cx, p.cy, moments)
-            # the witness rotation ramp_x * flat_y - ramp_y * flat_x minus f
-            c = p.cx * g.cy - p.cy * g.cx
-            c_defect += square_integral(c - target.c0, -target.cx, -target.cy, moments)
-        e_flat_grad = measure_sum(flat, measures, lambda p: p.cx ** 2 + p.cy ** 2)
+                num, den = square_integral(a0, ax, ay, d, moments)
+                w_sum.add(g2 * num, dg * dg * den)
+            # the witness rotation ramp_x * flat_y - ramp_y * flat_x minus f,
+            # over dd * e
+            dd = d * dg
+            c_sum.add(*square_integral((ax * gy - ay * gx) * e - b0 * dd, -bx * dd, -by * dd,
+                                       dd * e, moments))
+        w_norm, c_defect = w_sum.value(), c_sum.value()
+        e_flat_grad = measure_sum(measures, ((gx * gx + gy * gy, d * d) for gx, gy, d in grads))
         report.add("witness", n, "witness_l2", w_norm, ramp_sup ** 2 * e_flat_grad,
                    w_norm <= ramp_sup ** 2 * e_flat_grad)
         witness_norms.append(w_norm)
@@ -667,7 +712,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    f_sup_sq * e_flat + osc_sq * pf.measure, env_ok,
                    note="envelope (sup|f| sqrt(E) + osc sqrt(area))^2 tested exactly")
 
-        v_defect = measure_sum(flat, measures, lambda p: (p.cy - 1) ** 2)
+        v_defect = measure_sum(measures, (((gy - d) ** 2, d * d) for _, gy, d in grads))
         report.add("witness", n, "vertical_defect", v_defect, e_flat,
                    v_defect <= e_flat,
                    note="second gradient component alone")

@@ -28,7 +28,13 @@ checked patch constructor ``make_patch``, and the closed box query
 ``touching`` that ``continuity_defects`` runs on a ``_BoxIndex``.  The
 ``Fraction`` stage construction the package replaced by the int one is kept
 at the end (``fraction_cells``, ``fraction_tents``, ``fraction_layout``,
-``fraction_neighborhoods``) as the oracle of the stage lattice.
+``fraction_neighborhoods``) as the oracle of the stage lattice, and the
+``Fraction`` rows the package replaced by int sums after it: the moments
+of ``Prefractal.moments`` read as Fractions (``fraction_moments``), the
+kernels ``fraction_poly_dot`` and ``fraction_square_integral``, the ramp
+with the target evaluated at Fraction cell centres (``fraction_ramp``) and
+the per-patch row loops of both sections (``fraction_witness_rows``,
+``fraction_wedge_rows``).
 """
 
 from __future__ import annotations
@@ -71,10 +77,13 @@ from carpetcurl.geometry import (
 )
 from carpetcurl.witness import (
     CellNeighborhood,
+    affine_target,
     build_cell_field,
     build_flattened,
     build_ramp,
     build_tents,
+    per_tent_bound,
+    tent_field_bound,
 )
 
 ONE = Fraction(1)
@@ -1132,3 +1141,123 @@ def fraction_layout(spec: CarpetSpec, n: int, tents):
                 seams += [((pa, pb, pc), (lower, lower, upper)),
                           ((pa, pc, pd), (lower, upper, upper))]
             yield "band", _rectangle(ZERO, y1, one, b1), (y1 + k, 0, 0), seams
+
+
+# --- the rows on Fractions --------------------------------------------------
+# ``verify`` sums every row on ints over the int moments of
+# ``Prefractal.moments`` and makes one Fraction per row.  These are the
+# Fraction kernels and per-patch row loops that it replaced, on the same
+# moments read as Fractions, and the ramp with the target evaluated at
+# Fraction cell centres.
+
+
+def fraction_moments(moments):
+    """The int moments (t, s) of ``Prefractal.moments`` as one Fraction per
+    monomial, in MONOMIALS order."""
+    t, s = moments
+    return tuple(Fraction(v, 24 * s ** (2 + p + q)) for v, (p, q) in zip(t, MONOMIALS))
+
+
+def fraction_poly_dot(f, moments):
+    """Integral of f over a region, given its Fraction moments in MONOMIALS order."""
+    return sum((f[key] * m for key, m in zip(MONOMIALS, moments) if f.get(key)), ZERO)
+
+
+def fraction_square_integral(c0, cx, cy, moments):
+    """Integral of (c0 + cx*x + cy*y)^2 over a region, given its Fraction
+    moments in MONOMIALS order; the terms of a zero cx or cy are skipped."""
+    m00, m10, m01, m20, m11, m02 = moments
+    out = c0 * c0 * m00
+    if cx:
+        out += cx * (2 * c0 * m10 + cx * m20)
+        if cy:
+            out += 2 * cx * cy * m11
+    if cy:
+        out += cy * (2 * c0 * m01 + cy * m02)
+    return out
+
+
+def fraction_ramp(flattened, f):
+    """``build_ramp`` with the target evaluated at each cell's Fraction centre."""
+    target = affine_target(f)
+    two_l = 2 * flattened.scale
+    return build_cell_field(flattened, [
+        (target.value_at((Fraction(x0 + x1, two_l), Fraction(y0 + y1, two_l))), ZERO)
+        for x0, y0, x1, y1 in flattened.cells])
+
+
+def _flattening_density(p):
+    return p.cx ** 2 + (1 - p.cy) ** 2
+
+
+def _measure_sum(field, measures, density):
+    return sum((density(p) * m for p, m in zip(field.patches, measures)), ZERO)
+
+
+def fraction_witness_rows(spec: CarpetSpec, f, n: int, flat, pf: Prefractal) -> dict:
+    """{name: (value, bound)} of the stage-n witness rows whose values are
+    sums over patches, and the ramp's sup, summed patch by patch on
+    Fractions over ``flat``, the stage-n flattened field."""
+    target = affine_target(f)
+    f_sup = max(abs(target.value_at(v)) for v in target.vertices)
+    a_n = spec.ratio(n)
+    d_prev = side_length(spec, n - 1)
+    ramp = fraction_ramp(flat, f)
+    measures = [pf.region_measure(p.vertices, flat.scale) for p in flat.patches]
+    defect = [_flattening_density(p) * m for p, m in zip(flat.patches, measures)]
+    worst = e_tents = ZERO
+    for tags in flat.tent_tags:
+        e_one = sum((defect[i] for i in tags), ZERO)
+        e_tents += e_one
+        if e_one > worst:
+            worst = e_one
+    e_flat = sum(defect, ZERO)
+    ramp_sup = ramp.sup_norm()
+    w_norm = c_defect = ZERO
+    for p, t in zip(ramp.patches, flat.cell_tags):
+        moments = fraction_moments(pf.moments(p.vertices, flat.scale))
+        g = flat.patches[t]
+        g2 = g.cx ** 2 + g.cy ** 2
+        if g2:
+            w_norm += g2 * fraction_square_integral(p.c0, p.cx, p.cy, moments)
+        c = p.cx * g.cy - p.cy * g.cx
+        c_defect += fraction_square_integral(c - target.c0, -target.cx, -target.cy, moments)
+    e_flat_grad = _measure_sum(flat, measures, lambda p: p.cx ** 2 + p.cy ** 2)
+    osc_sq = 2 * d_prev ** 2 * (target.cx ** 2 + target.cy ** 2)
+    return {
+        "strip_defect_energy": (sum((defect[i] for i in flat.band_tags), ZERO), a_n),
+        "tent_energy_max": (worst, per_tent_bound(spec, n)),
+        "tent_field_energy": (e_tents, tent_field_bound(spec, n)),
+        "flattened_defect_energy": (e_flat, a_n + e_tents),
+        "ramp_sup": (ramp_sup, f_sup * d_prev),
+        "witness_l2": (w_norm, ramp_sup ** 2 * e_flat_grad),
+        "curl_defect_l2": (c_defect, f_sup * f_sup * e_flat + osc_sq * pf.measure),
+        "vertical_defect": (_measure_sum(flat, measures, lambda p: (p.cy - 1) ** 2), e_flat),
+    }
+
+
+def fraction_wedge_rows(f, flat, pf: Prefractal) -> dict:
+    """{name: (value, bound)} of the wedge rows over ``flat`` whose values
+    are sums over patches, summed patch by patch on Fractions."""
+    base = affine_target(f)
+
+    def det(a, b):
+        return a.cx * b.cy - a.cy * b.cx
+
+    gf_sup = base.cx ** 2 + base.cy ** 2
+    remainder = build_cell_field(flat, [base.gradient] * len(flat.cells))
+    measures = [pf.region_measure(p.vertices, flat.scale) for p in flat.patches]
+    active = [(p, flat.patches[t]) for p, t in zip(remainder.patches, flat.cell_tags)
+              if flat.patches[t].gradient != (0, 0)]
+    moments = [fraction_moments(pf.moments(p.vertices, flat.scale)) for p, _ in active]
+    omega_norm = sum(((q.cx ** 2 + q.cy ** 2) * fraction_square_integral(p.c0, p.cx, p.cy, mom)
+                      for (p, q), mom in zip(active, moments)), ZERO)
+    e_flat = _measure_sum(flat, measures, _flattening_density)
+    defect1 = _measure_sum(flat, measures, lambda q: (base.cx - det(base, q)) ** 2)
+    defect2 = sum(((det(base, q) - det(p, q)) ** 2 * mom[0]
+                   for (p, q), mom in zip(active, moments)), ZERO)
+    return {
+        "cutoff_form_l2": (omega_norm, None),
+        "wedge_defect_primary": (defect1, 2 * gf_sup ** 2 * e_flat),
+        "wedge_defect_secondary": (defect2, ZERO),
+    }

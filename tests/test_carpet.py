@@ -47,6 +47,7 @@ from carpetcurl.witness import _cells
 from oracles import (
     _normalize,
     contains,
+    fraction_moments,
     meets_closed_hole,
     normalize_polygon,
     on_lattice,
@@ -187,10 +188,10 @@ def assert_walk_matches_brute_force(depth, region, spec=CarpetSpec(ORACLE_RATIOS
                 for v, div, (p, q) in zip(sums, MOMENT_DIVISORS, MONOMIALS)]
     for key, value in zip(MONOMIALS, expected):
         assert pf.integrate(*on_lattice(region), {key: F(1)}) == value
-    assert pf.moments(*on_lattice(region)) == tuple(expected)
+    assert fraction_moments(pf.moments(*on_lattice(region))) == tuple(expected)
     pts, lattice = on_lattice(region)
     scaled = tuple((k * x, k * y) for x, y in pts)
-    assert Prefractal(spec, depth).moments(scaled, k * lattice) == tuple(expected)
+    assert fraction_moments(Prefractal(spec, depth).moments(scaled, k * lattice)) == tuple(expected)
 
 
 class TestValidateSpec:
@@ -702,7 +703,7 @@ class TestRegionMemo:
         pf = Prefractal(spec357, 3)
         tri = ((1, 1), (7, 1), (1, 7))
         at_60, at_420 = pf.moments(tri, 60), pf.moments(tri, 420)
-        assert at_60 != at_420
+        assert fraction_moments(at_60) != fraction_moments(at_420)
         assert at_60 == Prefractal(spec357, 3).moments(tri, 60)
         assert at_420 == Prefractal(spec357, 3).moments(tri, 420)
         assert len(pf._regions) == 2
@@ -721,10 +722,27 @@ class TestRegionMemo:
         pf = Prefractal(spec357, 3)
         tri = ((1, 1), (7, 1), (1, 7))
         on_420 = tuple((7 * x, 7 * y) for x, y in tri)
-        assert pf.moments(tri, 60) == pf.moments(on_420, 420)
-        assert pf.region_measure(on_420, 420) == pf.moments(tri, 60)[0]
+        assert fraction_moments(pf.moments(tri, 60)) == fraction_moments(pf.moments(on_420, 420))
+        assert pf.region_measure(on_420, 420) == fraction_moments(pf.moments(tri, 60))[0]
         assert computed == [(tri, 60), (on_420, 420)]
         assert list(pf._regions) == [(60, tri), (420, on_420)]
+
+    @pytest.mark.parametrize("tri, scale", [
+        (((1, 1), (7, 1), (1, 7)), 60),    # axis edges and a diagonal
+        (((1, 1), (7, 2), (3, 9)), 60),    # slanted edges refine the lattice
+        (((0, 0), (1, 0), (0, 1)), 1),
+    ])
+    def test_moments_are_int_numerators_over_a_refined_scale(self, spec357, tri, scale):
+        # monomial (p, q) is t[i] / (24 * s^(2+p+q)) with s a multiple of the
+        # region's scale and of the level-3 side lattice, and the memo keeps
+        # that int pair
+        pf = Prefractal(spec357, 3)
+        t, s = moments = pf.moments(tri, scale)
+        assert len(t) == len(MONOMIALS)
+        assert all(type(v) is int for v in (*t, s))
+        assert s % scale == 0 and s % 105 == 0
+        assert pf._regions == {(scale, tri): moments}
+        assert pf.region_measure(tri, scale) == F(t[0], 24 * s * s)
 
     def test_a_region_outside_the_unit_square_raises_on_every_call(self, spec35):
         pf = Prefractal(spec35, 2)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from carpetcurl.carpet import CarpetSpec, Prefractal
 from carpetcurl.geometry import (
+    MONOMIALS,
     clip_convex,
     cross,
     poly_dot,
@@ -18,6 +19,9 @@ from oracles import (
     _normalize,
     affine_poly,
     clip_to_box,
+    fraction_moments,
+    fraction_poly_dot,
+    fraction_square_integral,
     make_patch,
     normalize_polygon,
     on_lattice,
@@ -101,20 +105,47 @@ def test_point_in_convex_boundary_counts_as_inside():
 
 coords = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
-small = st.fractions(min_value=-3, max_value=3, max_denominator=7)
-slope = st.one_of(st.just(F(0)), small)
+# the int kernels: coefficients as ints over one denominator d, moments as
+# int numerators t over a scale s, monomial (p, q) being t / (24 * s^(2+p+q))
+small_ints = st.integers(-40, 40)
+int_slope = st.one_of(st.just(0), small_ints)
+int_moments = st.tuples(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 6), st.integers(1, 60))
+MOMENTS = ((11, -3, 5, 7, -13, 2), 6)
 
 
-@given(small, slope, slope, st.lists(small, min_size=6, max_size=6))
-@example(F(2, 3), F(0), F(0), [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13)])
-@example(F(2, 3), F(-5, 2), F(0), [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13)])
-@example(F(2, 3), F(0), F(7, 3), [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13)])
-@example(F(0), F(-5, 2), F(7, 3), [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13)])
-@settings(max_examples=200, deadline=None)
-def test_square_integral_matches_the_dict_oracle(c0, cx, cy, moments):
-    # the kernel skips the terms of a zero slope; the dict product never does
-    a = affine_poly(c0, cx, cy)
-    assert square_integral(c0, cx, cy, moments) == poly_dot(poly_mul(a, a), moments)
+@given(small_ints, int_slope, int_slope, st.integers(1, 30), int_moments)
+@example(5, 0, 0, 3, MOMENTS)      # a constant map: one product
+@example(-5, 7, 0, 3, MOMENTS)     # one slope in x: three
+@example(-5, 0, -7, 3, MOMENTS)    # one slope in y: three
+@example(0, -7, 9, 1, MOMENTS)     # both slopes
+@settings(max_examples=300, deadline=None)
+def test_square_integral_matches_the_fraction_oracles(c0, cx, cy, d, moments):
+    # the int kernel against the Fraction kernel it replaced, which skips the
+    # same zero-slope terms, and against the dict product, which never does
+    num, den = square_integral(c0, cx, cy, d, moments)
+    t, s = moments
+    assert type(num) is int and den == 24 * s ** 4 * d * d
+    unit = fraction_moments(moments)
+    coefficients = (F(c0, d), F(cx, d), F(cy, d))
+    assert F(num, den) == fraction_square_integral(*coefficients, unit)
+    a = affine_poly(*coefficients)
+    assert F(num, den) == fraction_poly_dot(poly_mul(a, a), unit)
+
+
+polys = st.dictionaries(st.sampled_from(MONOMIALS),
+                        st.fractions(min_value=-9, max_value=9, max_denominator=12)
+                        | st.integers(-9, 9), max_size=6)
+
+
+@given(polys, int_moments)
+@example({}, MOMENTS)
+@example({(0, 0): 1}, MOMENTS)
+@example({(1, 1): F(-2, 3), (0, 2): F(0)}, MOMENTS)
+@settings(max_examples=300, deadline=None)
+def test_poly_dot_matches_the_fraction_oracle(f, moments):
+    num, den = poly_dot(f, moments)
+    assert type(num) is int and type(den) is int and den % (24 * moments[1] ** 4) == 0
+    assert F(num, den) == fraction_poly_dot(f, fraction_moments(moments))
 
 
 @st.composite

@@ -49,7 +49,10 @@ from oracles import (
     fraction_cells,
     fraction_layout,
     fraction_neighborhoods,
+    fraction_ramp,
     fraction_tents,
+    fraction_wedge_rows,
+    fraction_witness_rows,
     in_unit,
     unit_polygon,
     gamma,
@@ -73,6 +76,13 @@ SPECS = {
 }
 # an affine target, so the curl defect needs all six moments of a patch
 TARGET = affine_field(2, -3, 5)
+# the row oracle's targets, as ``--f`` spells them: a constant, as the
+# benchmark's seeds draw, and a sloped one, whose curl defect has degree 2
+ROW_TARGETS = {
+    "const": constant_field(1),
+    "affine:-7/3,0,0": affine_field(F(-7, 3), 0, 0),
+    "affine:1/2,1/3,-1/5": affine_field(F(1, 2), F(1, 3), F(-1, 5)),
+}
 RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
 
 
@@ -363,6 +373,14 @@ class TestCellFields:
         assert field.sup_norm() == max(abs(p.value_at(v)) for p in in_unit(field).patches
                                        for v in p.vertices)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_the_ramp_is_the_target_at_fraction_centres(self, name, n):
+        # the int evaluation at the cell centres against value_at on them
+        flat = flattened_stage(name, n)
+        for label, f in ROW_TARGETS.items():
+            assert patch_tuples(build_ramp(flat, f)) == patch_tuples(fraction_ramp(flat, f)), label
+
     def test_one_slope_per_cell(self):
         flat = build_flattened(SPECS["odd-reciprocal"], 1)
         for slopes in ([(1, 0)] * (len(flat.cells) - 1), [(1, 0)] * (len(flat.cells) + 1)):
@@ -487,6 +505,33 @@ class TestTaggedRows:
 
         monkeypatch.setattr(witness, "build_staircase", fail)
         assert rows() == expected
+
+
+class TestIntRows:
+    """Each row both sections sum on ints, one ``Fraction`` per row, equals
+    the per-patch ``Fraction`` sum it replaced (``oracles``)."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_rows_equal_the_fraction_rows(self, name, depth):
+        spec = SPECS[name]
+        # one prefractal for both sections and the oracle, as in ``verify``;
+        # the targets share it too, since their ramps have one partition
+        pf = Prefractal(spec, depth)
+        for label, f in ROW_TARGETS.items():
+            report = verify_witness_sequence(spec, f, n_max=3, pf=pf)
+            report.extend(verify_wedge_approximation(spec, f, (1, 2, 3), pf))
+            for n in (1, 2, 3):
+                flat = flattened_stage(name, n)
+                expected = {("witness", row): v for row, v in
+                            fraction_witness_rows(spec, f, n, flat, pf).items()}
+                expected.update((("wedge", row), v) for row, v in
+                                fraction_wedge_rows(f, flat, pf).items())
+                for (section, row_name), (value, bound) in expected.items():
+                    row = report.get(section, n, row_name)
+                    where = (label, section, n, row_name)
+                    assert type(row.value) is F, where
+                    assert (row.value, row.bound) == (value, bound), where
 
 
 AFFINE = st.builds(affine_field, RATIONALS, RATIONALS, RATIONALS)

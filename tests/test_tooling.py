@@ -2,8 +2,8 @@
 parameter its function never reads, no private helper without a caller, no
 public helper that is neither called nor exported, no public method without
 a caller, no dataclass field that nothing reads, a stage lattice built
-without ``Fraction``, and a clip chain that works on the vertices it is
-given."""
+without ``Fraction``, region moments and integral kernels on ints, and a
+clip chain that works on the vertices it is given."""
 
 import ast
 from collections import Counter
@@ -28,11 +28,17 @@ def test_no_bare_assert_in_the_package():
     assert found == []
 
 
-def loaded_names(node):
-    """Every name the code under ``node`` reads, as a variable or an attribute."""
-    return [n.id if isinstance(n, ast.Name) else n.attr
+def reads(node):
+    """(name, line) of every name the code under ``node`` reads, as a
+    variable or an attribute."""
+    return [(n.id if isinstance(n, ast.Name) else n.attr, n.lineno)
             for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+
+def loaded_names(node):
+    """Every name the code under ``node`` reads, as a variable or an attribute."""
+    return [name for name, _ in reads(node)]
 
 
 def unread_parameters(node):
@@ -136,6 +142,10 @@ def test_every_dataclass_field_is_read():
 # class itself and the module constants that hold Fractions
 INT_BUILDERS = {"build_tents", "_stage_layout"}
 FRACTION_NAMES = {"Fraction", "ZERO", "HALF"}
+# the region walk, its moments and the integral kernels over them, by
+# module: they run on ints and leave the one Fraction to their caller
+INT_KERNELS = {"carpet.py": {"Prefractal._region_moments", "Prefractal._walk"},
+               "geometry.py": {"poly_dot", "square_integral"}}
 # the clip chain of check_local_constancy, by module, and the names that
 # would put its polygons on a common lattice: the lcm, a rational's parts and
 # the lattice and canonical-form helpers
@@ -144,16 +154,27 @@ LATTICE_NAMES = {"lcm", "numerator", "denominator", "_lattice_scale", "_on_latti
                  "_normalize", "normalize_polygon"}
 
 
+def definitions(tree):
+    """(name, node) of each module-level function and class of ``tree``, and
+    of each method as ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
 def forbidden_uses(source, names, forbidden):
-    """(definition, name) for each forbidden name read in the named
-    module-level functions and classes of ``source``."""
-    tree = ast.parse(source)
-    found = [node for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names]
-    if {node.name for node in found} != names:
+    """(definition, name, line) for each forbidden name read in the named
+    module-level functions, classes and ``Class.method`` methods of
+    ``source``."""
+    found = {name: node for name, node in definitions(ast.parse(source)) if name in names}
+    if set(found) != names:
         raise LookupError(f"{sorted(names)} are not all defined")
-    return [(node.name, name) for node in found
-            for name in loaded_names(node) if name in forbidden]
+    return [(qualified, name, line) for qualified, node in found.items()
+            for name, line in reads(node) if name in forbidden]
 
 
 def test_the_stage_lattice_is_built_without_fractions():
@@ -161,6 +182,16 @@ def test_the_stage_lattice_is_built_without_fractions():
     # construct no Fraction and read no Fraction constant
     witness = Path(carpetcurl.__file__).parent / "witness.py"
     assert forbidden_uses(witness.read_text(encoding="utf-8"), INT_BUILDERS, FRACTION_NAMES) == []
+
+
+def test_region_moments_and_kernels_are_ints():
+    # the walk, the region moments it gives and the kernels that integrate
+    # over them construct no Fraction and read no Fraction constant
+    root = Path(carpetcurl.__file__).parent
+    found = [(module, use) for module, names in INT_KERNELS.items()
+             for use in forbidden_uses((root / module).read_text(encoding="utf-8"), names,
+                                       FRACTION_NAMES)]
+    assert found == []
 
 
 def test_the_clip_chain_works_on_the_given_vertices():

@@ -17,6 +17,7 @@ from carpetcurl.witness import (
     build_staircase,
     build_tents,
     check_local_constancy,
+    flattening_density,
     per_tent_bound,
     tent_field_bound,
     tents_per_column,
@@ -328,6 +329,14 @@ class TestFlattened:
         field = build_flattened(spec357, 2)
         vd = vertical_defect_sq(field, pf)
         assert vd <= dirichlet_energy(coordinate_minus(field), pf)
+
+
+    @pytest.mark.parametrize("gx, gy, d", [(0, 1, 1), (-7, 1, 1), (0, 0, 1), (3, -5, 4), (-1, 7, 6)])
+    def test_flattening_density_is_the_int_pair_of_the_squared_gradient(self, gx, gy, d):
+        # the stage's flattened slopes are ints, so d = 1 there; the pair is
+        # |grad(y - p)|^2 for any gradient (gx, gy) / d
+        num, den = flattening_density(gx, gy, d)
+        assert den == d * d and F(num, den) == F(gx, d) ** 2 + (1 - F(gy, d)) ** 2
 
 
 class TestRamp:
