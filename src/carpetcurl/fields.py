@@ -4,8 +4,11 @@ Fields are finite collections of convex polygonal patches, each carrying an
 affine map value(x, y) = c0 + cx*x + cy*y.  A field's patch vertices lie on
 the lattice of its ``scale``, so vertex (X, Y) is the point (X / scale,
 Y / scale), while the maps stay in unit coordinates: a stage field (the
-flattened coordinate, the staircase, a cell field) has int vertices on its
-stage lattice, and a target the int corners of the unit square at scale 1.
+flattened coordinate, the staircase) has int vertices on its stage lattice,
+and a target the int corners of the unit square at scale 1.  The cell
+fields of ``witness`` are not patch fields: they hold one int map per piece
+of their flattened field, and the witness built on them is a
+``ProductVectorField`` of int pieces.
 Patches may cover less than the unit square; integration treats the
 complement as zero, so fields supported on small regions (tent covers,
 seams) need no explicit complement patches.  A field is read through its
@@ -33,7 +36,8 @@ from .geometry import bbox, clip_convex, polygon_area
 
 @dataclass(frozen=True)
 class AffinePatch:
-    """Convex region with an affine value map."""
+    """Convex region with an affine value map; the coefficients are ints or
+    ``Fraction``s (a flattened patch's slopes are ints)."""
 
     vertices: tuple
     c0: Fraction
@@ -63,9 +67,11 @@ class PiecewiseAffineField:
 class ProductVectorField:
     """Vector field of the form (affine h) * (constant vector) per piece.
 
-    Pieces are (vertices, (h0, hx, hy), (px, py)), the vertices over
-    ``scale`` and the maps in unit coordinates; this keeps products such as
-    a scalar ramp times a gradient exactly representable.
+    Pieces are (vertices, (h0, hx, hy, d), (px, py)), all ints: the
+    vertices over ``scale``, and the field (h0 + hx*x + hy*y) / d times
+    (px, py) in unit coordinates, as a cell-field map times a flattened
+    gradient is; this keeps products such as a scalar ramp times a gradient
+    exactly representable.
     """
 
     pieces: tuple

@@ -2,11 +2,14 @@
 
 The stage-n one-form is a remainder of the target f times the differential
 of the flattened coordinate, which approximates g = y.  The remainder is the
-cell field of f's gradient (``witness.build_cell_field``): on each grid cell
-it is f minus its value at the cell center.  For an affine f every norm of
-the check is a closed form or a sum over the patches of one tagged stage
-partition, so no common refinement is built and no polygon is clipped.
-The sums are taken on ints, one ``Fraction`` per row, as in ``witness``.
+cell field of f's gradient (``witness.build_cell_field``), built from the int
+slopes (bx, by) over e with grad f = (bx, by) / e: on each grid cell it is f
+minus its value at the cell center, and each piece's map is int numerators
+over one denominator.  For an affine f every norm of the check is a closed
+form or a sum over the pieces of one tagged stage partition, so no common
+refinement is built and no polygon is clipped.  The sums are taken on ints,
+from those int maps and the flattened patches' int gradients, one
+``Fraction`` per row, as in ``witness``.
 """
 
 from __future__ import annotations
@@ -68,41 +71,41 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages
     # its cell tag names, and every norm below is a sum over patches.
     for n in stages:
         flattened = build_flattened(spec, n)
-        remainder = build_cell_field(flattened, [base.gradient] * len(flattened.cells))
+        remainder = build_cell_field(flattened, [(bx, by)] * len(flattened.cells), e)
         measures = [pf.region_measure(p.vertices, flattened.scale) for p in flattened.patches]
-        # each flattened patch's gradient (qx, qy) / dq, as ints
-        grads = [_over_lcd(q.cx, q.cy) for q in flattened.patches]
-        # remainder patches under a nonzero flattened gradient; on the others
+        # each flattened patch's gradient (qx, qy), ints
+        grads = [q.gradient for q in flattened.patches]
+        # remainder pieces under a nonzero flattened gradient; on the others
         # both the cutoff form and the second defect vanish identically
-        active = [(p, grads[t]) for p, t in zip(remainder.patches, flattened.cell_tags)
+        active = [(verts, p, grads[t]) for (verts, _), p, t in
+                  zip(flattened.pieces, remainder.maps, flattened.cell_tags)
                   if grads[t][0] or grads[t][1]]
-        moments = [pf.moments(p.vertices, flattened.scale) for p, _ in active]
+        moments = [pf.moments(verts, flattened.scale) for verts, _, _ in active]
 
-        # per active patch: the cutoff form's |grad q|^2 * remainder^2 and the
+        # per active piece: the cutoff form's |grad q|^2 * remainder^2 and the
         # second defect's (det(grad f, grad q) - det(grad p, grad q))^2, the
-        # remainder's map p over d
+        # remainder's map p being (a0 + ax*x + ay*y) / d
         omega_sum, defect2_sum = _RowSum(), _RowSum()
-        for (p, (qx, qy, dq)), mom in zip(active, moments):
-            a0, ax, ay, d = _over_lcd(p.c0, p.cx, p.cy)
+        for (_, (a0, ax, ay, d), (qx, qy)), mom in zip(active, moments):
             num, den = square_integral(a0, ax, ay, d, mom)
-            omega_sum.add((qx * qx + qy * qy) * num, dq * dq * den)
+            omega_sum.add((qx * qx + qy * qy) * num, den)
             diff = (bx * qy - by * qx) * d - (ax * qy - ay * qx) * e
             t, s = mom  # the measure is t[0] / (24 * s^2)
-            defect2_sum.add(diff * diff * t[0], 24 * s * s * (e * d * dq) ** 2)
+            defect2_sum.add(diff * diff * t[0], 24 * s * s * (e * d) ** 2)
         omega_norm, defect2 = omega_sum.value(), defect2_sum.value()
         report.add("wedge", n, "cutoff_form_l2", omega_norm)
 
-        rem_sup = remainder.sup_norm()
+        rem_sup = Fraction(*remainder.sup_norm)
         d_prev = side_length(spec, n - 1)
         osc_sq = gf_sup * 2 * d_prev ** 2
         report.add("wedge", n, "remainder_sup_sq", rem_sup * rem_sup, osc_sq,
                    rem_sup * rem_sup <= osc_sq,
                    note="squared sup against squared oscillation at cell scale")
 
-        e_flat = measure_sum(measures, (flattening_density(*g) for g in grads))
+        e_flat = measure_sum(measures, (flattening_density(qx, qy, 1) for qx, qy in grads))
         # df^dg - df^d(flattened): (det_fg - det(grad f, grad q))^2 per patch
-        defect1 = measure_sum(measures, (((bx * (dq - qy) + by * qx) ** 2, (e * dq) ** 2)
-                                         for qx, qy, dq in grads))
+        defect1 = measure_sum(measures, (((bx * (1 - qy) + by * qx) ** 2, e * e)
+                                         for qx, qy in grads))
         bound1 = 2 * gf_sup ** 2 * e_flat
         report.add("wedge", n, "wedge_defect_primary", defect1, bound1,
                    defect1 <= bound1)

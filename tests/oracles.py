@@ -18,7 +18,10 @@ field's value at a point (``value_at``) and its max of |value| over the
 patch vertices (``sup_norm``).
 
 The oracles work in unit coordinates: a stage field's int vertices are
-divided by its scale on the way in (``in_unit``), and a rational region is
+divided by its scale on the way in (``in_unit``), a cell field's int maps
+and a package product field's read as Fractions there (``fraction_field``,
+``fraction_map``; the Fraction products are ``FractionProductField``s),
+and a rational region is
 put on its own integer lattice (``on_lattice``) for ``Prefractal``, which
 takes canonical regions only (``normalize_polygon`` gives one).  The
 rational polygon layer the package no longer carries lives here as well:
@@ -31,7 +34,9 @@ at the end (``fraction_cells``, ``fraction_tents``, ``fraction_layout``,
 ``fraction_neighborhoods``) as the oracle of the stage lattice, and the
 ``Fraction`` rows the package replaced by int sums after it: the moments
 of ``Prefractal.moments`` read as Fractions (``fraction_moments``), the
-kernels ``fraction_poly_dot`` and ``fraction_square_integral``, the ramp
+kernels ``fraction_poly_dot`` and ``fraction_square_integral``, the
+``Fraction`` cell field ``fraction_cell_field`` (with ``int_slopes``, which
+puts rational slopes over one denominator for ``build_cell_field``), the ramp
 with the target evaluated at Fraction cell centres (``fraction_ramp``) and
 the per-patch row loops of both sections (``fraction_witness_rows``,
 ``fraction_wedge_rows``).
@@ -76,6 +81,7 @@ from carpetcurl.geometry import (
     strictly_convex,
 )
 from carpetcurl.witness import (
+    CellField,
     CellNeighborhood,
     affine_target,
     build_cell_field,
@@ -150,13 +156,43 @@ def unit_polygon(verts, scale):
     return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in verts)
 
 
+def fraction_map(c0, cx, cy, d):
+    """The int map (c0 + cx*x + cy*y) / d of a cell-field piece or a product
+    piece's scalar factor, as its three ``Fraction`` coefficients."""
+    return Fraction(c0, d), Fraction(cx, d), Fraction(cy, d)
+
+
+def fraction_field(field: CellField) -> PiecewiseAffineField:
+    """A cell field's pieces as ``AffinePatch``es with ``Fraction`` maps, on
+    the field's lattice: the form the refinement calculus reads."""
+    return PiecewiseAffineField(tuple(AffinePatch(verts, *fraction_map(*m))
+                                      for (verts, _), m in zip(field.flattened.pieces, field.maps,
+                                                               strict=True)),
+                                field.flattened.scale)
+
+
+@dataclass(frozen=True)
+class FractionProductField:
+    """A product vector field in unit coordinates with ``Fraction`` maps:
+    pieces (vertices, (h0, hx, hy), (px, py)), the field h * (px, py)."""
+
+    pieces: tuple
+    scale: int = 1
+
+
 def in_unit(obj):
-    """A field or product vector field at scale 1, its vertices as Fractions."""
+    """A field or product vector field at scale 1, its vertices and maps as
+    Fractions: a cell field through ``fraction_field``, a package product
+    field's int maps through ``fraction_map``."""
+    if isinstance(obj, CellField):
+        obj = fraction_field(obj)
+    if isinstance(obj, ProductVectorField):
+        s = obj.scale
+        return FractionProductField(tuple((unit_polygon(v, s), fraction_map(*h), w)
+                                          for v, h, w in obj.pieces))
     s = obj.scale
     if s == 1:
         return obj
-    if isinstance(obj, ProductVectorField):
-        return ProductVectorField(tuple((unit_polygon(v, s), h, w) for v, h, w in obj.pieces), 1)
     return PiecewiseAffineField(tuple(AffinePatch(unit_polygon(p.vertices, s), p.c0, p.cx, p.cy)
                                       for p in obj.patches), 1)
 
@@ -431,7 +467,7 @@ def gradient(field: PiecewiseAffineField) -> PCVectorField:
     return PCVectorField(tuple((p.vertices, p.cx, p.cy) for p in in_unit(field).patches))
 
 
-def curl(v: ProductVectorField) -> PCScalarField:
+def curl(v: FractionProductField) -> PCScalarField:
     """Patchwise rotation of h*w with h affine and w constant per piece.
 
     With v = h*(p, q) the rotation d(v2)/dx - d(v1)/dy equals hx*q - hy*p on
@@ -480,7 +516,7 @@ def dirichlet_energy(field: PiecewiseAffineField, prefractal: Prefractal):
 def l2_norm_sq(obj, prefractal: Prefractal):
     """Exact squared L2 norm over the prefractal for any supported field kind."""
     total = ZERO
-    if isinstance(obj, (PiecewiseAffineField, ProductVectorField)):
+    if isinstance(obj, (PiecewiseAffineField, CellField, ProductVectorField)):
         obj = in_unit(obj)
     if isinstance(obj, PiecewiseAffineField):
         for p in obj.patches:
@@ -497,7 +533,7 @@ def l2_norm_sq(obj, prefractal: Prefractal):
             if val == 0:
                 continue
             total += val * val * unit_measure(prefractal, verts)
-    elif isinstance(obj, ProductVectorField):
+    elif isinstance(obj, FractionProductField):
         for (verts, (h0, hx, hy), (px, py)) in obj.pieces:
             v2 = px * px + py * py
             if v2 == 0:
@@ -509,7 +545,7 @@ def l2_norm_sq(obj, prefractal: Prefractal):
     return total
 
 
-def product_with_gradient(h: PiecewiseAffineField, g: PiecewiseAffineField) -> ProductVectorField:
+def product_with_gradient(h, g: PiecewiseAffineField) -> FractionProductField:
     """The vector field h * grad(g) on the common refinement, at scale 1."""
     h, g = in_unit(h), in_unit(g)
     pieces = []
@@ -519,7 +555,7 @@ def product_with_gradient(h: PiecewiseAffineField, g: PiecewiseAffineField) -> P
         if pg.cx == 0 and pg.cy == 0:
             continue
         pieces.append((region, (ph.c0, ph.cx, ph.cy), (pg.cx, pg.cy)))
-    return ProductVectorField(tuple(pieces), 1)
+    return FractionProductField(tuple(pieces))
 
 
 def _frac(x):
@@ -559,7 +595,7 @@ def vector_field_to_json(v) -> dict:
             {"vertices": _verts(r), "coeffs": [[_frac(px), _frac(0), _frac(0)],
                                                [_frac(py), _frac(0), _frac(0)]]}
             for (r, px, py) in v.pieces]}
-    if isinstance(v, ProductVectorField):
+    if isinstance(v, (ProductVectorField, FractionProductField)):
         v = in_unit(v)
         return {"kind": "product", "pieces": [
             {"vertices": _verts(r),
@@ -806,14 +842,16 @@ def build_cutoff_form(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
                       flattened: Optional[PiecewiseAffineField] = None):
     """Stage-n one-form: the cutoff remainder of f times d(flattened coordinate).
 
-    Returns (one_form, remainder_field).
+    Returns (one_form, remainder_field), the remainder the package's
+    ``CellField`` and the form's coefficient its ``fraction_field``.
     """
     if len(f.patches) != 1:
         raise ValueError("cutoff construction expects a globally affine target")
     if flattened is None:
         flattened = build_flattened(spec, n)
-    remainder = build_cell_field(flattened, [f.patches[0].gradient] * len(flattened.cells))
-    return OneForm(((ONE, remainder, flattened),)), remainder
+    remainder = build_cell_field(flattened, *int_slopes([f.patches[0].gradient]
+                                                        * len(flattened.cells)))
+    return OneForm(((ONE, fraction_field(remainder), flattened),)), remainder
 
 
 def one_form_to_json(omega: OneForm) -> dict:
@@ -861,7 +899,7 @@ def build_tent_field(spec: CarpetSpec, n: int) -> PiecewiseAffineField:
 
 
 def build_witness(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
-                  flattened=None, ramp=None) -> ProductVectorField:
+                  flattened=None, ramp=None) -> FractionProductField:
     """The stage-n witness vector field: ramp times flattened gradient."""
     if flattened is None:
         flattened = build_flattened(spec, n)
@@ -1177,11 +1215,55 @@ def fraction_square_integral(c0, cx, cy, moments):
     return out
 
 
+def int_slopes(slopes):
+    """Rational per-cell slopes as ``build_cell_field`` takes them: int pairs
+    over their least common denominator, then that denominator."""
+    slopes = [(Fraction(gx), Fraction(gy)) for gx, gy in slopes]
+    den = lcm(*(g.denominator for pair in slopes for g in pair))
+    return [(gx.numerator * (den // gx.denominator), gy.numerator * (den // gy.denominator))
+            for gx, gy in slopes], den
+
+
+def fraction_cell_field(flattened, slopes) -> PiecewiseAffineField:
+    """``build_cell_field`` in ``Fraction`` arithmetic, on the lattice of
+    ``flattened``: one rational gradient per cell, each core map written
+    about the cell centre, and each seam map_a + delta * lambda_k in closed
+    form, with the same orientation and owner checks."""
+    scale = flattened.scale
+    coeffs = []
+    for (x0, y0, x1, y1), (gx, gy) in zip(flattened.cells, slopes, strict=True):
+        gx, gy = Fraction(gx), Fraction(gy)
+        coeffs.append((-(gx * (x0 + x1) + gy * (y0 + y1)) / (2 * scale), gx, gy))
+
+    patches = []
+    for i, (verts, owner) in enumerate(flattened.pieces):
+        if isinstance(owner, int):
+            patches.append(AffinePatch(verts, *coeffs[owner]))
+            continue
+        d = cross(*verts)
+        if d <= 0:
+            raise ConstructionError(f"seam {i} is not a counterclockwise triangle")
+        o0, o1, o2 = owner
+        k = 0 if o1 == o2 else 1 if o0 == o2 else 2 if o0 == o1 else None
+        if k is None:
+            raise ConstructionError(f"seam {i} has three owners {owner}")
+        a0, ax, ay = coeffs[owner[k - 1]]
+        b0, bx, by = coeffs[owner[k]]
+        px, py = verts[k]
+        delta = b0 - a0 + ((bx - ax) * px + (by - ay) * py) / scale
+        (xi, yi), (xj, yj) = verts[k - 2], verts[k - 1]
+        ex, ey = xj - xi, yj - yi
+        t = delta / d
+        patches.append(AffinePatch(verts, a0 + t * (ey * xi - ex * yi), ax - t * scale * ey,
+                                   ay + t * scale * ex))
+    return PiecewiseAffineField(tuple(patches), scale)
+
+
 def fraction_ramp(flattened, f):
     """``build_ramp`` with the target evaluated at each cell's Fraction centre."""
     target = affine_target(f)
     two_l = 2 * flattened.scale
-    return build_cell_field(flattened, [
+    return fraction_cell_field(flattened, [
         (target.value_at((Fraction(x0 + x1, two_l), Fraction(y0 + y1, two_l))), ZERO)
         for x0, y0, x1, y1 in flattened.cells])
 
@@ -1212,7 +1294,7 @@ def fraction_witness_rows(spec: CarpetSpec, f, n: int, flat, pf: Prefractal) -> 
         if e_one > worst:
             worst = e_one
     e_flat = sum(defect, ZERO)
-    ramp_sup = ramp.sup_norm()
+    ramp_sup = sup_norm(ramp)
     w_norm = c_defect = ZERO
     for p, t in zip(ramp.patches, flat.cell_tags):
         moments = fraction_moments(pf.moments(p.vertices, flat.scale))
@@ -1245,7 +1327,7 @@ def fraction_wedge_rows(f, flat, pf: Prefractal) -> dict:
         return a.cx * b.cy - a.cy * b.cx
 
     gf_sup = base.cx ** 2 + base.cy ** 2
-    remainder = build_cell_field(flat, [base.gradient] * len(flat.cells))
+    remainder = fraction_cell_field(flat, [base.gradient] * len(flat.cells))
     measures = [pf.region_measure(p.vertices, flat.scale) for p in flat.patches]
     active = [(p, flat.patches[t]) for p, t in zip(remainder.patches, flat.cell_tags)
               if flat.patches[t].gradient != (0, 0)]

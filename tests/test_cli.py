@@ -57,6 +57,15 @@ class TestSpecCheck:
         out = capsys.readouterr().out
         assert "hypothesis satisfied: True" in out
 
+    def test_the_package_runs_as_a_module(self):
+        # python -m carpetcurl runs the same CLI as the carpetcurl script
+        src = str(Path(carpetcurl.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "carpetcurl", "spec-check",
+                               "--generator", "odd-reciprocal"],
+                              capture_output=True, text=True, env={"PYTHONPATH": src})
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "hypothesis satisfied: True" in done.stdout
+
     def test_even_reciprocal_is_config_error(self):
         assert run(["spec-check", "--ratios", "1/4"]) == EXIT_CONFIG
 

@@ -186,7 +186,7 @@ class TestBoxIndex:
         spec = CarpetSpec((), "odd-reciprocal")
         flattened = build_flattened(spec, 2)
         ramp = build_ramp(flattened, constant_field(1))
-        regions_a = [p.vertices for p in ramp.patches]
+        regions_a = [verts for verts, _ in ramp.flattened.pieces]
         regions_b = [p.vertices for p in flattened.patches]
         assert (len(regions_a), len(regions_b)) == (92, 57)
         expected = []

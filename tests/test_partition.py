@@ -46,7 +46,9 @@ from oracles import (
     d1,
     dirichlet_energy,
     field_patches,
+    fraction_cell_field,
     fraction_cells,
+    fraction_field,
     fraction_layout,
     fraction_neighborhoods,
     fraction_ramp,
@@ -54,6 +56,7 @@ from oracles import (
     fraction_wedge_rows,
     fraction_witness_rows,
     in_unit,
+    int_slopes,
     unit_polygon,
     gamma,
     l2_norm_sq,
@@ -62,6 +65,7 @@ from oracles import (
     norm_sq_two,
     patch_from_vertex_values,
     product_with_gradient,
+    sup_norm,
     vertical_defect_sq,
     wedge,
 )
@@ -134,14 +138,14 @@ class TestTags:
     def test_tags_equal_the_refinement(self, name, n):
         spec = SPECS[name]
         stage = build_stage(spec, n, constant_field(1))
-        flat = stage.flattened
-        assert len(flat.cell_tags) == len(stage.ramp.patches)
+        flat, ramp = stage.flattened, fraction_field(stage.ramp)
+        assert len(flat.cell_tags) == len(ramp.patches)
         # every ramp patch lies inside exactly its tagged flattened patch
-        assert refine_pairs(regions(stage.ramp), regions(flat)) == [
-            (p.vertices, i, t) for i, (p, t) in enumerate(zip(stage.ramp.patches, flat.cell_tags))]
+        assert refine_pairs(regions(ramp), regions(flat)) == [
+            (p.vertices, i, t) for i, (p, t) in enumerate(zip(ramp.patches, flat.cell_tags))]
         # the cutoff remainder has the ramp's polygons, so the same refinement
         _, remainder = build_cutoff_form(spec, n, coordinate_field("x"), flat)
-        assert regions(remainder) == regions(stage.ramp)
+        assert regions(fraction_field(remainder)) == regions(ramp)
         # a tent's trapezoid and side triangles are flattened patches
         for t, tags in zip(stage.tents, flat.tent_tags):
             assert [unit_polygon(flat.patches[i].vertices, flat.scale) for i in tags] == regions(
@@ -150,7 +154,7 @@ class TestTags:
         # field leaves out the stage-n hole squares on the strip bands:
         # side_n^2 per cut a band crosses, a_n^2 in all; areas on the lattice
         tiled = [F(0)] * len(flat.patches)
-        for p, t in zip(stage.ramp.patches, flat.cell_tags):
+        for p, t in zip(ramp.patches, flat.cell_tags):
             tiled[t] += polygon_area(p.vertices)
         hole = (side_length(spec, n) * flat.scale) ** 2
         cuts = len(stage_lines(spec, n)[1]) - 2
@@ -222,11 +226,17 @@ class TestTags:
         assert calls == [2, 3]
 
     def test_every_cell_patch_holds_its_piece_tuple(self):
-        # cores, tent sides and seams keep the vertex tuple the layout yields
+        # cores, tent sides and seams keep the vertex tuple the layout
+        # yields: the ramp maps the stage's own pieces, and each witness
+        # piece is one of them
         stage = build_stage(SPECS["odd-reciprocal"], 3, constant_field(1))
         pieces = stage.flattened.pieces
-        assert len(pieces) == len(stage.ramp.patches) == 1668
-        assert all(p.vertices is verts for p, (verts, _) in zip(stage.ramp.patches, pieces))
+        assert stage.ramp.flattened is stage.flattened
+        assert len(pieces) == len(stage.ramp.maps) == 1668
+        sloped = [verts for (verts, _), t in zip(pieces, stage.flattened.cell_tags)
+                  if stage.flattened.patches[t].gradient != (0, 0)]
+        assert len(stage.witness.pieces) == len(sloped)
+        assert all(v is verts for (v, _, _), verts in zip(stage.witness.pieces, sloped))
 
     def test_witness_equals_the_product_with_gradient(self):
         stage = build_stage(SPECS["1/5,1/3,1/7"], 2, TARGET)
@@ -329,7 +339,7 @@ class TestCellFields:
         }
         for label, (field, maps) in cases.items():
             owned = [((p.c0, p.cx, p.cy), maps[owner])
-                     for p, (_, owner) in zip(field.patches, flat.pieces)
+                     for p, (_, owner) in zip(fraction_field(field).patches, flat.pieces)
                      if isinstance(owner, int)]
             assert owned, label
             assert all(got == want for got, want in owned), label
@@ -347,16 +357,16 @@ class TestCellFields:
             "wedge gradient": [b.gradient] * len(centers),
         }
         for label, slopes in cases.items():
-            field = build_cell_field(flat, slopes)
+            field = build_cell_field(flat, *int_slopes(slopes))
             assert patch_tuples(in_unit(field)) == patch_tuples(solved_cell_field(flat, slopes)), label
-            # the per-cell int sup against every patch at every vertex over L
-            assert field.sup_norm() == max(abs(p.value_at(v)) for p in in_unit(field).patches
-                                           for v in p.vertices), label
+            # the one int sup against every patch at every vertex over L
+            assert F(*field.sup_norm) == max(abs(p.value_at(v)) for p in in_unit(field).patches
+                                             for v in p.vertices), label
         # TARGET varies in y, so the owners of a band seam differ there and
         # the seam is sloped in y although every cell map is horizontal
         ramp = build_ramp(flat, TARGET)
         band = set(flat.band_tags)
-        assert any(p.cy for p, t in zip(ramp.patches, flat.cell_tags) if t in band)
+        assert any(cy for (_, _, cy, _), t in zip(ramp.maps, flat.cell_tags) if t in band)
 
     # no shrink phase: shrinking a list of 256 slopes takes minutes, and the
     # failing patch shows in the assertion's first differing index anyway
@@ -368,24 +378,16 @@ class TestCellFields:
                                data.draw(st.integers(1, 3)))
         slopes = data.draw(st.lists(st.tuples(RATIONALS, RATIONALS),
                                     min_size=len(flat.cells), max_size=len(flat.cells)))
-        field = build_cell_field(flat, slopes)
+        field = build_cell_field(flat, *int_slopes(slopes))
         assert patch_tuples(in_unit(field)) == patch_tuples(solved_cell_field(flat, slopes))
-        assert field.sup_norm() == max(abs(p.value_at(v)) for p in in_unit(field).patches
-                                       for v in p.vertices)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("name", SPECS)
-    def test_the_ramp_is_the_target_at_fraction_centres(self, name, n):
-        # the int evaluation at the cell centres against value_at on them
-        flat = flattened_stage(name, n)
-        for label, f in ROW_TARGETS.items():
-            assert patch_tuples(build_ramp(flat, f)) == patch_tuples(fraction_ramp(flat, f)), label
+        assert F(*field.sup_norm) == max(abs(p.value_at(v)) for p in in_unit(field).patches
+                                         for v in p.vertices)
 
     def test_one_slope_per_cell(self):
         flat = build_flattened(SPECS["odd-reciprocal"], 1)
         for slopes in ([(1, 0)] * (len(flat.cells) - 1), [(1, 0)] * (len(flat.cells) + 1)):
             with pytest.raises(ValueError):
-                build_cell_field(flat, slopes)
+                build_cell_field(flat, slopes, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", SPECS)
@@ -396,8 +398,60 @@ class TestCellFields:
         _, remainder = build_cutoff_form(SPECS[name], n, coordinate_field("x"), flat)
         ramp = build_ramp(flat, constant_field(1))
         assert any(not isinstance(owner, int) for _, owner in flat.pieces)
-        assert [(p.vertices, p.c0, p.cx, p.cy) for p in remainder.patches] == [
-            (p.vertices, p.c0, p.cx, p.cy) for p in ramp.patches]
+        assert patch_tuples(fraction_field(remainder)) == patch_tuples(fraction_field(ramp))
+
+
+
+class TestIntCellFields:
+    """The int cell fields against the ``Fraction`` construction they
+    replaced (``oracles.fraction_cell_field``): every piece's map and the
+    sup, on the three specs at stages 1 to 3."""
+
+    @staticmethod
+    def assert_equals_the_oracle(field, oracle, label):
+        assert all(type(v) is int for m in field.maps for v in m), label
+        assert all(type(v) is int for v in field.sup_norm), label
+        assert patch_tuples(fraction_field(field)) == patch_tuples(oracle), label
+        assert F(*field.sup_norm) == sup_norm(oracle), label
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_the_ramps_and_the_wedge_remainder(self, name, n):
+        # the ramp's int evaluation at the cell centres against value_at on
+        # the Fraction centres, for each row target
+        flat = flattened_stage(name, n)
+        for label, f in ROW_TARGETS.items():
+            self.assert_equals_the_oracle(build_ramp(flat, f), fraction_ramp(flat, f), label)
+        # the wedge section's remainder for the gradient (1, 0), as for f = x
+        wedge_slopes = [(1, 0)] * len(flat.cells)
+        self.assert_equals_the_oracle(build_cell_field(flat, wedge_slopes, 1),
+                                      fraction_cell_field(flat, wedge_slopes), "wedge (1, 0)")
+
+    def test_a_seam_takes_its_owners_values_into_the_sup(self):
+        # on a stage every seam vertex lies on its owner's own pieces, so a
+        # field of seams alone is what shows the seam vertices in the sup
+        cells = ((0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 2, 2))
+        seams = ((((0, 0), (2, 0), (0, 2)), (0, 1, 1)), (((2, 0), (2, 2), (0, 2)), (1, 2, 1)))
+        flat = witness.FlattenedField((), 2, seams, (0, 0), (), (), cells, ())
+        slopes = [(3, -1), (-2, 5), (1, 4)]
+        field = build_cell_field(flat, slopes, 7)
+        oracle = fraction_cell_field(flat, [(F(gx, 7), F(gy, 7)) for gx, gy in slopes])
+        self.assert_equals_the_oracle(field, oracle, "seams alone")
+        assert field.sup_norm[0] > 0
+
+    # no shrink phase, as for the seam solve above
+    @given(st.data())
+    @settings(max_examples=30, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_any_int_slopes_over_any_denominator(self, data):
+        flat = flattened_stage(data.draw(st.sampled_from(sorted(SPECS))),
+                               data.draw(st.integers(1, 3)))
+        den = data.draw(st.integers(1, 60))
+        slopes = data.draw(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                                    min_size=len(flat.cells), max_size=len(flat.cells)))
+        self.assert_equals_the_oracle(
+            build_cell_field(flat, slopes, den),
+            fraction_cell_field(flat, [(F(gx, den), F(gy, den)) for gx, gy in slopes]), den)
 
 
 def generic_rows(spec, f, n, m):
@@ -408,7 +462,7 @@ def generic_rows(spec, f, n, m):
     tent_energies = [dirichlet_energy(PiecewiseAffineField(field_patches(t, flat.scale), 1), pf)
                      for t in stage.tents]
     e_flat = dirichlet_energy(coordinate_minus(flat), pf)
-    ramp_sup_sq = ramp.sup_norm() ** 2
+    ramp_sup_sq = F(*ramp.sup_norm) ** 2
     omega, _ = build_cutoff_form(spec, n, f, flat)
     y = coordinate_field("y")
     wedge_fg = wedge(d0(f), d0(y))
@@ -436,8 +490,9 @@ def generic_rows(spec, f, n, m):
 def stage_regions(name, n):
     """The vertex tuples of the stage-n ramp and flattened patches, and their scale."""
     stage = build_stage(SPECS[name], n, constant_field(1))
-    return (tuple(p.vertices for p in stage.ramp.patches + stage.flattened.patches),
-            stage.flattened.scale)
+    flat = stage.flattened
+    return (tuple(verts for verts, _ in flat.pieces) + tuple(p.vertices for p in flat.patches),
+            flat.scale)
 
 
 class TestTranslationClasses:

@@ -2,8 +2,8 @@
 parameter its function never reads, no private helper without a caller, no
 public helper that is neither called nor exported, no public method without
 a caller, no dataclass field that nothing reads, a stage lattice built
-without ``Fraction``, region moments and integral kernels on ints, and a
-clip chain that works on the vertices it is given."""
+without ``Fraction``, region moments, integral kernels and cell fields on
+ints, and a clip chain that works on the vertices it is given."""
 
 import ast
 from collections import Counter
@@ -142,10 +142,12 @@ def test_every_dataclass_field_is_read():
 # class itself and the module constants that hold Fractions
 INT_BUILDERS = {"build_tents", "_stage_layout"}
 FRACTION_NAMES = {"Fraction", "ZERO", "HALF"}
-# the region walk, its moments and the integral kernels over them, by
-# module: they run on ints and leave the one Fraction to their caller
+# the region walk, its moments, the integral kernels over them and the
+# cell fields the rows integrate, by module: they run on ints and leave the
+# one Fraction to their caller
 INT_KERNELS = {"carpet.py": {"Prefractal._region_moments", "Prefractal._walk"},
-               "geometry.py": {"poly_dot", "square_integral"}}
+               "geometry.py": {"poly_dot", "square_integral"},
+               "witness.py": {"build_cell_field", "build_ramp"}}
 # the clip chain of check_local_constancy, by module, and the names that
 # would put its polygons on a common lattice: the lcm, a rational's parts and
 # the lattice and canonical-form helpers
@@ -185,8 +187,9 @@ def test_the_stage_lattice_is_built_without_fractions():
 
 
 def test_region_moments_and_kernels_are_ints():
-    # the walk, the region moments it gives and the kernels that integrate
-    # over them construct no Fraction and read no Fraction constant
+    # the walk, the region moments it gives, the kernels that integrate over
+    # them and the functions that build the cell fields construct no Fraction
+    # and read no Fraction constant
     root = Path(carpetcurl.__file__).parent
     found = [(module, use) for module, names in INT_KERNELS.items()
              for use in forbidden_uses((root / module).read_text(encoding="utf-8"), names,

@@ -31,6 +31,7 @@ from oracles import (
     coordinate_minus,
     curl_defect_sq,
     dirichlet_energy,
+    fraction_field,
     fraction_tents,
     lambda_energy,
     l2_norm_sq,
@@ -342,13 +343,13 @@ class TestFlattened:
 class TestRamp:
     def test_sup_below_previous_side(self, spec35):
         ramp = build_ramp(build_flattened(spec35, 2), constant_field(1))
-        assert ramp.sup_norm() == F(1, 6)
-        assert ramp.sup_norm() <= side_length(spec35, 1)
+        assert F(*ramp.sup_norm) == F(1, 6)
+        assert F(*ramp.sup_norm) <= side_length(spec35, 1)
 
     def test_core_gradient_is_horizontal(self, spec35):
         # off the seams the ramp must slide horizontally at unit rate
         ramp = build_ramp(build_flattened(spec35, 2), constant_field(1))
-        horizontal = [p for p in ramp.patches if (p.cx, p.cy) == (F(1), F(0))]
+        horizontal = [p for p in fraction_field(ramp).patches if (p.cx, p.cy) == (F(1), F(0))]
         assert sum(polygon_area(p.vertices) for p in horizontal) > F(1, 2)
 
     def test_continuity_off_holes(self, spec35):
@@ -392,7 +393,7 @@ class TestRamp:
             "             (((z, z), (o, z), (o, o)), (0, 1, 2))):\n"
             "    flattened = FlattenedField((), 2, (seam,), (0,), (), (), cells, ())\n"
             "    try:\n"
-            "        build_cell_field(flattened, [(1, 0)] * 3)\n"
+            "        build_cell_field(flattened, [(1, 0)] * 3, 1)\n"
             "    except ConstructionError as exc:\n"
             "        print(type(exc).__name__, exc)\n"
         )
