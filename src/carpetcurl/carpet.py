@@ -10,9 +10,12 @@ query region is taken as the stage layout builds it: a canonical convex
 polygon (``geometry.strictly_convex``), a tuple of int vertex pairs with the
 scale they are over, so the point (x, y) is (x / scale, y / scale).  Each
 translation class of regions is walked once, on the block of squares that
-keys it, on integers, and a region's moments stay ints: numerators over the
-scale of the lattice the walk refined it to (``Prefractal.moments``), which
-the rows sum as ints before they make one ``Fraction``.  Squares and holes
+keys it, on integers: each square passes down only the region lines that
+cross it, a leaf crossed by one line is the square clipped by that line,
+and a hole inside the region is subtracted in closed form.  A region's
+moments stay ints: numerators over the scale of the lattice the walk
+refined it to (``Prefractal.moments``), which the rows sum as ints before
+they make one ``Fraction``.  Squares and holes
 are ints too: ``enumerate_squares`` gives level-m corners on the lattice of
 the level-m side, and a stage-n partition lies on (1/L_n)Z^2, L_n =
 ``stage_scale(spec, n)``, where ``enumerate_holes`` gives the hole boxes,
@@ -308,7 +311,9 @@ class Prefractal:
     and its vertices relative to that block's corner.  ``_walk`` reads only
     the key and starts at the mask's surviving squares, so ``_classes``
     keeps each class's moments relative to the corner, and a translate
-    shifts them to its own.
+    shifts them to its own.  The walk tests a square against the region
+    lines that cross its parent only; a leaf crossed by one line clips the
+    square by it, and one crossed by more clips the region by the square.
     """
 
     def __init__(self, spec: CarpetSpec, level: int):
@@ -401,7 +406,9 @@ class Prefractal:
         if not strictly_convex(reg):
             raise ValueError(f"region with {len(reg)} vertices is not convex and "
                              "counterclockwise with a strict turn at each vertex")
-        if min(min(p) for p in reg) < 0 or max(max(p) for p in reg) > scale:
+        xs, ys = [x for x, _ in reg], [y for _, y in reg]
+        bx0, by0, bx1, by1 = min(xs), min(ys), max(xs), max(ys)
+        if bx0 < 0 or by0 < 0 or bx1 > scale or by1 > scale:
             raise OutOfUnitSquare("region leaves the unit square")
         # reg is a CCW convex region as integer vertices over scale.  Move
         # it to a lattice on which every side length is an integer, refined so
@@ -422,8 +429,8 @@ class Prefractal:
         scale *= up
         reg = [(x * up, y * up) for (x, y) in reg]
         sides = [d * (scale // self.side_scale) for d in self.side_ints]
-        bbox = (min(p[0] for p in reg), min(p[1] for p in reg),
-                max(p[0] for p in reg), max(p[1] for p in reg))
+        # the one bbox of the region, on the refined lattice
+        bx0, by0, bx1, by1 = bx0 * up, by0 * up, bx1 * up, by1 * up
         # The translation class: j is the deepest level whose squares are at
         # least as wide as the bbox, so the open bbox meets a block of at most
         # 2 x 2 level-j squares.  Every stage-k hole with k <= j is a union of
@@ -431,16 +438,16 @@ class Prefractal:
         # pattern, so the block's survival mask and the region's vertices
         # relative to the block's corner fix the moments up to translation.
         j = self.level
-        while sides[j] < max(bbox[2] - bbox[0], bbox[3] - bbox[1]):
+        while sides[j] < max(bx1 - bx0, by1 - by0):
             j -= 1
         d = sides[j]
-        x0, y0 = bbox[0] // d * d, bbox[1] // d * d
+        x0, y0 = bx0 // d * d, by0 // d * d
         # a level-j square is removed iff both of its level-k digits are the
         # centre digit at some level k <= j
         mask = tuple(tuple(all(x // sides[k] % q != q // 2 or y // sides[k] % q != q // 2
                                for k, q in enumerate(self.subdiv[:j], start=1))
-                           for x in range(x0, bbox[2], d))
-                     for y in range(y0, bbox[3], d))
+                           for x in range(x0, bx1, d))
+                     for y in range(y0, by1, d))
         rel = tuple((x - x0, y - y0) for x, y in reg)
         key = (scale, j, mask, rel)
         base = self._classes.get(key)
@@ -451,7 +458,11 @@ class Prefractal:
     def _walk(self, reg, sides, j, mask):
         # the six moments of reg over the level-m set inside the block of
         # level-j squares whose survival is mask, reg and the block relative to
-        # the block's corner, as integers over 24 * scale^(2+p+q)
+        # the block's corner, as integers over 24 * scale^(2+p+q).  Each
+        # square is tested against the region planes that cross its parent: a
+        # plane that holds on a square's four corners holds on its children,
+        # so a square that no plane crosses is covered, and a leaf is clipped
+        # against only the planes that cross it.
         scale = sides[0]
         xs, ys = [x for x, _ in reg], [y for _, y in reg]
         rbx0, rby0, rbx1, rby1 = min(xs), min(ys), max(xs), max(ys)
@@ -465,8 +476,27 @@ class Prefractal:
         # moment_sums of the leaf pieces, over MOMENT_DIVISORS * scale^(2+p+q)
         leaf_sums = [0] * 6
         # per level, over the lower-left corners (x0, y0) of the squares the
-        # region covers: count, sum x0, sum y0, sum x0^2, sum x0*y0, sum y0^2
+        # region covers: count, sum x0, sum y0, sum x0^2, sum x0*y0, sum y0^2;
+        # a hole inside the region enters the level-m sums with sign -1
         covered = [[0] * 6 for _ in sides]
+
+        def crossing(among, x0, y0, d):
+            # the planes among ``among`` that cross the square of side d at
+            # (x0, y0), or None when one of them holds nowhere on it; every
+            # other plane holds on all of the square
+            x1, y1 = x0 + d, y0 + d
+            out = []
+            for plane in among:
+                a, b, c = plane
+                v00 = a * x0 + b * y0 - c
+                v10 = a * x1 + b * y0 - c
+                v11 = a * x1 + b * y1 - c
+                v01 = a * x0 + b * y1 - c
+                if v00 < 0 or v10 < 0 or v11 < 0 or v01 < 0:
+                    if v00 < 0 and v10 < 0 and v11 < 0 and v01 < 0:
+                        return None
+                    out.append(plane)
+            return out
 
         def clip(pts, a, b, c):
             # the part of pts with a*x + b*y >= c
@@ -489,34 +519,35 @@ class Prefractal:
                 cur, fc = fol, fn
             return out
 
-        def leaf(x0, y0, d, sign):
-            # add sign * the moment sums of region intersect [x0, x0+d] x [y0, y0+d]
-            pts = reg
-            for (a, b, c) in ((-1, 0, -(x0 + d)), (1, 0, x0), (0, -1, -(y0 + d)), (0, 1, y0)):
-                pts = clip(pts, a, b, c)
-                if not pts:
-                    return
+        def leaf(x0, y0, d, cut, sign):
+            # add sign * the moment sums of region intersect [x0, x0+d] x [y0, y0+d],
+            # cut being the region's planes that cross the square
+            x1, y1 = x0 + d, y0 + d
+            if len(cut) == 1:
+                # the square clipped by the one line: each new vertex is where
+                # the line meets a grid line, a lattice point
+                pts = clip(((x0, y0), (x1, y0), (x1, y1), (x0, y1)), *cut[0])
+            else:
+                # two region lines may meet off the lattice outside the
+                # region, so the region is clipped by the square instead
+                pts = reg
+                for (a, b, c) in ((-1, 0, -x1), (1, 0, x0), (0, -1, -y1), (0, 1, y0)):
+                    pts = clip(pts, a, b, c)
+                    if not pts:
+                        return
             for i, s in enumerate(moment_sums(pts)):
                 leaf_sums[i] += sign * s
 
         level = self.level
 
-        def walk(k, x0, y0):
+        def walk(k, x0, y0, among):
             d = sides[k]
-            x1, y1 = x0 + d, y0 + d
-            if x1 <= rbx0 or x0 >= rbx1 or y1 <= rby0 or y0 >= rby1:
+            if x0 + d <= rbx0 or x0 >= rbx1 or y0 + d <= rby0 or y0 >= rby1:
                 return
-            inside = True
-            for (a, b, c) in planes:
-                v00 = a * x0 + b * y0 - c
-                v10 = a * x1 + b * y0 - c
-                v11 = a * x1 + b * y1 - c
-                v01 = a * x0 + b * y1 - c
-                if v00 < 0 or v10 < 0 or v11 < 0 or v01 < 0:
-                    inside = False
-                    if v00 < 0 and v10 < 0 and v11 < 0 and v01 < 0:
-                        return
-            if inside:
+            cut = crossing(among, x0, y0, d)
+            if cut is None:
+                return
+            if not cut:
                 t = covered[k]
                 t[0] += 1
                 t[1] += x0
@@ -528,15 +559,28 @@ class Prefractal:
             if k == level:
                 # only a walk that starts at level m gets here; the others
                 # stop one level up with the hole complement below
-                leaf(x0, y0, d, 1)
+                leaf(x0, y0, d, cut, 1)
                 return
             q = self.subdiv[k]
             dc = sides[k + 1]
             c = (q - 1) // 2
             if k == level - 1:
-                # inside S the level-m set is S minus its open central hole H
-                leaf(x0, y0, d, 1)
-                leaf(x0 + c * dc, y0 + c * dc, dc, -1)
+                # inside S the level-m set is S minus its open central hole H,
+                # a level-m square: outside the region it is skipped, inside
+                # it is subtracted in closed form, and otherwise clipped
+                leaf(x0, y0, d, cut, 1)
+                hx, hy = x0 + c * dc, y0 + c * dc
+                hole_cut = crossing(cut, hx, hy, dc)
+                if hole_cut:
+                    leaf(hx, hy, dc, hole_cut, -1)
+                elif hole_cut is not None:
+                    t = covered[level]
+                    t[0] -= 1
+                    t[1] -= hx
+                    t[2] -= hy
+                    t[3] -= hx * hx
+                    t[4] -= hx * hy
+                    t[5] -= hy * hy
                 return
             jx0 = max(0, (rbx0 - x0) // dc)
             jx1 = min(q - 1, (rbx1 - 1 - x0) // dc)
@@ -547,20 +591,20 @@ class Prefractal:
                 for jx in range(jx0, jx1 + 1):
                     if jx == c and jy == c:
                         continue
-                    walk(k + 1, x0 + jx * dc, cy)
+                    walk(k + 1, x0 + jx * dc, cy, cut)
 
         # the walk enters the block only at its surviving level-j squares
         d = sides[j]
         for iy, row in enumerate(mask):
             for ix, alive in enumerate(row):
                 if alive:
-                    walk(j, ix * d, iy * d)
+                    walk(j, ix * d, iy * d, planes)
         # the leaf sums plus, per level, the pattern moments on this lattice
         # shifted to the covered squares' corners
         up = scale // self.side_scale
         num = [s * (24 // div) for s, div in zip(leaf_sums, MOMENT_DIVISORS)]
         for pattern, sums in zip(self.pattern, covered):
-            if sums[0]:
+            if any(sums):
                 scaled = [v * up ** (2 + p + q) for v, (p, q) in zip(pattern, MONOMIALS)]
                 num = [a + b for a, b in zip(num, _shifted_moments(scaled, sums))]
         return num

@@ -547,7 +547,8 @@ def _over_lcd(*values):
 class _RowSum:
     """A row summed on ints: each term is an int pair (numerator,
     denominator), the numerators are added per denominator, and ``value``
-    is one ``Fraction`` over the lcm of the distinct denominators."""
+    is one ``Fraction`` over the lcm of the distinct denominators, the int
+    pair that ``pair`` gives."""
 
     def __init__(self, terms=()):
         self.sums = {}
@@ -557,9 +558,23 @@ class _RowSum:
     def add(self, num, den):
         self.sums[den] = self.sums.get(den, 0) + num
 
-    def value(self) -> Fraction:
+    def pair(self):
         common = lcm(*self.sums)
-        return Fraction(sum(num * (common // den) for den, num in self.sums.items()), common)
+        return sum(num * (common // den) for den, num in self.sums.items()), common
+
+    def value(self) -> Fraction:
+        return Fraction(*self.pair())
+
+
+def _largest(pairs) -> Fraction:
+    """The largest of non-negative int pairs (numerator, positive
+    denominator), compared by cross-multiplication, as one ``Fraction``;
+    0 when there is none."""
+    top, bottom = 0, 1
+    for num, den in pairs:
+        if num * bottom > top * den:
+            top, bottom = num, den
+    return Fraction(top, bottom)
 
 
 def flattening_density(gx: int, gy: int, d: int):
@@ -651,8 +666,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
                    note=f"total tents {len(stage.tents)}")
 
         pt_bound = per_tent_bound(spec, n)
-        worst = max((_RowSum(defect[i] for i in tags).value() for tags in flat.tent_tags),
-                    default=ZERO)
+        worst = _largest(_RowSum(defect[i] for i in tags).pair() for tags in flat.tent_tags)
         e_tents = _RowSum(defect[i] for tags in flat.tent_tags for i in tags).value()
         report.add("witness", n, "tent_energy_max", worst, pt_bound, worst <= pt_bound)
 

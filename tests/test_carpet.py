@@ -146,6 +146,30 @@ def refined_lattice_cases(draw):
     return depth, region
 
 
+def lattice_case(depth, lattice, pts):
+    """(depth, region) for a case given as int points over ``lattice``."""
+    return depth, normalize_polygon((F(x, lattice), F(y, lattice)) for x, y in pts)
+
+
+# a fourth stage of ratio 1/3 behind ORACLE_RATIOS: the level-4 squares are
+# 1/315 wide, and a region on the doubled lattice stays in a window one
+# level-2 square wide, where the brute-force oracle clips about 500 leaves
+DEPTH_FOUR_SPEC = CarpetSpec(ORACLE_RATIOS + (F(1, 3),))
+DEPTH_FOUR_LATTICE = 630
+
+
+@st.composite
+def depth_four_cases(draw):
+    """(4, region): a convex hull inside a window a fifteenth wide."""
+    span = DEPTH_FOUR_LATTICE // 15
+    ox = draw(st.integers(0, DEPTH_FOUR_LATTICE - span))
+    oy = draw(st.integers(0, DEPTH_FOUR_LATTICE - span))
+    pts = convex_hull([(ox + draw(st.integers(0, span)), oy + draw(st.integers(0, span)))
+                       for _ in range(draw(st.integers(3, 6)))])
+    assume(len(pts) >= 3)
+    return lattice_case(4, DEPTH_FOUR_LATTICE, pts)
+
+
 # the eight rational directions of a star around the centre of the unit square
 STAR_DIRECTIONS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
@@ -432,17 +456,40 @@ class TestRegionMeasure:
 
     @given(oracle_cases(), st.integers(1, 12))
     @example((2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))), 7)
+    # one region line crosses the unit square and cuts its hole in half
+    @example(lattice_case(1, 2, ((0, 0), (2, 0), (2, 1), (0, 1))), 1)
+    # holes wholly inside the triangle, beside leaves crossed by one line
+    # and corner leaves crossed by two
+    @example(lattice_case(3, LATTICE, ((20, 30), (190, 40), (50, 180))), 3)
+    # a region inside one level-2 square: the walk starts at j == level
+    @example(lattice_case(2, LATTICE, ((1, 1), (10, 2), (3, 9))), 1)
     @settings(max_examples=50, deadline=None)
     def test_brute_force_oracle_on_a_triangle(self, case, k):
         # interior closed forms, hole complements and leaf clips
         assert_walk_matches_brute_force(*case, k=k)
 
     @given(refined_lattice_cases(), st.integers(1, 12))
+    # two region lines cross one leaf and meet off the lattice outside the
+    # region, so that leaf clips the region by the square; the other leaves
+    # and a hole are crossed by one line
+    @example(lattice_case(2, PRIME_LATTICE, ((66, 156), (169, 7), (183, 56), (180, 62),
+                                             (156, 84))), 2)
+    # the same at depth 1: all four lines cross the unit square, and two of
+    # them its hole
+    @example(lattice_case(1, PRIME_LATTICE, ((52, 44), (72, 37), (160, 155), (62, 66))), 1)
     @settings(max_examples=40, deadline=None)
     def test_brute_force_oracle_on_a_refined_lattice(self, case, k):
         # slanted edges cross the grid lines off the carpet's lattice, so the
         # walk must refine its integer lattice until every crossing is on it
         assert_walk_matches_brute_force(*case, k=k)
+
+    @given(depth_four_cases(), st.integers(1, 12))
+    # a quadrilateral over one level-2 square: every kind of leaf and hole
+    @example(lattice_case(4, DEPTH_FOUR_LATTICE, ((128, 130), (166, 127), (160, 165),
+                                                  (131, 150))), 1)
+    @settings(max_examples=20, deadline=None)
+    def test_brute_force_oracle_in_a_depth_four_window(self, case, k):
+        assert_walk_matches_brute_force(*case, spec=DEPTH_FOUR_SPEC, k=k)
 
     def test_unsupported_monomial_rejected(self, pf35_2):
         tiny = ((F(1, 100), F(1, 100)), (F(1, 50), F(1, 100)), (F(1, 100), F(1, 50)))
@@ -744,9 +791,12 @@ class TestRegionMemo:
         assert pf._regions == {(scale, tri): moments}
         assert pf.region_measure(tri, scale) == F(t[0], 24 * s * s)
 
-    def test_a_region_outside_the_unit_square_raises_on_every_call(self, spec35):
+    @pytest.mark.parametrize("shift", [(F(0), F(1, 2)), (F(0), F(-1, 2)),
+                                       (F(1, 2), F(0)), (F(-1, 2), F(0))])
+    def test_a_region_outside_the_unit_square_raises_on_every_call(self, spec35, shift):
+        # past each of the four sides in turn
         pf = Prefractal(spec35, 2)
-        out = tuple((x, y + F(1, 2)) for x, y in self.TRI)
+        out = tuple((x + shift[0], y + shift[1]) for x, y in self.TRI)
         for _ in range(2):
             with pytest.raises(OutOfUnitSquare):
                 pf.moments(*on_lattice(out))

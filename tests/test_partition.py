@@ -65,6 +65,7 @@ from oracles import (
     norm_sq_two,
     patch_from_vertex_values,
     product_with_gradient,
+    RegionClipPrefractal,
     sup_norm,
     vertical_defect_sq,
     wedge,
@@ -527,6 +528,22 @@ class TestTranslationClasses:
         # one walk per translation class; each of the 2,605 patches was one
         # walk before the classes
         assert len(walks) == len(pf._classes) <= 150
+
+
+class TestSquareClipWalk:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_every_stage_region_against_the_region_clipping_walk(self, name, n):
+        # the walk that clips a leaf square by the region lines crossing it
+        # against the one that clips the region by every leaf square, on the
+        # ramp and flattened patches at every depth the spec reaches up to 4
+        spec = SPECS[name]
+        regions, scale = stage_regions(name, n)
+        for m in range(1, 5 if spec.generator else len(spec.ratios) + 1):
+            pf, oracle = Prefractal(spec, m), RegionClipPrefractal(spec, m)
+            assert [pf.moments(r, scale) for r in regions] == [
+                oracle.moments(r, scale) for r in regions], m
+            assert pf._classes == oracle._classes, m
 
 
 class TestTaggedRows:

@@ -3,9 +3,11 @@ parameter its function never reads, no private helper without a caller, no
 public helper that is neither called nor exported, no public method without
 a caller, no dataclass field that nothing reads, a stage lattice built
 without ``Fraction``, region moments, integral kernels and cell fields on
-ints, and a clip chain that works on the vertices it is given."""
+ints, and a clip chain that works on the vertices it is given.  Last, the
+committed benchmark records share one schema."""
 
 import ast
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -108,8 +110,9 @@ def test_every_public_helper_has_a_caller_or_is_exported():
     assert unused == []
 
 
+ROOT = Path(carpetcurl.__file__).resolve().parents[2]
 # the benchmark's tracer reads package objects by attribute too
-TRACER = Path(carpetcurl.__file__).resolve().parents[2] / "perfbench" / "tracer.py"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def is_dataclass(node):
@@ -206,3 +209,26 @@ def test_the_clip_chain_works_on_the_given_vertices():
              for use in forbidden_uses((root / module).read_text(encoding="utf-8"), names,
                                        FRACTION_NAMES | LATTICE_NAMES)]
     assert found == []
+
+
+# the top-level keys every committed BENCH_*.json record carries
+BENCH_KEYS = {"change", "claim", "machine", "method", "outputs", "parent", "title", "workloads"}
+
+
+def test_every_benchmark_record_has_the_shared_schema():
+    # each record names only workloads the benchmark defines, and a claim
+    # that names a metric and a workload names ones the benchmark defines
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    metrics = {m["name"] for group in ("end_to_end", "per_layer") for m in benchmark[group]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert BENCH_KEYS <= set(record), (path.name, sorted(BENCH_KEYS - set(record)))
+        assert set(record["workloads"]) <= workloads, path.name
+        claim = record["claim"]
+        if "metric" in claim:
+            assert claim["metric"] in metrics, path.name
+        if "workload" in claim:
+            assert claim["workload"] in workloads, path.name

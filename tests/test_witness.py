@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import carpetcurl
 from carpetcurl.carpet import Prefractal, enumerate_holes, side_length, stage_lines, stage_scale
@@ -11,6 +13,7 @@ from carpetcurl.fields import affine_field, constant_field
 from carpetcurl.geometry import polygon_area
 from carpetcurl.report import leq_sqrt_sum_sq
 from carpetcurl.witness import (
+    _largest,
     build_flattened,
     build_neighborhoods,
     build_ramp,
@@ -463,6 +466,16 @@ class TestVerifySequence:
         for n in (1, 2):
             assert report.get("witness", n, "ramp_sup").bound == \
                 sup_norm(f) * side_length(spec35, n - 1)
+
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 10 ** 6)), max_size=8))
+    # the larger numerator is the smaller value, and the product of a pair's
+    # own parts would rank them the other way too
+    @example([(2, 3), (1, 1)])
+    @example([])
+    @settings(max_examples=200, deadline=None)
+    def test_the_worst_tent_is_the_largest_pair(self, pairs):
+        # tent_energy_max compares the tents' int pairs by cross-multiplication
+        assert _largest(pairs) == max((F(n, d) for n, d in pairs), default=F(0))
 
 
 class TestBuildWitnessApi:
