@@ -11,8 +11,12 @@ polygon (``geometry.strictly_convex``), a tuple of int vertex pairs with the
 scale they are over, so the point (x, y) is (x / scale, y / scale).  Each
 translation class of regions is walked once, on the block of squares that
 keys it, on integers: each square passes down only the region lines that
-cross it, a leaf crossed by one line is the square clipped by that line,
-and a hole inside the region is subtracted in closed form.  A region's
+cross it, and its children are taken a row at a time, the run inside the
+region in closed form as arithmetic series of corners.  A leaf crossed by
+one line is a translate of a cut square, the square at the origin cut by
+the moved line, so the walk sums the translates' corners and moves the cut
+square's moments once; a hole inside the region is subtracted in closed
+form.  A region's
 moments stay ints: numerators over the scale of the lattice the walk
 refined it to (``Prefractal.moments``), which the rows sum as ints before
 they make one ``Fraction``.  Squares and holes
@@ -312,8 +316,14 @@ class Prefractal:
     the key and starts at the mask's surviving squares, so ``_classes``
     keeps each class's moments relative to the corner, and a translate
     shifts them to its own.  The walk tests a square against the region
-    lines that cross its parent only; a leaf crossed by one line clips the
-    square by it, and one crossed by more clips the region by the square.
+    lines that cross its parent only, and a crossed square's children a
+    row at a time: one floor division per line bounds the run of children
+    inside every line, which enters the covered power sums as arithmetic
+    series, and the run outside none, whose rest is walked.  A leaf (or a
+    level-m hole) crossed by one line is the origin square cut by the moved
+    line, translated; ``_templates`` keeps the moments of each such cut
+    square, clipped when first seen, and the walk sums the translates'
+    corners.  A leaf crossed by more lines clips the region by the square.
     """
 
     def __init__(self, spec: CarpetSpec, level: int):
@@ -346,6 +356,12 @@ class Prefractal:
         self._classes = {}
         # (scale, region) -> (six int moment numerators, their scale)
         self._regions = {}
+        # level j -> the centre-digit bitmasks of the level-j indices
+        self._digit_bits = {}
+        # cut square (side, a, b, c) -> 24 times the moments, over
+        # MONOMIALS, of the square of that side at the origin cut by
+        # a*x + b*y >= c, on the lattice of that side
+        self._templates = {}
 
     @property
     def measure(self) -> Fraction:
@@ -364,10 +380,13 @@ class Prefractal:
         unit square (``geometry.strictly_convex``).  A list, a non-int vertex
         or a non-int scale raises ``TypeError`` on every call; a region is
         checked for the rest when it is first computed, before anything is
-        stored: a non-canonical one raises ``ValueError`` and one leaving the
-        unit square ``OutOfUnitSquare``.  This is the one region path: each
-        region is computed once per instance and then looked up by ``(scale,
-        region)`` as given.  The numerators are in MONOMIALS order and not
+        stored, in this order: fewer than three vertices raises
+        ``ValueError``, leaving the unit square ``OutOfUnitSquare``, and a
+        non-canonical region ``ValueError``.  Convexity is tested once per
+        translation class, before its walk: a region whose class is known is
+        a scaled translate of one that passed.  This is the one region path:
+        each region is computed once per instance and then looked up by
+        ``(scale, region)`` as given.  The numerators are in MONOMIALS order and not
         reduced: s is a multiple of ``scale`` fixed by the region's edges
         (``_region_moments``), so one polygon on two scales may give two
         pairs of equal value.  ``geometry.poly_dot`` and
@@ -403,21 +422,21 @@ class Prefractal:
         return self.integrate(region, scale, {(0, 0): 1})
 
     def _region_moments(self, reg, scale):
-        if not strictly_convex(reg):
-            raise ValueError(f"region with {len(reg)} vertices is not convex and "
-                             "counterclockwise with a strict turn at each vertex")
+        if len(reg) < 3:
+            raise _not_convex(reg)
         xs, ys = [x for x, _ in reg], [y for _, y in reg]
         bx0, by0, bx1, by1 = min(xs), min(ys), max(xs), max(ys)
         if bx0 < 0 or by0 < 0 or bx1 > scale or by1 > scale:
             raise OutOfUnitSquare("region leaves the unit square")
-        # reg is a CCW convex region as integer vertices over scale.  Move
-        # it to a lattice on which every side length is an integer, refined so
-        # that every crossing of a region edge with a grid line is a lattice
-        # point: a slanted edge (dx, dy) through (x_p, y_p) meets x = X at
-        # y_p + (X - x_p) * dy / dx, an integer when dx / gcd(dx, dy) divides
-        # X - x_p, a multiple of refine; likewise for y = Y.  Clipped edges lie
-        # on region edge lines or on grid lines, so the walk, its leaf clips
-        # and its moment sums all run on integers.
+        # reg is integer vertices over scale, a CCW convex region once its
+        # class passes the test below.  Move it to a lattice on which every
+        # side length is an integer, refined so that every crossing of a
+        # region edge with a grid line is a lattice point: a slanted edge
+        # (dx, dy) through (x_p, y_p) meets x = X at y_p + (X - x_p) * dy / dx,
+        # an integer when dx / gcd(dx, dy) divides X - x_p, a multiple of
+        # refine; likewise for y = Y.  Clipped edges lie on region edge lines
+        # or on grid lines, so the walk, its leaf clips and its moment sums
+        # all run on integers.
         refine = 1
         for i in range(len(reg)):
             dx = reg[i][0] - reg[i - 1][0]
@@ -442,18 +461,33 @@ class Prefractal:
             j -= 1
         d = sides[j]
         x0, y0 = bx0 // d * d, by0 // d * d
-        # a level-j square is removed iff both of its level-k digits are the
-        # centre digit at some level k <= j
-        mask = tuple(tuple(all(x // sides[k] % q != q // 2 or y // sides[k] % q != q // 2
-                               for k, q in enumerate(self.subdiv[:j], start=1))
-                           for x in range(x0, bx1, d))
-                     for y in range(y0, by1, d))
+        # the survival of the level-j squares the open bbox meets
+        bits = self._central_digits(j)
+        row = bits[x0 // d:-(-bx1 // d)]
+        mask = tuple([tuple([not (bx & by) for bx in row]) for by in bits[y0 // d:-(-by1 // d)]])
         rel = tuple((x - x0, y - y0) for x, y in reg)
         key = (scale, j, mask, rel)
         base = self._classes.get(key)
         if base is None:
+            # a region with this key is a scaled translate of rel, so one
+            # test per class settles convexity for all of them
+            if not strictly_convex(rel):
+                raise _not_convex(rel)
             base = self._classes[key] = self._walk(rel, sides, j, mask)
         return _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0)), scale
+
+    def _central_digits(self, j):
+        # per axis, the level-j square indices as bitmasks: bit k - 1 is set
+        # when the index's level-k digit is the centre digit, so a level-j
+        # square (ix, iy) is removed iff bits[ix] & bits[iy]; the same list
+        # serves both axes and is built once per level queried
+        bits = self._digit_bits.get(j)
+        if bits is None:
+            bits = [0]
+            for k, q in enumerate(self.subdiv[:j]):
+                bits = [b | (1 << k) if digit == q // 2 else b for b in bits for digit in range(q)]
+            self._digit_bits[j] = bits
+        return bits
 
     def _walk(self, reg, sides, j, mask):
         # the six moments of reg over the level-m set inside the block of
@@ -461,8 +495,15 @@ class Prefractal:
         # the block's corner, as integers over 24 * scale^(2+p+q).  Each
         # square is tested against the region planes that cross its parent: a
         # plane that holds on a square's four corners holds on its children,
-        # so a square that no plane crosses is covered, and a leaf is clipped
-        # against only the planes that cross it.
+        # so a square that no plane crosses is covered.  A crossed square
+        # takes its children a row at a time (``_row_ranges``): the run of
+        # children inside every plane enters the covered power sums as
+        # arithmetic series, the ones outside a plane are skipped, and only
+        # the rest are walked.  A leaf (or a level-m hole) crossed by one
+        # line is a translate of the origin square cut by the moved line, so
+        # its corner enters the power sums of that cut square, whose moments
+        # (``_templates``) are clipped once per instance; a leaf crossed by
+        # more lines clips the region by the square.
         scale = sides[0]
         xs, ys = [x for x, _ in reg], [y for _, y in reg]
         rbx0, rby0, rbx1, rby1 = min(xs), min(ys), max(xs), max(ys)
@@ -473,30 +514,18 @@ class Prefractal:
             b = p[0] - q[0]
             planes.append((-a, -b, -(a * p[0] + b * p[1])))
 
-        # moment_sums of the leaf pieces, over MOMENT_DIVISORS * scale^(2+p+q)
+        # moment_sums of the leaves crossed by two or more lines, over
+        # MOMENT_DIVISORS * scale^(2+p+q)
         leaf_sums = [0] * 6
         # per level, over the lower-left corners (x0, y0) of the squares the
         # region covers: count, sum x0, sum y0, sum x0^2, sum x0*y0, sum y0^2;
         # a hole inside the region enters the level-m sums with sign -1
         covered = [[0] * 6 for _ in sides]
-
-        def crossing(among, x0, y0, d):
-            # the planes among ``among`` that cross the square of side d at
-            # (x0, y0), or None when one of them holds nowhere on it; every
-            # other plane holds on all of the square
-            x1, y1 = x0 + d, y0 + d
-            out = []
-            for plane in among:
-                a, b, c = plane
-                v00 = a * x0 + b * y0 - c
-                v10 = a * x1 + b * y0 - c
-                v11 = a * x1 + b * y1 - c
-                v01 = a * x0 + b * y1 - c
-                if v00 < 0 or v10 < 0 or v11 < 0 or v01 < 0:
-                    if v00 < 0 and v10 < 0 and v11 < 0 and v01 < 0:
-                        return None
-                    out.append(plane)
-            return out
+        # per cut square (side, a, b, c), the square of that side at the
+        # origin cut by a*x + b*y >= c: the same power sums over the corners
+        # of the leaves and holes that are its translates, holes with sign -1
+        placed = {}
+        templates = self._templates
 
         def clip(pts, a, b, c):
             # the part of pts with a*x + b*y >= c
@@ -520,21 +549,36 @@ class Prefractal:
             return out
 
         def leaf(x0, y0, d, cut, sign):
-            # add sign * the moment sums of region intersect [x0, x0+d] x [y0, y0+d],
+            # add sign * the moments of region intersect [x0, x0+d] x [y0, y0+d],
             # cut being the region's planes that cross the square
-            x1, y1 = x0 + d, y0 + d
             if len(cut) == 1:
-                # the square clipped by the one line: each new vertex is where
-                # the line meets a grid line, a lattice point
-                pts = clip(((x0, y0), (x1, y0), (x1, y1), (x0, y1)), *cut[0])
-            else:
-                # two region lines may meet off the lattice outside the
-                # region, so the region is clipped by the square instead
-                pts = reg
-                for (a, b, c) in ((-1, 0, -x1), (1, 0, x0), (0, -1, -y1), (0, 1, y0)):
-                    pts = clip(pts, a, b, c)
-                    if not pts:
-                        return
+                # the square cut by the one line is the origin square cut by
+                # the line moved by (-x0, -y0): each new vertex is where the
+                # line meets a grid line, a lattice point
+                a, b, c = cut[0]
+                key = (d, a, b, c - a * x0 - b * y0)
+                sums = placed.get(key)
+                if sums is None:
+                    if key not in templates:
+                        pts = clip(((0, 0), (d, 0), (d, d), (0, d)), *key[1:])
+                        templates[key] = tuple(s * (24 // div) for s, div
+                                               in zip(moment_sums(pts), MOMENT_DIVISORS))
+                    sums = placed[key] = [0] * 6
+                sums[0] += sign
+                sums[1] += sign * x0
+                sums[2] += sign * y0
+                sums[3] += sign * x0 * x0
+                sums[4] += sign * x0 * y0
+                sums[5] += sign * y0 * y0
+                return
+            # two region lines may meet off the lattice outside the region, so
+            # the region is clipped by the square instead
+            x1, y1 = x0 + d, y0 + d
+            pts = reg
+            for (a, b, c) in ((-1, 0, -x1), (1, 0, x0), (0, -1, -y1), (0, 1, y0)):
+                pts = clip(pts, a, b, c)
+                if not pts:
+                    return
             for i, s in enumerate(moment_sums(pts)):
                 leaf_sums[i] += sign * s
 
@@ -544,7 +588,7 @@ class Prefractal:
             d = sides[k]
             if x0 + d <= rbx0 or x0 >= rbx1 or y0 + d <= rby0 or y0 >= rby1:
                 return
-            cut = crossing(among, x0, y0, d)
+            cut = _crossing(among, x0, y0, d)
             if cut is None:
                 return
             if not cut:
@@ -570,7 +614,7 @@ class Prefractal:
                 # it is subtracted in closed form, and otherwise clipped
                 leaf(x0, y0, d, cut, 1)
                 hx, hy = x0 + c * dc, y0 + c * dc
-                hole_cut = crossing(cut, hx, hy, dc)
+                hole_cut = _crossing(cut, hx, hy, dc)
                 if hole_cut:
                     leaf(hx, hy, dc, hole_cut, -1)
                 elif hole_cut is not None:
@@ -586,12 +630,32 @@ class Prefractal:
             jx1 = min(q - 1, (rbx1 - 1 - x0) // dc)
             jy0 = max(0, (rby0 - y0) // dc)
             jy1 = min(q - 1, (rby1 - 1 - y0) // dc)
+            t = covered[k + 1]
             for jy in range(jy0, jy1 + 1):
                 cy = y0 + jy * dc
-                for jx in range(jx0, jx1 + 1):
-                    if jx == c and jy == c:
-                        continue
-                    walk(k + 1, x0 + jx * dc, cy, cut)
+                lo, hi, kept_lo, kept_hi = _row_ranges(cut, x0, cy, dc, jx0, jx1)
+                if lo <= hi:
+                    # children lo..hi are covered: their corners x0 + i * dc
+                    # summed as arithmetic series, less the central hole
+                    n = hi - lo + 1
+                    s1 = (lo + hi) * n // 2
+                    s2 = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
+                    sx = n * x0 + dc * s1
+                    sxx = n * x0 * x0 + 2 * x0 * dc * s1 + dc * dc * s2
+                    if jy == c and lo <= c <= hi:
+                        hx = x0 + c * dc
+                        n -= 1
+                        sx -= hx
+                        sxx -= hx * hx
+                    t[0] += n
+                    t[1] += sx
+                    t[2] += n * cy
+                    t[3] += sxx
+                    t[4] += sx * cy
+                    t[5] += n * cy * cy
+                for jx in range(kept_lo, kept_hi + 1):
+                    if not lo <= jx <= hi and (jx != c or jy != c):
+                        walk(k + 1, x0 + jx * dc, cy, cut)
 
         # the walk enters the block only at its surviving level-j squares
         d = sides[j]
@@ -599,15 +663,75 @@ class Prefractal:
             for ix, alive in enumerate(row):
                 if alive:
                     walk(j, ix * d, iy * d, planes)
-        # the leaf sums plus, per level, the pattern moments on this lattice
-        # shifted to the covered squares' corners
+        # the leaf sums, the cut squares moved to their corners, and per
+        # level the pattern moments on this lattice moved to the covered
+        # squares' corners
         up = scale // self.side_scale
         num = [s * (24 // div) for s, div in zip(leaf_sums, MOMENT_DIVISORS)]
+        for key, sums in placed.items():
+            if any(sums):
+                num = [a + b for a, b in zip(num, _shifted_moments(templates[key], sums))]
         for pattern, sums in zip(self.pattern, covered):
             if any(sums):
                 scaled = [v * up ** (2 + p + q) for v, (p, q) in zip(pattern, MONOMIALS)]
                 num = [a + b for a, b in zip(num, _shifted_moments(scaled, sums))]
         return num
+
+
+def _not_convex(reg):
+    return ValueError(f"region with {len(reg)} vertices is not convex and "
+                      "counterclockwise with a strict turn at each vertex")
+
+
+def _crossing(among, x0, y0, d):
+    """The planes (a, b, c), meaning a*x + b*y >= c, among ``among`` that
+    cross the square of side d at (x0, y0), or None when one of them holds
+    nowhere on it; every other plane holds on all of the square.  A plane
+    crosses when some corner value is < 0 and some is >= 0: a corner on
+    the line counts as inside."""
+    x1, y1 = x0 + d, y0 + d
+    out = []
+    for plane in among:
+        a, b, c = plane
+        v00 = a * x0 + b * y0 - c
+        v10 = a * x1 + b * y0 - c
+        v11 = a * x1 + b * y1 - c
+        v01 = a * x0 + b * y1 - c
+        if v00 < 0 or v10 < 0 or v11 < 0 or v01 < 0:
+            if v00 < 0 and v10 < 0 and v11 < 0 and v01 < 0:
+                return None
+            out.append(plane)
+    return out
+
+
+def _row_ranges(cut, x0, y0, d, first, last):
+    """For the squares of side d at (x0 + i * d, y0), first <= i <= last:
+    (lo, hi, kept_lo, kept_hi), where square i is inside every plane of
+    ``cut`` iff lo <= i <= hi and outside none iff kept_lo <= i <= kept_hi,
+    by ``_crossing``'s rules.  A plane's corner values on square i are its
+    values on square 0 plus i * a * d, so its minimum (maximum) corner value
+    is >= 0 on a run of i that one floor division bounds."""
+    lo, hi, kept_lo, kept_hi = first, last, first, last
+    for a, b, c in cut:
+        r = a * x0 + b * y0 - c
+        ad, bd = a * d, b * d
+        # the least and greatest corner values on square 0
+        low, high = (r, r + ad) if ad > 0 else (r + ad, r)
+        if bd > 0:
+            high += bd
+        else:
+            low += bd
+        if ad > 0:
+            lo = max(lo, -(low // ad))
+            kept_lo = max(kept_lo, -(high // ad))
+        elif ad < 0:
+            hi = min(hi, low // -ad)
+            kept_hi = min(kept_hi, high // -ad)
+        elif high < 0:
+            return first, first - 1, first, first - 1
+        elif low < 0:
+            hi = first - 1
+    return lo, hi, kept_lo, kept_hi
 
 
 def _shifted_moments(t, s):

@@ -39,9 +39,10 @@ kernels ``fraction_poly_dot`` and ``fraction_square_integral``, the
 puts rational slopes over one denominator for ``build_cell_field``), the ramp
 with the target evaluated at Fraction cell centres (``fraction_ramp``) and
 the per-patch row loops of both sections (``fraction_witness_rows``,
-``fraction_wedge_rows``).  Last comes the class walk that clips the region
-by every leaf square, ``RegionClipPrefractal``, the oracle of the walk that
-clips a leaf square by the region lines crossing it.
+``fraction_wedge_rows``).  Last come two earlier class walks, the oracles
+of the package's: ``RegionClipPrefractal`` clips the region by every leaf
+square, and ``SquareClipPrefractal`` visits every child of a crossed square
+and clips every leaf crossed by one region line by that line on its own.
 """
 
 from __future__ import annotations
@@ -1438,6 +1439,113 @@ class RegionClipPrefractal(Prefractal):
         num = [s * (24 // div) for s, div in zip(leaf_sums, MOMENT_DIVISORS)]
         for pattern, sums in zip(self.pattern, covered):
             if sums[0]:
+                scaled = [v * up ** (2 + p + q) for v, (p, q) in zip(pattern, MONOMIALS)]
+                num = [a + b for a, b in zip(num, _shifted_moments(scaled, sums))]
+        return num
+
+
+class SquareClipPrefractal(Prefractal):
+    """A ``Prefractal`` whose class walk visits every child of a crossed
+    square and clips every leaf crossed by one line on its own."""
+
+    def _walk(self, reg, sides, j, mask):
+        scale = sides[0]
+        rbx0, rby0, rbx1, rby1 = bbox(reg)
+        planes = []
+        for p, q in zip(reg, reg[1:] + reg[:1]):
+            a = q[1] - p[1]
+            b = p[0] - q[0]
+            planes.append((-a, -b, -(a * p[0] + b * p[1])))
+        leaf_sums = [0] * 6
+        covered = [[0] * 6 for _ in sides]
+
+        def crossing(among, x0, y0, d):
+            out = []
+            for plane in among:
+                a, b, c = plane
+                values = [a * x + b * y - c
+                          for x, y in ((x0, y0), (x0 + d, y0), (x0 + d, y0 + d), (x0, y0 + d))]
+                if min(values) < 0:
+                    if max(values) < 0:
+                        return None
+                    out.append(plane)
+            return out
+
+        def clip(pts, a, b, c):
+            out = []
+            cur = pts[-1]
+            fc = a * cur[0] + b * cur[1] - c
+            for fol in pts:
+                fn = a * fol[0] + b * fol[1] - c
+                if fc >= 0:
+                    out.append(cur)
+                if (fc >= 0) != (fn >= 0):
+                    qx, rx = divmod(fc * (fol[0] - cur[0]), fc - fn)
+                    qy, ry = divmod(fc * (fol[1] - cur[1]), fc - fn)
+                    if rx or ry:
+                        raise ConstructionError(
+                            f"edge {cur}->{fol} crosses {a}*x + {b}*y = {c} off the "
+                            f"lattice of scale {scale}")
+                    out.append((cur[0] + qx, cur[1] + qy))
+                cur, fc = fol, fn
+            return out
+
+        def add(t, sign, x0, y0):
+            for i, v in enumerate((1, x0, y0, x0 * x0, x0 * y0, y0 * y0)):
+                t[i] += sign * v
+
+        def leaf(x0, y0, d, cut, sign):
+            x1, y1 = x0 + d, y0 + d
+            if len(cut) == 1:
+                pts = clip(((x0, y0), (x1, y0), (x1, y1), (x0, y1)), *cut[0])
+            else:
+                pts = reg
+                for (a, b, c) in ((-1, 0, -x1), (1, 0, x0), (0, -1, -y1), (0, 1, y0)):
+                    pts = clip(pts, a, b, c)
+                    if not pts:
+                        return
+            for i, s in enumerate(moment_sums(pts)):
+                leaf_sums[i] += sign * s
+
+        def walk(k, x0, y0, among):
+            d = sides[k]
+            if x0 + d <= rbx0 or x0 >= rbx1 or y0 + d <= rby0 or y0 >= rby1:
+                return
+            cut = crossing(among, x0, y0, d)
+            if cut is None:
+                return
+            if not cut:
+                add(covered[k], 1, x0, y0)
+                return
+            if k == self.level:
+                leaf(x0, y0, d, cut, 1)
+                return
+            q = self.subdiv[k]
+            dc = sides[k + 1]
+            c = (q - 1) // 2
+            if k == self.level - 1:
+                leaf(x0, y0, d, cut, 1)
+                hx, hy = x0 + c * dc, y0 + c * dc
+                hole_cut = crossing(cut, hx, hy, dc)
+                if hole_cut:
+                    leaf(hx, hy, dc, hole_cut, -1)
+                elif hole_cut is not None:
+                    add(covered[self.level], -1, hx, hy)
+                return
+            for jy in range(max(0, (rby0 - y0) // dc), min(q - 1, (rby1 - 1 - y0) // dc) + 1):
+                for jx in range(max(0, (rbx0 - x0) // dc), min(q - 1, (rbx1 - 1 - x0) // dc) + 1):
+                    if jx != c or jy != c:
+                        walk(k + 1, x0 + jx * dc, y0 + jy * dc, cut)
+
+        d = sides[j]
+        for iy, row in enumerate(mask):
+            for ix, alive in enumerate(row):
+                if alive:
+                    walk(j, ix * d, iy * d, planes)
+        up = scale // self.side_scale
+        num = [s * (24 // div) for s, div in zip(leaf_sums, MOMENT_DIVISORS)]
+        for pattern, sums in zip(self.pattern, covered):
+            if any(sums):
                 scaled = [v * up ** (2 + p + q) for v, (p, q) in zip(pattern, MONOMIALS)]
                 num = [a + b for a, b in zip(num, _shifted_moments(scaled, sums))]
         return num

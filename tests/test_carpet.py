@@ -555,6 +555,15 @@ class TestRegionMeasure:
         canon = on_lattice(normalize_polygon(unit_polygon(region, 12)))
         assert pf.moments(*canon) == pf.moments(((0, 0), (1, 0), (1, 1), (0, 1)), 1)
 
+    def test_a_non_canonical_region_outside_the_unit_square_raises_out_of_it(self, spec35):
+        # the unit-square check comes first; convexity is tested once per
+        # translation class, when its walk is due
+        pf = Prefractal(spec35, 2)
+        for _ in range(2):
+            with pytest.raises(OutOfUnitSquare):
+                pf.moments(((0, 0), (0, 12), (18, 12), (18, 0)), 12)  # clockwise
+        assert pf._regions == {} and pf._classes == {}
+
     @pytest.mark.parametrize("region", [
         ((50, 10), (74, 85), (10, 39), (90, 39), (26, 85)),  # a pentagram
         ((0, 0), (100, 0), (100, 100), (0, 100)) * 2,       # a square twice around

@@ -10,13 +10,23 @@ independently, so these tests pin the tags and every tagged row to it.
 
 import functools
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from carpetcurl import cli, witness
-from carpetcurl.carpet import CarpetSpec, Prefractal, side_length, stage_lines, stage_scale
+from carpetcurl.carpet import (
+    CarpetSpec,
+    ConstructionError,
+    Prefractal,
+    _crossing,
+    _row_ranges,
+    side_length,
+    stage_lines,
+    stage_scale,
+)
 from carpetcurl.fields import (
     AffinePatch,
     PiecewiseAffineField,
@@ -66,6 +76,7 @@ from oracles import (
     patch_from_vertex_values,
     product_with_gradient,
     RegionClipPrefractal,
+    SquareClipPrefractal,
     sup_norm,
     vertical_defect_sq,
     wedge,
@@ -530,20 +541,100 @@ class TestTranslationClasses:
         assert len(walks) == len(pf._classes) <= 150
 
 
+def assert_walks_agree(oracle_class, name, n, depths):
+    # the package walk against an oracle walk on the ramp and flattened
+    # patches of stage n: every region's (t, s) and every class's moments
+    spec = SPECS[name]
+    regions, scale = stage_regions(name, n)
+    for m in depths:
+        pf, oracle = Prefractal(spec, m), oracle_class(spec, m)
+        assert [pf.moments(r, scale) for r in regions] == [
+            oracle.moments(r, scale) for r in regions], m
+        assert pf._classes == oracle._classes, m
+
+
+def spec_depths(name):
+    # every depth the spec reaches up to 4
+    spec = SPECS[name]
+    return range(1, 5 if spec.generator else len(spec.ratios) + 1)
+
+
 class TestSquareClipWalk:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("name", SPECS)
     def test_every_stage_region_against_the_region_clipping_walk(self, name, n):
-        # the walk that clips a leaf square by the region lines crossing it
-        # against the one that clips the region by every leaf square, on the
-        # ramp and flattened patches at every depth the spec reaches up to 4
+        # the walk against the one that clips the region by every leaf square
+        assert_walks_agree(RegionClipPrefractal, name, n, spec_depths(name))
+
+
+# a plane (a, b, c) is the half-plane a*x + b*y >= c
+PLANES = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-60, 60))
+
+
+class TestRowWalk:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_every_stage_region_against_the_square_clipping_walk(self, name, n):
+        # the walk that sums covered rows and cut-square translates against
+        # the one that visits every child and clips every leaf on its own
+        assert_walks_agree(SquareClipPrefractal, name, n, spec_depths(name))
+
+    def test_stage_two_at_depth_five_against_the_square_clipping_walk(self):
+        assert_walks_agree(SquareClipPrefractal, "odd-reciprocal", 2, [5])
+
+    @given(st.lists(PLANES, min_size=1, max_size=4), st.integers(-12, 12), st.integers(-12, 12),
+           st.integers(1, 4), st.integers(0, 6), st.integers(0, 6))
+    # x + y >= 4 through a corner of each child: child 0 touches the line
+    # at a corner, child 1 is crossed and child 2 inside with a corner on it
+    @example([(1, 1, 4)], 0, 0, 2, 0, 2)
+    # x >= 2 and x <= 2 along the grid line between children 0 and 1
+    @example([(1, 0, 2)], 0, 0, 2, 0, 2)
+    @example([(-1, 0, -2)], 0, 0, 2, 0, 2)
+    # a == 0: the line y = 1 crosses the whole row, y >= 0 holds on all of
+    # it and y <= -1 nowhere
+    @example([(0, 1, 1)], 0, 0, 2, 0, 2)
+    @example([(0, 1, 0), (1, 1, 4)], 0, 0, 2, 0, 2)
+    @example([(1, 1, 4), (0, -1, 1)], 0, 0, 2, 0, 2)
+    @settings(max_examples=200, deadline=None)
+    def test_row_ranges_agree_with_crossing(self, cut, x0, y0, d, i, j):
+        # child by child: inside every plane iff in [lo, hi], outside none
+        # iff in [kept_lo, kept_hi], a corner on a line counting as inside
+        first, last = min(i, j), max(i, j)
+        lo, hi, kept_lo, kept_hi = _row_ranges(cut, x0, y0, d, first, last)
+        for jx in range(first, last + 1):
+            crossed = _crossing(cut, x0 + jx * d, y0, d)
+            assert (crossed == []) == (lo <= jx <= hi), jx
+            assert (crossed is None) == (not kept_lo <= jx <= kept_hi), jx
+        assert lo > hi or first <= lo <= hi <= last
+        assert kept_lo > kept_hi or first <= kept_lo <= kept_hi <= last
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_central_digit_masks_follow_the_digit_rule(self, name):
+        # a level-j square is removed iff its two level-k digits are both
+        # the centre digit at some k <= j
         spec = SPECS[name]
-        regions, scale = stage_regions(name, n)
-        for m in range(1, 5 if spec.generator else len(spec.ratios) + 1):
-            pf, oracle = Prefractal(spec, m), RegionClipPrefractal(spec, m)
-            assert [pf.moments(r, scale) for r in regions] == [
-                oracle.moments(r, scale) for r in regions], m
-            assert pf._classes == oracle._classes, m
+        depth = 4 if spec.generator else len(spec.ratios)
+        pf = Prefractal(spec, depth)
+        for j in range(depth + 1):
+            subdiv = pf.subdiv[:j]
+            digits = [[i // prod(subdiv[k + 1:]) % q for k, q in enumerate(subdiv)]
+                      for i in range(prod(subdiv))]
+            bits = pf._central_digits(j)
+            assert len(bits) == len(digits)
+            for iy, dy in enumerate(digits):
+                assert [bool(bits[ix] & bits[iy]) for ix in range(len(digits))] == [
+                    any(a == b == q // 2 for a, b, q in zip(dx, dy, subdiv)) for dx in digits], (j, iy)
+
+    def test_an_off_lattice_cut_raises_on_every_walk(self):
+        # the hypotenuse 2x + 3y = 6 cuts the level-0 square at lattice
+        # points but crosses the hole's side x = 1 at y = 4/3, so the hole's
+        # cut square raises when first seen, is not kept, and raises again
+        pf = Prefractal(CarpetSpec((F(1, 3),)), 1)
+        for walk in (pf._walk, SquareClipPrefractal(pf.spec, 1)._walk):
+            for _ in range(2):
+                with pytest.raises(ConstructionError, match="off the lattice"):
+                    walk(((0, 0), (3, 0), (0, 2)), [3, 1], 0, ((True,),))
+        assert list(pf._templates) == [(3, -2, -3, -6)]
 
 
 class TestTaggedRows:

@@ -148,7 +148,8 @@ FRACTION_NAMES = {"Fraction", "ZERO", "HALF"}
 # the region walk, its moments, the integral kernels over them and the
 # cell fields the rows integrate, by module: they run on ints and leave the
 # one Fraction to their caller
-INT_KERNELS = {"carpet.py": {"Prefractal._region_moments", "Prefractal._walk"},
+INT_KERNELS = {"carpet.py": {"Prefractal._region_moments", "Prefractal._central_digits",
+                             "Prefractal._walk", "_crossing", "_row_ranges"},
                "geometry.py": {"poly_dot", "square_integral"},
                "witness.py": {"build_cell_field", "build_ramp"}}
 # the clip chain of check_local_constancy, by module, and the names that
