@@ -17,14 +17,7 @@ from .carpet import (
     tail_measure_bounds,
     validate_spec,
 )
-from .fields import (
-    AffinePatch,
-    PiecewiseAffineField,
-    ProductVectorField,
-    affine_field,
-    constant_field,
-    coordinate_field,
-)
+from .fields import ProductVectorField
 from .forms import verify_wedge_approximation
 from .report import VerificationReport, report_to_csv, report_to_json
 from .witness import (

@@ -24,7 +24,6 @@ from .carpet import (
     tail_measure_bounds,
     validate_spec,
 )
-from .fields import affine_field, constant_field, coordinate_field
 from .forms import verify_wedge_approximation
 from .report import report_to_csv, report_to_json, rounded_to_f64
 from .svgout import carpet_svg, cells_svg, neighborhoods_svg, staircase_svg, tents_svg
@@ -58,19 +57,20 @@ def _build_spec(args) -> CarpetSpec:
     return spec
 
 
-def _target_field(selector: str):
-    if selector == "const":
-        return constant_field(1)
-    if selector == "x":
-        return coordinate_field("x")
-    if selector == "y":
-        return coordinate_field("y")
+# the named targets f = c0 + cx*x + cy*y of ``--f``, as (c0, cx, cy)
+TARGETS = {"const": (1, 0, 0), "x": (0, 1, 0), "y": (0, 0, 1)}
+
+
+def _target(selector: str) -> tuple:
+    """The target ``--f`` names, as (c0, cx, cy): ints or ``Fraction``s."""
+    if selector in TARGETS:
+        return TARGETS[selector]
     if selector.startswith("affine:"):
         try:
-            a, b, c = (Fraction(p) for p in selector[len("affine:"):].split(","))
+            c0, cx, cy = (Fraction(p) for p in selector[len("affine:"):].split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad affine target {selector!r}") from exc
-        return affine_field(a, b, c)
+        return c0, cx, cy
     raise ConfigError(f"unknown target function {selector!r}")
 
 
@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
     if args.depth < 1:
         raise ConfigError(f"--depth {args.depth}: verify needs a prefractal with holes")
     spec = _build_spec(args)
-    f = _target_field(args.f)
+    f = _target(args.f)
     _require_stages(spec, max(args.nmax, args.depth))
     out = _out_dir(args, ("report.csv", "report.json"))
     # one prefractal per level per run: the wedge section, at level
@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
     if wedge_stages:
         wedge_pf = pf if args.depth <= 3 else Prefractal(spec, 3)
         wedge_report = verify_wedge_approximation(
-            spec, coordinate_field("x"), wedge_stages, pf=wedge_pf)
+            spec, TARGETS["x"], wedge_stages, pf=wedge_pf)
         report.extend(wedge_report)
     if args.mode == "f64":
         report = rounded_to_f64(report)

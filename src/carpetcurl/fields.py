@@ -1,26 +1,13 @@
-"""Piecewise-affine scalar fields on convex patches.
+"""Product vector fields and the overlay of two partitions.
 
-Fields are finite collections of convex polygonal patches, each carrying an
-affine map value(x, y) = c0 + cx*x + cy*y.  A field's patch vertices lie on
-the lattice of its ``scale``, so vertex (X, Y) is the point (X / scale,
-Y / scale), while the maps stay in unit coordinates: a stage field (the
-flattened coordinate, the staircase) has int vertices on its stage lattice,
-and a target the int corners of the unit square at scale 1.  The cell
-fields of ``witness`` are not patch fields: they hold one int map per piece
-of their flattened field, and the witness built on them is a
-``ProductVectorField`` of int pieces.
-Patches may cover less than the unit square; integration treats the
-complement as zero, so fields supported on small regions (tent covers,
-seams) need no explicit complement patches.  A field is read through its
-``patches`` and a product vector field through its ``pieces``: neither is
-iterable, and no field is searched for the patch holding a point, since
-every quantity the package takes of a field is a sum over its patches or a
+A ``ProductVectorField`` holds int pieces, each an affine scalar times a
+constant vector on a convex polygon whose vertices lie on the lattice of
+the field's ``scale``: the witness the verifier builds is one, a cell-field
+map times a flattened gradient per piece.  It is read through its
+``pieces``, and no field is searched for the piece holding a point, since
+every quantity the package takes of a field is a sum over its pieces or a
 max over their vertices.
 
-Every builder constructs ``AffinePatch`` directly from a polygon it has
-proved convex and counterclockwise: the stage layout in ``witness`` checks
-its int polygons itself, and the unit square of ``affine_field`` and the
-staircase's bands are counterclockwise rectangles by construction.
 ``refine_pairs`` overlays two partitions given on one lattice and returns
 each clip as ``geometry.clip_convex`` leaves it, with no rescaling and no
 conversion; its ``_BoxIndex`` buckets the boxes as given.
@@ -29,38 +16,8 @@ conversion; its ``_BoxIndex`` buckets the boxes as given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .geometry import bbox, clip_convex, polygon_area
-
-
-@dataclass(frozen=True)
-class AffinePatch:
-    """Convex region with an affine value map; the coefficients are ints or
-    ``Fraction``s (a flattened patch's slopes are ints)."""
-
-    vertices: tuple
-    c0: Fraction
-    cx: Fraction
-    cy: Fraction
-
-    def value_at(self, p):
-        return self.c0 + self.cx * p[0] + self.cy * p[1]
-
-    @property
-    def gradient(self):
-        return (self.cx, self.cy)
-
-
-@dataclass(frozen=True)
-class PiecewiseAffineField:
-    """Finite set of affine patches with pairwise disjoint interiors.
-
-    Vertices are over ``scale``; maps are in unit coordinates.
-    """
-
-    patches: tuple
-    scale: int
 
 
 @dataclass(frozen=True)
@@ -76,23 +33,6 @@ class ProductVectorField:
 
     pieces: tuple
     scale: int
-
-
-def constant_field(value) -> PiecewiseAffineField:
-    return affine_field(value, 0, 0)
-
-
-def coordinate_field(axis: str) -> PiecewiseAffineField:
-    if axis == "x":
-        return affine_field(0, 1, 0)
-    if axis == "y":
-        return affine_field(0, 0, 1)
-    raise ValueError(axis)
-
-
-def affine_field(c0, cx, cy) -> PiecewiseAffineField:
-    unit = ((0, 0), (1, 0), (1, 1), (0, 1))
-    return PiecewiseAffineField((AffinePatch(unit, Fraction(c0), Fraction(cx), Fraction(cy)),), 1)
 
 
 class _BoxIndex:

@@ -1,15 +1,17 @@
 """The wedge-approximation check of the vanishing one-form sequence.
 
 The stage-n one-form is a remainder of the target f times the differential
-of the flattened coordinate, which approximates g = y.  The remainder is the
-cell field of f's gradient (``witness.build_cell_field``), built from the int
-slopes (bx, by) over e with grad f = (bx, by) / e: on each grid cell it is f
-minus its value at the cell center, and each piece's map is int numerators
-over one denominator.  For an affine f every norm of the check is a closed
+of the flattened coordinate, which approximates g = y.  The target f = c0 +
+cx*x + cy*y is the triple (c0, cx, cy) of ints or ``Fraction``s that
+``witness.affine_target`` checks, and only its slopes enter.  The remainder
+is the cell field of f's gradient (``witness.build_cell_field``), built from
+the int slopes (bx, by) over e with grad f = (bx, by) / e: on each grid cell
+it is f minus its value at the cell center, and each piece's map is int
+numerators over one denominator.  For an affine f every norm of the check is a closed
 form or a sum over the pieces of one tagged stage partition, so no common
 refinement is built and no polygon is clipped.  The sums are taken on ints,
-from those int maps and the flattened patches' int gradients, one
-``Fraction`` per row, as in ``witness``.
+from those int maps and the int gradients (cx, cy) of the flattened
+patches' tuples, one ``Fraction`` per row, as in ``witness``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .carpet import CarpetSpec, Prefractal, side_length
-from .fields import PiecewiseAffineField
 from .geometry import ZERO, square_integral
 from .report import VerificationReport
 from .witness import (
@@ -31,7 +32,7 @@ from .witness import (
 )
 
 
-def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages,
+def verify_wedge_approximation(spec: CarpetSpec, f: tuple, stages,
                                pf: Prefractal) -> VerificationReport:
     """Check the two wedge defects of the vanishing one-form sequence.
 
@@ -45,20 +46,22 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages
     gradient on every cell, times d(flattened).  Every integral is taken
     over ``pf``, the level-m prefractal of ``spec``; a ``pf`` the witness
     section has used already holds the moments of every region the two
-    sections share.  A ``pf`` of another spec raises ``ValueError``.
+    sections share.  A target that is not a tuple (c0, cx, cy) of ints or
+    ``Fraction``s raises ``TypeError``, and a ``pf`` of another spec
+    ``ValueError``, before any stage is built.
     """
-    base = affine_target(f)
+    _, cx, cy = affine_target(f)
     if pf.spec != spec:
         raise ValueError(f"the prefractal is of {pf.spec}, not of {spec}")
     report = VerificationReport()
     # grad f = (bx, by) / e, as ints
-    bx, by, e = _over_lcd(base.cx, base.cy)
+    bx, by, e = _over_lcd(cx, cy)
 
     # f and g = y are affine and every ratio is at most 1/3, so |P_m| > 0: the
     # wedge norm is the constant det(grad f, grad g)^2 = (df/dx)^2 integrated
     # over P_m, and the essential sup of gamma(f, f) is the constant |grad f|^2
-    det_fg = base.cx
-    gf_sup = base.cx ** 2 + base.cy ** 2
+    det_fg = cx
+    gf_sup = cx ** 2 + cy ** 2
     wedge_norm = det_fg ** 2 * pf.measure
     report.add("wedge", None, "wedge_norm_sq", wedge_norm, Fraction(3, 4),
                wedge_norm > Fraction(3, 4),
@@ -72,9 +75,10 @@ def verify_wedge_approximation(spec: CarpetSpec, f: PiecewiseAffineField, stages
     for n in stages:
         flattened = build_flattened(spec, n)
         remainder = build_cell_field(flattened, [(bx, by)] * len(flattened.cells), e)
-        measures = [pf.region_measure(p.vertices, flattened.scale) for p in flattened.patches]
+        measures = [pf.region_measure(verts, flattened.scale)
+                    for verts, _, _, _ in flattened.patches]
         # each flattened patch's gradient (qx, qy), ints
-        grads = [q.gradient for q in flattened.patches]
+        grads = [(qx, qy) for _, _, qx, qy in flattened.patches]
         # remainder pieces under a nonzero flattened gradient; on the others
         # both the cutoff form and the second defect vanish identically
         active = [(verts, p, grads[t]) for (verts, _), p, t in

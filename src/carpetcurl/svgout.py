@@ -121,18 +121,17 @@ def staircase_svg(spec, n: int) -> str:
 
     canvas = SvgCanvas(f"stage {n} staircase")
     canvas.rect(0, 0, 1, 1, fill="white", stroke="black")
-    field = build_staircase(spec, n)
-    scale = field.scale
+    scale, bands = build_staircase(spec, n)
     # the strips are the staircase's flat bands
-    for patch in field.patches:
-        if not patch.cy:
-            canvas.polygon([_unit(p, scale) for p in patch.vertices], fill="yellow",
-                           stroke="blue", opacity="0.6")
-    profile = []
-    for patch in field.patches:
-        for y in sorted({Fraction(v[1], scale) for v in patch.vertices}):
-            profile.append((patch.value_at((Fraction(0), y)), y))
-    profile = sorted(set(profile), key=lambda p: (p[1], p[0]))
+    for y0, y1, _, slope in bands:
+        if not slope:
+            strip = ((0, y0), (scale, y0), (scale, y1), (0, y1))
+            canvas.polygon([_unit(p, scale) for p in strip], fill="yellow", stroke="blue",
+                           opacity="0.6")
+    # the profile (value, y) at each band's lower edge, then at the top edge
+    profile = [_unit((value, y0), scale) for y0, _, value, _ in bands]
+    y0, y1, value, slope = bands[-1]
+    profile.append(_unit((value + slope * (y1 - y0), y1), scale))
     canvas.polyline(profile, stroke="blue")
     return canvas.render()
 

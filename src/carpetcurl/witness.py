@@ -5,13 +5,15 @@ cell boundaries of the stage-n grid: horizontal strips absorb the slope of a
 staircase profile, tent-shaped bump fields absorb it along the vertical cut
 segments between holes, and per-cell horizontal ramps turn the flattened
 gradient into a vector field whose rotation approximates a target function
-while the field itself shrinks to zero.  Stage n is built on integers: every
-vertex of its partition (tents, flattened patches, cell pieces and
-neighbourhoods) is an int on the lattice (1/L_n)Z^2, L_n =
-``stage_scale(spec, n)``, and the maps are affine in unit coordinates: a
-flattened patch has int slopes and a ``Fraction`` c0, and a cell field (the
-ramp, the wedge remainder) holds each piece's map as int numerators over
-one int denominator (``build_cell_field``), so every energy comparison
+f = c0 + cx*x + cy*y, given as the triple (c0, cx, cy) of ints or
+``Fraction``s (``affine_target``), while the field itself shrinks to zero.
+Stage n is built on integers: every vertex of its partition (tents,
+flattened patches, cell pieces and neighbourhoods) is an int on the lattice
+(1/L_n)Z^2, L_n = ``stage_scale(spec, n)``, and the maps are affine in unit
+coordinates: a flattened patch is the int tuple (vertices, c0, cx, cy), its
+map c0 / L_n + cx*x + cy*y, the staircase is int bands, and a cell field
+(the ramp, the wedge remainder) holds each piece's map as int numerators
+over one int denominator (``build_cell_field``), so every energy comparison
 below is an exact inequality.  The rows are summed on ints: each term is an
 int pair (numerator, denominator) built from the region moments of
 ``Prefractal.moments`` and those int maps, the pairs are added per
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -38,42 +40,38 @@ from .carpet import (
     TailDiverges,
     validate_spec,
 )
-from .fields import (
-    AffinePatch,
-    PiecewiseAffineField,
-    ProductVectorField,
-    refine_pairs,
-)
-from .geometry import ZERO, _area2, cross, square_integral, strictly_convex
+from .fields import ProductVectorField, refine_pairs
+from .geometry import _area2, cross, square_integral, strictly_convex
 from .report import VerificationReport, leq_sqrt_sum_sq, leq_with_sqrt
-
-UNIT_CORNERS = {(0, 0), (1, 0), (1, 1), (0, 1)}
 
 
 def _rectangle(x0, y0, x1, y1):
     return ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
 
 
-def build_staircase(spec: CarpetSpec, n: int) -> PiecewiseAffineField:
+def build_staircase(spec: CarpetSpec, n: int):
     """Continuous profile in y: slope 0 across strips, slope 1 elsewhere.
 
-    Equals zero on the bottom edge.  The patches are full-width horizontal
-    bands with int vertices on the stage-n lattice, L_n = ``stage_scale(spec,
-    n)``: each strip is the stage-n side, 4 steps, high about its cut.
+    Returns (L_n, bands), L_n = ``stage_scale(spec, n)``: the bands are the
+    full-width horizontal strips [y0, y1] of the unit square, bottom to
+    top, as int tuples (y0, y1, value, slope) on the stage-n lattice, where
+    ``value`` is the profile at y0 times L_n, so the profile on the band is
+    (value + slope*(Y - y0)) / L_n at the lattice height Y.  It is zero on
+    the bottom edge, and each strip is the stage-n side, 4 steps, high about
+    its cut.
     """
     scale, lines = stage_lines(spec, n)
     breaks = [0]
     for c in lines[1:-1]:
         breaks += (c - 2, c + 2)
     breaks.append(scale)
-    patches = []
-    value = 0  # the profile at the band's lower edge, times L_n
+    bands = []
+    value = 0
     for i, (y0, y1) in enumerate(zip(breaks, breaks[1:])):
         slope = 0 if i % 2 else 1
-        patches.append(AffinePatch(_rectangle(0, y0, scale, y1),
-                                   Fraction(value - slope * y0, scale), ZERO, Fraction(slope)))
+        bands.append((y0, y1, value, slope))
         value += slope * (y1 - y0)
-    return PiecewiseAffineField(tuple(patches), scale)
+    return scale, tuple(bands)
 
 
 @dataclass(frozen=True)
@@ -297,16 +295,20 @@ def _check_convex(verts, what):
 
 
 @dataclass(frozen=True)
-class FlattenedField(PiecewiseAffineField):
+class FlattenedField:
     """The flattened coordinate with the cell pieces (vertices, owner) nested in it.
 
-    Vertices, pieces and the grid ``cells`` (x0, y0, x1, y1) are ints over
-    ``scale``, L_n, and so are the patches' slopes.  An owner indexes the
-    grid ``cells``; piece i lies in patch ``cell_tags[i]``; ``band_tags``
-    are the strip-band patches and ``tent_tags[k]`` the trapezoid and
-    triangles of ``tents[k]``, the stage's tents.
+    Each patch is the int tuple (vertices, c0, cx, cy) that ``_stage_layout``
+    yields: the vertices over ``scale``, L_n, and the map c0 / L_n + cx*x +
+    cy*y in unit coordinates.  Pieces and the grid ``cells`` (x0, y0, x1,
+    y1) are ints over ``scale`` too.  An owner indexes the grid ``cells``;
+    piece i lies in patch ``cell_tags[i]``; ``band_tags`` are the strip-band
+    patches and ``tent_tags[k]`` the trapezoid and triangles of
+    ``tents[k]``, the stage's tents.
     """
 
+    patches: tuple
+    scale: int
     pieces: tuple
     cell_tags: tuple
     band_tags: tuple
@@ -328,7 +330,6 @@ def build_flattened(spec: CarpetSpec, n: int) -> FlattenedField:
     patches, pieces, cell_tags, band_tags = [], [], [], []
     tent_tags = [[] for _ in tents]
     area2 = band_area2 = 0
-    frac = cache(Fraction)  # one Fraction per c0, shared by the patches
     for i, (part, verts, (c0, cx, cy), cell_pieces) in enumerate(_stage_layout(spec, n, tents)):
         _check_convex(verts, f"stage-{n} patch {i}")
         for piece in cell_pieces:
@@ -336,7 +337,7 @@ def build_flattened(spec: CarpetSpec, n: int) -> FlattenedField:
             pieces.append(piece)
         a2 = _area2(verts)
         area2 += a2
-        patches.append(AffinePatch(verts, frac(c0, scale), cx, cy))
+        patches.append((verts, c0, cx, cy))
         cell_tags += [i] * len(cell_pieces)
         if part is _BAND:
             band_tags.append(i)
@@ -354,7 +355,7 @@ def build_flattened(spec: CarpetSpec, n: int) -> FlattenedField:
                           tuple(band_tags), tuple(map(tuple, tent_tags)), _cells(lines), tents)
 
 
-def check_local_constancy(flattened: PiecewiseAffineField, neighborhoods):
+def check_local_constancy(flattened: FlattenedField, neighborhoods):
     """Every patch overlapping a boundary neighborhood must have zero gradient.
 
     The neighborhoods are on the lattice of ``flattened``.  Returns the list
@@ -362,9 +363,9 @@ def check_local_constancy(flattened: PiecewiseAffineField, neighborhoods):
     vanishing property holds exactly.
     """
     pieces = [(nb.cell_index, piece) for nb in neighborhoods for piece in nb.pieces()]
-    sloped = [i for i, p in enumerate(flattened.patches) if p.gradient != (0, 0)]
+    sloped = [i for i, (_, _, cx, cy) in enumerate(flattened.patches) if cx or cy]
     overlaps = refine_pairs([piece for _, piece in pieces],
-                            [flattened.patches[i].vertices for i in sloped])
+                            [flattened.patches[i][0] for i in sloped])
     return [(pieces[ia][0], sloped[ib]) for _, ia, ib in overlaps]
 
 
@@ -466,11 +467,12 @@ def build_cell_field(flattened: FlattenedField, slopes, den: int) -> CellField:
     return CellField(flattened, tuple(maps), (peak, core_den))
 
 
-def build_ramp(flattened: FlattenedField, f: PiecewiseAffineField) -> CellField:
+def build_ramp(flattened: FlattenedField, f: tuple) -> CellField:
     """Per-cell horizontal ramp: value-of-f-at-center times (x - center_x).
 
-    ``f`` must be one affine patch covering the unit square (``affine_target``
-    raises ``ValueError`` otherwise), and is evaluated at each cell center.
+    ``f`` is the target c0 + cx*x + cy*y as (c0, cx, cy), ints or
+    ``Fraction``s (``affine_target`` raises ``TypeError`` otherwise), and is
+    evaluated at each cell center.
     Off the boundary neighborhoods the gradient is exactly (f(center), 0);
     the sup norm is at most sup|f| times the previous side length.  The
     pieces are the cell pieces of ``flattened`` (see ``build_cell_field``).
@@ -478,8 +480,7 @@ def build_ramp(flattened: FlattenedField, f: PiecewiseAffineField) -> CellField:
     (x0, y0, x1, y1) is the int b0*2L + bx*(x0 + x1) + by*(y0 + y1) over
     2*L*e, so every cell's slope is an int over that one denominator.
     """
-    target = affine_target(f)
-    b0, bx, by, e = _over_lcd(target.c0, target.cx, target.cy)
+    b0, bx, by, e = _over_lcd(*affine_target(f))
     two_l = 2 * flattened.scale
     return build_cell_field(flattened, [(b0 * two_l + bx * (x0 + x1) + by * (y0 + y1), 0)
                                         for x0, y0, x1, y1 in flattened.cells], two_l * e)
@@ -518,24 +519,28 @@ class StageData:
     witness: ProductVectorField
 
 
-def build_stage(spec: CarpetSpec, n: int, f: PiecewiseAffineField) -> StageData:
+def build_stage(spec: CarpetSpec, n: int, f: tuple) -> StageData:
     flattened = build_flattened(spec, n)
     ramp = build_ramp(flattened, f)
     # the ramp times the flattened gradient, read off the tags
+    grads = [(cx, cy) for _, _, cx, cy in flattened.patches]
     witness = ProductVectorField(tuple(
-        (verts, h, flattened.patches[t].gradient)
+        (verts, h, grads[t])
         for (verts, _), h, t in zip(flattened.pieces, ramp.maps, flattened.cell_tags)
-        if flattened.patches[t].gradient != (0, 0)), flattened.scale)
+        if grads[t] != (0, 0)), flattened.scale)
     return StageData(n=n, tents=flattened.tents, flattened=flattened,
                      neighborhoods=build_neighborhoods(spec, n, flattened.tents), ramp=ramp,
                      witness=witness)
 
 
-def affine_target(f: PiecewiseAffineField) -> AffinePatch:
-    """The one affine patch of a target function defined on the whole unit square."""
-    if f.scale != 1 or len(f.patches) != 1 or set(f.patches[0].vertices) != UNIT_CORNERS:
-        raise ValueError("the target must be a single affine patch covering the unit square")
-    return f.patches[0]
+def affine_target(f) -> tuple:
+    """The target c0 + cx*x + cy*y, checked to be a tuple (c0, cx, cy) of
+    ints or ``Fraction``s; anything else raises ``TypeError``."""
+    if not (isinstance(f, tuple) and len(f) == 3
+            and all(isinstance(v, (int, Fraction)) for v in f)):
+        raise TypeError(f"the target must be a tuple (c0, cx, cy) of ints or Fractions, "
+                        f"not {f!r}")
+    return f
 
 
 def _over_lcd(*values):
@@ -595,8 +600,8 @@ def measure_sum(measures, densities) -> Fraction:
     return _RowSum(_weighted(measures, densities)).value()
 
 
-def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
-                            n_max: int, pf: Prefractal) -> VerificationReport:
+def verify_witness_sequence(spec: CarpetSpec, f: tuple, n_max: int,
+                            pf: Prefractal) -> VerificationReport:
     """Check every stage-n printed bound and the witness convergence trend.
 
     Produces one row per quantity with exact pass/fail flags; hypothesis
@@ -604,11 +609,12 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
     the un-truncated carpet approachable.  Every integral is taken over
     ``pf``, the level-m prefractal of ``spec``; the caller may share it with
     the wedge section, which then looks up the moments of every region this
-    section has integrated.  The target ``f`` must be a single affine patch
-    covering the unit square; anything else, or a ``pf`` of another spec,
-    raises ``ValueError`` before any stage is built.
+    section has integrated.  The target f = c0 + cx*x + cy*y on the unit
+    square is given as (c0, cx, cy), ints or ``Fraction``s; anything else
+    raises ``TypeError``, and a ``pf`` of another spec ``ValueError``,
+    before any stage is built.
     """
-    target = affine_target(f)
+    c0, cx, cy = affine_target(f)
     if pf.spec != spec:
         raise ValueError(f"the prefractal is of {pf.spec}, not of {spec}")
     report = VerificationReport()
@@ -629,9 +635,9 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         report.add("hypothesis", i, "shrink_ratio", r)
 
     # an affine map peaks at a vertex: one of the unit square's corners
-    f_sup = max(abs(target.value_at(v)) for v in target.vertices)
+    f_sup = max(abs(c0 + cx * x + cy * y) for x in (0, 1) for y in (0, 1))
     f_sup_sq = f_sup * f_sup
-    b0, bx, by, e = _over_lcd(target.c0, target.cx, target.cy)
+    b0, bx, by, e = _over_lcd(c0, cx, cy)
     witness_norms = []
     for n in range(1, n_max + 1):
         stage = build_stage(spec, n, f)
@@ -642,13 +648,13 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
         # walked once for its measure, or over the ramp patches, each walked
         # once for its six moments and tagged with its flattened patch
         flat = stage.flattened
-        measures = [pf.region_measure(p.vertices, flat.scale) for p in flat.patches]
+        measures = [pf.region_measure(verts, flat.scale) for verts, _, _, _ in flat.patches]
         ramp_moments = [pf.moments(verts, flat.scale) for verts, _ in flat.pieces]
         # each flattened patch's gradient (gx, gy), ints, and its flattening
         # energy |grad(y - flattened)|^2 as an int pair: on the strip bands it
         # is the strip defect (|grad(y - staircase)|^2), on a tent's three
         # patches the tent cover's |grad psi|^2
-        grads = [g.gradient for g in flat.patches]
+        grads = [(gx, gy) for _, _, gx, gy in flat.patches]
         defect = list(_weighted(measures, [flattening_density(gx, gy, 1) for gx, gy in grads]))
 
         strip_area = Fraction(4 * len(flat.band_tags), flat.scale)
@@ -711,7 +717,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: PiecewiseAffineField,
 
         # the target's squared oscillation at cell scale, |grad f|^2 times the
         # squared diagonal 2*d_prev^2, as the wedge section's remainder bound
-        osc_sq = 2 * d_prev ** 2 * (target.cx ** 2 + target.cy ** 2)
+        osc_sq = 2 * d_prev ** 2 * (cx ** 2 + cy ** 2)
         envelope_cross = 4 * f_sup_sq * e_flat * osc_sq * pf.measure
         env_ok = leq_with_sqrt(c_defect, f_sup_sq * e_flat, osc_sq * pf.measure,
                                envelope_cross)

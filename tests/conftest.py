@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from carpetcurl.carpet import CarpetSpec, Prefractal
-from carpetcurl.fields import PiecewiseAffineField, affine_field
-from oracles import patch_from_vertex_values
+from oracles import PiecewiseAffineField, affine_field, patch_from_vertex_values
 
 F = Fraction
 

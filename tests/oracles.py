@@ -17,6 +17,13 @@ makes: carpet membership by descent (``contains``, ``strictly_inside_hole``,
 field's value at a point (``value_at``) and its max of |value| over the
 patch vertices (``sup_norm``).
 
+The piecewise-affine field layer the package no longer carries lives here
+first: ``AffinePatch`` and ``PiecewiseAffineField`` with the constructors
+``constant_field``, ``coordinate_field`` and ``affine_field`` (the field of
+a target triple (c0, cx, cy) the package takes), and the readers of the
+stage's int tuples, ``flattened_field`` (each c0 over L_n as a
+``Fraction``) and ``staircase_field`` (the bands of ``build_staircase``).
+
 The oracles work in unit coordinates: a stage field's int vertices are
 divided by its scale on the way in (``in_unit``), a cell field's int maps
 and a package product field's read as Fractions there (``fraction_field``,
@@ -64,14 +71,7 @@ from carpetcurl.carpet import (
     side_length,
     stage_scale,
 )
-from carpetcurl.fields import (
-    AffinePatch,
-    PiecewiseAffineField,
-    ProductVectorField,
-    _BoxIndex,
-    constant_field,
-    refine_pairs,
-)
+from carpetcurl.fields import ProductVectorField, _BoxIndex, refine_pairs
 from carpetcurl.geometry import (
     MOMENT_DIVISORS,
     MONOMIALS,
@@ -87,16 +87,95 @@ from carpetcurl.geometry import (
 from carpetcurl.witness import (
     CellField,
     CellNeighborhood,
-    affine_target,
+    FlattenedField,
     build_cell_field,
     build_flattened,
     build_ramp,
+    build_staircase,
     build_tents,
     per_tent_bound,
     tent_field_bound,
 )
 
 ONE = Fraction(1)
+
+
+# --- piecewise-affine fields ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AffinePatch:
+    """Convex region with an affine value map; the coefficients are ints or
+    ``Fraction``s (a flattened patch's slopes are ints)."""
+
+    vertices: tuple
+    c0: Fraction
+    cx: Fraction
+    cy: Fraction
+
+    def value_at(self, p):
+        return self.c0 + self.cx * p[0] + self.cy * p[1]
+
+    @property
+    def gradient(self):
+        return (self.cx, self.cy)
+
+
+@dataclass(frozen=True)
+class PiecewiseAffineField:
+    """Finite set of affine patches with pairwise disjoint interiors.
+
+    Vertices are over ``scale``; maps are in unit coordinates.  Patches may
+    cover less than the unit square; integration treats the complement as
+    zero, so fields supported on small regions (tent covers, seams) need no
+    complement patches.
+    """
+
+    patches: tuple
+    scale: int
+
+
+def constant_field(value) -> PiecewiseAffineField:
+    return affine_field(value, 0, 0)
+
+
+def coordinate_field(axis: str) -> PiecewiseAffineField:
+    if axis == "x":
+        return affine_field(0, 1, 0)
+    if axis == "y":
+        return affine_field(0, 0, 1)
+    raise ValueError(axis)
+
+
+def affine_field(c0, cx, cy) -> PiecewiseAffineField:
+    """The target c0 + cx*x + cy*y as one patch on the unit square: the field
+    of the triple (c0, cx, cy) the package takes."""
+    unit = ((0, 0), (1, 0), (1, 1), (0, 1))
+    return PiecewiseAffineField((AffinePatch(unit, Fraction(c0), Fraction(cx), Fraction(cy)),), 1)
+
+
+def flattened_field(flat: FlattenedField) -> PiecewiseAffineField:
+    """A flattened field's int patches (vertices, c0, cx, cy) as affine
+    patches on its lattice, each c0 read as ``Fraction(c0, scale)``."""
+    s = flat.scale
+    return PiecewiseAffineField(tuple(AffinePatch(verts, Fraction(c0, s), cx, cy)
+                                      for verts, c0, cx, cy in flat.patches), s)
+
+
+def staircase_field(spec: CarpetSpec, n: int) -> PiecewiseAffineField:
+    """The staircase of ``witness.build_staircase`` as a field on the stage-n
+    lattice: each int band (y0, y1, value, slope) the full-width rectangle
+    carrying the map (value - slope*y0) / L_n + slope*y."""
+    scale, bands = build_staircase(spec, n)
+    return PiecewiseAffineField(tuple(
+        AffinePatch(((0, y0), (scale, y0), (scale, y1), (0, y1)),
+                    Fraction(value - slope * y0, scale), ZERO, Fraction(slope))
+        for y0, y1, value, slope in bands), scale)
+
+
+# the scalar fields the refinement calculus reads; a flattened field is
+# read through ``flattened_field``
+SCALAR_FIELDS = (PiecewiseAffineField, FlattenedField)
 
 
 # --- lattices -------------------------------------------------------------
@@ -186,10 +265,13 @@ class FractionProductField:
 
 def in_unit(obj):
     """A field or product vector field at scale 1, its vertices and maps as
-    Fractions: a cell field through ``fraction_field``, a package product
-    field's int maps through ``fraction_map``."""
+    Fractions: a cell field through ``fraction_field``, a flattened field
+    through ``flattened_field``, a package product field's int maps through
+    ``fraction_map``."""
     if isinstance(obj, CellField):
         obj = fraction_field(obj)
+    if isinstance(obj, FlattenedField):
+        obj = flattened_field(obj)
     if isinstance(obj, ProductVectorField):
         s = obj.scale
         return FractionProductField(tuple((unit_polygon(v, s), fraction_map(*h), w)
@@ -490,7 +572,7 @@ def overlay(a, b):
     the refinement preserves area exactly.
     """
     def regions(x):
-        if isinstance(x, PiecewiseAffineField):
+        if isinstance(x, SCALAR_FIELDS):
             return [p.vertices for p in in_unit(x).patches]
         return [normalize_polygon(r) for r in x]
 
@@ -520,7 +602,7 @@ def dirichlet_energy(field: PiecewiseAffineField, prefractal: Prefractal):
 def l2_norm_sq(obj, prefractal: Prefractal):
     """Exact squared L2 norm over the prefractal for any supported field kind."""
     total = ZERO
-    if isinstance(obj, (PiecewiseAffineField, CellField, ProductVectorField)):
+    if isinstance(obj, SCALAR_FIELDS + (CellField, ProductVectorField)):
         obj = in_unit(obj)
     if isinstance(obj, PiecewiseAffineField):
         for p in obj.patches:
@@ -643,7 +725,7 @@ class ProductField:
 
 def _field_atoms(obj):
     """Uniform atom view: (regions, [(value_poly, gx_poly, gy_poly)])."""
-    if isinstance(obj, PiecewiseAffineField):
+    if isinstance(obj, SCALAR_FIELDS):
         obj = in_unit(obj)
         regions = [p.vertices for p in obj.patches]
         data = [(value_poly(p), {(0, 0): p.cx}, {(0, 0): p.cy}) for p in obj.patches]
@@ -722,7 +804,7 @@ def _product_or_field(a, b):
         return b
     if _is_const_one(b):
         return a
-    if isinstance(a, PiecewiseAffineField) and isinstance(b, PiecewiseAffineField):
+    if isinstance(a, SCALAR_FIELDS) and isinstance(b, SCALAR_FIELDS):
         return ProductField(a, b)
     raise TypeError("cannot multiply nested products; expand terms instead")
 
@@ -843,7 +925,7 @@ def gamma(f: PiecewiseAffineField, g: PiecewiseAffineField, pf: Prefractal) -> G
 
 
 def build_cutoff_form(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
-                      flattened: Optional[PiecewiseAffineField] = None):
+                      flattened: Optional[FlattenedField] = None):
     """Stage-n one-form: the cutoff remainder of f times d(flattened coordinate).
 
     Returns (one_form, remainder_field), the remainder the package's
@@ -902,9 +984,10 @@ def build_tent_field(spec: CarpetSpec, n: int) -> PiecewiseAffineField:
                                       for p in field_patches(t, scale)), 1)
 
 
-def build_witness(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
+def build_witness(spec: CarpetSpec, n: int, f: tuple,
                   flattened=None, ramp=None) -> FractionProductField:
-    """The stage-n witness vector field: ramp times flattened gradient."""
+    """The stage-n witness vector field: ramp times flattened gradient, for
+    the target triple ``f`` that ``build_ramp`` takes."""
     if flattened is None:
         flattened = build_flattened(spec, n)
     if ramp is None:
@@ -912,20 +995,22 @@ def build_witness(spec: CarpetSpec, n: int, f: PiecewiseAffineField,
     return product_with_gradient(ramp, flattened)
 
 
-def coordinate_minus(field: PiecewiseAffineField) -> PiecewiseAffineField:
+def coordinate_minus(field) -> PiecewiseAffineField:
     """The field y - given(x, y) on the given field's partition."""
+    if isinstance(field, FlattenedField):
+        field = flattened_field(field)
     return PiecewiseAffineField(tuple(
         AffinePatch(p.vertices, -p.c0, -p.cx, 1 - p.cy) for p in field.patches), field.scale)
 
 
-def vertical_defect_sq(flattened: PiecewiseAffineField, pf: Prefractal):
+def vertical_defect_sq(flattened: FlattenedField, pf: Prefractal):
     """Integral of (d/dy flattened - 1)^2 over the prefractal."""
     pieces = tuple((p.vertices, p.cy - 1) for p in in_unit(flattened).patches)
     return l2_norm_sq(PCScalarField(pieces), pf)
 
 
-def curl_defect_sq(ramp: PiecewiseAffineField, flattened: PiecewiseAffineField,
-                   f: PiecewiseAffineField, pf: Prefractal):
+def curl_defect_sq(ramp: CellField, flattened: FlattenedField, f: PiecewiseAffineField,
+                   pf: Prefractal):
     """Squared L2 distance between the witness rotation and the target f.
 
     The rotation is ramp_x * flat_y - ramp_y * flat_x on every refined patch,
@@ -1264,8 +1349,9 @@ def fraction_cell_field(flattened, slopes) -> PiecewiseAffineField:
 
 
 def fraction_ramp(flattened, f):
-    """``build_ramp`` with the target evaluated at each cell's Fraction centre."""
-    target = affine_target(f)
+    """``build_ramp`` with the target triple ``f`` evaluated at each cell's
+    Fraction centre."""
+    target = affine_field(*f).patches[0]
     two_l = 2 * flattened.scale
     return fraction_cell_field(flattened, [
         (target.value_at((Fraction(x0 + x1, two_l), Fraction(y0 + y1, two_l))), ZERO)
@@ -1283,14 +1369,16 @@ def _measure_sum(field, measures, density):
 def fraction_witness_rows(spec: CarpetSpec, f, n: int, flat, pf: Prefractal) -> dict:
     """{name: (value, bound)} of the stage-n witness rows whose values are
     sums over patches, and the ramp's sup, summed patch by patch on
-    Fractions over ``flat``, the stage-n flattened field."""
-    target = affine_target(f)
+    Fractions over ``flat``, the stage-n flattened field, for the target
+    triple ``f``."""
+    target = affine_field(*f).patches[0]
     f_sup = max(abs(target.value_at(v)) for v in target.vertices)
     a_n = spec.ratio(n)
     d_prev = side_length(spec, n - 1)
     ramp = fraction_ramp(flat, f)
-    measures = [pf.region_measure(p.vertices, flat.scale) for p in flat.patches]
-    defect = [_flattening_density(p) * m for p, m in zip(flat.patches, measures)]
+    field = flattened_field(flat)
+    measures = [pf.region_measure(p.vertices, flat.scale) for p in field.patches]
+    defect = [_flattening_density(p) * m for p, m in zip(field.patches, measures)]
     worst = e_tents = ZERO
     for tags in flat.tent_tags:
         e_one = sum((defect[i] for i in tags), ZERO)
@@ -1302,13 +1390,13 @@ def fraction_witness_rows(spec: CarpetSpec, f, n: int, flat, pf: Prefractal) -> 
     w_norm = c_defect = ZERO
     for p, t in zip(ramp.patches, flat.cell_tags):
         moments = fraction_moments(pf.moments(p.vertices, flat.scale))
-        g = flat.patches[t]
+        g = field.patches[t]
         g2 = g.cx ** 2 + g.cy ** 2
         if g2:
             w_norm += g2 * fraction_square_integral(p.c0, p.cx, p.cy, moments)
         c = p.cx * g.cy - p.cy * g.cx
         c_defect += fraction_square_integral(c - target.c0, -target.cx, -target.cy, moments)
-    e_flat_grad = _measure_sum(flat, measures, lambda p: p.cx ** 2 + p.cy ** 2)
+    e_flat_grad = _measure_sum(field, measures, lambda p: p.cx ** 2 + p.cy ** 2)
     osc_sq = 2 * d_prev ** 2 * (target.cx ** 2 + target.cy ** 2)
     return {
         "strip_defect_energy": (sum((defect[i] for i in flat.band_tags), ZERO), a_n),
@@ -1318,28 +1406,30 @@ def fraction_witness_rows(spec: CarpetSpec, f, n: int, flat, pf: Prefractal) -> 
         "ramp_sup": (ramp_sup, f_sup * d_prev),
         "witness_l2": (w_norm, ramp_sup ** 2 * e_flat_grad),
         "curl_defect_l2": (c_defect, f_sup * f_sup * e_flat + osc_sq * pf.measure),
-        "vertical_defect": (_measure_sum(flat, measures, lambda p: (p.cy - 1) ** 2), e_flat),
+        "vertical_defect": (_measure_sum(field, measures, lambda p: (p.cy - 1) ** 2), e_flat),
     }
 
 
 def fraction_wedge_rows(f, flat, pf: Prefractal) -> dict:
     """{name: (value, bound)} of the wedge rows over ``flat`` whose values
-    are sums over patches, summed patch by patch on Fractions."""
-    base = affine_target(f)
+    are sums over patches, summed patch by patch on Fractions, for the
+    target triple ``f``."""
+    base = affine_field(*f).patches[0]
 
     def det(a, b):
         return a.cx * b.cy - a.cy * b.cx
 
     gf_sup = base.cx ** 2 + base.cy ** 2
     remainder = fraction_cell_field(flat, [base.gradient] * len(flat.cells))
-    measures = [pf.region_measure(p.vertices, flat.scale) for p in flat.patches]
-    active = [(p, flat.patches[t]) for p, t in zip(remainder.patches, flat.cell_tags)
-              if flat.patches[t].gradient != (0, 0)]
+    field = flattened_field(flat)
+    measures = [pf.region_measure(p.vertices, flat.scale) for p in field.patches]
+    active = [(p, field.patches[t]) for p, t in zip(remainder.patches, flat.cell_tags)
+              if field.patches[t].gradient != (0, 0)]
     moments = [fraction_moments(pf.moments(p.vertices, flat.scale)) for p, _ in active]
     omega_norm = sum(((q.cx ** 2 + q.cy ** 2) * fraction_square_integral(p.c0, p.cx, p.cy, mom)
                       for (p, q), mom in zip(active, moments)), ZERO)
-    e_flat = _measure_sum(flat, measures, _flattening_density)
-    defect1 = _measure_sum(flat, measures, lambda q: (base.cx - det(base, q)) ** 2)
+    e_flat = _measure_sum(field, measures, _flattening_density)
+    defect1 = _measure_sum(field, measures, lambda q: (base.cx - det(base, q)) ** 2)
     defect2 = sum(((det(base, q) - det(p, q)) ** 2 * mom[0]
                    for (p, q), mom in zip(active, moments)), ZERO)
     return {

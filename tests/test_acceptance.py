@@ -24,7 +24,6 @@ from carpetcurl.carpet import (
     validate_spec,
 )
 from carpetcurl.cli import main as cli_main
-from carpetcurl.fields import PiecewiseAffineField, constant_field, coordinate_field
 from carpetcurl.forms import verify_wedge_approximation
 from carpetcurl.geometry import polygon_area
 from carpetcurl.report import leq_sqrt_sum_sq
@@ -32,7 +31,6 @@ from carpetcurl.witness import (
     build_flattened,
     build_neighborhoods,
     build_ramp,
-    build_staircase,
     build_tents,
     check_local_constancy,
     per_tent_bound,
@@ -41,8 +39,10 @@ from carpetcurl.witness import (
 
 from conftest import random_affine_field, random_grid_field, seeded
 from oracles import (
+    PiecewiseAffineField,
     ProductField,
     build_tent_field,
+    constant_field,
     coordinate_minus,
     curl_defect_sq,
     d0,
@@ -55,6 +55,7 @@ from oracles import (
     norm_sq_one,
     norm_sq_two,
     product_with_gradient,
+    staircase_field,
     wedge,
 )
 
@@ -74,13 +75,12 @@ def witness_data():
     """Stage data for the witness criterion, computed once at depth four."""
     t0 = time.monotonic()
     pf = Prefractal(SPEC, 4)
-    one = constant_field(1)
     data = {}
     for n in (1, 2, 3):
         flattened = build_flattened(SPEC, n)
         tents = flattened.tents
         neighborhoods = build_neighborhoods(SPEC, n, tents)
-        ramp = build_ramp(flattened, one)
+        ramp = build_ramp(flattened, (1, 0, 0))
         witness = product_with_gradient(ramp, flattened)
         tent_energies = [
             dirichlet_energy(PiecewiseAffineField(field_patches(t, flattened.scale), 1), pf)
@@ -94,7 +94,7 @@ def witness_data():
             "tent_total": sum(tent_energies, F(0)),
             "flat_defect": dirichlet_energy(coordinate_minus(flattened), pf),
             "witness_l2": l2_norm_sq(witness, pf),
-            "curl_defect": curl_defect_sq(ramp, flattened, one, pf),
+            "curl_defect": curl_defect_sq(ramp, flattened, constant_field(1), pf),
         }
     data["elapsed"] = time.monotonic() - t0
     return data
@@ -119,12 +119,12 @@ class TestCriterion2StripBound:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_strip_defect_energy(self, n):
         pf = Prefractal(SPEC, n + 1)
-        defect = coordinate_minus(build_staircase(SPEC, n))
+        defect = coordinate_minus(staircase_field(SPEC, n))
         energy = dirichlet_energy(defect, pf)
         a_n = SPEC.ratio(n)
         # the strips are the strip-band patches of the flattened field
         flat = build_flattened(SPEC, n)
-        bands = [flat.patches[i].vertices for i in flat.band_tags]
+        bands = [flat.patches[i][0] for i in flat.band_tags]
         area = sum((polygon_area(b) for b in bands), F(0)) / flat.scale ** 2
         ok = energy <= a_n and area == len(bands) * side_length(SPEC, n) and area <= a_n
         assert report("criterion 2", ok,
@@ -234,7 +234,7 @@ class TestCriterion6FormIdentities:
 class TestCriterion7WedgeDefects:
     def test_defects_at_stages_two_and_three(self):
         pf = Prefractal(SPEC357, 3)
-        rep = verify_wedge_approximation(SPEC357, coordinate_field("x"), (2, 3), pf=pf)
+        rep = verify_wedge_approximation(SPEC357, (0, 1, 0), (2, 3), pf=pf)
         ok = True
         norm_row = rep.get("wedge", None, "wedge_norm_sq")
         ok = ok and norm_row.value == prefractal_measure(SPEC357, 3) > F(3, 4)

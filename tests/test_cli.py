@@ -31,8 +31,9 @@ def report_digests(out):
 
 # sha256 of report.csv and report.json of the wide_stage benchmark call
 # (verify --generator odd-reciprocal --nmax 3 --depth 2) per target: the
-# benchmark's own f = 1, a held-out-style constant, and a target with both
-# slopes nonzero, under which the ramp's band seams interpolate two maps
+# benchmark's own f = 1, a held-out-style constant, a target with both
+# slopes nonzero, under which the ramp's band seams interpolate two maps,
+# and the two coordinates
 WIDE_STAGE_ARGV = ["verify", "--generator", "odd-reciprocal", "--nmax", "3", "--depth", "2"]
 WIDE_STAGE_GOLDEN = {
     "const": {
@@ -46,6 +47,14 @@ WIDE_STAGE_GOLDEN = {
     "affine:1/3,2/5,-3/7": {
         "report.csv": "365605f63118c8f9589a14edad049c9b023637c3b76bb7a2e8bf8a652f01b5ed",
         "report.json": "bd8772459ee73bce334d5852cc7f19d4db2831519653945b6dd0989e150773f3",
+    },
+    "x": {
+        "report.csv": "a707b3bb28b7f2bcf0a5f3cc8267dff670062bc8bd149172dd509b75e98259fe",
+        "report.json": "937dc29cbbd0b7d5c90089b7654209bc35cf708e6acca3373f03a28ce011acfd",
+    },
+    "y": {
+        "report.csv": "e5f783233055530caaa5b759ed69755ad283f6d843883250af3274ab47be463c",
+        "report.json": "c47fb40ad13afce867cda01da689c581c8ad48e35bdee50ada4961078d82a0a9",
     },
 }
 

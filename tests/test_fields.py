@@ -5,24 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpetcurl.carpet import CarpetSpec, Prefractal, prefractal_measure, stage_lines
-from carpetcurl.fields import (
-    AffinePatch,
-    PiecewiseAffineField,
-    _BoxIndex,
-    affine_field,
-    constant_field,
-    coordinate_field,
-    refine_pairs,
-)
+from carpetcurl.fields import _BoxIndex, refine_pairs
 from carpetcurl.geometry import bbox, clip_convex, polygon_area
-from carpetcurl.witness import _cells, _rectangle, build_flattened, build_ramp, build_staircase
+from carpetcurl.witness import _cells, _rectangle, build_flattened, build_ramp
 
 from conftest import UNIT, random_grid_field, seeded
 from oracles import (
+    AffinePatch,
     PCScalarField,
+    PiecewiseAffineField,
     SupportMismatch,
+    affine_field,
     build_tent_field,
+    constant_field,
     continuity_defects,
+    coordinate_field,
     coordinate_minus,
     curl,
     dirichlet_energy,
@@ -35,6 +32,7 @@ from oracles import (
     on_lattice,
     overlay,
     product_with_gradient,
+    staircase_field,
     sup_norm,
     touching,
     unit_polygon,
@@ -85,7 +83,7 @@ class TestOverlay:
         assert sum(polygon_area(r) for r, _, _ in pieces) == 1
 
     def test_self_overlay_preserves_area(self, spec35):
-        phi = build_staircase(spec35, 2)
+        phi = staircase_field(spec35, 2)
         pieces = overlay(phi, phi)
         assert sum(polygon_area(r) for r, _, _ in pieces) == 1
 
@@ -98,7 +96,7 @@ class TestOverlay:
     def test_grid_times_strips_all_rectangles(self, spec35):
         scale, lines = stage_lines(spec35, 2)
         cells = [unit_polygon(_rectangle(*cell), scale) for cell in _cells(lines)]
-        phi = build_staircase(spec35, 2)
+        phi = staircase_field(spec35, 2)
         pieces = overlay(cells, phi)
         assert sum(polygon_area(r) for r, _, _ in pieces) == 1
         assert all(len(r) == 4 for r, _, _ in pieces)
@@ -185,9 +183,9 @@ class TestBoxIndex:
         # in the same order
         spec = CarpetSpec((), "odd-reciprocal")
         flattened = build_flattened(spec, 2)
-        ramp = build_ramp(flattened, constant_field(1))
+        ramp = build_ramp(flattened, (1, 0, 0))
         regions_a = [verts for verts, _ in ramp.flattened.pieces]
-        regions_b = [p.vertices for p in flattened.patches]
+        regions_b = [verts for verts, _, _, _ in flattened.patches]
         assert (len(regions_a), len(regions_b)) == (92, 57)
         expected = []
         for ia, ra in enumerate(regions_a):
@@ -212,14 +210,14 @@ class TestDirichletEnergy:
     def test_strip_defect_energy_at_stage_two(self, spec35, pf35_2):
         # the defect of the staircase lives on the strips: three rows of
         # surviving level-2 squares give (12 + 8 + 12) / 225
-        defect = coordinate_minus(build_staircase(spec35, 2))
+        defect = coordinate_minus(staircase_field(spec35, 2))
         value = dirichlet_energy(defect, pf35_2)
         assert value == F(32, 225)
         assert value <= F(1, 5)
 
     def test_energy_invariant_under_refinement(self, spec35, pf35_2):
         # the staircase and the cells on one stage lattice
-        phi = build_staircase(spec35, 2)
+        phi = staircase_field(spec35, 2)
         _, lines = stage_lines(spec35, 2)
         cells = [_rectangle(*cell) for cell in _cells(lines)]
         refined = []
@@ -321,7 +319,7 @@ class TestSerialization:
     def test_round_trip(self, spec35):
         # the wire format is in unit coordinates, so the staircase comes back
         # with its lattice vertices over L_2
-        phi = build_staircase(spec35, 2)
+        phi = staircase_field(spec35, 2)
         data = field_to_json(phi)
         back = field_from_json(data)
         assert back == in_unit(phi)
@@ -332,7 +330,7 @@ class TestVectorSerialization:
         from oracles import vector_field_to_json
 
         flattened = build_flattened(spec35, 1)
-        ramp = build_ramp(flattened, constant_field(1))
+        ramp = build_ramp(flattened, (1, 0, 0))
         v = product_with_gradient(ramp, flattened)
         payload = vector_field_to_json(v)
         assert payload["kind"] == "product"

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 from carpetcurl import geometry
 from carpetcurl.carpet import Prefractal
-from carpetcurl.fields import affine_field, constant_field, coordinate_field
 from carpetcurl.forms import verify_wedge_approximation
-from carpetcurl.witness import build_flattened, build_staircase
+from carpetcurl.witness import build_flattened
 
 from conftest import random_affine_field, random_grid_field, seeded
 from oracles import (
     OneForm,
+    PiecewiseAffineField,
     ProductField,
+    affine_field,
     build_cutoff_form,
+    constant_field,
+    coordinate_field,
     d0,
     d1,
     dirichlet_energy,
@@ -24,6 +27,7 @@ from oracles import (
     norm_sq_one,
     norm_sq_two,
     one_form_to_json,
+    staircase_field,
     value_at,
     wedge,
 )
@@ -46,7 +50,7 @@ class TestGamma:
         assert all(v == 0 for (_, v) in d.density.pieces)
 
     def test_staircase_against_vertical(self, spec35, pf35_2):
-        phi = build_staircase(spec35, 2)
+        phi = staircase_field(spec35, 2)
         d = gamma(phi, coordinate_field("y"), pf35_2)
         assert {v for (_, v) in d.density.pieces} <= {F(0), F(1)}
 
@@ -73,11 +77,10 @@ class TestInnerOne:
     def test_derivation_energy_identity(self, spec35, pf35_2):
         assert norm_sq_one(d0(coordinate_field("y")), pf35_2) == F(64, 75)
         assert norm_sq_one(d0(constant_field(5)), pf35_2) == 0
-        phi = build_staircase(spec35, 2)
+        phi = staircase_field(spec35, 2)
         assert norm_sq_one(d0(phi), pf35_2) == dirichlet_energy(phi, pf35_2)
 
     def test_refinement_invariance(self, pf3_1):
-        from carpetcurl.fields import PiecewiseAffineField
         from oracles import make_patch
         fy = coordinate_field("y")
         split = PiecewiseAffineField((
@@ -179,7 +182,7 @@ class TestCutoffForm:
 class TestWedgeVerification:
     def test_canonical_stage_two(self, spec357):
         report = verify_wedge_approximation(
-            spec357, coordinate_field("x"), (2,), pf=Prefractal(spec357, 3))
+            spec357, (0, 1, 0), (2,), pf=Prefractal(spec357, 3))
         assert report.get("wedge", None, "wedge_norm_sq").value == F(1024, 1225)
         assert report.get("wedge", 2, "wedge_defect_secondary").value == 0
         primary = report.get("wedge", 2, "wedge_defect_primary")
@@ -189,7 +192,7 @@ class TestWedgeVerification:
     def test_wedge_section_clips_nothing(self, spec357, monkeypatch):
         def run():
             return verify_wedge_approximation(
-                spec357, coordinate_field("x"), (2,), pf=Prefractal(spec357, 3)).rows
+                spec357, (0, 1, 0), (2,), pf=Prefractal(spec357, 3)).rows
 
         expected = run()
 

@@ -9,14 +9,18 @@ independently, so these tests pin the tags and every tagged row to it.
 """
 
 import functools
+import subprocess
+import sys
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from carpetcurl import cli, witness
+import carpetcurl
+from carpetcurl import cli, forms, witness
 from carpetcurl.carpet import (
     CarpetSpec,
     ConstructionError,
@@ -27,14 +31,7 @@ from carpetcurl.carpet import (
     stage_lines,
     stage_scale,
 )
-from carpetcurl.fields import (
-    AffinePatch,
-    PiecewiseAffineField,
-    affine_field,
-    constant_field,
-    coordinate_field,
-    refine_pairs,
-)
+from carpetcurl.fields import refine_pairs
 from carpetcurl.forms import verify_wedge_approximation
 from carpetcurl.geometry import bbox, polygon_area
 from carpetcurl.witness import (
@@ -44,12 +41,15 @@ from carpetcurl.witness import (
     build_neighborhoods,
     build_ramp,
     build_stage,
-    build_staircase,
     build_tents,
     verify_witness_sequence,
 )
 from oracles import (
+    AffinePatch,
+    PiecewiseAffineField,
+    affine_field,
     build_cutoff_form,
+    coordinate_field,
     coordinate_minus,
     curl_defect_sq,
     d0,
@@ -65,6 +65,7 @@ from oracles import (
     fraction_tents,
     fraction_wedge_rows,
     fraction_witness_rows,
+    flattened_field,
     in_unit,
     int_slopes,
     unit_polygon,
@@ -77,6 +78,7 @@ from oracles import (
     product_with_gradient,
     RegionClipPrefractal,
     SquareClipPrefractal,
+    staircase_field,
     sup_norm,
     vertical_defect_sq,
     wedge,
@@ -90,15 +92,16 @@ SPECS = {
     "1/3,1/5 constant": CarpetSpec((F(1, 3), F(1, 5)), generator="constant"),
     "1/5,1/3,1/7": CarpetSpec((F(1, 5), F(1, 3), F(1, 7))),
 }
-# an affine target, so the curl defect needs all six moments of a patch
-TARGET = affine_field(2, -3, 5)
-# the row oracle's targets, as ``--f`` spells them: a constant, as the
-# benchmark's seeds draw, and a sloped one, whose curl defect has degree 2
-ROW_TARGETS = {
-    "const": constant_field(1),
-    "affine:-7/3,0,0": affine_field(F(-7, 3), 0, 0),
-    "affine:1/2,1/3,-1/5": affine_field(F(1, 2), F(1, 3), F(-1, 5)),
-}
+# an affine target (c0, cx, cy), so the curl defect needs all six moments
+# of a patch
+TARGET = (2, -3, 5)
+# the row oracle's targets, as ``--f`` spells them and ``cli._target`` reads
+# them: the int constant 1, as the benchmark's seeds draw, a Fraction
+# constant, and a sloped one, whose curl defect has degree 2
+ROW_TARGETS = {selector: cli._target(selector)
+               for selector in ("const", "affine:-7/3,0,0", "affine:1/2,1/3,-1/5")}
+# the cell fields' targets: the row targets and TARGET, which varies in y
+CELL_TARGETS = {**ROW_TARGETS, "TARGET": TARGET}
 RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
 
 
@@ -149,18 +152,18 @@ class TestTags:
     @pytest.mark.parametrize("name", SPECS)
     def test_tags_equal_the_refinement(self, name, n):
         spec = SPECS[name]
-        stage = build_stage(spec, n, constant_field(1))
+        stage = build_stage(spec, n, (1, 0, 0))
         flat, ramp = stage.flattened, fraction_field(stage.ramp)
         assert len(flat.cell_tags) == len(ramp.patches)
         # every ramp patch lies inside exactly its tagged flattened patch
-        assert refine_pairs(regions(ramp), regions(flat)) == [
+        assert refine_pairs(regions(ramp), regions(flattened_field(flat))) == [
             (p.vertices, i, t) for i, (p, t) in enumerate(zip(ramp.patches, flat.cell_tags))]
         # the cutoff remainder has the ramp's polygons, so the same refinement
         _, remainder = build_cutoff_form(spec, n, coordinate_field("x"), flat)
         assert regions(fraction_field(remainder)) == regions(ramp)
         # a tent's trapezoid and side triangles are flattened patches
         for t, tags in zip(stage.tents, flat.tent_tags):
-            assert [unit_polygon(flat.patches[i].vertices, flat.scale) for i in tags] == regions(
+            assert [unit_polygon(flat.patches[i][0], flat.scale) for i in tags] == regions(
                 PiecewiseAffineField(field_patches(t, flat.scale), 1))
         # the tagged pieces tile each flattened patch, except that the cell
         # field leaves out the stage-n hole squares on the strip bands:
@@ -170,9 +173,9 @@ class TestTags:
             tiled[t] += polygon_area(p.vertices)
         hole = (side_length(spec, n) * flat.scale) ** 2
         cuts = len(stage_lines(spec, n)[1]) - 2
-        for i, patch in enumerate(flat.patches):
+        for i, (verts, _, _, _) in enumerate(flat.patches):
             short = cuts * hole if i in flat.band_tags else 0
-            assert tiled[i] == polygon_area(patch.vertices) - short
+            assert tiled[i] == polygon_area(verts) - short
         assert len(flat.band_tags) * cuts * hole == (spec.ratio(n) * flat.scale) ** 2
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -187,8 +190,8 @@ class TestTags:
         scale = flat.scale
         pieces = [piece for nb in build_neighborhoods(SPECS[name], n, flat.tents)
                   for piece in nb.pieces()]
-        sloped = [p.vertices for p in flat.patches if p.gradient != (0, 0)]
-        for regions_b in (sloped, regions(flat)):
+        sloped = [verts for verts, _, cx, cy in flat.patches if cx or cy]
+        for regions_b in (sloped, [verts for verts, _, _, _ in flat.patches]):
             boxes_b = [bbox(b) for b in regions_b]
             expected = []
             for ia, a in enumerate(pieces):
@@ -210,7 +213,7 @@ class TestTags:
         assert flat.tents == tuple(build_tents(SPECS[name], n))
         # tent_tags[k] are the patches built on the very tuples of tents[k]
         for t, tags in zip(flat.tents, flat.tent_tags, strict=True):
-            verts = [flat.patches[i].vertices for i in tags]
+            verts = [flat.patches[i][0] for i in tags]
             assert len(verts) == 3
             assert all(v is w for v, w in zip(verts, (t.trapezoid, *t.triangles)))
 
@@ -224,29 +227,28 @@ class TestTags:
 
         monkeypatch.setattr(witness, "_stage_layout", counted)
         spec = SPECS["odd-reciprocal"]
-        stage = build_stage(spec, 2, constant_field(1))
+        stage = build_stage(spec, 2, (1, 0, 0))
         assert calls == [2]
         # the tents' own tuples are the flattened trapezoids and triangles
         # and the neighbourhood trapezoids
         flat, t = stage.flattened, stage.tents[0]
-        assert [flat.patches[i].vertices for i in flat.tent_tags[0]] == [
-            t.trapezoid, *t.triangles]
-        assert flat.patches[flat.tent_tags[0][0]].vertices is t.trapezoid
+        assert [flat.patches[i][0] for i in flat.tent_tags[0]] == [t.trapezoid, *t.triangles]
+        assert flat.patches[flat.tent_tags[0][0]][0] is t.trapezoid
         assert any(q is t.trapezoid for nb in stage.neighborhoods for q in nb.trapezoids)
         calls.clear()
-        verify_wedge_approximation(spec, coordinate_field("x"), (2, 3), pf=Prefractal(spec, 1))
+        verify_wedge_approximation(spec, (0, 1, 0), (2, 3), pf=Prefractal(spec, 1))
         assert calls == [2, 3]
 
     def test_every_cell_patch_holds_its_piece_tuple(self):
         # cores, tent sides and seams keep the vertex tuple the layout
         # yields: the ramp maps the stage's own pieces, and each witness
         # piece is one of them
-        stage = build_stage(SPECS["odd-reciprocal"], 3, constant_field(1))
+        stage = build_stage(SPECS["odd-reciprocal"], 3, (1, 0, 0))
         pieces = stage.flattened.pieces
         assert stage.ramp.flattened is stage.flattened
         assert len(pieces) == len(stage.ramp.maps) == 1668
         sloped = [verts for (verts, _), t in zip(pieces, stage.flattened.cell_tags)
-                  if stage.flattened.patches[t].gradient != (0, 0)]
+                  if stage.flattened.patches[t][2:] != (0, 0)]
         assert len(stage.witness.pieces) == len(sloped)
         assert all(v is verts for (v, _, _), verts in zip(stage.witness.pieces, sloped))
 
@@ -300,11 +302,11 @@ class TestStageLattice:
                 fraction_layout(spec, n, old_tents), flat.patches, strict=True):
             o_part, o_verts, o_coeffs, o_pieces = old
             assert part == o_part
-            assert patch.vertices == verts and int_polygons([verts])
+            assert patch == (verts, c0, cx, cy) and int_polygons([verts])
             assert all(type(v) is int for v in (c0, cx, cy))
             assert (F(c0, scale), cx, cy) == o_coeffs
             # make_patch of the Fraction patch, which the int checks replace
-            assert AffinePatch(unit(verts), patch.c0, patch.cx, patch.cy) == make_patch(
+            assert AffinePatch(unit(verts), F(c0, scale), cx, cy) == make_patch(
                 o_verts, *o_coeffs)
             assert int_polygons([v for v, _ in cell_pieces])
             assert [(unit(v), owner) for v, owner in cell_pieces] == o_pieces
@@ -331,24 +333,20 @@ class TestCellFields:
     @pytest.mark.parametrize("name", SPECS)
     def test_owned_pieces_carry_their_cell_maps(self, name, n):
         # a core or tent-side piece takes its owner's map verbatim, written
-        # out here in full: f(c)*(x - c_x) for the ramp, b - b(c) for the
-        # wedge remainder of the affine map b
+        # out here in full: b(c)*(x - c_x) for the ramp of the target triple
+        # and b - b(c) for the oracle's wedge remainder of its field b
         spec = SPECS[name]
         flat = build_flattened(spec, n)
         centers = unit_centers(flat)
-        b = TARGET.patches[0]
-        _, remainder = build_cutoff_form(spec, n, TARGET, flat)
-
-        def ramp_maps(g):
-            return [(-g.value_at(c) * c[0], g.value_at(c), F(0)) for c in centers]
-
-        cases = {
-            "ramp of 1": (build_ramp(flat, constant_field(1)),
-                          ramp_maps(constant_field(1).patches[0])),
-            "ramp of TARGET": (build_ramp(flat, TARGET), ramp_maps(b)),
-            "remainder of TARGET": (remainder,
-                                    [(b.c0 - b.value_at(c), b.cx, b.cy) for c in centers]),
-        }
+        cases = {}
+        for label, f in CELL_TARGETS.items():
+            b = affine_field(*f)
+            _, remainder = build_cutoff_form(spec, n, b, flat)
+            b = b.patches[0]
+            cases[f"ramp of {label}"] = (build_ramp(flat, f), [
+                (-b.value_at(c) * c[0], b.value_at(c), F(0)) for c in centers])
+            cases[f"remainder of {label}"] = (remainder, [
+                (b.c0 - b.value_at(c), b.cx, b.cy) for c in centers])
         for label, (field, maps) in cases.items():
             owned = [((p.c0, p.cx, p.cy), maps[owner])
                      for p, (_, owner) in zip(fraction_field(field).patches, flat.pieces)
@@ -361,13 +359,12 @@ class TestCellFields:
     def test_seams_equal_the_vertex_value_solve(self, name, n):
         # the closed-form seams against the 3x3 solve, patch for patch
         flat = flattened_stage(name, n)
-        b = TARGET.patches[0]
         centers = unit_centers(flat)
-        cases = {
-            "ramp of 1": [(1, 0)] * len(centers),
-            "ramp of TARGET": [(b.value_at(c), 0) for c in centers],
-            "wedge gradient": [b.gradient] * len(centers),
-        }
+        cases = {}
+        for label, f in CELL_TARGETS.items():
+            b = affine_field(*f).patches[0]
+            cases[f"ramp of {label}"] = [(b.value_at(c), 0) for c in centers]
+            cases[f"wedge gradient of {label}"] = [b.gradient] * len(centers)
         for label, slopes in cases.items():
             field = build_cell_field(flat, *int_slopes(slopes))
             assert patch_tuples(in_unit(field)) == patch_tuples(solved_cell_field(flat, slopes)), label
@@ -408,7 +405,7 @@ class TestCellFields:
         # for patch, seams included
         flat = build_flattened(SPECS[name], n)
         _, remainder = build_cutoff_form(SPECS[name], n, coordinate_field("x"), flat)
-        ramp = build_ramp(flat, constant_field(1))
+        ramp = build_ramp(flat, (1, 0, 0))
         assert any(not isinstance(owner, int) for _, owner in flat.pieces)
         assert patch_tuples(fraction_field(remainder)) == patch_tuples(fraction_field(ramp))
 
@@ -467,9 +464,11 @@ class TestIntCellFields:
 
 
 def generic_rows(spec, f, n, m):
-    """Stage-n rows of both verifiers, recomputed through the refinement API."""
+    """Stage-n rows of both verifiers for the target triple ``f``, recomputed
+    through the refinement API on its field."""
     pf = Prefractal(spec, m)
     stage = build_stage(spec, n, f)
+    f = affine_field(*f)
     flat, ramp = stage.flattened, stage.ramp
     tent_energies = [dirichlet_energy(PiecewiseAffineField(field_patches(t, flat.scale), 1), pf)
                      for t in stage.tents]
@@ -481,7 +480,7 @@ def generic_rows(spec, f, n, m):
     wedge_flat = wedge(d0(f), d0(flat))
     return {
         ("witness", n, "strip_defect_energy"): (
-            dirichlet_energy(coordinate_minus(build_staircase(spec, n)), pf), None),
+            dirichlet_energy(coordinate_minus(staircase_field(spec, n)), pf), None),
         ("witness", n, "tent_energy_max"): (max(tent_energies), None),
         ("witness", n, "tent_field_energy"): (sum(tent_energies), None),
         ("witness", n, "flattened_defect_energy"): (e_flat, None),
@@ -501,10 +500,9 @@ def generic_rows(spec, f, n, m):
 @functools.lru_cache(maxsize=None)
 def stage_regions(name, n):
     """The vertex tuples of the stage-n ramp and flattened patches, and their scale."""
-    stage = build_stage(SPECS[name], n, constant_field(1))
-    flat = stage.flattened
-    return (tuple(verts for verts, _ in flat.pieces) + tuple(p.vertices for p in flat.patches),
-            flat.scale)
+    flat = build_stage(SPECS[name], n, (1, 0, 0)).flattened
+    return (tuple(verts for verts, _ in flat.pieces)
+            + tuple(verts for verts, _, _, _ in flat.patches), flat.scale)
 
 
 class TestTranslationClasses:
@@ -713,7 +711,16 @@ class TestWedgeClosedForms:
         assert a.cx ** 2 + a.cy ** 2 == gamma(f, f, pf).essential_sup
 
 
-UNIT = ((0, 0), (1, 0), (1, 1), (0, 1))
+# the source tree of the imported package, for the python -O subprocess
+SRC = str(Path(carpetcurl.__file__).resolve().parents[1])
+# targets that are no triple (c0, cx, cy) of ints or Fractions
+MALFORMED_TARGETS = {
+    "list": [1, 0, 0],
+    "2-tuple": (1, 0),
+    "4-tuple": (1, 0, 0, 0),
+    "float": (1.0, 0, 0),
+    "str": (1, "0", 0),
+}
 
 
 class TestTarget:
@@ -723,19 +730,36 @@ class TestTarget:
             raise AssertionError("a stage was built for a rejected target")
 
         monkeypatch.setattr(witness, "build_stage", fail)
+        monkeypatch.setattr(forms, "build_flattened", fail)
 
-    def test_two_patch_target_rejected(self, spec35, no_stage):
-        halves = PiecewiseAffineField((
-            make_patch(((0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 1)), 1),
-            make_patch(((F(1, 2), 0), (1, 0), (1, 1), (F(1, 2), 1)), 1)), 1)
-        with pytest.raises(ValueError, match="single affine patch"):
-            verify_witness_sequence(spec35, halves, n_max=2, pf=Prefractal(spec35, 2))
+    @pytest.mark.parametrize("entry", ["witness", "wedge", "ramp"])
+    @pytest.mark.parametrize("f", MALFORMED_TARGETS.values(), ids=MALFORMED_TARGETS)
+    def test_malformed_target_rejected(self, spec35, no_stage, entry, f):
+        calls = {
+            "witness": lambda: verify_witness_sequence(spec35, f, n_max=2,
+                                                       pf=Prefractal(spec35, 2)),
+            "wedge": lambda: verify_wedge_approximation(spec35, f, (2,), Prefractal(spec35, 2)),
+            "ramp": lambda: build_ramp(flattened_stage("odd-reciprocal", 1), f),
+        }
+        with pytest.raises(TypeError, match="the target must be a tuple"):
+            calls[entry]()
 
-    def test_partial_patch_rejected(self, spec35, no_stage):
-        corner = PiecewiseAffineField((
-            make_patch(((0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)), (0, F(1, 2))), 1),), 1)
-        with pytest.raises(ValueError, match="covering the unit square"):
-            verify_witness_sequence(spec35, corner, n_max=2, pf=Prefractal(spec35, 2))
+    def test_malformed_target_rejected_under_optimization(self):
+        # the check is no assert, so python -O rejects the target too
+        script = (
+            "from fractions import Fraction as F\n"
+            "from carpetcurl.carpet import CarpetSpec, Prefractal\n"
+            "from carpetcurl.witness import verify_witness_sequence\n"
+            "spec = CarpetSpec((F(1, 3),))\n"
+            "try:\n"
+            "    verify_witness_sequence(spec, [1, 0, 0], n_max=1, pf=Prefractal(spec, 1))\n"
+            "except TypeError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": SRC})
+        assert out.stdout == ("TypeError the target must be a tuple (c0, cx, cy) of ints or "
+                              "Fractions, not [1, 0, 0]\n")
 
     def test_prefractal_of_another_spec_rejected(self, spec35, spec357, no_stage):
         pf = Prefractal(spec357, 2)
@@ -744,7 +768,12 @@ class TestTarget:
         with pytest.raises(ValueError, match="prefractal"):
             verify_wedge_approximation(spec35, TARGET, (2,), pf)
 
-    @pytest.mark.parametrize("selector", ["const", "x", "y", "affine:1/2,-3,5"])
-    def test_every_cli_target_passes(self, selector):
-        patch = affine_target(cli._target_field(selector))
-        assert set(patch.vertices) == set(UNIT)
+    @pytest.mark.parametrize("selector, triple", [
+        ("const", (1, 0, 0)), ("x", (0, 1, 0)), ("y", (0, 0, 1)),
+        ("affine:1/2,-3,5", (F(1, 2), F(-3), F(5)))])
+    def test_every_cli_target_passes(self, selector, triple):
+        target = cli._target(selector)
+        assert affine_target(target) == target == triple
+        # the named targets are ints, an affine: target Fractions
+        kind = int if selector in cli.TARGETS else F
+        assert all(type(v) is kind for v in target)

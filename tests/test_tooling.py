@@ -143,7 +143,7 @@ def test_every_dataclass_field_is_read():
 
 # the stage-lattice builders and the Fraction names they must not read: the
 # class itself and the module constants that hold Fractions
-INT_BUILDERS = {"build_tents", "_stage_layout"}
+INT_BUILDERS = {"build_tents", "_stage_layout", "build_staircase"}
 FRACTION_NAMES = {"Fraction", "ZERO", "HALF"}
 # the region walk, its moments, the integral kernels over them and the
 # cell fields the rows integrate, by module: they run on ints and leave the
@@ -184,8 +184,8 @@ def forbidden_uses(source, names, forbidden):
 
 
 def test_the_stage_lattice_is_built_without_fractions():
-    # build_tents and _stage_layout emit ints on the stage lattice, so they
-    # construct no Fraction and read no Fraction constant
+    # build_tents, _stage_layout and build_staircase emit ints on the stage
+    # lattice, so they construct no Fraction and read no Fraction constant
     witness = Path(carpetcurl.__file__).parent / "witness.py"
     assert forbidden_uses(witness.read_text(encoding="utf-8"), INT_BUILDERS, FRACTION_NAMES) == []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 import carpetcurl
 from carpetcurl.carpet import Prefractal, enumerate_holes, side_length, stage_lines, stage_scale
-from carpetcurl.fields import affine_field, constant_field
 from carpetcurl.geometry import polygon_area
 from carpetcurl.report import leq_sqrt_sum_sq
 from carpetcurl.witness import (
@@ -27,9 +27,11 @@ from carpetcurl.witness import (
     verify_witness_sequence,
 )
 from oracles import (
+    affine_field,
     build_tent_field,
     build_witness,
     clip_to_box,
+    constant_field,
     continuity_defects,
     coordinate_minus,
     curl_defect_sq,
@@ -39,6 +41,7 @@ from oracles import (
     lambda_energy,
     l2_norm_sq,
     product_with_gradient,
+    staircase_field,
     sup_norm,
     value_at,
     vertical_defect_sq,
@@ -82,7 +85,7 @@ def strips(spec, n):
     in unit coordinates."""
     flat = build_flattened(spec, n)
     s = flat.scale
-    bands = [flat.patches[i].vertices for i in flat.band_tags]
+    bands = [flat.patches[i][0] for i in flat.band_tags]
     assert all(b == ((0, b[0][1]), (s, b[0][1]), (s, b[2][1]), (0, b[2][1])) for b in bands)
     centers = tuple(F(b[0][1] + b[2][1], 2 * s) for b in bands)
     heights = {F(b[2][1] - b[0][1], s) for b in bands}
@@ -143,15 +146,29 @@ class TestStrips:
 
 
 class TestStaircase:
+    def test_bands_are_ints_on_the_stage_lattice(self, spec35):
+        # full-width bands bottom to top, flat on the strips 4 steps high
+        # about each cut, and the profile continuous from 0 at the bottom
+        scale, bands = build_staircase(spec35, 2)
+        _, lines = stage_lines(spec35, 2)
+        assert scale == stage_scale(spec35, 2)
+        assert all(type(v) is int for band in bands for v in band)
+        assert [b[0] for b in bands[1:]] == [b[1] for b in bands[:-1]]
+        assert (bands[0][0], bands[-1][1], bands[0][2]) == (0, scale, 0)
+        assert [(y0, y1) for y0, y1, _, slope in bands if not slope] == [
+            (c - 2, c + 2) for c in lines[1:-1]]
+        for (y0, y1, value, slope), nxt in zip(bands, bands[1:]):
+            assert value + slope * (y1 - y0) == nxt[2]
+
     def test_profile_shape(self, spec35):
-        phi = build_staircase(spec35, 2)
+        phi = staircase_field(spec35, 2)
         assert value_at(phi, (F(1, 2), F(0))) == 0
         assert value_at(phi, (F(1, 2), F(1))) == 1 - F(1, 5)
         grads = {(p.cx, p.cy) for p in phi.patches}
         assert grads <= {(F(0), F(0)), (F(0), F(1))}
 
     def test_nondecreasing_in_y(self, spec35):
-        phi = build_staircase(spec35, 2)
+        phi = staircase_field(spec35, 2)
         samples = [F(k, 37) for k in range(38)]
         values = [value_at(phi, (F(1, 3), y)) for y in samples]
         assert all(a <= b for a, b in zip(values, values[1:]))
@@ -159,7 +176,7 @@ class TestStaircase:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_defect_energy_below_ratio(self, spec3579, n):
         pf = Prefractal(spec3579, n + 1)
-        defect = coordinate_minus(build_staircase(spec3579, n))
+        defect = coordinate_minus(staircase_field(spec3579, n))
         assert dirichlet_energy(defect, pf) <= spec3579.ratio(n)
 
 
@@ -303,7 +320,7 @@ class TestTentField:
 class TestFlattened:
     def test_total_cover_and_continuity(self, spec35):
         field = build_flattened(spec35, 2)
-        assert sum(polygon_area(p.vertices) for p in field.patches) / field.scale ** 2 == 1
+        assert sum(polygon_area(verts) for verts, _, _, _ in field.patches) / field.scale ** 2 == 1
         pf = Prefractal(spec35, 2)
         assert continuity_defects(field, pf, 2) == []
 
@@ -345,42 +362,21 @@ class TestFlattened:
 
 class TestRamp:
     def test_sup_below_previous_side(self, spec35):
-        ramp = build_ramp(build_flattened(spec35, 2), constant_field(1))
+        ramp = build_ramp(build_flattened(spec35, 2), (1, 0, 0))
         assert F(*ramp.sup_norm) == F(1, 6)
         assert F(*ramp.sup_norm) <= side_length(spec35, 1)
 
     def test_core_gradient_is_horizontal(self, spec35):
         # off the seams the ramp must slide horizontally at unit rate
-        ramp = build_ramp(build_flattened(spec35, 2), constant_field(1))
+        ramp = build_ramp(build_flattened(spec35, 2), (1, 0, 0))
         horizontal = [p for p in fraction_field(ramp).patches if (p.cx, p.cy) == (F(1), F(0))]
         assert sum(polygon_area(p.vertices) for p in horizontal) > F(1, 2)
 
     def test_continuity_off_holes(self, spec35):
         pf = Prefractal(spec35, 2)
-        ramp = build_ramp(build_flattened(spec35, 2), constant_field(1))
+        ramp = build_ramp(build_flattened(spec35, 2), (1, 0, 0))
         assert continuity_defects(ramp, pf, 2) == []
 
-
-    def test_uncovered_target_rejected_under_optimization(self):
-        # the ramp reads the one affine patch of its target, and the check
-        # that it covers the unit square is no assert, so it holds under
-        # python -O too
-        script = (
-            "from fractions import Fraction as F\n"
-            "from carpetcurl.carpet import CarpetSpec\n"
-            "from carpetcurl.fields import AffinePatch, PiecewiseAffineField\n"
-            "from carpetcurl.witness import build_flattened, build_ramp\n"
-            "corner = ((0, 0), (F(1, 10), 0), (F(1, 10), F(1, 10)), (0, F(1, 10)))\n"
-            "flattened = build_flattened(CarpetSpec((F(1, 3),)), 1)\n"
-            "try:\n"
-            "    build_ramp(flattened, PiecewiseAffineField((AffinePatch(corner, F(1), F(0), F(0)),), 1))\n"
-            "except ValueError as exc:\n"
-            "    print(type(exc).__name__, exc)\n"
-        )
-        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                             text=True, check=True, env={"PYTHONPATH": SRC})
-        assert out.stdout == ("ValueError the target must be a single affine patch "
-                              "covering the unit square\n")
 
     def test_bad_seam_rejected_under_optimization(self):
         # a seam keeps its vertex tuple unnormalized, so its orientation
@@ -415,7 +411,7 @@ class TestWitnessField:
 
         flattened = build_flattened(spec35, 2)
         neighborhoods = build_neighborhoods(spec35, 2, flattened.tents)
-        ramp = build_ramp(flattened, constant_field(1))
+        ramp = build_ramp(flattened, (1, 0, 0))
         v = product_with_gradient(ramp, flattened)
         # product pieces only exist where the flattened gradient is nonzero,
         # so no piece may overlap a boundary neighborhood
@@ -432,13 +428,13 @@ class TestWitnessField:
         # the same integral arises as the squared norm of the stage-two
         # cutoff one-form; the two code paths must agree exactly
         flattened = build_flattened(spec357, 2)
-        ramp = build_ramp(flattened, constant_field(1))
+        ramp = build_ramp(flattened, (1, 0, 0))
         v = product_with_gradient(ramp, flattened)
         assert l2_norm_sq(v, pf357_3) == F(138571421, 1944810000)
 
     def test_curl_defect_equals_vertical_defect_for_unit_target(self, spec357, pf357_3):
         flattened = build_flattened(spec357, 2)
-        ramp = build_ramp(flattened, constant_field(1))
+        ramp = build_ramp(flattened, (1, 0, 0))
         cd = curl_defect_sq(ramp, flattened, constant_field(1), pf357_3)
         assert cd == vertical_defect_sq(flattened, pf357_3)
         assert cd == F(536, 2205)
@@ -446,7 +442,7 @@ class TestWitnessField:
 
 class TestVerifySequence:
     def test_small_run_flags(self, spec35):
-        report = verify_witness_sequence(spec35, constant_field(1), n_max=2,
+        report = verify_witness_sequence(spec35, (1, 0, 0), n_max=2,
                                          pf=Prefractal(spec35, 2))
         assert report.get("witness", 1, "strip_area").value == F(1, 3)
         assert report.get("witness", 2, "tent_count_per_column_max").passed
@@ -456,16 +452,15 @@ class TestVerifySequence:
         # second: the strict-decrease flag reports that honestly
         assert report.get("witness", None, "witness_l2_strictly_decreasing").passed is False
 
-    @pytest.mark.parametrize("f", [constant_field(1), constant_field(F(-7, 3)),
-                                   affine_field(0, 1, 0), affine_field(F(1, 3), F(2, 5), F(-3, 7)),
-                                   affine_field(F(1, 2), -1, -1)])
+    @pytest.mark.parametrize("f", [(1, 0, 0), (F(-7, 3), 0, 0), (0, 1, 0),
+                                   (F(1, 3), F(2, 5), F(-3, 7)), (F(1, 2), -1, -1)])
     def test_f_sup_is_the_vertex_sup_norm(self, spec35, f):
         # sup|f| is read off the target's corners: the oracle's max of
         # |value| over the patch vertices, times the previous side
         report = verify_witness_sequence(spec35, f, n_max=2, pf=Prefractal(spec35, 1))
         for n in (1, 2):
             assert report.get("witness", n, "ramp_sup").bound == \
-                sup_norm(f) * side_length(spec35, n - 1)
+                sup_norm(affine_field(*f)) * side_length(spec35, n - 1)
 
     @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 10 ** 6)), max_size=8))
     # the larger numerator is the smaller value, and the product of a pair's
@@ -483,18 +478,16 @@ class TestBuildWitnessApi:
         field = build_flattened(spec35, 2)
         neighborhoods = build_neighborhoods(spec35, 2, field.tents)
         assert check_local_constancy(field, neighborhoods) == []
-        v = build_witness(spec35, 2, constant_field(1), flattened=field)
+        v = build_witness(spec35, 2, (1, 0, 0), flattened=field)
         assert len(v.pieces) > 0
 
     def test_violation_detected_on_a_broken_field(self, spec35):
-        from carpetcurl.fields import PiecewiseAffineField
-        from oracles import make_patch
-
         field = build_flattened(spec35, 2)
         neighborhoods = build_neighborhoods(spec35, 2, field.tents)
         # tilt one constant strip-band patch: it overlaps the neighborhoods
-        band = next(p for p in field.patches if (p.cx, p.cy) == (F(0), F(0)))
-        others = tuple(p for p in field.patches if p is not band)
-        broken = PiecewiseAffineField(others + (
-            make_patch(band.vertices, band.c0, 1, 1),), field.scale)
-        assert check_local_constancy(broken, neighborhoods) != []
+        i = field.band_tags[0]
+        verts, c0, _, _ = field.patches[i]
+        patches = field.patches[:i] + ((verts, c0, 1, 1),) + field.patches[i + 1:]
+        broken = dataclasses.replace(field, patches=patches)
+        violations = check_local_constancy(broken, neighborhoods)
+        assert violations and {patch for _, patch in violations} == {i}
