@@ -7,8 +7,10 @@ and integrals descend the subdivision tree lazily, short-circuiting
 on squares that lie entirely inside the query region, and integrals stop one
 level above the leaves, where the prefractal is a square minus its hole.  A
 query region is taken as the stage layout builds it: a canonical convex
-polygon (``geometry.strictly_convex``), a tuple of int vertex pairs with the
-scale they are over, so the point (x, y) is (x / scale, y / scale).  Each
+polygon (``geometry.strictly_convex``, tested once per shape, the vertices
+relative to the first), a tuple of int vertex pairs with the scale they are
+over, so the point (x, y) is (x / scale, y / scale).  The lattice
+refinement and the level of a region are found once per shape too, and each
 translation class of regions is walked once, on the block of squares that
 keys it, on integers: each square passes down only the region lines that
 cross it, and its children are taken a row at a time, the run inside the
@@ -312,7 +314,11 @@ class Prefractal:
     lookup.  A new region is keyed by its translation class: the lattice
     scale, the deepest level j whose side is at least the region's bbox
     extent, the survival mask of the level-j squares its open bbox meets,
-    and its vertices relative to that block's corner.  ``_walk`` reads only
+    and its vertices relative to that block's corner, held as the vertices
+    relative to the bbox corner and that corner's offset in the block.
+    All but the mask and the offset depend on the region's shape alone, so
+    ``_shapes`` keeps them per shape (``_shape``), with the shape's bbox
+    extents for the unit-square test of each placement.  ``_walk`` reads only
     the key and starts at the mask's surviving squares, so ``_classes``
     keeps each class's moments relative to the corner, and a translate
     shifts them to its own.  The walk tests a square against the region
@@ -354,6 +360,9 @@ class Prefractal:
             self.pattern[k] = _shifted_moments(self.pattern[k + 1], corners)
         # translation class -> moment numerators relative to the class corner
         self._classes = {}
+        # (scale, vertices relative to the first) -> the shape's part of the
+        # class key (``_shape``), kept once a region of that shape passed
+        self._shapes = {}
         # (scale, region) -> (six int moment numerators, their scale)
         self._regions = {}
         # level j -> the centre-digit bitmasks of the level-j indices
@@ -378,13 +387,15 @@ class Prefractal:
         ``region`` is a tuple of int vertex pairs over the int ``scale``, as
         the stage layout builds it: a canonical convex polygon inside the
         unit square (``geometry.strictly_convex``).  A list, a non-int vertex
-        or a non-int scale raises ``TypeError`` on every call; a region is
-        checked for the rest when it is first computed, before anything is
-        stored, in this order: fewer than three vertices raises
-        ``ValueError``, leaving the unit square ``OutOfUnitSquare``, and a
-        non-canonical region ``ValueError``.  Convexity is tested once per
-        translation class, before its walk: a region whose class is known is
-        a scaled translate of one that passed.  This is the one region path:
+        or a non-int scale raises ``TypeError``, and a scale below 1
+        ``ValueError``, on every call; a region is checked for the rest when
+        it is first computed, before anything is stored, in this order:
+        fewer than three vertices raises ``ValueError``, leaving the unit
+        square ``OutOfUnitSquare``, and a non-canonical region
+        ``ValueError``.  Convexity is tested once per shape, the vertices
+        relative to the first one on their scale, when a placement of it
+        first passes the unit-square test: a region whose shape is known is
+        a translate of one that passed.  This is the one region path:
         each region is computed once per instance and then looked up by
         ``(scale, region)`` as given.  The numerators are in MONOMIALS order and not
         reduced: s is a multiple of ``scale`` fixed by the region's edges
@@ -394,9 +405,14 @@ class Prefractal:
         """
         if type(region) is not tuple:
             raise TypeError(f"a region is a tuple of vertex pairs, not a {type(region).__name__}")
-        if type(scale) is not int or any(type(x) is not int or type(y) is not int
-                                         for x, y in region):
+        if type(scale) is not int:
             raise TypeError(f"a region is int vertices over an int scale, not {region} over {scale}")
+        for x, y in region:
+            if type(x) is not int or type(y) is not int:
+                raise TypeError(f"a region is int vertices over an int scale, "
+                                f"not {region} over {scale}")
+        if scale < 1:
+            raise ValueError(f"the scale of a region is an int >= 1, not {scale}")
         key = (scale, region)
         moments = self._regions.get(key)
         if moments is None:
@@ -424,57 +440,86 @@ class Prefractal:
     def _region_moments(self, reg, scale):
         if len(reg) < 3:
             raise _not_convex(reg)
-        xs, ys = [x for x, _ in reg], [y for _, y in reg]
-        bx0, by0, bx1, by1 = min(xs), min(ys), max(xs), max(ys)
-        if bx0 < 0 or by0 < 0 or bx1 > scale or by1 > scale:
+        # a region is a placement of its shape, its vertices relative to the
+        # first one; everything up to the class key but the placement's own
+        # corner depends on the shape and the scale alone
+        ax, ay = reg[0]
+        key = (scale, tuple([(x - ax, y - ay) for x, y in reg]))
+        shape = self._shapes.get(key)
+        known = shape is not None
+        if not known:
+            shape = self._shape(*key)
+        lx, ly, hx, hy, up, w, h, j, d, bits, rel0 = shape
+        bx0, by0 = ax + lx, ay + ly
+        if bx0 < 0 or by0 < 0 or ax + hx > scale or ay + hy > scale:
             raise OutOfUnitSquare("region leaves the unit square")
-        # reg is integer vertices over scale, a CCW convex region once its
-        # class passes the test below.  Move it to a lattice on which every
-        # side length is an integer, refined so that every crossing of a
-        # region edge with a grid line is a lattice point: a slanted edge
-        # (dx, dy) through (x_p, y_p) meets x = X at y_p + (X - x_p) * dy / dx,
-        # an integer when dx / gcd(dx, dy) divides X - x_p, a multiple of
-        # refine; likewise for y = Y.  Clipped edges lie on region edge lines
-        # or on grid lines, so the walk, its leaf clips and its moment sums
-        # all run on integers.
+        if not known:
+            # strict convexity is kept by translation and scaling, so one
+            # test per shape settles it for every placement
+            if not strictly_convex(key[1]):
+                raise _not_convex(reg)
+            self._shapes[key] = shape
+        # the bbox corner on the refined lattice, and the corner of the block
+        # of level-j squares that the open bbox meets
+        bx0, by0 = bx0 * up, by0 * up
+        ox, oy = bx0 % d, by0 % d
+        x0, y0 = bx0 - ox, by0 - oy
+        # the survival of the level-j squares the open bbox meets
+        row = bits[x0 // d:-(-(bx0 + w) // d)]
+        mask = tuple([tuple([not (bx & by) for bx in row])
+                      for by in bits[y0 // d:-(-(by0 + h) // d)]])
+        scale *= up
+        # the translation class: the block's survival mask and the region's
+        # vertices relative to the block's corner, rel0 moved by (ox, oy)
+        ckey = (scale, j, mask, rel0, ox, oy)
+        base = self._classes.get(ckey)
+        if base is None:
+            rel = tuple([(x + ox, y + oy) for x, y in rel0])
+            sides = [s * (scale // self.side_scale) for s in self.side_ints]
+            base = self._classes[ckey] = self._walk(rel, sides, j, mask)
+        return _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0)), scale
+
+    def _shape(self, scale, rel):
+        # the placement-free part of the regions with vertices rel relative
+        # to their first one, over scale: the bbox extents (lx, ly, hx, hy)
+        # relative to that vertex; the factor up to the refined lattice and
+        # the bbox's width and height on it; the level j, the side d of its
+        # squares there and the level-j centre-digit bitmasks; and rel0, the
+        # refined vertices relative to the bbox's lower-left corner.
+        #
+        # Every side length is an integer on the refined lattice, and every
+        # crossing of a region edge with a grid line is a lattice point: a
+        # slanted edge (dx, dy) through (x_p, y_p) meets x = X at
+        # y_p + (X - x_p) * dy / dx, an integer when dx / gcd(dx, dy) divides
+        # X - x_p, a multiple of refine; likewise for y = Y.  Clipped edges lie
+        # on region edge lines or on grid lines, so the walk, its leaf clips
+        # and its moment sums all run on integers.
+        xs, ys = [x for x, _ in rel], [y for _, y in rel]
+        lx, ly, hx, hy = min(xs), min(ys), max(xs), max(ys)
         refine = 1
-        for i in range(len(reg)):
-            dx = reg[i][0] - reg[i - 1][0]
-            dy = reg[i][1] - reg[i - 1][1]
+        for i in range(len(rel)):
+            dx = rel[i][0] - rel[i - 1][0]
+            dy = rel[i][1] - rel[i - 1][1]
             if dx and dy:
                 g = gcd(dx, dy)
                 refine = lcm(refine, abs(dx) // g, abs(dy) // g)
         up = lcm(scale, self.side_scale) // scale * refine
-        scale *= up
-        reg = [(x * up, y * up) for (x, y) in reg]
-        sides = [d * (scale // self.side_scale) for d in self.side_ints]
-        # the one bbox of the region, on the refined lattice
-        bx0, by0, bx1, by1 = bx0 * up, by0 * up, bx1 * up, by1 * up
-        # The translation class: j is the deepest level whose squares are at
-        # least as wide as the bbox, so the open bbox meets a block of at most
-        # 2 x 2 level-j squares.  Every stage-k hole with k <= j is a union of
-        # level-j squares and every surviving one holds the same deeper
-        # pattern, so the block's survival mask and the region's vertices
-        # relative to the block's corner fix the moments up to translation.
+        w, h = (hx - lx) * up, (hy - ly) * up
+        # j is the deepest level whose squares are at least as wide as the
+        # bbox, so the open bbox meets a block of at most 2 x 2 level-j
+        # squares.  Every stage-k hole with k <= j is a union of level-j
+        # squares and every surviving one holds the same deeper pattern, so
+        # the block's survival mask and the region's vertices relative to the
+        # block's corner fix the moments up to translation.  A shape wider
+        # than the unit square gets j = 0 and never passes the unit-square
+        # test.
+        unit = scale * up // self.side_scale
         j = self.level
-        while sides[j] < max(bx1 - bx0, by1 - by0):
+        while j and self.side_ints[j] * unit < max(w, h):
             j -= 1
-        d = sides[j]
-        x0, y0 = bx0 // d * d, by0 // d * d
-        # the survival of the level-j squares the open bbox meets
-        bits = self._central_digits(j)
-        row = bits[x0 // d:-(-bx1 // d)]
-        mask = tuple([tuple([not (bx & by) for bx in row]) for by in bits[y0 // d:-(-by1 // d)]])
-        rel = tuple((x - x0, y - y0) for x, y in reg)
-        key = (scale, j, mask, rel)
-        base = self._classes.get(key)
-        if base is None:
-            # a region with this key is a scaled translate of rel, so one
-            # test per class settles convexity for all of them
-            if not strictly_convex(rel):
-                raise _not_convex(rel)
-            base = self._classes[key] = self._walk(rel, sides, j, mask)
-        return _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0)), scale
+        rel0 = tuple([((x - lx) * up, (y - ly) * up) for x, y in rel])
+        return (lx, ly, hx, hy, up, w, h, j, self.side_ints[j] * unit,
+                self._central_digits(j), rel0)
 
     def _central_digits(self, j):
         # per axis, the level-j square indices as bitmasks: bit k - 1 is set

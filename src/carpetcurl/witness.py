@@ -287,11 +287,17 @@ def _stage_layout(spec: CarpetSpec, n: int, tents):
             yield _BAND, _rectangle(0, y1, one, b1), (y1 + k, 0, 0), seams
 
 
-def _check_convex(verts, what):
-    # a canonical convex patch, tested on the lattice
+def _check_convex(verts, passed, what, index):
+    # a canonical convex patch, tested on the lattice once per shape, its
+    # vertices relative to the first: a translate of a shape in passed is one
+    ax, ay = verts[0] if verts else (0, 0)
+    shape = tuple([(x - ax, y - ay) for x, y in verts])
+    if shape in passed:
+        return
     if not strictly_convex(verts):
-        raise ConstructionError(f"{what} is not a counterclockwise convex polygon: "
+        raise ConstructionError(f"{what} {index} is not a counterclockwise convex polygon: "
                                 + ", ".join(f"({x}, {y})" for x, y in verts))
+    passed.add(shape)
 
 
 @dataclass(frozen=True)
@@ -322,18 +328,21 @@ def build_flattened(spec: CarpetSpec, n: int) -> FlattenedField:
 
     Builds the stage's tents and walks ``_stage_layout`` over them once, as a
     total partition.  Every patch and piece must be a counterclockwise convex
-    polygon on the lattice, the patches must cover the unit square and the
-    strip bands the area a_n, or ``ConstructionError`` is raised.
+    polygon on the lattice, tested once per shape (its vertices relative to
+    the first), the patches must cover the unit square and the strip bands
+    the area a_n, or ``ConstructionError`` is raised.
     """
     tents = tuple(build_tents(spec, n))
     scale, lines = stage_lines(spec, n)
     patches, pieces, cell_tags, band_tags = [], [], [], []
     tent_tags = [[] for _ in tents]
     area2 = band_area2 = 0
+    # the shapes that passed _check_convex, and the names its errors give
+    passed, patch_name, piece_name = set(), f"stage-{n} patch", f"stage-{n} piece"
     for i, (part, verts, (c0, cx, cy), cell_pieces) in enumerate(_stage_layout(spec, n, tents)):
-        _check_convex(verts, f"stage-{n} patch {i}")
+        _check_convex(verts, passed, patch_name, i)
         for piece in cell_pieces:
-            _check_convex(piece[0], f"stage-{n} piece {len(pieces)}")
+            _check_convex(piece[0], passed, piece_name, len(pieces))
             pieces.append(piece)
         a2 = _area2(verts)
         area2 += a2

@@ -49,7 +49,10 @@ the per-patch row loops of both sections (``fraction_witness_rows``,
 ``fraction_wedge_rows``).  Last come two earlier class walks, the oracles
 of the package's: ``RegionClipPrefractal`` clips the region by every leaf
 square, and ``SquareClipPrefractal`` visits every child of a crossed square
-and clips every leaf crossed by one region line by that line on its own.
+and clips every leaf crossed by one region line by that line on its own;
+and the earlier region path, ``PerRegionPrefractal``, which refines the
+lattice, finds the level and tests convexity per translation class from each
+region afresh instead of once per shape.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from carpetcurl.carpet import (
@@ -66,6 +69,7 @@ from carpetcurl.carpet import (
     ConstructionError,
     OutOfUnitSquare,
     Prefractal,
+    _not_convex,
     _shifted_moments,
     gap_height,
     side_length,
@@ -1639,3 +1643,45 @@ class SquareClipPrefractal(Prefractal):
                 scaled = [v * up ** (2 + p + q) for v, (p, q) in zip(pattern, MONOMIALS)]
                 num = [a + b for a, b in zip(num, _shifted_moments(scaled, sums))]
         return num
+
+
+class PerRegionPrefractal(Prefractal):
+    """A ``Prefractal`` that builds each region's class key from the region
+    itself: the lattice refinement, the level j and the block corner per
+    region, and strict convexity tested once per translation class."""
+
+    def _region_moments(self, reg, scale):
+        if len(reg) < 3:
+            raise _not_convex(reg)
+        xs, ys = [x for x, _ in reg], [y for _, y in reg]
+        bx0, by0, bx1, by1 = min(xs), min(ys), max(xs), max(ys)
+        if bx0 < 0 or by0 < 0 or bx1 > scale or by1 > scale:
+            raise OutOfUnitSquare("region leaves the unit square")
+        refine = 1
+        for i in range(len(reg)):
+            dx = reg[i][0] - reg[i - 1][0]
+            dy = reg[i][1] - reg[i - 1][1]
+            if dx and dy:
+                g = gcd(dx, dy)
+                refine = lcm(refine, abs(dx) // g, abs(dy) // g)
+        up = lcm(scale, self.side_scale) // scale * refine
+        scale *= up
+        reg = [(x * up, y * up) for (x, y) in reg]
+        sides = [d * (scale // self.side_scale) for d in self.side_ints]
+        bx0, by0, bx1, by1 = bx0 * up, by0 * up, bx1 * up, by1 * up
+        j = self.level
+        while sides[j] < max(bx1 - bx0, by1 - by0):
+            j -= 1
+        d = sides[j]
+        x0, y0 = bx0 // d * d, by0 // d * d
+        bits = self._central_digits(j)
+        row = bits[x0 // d:-(-bx1 // d)]
+        mask = tuple([tuple([not (bx & by) for bx in row]) for by in bits[y0 // d:-(-by1 // d)]])
+        rel = tuple((x - x0, y - y0) for x, y in reg)
+        key = (scale, j, mask, rel)
+        base = self._classes.get(key)
+        if base is None:
+            if not strictly_convex(rel):
+                raise _not_convex(rel)
+            base = self._classes[key] = self._walk(rel, sides, j, mask)
+        return _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0)), scale

@@ -45,6 +45,7 @@ from carpetcurl.geometry import (
 )
 from carpetcurl.witness import _cells
 from oracles import (
+    PerRegionPrefractal,
     _normalize,
     contains,
     fraction_moments,
@@ -557,12 +558,12 @@ class TestRegionMeasure:
 
     def test_a_non_canonical_region_outside_the_unit_square_raises_out_of_it(self, spec35):
         # the unit-square check comes first; convexity is tested once per
-        # translation class, when its walk is due
+        # shape, when a placement of it has passed that check
         pf = Prefractal(spec35, 2)
         for _ in range(2):
             with pytest.raises(OutOfUnitSquare):
                 pf.moments(((0, 0), (0, 12), (18, 12), (18, 0)), 12)  # clockwise
-        assert pf._regions == {} and pf._classes == {}
+        assert pf._regions == {} and pf._classes == {} and pf._shapes == {}
 
     @pytest.mark.parametrize("region", [
         ((50, 10), (74, 85), (10, 39), (90, 39), (26, 85)),  # a pentagram
@@ -725,8 +726,93 @@ class TestTranslationClasses:
         assert pf.moments(*on_lattice(moved)) == Prefractal(spec, 2).moments(*on_lattice(moved))
 
 
+def common_lattice(*regions):
+    """The int vertices of rational regions over the lcm of their lattices,
+    and that scale."""
+    scale = math.lcm(*(on_lattice(r)[1] for r in regions))
+    return [tuple((int(x * scale), int(y * scale)) for x, y in r) for r in regions], scale
+
+
+class TestShapes:
+    @given(translated_regions(), st.integers(2, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_translates_on_two_scales_against_the_per_region_path(self, case, k):
+        # a region and its translate share one shape per scale: the moments
+        # and the classes are the per-region path's, cold and with the
+        # shapes warm
+        depth, region, moved = case
+        spec = CarpetSpec(ORACLE_RATIOS)
+        (pts, to), scale = common_lattice(region, moved)
+        queries = [(r, scale) for r in (pts, to)]
+        queries += [(tuple((k * x, k * y) for x, y in r), k * scale) for r in (pts, to)]
+        pf, oracle = Prefractal(spec, depth), PerRegionPrefractal(spec, depth)
+        expected = [oracle.moments(*q) for q in queries]
+        assert [pf.moments(*q) for q in queries] == expected
+        assert len(pf._shapes) == 2
+        assert len(pf._classes) == len(oracle._classes)
+        pf._regions.clear()
+        assert [pf.moments(*q) for q in queries] == expected
+        assert len(pf._shapes) == 2
+
+    @pytest.mark.parametrize("region", [
+        ((0, 0), (18, 0), (18, 12), (0, 12)),   # wider than the unit square
+        ((0, 0), (12, 0), (12, 13), (0, 13)),   # taller
+        ((-3, 0), (15, 6), (0, 9)),             # wider, and past both sides
+    ])
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_a_region_wider_than_the_unit_square_raises_on_every_call(self, spec35, region, depth):
+        # no level's squares are as wide as the region: it raises
+        # OutOfUnitSquare, and the level search does not fail on it first
+        pf = Prefractal(spec35, depth)
+        for _ in range(2):
+            with pytest.raises(OutOfUnitSquare):
+                pf.moments(region, 12)
+        assert pf._regions == {} and pf._classes == {} and pf._shapes == {}
+
+    def test_a_rejected_shape_is_not_kept(self, spec35):
+        # a clockwise square fails, and so does its translate: neither the
+        # region, nor a class, nor the shape is kept
+        pf = Prefractal(spec35, 2)
+        square = ((1, 1), (1, 5), (5, 5), (5, 1))
+        for shift in (0, 3, 0):
+            with pytest.raises(ValueError, match="not convex"):
+                pf.moments(tuple((x + shift, y + shift) for x, y in square), 12)
+            assert pf._regions == {} and pf._classes == {} and pf._shapes == {}
+
+    def test_a_kept_shape_still_checks_each_placement(self, spec35):
+        # a shape first seen outside the unit square is not kept; once a
+        # placement inside passed, a placement outside still raises
+        pf = Prefractal(spec35, 2)
+        tri, out = ((0, 0), (6, 0), (0, 6)), ((8, 8), (14, 8), (8, 14))
+        with pytest.raises(OutOfUnitSquare):
+            pf.moments(out, 12)
+        assert pf._shapes == {}
+        assert pf.moments(tri, 12) == PerRegionPrefractal(spec35, 2).moments(tri, 12)
+        assert len(pf._shapes) == 1
+        for _ in range(2):
+            with pytest.raises(OutOfUnitSquare):
+                pf.moments(out, 12)
+        assert list(pf._regions) == [(12, tri)]
+
+
 class TestRegionMemo:
     TRI = ((F(1, 7), F(1, 9)), (F(6, 7), F(1, 9)), (F(1, 3), F(5, 6)))
+
+    @pytest.mark.parametrize("region, scale", [
+        (((0, 0), (0, 0), (0, 0)), 0),
+        (((0, 0), (1, 0), (0, 1)), 0),
+        (((0, 0), (-1, 0), (0, -1)), -1),
+    ])
+    def test_a_scale_below_one_is_rejected(self, spec35, region, scale):
+        # a named error on every call, before the memo: no division by zero,
+        # and nothing is stored
+        pf = Prefractal(spec35, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="scale"):
+                pf.moments(region, scale)
+            with pytest.raises(ValueError, match="scale"):
+                pf.region_measure(region, scale)
+        assert pf._regions == {} and pf._classes == {} and pf._shapes == {}
 
     def test_a_list_region_is_rejected(self, spec357):
         # regions are tuples of vertex pairs; a list is neither computed nor stored

@@ -76,6 +76,7 @@ from oracles import (
     norm_sq_two,
     patch_from_vertex_values,
     product_with_gradient,
+    PerRegionPrefractal,
     RegionClipPrefractal,
     SquareClipPrefractal,
     staircase_field,
@@ -563,6 +564,24 @@ class TestSquareClipWalk:
     def test_every_stage_region_against_the_region_clipping_walk(self, name, n):
         # the walk against the one that clips the region by every leaf square
         assert_walks_agree(RegionClipPrefractal, name, n, spec_depths(name))
+
+
+class TestShapeMemo:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_every_stage_region_against_the_per_region_path(self, name, n):
+        # the class key built once per shape against the one built from each
+        # region: every region's (t, s), and the same classes with the same
+        # moments under the two keys
+        spec = SPECS[name]
+        regions, scale = stage_regions(name, n)
+        for m in spec_depths(name):
+            pf, oracle = Prefractal(spec, m), PerRegionPrefractal(spec, m)
+            assert [pf.moments(r, scale) for r in regions] == [
+                oracle.moments(r, scale) for r in regions], m
+            assert len(pf._classes) == len(oracle._classes), m
+            assert sorted(pf._classes.values()) == sorted(oracle._classes.values()), m
+            assert len(pf._shapes) < len(set(regions))
 
 
 # a plane (a, b, c) is the half-plane a*x + b*y >= c

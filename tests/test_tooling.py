@@ -145,13 +145,15 @@ def test_every_dataclass_field_is_read():
 # class itself and the module constants that hold Fractions
 INT_BUILDERS = {"build_tents", "_stage_layout", "build_staircase"}
 FRACTION_NAMES = {"Fraction", "ZERO", "HALF"}
-# the region walk, its moments, the integral kernels over them and the
-# cell fields the rows integrate, by module: they run on ints and leave the
-# one Fraction to their caller
-INT_KERNELS = {"carpet.py": {"Prefractal._region_moments", "Prefractal._central_digits",
-                             "Prefractal._walk", "_crossing", "_row_ranges"},
+# the region walk, its moments and the shape part of its class key, the
+# integral kernels over them, the cell fields the rows integrate and the
+# layout's convexity check, by module: they run on ints and leave the one
+# Fraction to their caller
+INT_KERNELS = {"carpet.py": {"Prefractal._region_moments", "Prefractal._shape",
+                             "Prefractal._central_digits", "Prefractal._walk", "_crossing",
+                             "_row_ranges"},
                "geometry.py": {"poly_dot", "square_integral"},
-               "witness.py": {"build_cell_field", "build_ramp"}}
+               "witness.py": {"build_cell_field", "build_ramp", "_check_convex"}}
 # the clip chain of check_local_constancy, by module, and the names that
 # would put its polygons on a common lattice: the lcm, a rational's parts and
 # the lattice and canonical-form helpers

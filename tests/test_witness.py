@@ -9,7 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carpetcurl
-from carpetcurl.carpet import Prefractal, enumerate_holes, side_length, stage_lines, stage_scale
+from carpetcurl import witness
+from carpetcurl.carpet import (
+    ConstructionError,
+    Prefractal,
+    enumerate_holes,
+    side_length,
+    stage_lines,
+    stage_scale,
+)
 from carpetcurl.geometry import polygon_area
 from carpetcurl.report import leq_sqrt_sum_sq
 from carpetcurl.witness import (
@@ -337,6 +345,40 @@ class TestFlattened:
         for nb in interior:
             assert len(nb.rectangles) == 2
             assert len(nb.trapezoids) == 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_clockwise_translate_of_a_passed_piece_is_named(self, n, monkeypatch):
+        # convexity is tested once per shape: the last piece whose shape
+        # passed earlier, turned clockwise about its first vertex, has the
+        # same vertex set relative to it but is a new shape and is rejected
+        spec = SPECS["odd-reciprocal"]
+        layout = witness._stage_layout
+        pieces = [verts for *_, ps in layout(spec, n, tuple(build_tents(spec, n)))
+                  for verts, _ in ps]
+        shapes = [tuple((x - v[0][0], y - v[0][1]) for x, y in v) for v in pieces]
+        first = {}
+        for i, shape in enumerate(shapes):
+            first.setdefault(shape, i)
+        bad = max(i for i, shape in enumerate(shapes) if first[shape] < i)
+
+        def clockwise(verts):
+            return verts[:1] + verts[:0:-1]
+
+        def flipped(*args):
+            index = 0
+            for part, verts, coeffs, cell_pieces in layout(*args):
+                out = []
+                for piece in cell_pieces:
+                    out.append((clockwise(piece[0]), piece[1]) if index == bad else piece)
+                    index += 1
+                yield part, verts, coeffs, out
+
+        monkeypatch.setattr(witness, "_stage_layout", flipped)
+        with pytest.raises(ConstructionError) as exc:
+            build_flattened(spec, n)
+        assert str(exc.value) == (
+            f"stage-{n} piece {bad} is not a counterclockwise convex polygon: "
+            + ", ".join(f"({x}, {y})" for x, y in clockwise(pieces[bad])))
 
     def test_triangle_inequality_instance(self, spec357):
         pf = Prefractal(spec357, 3)
