@@ -15,10 +15,10 @@ translation class of regions is walked once, on the block of squares that
 keys it, on integers: each square passes down only the region lines that
 cross it, and its children are taken a row at a time, the run inside the
 region in closed form as arithmetic series of corners.  A leaf crossed by
-one line is a translate of a cut square, the square at the origin cut by
-the moved line, so the walk sums the translates' corners and moves the cut
-square's moments once; a hole inside the region is subtracted in closed
-form.  A region's
+region lines is a translate of a cut square, the square at the origin cut
+by the moved lines, so the walk sums the corners of each translated set, a
+cut square or a level's pattern, a hole inside the region with sign -1,
+and moves each set's moments once.  A region's
 moments stay ints: numerators over the scale of the lattice the walk
 refined it to (``Prefractal.moments``), which the rows sum as ints before
 they make one ``Fraction``.  Squares and holes
@@ -30,6 +30,7 @@ the level-m side, and a stage-n partition lies on (1/L_n)Z^2, L_n =
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -326,10 +327,10 @@ class Prefractal:
     row at a time: one floor division per line bounds the run of children
     inside every line, which enters the covered power sums as arithmetic
     series, and the run outside none, whose rest is walked.  A leaf (or a
-    level-m hole) crossed by one line is the origin square cut by the moved
-    line, translated; ``_templates`` keeps the moments of each such cut
-    square, clipped when first seen, and the walk sums the translates'
-    corners.  A leaf crossed by more lines clips the region by the square.
+    level-m hole) crossed by some lines is the origin square cut by the
+    moved lines, translated; ``_templates`` keeps the moments of each such
+    cut square, clipped when first seen, and the walk sums the translates'
+    corners.
     """
 
     def __init__(self, spec: CarpetSpec, level: int):
@@ -367,9 +368,9 @@ class Prefractal:
         self._regions = {}
         # level j -> the centre-digit bitmasks of the level-j indices
         self._digit_bits = {}
-        # cut square (side, a, b, c) -> 24 times the moments, over
-        # MONOMIALS, of the square of that side at the origin cut by
-        # a*x + b*y >= c, on the lattice of that side
+        # cut square (side, a1, b1, c1, a2, ...) -> 24 times the moments,
+        # over MONOMIALS, of the square of that side at the origin cut by
+        # every a*x + b*y >= c, on the lattice of that side
         self._templates = {}
 
     @property
@@ -544,11 +545,10 @@ class Prefractal:
         # takes its children a row at a time (``_row_ranges``): the run of
         # children inside every plane enters the covered power sums as
         # arithmetic series, the ones outside a plane are skipped, and only
-        # the rest are walked.  A leaf (or a level-m hole) crossed by one
-        # line is a translate of the origin square cut by the moved line, so
-        # its corner enters the power sums of that cut square, whose moments
-        # (``_templates``) are clipped once per instance; a leaf crossed by
-        # more lines clips the region by the square.
+        # the rest are walked.  A leaf (or a level-m hole) crossed by some
+        # lines is a translate of the origin square cut by the moved lines,
+        # so its corner enters the power sums of that cut square, whose
+        # moments (``_templates``) are clipped once per instance.
         scale = sides[0]
         xs, ys = [x for x, _ in reg], [y for _, y in reg]
         rbx0, rby0, rbx1, rby1 = min(xs), min(ys), max(xs), max(ys)
@@ -559,18 +559,23 @@ class Prefractal:
             b = p[0] - q[0]
             planes.append((-a, -b, -(a * p[0] + b * p[1])))
 
-        # moment_sums of the leaves crossed by two or more lines, over
-        # MOMENT_DIVISORS * scale^(2+p+q)
-        leaf_sums = [0] * 6
-        # per level, over the lower-left corners (x0, y0) of the squares the
-        # region covers: count, sum x0, sum y0, sum x0^2, sum x0*y0, sum y0^2;
-        # a hole inside the region enters the level-m sums with sign -1
-        covered = [[0] * 6 for _ in sides]
-        # per cut square (side, a, b, c), the square of that side at the
-        # origin cut by a*x + b*y >= c: the same power sums over the corners
-        # of the leaves and holes that are its translates, holes with sign -1
-        placed = {}
+        # what is translated -> the power sums over the lower-left corners
+        # (x0, y0) of its translates: count, sum x0, sum y0, sum x0^2,
+        # sum x0*y0, sum y0^2, a hole entering with sign -1.  A level k is
+        # the level-m set inside the level-k square, pattern[k]; a cut square
+        # (side, a1, b1, c1, a2, ...) is the square of that side at the
+        # origin cut by every a*x + b*y >= c
+        table = defaultdict(lambda: [0] * 6)
         templates = self._templates
+
+        def add(key, x0, y0, sign):
+            t = table[key]
+            t[0] += sign
+            t[1] += sign * x0
+            t[2] += sign * y0
+            t[3] += sign * x0 * x0
+            t[4] += sign * x0 * y0
+            t[5] += sign * y0 * y0
 
         def clip(pts, a, b, c):
             # the part of pts with a*x + b*y >= c
@@ -595,55 +600,38 @@ class Prefractal:
 
         def leaf(x0, y0, d, cut, sign):
             # add sign * the moments of region intersect [x0, x0+d] x [y0, y0+d],
-            # cut being the region's planes that cross the square
-            if len(cut) == 1:
-                # the square cut by the one line is the origin square cut by
-                # the line moved by (-x0, -y0): each new vertex is where the
-                # line meets a grid line, a lattice point
-                a, b, c = cut[0]
-                key = (d, a, b, c - a * x0 - b * y0)
-                sums = placed.get(key)
-                if sums is None:
-                    if key not in templates:
-                        pts = clip(((0, 0), (d, 0), (d, d), (0, d)), *key[1:])
-                        templates[key] = tuple(s * (24 // div) for s, div
-                                               in zip(moment_sums(pts), MOMENT_DIVISORS))
-                    sums = placed[key] = [0] * 6
-                sums[0] += sign
-                sums[1] += sign * x0
-                sums[2] += sign * y0
-                sums[3] += sign * x0 * x0
-                sums[4] += sign * x0 * y0
-                sums[5] += sign * y0 * y0
-                return
-            # two region lines may meet off the lattice outside the region, so
-            # the region is clipped by the square instead
-            x1, y1 = x0 + d, y0 + d
-            pts = reg
-            for (a, b, c) in ((-1, 0, -x1), (1, 0, x0), (0, -1, -y1), (0, 1, y0)):
-                pts = clip(pts, a, b, c)
-                if not pts:
-                    return
-            for i, s in enumerate(moment_sums(pts)):
-                leaf_sums[i] += sign * s
+            # cut being the region's planes that cross the square.  Every
+            # other plane holds on all of it, so it is the origin square cut
+            # by the planes of cut moved by (-x0, -y0)
+            key = (d,)
+            for a, b, c in cut:
+                key += (a, b, c - a * x0 - b * y0)
+            if key not in templates:
+                if len(cut) == 1:
+                    # each new vertex is where the line meets a grid line
+                    pts, by = ((0, 0), (d, 0), (d, d), (0, d)), (key[1:],)
+                else:
+                    # two region lines may meet off the lattice outside the
+                    # region, so the moved region is clipped by the square
+                    pts = [(x - x0, y - y0) for x, y in reg]
+                    by = ((-1, 0, -d), (1, 0, 0), (0, -1, -d), (0, 1, 0))
+                for plane in by:
+                    pts = clip(pts, *plane)
+                    if not pts:
+                        break
+                templates[key] = tuple(s * (24 // div) for s, div
+                                       in zip(moment_sums(pts), MOMENT_DIVISORS))
+            add(key, x0, y0, sign)
 
         level = self.level
 
         def walk(k, x0, y0, among):
             d = sides[k]
-            if x0 + d <= rbx0 or x0 >= rbx1 or y0 + d <= rby0 or y0 >= rby1:
-                return
             cut = _crossing(among, x0, y0, d)
             if cut is None:
                 return
             if not cut:
-                t = covered[k]
-                t[0] += 1
-                t[1] += x0
-                t[2] += y0
-                t[3] += x0 * x0
-                t[4] += x0 * y0
-                t[5] += y0 * y0
+                add(k, x0, y0, 1)
                 return
             if k == level:
                 # only a walk that starts at level m gets here; the others
@@ -663,19 +651,13 @@ class Prefractal:
                 if hole_cut:
                     leaf(hx, hy, dc, hole_cut, -1)
                 elif hole_cut is not None:
-                    t = covered[level]
-                    t[0] -= 1
-                    t[1] -= hx
-                    t[2] -= hy
-                    t[3] -= hx * hx
-                    t[4] -= hx * hy
-                    t[5] -= hy * hy
+                    add(level, hx, hy, -1)
                 return
             jx0 = max(0, (rbx0 - x0) // dc)
             jx1 = min(q - 1, (rbx1 - 1 - x0) // dc)
             jy0 = max(0, (rby0 - y0) // dc)
             jy1 = min(q - 1, (rby1 - 1 - y0) // dc)
-            t = covered[k + 1]
+            t = table[k + 1]
             for jy in range(jy0, jy1 + 1):
                 cy = y0 + jy * dc
                 lo, hi, kept_lo, kept_hi = _row_ranges(cut, x0, cy, dc, jx0, jx1)
@@ -686,40 +668,39 @@ class Prefractal:
                     s1 = (lo + hi) * n // 2
                     s2 = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
                     sx = n * x0 + dc * s1
-                    sxx = n * x0 * x0 + 2 * x0 * dc * s1 + dc * dc * s2
-                    if jy == c and lo <= c <= hi:
-                        hx = x0 + c * dc
-                        n -= 1
-                        sx -= hx
-                        sxx -= hx * hx
                     t[0] += n
                     t[1] += sx
                     t[2] += n * cy
-                    t[3] += sxx
+                    t[3] += n * x0 * x0 + 2 * x0 * dc * s1 + dc * dc * s2
                     t[4] += sx * cy
                     t[5] += n * cy * cy
+                    if jy == c and lo <= c <= hi:
+                        add(k + 1, x0 + c * dc, cy, -1)
                 for jx in range(kept_lo, kept_hi + 1):
                     if not lo <= jx <= hi and (jx != c or jy != c):
                         walk(k + 1, x0 + jx * dc, cy, cut)
 
-        # the walk enters the block only at its surviving level-j squares
+        # the walk enters the block only at its surviving level-j squares,
+        # each of which meets the region's open bbox; the row bounds keep
+        # every child inside the bbox's columns and rows, so every square
+        # walked meets it too
         d = sides[j]
         for iy, row in enumerate(mask):
             for ix, alive in enumerate(row):
                 if alive:
                     walk(j, ix * d, iy * d, planes)
-        # the leaf sums, the cut squares moved to their corners, and per
-        # level the pattern moments on this lattice moved to the covered
-        # squares' corners
+        # each translated set's moments, the patterns on this lattice,
+        # moved to its corners
         up = scale // self.side_scale
-        num = [s * (24 // div) for s, div in zip(leaf_sums, MOMENT_DIVISORS)]
-        for key, sums in placed.items():
+        num = [0] * 6
+        for key, sums in table.items():
             if any(sums):
-                num = [a + b for a, b in zip(num, _shifted_moments(templates[key], sums))]
-        for pattern, sums in zip(self.pattern, covered):
-            if any(sums):
-                scaled = [v * up ** (2 + p + q) for v, (p, q) in zip(pattern, MONOMIALS)]
-                num = [a + b for a, b in zip(num, _shifted_moments(scaled, sums))]
+                if type(key) is int:
+                    moments = [v * up ** (2 + p + q)
+                               for v, (p, q) in zip(self.pattern[key], MONOMIALS)]
+                else:
+                    moments = templates[key]
+                num = [a + b for a, b in zip(num, _shifted_moments(moments, sums))]
         return num
 
 

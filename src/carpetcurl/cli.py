@@ -168,12 +168,11 @@ def cmd_verify(args) -> int:
     # min(depth, 3), shares the witness section's when the levels agree and
     # so looks up the moments of every region both sections integrate
     pf = Prefractal(spec, args.depth)
-    report = verify_witness_sequence(spec, f, n_max=args.nmax, pf=pf)
+    report = verify_witness_sequence(f, n_max=args.nmax, pf=pf)
     wedge_stages = tuple(n for n in (2, 3) if n <= args.nmax)
     if wedge_stages:
         wedge_pf = pf if args.depth <= 3 else Prefractal(spec, 3)
-        wedge_report = verify_wedge_approximation(
-            spec, TARGETS["x"], wedge_stages, pf=wedge_pf)
+        wedge_report = verify_wedge_approximation(TARGETS["x"], wedge_stages, pf=wedge_pf)
         report.extend(wedge_report)
     if args.mode == "f64":
         report = rounded_to_f64(report)

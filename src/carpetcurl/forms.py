@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .carpet import CarpetSpec, Prefractal, side_length
+from .carpet import Prefractal, side_length
 from .geometry import ZERO, square_integral
 from .report import VerificationReport
 from .witness import (
@@ -32,8 +32,7 @@ from .witness import (
 )
 
 
-def verify_wedge_approximation(spec: CarpetSpec, f: tuple, stages,
-                               pf: Prefractal) -> VerificationReport:
+def verify_wedge_approximation(f: tuple, stages, pf: Prefractal) -> VerificationReport:
     """Check the two wedge defects of the vanishing one-form sequence.
 
     The second function of the wedge is g = y, the coordinate the flattened
@@ -43,16 +42,15 @@ def verify_wedge_approximation(spec: CarpetSpec, f: tuple, stages,
     vanish identically.  The wedge norm itself stays bounded below, which is
     the whole point: a sequence of one-forms shrinking to zero whose
     derivatives do not.  The stage-n one-form is the cell field with f's
-    gradient on every cell, times d(flattened).  Every integral is taken
-    over ``pf``, the level-m prefractal of ``spec``; a ``pf`` the witness
-    section has used already holds the moments of every region the two
-    sections share.  A target that is not a tuple (c0, cx, cy) of ints or
-    ``Fraction``s raises ``TypeError``, and a ``pf`` of another spec
-    ``ValueError``, before any stage is built.
+    gradient on every cell, times d(flattened).  The carpet is ``pf.spec``,
+    and every integral is taken over ``pf``, its level-m prefractal; a
+    ``pf`` the witness section has used already holds the moments of every
+    region the two sections share.  A target that is not a tuple
+    (c0, cx, cy) of ints or ``Fraction``s raises ``TypeError`` before any
+    stage is built.
     """
     _, cx, cy = affine_target(f)
-    if pf.spec != spec:
-        raise ValueError(f"the prefractal is of {pf.spec}, not of {spec}")
+    spec = pf.spec
     report = VerificationReport()
     # grad f = (bx, by) / e, as ints
     bx, by, e = _over_lcd(cx, cy)
@@ -106,7 +104,7 @@ def verify_wedge_approximation(spec: CarpetSpec, f: tuple, stages,
                    rem_sup * rem_sup <= osc_sq,
                    note="squared sup against squared oscillation at cell scale")
 
-        e_flat = measure_sum(measures, (flattening_density(qx, qy, 1) for qx, qy in grads))
+        e_flat = measure_sum(measures, (flattening_density(qx, qy) for qx, qy in grads))
         # df^dg - df^d(flattened): (det_fg - det(grad f, grad q))^2 per patch
         defect1 = measure_sum(measures, (((bx * (1 - qy) + by * qx) ** 2, e * e)
                                          for qx, qy in grads))

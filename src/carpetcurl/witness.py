@@ -591,10 +591,10 @@ def _largest(pairs) -> Fraction:
     return Fraction(top, bottom)
 
 
-def flattening_density(gx: int, gy: int, d: int):
+def flattening_density(gx: int, gy: int):
     """|grad(y - p)|^2, the flattening energy density on a patch p whose
-    gradient is (gx, gy) / d, as an int pair (numerator, denominator)."""
-    return gx * gx + (d - gy) ** 2, d * d
+    gradient is the int pair (gx, gy), as an int pair (numerator, 1)."""
+    return gx * gx + (1 - gy) ** 2, 1
 
 
 def _weighted(measures, densities):
@@ -609,23 +609,21 @@ def measure_sum(measures, densities) -> Fraction:
     return _RowSum(_weighted(measures, densities)).value()
 
 
-def verify_witness_sequence(spec: CarpetSpec, f: tuple, n_max: int,
-                            pf: Prefractal) -> VerificationReport:
+def verify_witness_sequence(f: tuple, n_max: int, pf: Prefractal) -> VerificationReport:
     """Check every stage-n printed bound and the witness convergence trend.
 
     Produces one row per quantity with exact pass/fail flags; hypothesis
     diagnostics and tail brackets are attached where a generator rule makes
-    the un-truncated carpet approachable.  Every integral is taken over
-    ``pf``, the level-m prefractal of ``spec``; the caller may share it with
-    the wedge section, which then looks up the moments of every region this
-    section has integrated.  The target f = c0 + cx*x + cy*y on the unit
-    square is given as (c0, cx, cy), ints or ``Fraction``s; anything else
-    raises ``TypeError``, and a ``pf`` of another spec ``ValueError``,
-    before any stage is built.
+    the un-truncated carpet approachable.  The carpet is ``pf.spec``, and
+    every integral is taken over ``pf``, its level-m prefractal; the caller
+    may share it with the wedge section, which then looks up the moments of
+    every region this section has integrated.  The target
+    f = c0 + cx*x + cy*y on the unit square is given as (c0, cx, cy), ints
+    or ``Fraction``s; anything else raises ``TypeError`` before any stage is
+    built.
     """
     c0, cx, cy = affine_target(f)
-    if pf.spec != spec:
-        raise ValueError(f"the prefractal is of {pf.spec}, not of {spec}")
+    spec = pf.spec
     report = VerificationReport()
     tail = None
     if spec.generator == "odd-reciprocal":
@@ -664,7 +662,7 @@ def verify_witness_sequence(spec: CarpetSpec, f: tuple, n_max: int,
         # is the strip defect (|grad(y - staircase)|^2), on a tent's three
         # patches the tent cover's |grad psi|^2
         grads = [(gx, gy) for _, _, gx, gy in flat.patches]
-        defect = list(_weighted(measures, [flattening_density(gx, gy, 1) for gx, gy in grads]))
+        defect = list(_weighted(measures, [flattening_density(gx, gy) for gx, gy in grads]))
 
         strip_area = Fraction(4 * len(flat.band_tags), flat.scale)
         report.add("witness", n, "strip_area", strip_area, a_n, strip_area <= a_n)

@@ -234,7 +234,7 @@ class TestCriterion6FormIdentities:
 class TestCriterion7WedgeDefects:
     def test_defects_at_stages_two_and_three(self):
         pf = Prefractal(SPEC357, 3)
-        rep = verify_wedge_approximation(SPEC357, (0, 1, 0), (2, 3), pf=pf)
+        rep = verify_wedge_approximation((0, 1, 0), (2, 3), pf=pf)
         ok = True
         norm_row = rep.get("wedge", None, "wedge_norm_sq")
         ok = ok and norm_row.value == prefractal_measure(SPEC357, 3) > F(3, 4)

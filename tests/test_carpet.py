@@ -464,6 +464,9 @@ class TestRegionMeasure:
     @example(lattice_case(3, LATTICE, ((20, 30), (190, 40), (50, 180))), 3)
     # a region inside one level-2 square: the walk starts at j == level
     @example(lattice_case(2, LATTICE, ((1, 1), (10, 2), (3, 9))), 1)
+    # a needle whose tip lies in one level-2 square, which all three lines
+    # cross, two levels below the level-1 square the walk starts at
+    @example(lattice_case(3, LATTICE, ((20, 30), (61, 31), (60, 33))), 1)
     @settings(max_examples=50, deadline=None)
     def test_brute_force_oracle_on_a_triangle(self, case, k):
         # interior closed forms, hole complements and leaf clips
@@ -471,7 +474,8 @@ class TestRegionMeasure:
 
     @given(refined_lattice_cases(), st.integers(1, 12))
     # two region lines cross one leaf and meet off the lattice outside the
-    # region, so that leaf clips the region by the square; the other leaves
+    # region, so that leaf's cut square is the moved region clipped by the
+    # square; the other leaves
     # and a hole are crossed by one line
     @example(lattice_case(2, PRIME_LATTICE, ((66, 156), (169, 7), (183, 56), (180, 62),
                                              (156, 84))), 2)

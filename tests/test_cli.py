@@ -415,6 +415,17 @@ class TestVerify:
             "report.json": "68b76828845fc387537f177a92b709176cf7dc39f252369f2f945c7c2e06f83a",
         }
 
+    def test_stage_four_run_reproduces_the_golden_reports(self, tmp_path):
+        # stage 4 at depth 4: the one golden run whose walks meet about
+        # 10,000 leaves crossed by two or more region lines
+        out = tmp_path / "stage4"
+        assert run(["verify", "--generator", "odd-reciprocal", "--nmax", "4", "--depth", "4",
+                    "--f", "const", "--out", str(out)]) == EXIT_BOUND_FAILED
+        assert report_digests(out) == {
+            "report.csv": "f2f1f2bc1141e126068f60c38ec3435a3d397abdfd642aa8a2c9b272d0a72cd9",
+            "report.json": "a26007cf92d99ead9e7204085aae0b2a7bc0a00d46edbb24a61dad67fde815d1",
+        }
+
     @pytest.mark.parametrize("target", WIDE_STAGE_GOLDEN)
     def test_wide_stage_reproduces_the_golden_reports(self, tmp_path, target):
         # the stage-3 tent energy and the witness norm trend fail by design

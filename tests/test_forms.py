@@ -182,7 +182,7 @@ class TestCutoffForm:
 class TestWedgeVerification:
     def test_canonical_stage_two(self, spec357):
         report = verify_wedge_approximation(
-            spec357, (0, 1, 0), (2,), pf=Prefractal(spec357, 3))
+            (0, 1, 0), (2,), pf=Prefractal(spec357, 3))
         assert report.get("wedge", None, "wedge_norm_sq").value == F(1024, 1225)
         assert report.get("wedge", 2, "wedge_defect_secondary").value == 0
         primary = report.get("wedge", 2, "wedge_defect_primary")
@@ -192,7 +192,7 @@ class TestWedgeVerification:
     def test_wedge_section_clips_nothing(self, spec357, monkeypatch):
         def run():
             return verify_wedge_approximation(
-                spec357, (0, 1, 0), (2,), pf=Prefractal(spec357, 3)).rows
+                (0, 1, 0), (2,), pf=Prefractal(spec357, 3)).rows
 
         expected = run()
 

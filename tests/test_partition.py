@@ -237,7 +237,7 @@ class TestTags:
         assert flat.patches[flat.tent_tags[0][0]][0] is t.trapezoid
         assert any(q is t.trapezoid for nb in stage.neighborhoods for q in nb.trapezoids)
         calls.clear()
-        verify_wedge_approximation(spec, (0, 1, 0), (2, 3), pf=Prefractal(spec, 1))
+        verify_wedge_approximation((0, 1, 0), (2, 3), pf=Prefractal(spec, 1))
         assert calls == [2, 3]
 
     def test_every_cell_patch_holds_its_piece_tuple(self):
@@ -653,6 +653,33 @@ class TestRowWalk:
                     walk(((0, 0), (3, 0), (0, 2)), [3, 1], 0, ((True,),))
         assert list(pf._templates) == [(3, -2, -3, -6)]
 
+    def test_an_off_lattice_multi_line_cut_raises_on_every_walk(self):
+        # all three lines cross the level-0 square, whose cut square is
+        # the region itself, and two of them the hole, where (1, 1) -> (3, 2)
+        # crosses its side x = 2 at y = 3/2: the region moved to the hole
+        # raises when clipped by the square, is not kept, and raises again
+        pf = Prefractal(CarpetSpec((F(1, 3),)), 1)
+        for walk in (pf._walk, SquareClipPrefractal(pf.spec, 1)._walk):
+            for _ in range(2):
+                with pytest.raises(ConstructionError, match="off the lattice"):
+                    walk(((1, 1), (3, 2), (2, 3)), [3, 1], 0, ((True,),))
+        assert list(pf._templates) == [(3, -1, 2, 1, -1, -1, -5, 2, -1, 1)]
+
+    def test_regions_sharing_multi_line_cut_squares(self):
+        # a triangle across the corner of four level-2 squares, and its
+        # translate by one square onto a block with a hole: two classes,
+        # whose crossed leaves are all cut by two lines and are the same
+        # cut squares, so the second walk clips none of its own
+        spec = CarpetSpec((F(1, 3), F(1, 3)))
+        pf, oracle = Prefractal(spec, 2), SquareClipPrefractal(spec, 2)
+        first, second = ((26, 6), (34, 8), (29, 14)), ((16, 6), (24, 8), (19, 14))
+        assert pf.moments(first, 90) == oracle.moments(first, 90)
+        templates = dict(pf._templates)
+        assert len(templates) == 4 and all(len(key) == 7 for key in templates)
+        assert pf.moments(second, 90) == oracle.moments(second, 90)
+        assert len(pf._classes) == 2 and pf._templates == templates
+        assert pf._classes == oracle._classes
+
 
 class TestTaggedRows:
     @pytest.mark.parametrize("name, n, m", [
@@ -663,8 +690,8 @@ class TestTaggedRows:
         spec = SPECS[name]
         # one prefractal for both sections, as in ``verify``
         pf = Prefractal(spec, m)
-        report = verify_witness_sequence(spec, TARGET, n_max=n, pf=pf)
-        report.extend(verify_wedge_approximation(spec, TARGET, (n,), pf))
+        report = verify_witness_sequence(TARGET, n_max=n, pf=pf)
+        report.extend(verify_wedge_approximation(TARGET, (n,), pf))
         for (section, stage, row_name), (value, bound) in generic_rows(spec, TARGET, n, m).items():
             row = report.get(section, stage, row_name)
             assert row.value == value, row_name
@@ -675,8 +702,7 @@ class TestTaggedRows:
     def test_rows_need_no_staircase_and_no_tent_patches(self, spec35, monkeypatch):
         # the strip defect and tent energies are read off the flattened patches
         def rows():
-            return verify_witness_sequence(spec35, TARGET, n_max=2,
-                                           pf=Prefractal(spec35, 2)).rows
+            return verify_witness_sequence(TARGET, n_max=2, pf=Prefractal(spec35, 2)).rows
 
         expected = rows()
 
@@ -699,8 +725,8 @@ class TestIntRows:
         # the targets share it too, since their ramps have one partition
         pf = Prefractal(spec, depth)
         for label, f in ROW_TARGETS.items():
-            report = verify_witness_sequence(spec, f, n_max=3, pf=pf)
-            report.extend(verify_wedge_approximation(spec, f, (1, 2, 3), pf))
+            report = verify_witness_sequence(f, n_max=3, pf=pf)
+            report.extend(verify_wedge_approximation(f, (1, 2, 3), pf))
             for n in (1, 2, 3):
                 flat = flattened_stage(name, n)
                 expected = {("witness", row): v for row, v in
@@ -755,9 +781,8 @@ class TestTarget:
     @pytest.mark.parametrize("f", MALFORMED_TARGETS.values(), ids=MALFORMED_TARGETS)
     def test_malformed_target_rejected(self, spec35, no_stage, entry, f):
         calls = {
-            "witness": lambda: verify_witness_sequence(spec35, f, n_max=2,
-                                                       pf=Prefractal(spec35, 2)),
-            "wedge": lambda: verify_wedge_approximation(spec35, f, (2,), Prefractal(spec35, 2)),
+            "witness": lambda: verify_witness_sequence(f, n_max=2, pf=Prefractal(spec35, 2)),
+            "wedge": lambda: verify_wedge_approximation(f, (2,), Prefractal(spec35, 2)),
             "ramp": lambda: build_ramp(flattened_stage("odd-reciprocal", 1), f),
         }
         with pytest.raises(TypeError, match="the target must be a tuple"):
@@ -771,7 +796,7 @@ class TestTarget:
             "from carpetcurl.witness import verify_witness_sequence\n"
             "spec = CarpetSpec((F(1, 3),))\n"
             "try:\n"
-            "    verify_witness_sequence(spec, [1, 0, 0], n_max=1, pf=Prefractal(spec, 1))\n"
+            "    verify_witness_sequence([1, 0, 0], n_max=1, pf=Prefractal(spec, 1))\n"
             "except TypeError as exc:\n"
             "    print(type(exc).__name__, exc)\n"
         )
@@ -779,13 +804,6 @@ class TestTarget:
                              text=True, check=True, env={"PYTHONPATH": SRC})
         assert out.stdout == ("TypeError the target must be a tuple (c0, cx, cy) of ints or "
                               "Fractions, not [1, 0, 0]\n")
-
-    def test_prefractal_of_another_spec_rejected(self, spec35, spec357, no_stage):
-        pf = Prefractal(spec357, 2)
-        with pytest.raises(ValueError, match="prefractal"):
-            verify_witness_sequence(spec35, TARGET, n_max=2, pf=pf)
-        with pytest.raises(ValueError, match="prefractal"):
-            verify_wedge_approximation(spec35, TARGET, (2,), pf)
 
     @pytest.mark.parametrize("selector, triple", [
         ("const", (1, 0, 0)), ("x", (0, 1, 0)), ("y", (0, 0, 1)),

@@ -394,12 +394,11 @@ class TestFlattened:
         assert vd <= dirichlet_energy(coordinate_minus(field), pf)
 
 
-    @pytest.mark.parametrize("gx, gy, d", [(0, 1, 1), (-7, 1, 1), (0, 0, 1), (3, -5, 4), (-1, 7, 6)])
-    def test_flattening_density_is_the_int_pair_of_the_squared_gradient(self, gx, gy, d):
-        # the stage's flattened slopes are ints, so d = 1 there; the pair is
-        # |grad(y - p)|^2 for any gradient (gx, gy) / d
-        num, den = flattening_density(gx, gy, d)
-        assert den == d * d and F(num, den) == F(gx, d) ** 2 + (1 - F(gy, d)) ** 2
+    @pytest.mark.parametrize("gx, gy", [(0, 1), (-7, 1), (0, 0)])
+    def test_flattening_density_is_the_int_pair_of_the_squared_gradient(self, gx, gy):
+        # the stage's flattened slopes are ints; the pair is |grad(y - p)|^2
+        num, den = flattening_density(gx, gy)
+        assert den == 1 and F(num, den) == gx ** 2 + (1 - gy) ** 2
 
 
 class TestRamp:
@@ -484,8 +483,7 @@ class TestWitnessField:
 
 class TestVerifySequence:
     def test_small_run_flags(self, spec35):
-        report = verify_witness_sequence(spec35, (1, 0, 0), n_max=2,
-                                         pf=Prefractal(spec35, 2))
+        report = verify_witness_sequence((1, 0, 0), n_max=2, pf=Prefractal(spec35, 2))
         assert report.get("witness", 1, "strip_area").value == F(1, 3)
         assert report.get("witness", 2, "tent_count_per_column_max").passed
         assert report.get("witness", 2, "local_constancy_violations").passed
@@ -499,7 +497,7 @@ class TestVerifySequence:
     def test_f_sup_is_the_vertex_sup_norm(self, spec35, f):
         # sup|f| is read off the target's corners: the oracle's max of
         # |value| over the patch vertices, times the previous side
-        report = verify_witness_sequence(spec35, f, n_max=2, pf=Prefractal(spec35, 1))
+        report = verify_witness_sequence(f, n_max=2, pf=Prefractal(spec35, 1))
         for n in (1, 2):
             assert report.get("witness", n, "ramp_sup").bound == \
                 sup_norm(affine_field(*f)) * side_length(spec35, n - 1)
