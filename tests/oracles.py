@@ -46,13 +46,14 @@ kernels ``fraction_poly_dot`` and ``fraction_square_integral``, the
 puts rational slopes over one denominator for ``build_cell_field``), the ramp
 with the target evaluated at Fraction cell centres (``fraction_ramp``) and
 the per-patch row loops of both sections (``fraction_witness_rows``,
-``fraction_wedge_rows``).  Last come two earlier class walks, the oracles
-of the package's: ``RegionClipPrefractal`` clips the region by every leaf
-square, and ``SquareClipPrefractal`` visits every child of a crossed square
-and clips every leaf crossed by one region line by that line on its own;
-and the earlier region path, ``PerRegionPrefractal``, which refines the
-lattice, finds the level and tests convexity per translation class from each
-region afresh instead of once per shape.
+``fraction_wedge_rows``).  Last comes the oracle of every region's moments,
+the hole complement: P_m is the unit square less the disjoint open holes of
+levels 1..m, so ``hole_moments`` takes the region's moments less those of
+each hole that meets it, one box clip a hole, found through a per-level
+index of ``carpet.enumerate_holes``.  It shares no step with
+``Prefractal``'s walk, class key, shapes or cut squares, and
+``same_moments`` compares its moments with those of ``Prefractal.moments``
+by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from functools import cache, cached_property
+from math import lcm
 from typing import Optional
 
 from carpetcurl.carpet import (
@@ -69,8 +70,7 @@ from carpetcurl.carpet import (
     ConstructionError,
     OutOfUnitSquare,
     Prefractal,
-    _not_convex,
-    _shifted_moments,
+    enumerate_holes,
     gap_height,
     side_length,
     stage_scale,
@@ -370,15 +370,11 @@ def point_in_convex(poly, p) -> bool:
 
 
 def clip_to_box(poly, x0, y0, x1, y1):
-    """Intersection of a polygon with an axis-aligned box."""
-    out = clip_halfplane(poly, Fraction(-1), ZERO, -x0)
-    if out:
-        out = clip_halfplane(out, Fraction(1), ZERO, x1)
-    if out:
-        out = clip_halfplane(out, ZERO, Fraction(-1), -y0)
-    if out:
-        out = clip_halfplane(out, ZERO, Fraction(1), y1)
-    return out
+    """Intersection of a polygon with an axis-aligned box; on int vertices
+    and bounds a crossing between lattice points is the one ``Fraction``."""
+    for a, b, c in ((-1, 0, -x0), (1, 0, x1), (0, -1, -y0), (0, 1, y1)):
+        poly = clip_halfplane(poly, a, b, c)
+    return poly
 
 
 def patch_from_vertex_values(triangle, v1, v2, v3) -> AffinePatch:
@@ -1443,245 +1439,65 @@ def fraction_wedge_rows(f, flat, pf: Prefractal) -> dict:
     }
 
 
-# --- the region-clipping walk -----------------------------------------------
-# ``Prefractal._walk`` clips a leaf square by the one region line crossing it
-# and takes a hole inside the region in closed form.  This is the walk it
-# replaced: every node tests every region plane, and every leaf, the hole
-# of a level-(m-1) square included, clips the whole region by the square.
+# --- the hole complement ----------------------------------------------------
+# P_m is the unit square less the disjoint open holes of levels 1..m, the
+# level-k ones one in each surviving level-(k-1) square.  So the moments of
+# a region R over P_m are its own less those of H intersect R for each hole
+# H that meets R: one box clip per hole, with no walk, class key, shape or
+# cut square.
 
 
-class RegionClipPrefractal(Prefractal):
-    """A ``Prefractal`` whose class walk clips the region by each leaf square."""
-
-    def _walk(self, reg, sides, j, mask):
-        scale = sides[0]
-        rbx0, rby0, rbx1, rby1 = bbox(reg)
-        planes = []
-        for p, q in zip(reg, reg[1:] + reg[:1]):
-            a = q[1] - p[1]
-            b = p[0] - q[0]
-            planes.append((-a, -b, -(a * p[0] + b * p[1])))
-        leaf_sums = [0] * 6
-        covered = [[0] * 6 for _ in sides]
-
-        def clip(pts, a, b, c):
-            out = []
-            cur = pts[-1]
-            fc = a * cur[0] + b * cur[1] - c
-            for fol in pts:
-                fn = a * fol[0] + b * fol[1] - c
-                if fc >= 0:
-                    out.append(cur)
-                if (fc >= 0) != (fn >= 0):
-                    qx, rx = divmod(fc * (fol[0] - cur[0]), fc - fn)
-                    qy, ry = divmod(fc * (fol[1] - cur[1]), fc - fn)
-                    if rx or ry:
-                        raise ConstructionError(
-                            f"edge {cur}->{fol} crosses {a}*x + {b}*y = {c} off the "
-                            f"lattice of scale {scale}")
-                    out.append((cur[0] + qx, cur[1] + qy))
-                cur, fc = fol, fn
-            return out
-
-        def leaf(x0, y0, d, sign):
-            pts = reg
-            for (a, b, c) in ((-1, 0, -(x0 + d)), (1, 0, x0), (0, -1, -(y0 + d)), (0, 1, y0)):
-                pts = clip(pts, a, b, c)
-                if not pts:
-                    return
-            for i, s in enumerate(moment_sums(pts)):
-                leaf_sums[i] += sign * s
-
-        def walk(k, x0, y0):
-            d = sides[k]
-            x1, y1 = x0 + d, y0 + d
-            if x1 <= rbx0 or x0 >= rbx1 or y1 <= rby0 or y0 >= rby1:
-                return
-            inside = True
-            for (a, b, c) in planes:
-                values = [a * x + b * y - c for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
-                if min(values) < 0:
-                    inside = False
-                    if max(values) < 0:
-                        return
-            if inside:
-                t = covered[k]
-                for i, v in enumerate((1, x0, y0, x0 * x0, x0 * y0, y0 * y0)):
-                    t[i] += v
-                return
-            if k == self.level:
-                leaf(x0, y0, d, 1)
-                return
-            q = self.subdiv[k]
-            dc = sides[k + 1]
-            c = (q - 1) // 2
-            if k == self.level - 1:
-                leaf(x0, y0, d, 1)
-                leaf(x0 + c * dc, y0 + c * dc, dc, -1)
-                return
-            for jy in range(max(0, (rby0 - y0) // dc), min(q - 1, (rby1 - 1 - y0) // dc) + 1):
-                for jx in range(max(0, (rbx0 - x0) // dc), min(q - 1, (rbx1 - 1 - x0) // dc) + 1):
-                    if jx != c or jy != c:
-                        walk(k + 1, x0 + jx * dc, y0 + jy * dc)
-
-        d = sides[j]
-        for iy, row in enumerate(mask):
-            for ix, alive in enumerate(row):
-                if alive:
-                    walk(j, ix * d, iy * d)
-        up = scale // self.side_scale
-        num = [s * (24 // div) for s, div in zip(leaf_sums, MOMENT_DIVISORS)]
-        for pattern, sums in zip(self.pattern, covered):
-            if sums[0]:
-                scaled = [v * up ** (2 + p + q) for v, (p, q) in zip(pattern, MONOMIALS)]
-                num = [a + b for a, b in zip(num, _shifted_moments(scaled, sums))]
-        return num
+@cache
+def _hole_index(spec: CarpetSpec, m: int):
+    """Per level k = 1..m: L_k, the pitch of the level-k holes on that
+    lattice (the level-(k-1) side, 4 * q_k) and the holes of
+    ``enumerate_holes`` keyed by the pitch cell each lies in."""
+    levels = []
+    for k in range(1, m + 1):
+        pitch = 4 * spec.subdivisions(k)
+        levels.append((stage_scale(spec, k), pitch,
+                       {(x0 // pitch, y0 // pitch): (x0, y0, x1, y1)
+                        for x0, y0, x1, y1 in enumerate_holes(spec, k)}))
+    return levels
 
 
-class SquareClipPrefractal(Prefractal):
-    """A ``Prefractal`` whose class walk visits every child of a crossed
-    square and clips every leaf crossed by one line on its own."""
-
-    def _walk(self, reg, sides, j, mask):
-        scale = sides[0]
-        rbx0, rby0, rbx1, rby1 = bbox(reg)
-        planes = []
-        for p, q in zip(reg, reg[1:] + reg[:1]):
-            a = q[1] - p[1]
-            b = p[0] - q[0]
-            planes.append((-a, -b, -(a * p[0] + b * p[1])))
-        leaf_sums = [0] * 6
-        covered = [[0] * 6 for _ in sides]
-
-        def crossing(among, x0, y0, d):
-            out = []
-            for plane in among:
-                a, b, c = plane
-                values = [a * x + b * y - c
-                          for x, y in ((x0, y0), (x0 + d, y0), (x0 + d, y0 + d), (x0, y0 + d))]
-                if min(values) < 0:
-                    if max(values) < 0:
-                        return None
-                    out.append(plane)
-            return out
-
-        def clip(pts, a, b, c):
-            out = []
-            cur = pts[-1]
-            fc = a * cur[0] + b * cur[1] - c
-            for fol in pts:
-                fn = a * fol[0] + b * fol[1] - c
-                if fc >= 0:
-                    out.append(cur)
-                if (fc >= 0) != (fn >= 0):
-                    qx, rx = divmod(fc * (fol[0] - cur[0]), fc - fn)
-                    qy, ry = divmod(fc * (fol[1] - cur[1]), fc - fn)
-                    if rx or ry:
-                        raise ConstructionError(
-                            f"edge {cur}->{fol} crosses {a}*x + {b}*y = {c} off the "
-                            f"lattice of scale {scale}")
-                    out.append((cur[0] + qx, cur[1] + qy))
-                cur, fc = fol, fn
-            return out
-
-        def add(t, sign, x0, y0):
-            for i, v in enumerate((1, x0, y0, x0 * x0, x0 * y0, y0 * y0)):
-                t[i] += sign * v
-
-        def leaf(x0, y0, d, cut, sign):
-            x1, y1 = x0 + d, y0 + d
-            if len(cut) == 1:
-                pts = clip(((x0, y0), (x1, y0), (x1, y1), (x0, y1)), *cut[0])
-            else:
-                pts = reg
-                for (a, b, c) in ((-1, 0, -x1), (1, 0, x0), (0, -1, -y1), (0, 1, y0)):
-                    pts = clip(pts, a, b, c)
-                    if not pts:
-                        return
-            for i, s in enumerate(moment_sums(pts)):
-                leaf_sums[i] += sign * s
-
-        def walk(k, x0, y0, among):
-            d = sides[k]
-            if x0 + d <= rbx0 or x0 >= rbx1 or y0 + d <= rby0 or y0 >= rby1:
-                return
-            cut = crossing(among, x0, y0, d)
-            if cut is None:
-                return
-            if not cut:
-                add(covered[k], 1, x0, y0)
-                return
-            if k == self.level:
-                leaf(x0, y0, d, cut, 1)
-                return
-            q = self.subdiv[k]
-            dc = sides[k + 1]
-            c = (q - 1) // 2
-            if k == self.level - 1:
-                leaf(x0, y0, d, cut, 1)
-                hx, hy = x0 + c * dc, y0 + c * dc
-                hole_cut = crossing(cut, hx, hy, dc)
-                if hole_cut:
-                    leaf(hx, hy, dc, hole_cut, -1)
-                elif hole_cut is not None:
-                    add(covered[self.level], -1, hx, hy)
-                return
-            for jy in range(max(0, (rby0 - y0) // dc), min(q - 1, (rby1 - 1 - y0) // dc) + 1):
-                for jx in range(max(0, (rbx0 - x0) // dc), min(q - 1, (rbx1 - 1 - x0) // dc) + 1):
-                    if jx != c or jy != c:
-                        walk(k + 1, x0 + jx * dc, y0 + jy * dc, cut)
-
-        d = sides[j]
-        for iy, row in enumerate(mask):
-            for ix, alive in enumerate(row):
-                if alive:
-                    walk(j, ix * d, iy * d, planes)
-        up = scale // self.side_scale
-        num = [s * (24 // div) for s, div in zip(leaf_sums, MOMENT_DIVISORS)]
-        for pattern, sums in zip(self.pattern, covered):
-            if any(sums):
-                scaled = [v * up ** (2 + p + q) for v, (p, q) in zip(pattern, MONOMIALS)]
-                num = [a + b for a, b in zip(num, _shifted_moments(scaled, sums))]
-        return num
+def hole_moments(spec: CarpetSpec, m: int, region, scale):
+    """The moments of the MONOMIALS over P_m intersect ``region``, a CCW
+    polygon of int vertices over ``scale``, in the form of
+    ``Prefractal.moments``: (t, U), monomial (p, q) being t[i] / (24 *
+    U^(2+p+q)), on the lattice U = lcm(scale, L_m) that holds every hole.
+    The region is clipped by each hole that meets its bbox
+    (``clip_to_box``); where a hole side crosses a region edge between
+    lattice points, which happens for m above the region's stage, that
+    vertex and the sums it enters are exact ``Fraction``s."""
+    levels = _hole_index(spec, m)
+    lattice = lcm(scale, *(level_scale for level_scale, _, _ in levels))
+    up = lattice // scale
+    reg = tuple((x * up, y * up) for x, y in region)
+    sums = list(moment_sums(reg))
+    bx0, by0, bx1, by1 = bbox(reg)
+    for level_scale, pitch, holes in levels:
+        f = lattice // level_scale
+        cell = pitch * f
+        # a hole lies inside its pitch cell, so only the cells that meet
+        # the open bbox can hold a hole that meets the region
+        for iy in range(by0 // cell, -(-by1 // cell)):
+            for ix in range(bx0 // cell, -(-bx1 // cell)):
+                hole = holes.get((ix, iy))
+                if hole is None:
+                    continue
+                x0, y0, x1, y1 = (v * f for v in hole)
+                if x0 < bx1 and x1 > bx0 and y0 < by1 and y1 > by0:
+                    for i, v in enumerate(moment_sums(clip_to_box(reg, x0, y0, x1, y1))):
+                        sums[i] -= v
+    return tuple(v * (24 // div) for v, div in zip(sums, MOMENT_DIVISORS)), lattice
 
 
-class PerRegionPrefractal(Prefractal):
-    """A ``Prefractal`` that builds each region's class key from the region
-    itself: the lattice refinement, the level j and the block corner per
-    region, and strict convexity tested once per translation class."""
+def same_moments(a, b):
+    """Whether two moment pairs (t, s) in the form of ``Prefractal.moments``
+    have equal values, compared by cross-multiplying: t[i] * r^(2+p+q) ==
+    u[i] * s^(2+p+q) for the pairs (t, s) and (u, r)."""
+    (t, s), (u, r) = a, b
+    return all(x * r ** (2 + p + q) == y * s ** (2 + p + q)
+               for x, y, (p, q) in zip(t, u, MONOMIALS, strict=True))
 
-    def _region_moments(self, reg, scale):
-        if len(reg) < 3:
-            raise _not_convex(reg)
-        xs, ys = [x for x, _ in reg], [y for _, y in reg]
-        bx0, by0, bx1, by1 = min(xs), min(ys), max(xs), max(ys)
-        if bx0 < 0 or by0 < 0 or bx1 > scale or by1 > scale:
-            raise OutOfUnitSquare("region leaves the unit square")
-        refine = 1
-        for i in range(len(reg)):
-            dx = reg[i][0] - reg[i - 1][0]
-            dy = reg[i][1] - reg[i - 1][1]
-            if dx and dy:
-                g = gcd(dx, dy)
-                refine = lcm(refine, abs(dx) // g, abs(dy) // g)
-        up = lcm(scale, self.side_scale) // scale * refine
-        scale *= up
-        reg = [(x * up, y * up) for (x, y) in reg]
-        sides = [d * (scale // self.side_scale) for d in self.side_ints]
-        bx0, by0, bx1, by1 = bx0 * up, by0 * up, bx1 * up, by1 * up
-        j = self.level
-        while sides[j] < max(bx1 - bx0, by1 - by0):
-            j -= 1
-        d = sides[j]
-        x0, y0 = bx0 // d * d, by0 // d * d
-        bits = self._central_digits(j)
-        row = bits[x0 // d:-(-bx1 // d)]
-        mask = tuple([tuple([not (bx & by) for bx in row]) for by in bits[y0 // d:-(-by1 // d)]])
-        rel = tuple((x - x0, y - y0) for x, y in reg)
-        key = (scale, j, mask, rel)
-        base = self._classes.get(key)
-        if base is None:
-            if not strictly_convex(rel):
-                raise _not_convex(rel)
-            base = self._classes[key] = self._walk(rel, sides, j, mask)
-        return _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0)), scale

@@ -45,13 +45,14 @@ from carpetcurl.geometry import (
 )
 from carpetcurl.witness import _cells
 from oracles import (
-    PerRegionPrefractal,
     _normalize,
     contains,
     fraction_moments,
+    hole_moments,
     meets_closed_hole,
     normalize_polygon,
     on_lattice,
+    same_moments,
     square_count,
     strictly_inside_hole,
     unit_polygon,
@@ -190,8 +191,10 @@ def star_regions(draw):
 def assert_walk_matches_brute_force(depth, region, spec=CarpetSpec(ORACLE_RATIOS), k=1):
     """The walk's integrals and moments against clipping the region to every
     surviving leaf square, on the integer lattice of the region and the leaves;
-    and so the moments of the region's lattice vertices times k over k times
-    its scale, on a fresh prefractal, since they are the same polygon."""
+    so the hole complement, the region less every hole it meets, which
+    shares no step with the leaf clips; and so the moments of the region's
+    lattice vertices times k over k times its scale, on a fresh prefractal,
+    since they are the same polygon."""
     pf = Prefractal(spec, depth)
     d = side_length(spec, depth)
     scale = math.lcm(d.denominator, *(v.denominator for p in region for v in p))
@@ -214,6 +217,7 @@ def assert_walk_matches_brute_force(depth, region, spec=CarpetSpec(ORACLE_RATIOS
     for key, value in zip(MONOMIALS, expected):
         assert pf.integrate(*on_lattice(region), {key: F(1)}) == value
     assert fraction_moments(pf.moments(*on_lattice(region))) == tuple(expected)
+    assert fraction_moments(hole_moments(spec, depth, *on_lattice(region))) == tuple(expected)
     pts, lattice = on_lattice(region)
     scaled = tuple((k * x, k * y) for x, y in pts)
     assert fraction_moments(Prefractal(spec, depth).moments(scaled, k * lattice)) == tuple(expected)
@@ -740,22 +744,25 @@ def common_lattice(*regions):
 class TestShapes:
     @given(translated_regions(), st.integers(2, 4))
     @settings(max_examples=60, deadline=None)
-    def test_translates_on_two_scales_against_the_per_region_path(self, case, k):
+    def test_translates_on_two_scales_against_the_hole_complement(self, case, k):
         # a region and its translate share one shape per scale: the moments
-        # and the classes are the per-region path's, cold and with the
-        # shapes warm
+        # are the hole complement's, cold and with the shapes warm, and the
+        # translates share one class per refined lattice, which both scales
+        # refine to when their lcms with the level-m side lattice agree
         depth, region, moved = case
         spec = CarpetSpec(ORACLE_RATIOS)
         (pts, to), scale = common_lattice(region, moved)
         queries = [(r, scale) for r in (pts, to)]
         queries += [(tuple((k * x, k * y) for x, y in r), k * scale) for r in (pts, to)]
-        pf, oracle = Prefractal(spec, depth), PerRegionPrefractal(spec, depth)
-        expected = [oracle.moments(*q) for q in queries]
-        assert [pf.moments(*q) for q in queries] == expected
+        pf = Prefractal(spec, depth)
+        expected = [hole_moments(spec, depth, *q) for q in queries]
+        got = [pf.moments(*q) for q in queries]
+        assert all(same_moments(a, b) for a, b in zip(got, expected, strict=True))
         assert len(pf._shapes) == 2
-        assert len(pf._classes) == len(oracle._classes)
+        side = pf.side_scale
+        assert len(pf._classes) == (1 if math.lcm(scale, side) == math.lcm(k * scale, side) else 2)
         pf._regions.clear()
-        assert [pf.moments(*q) for q in queries] == expected
+        assert [pf.moments(*q) for q in queries] == got
         assert len(pf._shapes) == 2
 
     @pytest.mark.parametrize("region", [
@@ -791,7 +798,7 @@ class TestShapes:
         with pytest.raises(OutOfUnitSquare):
             pf.moments(out, 12)
         assert pf._shapes == {}
-        assert pf.moments(tri, 12) == PerRegionPrefractal(spec35, 2).moments(tri, 12)
+        assert same_moments(pf.moments(tri, 12), hole_moments(spec35, 2, tri, 12))
         assert len(pf._shapes) == 1
         for _ in range(2):
             with pytest.raises(OutOfUnitSquare):

@@ -70,15 +70,14 @@ from oracles import (
     int_slopes,
     unit_polygon,
     gamma,
+    hole_moments,
     l2_norm_sq,
     make_patch,
     norm_sq_one,
     norm_sq_two,
     patch_from_vertex_values,
     product_with_gradient,
-    PerRegionPrefractal,
-    RegionClipPrefractal,
-    SquareClipPrefractal,
+    same_moments,
     staircase_field,
     sup_norm,
     vertical_defect_sq,
@@ -501,7 +500,7 @@ def generic_rows(spec, f, n, m):
 @functools.lru_cache(maxsize=None)
 def stage_regions(name, n):
     """The vertex tuples of the stage-n ramp and flattened patches, and their scale."""
-    flat = build_stage(SPECS[name], n, (1, 0, 0)).flattened
+    flat = flattened_stage(name, n)
     return (tuple(verts for verts, _ in flat.pieces)
             + tuple(verts for verts, _, _, _ in flat.patches), flat.scale)
 
@@ -540,48 +539,64 @@ class TestTranslationClasses:
         assert len(walks) == len(pf._classes) <= 150
 
 
-def assert_walks_agree(oracle_class, name, n, depths):
-    # the package walk against an oracle walk on the ramp and flattened
-    # patches of stage n: every region's (t, s) and every class's moments
-    spec = SPECS[name]
-    regions, scale = stage_regions(name, n)
-    for m in depths:
-        pf, oracle = Prefractal(spec, m), oracle_class(spec, m)
-        assert [pf.moments(r, scale) for r in regions] == [
-            oracle.moments(r, scale) for r in regions], m
-        assert pf._classes == oracle._classes, m
-
-
 def spec_depths(name):
     # every depth the spec reaches up to 4
     spec = SPECS[name]
     return range(1, 5 if spec.generator else len(spec.ratios) + 1)
 
 
-class TestSquareClipWalk:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("name", SPECS)
-    def test_every_stage_region_against_the_region_clipping_walk(self, name, n):
-        # the walk against the one that clips the region by every leaf square
-        assert_walks_agree(RegionClipPrefractal, name, n, spec_depths(name))
+# the number of translation classes of the distinct stage-n regions at
+# depth m: (spec, n) -> {m: classes}.  A class is keyed by the refined
+# scale, the level j, the survival mask and the vertices relative to the
+# block corner, and the key built once per shape must split the regions
+# into exactly these
+CLASS_COUNTS = {
+    ("odd-reciprocal", 1): {1: 9, 2: 9, 3: 9, 4: 9},
+    ("odd-reciprocal", 2): {1: 46, 2: 46, 3: 46, 4: 46},
+    ("odd-reciprocal", 3): {1: 444, 2: 70, 3: 70, 4: 70},
+    ("odd-reciprocal", 4): {4: 196},
+    ("1/3,1/5 constant", 1): {1: 9, 2: 9, 3: 9, 4: 9},
+    ("1/3,1/5 constant", 2): {1: 46, 2: 46, 3: 46, 4: 46},
+    ("1/3,1/5 constant", 3): {1: 444, 2: 70, 3: 70, 4: 70},
+    ("1/5,1/3,1/7", 1): {1: 19, 2: 19, 3: 19},
+    ("1/5,1/3,1/7", 2): {1: 49, 2: 36, 3: 36},
+    ("1/5,1/3,1/7", 3): {1: 211, 2: 68, 3: 68},
+}
+# every depth of the three SPECS at stages 1-3, and stage 4 at depth 4
+HOLE_CASES = [(name, n, m) for name in SPECS for n in (1, 2, 3) for m in spec_depths(name)]
+HOLE_CASES.append(("odd-reciprocal", 4, 4))
 
 
-class TestShapeMemo:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("name", SPECS)
-    def test_every_stage_region_against_the_per_region_path(self, name, n):
-        # the class key built once per shape against the one built from each
-        # region: every region's (t, s), and the same classes with the same
-        # moments under the two keys
+class TestHoleComplement:
+    """``Prefractal.moments`` against ``oracles.hole_moments``: a region's
+    moments less those of each open hole of levels 1..m that meets it."""
+
+    @pytest.mark.parametrize("name, n, m", HOLE_CASES)
+    def test_every_stage_region_against_the_hole_complement(self, name, n, m):
+        # every distinct ramp piece and flattened patch, compared exactly;
+        # the regions fall into fewer shapes than there are regions, and
+        # into the classes of their own keys
         spec = SPECS[name]
         regions, scale = stage_regions(name, n)
-        for m in spec_depths(name):
-            pf, oracle = Prefractal(spec, m), PerRegionPrefractal(spec, m)
-            assert [pf.moments(r, scale) for r in regions] == [
-                oracle.moments(r, scale) for r in regions], m
-            assert len(pf._classes) == len(oracle._classes), m
-            assert sorted(pf._classes.values()) == sorted(oracle._classes.values()), m
-            assert len(pf._shapes) < len(set(regions))
+        regions = set(regions)
+        pf = Prefractal(spec, m)
+        assert [r for r in regions if not same_moments(pf.moments(r, scale),
+                                                       hole_moments(spec, m, r, scale))] == []
+        assert len(pf._shapes) < len(regions)
+        assert len(pf._classes) == CLASS_COUNTS[name, n][m]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_holes_one_level_short_miss_a_band(self, name, n):
+        # the negative control: the strip bands lie on the stage-n gaps and
+        # meet stage-n holes, which the ramp pieces never do, so without
+        # the level-n holes the complement is wrong on some band patch
+        spec = SPECS[name]
+        flat = flattened_stage(name, n)
+        pf = Prefractal(spec, n)
+        assert any(not same_moments(pf.moments(flat.patches[i][0], flat.scale),
+                                    hole_moments(spec, n - 1, flat.patches[i][0], flat.scale))
+                   for i in flat.band_tags)
 
 
 # a plane (a, b, c) is the half-plane a*x + b*y >= c
@@ -589,16 +604,6 @@ PLANES = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-60, 60))
 
 
 class TestRowWalk:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("name", SPECS)
-    def test_every_stage_region_against_the_square_clipping_walk(self, name, n):
-        # the walk that sums covered rows and cut-square translates against
-        # the one that visits every child and clips every leaf on its own
-        assert_walks_agree(SquareClipPrefractal, name, n, spec_depths(name))
-
-    def test_stage_two_at_depth_five_against_the_square_clipping_walk(self):
-        assert_walks_agree(SquareClipPrefractal, "odd-reciprocal", 2, [5])
-
     @given(st.lists(PLANES, min_size=1, max_size=4), st.integers(-12, 12), st.integers(-12, 12),
            st.integers(1, 4), st.integers(0, 6), st.integers(0, 6))
     # x + y >= 4 through a corner of each child: child 0 touches the line
@@ -647,11 +652,13 @@ class TestRowWalk:
         # points but crosses the hole's side x = 1 at y = 4/3, so the hole's
         # cut square raises when first seen, is not kept, and raises again
         pf = Prefractal(CarpetSpec((F(1, 3),)), 1)
-        for walk in (pf._walk, SquareClipPrefractal(pf.spec, 1)._walk):
-            for _ in range(2):
-                with pytest.raises(ConstructionError, match="off the lattice"):
-                    walk(((0, 0), (3, 0), (0, 2)), [3, 1], 0, ((True,),))
+        region = ((0, 0), (3, 0), (0, 2))
+        for _ in range(2):
+            with pytest.raises(ConstructionError, match="off the lattice"):
+                pf._walk(region, [3, 1], 0, ((True,),))
         assert list(pf._templates) == [(3, -2, -3, -6)]
+        # the region's own path refines the lattice first
+        assert same_moments(pf.moments(region, 3), hole_moments(pf.spec, 1, region, 3))
 
     def test_an_off_lattice_multi_line_cut_raises_on_every_walk(self):
         # all three lines cross the level-0 square, whose cut square is
@@ -659,11 +666,12 @@ class TestRowWalk:
         # crosses its side x = 2 at y = 3/2: the region moved to the hole
         # raises when clipped by the square, is not kept, and raises again
         pf = Prefractal(CarpetSpec((F(1, 3),)), 1)
-        for walk in (pf._walk, SquareClipPrefractal(pf.spec, 1)._walk):
-            for _ in range(2):
-                with pytest.raises(ConstructionError, match="off the lattice"):
-                    walk(((1, 1), (3, 2), (2, 3)), [3, 1], 0, ((True,),))
+        region = ((1, 1), (3, 2), (2, 3))
+        for _ in range(2):
+            with pytest.raises(ConstructionError, match="off the lattice"):
+                pf._walk(region, [3, 1], 0, ((True,),))
         assert list(pf._templates) == [(3, -1, 2, 1, -1, -1, -5, 2, -1, 1)]
+        assert same_moments(pf.moments(region, 3), hole_moments(pf.spec, 1, region, 3))
 
     def test_regions_sharing_multi_line_cut_squares(self):
         # a triangle across the corner of four level-2 squares, and its
@@ -671,14 +679,13 @@ class TestRowWalk:
         # whose crossed leaves are all cut by two lines and are the same
         # cut squares, so the second walk clips none of its own
         spec = CarpetSpec((F(1, 3), F(1, 3)))
-        pf, oracle = Prefractal(spec, 2), SquareClipPrefractal(spec, 2)
+        pf = Prefractal(spec, 2)
         first, second = ((26, 6), (34, 8), (29, 14)), ((16, 6), (24, 8), (19, 14))
-        assert pf.moments(first, 90) == oracle.moments(first, 90)
+        assert same_moments(pf.moments(first, 90), hole_moments(spec, 2, first, 90))
         templates = dict(pf._templates)
         assert len(templates) == 4 and all(len(key) == 7 for key in templates)
-        assert pf.moments(second, 90) == oracle.moments(second, 90)
+        assert same_moments(pf.moments(second, 90), hole_moments(spec, 2, second, 90))
         assert len(pf._classes) == 2 and pf._templates == templates
-        assert pf._classes == oracle._classes
 
 
 class TestTaggedRows:

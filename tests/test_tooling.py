@@ -3,7 +3,8 @@ parameter its function never reads, no private helper without a caller, no
 public helper that is neither called nor exported, no public method without
 a caller, no dataclass field that nothing reads, a stage lattice built
 without ``Fraction``, region moments, integral kernels and cell fields on
-ints, and a clip chain that works on the vertices it is given.  Last, the
+ints, and a clip chain that works on the vertices it is given.  On the
+tests' oracles: no definition or import that nothing reads.  Last, the
 committed benchmark records share one schema."""
 
 import ast
@@ -212,6 +213,38 @@ def test_the_clip_chain_works_on_the_given_vertices():
              for use in forbidden_uses((root / module).read_text(encoding="utf-8"), names,
                                        FRACTION_NAMES | LATTICE_NAMES)]
     assert found == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_every_oracle_definition_and_import_is_read():
+    # a top-level function or class of tests/oracles.py is read there outside
+    # its own body, or imported and read by a test module; an import is read
+    # there, or passed on to a test module that reads it.  So a retired
+    # oracle leaves no helper or import behind
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(TESTS.glob("*.py"))}
+    oracles = trees.pop("oracles.py")
+    taken = set()
+    for tree in trees.values():
+        taken |= {alias.asname or alias.name
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+                  for alias in node.names} & set(loaded_names(tree))
+    loaded = Counter(loaded_names(oracles))
+    unread = [f"{node.lineno} {node.name}"
+              for node in oracles.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and loaded[node.name] == loaded_names(node).count(node.name)
+              and node.name not in taken]
+    unread += [f"{node.lineno} {name}"
+               for node in oracles.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"
+               for name in ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+               if not loaded[name] and name not in taken]
+    assert unread == []
 
 
 # the top-level keys every committed BENCH_*.json record carries
