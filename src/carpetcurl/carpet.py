@@ -30,11 +30,10 @@ the level-m side, and a stage-n partition lies on (1/L_n)Z^2, L_n =
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple
 
 from .geometry import (
     MOMENT_DIVISORS,
@@ -87,28 +86,28 @@ class ConstructionError(AssertionError):
 GENERATORS = ("odd-reciprocal", "constant")
 
 
-@dataclass(frozen=True)
-class CarpetSpec:
+class CarpetSpec(namedtuple("CarpetSpec", "ratios generator")):
     """Subdivision ratio sequence, optionally extended by a generator rule.
 
     ``generator='odd-reciprocal'`` continues with 1/(2n+1); ``'constant'``
-    repeats the last explicit ratio.
+    repeats the last explicit ratio.  The ratios are kept as a tuple of
+    ``Fraction``s, checked when the spec is built.
     """
 
-    ratios: tuple
-    generator: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "ratios", tuple(Fraction(r) for r in self.ratios))
-        for i, r in enumerate(self.ratios, start=1):
+    def __new__(cls, ratios, generator=None):
+        ratios = tuple(Fraction(r) for r in ratios)
+        for i, r in enumerate(ratios, start=1):
             if r <= 0 or r > Fraction(1, 3):
                 raise RatioOutOfRange(i, r)
             if r.numerator != 1 or r.denominator % 2 == 0:
                 raise NonOddReciprocal(i, r)
-        if self.generator is not None and self.generator not in GENERATORS:
-            raise SpecError(f"unknown generator {self.generator!r}")
-        if self.generator == "constant" and not self.ratios:
+        if generator is not None and generator not in GENERATORS:
+            raise SpecError(f"unknown generator {generator!r}")
+        if generator == "constant" and not ratios:
             raise SpecError("constant generator needs at least one explicit ratio")
+        return super().__new__(cls, ratios, generator)
 
     def ratio(self, i: int) -> Fraction:
         """The stage-i subdivision ratio (1-based)."""
@@ -247,8 +246,7 @@ def prefractal_measure(spec: CarpetSpec, m: int) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class TailInterval:
+class TailInterval(NamedTuple):
     """Rational bracket for the area fraction surviving beyond the truncation."""
 
     lower: Fraction

@@ -15,13 +15,12 @@ conversion; its ``_BoxIndex`` buckets the boxes as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import bbox, clip_convex, polygon_area
 
 
-@dataclass(frozen=True)
-class ProductVectorField:
+class ProductVectorField(NamedTuple):
     """Vector field of the form (affine h) * (constant vector) per piece.
 
     Pieces are (vertices, (h0, hx, hy, d), (px, py)), all ints: the

@@ -9,13 +9,11 @@ order, fixed formatting, no timestamps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     section: str
     n: Optional[int]
     name: str
@@ -26,10 +24,14 @@ class Row:
     tail: Optional[tuple] = None
 
 
-@dataclass
 class VerificationReport:
-    mode: str = "exact"
-    rows: list = field(default_factory=list)
+    """The rows of one run, in the order they were added, and its mode."""
+
+    __slots__ = ("mode", "rows")
+
+    def __init__(self, mode: str = "exact", rows: Optional[list] = None):
+        self.mode = mode
+        self.rows = [] if rows is None else rows
 
     def add(self, section, n, name, value, bound=None, passed=None, note="", tail=None):
         self.rows.append(Row(section, n, name, value, bound, passed, note, tail))
@@ -57,8 +59,8 @@ def rounded_to_f64(report: VerificationReport) -> VerificationReport:
     Every ``Fraction`` value, bound and tail entry becomes ``float(...)``;
     ints, bools and the pass flags are kept, so the flags stay the exact ones.
     """
-    rows = [replace(r, value=_rounded(r.value), bound=_rounded(r.bound),
-                    tail=tuple(map(_rounded, r.tail)) if r.tail else r.tail)
+    rows = [r._replace(value=_rounded(r.value), bound=_rounded(r.bound),
+                       tail=tuple(map(_rounded, r.tail)) if r.tail else r.tail)
             for r in report.rows]
     return VerificationReport(mode="f64", rows=rows)
 

@@ -23,10 +23,11 @@ denominator, and each row makes one ``Fraction`` (``_RowSum``).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .carpet import (
     CarpetSpec,
@@ -74,8 +75,7 @@ def build_staircase(spec: CarpetSpec, n: int):
     return scale, tuple(bands)
 
 
-@dataclass(frozen=True)
-class Tent:
+class Tent(namedtuple("Tent", "column_x y_lo y_hi cut row")):
     """One tent over a vertical gap between obstacles in a cut column.
 
     The rectangle spans the full gap; the enclosed trapezoid rises with slope
@@ -89,15 +89,13 @@ class Tent:
     int on the stage-n lattice, whose scale is ``stage_scale(spec, n)``:
     there every tent is 4 steps wide, the stage-n side, so its half width is
     2, its quarter width 1 and its side slope 4 * height / width the int
-    height.  The trapezoid and triangles are cached, so every patch built on
-    them shares one tuple.
+    height.  The trapezoid and triangles are cached in the instance's
+    ``__dict__``, so every patch built on them shares one tuple; a tent
+    takes no assignment, to a field or otherwise.
     """
 
-    column_x: int
-    y_lo: int
-    y_hi: int
-    cut: int
-    row: int
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to {name!r}: a Tent is immutable")
 
     @property
     def height(self) -> int:
@@ -156,8 +154,7 @@ def tents_per_column(tents) -> dict:
     return counts
 
 
-@dataclass(frozen=True)
-class CellNeighborhood:
+class CellNeighborhood(NamedTuple):
     """Boundary neighborhood of one grid cell: strip pieces plus trapezoids.
 
     The cell box and the pieces are ints on the stage-n lattice.
@@ -300,8 +297,7 @@ def _check_convex(verts, passed, what, index):
     passed.add(shape)
 
 
-@dataclass(frozen=True)
-class FlattenedField:
+class FlattenedField(NamedTuple):
     """The flattened coordinate with the cell pieces (vertices, owner) nested in it.
 
     Each patch is the int tuple (vertices, c0, cx, cy) that ``_stage_layout``
@@ -378,8 +374,7 @@ def check_local_constancy(flattened: FlattenedField, neighborhoods):
     return [(pieces[ia][0], sloped[ib]) for _, ia, ib in overlaps]
 
 
-@dataclass(frozen=True)
-class CellField:
+class CellField(NamedTuple):
     """A field glued from per-cell affine maps on the cell pieces of ``flattened``.
 
     Piece i of ``flattened`` carries ``maps[i]`` = (c0, cx, cy, d), ints: the
@@ -509,8 +504,7 @@ def per_tent_bound(spec: CarpetSpec, n: int) -> Fraction:
     return Fraction(3, 4) * e * d + 8 * e ** 3 / d
 
 
-@dataclass
-class StageData:
+class StageData(NamedTuple):
     """All stage-n objects needed by the verifier, built once.
 
     The flattened field carries the stage partition (see ``FlattenedField``):

@@ -1,4 +1,3 @@
-import dataclasses
 import subprocess
 import sys
 from fractions import Fraction
@@ -234,12 +233,11 @@ class TestTents:
         # the layout checks each tent against the slab of its own row with
         # no assert, so a shifted row fails under python -O too
         script = (
-            "import dataclasses\n"
             "from carpetcurl.carpet import CarpetSpec, ConstructionError\n"
             "from carpetcurl.witness import _stage_layout, build_tents\n"
             "spec = CarpetSpec((), 'odd-reciprocal')\n"
             "tents = build_tents(spec, 2)\n"
-            "tents[0] = dataclasses.replace(tents[0], row=tents[0].row + 1)\n"
+            "tents[0] = tents[0]._replace(row=tents[0].row + 1)\n"
             "try:\n"
             "    next(_stage_layout(spec, 2, tents))\n"
             "except ConstructionError as exc:\n"
@@ -528,6 +526,6 @@ class TestBuildWitnessApi:
         i = field.band_tags[0]
         verts, c0, _, _ = field.patches[i]
         patches = field.patches[:i] + ((verts, c0, 1, 1),) + field.patches[i + 1:]
-        broken = dataclasses.replace(field, patches=patches)
+        broken = field._replace(patches=patches)
         violations = check_local_constancy(broken, neighborhoods)
         assert violations and {patch for _, patch in violations} == {i}
