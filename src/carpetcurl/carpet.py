@@ -425,11 +425,9 @@ class Prefractal:
         sum of coefficient times moment over MONOMIALS, summed on ints and
         returned as one ``Fraction``.  ``poly`` maps (p, q) exponent pairs to
         int or ``Fraction`` coefficients in unit coordinates; a nonzero
-        coefficient on any other monomial raises ``ValueError``.
+        coefficient on any other monomial raises ``ValueError``
+        (``geometry.poly_dot``).
         """
-        for key, coef in poly.items():
-            if coef and key not in MONOMIALS:
-                raise ValueError(f"unsupported monomial {key}")
         return Fraction(*poly_dot(poly, self.moments(region, scale)))
 
     def region_measure(self, region, scale):
@@ -458,15 +456,11 @@ class Prefractal:
             if not strictly_convex(key[1]):
                 raise _not_convex(reg)
             self._shapes[key] = shape
-        # the bbox corner on the refined lattice, and the corner of the block
-        # of level-j squares that the open bbox meets
+        # the bbox corner on the refined lattice, its offset in the level-j
+        # square holding it, and the survival of the block the open bbox meets
         bx0, by0 = bx0 * up, by0 * up
-        ox, oy = bx0 % d, by0 % d
+        ox, oy, mask = _survival(bits, bx0, by0, w, h, d)
         x0, y0 = bx0 - ox, by0 - oy
-        # the survival of the level-j squares the open bbox meets
-        row = bits[x0 // d:-(-(bx0 + w) // d)]
-        mask = tuple([tuple([not (bx & by) for bx in row])
-                      for by in bits[y0 // d:-(-(by0 + h) // d)]])
         scale *= up
         # the translation class: the block's survival mask and the region's
         # vertices relative to the block's corner, rel0 moved by (ox, oy)
@@ -700,6 +694,34 @@ class Prefractal:
                     moments = templates[key]
                 num = [a + b for a, b in zip(num, _shifted_moments(moments, sums))]
         return num
+
+
+def _survival(bits, bx0, by0, w, h, d):
+    """The offset (ox, oy) of (bx0, by0) in the square of side d holding it,
+    and the survival mask, rows bottom to top, of the block of squares of
+    side d that the open box [bx0, bx0 + w] x [by0, by0 + h] meets, for
+    w, h > 0.  ``bits`` are the squares' centre-digit bitmasks
+    (``Prefractal._central_digits``): square (ix, iy) is removed iff
+    bits[ix] & bits[iy].  The level is chosen so that the box is at most
+    one square wide and high, so the block is at most 2 x 2, read from at
+    most four bit tests; a box meeting three squares of a row or a column
+    raises ``ConstructionError``."""
+    ox, oy = bx0 % d, by0 % d
+    if ox + w > 2 * d or oy + h > 2 * d:
+        raise ConstructionError(f"a {w} x {h} box at ({bx0}, {by0}) meets more than "
+                                f"2 x 2 squares of side {d}")
+    ix, iy = bx0 // d, by0 // d
+    bx, by = bits[ix], bits[iy]
+    if ox + w > d:
+        bx1 = bits[ix + 1]
+        low = (not (bx & by), not (bx1 & by))
+        if oy + h > d:
+            by1 = bits[iy + 1]
+            return ox, oy, (low, (not (bx & by1), not (bx1 & by1)))
+        return ox, oy, (low,)
+    if oy + h > d:
+        return ox, oy, ((not (bx & by),), (not (bx & bits[iy + 1]),))
+    return ox, oy, ((not (bx & by),),)
 
 
 def _not_convex(reg):

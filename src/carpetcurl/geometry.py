@@ -168,19 +168,26 @@ def moment_sums(poly) -> tuple:
 # for the square of an affine map, its three coefficients.  Both kernels take
 # a region's moments (t, s) as Prefractal.moments gives them and return
 # (numerator, denominator) ints: multiplied by 24 * s^4, monomial (p, q) is
-# t[i] * s^(2-p-q).
+# t[i] * s^(2-p-q).  _TERMS maps each monomial to its i and 2-p-q.
+_TERMS = {key: (i, 2 - key[0] - key[1]) for i, key in enumerate(MONOMIALS)}
+
 
 def poly_dot(f, moments):
     """Integral of f over a region, given the region's moments (t, s), as an
     int pair over 24 * s^4 times the lcm of f's coefficient denominators.
-    The coefficients are ints or Fractions."""
+    The coefficients are ints or Fractions.  Only f's own nonzero terms are
+    summed, each looked up in MONOMIALS; a nonzero coefficient on any other
+    key raises ``ValueError``, and a zero one is skipped."""
     t, s = moments
-    den = lcm(*(c.denominator for c in f.values()))
+    den = lcm(*[c.denominator for c in f.values() if type(c) is not int])
     num = 0
-    for key, m in zip(MONOMIALS, t):
-        c = f.get(key)
+    for key, c in f.items():
         if c:
-            num += c.numerator * (den // c.denominator) * m * s ** (2 - key[0] - key[1])
+            term = _TERMS.get(key)
+            if term is None:
+                raise ValueError(f"unsupported monomial {key}")
+            i, e = term
+            num += c.numerator * (den // c.denominator) * t[i] * s ** e
     return num, 24 * s ** 4 * den
 
 

@@ -366,12 +366,22 @@ def check_local_constancy(flattened: FlattenedField, neighborhoods):
     The neighborhoods are on the lattice of ``flattened``.  Returns the list
     of violations (cell index, flattened patch index); empty means the key
     vanishing property holds exactly.
+
+    A strip rectangle or tent trapezoid on a cell edge lies in the
+    neighborhoods of both cells that share the edge, so each distinct piece
+    is clipped once against the sloped patches (``refine_pairs``) and its
+    overlaps are reported for every cell that owns it.  The list is the one
+    a clip per (cell, piece) would give, in the same order: cell by cell,
+    each cell's pieces in turn, and each piece's patches ascending.
     """
-    pieces = [(nb.cell_index, piece) for nb in neighborhoods for piece in nb.pieces()]
+    index = {}  # distinct piece -> its position, in first-seen order
+    owned = [(nb.cell_index, index.setdefault(piece, len(index)))
+             for nb in neighborhoods for piece in nb.pieces()]
     sloped = [i for i, (_, _, cx, cy) in enumerate(flattened.patches) if cx or cy]
-    overlaps = refine_pairs([piece for _, piece in pieces],
-                            [flattened.patches[i][0] for i in sloped])
-    return [(pieces[ia][0], sloped[ib]) for _, ia, ib in overlaps]
+    hits = [[] for _ in index]
+    for _, ia, ib in refine_pairs(list(index), [flattened.patches[i][0] for i in sloped]):
+        hits[ia].append(sloped[ib])
+    return [(cell, patch) for cell, k in owned for patch in hits[k]]
 
 
 class CellField(NamedTuple):

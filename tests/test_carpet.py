@@ -505,6 +505,11 @@ class TestRegionMeasure:
         for region in (tiny, UNIT):
             with pytest.raises(ValueError, match="unsupported monomial"):
                 pf35_2.integrate(*on_lattice(region), {(3, 0): 1})
+            with pytest.raises(ValueError, match="unsupported monomial"):
+                pf35_2.integrate(*on_lattice(region), {(0, 0): 1, (1, 2): F(1, 5)})
+            # a zero coefficient on it is no term at all
+            assert pf35_2.integrate(*on_lattice(region), {(3, 0): F(0), (0, 0): 1}) == \
+                pf35_2.region_measure(*on_lattice(region))
 
     def test_monotone_in_depth(self, spec357):
         tri = ((F(0), F(0)), (F(1), F(0)), (F(1, 3), F(2, 3)))

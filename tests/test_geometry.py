@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -141,10 +141,15 @@ polys = st.dictionaries(st.sampled_from(MONOMIALS),
 @example({}, MOMENTS)
 @example({(0, 0): 1}, MOMENTS)
 @example({(1, 1): F(-2, 3), (0, 2): F(0)}, MOMENTS)
+# terms out of MONOMIALS order, and int and Fraction coefficients mixed
+@example({(0, 2): 3, (1, 0): F(5, 4), (0, 0): -2, (2, 0): F(-1, 6)}, MOMENTS)
+@example({(1, 1): F(7, 9), (0, 1): 4, (1, 0): F(0), (0, 0): F(3)}, MOMENTS)
 @settings(max_examples=300, deadline=None)
 def test_poly_dot_matches_the_fraction_oracle(f, moments):
+    # the pair is over 24 * s^4 times the lcm of the coefficient denominators
     num, den = poly_dot(f, moments)
-    assert type(num) is int and type(den) is int and den % (24 * moments[1] ** 4) == 0
+    assert type(num) is int and type(den) is int
+    assert den == 24 * moments[1] ** 4 * lcm(*(F(c).denominator for c in f.values()))
     assert F(num, den) == fraction_poly_dot(f, fraction_moments(moments))
 
 

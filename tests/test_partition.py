@@ -27,6 +27,7 @@ from carpetcurl.carpet import (
     Prefractal,
     _crossing,
     _row_ranges,
+    _survival,
     side_length,
     stage_lines,
     stage_scale,
@@ -646,6 +647,61 @@ class TestRowWalk:
             for iy, dy in enumerate(digits):
                 assert [bool(bits[ix] & bits[iy]) for ix in range(len(digits))] == [
                     any(a == b == q // 2 for a, b, q in zip(dx, dy, subdiv)) for dx in digits], (j, iy)
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_survival_masks_follow_the_digit_rule(self, name):
+        # every 1 x 1, 1 x 2, 2 x 1 and 2 x 2 block of level-j squares, for
+        # boxes starting at either end of their first square: the mask's square
+        # (ix, iy) is removed iff its two level-k digits are both the centre
+        # digit at some k <= j
+        spec = SPECS[name]
+        pf = Prefractal(spec, 3)
+        d = 6
+        # (offset in the first square, extent) of a box over one square and
+        # over two
+        spans = {1: ((0, d), (d - 1, 1)), 2: ((1, d), (d - 1, 2))}
+        for j in range(4):
+            subdiv = pf.subdiv[:j]
+            count = prod(subdiv)
+            digits = [[i // prod(subdiv[k + 1:]) % q for k, q in enumerate(subdiv)]
+                      for i in range(count)]
+            alive = [[not any(a == b == q // 2 for a, b, q in zip(dx, dy, subdiv))
+                      for dx in digits] for dy in digits]
+            bits = pf._central_digits(j)
+            for nx in (1, 2):
+                for ny in (1, 2):
+                    for ix in range(count - nx + 1):
+                        for iy in range(count - ny + 1):
+                            want = tuple(tuple(alive[iy + b][ix:ix + nx]) for b in range(ny))
+                            for ox, w in spans[nx]:
+                                for oy, h in spans[ny]:
+                                    got = _survival(bits, ix * d + ox, iy * d + oy, w, h, d)
+                                    assert got == (ox, oy, want), (j, ix, iy, nx, ny)
+
+    def test_a_box_over_three_squares_raises(self):
+        # a box at most one square wide and high meets at most 2 x 2 of
+        # them; one that spills into a third column or row is a broken
+        # level choice, raised also under python -O
+        bits = Prefractal(SPECS["odd-reciprocal"], 2)._central_digits(2)
+        for box in ((1, 0, 12, 6), (0, 1, 6, 12), (6, 6, 13, 1), (6, 6, 1, 13)):
+            with pytest.raises(ConstructionError, match="more than 2 x 2"):
+                _survival(bits, *box, 6)
+        script = (
+            "from carpetcurl.carpet import CarpetSpec, ConstructionError, Prefractal, _survival\n"
+            "bits = Prefractal(CarpetSpec((), 'odd-reciprocal'), 2)._central_digits(2)\n"
+            "for box in ((1, 0, 12, 6), (0, 1, 6, 12), (6, 6, 6, 6)):\n"
+            "    try:\n"
+            "        print(_survival(bits, *box, 6))\n"
+            "    except ConstructionError as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(carpetcurl.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": src})
+        assert out.stdout.split("\n") == [
+            "ConstructionError a 12 x 6 box at (1, 0) meets more than 2 x 2 squares of side 6",
+            "ConstructionError a 6 x 12 box at (0, 1) meets more than 2 x 2 squares of side 6",
+            "(0, 0, ((True,),))", ""]
 
     def test_an_off_lattice_cut_raises_on_every_walk(self):
         # the hypotenuse 2x + 3y = 6 cuts the level-0 square at lattice

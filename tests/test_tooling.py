@@ -185,7 +185,7 @@ FRACTION_NAMES = {"Fraction", "ZERO", "HALF"}
 # Fraction to their caller
 INT_KERNELS = {"carpet.py": {"Prefractal._region_moments", "Prefractal._shape",
                              "Prefractal._central_digits", "Prefractal._walk", "_crossing",
-                             "_row_ranges"},
+                             "_row_ranges", "_survival"},
                "geometry.py": {"poly_dot", "square_integral"},
                "witness.py": {"build_cell_field", "build_ramp", "_check_convex"}}
 # the clip chain of check_local_constancy, by module, and the names that

@@ -17,6 +17,7 @@ from carpetcurl.carpet import (
     stage_lines,
     stage_scale,
 )
+from carpetcurl.fields import refine_pairs
 from carpetcurl.geometry import polygon_area
 from carpetcurl.report import leq_sqrt_sum_sq
 from carpetcurl.witness import (
@@ -529,3 +530,17 @@ class TestBuildWitnessApi:
         broken = field._replace(patches=patches)
         violations = check_local_constancy(broken, neighborhoods)
         assert violations and {patch for _, patch in violations} == {i}
+        # each distinct piece is clipped once: the violations must be the
+        # ones a clip of every cell's own pieces gives, in that order
+        sloped = [k for k, (_, _, cx, cy) in enumerate(patches) if cx or cy]
+        brute = [(nb.cell_index, sloped[ib]) for nb in neighborhoods
+                 for _, _, ib in refine_pairs(nb.pieces(), [patches[k][0] for k in sloped])]
+        assert violations == brute
+        # the band's strip rectangles are shared by the cells below and above
+        # it, and each of those cells reports the tilted band
+        shared = [r for r in {r for nb in neighborhoods for r in nb.rectangles}
+                  if refine_pairs([r], [verts])]
+        assert shared
+        for r in shared:
+            owners = {nb.cell_index for nb in neighborhoods if r in nb.rectangles}
+            assert len(owners) == 2 and {(cell, i) for cell in owners} <= set(violations)
