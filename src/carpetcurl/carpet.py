@@ -12,13 +12,14 @@ relative to the first), a tuple of int vertex pairs with the scale they are
 over, so the point (x, y) is (x / scale, y / scale).  The lattice
 refinement and the level of a region are found once per shape too, and each
 translation class of regions is walked once, on the block of squares that
-keys it, on integers: each square passes down only the region lines that
-cross it, and its children are taken a row at a time, the run inside the
-region in closed form as arithmetic series of corners.  A leaf crossed by
-region lines is a translate of a cut square, the square at the origin cut
-by the moved lines, so the walk sums the corners of each translated set, a
-cut square or a level's pattern, a hole inside the region with sign -1,
-and moves each set's moments once.  A region's
+keys it, on integers.  One classifier takes squares a row at a time, one
+floor division per region line bounding the run inside it: a square passes
+down only the lines whose run misses it, and the run inside the region
+enters in closed form as arithmetic series of corners.  A leaf crossed by
+region lines is a translate of a cut square, the square at the origin
+clipped exactly by each moved line in turn, so the walk sums the corners of
+each translated set, a cut square or a level's pattern, a hole inside the
+region with sign -1, and moves each set's moments once.  A region's
 moments stay ints: numerators over the scale of the lattice the walk
 refined it to (``Prefractal.moments``), which the rows sum as ints before
 they make one ``Fraction``.  Squares and holes
@@ -39,6 +40,7 @@ from .geometry import (
     MOMENT_DIVISORS,
     MONOMIALS,
     ZERO,
+    clip_halfplane,
     moment_sums,
     poly_dot,
     strictly_convex,
@@ -320,15 +322,14 @@ class Prefractal:
     extents for the unit-square test of each placement.  ``_walk`` reads only
     the key and starts at the mask's surviving squares, so ``_classes``
     keeps each class's moments relative to the corner, and a translate
-    shifts them to its own.  The walk tests a square against the region
-    lines that cross its parent only, and a crossed square's children a
-    row at a time: one floor division per line bounds the run of children
-    inside every line, which enters the covered power sums as arithmetic
-    series, and the run outside none, whose rest is walked.  A leaf (or a
-    level-m hole) crossed by some lines is the origin square cut by the
-    moved lines, translated; ``_templates`` keeps the moments of each such
-    cut square, clipped when first seen, and the walk sums the translates'
-    corners.
+    shifts them to its own.  The walk classifies squares a row at a time
+    (``_row_ranges``), against the region lines that cross their parent
+    only: the run inside every line enters the covered power sums as
+    arithmetic series, and each square of the run outside none is walked
+    with the lines whose run misses it.  A leaf (or a level-m hole) crossed
+    by some lines is the origin square cut by the moved lines, translated;
+    ``_templates`` keeps the moments of each such cut square, clipped when
+    first seen (``_cut_square``), and the walk sums the translates' corners.
     """
 
     def __init__(self, spec: CarpetSpec, level: int):
@@ -344,11 +345,10 @@ class Prefractal:
         self.side_ints = [prod(self.subdiv[k:]) for k in range(level + 1)]
         # pattern[k]: 24 times the moments of the level-m set inside the
         # level-k square at the origin, on the side lattice.  At level m that
-        # set is the square; above, it is the next level's pattern moved to
-        # the child corners (a, b), a and b in ``row``, but the central one.
-        d = self.side_ints[level]
-        self.pattern = [None] * level + [(24 * d ** 2, 12 * d ** 3, 12 * d ** 3,
-                                          8 * d ** 4, 6 * d ** 4, 8 * d ** 4)]
+        # set is the cut square of side 1 with no line; above, it is the next
+        # level's pattern moved to the child corners (a, b), a and b in
+        # ``row``, but the central one.
+        self.pattern = [None] * level + [_cut_square((1,))]
         for k in range(level - 1, -1, -1):
             q, dc = self.subdiv[k], self.side_ints[k + 1]
             row = range(0, q * dc, dc)
@@ -484,9 +484,9 @@ class Prefractal:
         # crossing of a region edge with a grid line is a lattice point: a
         # slanted edge (dx, dy) through (x_p, y_p) meets x = X at
         # y_p + (X - x_p) * dy / dx, an integer when dx / gcd(dx, dy) divides
-        # X - x_p, a multiple of refine; likewise for y = Y.  Clipped edges lie
-        # on region edge lines or on grid lines, so the walk, its leaf clips
-        # and its moment sums all run on integers.
+        # X - x_p, a multiple of refine; likewise for y = Y.  A cut square's
+        # vertices lie on region edges and grid lines, so the walk, its cut
+        # squares and its moment sums all run on integers.
         xs, ys = [x for x, _ in rel], [y for _, y in rel]
         lx, ly, hx, hy = min(xs), min(ys), max(xs), max(ys)
         refine = 1
@@ -530,26 +530,23 @@ class Prefractal:
     def _walk(self, reg, sides, j, mask):
         # the six moments of reg over the level-m set inside the block of
         # level-j squares whose survival is mask, reg and the block relative to
-        # the block's corner, as integers over 24 * scale^(2+p+q).  Each
-        # square is tested against the region planes that cross its parent: a
-        # plane that holds on a square's four corners holds on its children,
-        # so a square that no plane crosses is covered.  A crossed square
-        # takes its children a row at a time (``_row_ranges``): the run of
-        # children inside every plane enters the covered power sums as
-        # arithmetic series, the ones outside a plane are skipped, and only
-        # the rest are walked.  A leaf (or a level-m hole) crossed by some
-        # lines is a translate of the origin square cut by the moved lines,
-        # so its corner enters the power sums of that cut square, whose
-        # moments (``_templates``) are clipped once per instance.
-        scale = sides[0]
+        # the block's corner, as integers over 24 * scale^(2+p+q).  Squares
+        # are classified a row at a time (``_row_ranges``), the mask's squares
+        # and a level-m hole as rows of one: a plane that holds on a square's
+        # four corners holds on its children, so a square passes down only
+        # the planes that cross it, and one that none crosses is covered.
+        # The run of children inside every plane enters the covered power
+        # sums as arithmetic series, the ones outside a plane are skipped,
+        # and the rest are walked with the planes whose run misses them.  A
+        # leaf (or a level-m hole) crossed by some planes is a translate of
+        # the origin square cut by the moved planes, so its corner enters the
+        # power sums of that cut square, whose moments (``_templates``) are
+        # clipped once per instance (``_cut_square``).
         xs, ys = [x for x, _ in reg], [y for _, y in reg]
         rbx0, rby0, rbx1, rby1 = min(xs), min(ys), max(xs), max(ys)
         # half-plane form a*x + b*y >= c for each CCW edge
-        planes = []
-        for p, q in zip(reg, reg[1:] + reg[:1]):
-            a = q[1] - p[1]
-            b = p[0] - q[0]
-            planes.append((-a, -b, -(a * p[0] + b * p[1])))
+        planes = [(py - qy, qx - px, (py - qy) * px + (qx - px) * py)
+                  for (px, py), (qx, qy) in zip(reg, reg[1:] + reg[:1])]
 
         # what is translated -> the power sums over the lower-left corners
         # (x0, y0) of its translates: count, sum x0, sum y0, sum x0^2,
@@ -569,27 +566,6 @@ class Prefractal:
             t[4] += sign * x0 * y0
             t[5] += sign * y0 * y0
 
-        def clip(pts, a, b, c):
-            # the part of pts with a*x + b*y >= c
-            out = []
-            cur = pts[-1]
-            fc = a * cur[0] + b * cur[1] - c
-            for fol in pts:
-                fn = a * fol[0] + b * fol[1] - c
-                if fc >= 0:
-                    out.append(cur)
-                if (fc >= 0) != (fn >= 0):
-                    # cur + fc * (fol - cur) / (fc - fn), a lattice point
-                    qx, rx = divmod(fc * (fol[0] - cur[0]), fc - fn)
-                    qy, ry = divmod(fc * (fol[1] - cur[1]), fc - fn)
-                    if rx or ry:
-                        raise ConstructionError(
-                            f"edge {cur}->{fol} crosses {a}*x + {b}*y = {c} off the "
-                            f"lattice of scale {scale}")
-                    out.append((cur[0] + qx, cur[1] + qy))
-                cur, fc = fol, fn
-            return out
-
         def leaf(x0, y0, d, cut, sign):
             # add sign * the moments of region intersect [x0, x0+d] x [y0, y0+d],
             # cut being the region's planes that cross the square.  Every
@@ -599,37 +575,26 @@ class Prefractal:
             for a, b, c in cut:
                 key += (a, b, c - a * x0 - b * y0)
             if key not in templates:
-                if len(cut) == 1:
-                    # each new vertex is where the line meets a grid line
-                    pts, by = ((0, 0), (d, 0), (d, d), (0, d)), (key[1:],)
-                else:
-                    # two region lines may meet off the lattice outside the
-                    # region, so the moved region is clipped by the square
-                    pts = [(x - x0, y - y0) for x, y in reg]
-                    by = ((-1, 0, -d), (1, 0, 0), (0, -1, -d), (0, 1, 0))
-                for plane in by:
-                    pts = clip(pts, *plane)
-                    if not pts:
-                        break
-                templates[key] = tuple(s * (24 // div) for s, div
-                                       in zip(moment_sums(pts), MOMENT_DIVISORS))
+                templates[key] = _cut_square(key)
             add(key, x0, y0, sign)
+
+        def square(k, x0, y0, among, sign):
+            # a level-k square that ``among`` may cross, as a row of one
+            lo, hi, kept_lo, kept_hi, runs = _row_ranges(among, x0, y0, sides[k], 0, 0)
+            if lo <= hi:
+                add(k, x0, y0, sign)
+            elif kept_lo <= kept_hi:
+                cut = [plane for plane, a, b in runs if not a <= 0 <= b]
+                if k == level:
+                    leaf(x0, y0, sides[k], cut, sign)
+                else:
+                    walk(k, x0, y0, cut)
 
         level = self.level
 
-        def walk(k, x0, y0, among):
-            d = sides[k]
-            cut = _crossing(among, x0, y0, d)
-            if cut is None:
-                return
-            if not cut:
-                add(k, x0, y0, 1)
-                return
-            if k == level:
-                # only a walk that starts at level m gets here; the others
-                # stop one level up with the hole complement below
-                leaf(x0, y0, d, cut, 1)
-                return
+        def walk(k, x0, y0, cut):
+            # the level-k square at (x0, y0), crossed by the planes of cut
+            # and inside every other plane
             q = self.subdiv[k]
             dc = sides[k + 1]
             c = (q - 1) // 2
@@ -637,13 +602,8 @@ class Prefractal:
                 # inside S the level-m set is S minus its open central hole H,
                 # a level-m square: outside the region it is skipped, inside
                 # it is subtracted in closed form, and otherwise clipped
-                leaf(x0, y0, d, cut, 1)
-                hx, hy = x0 + c * dc, y0 + c * dc
-                hole_cut = _crossing(cut, hx, hy, dc)
-                if hole_cut:
-                    leaf(hx, hy, dc, hole_cut, -1)
-                elif hole_cut is not None:
-                    add(level, hx, hy, -1)
+                leaf(x0, y0, sides[k], cut, 1)
+                square(level, x0 + c * dc, y0 + c * dc, cut, -1)
                 return
             jx0 = max(0, (rbx0 - x0) // dc)
             jx1 = min(q - 1, (rbx1 - 1 - x0) // dc)
@@ -652,7 +612,7 @@ class Prefractal:
             t = table[k + 1]
             for jy in range(jy0, jy1 + 1):
                 cy = y0 + jy * dc
-                lo, hi, kept_lo, kept_hi = _row_ranges(cut, x0, cy, dc, jx0, jx1)
+                lo, hi, kept_lo, kept_hi, runs = _row_ranges(cut, x0, cy, dc, jx0, jx1)
                 if lo <= hi:
                     # children lo..hi are covered: their corners x0 + i * dc
                     # summed as arithmetic series, less the central hole
@@ -670,7 +630,8 @@ class Prefractal:
                         add(k + 1, x0 + c * dc, cy, -1)
                 for jx in range(kept_lo, kept_hi + 1):
                     if not lo <= jx <= hi and (jx != c or jy != c):
-                        walk(k + 1, x0 + jx * dc, cy, cut)
+                        walk(k + 1, x0 + jx * dc, cy,
+                             [plane for plane, a, b in runs if not a <= jx <= b])
 
         # the walk enters the block only at its surviving level-j squares,
         # each of which meets the region's open bbox; the row bounds keep
@@ -680,10 +641,10 @@ class Prefractal:
         for iy, row in enumerate(mask):
             for ix, alive in enumerate(row):
                 if alive:
-                    walk(j, ix * d, iy * d, planes)
+                    square(j, ix * d, iy * d, planes, 1)
         # each translated set's moments, the patterns on this lattice,
         # moved to its corners
-        up = scale // self.side_scale
+        up = sides[0] // self.side_scale
         num = [0] * 6
         for key, sums in table.items():
             if any(sums):
@@ -729,36 +690,22 @@ def _not_convex(reg):
                       "counterclockwise with a strict turn at each vertex")
 
 
-def _crossing(among, x0, y0, d):
-    """The planes (a, b, c), meaning a*x + b*y >= c, among ``among`` that
-    cross the square of side d at (x0, y0), or None when one of them holds
-    nowhere on it; every other plane holds on all of the square.  A plane
-    crosses when some corner value is < 0 and some is >= 0: a corner on
-    the line counts as inside."""
-    x1, y1 = x0 + d, y0 + d
-    out = []
-    for plane in among:
-        a, b, c = plane
-        v00 = a * x0 + b * y0 - c
-        v10 = a * x1 + b * y0 - c
-        v11 = a * x1 + b * y1 - c
-        v01 = a * x0 + b * y1 - c
-        if v00 < 0 or v10 < 0 or v11 < 0 or v01 < 0:
-            if v00 < 0 and v10 < 0 and v11 < 0 and v01 < 0:
-                return None
-            out.append(plane)
-    return out
-
-
 def _row_ranges(cut, x0, y0, d, first, last):
     """For the squares of side d at (x0 + i * d, y0), first <= i <= last:
-    (lo, hi, kept_lo, kept_hi), where square i is inside every plane of
-    ``cut`` iff lo <= i <= hi and outside none iff kept_lo <= i <= kept_hi,
-    by ``_crossing``'s rules.  A plane's corner values on square i are its
-    values on square 0 plus i * a * d, so its minimum (maximum) corner value
-    is >= 0 on a run of i that one floor division bounds."""
+    (lo, hi, kept_lo, kept_hi, runs), where square i is inside every plane
+    (a, b, c), meaning a*x + b*y >= c, of ``cut`` iff lo <= i <= hi and
+    outside none iff kept_lo <= i <= kept_hi, and ``runs`` holds
+    (plane, start, end) for each plane in order, square i being inside it
+    iff start <= i <= end; a corner on a line counts as inside.  So a
+    square i in the kept run is crossed by exactly the planes whose run
+    misses it, and every other plane holds on all of it.  A plane's corner
+    values on square i are its values on square 0 plus i * a * d, so its
+    least (greatest) corner value is >= 0 on a run of i that one floor
+    division bounds."""
     lo, hi, kept_lo, kept_hi = first, last, first, last
-    for a, b, c in cut:
+    runs = []
+    for plane in cut:
+        a, b, c = plane
         r = a * x0 + b * y0 - c
         ad, bd = a * d, b * d
         # the least and greatest corner values on square 0
@@ -768,16 +715,42 @@ def _row_ranges(cut, x0, y0, d, first, last):
         else:
             low += bd
         if ad > 0:
-            lo = max(lo, -(low // ad))
-            kept_lo = max(kept_lo, -(high // ad))
+            start, end, kept = -(low // ad), last, -(high // ad)
+            if start > lo:
+                lo = start
+            if kept > kept_lo:
+                kept_lo = kept
         elif ad < 0:
-            hi = min(hi, low // -ad)
-            kept_hi = min(kept_hi, high // -ad)
+            start, end, kept = first, low // -ad, high // -ad
+            if end < hi:
+                hi = end
+            if kept < kept_hi:
+                kept_hi = kept
         elif high < 0:
-            return first, first - 1, first, first - 1
+            return first, first - 1, first, first - 1, ()
         elif low < 0:
-            hi = first - 1
-    return lo, hi, kept_lo, kept_hi
+            start = end = hi = first - 1
+        else:
+            start, end = first, last
+        runs.append((plane, start, end))
+    return lo, hi, kept_lo, kept_hi, runs
+
+
+def _cut_square(key):
+    """24 times the moments, over MONOMIALS, of the cut square ``key`` =
+    (d, a1, b1, c1, a2, ...): the square of side d at the origin clipped
+    exactly by each a*x + b*y >= c in turn (``geometry.clip_halfplane``).
+    A vertex where two lines meet off the lattice stays an exact
+    ``Fraction`` until a later line removes it; a kept one raises
+    ``ConstructionError``."""
+    d = key[0]
+    pts = ((0, 0), (d, 0), (d, d), (0, d))
+    for i in range(1, len(key), 3):
+        a, b, c = key[i:i + 3]
+        pts = clip_halfplane(pts, -a, -b, -c)
+    if any(type(v) is not int for p in pts for v in p):
+        raise ConstructionError(f"the cut square {key} keeps a vertex off the lattice: {pts}")
+    return tuple(s * (24 // div) for s, div in zip(moment_sums(pts), MOMENT_DIVISORS))
 
 
 def _shifted_moments(t, s):

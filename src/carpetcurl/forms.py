@@ -86,14 +86,15 @@ def verify_wedge_approximation(f: tuple, stages, pf: Prefractal) -> Verification
 
         # per active piece: the cutoff form's |grad q|^2 * remainder^2 and the
         # second defect's (det(grad f, grad q) - det(grad p, grad q))^2, the
-        # remainder's map p being (a0 + ax*x + ay*y) / d
+        # remainder's map p being (a0 + ax*x + ay*y) / d; a piece on which
+        # that difference is zero adds nothing to the second
         omega_sum, defect2_sum = _RowSum(), _RowSum()
         for (_, (a0, ax, ay, d), (qx, qy)), mom in zip(active, moments):
             num, den = square_integral(a0, ax, ay, d, mom)
             omega_sum.add((qx * qx + qy * qy) * num, den)
             diff = (bx * qy - by * qx) * d - (ax * qy - ay * qx) * e
-            t, s = mom  # the measure is t[0] / (24 * s^2)
-            defect2_sum.add(diff * diff * t[0], 24 * s * s * (e * d) ** 2)
+            if diff:
+                defect2_sum.add(*square_integral(diff, 0, 0, e * d, mom))
         omega_norm, defect2 = omega_sum.value(), defect2_sum.value()
         report.add("wedge", n, "cutoff_form_l2", omega_norm)
 

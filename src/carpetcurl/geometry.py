@@ -100,21 +100,20 @@ def clip_halfplane(poly, a, b, c):
     fc = a * cur[0] + b * cur[1] - c
     for nxt in poly[1:] + poly[:1]:
         fn = a * nxt[0] + b * nxt[1] - c
-        if fc <= 0:
+        # a vertex on the line is kept as itself, so only an edge with an end
+        # strictly on each side crosses; a repeated point is dropped as it comes
+        if fc <= 0 and (not out or out[-1] != cur):
             out.append(cur)
-        if (fc <= 0) != (fn <= 0):
+        if (fc < 0 < fn) or (fn < 0 < fc):
             den = fc - fn
-            out.append((_shift(cur[0], fc * (nxt[0] - cur[0]), den),
-                        _shift(cur[1], fc * (nxt[1] - cur[1]), den)))
+            p = (_shift(cur[0], fc * (nxt[0] - cur[0]), den),
+                 _shift(cur[1], fc * (nxt[1] - cur[1]), den))
+            if not out or out[-1] != p:
+                out.append(p)
         cur, fc = nxt, fn
-    # drop consecutive duplicates produced by vertices lying on the cut line
-    dedup = []
-    for p in out:
-        if not dedup or dedup[-1] != p:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return tuple(dedup) if len(dedup) >= 3 else ()
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return tuple(out) if len(out) >= 3 else ()
 
 
 def clip_convex(subject, clip):

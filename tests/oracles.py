@@ -8,9 +8,9 @@ two-forms with their exact inner products, the tent cover and the witness
 defects.  Identities that hold pointwise (Leibniz rule, alternation, the
 vanishing of the second wedge defect) come out as exact zeros.  The polygon
 and polynomial helpers it needs beyond ``carpetcurl.geometry`` (point
-containment, box clipping, moments keyed by monomial, and the dict
-polynomials {(p, q): coefficient} with their products, sums and scaling)
-live here too; the dict product is also the oracle of
+containment, the corner-evaluation square classifier ``crossing``, box
+clipping, moments keyed by monomial, and the dict polynomials {(p, q):
+coefficient} with their products, sums and scaling) live here too; the dict product is also the oracle of
 ``geometry.square_integral``.  So do the queries ``verify`` never
 makes: carpet membership by descent (``contains``, ``strictly_inside_hole``,
 ``meets_closed_hole``), the surviving-square count ``square_count``, a
@@ -367,6 +367,25 @@ def point_in_convex(poly, p) -> bool:
         if cross(poly[i], poly[(i + 1) % n], p) < 0:
             return False
     return True
+
+
+def crossing(among, x0, y0, d):
+    """The planes (a, b, c), meaning a*x + b*y >= c, among ``among`` that
+    cross the square of side d at (x0, y0), in order, or None when one of
+    them holds nowhere on it; every other plane holds on all of the square.
+    A plane crosses when some corner value is < 0 and some is >= 0: a
+    corner on the line counts as inside.  The corner-evaluation reference
+    of the walk's row classifier ``carpet._row_ranges``."""
+    x1, y1 = x0 + d, y0 + d
+    out = []
+    for plane in among:
+        a, b, c = plane
+        values = [a * x + b * y - c for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+        if max(values) < 0:
+            return None
+        if min(values) < 0:
+            out.append(plane)
+    return out
 
 
 def clip_to_box(poly, x0, y0, x1, y1):

@@ -25,7 +25,6 @@ from carpetcurl.carpet import (
     CarpetSpec,
     ConstructionError,
     Prefractal,
-    _crossing,
     _row_ranges,
     _survival,
     side_length,
@@ -52,6 +51,7 @@ from oracles import (
     build_cutoff_form,
     coordinate_field,
     coordinate_minus,
+    crossing,
     curl_defect_sq,
     d0,
     d1,
@@ -620,14 +620,19 @@ class TestRowWalk:
     @example([(1, 1, 4), (0, -1, 1)], 0, 0, 2, 0, 2)
     @settings(max_examples=200, deadline=None)
     def test_row_ranges_agree_with_crossing(self, cut, x0, y0, d, i, j):
-        # child by child: inside every plane iff in [lo, hi], outside none
-        # iff in [kept_lo, kept_hi], a corner on a line counting as inside
+        # child by child against the corner-evaluation reference: inside
+        # every plane iff in [lo, hi], outside none iff in [kept_lo,
+        # kept_hi], a corner on a line counting as inside, and a crossed
+        # child's sub-cut, the planes whose run misses it, is the
+        # reference's plane list in order
         first, last = min(i, j), max(i, j)
-        lo, hi, kept_lo, kept_hi = _row_ranges(cut, x0, y0, d, first, last)
+        lo, hi, kept_lo, kept_hi, runs = _row_ranges(cut, x0, y0, d, first, last)
         for jx in range(first, last + 1):
-            crossed = _crossing(cut, x0 + jx * d, y0, d)
+            crossed = crossing(cut, x0 + jx * d, y0, d)
             assert (crossed == []) == (lo <= jx <= hi), jx
             assert (crossed is None) == (not kept_lo <= jx <= kept_hi), jx
+            if crossed is not None:
+                assert [plane for plane, a, b in runs if not a <= jx <= b] == crossed, jx
         assert lo > hi or first <= lo <= hi <= last
         assert kept_lo > kept_hi or first <= kept_lo <= kept_hi <= last
 
@@ -706,7 +711,8 @@ class TestRowWalk:
     def test_an_off_lattice_cut_raises_on_every_walk(self):
         # the hypotenuse 2x + 3y = 6 cuts the level-0 square at lattice
         # points but crosses the hole's side x = 1 at y = 4/3, so the hole's
-        # cut square raises when first seen, is not kept, and raises again
+        # cut square keeps a Fraction vertex, raises when first seen, is not
+        # kept, and raises again
         pf = Prefractal(CarpetSpec((F(1, 3),)), 1)
         region = ((0, 0), (3, 0), (0, 2))
         for _ in range(2):
@@ -718,9 +724,11 @@ class TestRowWalk:
 
     def test_an_off_lattice_multi_line_cut_raises_on_every_walk(self):
         # all three lines cross the level-0 square, whose cut square is
-        # the region itself, and two of them the hole, where (1, 1) -> (3, 2)
-        # crosses its side x = 2 at y = 3/2: the region moved to the hole
-        # raises when clipped by the square, is not kept, and raises again
+        # the region itself: clipping the square by the first line makes the
+        # Fraction vertex (0, 1/2), which a later line removes.  Two of them
+        # cross the hole, where (1, 1) -> (3, 2) crosses its side x = 2 at
+        # y = 3/2: that vertex is kept, so the hole's cut square raises when
+        # first seen, is not kept, and raises again
         pf = Prefractal(CarpetSpec((F(1, 3),)), 1)
         region = ((1, 1), (3, 2), (2, 3))
         for _ in range(2):
@@ -728,6 +736,19 @@ class TestRowWalk:
                 pf._walk(region, [3, 1], 0, ((True,),))
         assert list(pf._templates) == [(3, -1, 2, 1, -1, -1, -5, 2, -1, 1)]
         assert same_moments(pf.moments(region, 3), hole_moments(pf.spec, 1, region, 3))
+
+    def test_a_hole_met_in_a_segment_is_an_empty_cut_square(self):
+        # two region lines cross the hole [1, 2]^2, which meets the region
+        # only along y = 1, and the edge (0, 0) -> (2, 1) crosses the hole's
+        # side line x = 1 at (1, 1/2), off the lattice but outside the hole.
+        # The square clipped by the moved lines in turn is a segment, of
+        # zero moments, and no clip makes a vertex off the lattice
+        pf = Prefractal(CarpetSpec((F(1, 3),)), 1)
+        region = ((0, 0), (2, 1), (1, 1))
+        moments = pf._walk(region, [3, 1], 0, ((True,),))
+        assert same_moments((moments, 3), hole_moments(pf.spec, 1, region, 3))
+        assert all(type(v) is int for template in pf._templates.values() for v in template)
+        assert (1, 0, -1, 0, 1, -1, 0) in pf._templates
 
     def test_regions_sharing_multi_line_cut_squares(self):
         # a triangle across the corner of four level-2 squares, and its

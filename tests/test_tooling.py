@@ -184,14 +184,16 @@ FRACTION_NAMES = {"Fraction", "ZERO", "HALF"}
 # layout's convexity check, by module: they run on ints and leave the one
 # Fraction to their caller
 INT_KERNELS = {"carpet.py": {"Prefractal._region_moments", "Prefractal._shape",
-                             "Prefractal._central_digits", "Prefractal._walk", "_crossing",
-                             "_row_ranges", "_survival"},
+                             "Prefractal._central_digits", "Prefractal._walk", "_row_ranges",
+                             "_cut_square", "_survival"},
                "geometry.py": {"poly_dot", "square_integral"},
                "witness.py": {"build_cell_field", "build_ramp", "_check_convex"}}
-# the clip chain of check_local_constancy, by module, and the names that
-# would put its polygons on a common lattice: the lcm, a rational's parts and
-# the lattice and canonical-form helpers
-GIVEN_VERTICES = {"geometry.py": {"clip_convex"}, "fields.py": {"refine_pairs", "_BoxIndex"}}
+# the clip chain of check_local_constancy and of the walk's cut squares, by
+# module, and the names that would put its polygons on a common lattice: the
+# lcm, a rational's parts and the lattice and canonical-form helpers.  Only
+# geometry._shift, outside the chain, makes a Fraction
+GIVEN_VERTICES = {"geometry.py": {"clip_convex", "clip_halfplane"},
+                  "fields.py": {"refine_pairs", "_BoxIndex"}}
 LATTICE_NAMES = {"lcm", "numerator", "denominator", "_lattice_scale", "_on_lattice", "_lattice",
                  "_normalize", "normalize_polygon"}
 
@@ -238,8 +240,9 @@ def test_region_moments_and_kernels_are_ints():
 
 
 def test_the_clip_chain_works_on_the_given_vertices():
-    # clip_convex, refine_pairs and _BoxIndex neither convert to Fraction nor
-    # rescale: int stage polygons stay ints, and the rational polygon layer
+    # clip_halfplane, clip_convex, refine_pairs and _BoxIndex neither convert
+    # to Fraction nor rescale: int stage polygons and cut squares stay ints
+    # but at crossings off their lattice, and the rational polygon layer
     # lives in the tests' oracles
     root = Path(carpetcurl.__file__).parent
     found = [(module, use) for module, names in GIVEN_VERTICES.items()
