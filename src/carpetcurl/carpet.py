@@ -12,7 +12,8 @@ relative to the first), a tuple of int vertex pairs with the scale they are
 over, so the point (x, y) is (x / scale, y / scale).  The lattice
 refinement and the level of a region are found once per shape too, and each
 translation class of regions is walked once, on the block of squares that
-keys it, on integers.  One classifier takes squares a row at a time, one
+keys it, on integers, or not at all when a mirror image of it under the
+block's symmetries was.  One classifier takes squares a row at a time, one
 floor division per region line bounding the run inside it: a square passes
 down only the lines whose run misses it, and the run inside the region
 enters in closed form as arithmetic series of corners.  A leaf crossed by
@@ -322,14 +323,21 @@ class Prefractal:
     extents for the unit-square test of each placement.  ``_walk`` reads only
     the key and starts at the mask's surviving squares, so ``_classes``
     keeps each class's moments relative to the corner, and a translate
-    shifts them to its own.  The walk classifies squares a row at a time
-    (``_row_ranges``), against the region lines that cross their parent
-    only: the run inside every line enters the covered power sums as
-    arithmetic series, and each square of the run outside none is walked
-    with the lines whose run misses it.  A leaf (or a level-m hole) crossed
-    by some lines is the origin square cut by the moved lines, translated;
-    ``_templates`` keeps the moments of each such cut square, clipped when
-    first seen (``_cut_square``), and the walk sums the translates' corners.
+    shifts them to its own.  Every surviving square holds the same pattern,
+    which has the eight symmetries of the square (``pattern[k]``), so a
+    class missing from ``_classes`` is first sought among the walked ones by
+    its images under its block's symmetries (``_class_moments``): a hit's
+    moments are mirrored back, and ``_orbits`` keeps each walk's moments by
+    the block's scale, level and mask and the region's vertex set, so one
+    walk serves a mirror orbit of classes.  The walk classifies squares a
+    row at a time (``_row_ranges``), against the region lines that cross
+    their parent only: the run inside every line enters the covered power
+    sums as arithmetic series, and each square of the run outside none is
+    walked with the lines whose run misses it.  A leaf (or a level-m hole)
+    crossed by some lines is the origin square cut by the moved lines,
+    translated; ``_templates`` keeps the moments of each such cut square,
+    clipped when first seen (``_cut_square``), and the walk sums the
+    translates' corners.
     """
 
     def __init__(self, spec: CarpetSpec, level: int):
@@ -359,6 +367,8 @@ class Prefractal:
             self.pattern[k] = _shifted_moments(self.pattern[k + 1], corners)
         # translation class -> moment numerators relative to the class corner
         self._classes = {}
+        # orbit key of a walked class (``_class_moments``) -> its moments
+        self._orbits = {}
         # (scale, vertices relative to the first) -> the shape's part of the
         # class key (``_shape``), kept once a region of that shape passed
         self._shapes = {}
@@ -468,9 +478,38 @@ class Prefractal:
         base = self._classes.get(ckey)
         if base is None:
             rel = tuple([(x + ox, y + oy) for x, y in rel0])
-            sides = [s * (scale // self.side_scale) for s in self.side_ints]
-            base = self._classes[ckey] = self._walk(rel, sides, j, mask)
+            base = self._classes[ckey] = self._class_moments(rel, scale, j, d, mask)
         return _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0)), scale
+
+    def _class_moments(self, rel, scale, j, d, mask):
+        # the moments of a class, its vertices rel relative to the corner of
+        # its block of level-j squares of side d, whose survival is mask.
+        # Every surviving level-j square holds the same pattern, which has
+        # the square's eight symmetries, so a symmetry of the block maps the
+        # level-m set inside it onto the set inside the image block, whose
+        # mask is moved alike.  An image is the swap x <-> y, then a flip
+        # within the block's width and/or height.  If the orbit key of one of
+        # the eight images, the scale, j, the image mask and the image's
+        # vertex set, holds a walk's moments, they are moved back: the flip
+        # is its own inverse, then the swap.  Otherwise the class is walked
+        # and kept under its own key.
+        orbits, own = self._orbits, None
+        for swap in (False, True):
+            pts, m = ([(y, x) for x, y in rel], tuple(zip(*mask))) if swap else (rel, mask)
+            w, h = len(m[0]) * d, len(m) * d
+            cols = tuple([row[::-1] for row in m])
+            for fw, fh, fm in ((0, 0, m), (w, 0, cols), (0, h, m[::-1]), (w, h, cols[::-1])):
+                key = (scale, j, fm, tuple(sorted([(fw - x if fw else x, fh - y if fh else y)
+                                                   for x, y in pts])))
+                t = orbits.get(key)
+                if t is not None:
+                    t = _flipped_moments(t, fw, fh)
+                    return (t[0], t[2], t[1], t[5], t[4], t[3]) if swap else t
+                if own is None:
+                    own = key
+        sides = [s * (scale // self.side_scale) for s in self.side_ints]
+        t = orbits[own] = self._walk(rel, sides, j, mask)
+        return t
 
     def _shape(self, scale, rel):
         # the placement-free part of the regions with vertices rel relative
@@ -751,6 +790,18 @@ def _cut_square(key):
     if any(type(v) is not int for p in pts for v in p):
         raise ConstructionError(f"the cut square {key} keeps a vertex off the lattice: {pts}")
     return tuple(s * (24 // div) for s, div in zip(moment_sums(pts), MOMENT_DIVISORS))
+
+
+def _flipped_moments(t, w, h):
+    """The moments ``t`` of a set moved to those of its mirror image under
+    x -> w - x when w is nonzero and y -> h - y when h is: the odd moments
+    of each flipped axis change sign, then the set moves by (w, h)."""
+    t00, t10, t01, t20, t11, t02 = t
+    if w:
+        t10, t11 = -t10, -t11
+    if h:
+        t01, t11 = -t01, -t11
+    return _shifted_moments((t00, t10, t01, t20, t11, t02), (1, w, h, w * w, w * h, h * h))
 
 
 def _shifted_moments(t, s):

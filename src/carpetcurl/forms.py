@@ -23,6 +23,7 @@ from .geometry import ZERO, square_integral
 from .report import VerificationReport
 from .witness import (
     _over_lcd,
+    _patch_measures,
     _RowSum,
     affine_target,
     build_cell_field,
@@ -45,7 +46,11 @@ def verify_wedge_approximation(f: tuple, stages, pf: Prefractal) -> Verification
     gradient on every cell, times d(flattened).  The carpet is ``pf.spec``,
     and every integral is taken over ``pf``, its level-m prefractal; a
     ``pf`` the witness section has used already holds the moments of every
-    region the two sections share.  A target that is not a tuple
+    region the two sections share.  Only the remainder pieces under a
+    sloped flattened patch are walked for their moments, and a sloped
+    patch's measure is the sum of its pieces' (``witness._patch_measures``);
+    a flat patch, a strip band or tent trapezoid, is walked itself.  A
+    target that is not a tuple
     (c0, cx, cy) of ints or ``Fraction``s raises ``TypeError`` before any
     stage is built.
     """
@@ -73,23 +78,26 @@ def verify_wedge_approximation(f: tuple, stages, pf: Prefractal) -> Verification
     for n in stages:
         flattened = build_flattened(spec, n)
         remainder = build_cell_field(flattened, [(bx, by)] * len(flattened.cells), e)
-        measures = [pf.region_measure(verts, flattened.scale)
-                    for verts, _, _, _ in flattened.patches]
         # each flattened patch's gradient (qx, qy), ints
         grads = [(qx, qy) for _, _, qx, qy in flattened.patches]
-        # remainder pieces under a nonzero flattened gradient; on the others
-        # both the cutoff form and the second defect vanish identically
-        active = [(verts, p, grads[t]) for (verts, _), p, t in
-                  zip(flattened.pieces, remainder.maps, flattened.cell_tags)
-                  if grads[t][0] or grads[t][1]]
-        moments = [pf.moments(verts, flattened.scale) for verts, _, _ in active]
+        # the moments of the remainder pieces under a nonzero flattened
+        # gradient, None on the others, where both the cutoff form and the
+        # second defect vanish identically; a sloped patch's measure is
+        # its pieces', and a flat one (a strip band or tent trapezoid) is
+        # walked itself
+        moments = [pf.moments(verts, flattened.scale) if grads[t][0] or grads[t][1] else None
+                   for (verts, _), t in zip(flattened.pieces, flattened.cell_tags)]
+        measures = _patch_measures(pf, flattened, moments)
 
         # per active piece: the cutoff form's |grad q|^2 * remainder^2 and the
         # second defect's (det(grad f, grad q) - det(grad p, grad q))^2, the
         # remainder's map p being (a0 + ax*x + ay*y) / d; a piece on which
         # that difference is zero adds nothing to the second
         omega_sum, defect2_sum = _RowSum(), _RowSum()
-        for (_, (a0, ax, ay, d), (qx, qy)), mom in zip(active, moments):
+        for (a0, ax, ay, d), t, mom in zip(remainder.maps, flattened.cell_tags, moments):
+            if mom is None:
+                continue
+            qx, qy = grads[t]
             num, den = square_integral(a0, ax, ay, d, mom)
             omega_sum.add((qx * qx + qy * qy) * num, den)
             diff = (bx * qy - by * qx) * d - (ax * qy - ay * qx) * e

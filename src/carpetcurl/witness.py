@@ -306,7 +306,10 @@ class FlattenedField(NamedTuple):
     y1) are ints over ``scale`` too.  An owner indexes the grid ``cells``;
     piece i lies in patch ``cell_tags[i]``; ``band_tags`` are the strip-band
     patches and ``tent_tags[k]`` the trapezoid and triangles of
-    ``tents[k]``, the stage's tents.
+    ``tents[k]``, the stage's tents.  The pieces of each patch but a strip
+    band tile it, so its measure over any prefractal is the sum of theirs
+    (``_patch_measures``); a band's seams miss the crossings of the cuts,
+    which lie in stage-n holes, so a band is that sum only at depth >= n.
     """
 
     patches: tuple
@@ -601,6 +604,24 @@ def flattening_density(gx: int, gy: int):
     return gx * gx + (1 - gy) ** 2, 1
 
 
+def _patch_measures(pf: Prefractal, flat: FlattenedField, moments) -> list:
+    """The measure over ``pf`` of each patch of ``flat``, as ``Fraction``s.
+
+    ``moments`` holds ``pf.moments`` of each piece of ``flat``, in its
+    order, or None for a piece left out.  A patch other than a strip band is
+    tiled by its pieces (``FlattenedField``), so when none of them is left
+    out its measure is the sum of their t[0] / (24 * s^2); a band, or a
+    patch with a piece left out, is walked itself (``region_measure``).
+    """
+    parts = [[] for _ in flat.patches]
+    for tag, piece in zip(flat.cell_tags, moments, strict=True):
+        parts[tag].append(piece)
+    bands = set(flat.band_tags)
+    return [pf.region_measure(verts, flat.scale) if i in bands or None in part
+            else _RowSum((t[0], 24 * s * s) for t, s in part).value()
+            for i, ((verts, _, _, _), part) in enumerate(zip(flat.patches, parts))]
+
+
 def _weighted(measures, densities):
     # each patch's density, an int pair, times its Fraction measure
     return ((a * m.numerator, b * m.denominator) for (a, b), m in zip(densities, measures))
@@ -621,7 +642,9 @@ def verify_witness_sequence(f: tuple, n_max: int, pf: Prefractal) -> Verificatio
     the un-truncated carpet approachable.  The carpet is ``pf.spec``, and
     every integral is taken over ``pf``, its level-m prefractal; the caller
     may share it with the wedge section, which then looks up the moments of
-    every region this section has integrated.  The target
+    every region this section has integrated.  Each ramp piece is walked
+    for its moments; a flattened patch's measure is the sum of its pieces'
+    (``_patch_measures``), and only a strip band is walked itself.  The target
     f = c0 + cx*x + cy*y on the unit square is given as (c0, cx, cy), ints
     or ``Fraction``s; anything else raises ``TypeError`` before any stage is
     built.
@@ -655,12 +678,13 @@ def verify_witness_sequence(f: tuple, n_max: int, pf: Prefractal) -> Verificatio
         a_n = spec.ratio(n)
         d_prev = side_length(spec, n - 1)
 
-        # every integral below is a sum over the flattened patches, each
-        # walked once for its measure, or over the ramp patches, each walked
-        # once for its six moments and tagged with its flattened patch
+        # every integral below is a sum over the ramp pieces, each walked
+        # once for its six moments and tagged with its flattened patch, or
+        # over the flattened patches, each weighted by its measure: the sum
+        # of its pieces' measures, or for a strip band its own walk
         flat = stage.flattened
-        measures = [pf.region_measure(verts, flat.scale) for verts, _, _, _ in flat.patches]
         ramp_moments = [pf.moments(verts, flat.scale) for verts, _ in flat.pieces]
+        measures = _patch_measures(pf, flat, ramp_moments)
         # each flattened patch's gradient (gx, gy), ints, and its flattening
         # energy |grad(y - flattened)|^2 as an int pair: on the strip bands it
         # is the strip defect (|grad(y - staircase)|^2), on a tent's three

@@ -476,8 +476,10 @@ class TestOnePrefractalPerLevel:
                     "--depth", str(depth), "--out", str(out)])
 
     @pytest.mark.parametrize("nmax, depth, regions", [
-        (3, 2, 2061),   # wide_stage: 4,567 with a prefractal per section and no memo
-        (2, 4, 189),    # deep_walk: 277 likewise
+        # wide_stage: 4,567 with a prefractal per section and no memo, and
+        # 2,061 while every flattened patch was integrated for its measure
+        (3, 2, 2027),
+        (2, 4, 171),    # deep_walk: 277 and 189 likewise
     ])
     def test_each_region_is_integrated_once_per_level(self, counted, tmp_path,
                                                       nmax, depth, regions):

@@ -535,9 +535,108 @@ class TestTranslationClasses:
         regions, scale = stage_regions("odd-reciprocal", 3)
         for region in regions:
             pf.moments(region, scale)
-        # one walk per translation class; each of the 2,605 patches was one
-        # walk before the classes
-        assert len(walks) == len(pf._classes) <= 150
+        # one walk per mirror orbit of translation classes, which was one
+        # walk per class before the orbits and one per each of the 2,605
+        # patches before the classes
+        assert len(walks) == len(pf._orbits) == 37 <= len(pf._classes) == 70
+
+
+def flip_x(moments, side):
+    """A set's six moment numerators on an int lattice moved to those of its
+    image under x -> side - x, monomial by monomial: x^p y^q integrates over
+    the image as (side - x)^p y^q over the set."""
+    t00, t10, t01, t20, t11, t02 = moments
+    return (t00, side * t00 - t10, t01, side * side * t00 - 2 * side * t10 + t20,
+            side * t01 - t11, t02)
+
+
+def swap_xy(moments):
+    """The moments of a set's image under (x, y) -> (y, x)."""
+    t00, t10, t01, t20, t11, t02 = moments
+    return (t00, t01, t10, t02, t11, t20)
+
+
+class TestMirrorOrbits:
+    """A class walk serves every class in its orbit under the eight
+    symmetries of the square, which the prefractal's pattern has."""
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_every_level_pattern_has_the_squares_symmetries(self, name):
+        pf = Prefractal(SPECS[name], spec_depths(name)[-1])
+        for k, pattern in enumerate(pf.pattern):
+            side = pf.side_ints[k]
+            t00, t10, t01, t20, _, t02 = pattern
+            # the centroid is the square's centre and m20 = m02
+            assert 2 * t10 == 2 * t01 == side * t00 and t20 == t02, k
+            # the flip and the swap generate the eight symmetries
+            assert flip_x(pattern, side) == pattern and swap_xy(pattern) == pattern, k
+
+    # a triangle whose bbox meets four level-1 squares of side 30 on the
+    # lattice 1/90, one of them the stage-1 hole [30, 60]^2, and none of
+    # whose images under the unit square's symmetries is a translate of
+    # another
+    SPEC = CarpetSpec((F(1, 3), F(1, 3)))
+    TRIANGLE = ((22, 24), (40, 27), (26, 42))
+    # its translate down by 20, whose bbox meets two surviving level-1
+    # squares of one row: a block wider than high
+    LOW_TRIANGLE = ((22, 4), (40, 7), (26, 22))
+
+    def images(self, side, triangle=TRIANGLE):
+        # the triangle's images under the symmetries of [0, side]^2,
+        # counterclockwise: a reflection reverses the vertex order
+        out = []
+        for swap in (False, True):
+            for fx in (False, True):
+                for fy in (False, True):
+                    verts = [(y, x) if swap else (x, y) for x, y in triangle]
+                    verts = [(side - x if fx else x, side - y if fy else y) for x, y in verts]
+                    out.append(tuple(verts[::-1] if swap ^ fx ^ fy else verts))
+        return out
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        walks = []
+        walk = Prefractal._walk
+
+        def counted(self, *args):
+            walks.append(args)
+            return walk(self, *args)
+
+        monkeypatch.setattr(Prefractal, "_walk", counted)
+        return walks
+
+    @pytest.mark.parametrize("triangle, masks", [
+        # the four 2 x 2 blocks, each holding the hole in another corner
+        (TRIANGLE, {((True, True), (True, False)), ((True, True), (False, True)),
+                    ((True, False), (True, True)), ((False, True), (True, True))}),
+        # blocks of two squares in a row or a column, where a flip moves
+        # the region by the block's width or height, which differ
+        (LOW_TRIANGLE, {((True, True),), ((True,), (True,))}),
+    ])
+    def test_an_asymmetric_region_is_walked_once_for_its_eight_images(self, walks,
+                                                                      triangle, masks):
+        # the carpet has the unit square's symmetries, so the triangle's
+        # images under them are the images of its class: eight classes and
+        # one orbit
+        pf = Prefractal(self.SPEC, 2)
+        images = self.images(90, triangle)
+        assert len(set(images)) == 8
+        for k, region in enumerate(images):
+            assert same_moments(pf.moments(region, 90), hole_moments(self.SPEC, 2, region, 90)), k
+            assert len(walks) == 1, k
+        assert len(pf._classes) == 8 and len(pf._orbits) == 1
+        assert {key[2] for key in pf._classes} == masks
+
+    def test_a_mirror_image_on_the_same_block_is_walked(self, walks):
+        # the negative control: the triangle's images under the block's
+        # symmetries, placed on the block itself, whose hole does not move
+        # with them.  Only the swap keeps the hole where it is, so it alone
+        # maps the triangle's class onto one of theirs
+        pf = Prefractal(self.SPEC, 2)
+        images = self.images(60)
+        for region in images:
+            assert same_moments(pf.moments(region, 90), hole_moments(self.SPEC, 2, region, 90))
+        assert len(pf._classes) == 8 and len(walks) == len(pf._orbits) == 4
 
 
 def spec_depths(name):
@@ -602,6 +701,61 @@ class TestHoleComplement:
 
 # a plane (a, b, c) is the half-plane a*x + b*y >= c
 PLANES = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-60, 60))
+
+
+# the stages whose every patch is checked against its pieces: the three
+# SPECS at stages 1-3 and odd-reciprocal at stage 4
+TILING_CASES = [(name, n) for name in SPECS for n in (1, 2, 3)] + [("odd-reciprocal", 4)]
+
+
+class TestPatchTiling:
+    """Every flattened patch but a strip band is tiled by its cell pieces,
+    so its measure is the sum of theirs (``witness._patch_measures``)."""
+
+    @pytest.mark.parametrize("name, n", TILING_CASES)
+    def test_the_pieces_of_every_patch_but_a_band_tile_it(self, name, n):
+        # the pieces lie in their patch and do not overlap (TestTags), so
+        # equal doubled areas mean they tile it; a band's seams miss the
+        # crossings of the cuts, which lie in stage-n holes
+        flat = flattened_stage(name, n)
+        area2 = [0] * len(flat.patches)
+        for (verts, _), tag in zip(flat.pieces, flat.cell_tags, strict=True):
+            area2[tag] += ref_polygon_area2(verts)
+        bands = set(flat.band_tags)
+        assert [i for i, (verts, _, _, _) in enumerate(flat.patches)
+                if i not in bands and area2[i] != ref_polygon_area2(verts)] == []
+        assert all(area2[i] < ref_polygon_area2(flat.patches[i][0]) for i in bands)
+
+    @pytest.mark.parametrize("name, n, m", [
+        ("odd-reciprocal", 3, 2),      # depth < n: the stage-n holes carry measure
+        ("odd-reciprocal", 3, 3),
+        ("1/5,1/3,1/7", 2, 3),         # depth > n
+    ])
+    def test_summed_measures_equal_the_walked_ones(self, name, n, m):
+        # every piece's moments given, as in the witness section, and only
+        # the pieces of the sloped patches, as in the wedge section
+        flat = flattened_stage(name, n)
+        pf = Prefractal(SPECS[name], m)
+        walked = [pf.region_measure(verts, flat.scale) for verts, _, _, _ in flat.patches]
+        moments = [pf.moments(verts, flat.scale) for verts, _ in flat.pieces]
+        assert witness._patch_measures(pf, flat, moments) == walked
+        sloped = [None if flat.patches[t][2:] == (0, 0) else mom
+                  for t, mom in zip(flat.cell_tags, moments)]
+        assert witness._patch_measures(pf, flat, sloped) == walked
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_a_band_is_more_than_its_seams_at_a_shallower_depth(self, name):
+        # the negative control: at depth < n the stage-n holes on the cuts
+        # are not removed, and the band's seams miss them, so the sum of a
+        # band's seams falls short of its measure
+        n = 2
+        flat = flattened_stage(name, n)
+        pf = Prefractal(SPECS[name], n - 1)
+        seams = [F(0)] * len(flat.patches)
+        for (verts, _), tag in zip(flat.pieces, flat.cell_tags):
+            seams[tag] += pf.region_measure(verts, flat.scale)
+        assert all(seams[i] < pf.region_measure(flat.patches[i][0], flat.scale)
+                   for i in flat.band_tags)
 
 
 class TestRowWalk:

@@ -184,8 +184,9 @@ FRACTION_NAMES = {"Fraction", "ZERO", "HALF"}
 # layout's convexity check, by module: they run on ints and leave the one
 # Fraction to their caller
 INT_KERNELS = {"carpet.py": {"Prefractal._region_moments", "Prefractal._shape",
-                             "Prefractal._central_digits", "Prefractal._walk", "_row_ranges",
-                             "_cut_square", "_survival"},
+                             "Prefractal._central_digits", "Prefractal._class_moments",
+                             "Prefractal._walk", "_row_ranges", "_cut_square", "_survival",
+                             "_flipped_moments"},
                "geometry.py": {"poly_dot", "square_integral"},
                "witness.py": {"build_cell_field", "build_ramp", "_check_convex"}}
 # the clip chain of check_local_constancy and of the walk's cut squares, by
