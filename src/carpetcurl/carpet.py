@@ -13,18 +13,18 @@ over, so the point (x, y) is (x / scale, y / scale).  The lattice
 refinement and the level of a region are found once per shape too, and each
 translation class of regions is walked once, on the block of squares that
 keys it, on integers, or not at all when a mirror image of it under the
-block's symmetries was.  One classifier takes squares a row at a time, one
-floor division per region line bounding the run inside it: a square passes
-down only the lines whose run misses it, and the run inside the region
-enters in closed form as arithmetic series of corners.  A leaf crossed by
-region lines is a translate of a cut square, the square at the origin
-clipped exactly by each moved line in turn, so the walk sums the corners of
-each translated set, a cut square or a level's pattern, a hole inside the
-region with sign -1, and moves each set's moments once.  A region's
-moments stay ints: numerators over the scale of the lattice the walk
-refined it to (``Prefractal.moments``), which the rows sum as ints before
-they make one ``Fraction``.  Squares and holes
-are ints too: ``enumerate_squares`` gives level-m corners on the lattice of
+block's symmetries was; nothing is kept per region.  One classifier takes
+squares a row at a time, one floor division per region line bounding the
+run inside it: a square passes down only the lines whose run misses it,
+and the run inside the region enters in closed form as arithmetic series of
+corners.  A leaf crossed by region lines is a translate of a cut square,
+the square at the origin clipped exactly by each moved line in turn, so the
+walk sums the corners of each translated set, a cut square or a level's
+pattern, a hole inside the region with sign -1, and moves each set's
+moments once.  A region's moments stay ints: numerators over the scale of
+the lattice the walk refined it to (``Prefractal.moments``), which the rows
+sum as ints before they make one ``Fraction``.  Squares and holes are ints
+too: ``enumerate_squares`` gives level-m corners on the lattice of
 the level-m side, and a stage-n partition lies on (1/L_n)Z^2, L_n =
 ``stage_scale(spec, n)``, where ``enumerate_holes`` gives the hole boxes,
 ``stage_lines`` the cell lines and ``column_obstacles`` the holes on a cut.
@@ -311,13 +311,12 @@ class Prefractal:
     set of corners, so integrals take fully-covered squares without
     descending to the leaves.  ``moments`` is the one region path: a region
     is a canonical convex polygon, a tuple of int vertices, with the scale
-    they are over, and ``_regions`` keeps the finished int moments of each
-    by ``(scale, region)`` as given, so a region asked for again is one
-    lookup.  A new region is keyed by its translation class: the lattice
-    scale, the deepest level j whose side is at least the region's bbox
-    extent, the survival mask of the level-j squares its open bbox meets,
-    and its vertices relative to that block's corner, held as the vertices
-    relative to the bbox corner and that corner's offset in the block.
+    they are over, and nothing is kept per region.  A region is keyed by its
+    translation class: the lattice scale, the deepest level j whose side is
+    at least the region's bbox extent, the survival mask of the level-j
+    squares its open bbox meets, and its vertices relative to that block's
+    corner, held as the vertices relative to the bbox corner and that
+    corner's offset in the block.
     All but the mask and the offset depend on the region's shape alone, so
     ``_shapes`` keeps them per shape (``_shape``), with the shape's bbox
     extents for the unit-square test of each placement.  ``_walk`` reads only
@@ -372,8 +371,6 @@ class Prefractal:
         # (scale, vertices relative to the first) -> the shape's part of the
         # class key (``_shape``), kept once a region of that shape passed
         self._shapes = {}
-        # (scale, region) -> (six int moment numerators, their scale)
-        self._regions = {}
         # level j -> the centre-digit bitmasks of the level-j indices
         self._digit_bits = {}
         # cut square (side, a1, b1, c1, a2, ...) -> 24 times the moments,
@@ -395,21 +392,20 @@ class Prefractal:
 
         ``region`` is a tuple of int vertex pairs over the int ``scale``, as
         the stage layout builds it: a canonical convex polygon inside the
-        unit square (``geometry.strictly_convex``).  A list, a non-int vertex
-        or a non-int scale raises ``TypeError``, and a scale below 1
-        ``ValueError``, on every call; a region is checked for the rest when
-        it is first computed, before anything is stored, in this order:
-        fewer than three vertices raises ``ValueError``, leaving the unit
-        square ``OutOfUnitSquare``, and a non-canonical region
+        unit square (``geometry.strictly_convex``).  Every call checks the
+        region, before anything is stored, in this order: a list, a non-int
+        vertex or a non-int scale raises ``TypeError``, a scale below 1
+        ``ValueError``, fewer than three vertices ``ValueError``, leaving the
+        unit square ``OutOfUnitSquare``, and a non-canonical region
         ``ValueError``.  Convexity is tested once per shape, the vertices
         relative to the first one on their scale, when a placement of it
         first passes the unit-square test: a region whose shape is known is
-        a translate of one that passed.  This is the one region path:
-        each region is computed once per instance and then looked up by
-        ``(scale, region)`` as given.  The numerators are in MONOMIALS order and not
-        reduced: s is a multiple of ``scale`` fixed by the region's edges
-        (``_region_moments``), so one polygon on two scales may give two
-        pairs of equal value.  ``geometry.poly_dot`` and
+        a translate of one that passed.  This is the one region path, and it
+        keeps nothing per region: a region asked for again costs its shape
+        and class lookups and the shift.  The numerators are in MONOMIALS
+        order and not reduced: s is a multiple of ``scale`` fixed by the
+        region's edges (``_shape``), so one polygon on two scales may give
+        two pairs of equal value.  ``geometry.poly_dot`` and
         ``geometry.square_integral`` integrate over them on ints.
         """
         if type(region) is not tuple:
@@ -422,11 +418,41 @@ class Prefractal:
                                 f"not {region} over {scale}")
         if scale < 1:
             raise ValueError(f"the scale of a region is an int >= 1, not {scale}")
-        key = (scale, region)
-        moments = self._regions.get(key)
-        if moments is None:
-            moments = self._regions[key] = self._region_moments(region, scale)
-        return moments
+        if len(region) < 3:
+            raise _not_convex(region)
+        # a region is a placement of its shape, its vertices relative to the
+        # first one; everything up to the class key but the placement's own
+        # corner depends on the shape and the scale alone
+        ax, ay = region[0]
+        key = (scale, tuple([(x - ax, y - ay) for x, y in region]))
+        shape = self._shapes.get(key)
+        known = shape is not None
+        if not known:
+            shape = self._shape(*key)
+        lx, ly, hx, hy, up, w, h, j, d, bits, rel0 = shape
+        bx0, by0 = ax + lx, ay + ly
+        if bx0 < 0 or by0 < 0 or ax + hx > scale or ay + hy > scale:
+            raise OutOfUnitSquare("region leaves the unit square")
+        if not known:
+            # strict convexity is kept by translation and scaling, so one
+            # test per shape settles it for every placement
+            if not strictly_convex(key[1]):
+                raise _not_convex(region)
+            self._shapes[key] = shape
+        # the bbox corner on the refined lattice, its offset in the level-j
+        # square holding it, and the survival of the block the open bbox meets
+        bx0, by0 = bx0 * up, by0 * up
+        ox, oy, mask = _survival(bits, bx0, by0, w, h, d)
+        x0, y0 = bx0 - ox, by0 - oy
+        scale *= up
+        # the translation class: the block's survival mask and the region's
+        # vertices relative to the block's corner, rel0 moved by (ox, oy)
+        ckey = (scale, j, mask, rel0, ox, oy)
+        base = self._classes.get(ckey)
+        if base is None:
+            rel = tuple([(x + ox, y + oy) for x, y in rel0])
+            base = self._classes[ckey] = self._class_moments(rel, scale, j, d, mask)
+        return _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0)), scale
 
     def integrate(self, region, scale, poly):
         """Integral of a degree<=2 polynomial over (prefractal intersect region).
@@ -443,43 +469,6 @@ class Prefractal:
     def region_measure(self, region, scale):
         """Exact area of (prefractal intersect region) for a convex polygon."""
         return self.integrate(region, scale, {(0, 0): 1})
-
-    def _region_moments(self, reg, scale):
-        if len(reg) < 3:
-            raise _not_convex(reg)
-        # a region is a placement of its shape, its vertices relative to the
-        # first one; everything up to the class key but the placement's own
-        # corner depends on the shape and the scale alone
-        ax, ay = reg[0]
-        key = (scale, tuple([(x - ax, y - ay) for x, y in reg]))
-        shape = self._shapes.get(key)
-        known = shape is not None
-        if not known:
-            shape = self._shape(*key)
-        lx, ly, hx, hy, up, w, h, j, d, bits, rel0 = shape
-        bx0, by0 = ax + lx, ay + ly
-        if bx0 < 0 or by0 < 0 or ax + hx > scale or ay + hy > scale:
-            raise OutOfUnitSquare("region leaves the unit square")
-        if not known:
-            # strict convexity is kept by translation and scaling, so one
-            # test per shape settles it for every placement
-            if not strictly_convex(key[1]):
-                raise _not_convex(reg)
-            self._shapes[key] = shape
-        # the bbox corner on the refined lattice, its offset in the level-j
-        # square holding it, and the survival of the block the open bbox meets
-        bx0, by0 = bx0 * up, by0 * up
-        ox, oy, mask = _survival(bits, bx0, by0, w, h, d)
-        x0, y0 = bx0 - ox, by0 - oy
-        scale *= up
-        # the translation class: the block's survival mask and the region's
-        # vertices relative to the block's corner, rel0 moved by (ox, oy)
-        ckey = (scale, j, mask, rel0, ox, oy)
-        base = self._classes.get(ckey)
-        if base is None:
-            rel = tuple([(x + ox, y + oy) for x, y in rel0])
-            base = self._classes[ckey] = self._class_moments(rel, scale, j, d, mask)
-        return _shifted_moments(base, (1, x0, y0, x0 * x0, x0 * y0, y0 * y0)), scale
 
     def _class_moments(self, rel, scale, j, d, mask):
         # the moments of a class, its vertices rel relative to the corner of

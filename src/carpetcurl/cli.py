@@ -166,7 +166,7 @@ def cmd_verify(args) -> int:
     out = _out_dir(args, ("report.csv", "report.json"))
     # one prefractal per level per run: the wedge section, at level
     # min(depth, 3), shares the witness section's when the levels agree and
-    # so looks up the moments of every region both sections integrate
+    # so walks only the mirror orbits the witness section has not walked
     pf = Prefractal(spec, args.depth)
     report = verify_witness_sequence(f, n_max=args.nmax, pf=pf)
     wedge_stages = tuple(n for n in (2, 3) if n <= args.nmax)

@@ -45,14 +45,14 @@ def verify_wedge_approximation(f: tuple, stages, pf: Prefractal) -> Verification
     derivatives do not.  The stage-n one-form is the cell field with f's
     gradient on every cell, times d(flattened).  The carpet is ``pf.spec``,
     and every integral is taken over ``pf``, its level-m prefractal; a
-    ``pf`` the witness section has used already holds the moments of every
-    region the two sections share.  Only the remainder pieces under a
-    sloped flattened patch are walked for their moments, and a sloped
-    patch's measure is the sum of its pieces' (``witness._patch_measures``);
-    a flat patch, a strip band or tent trapezoid, is walked itself.  A
-    target that is not a tuple
-    (c0, cx, cy) of ints or ``Fraction``s raises ``TypeError`` before any
-    stage is built.
+    ``pf`` the witness section has used already holds the shapes, classes
+    and walks of the regions the two sections share.  Only the remainder
+    pieces under a sloped flattened patch are walked for their moments, and
+    a sloped patch's measure is the sum of its pieces'
+    (``witness._patch_measures``); a flat patch, a strip band or tent
+    trapezoid, is walked itself.  A target that is not a tuple (c0, cx, cy)
+    of ints or ``Fraction``s raises ``TypeError`` before any stage is
+    built.
     """
     _, cx, cy = affine_target(f)
     spec = pf.spec

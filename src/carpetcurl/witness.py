@@ -641,13 +641,13 @@ def verify_witness_sequence(f: tuple, n_max: int, pf: Prefractal) -> Verificatio
     diagnostics and tail brackets are attached where a generator rule makes
     the un-truncated carpet approachable.  The carpet is ``pf.spec``, and
     every integral is taken over ``pf``, its level-m prefractal; the caller
-    may share it with the wedge section, which then looks up the moments of
-    every region this section has integrated.  Each ramp piece is walked
-    for its moments; a flattened patch's measure is the sum of its pieces'
-    (``_patch_measures``), and only a strip band is walked itself.  The target
-    f = c0 + cx*x + cy*y on the unit square is given as (c0, cx, cy), ints
-    or ``Fraction``s; anything else raises ``TypeError`` before any stage is
-    built.
+    may share it with the wedge section, which then finds the shapes,
+    classes and walks of this section's regions kept.  Each ramp piece is
+    walked for its moments; a flattened patch's measure is the sum of its
+    pieces' (``_patch_measures``), and only a strip band is walked itself.
+    The target f = c0 + cx*x + cy*y on the unit square is given as
+    (c0, cx, cy), ints or ``Fraction``s; anything else raises ``TypeError``
+    before any stage is built.
     """
     c0, cx, cy = affine_target(f)
     spec = pf.spec

@@ -69,6 +69,12 @@ ORACLE_RATIOS = (F(1, 3), F(1, 5), F(1, 7))
 LATTICE = 210
 
 
+def nothing_kept(pf):
+    """Whether ``pf`` holds no shape, class or walk, as a rejected region
+    leaves it."""
+    return pf._shapes == {} and pf._classes == {} and pf._orbits == {}
+
+
 def convex_hull(points):
     """CCW hull (Andrew's monotone chain), collinear points dropped."""
     pts = sorted(set(points))
@@ -530,7 +536,7 @@ class TestRegionMeasure:
                 pf.moments(*on_lattice(region))
             with pytest.raises(ValueError, match="not convex"):
                 pf.region_measure(*on_lattice(region))
-        assert pf._regions == {}
+        assert nothing_kept(pf)
 
     def test_an_l_shape_is_rejected(self):
         # every region the verifier integrates is a convex patch
@@ -565,7 +571,7 @@ class TestRegionMeasure:
         for _ in range(2):
             with pytest.raises(ValueError, match="not convex"):
                 pf.moments(region, 12)
-        assert pf._regions == {} and pf._classes == {}
+        assert nothing_kept(pf)
         canon = on_lattice(normalize_polygon(unit_polygon(region, 12)))
         assert pf.moments(*canon) == pf.moments(((0, 0), (1, 0), (1, 1), (0, 1)), 1)
 
@@ -576,7 +582,7 @@ class TestRegionMeasure:
         for _ in range(2):
             with pytest.raises(OutOfUnitSquare):
                 pf.moments(((0, 0), (0, 12), (18, 12), (18, 0)), 12)  # clockwise
-        assert pf._regions == {} and pf._classes == {} and pf._shapes == {}
+        assert nothing_kept(pf)
 
     @pytest.mark.parametrize("region", [
         ((50, 10), (74, 85), (10, 39), (90, 39), (26, 85)),  # a pentagram
@@ -587,7 +593,7 @@ class TestRegionMeasure:
         pf = Prefractal(spec357, 2)
         with pytest.raises(ValueError, match="not convex"):
             pf.moments(region, 100)
-        assert pf._regions == {}
+        assert nothing_kept(pf)
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     @pytest.mark.parametrize("rect", [
@@ -766,7 +772,6 @@ class TestShapes:
         assert len(pf._shapes) == 2
         side = pf.side_scale
         assert len(pf._classes) == (1 if math.lcm(scale, side) == math.lcm(k * scale, side) else 2)
-        pf._regions.clear()
         assert [pf.moments(*q) for q in queries] == got
         assert len(pf._shapes) == 2
 
@@ -783,7 +788,7 @@ class TestShapes:
         for _ in range(2):
             with pytest.raises(OutOfUnitSquare):
                 pf.moments(region, 12)
-        assert pf._regions == {} and pf._classes == {} and pf._shapes == {}
+        assert nothing_kept(pf)
 
     def test_a_rejected_shape_is_not_kept(self, spec35):
         # a clockwise square fails, and so does its translate: neither the
@@ -793,25 +798,26 @@ class TestShapes:
         for shift in (0, 3, 0):
             with pytest.raises(ValueError, match="not convex"):
                 pf.moments(tuple((x + shift, y + shift) for x, y in square), 12)
-            assert pf._regions == {} and pf._classes == {} and pf._shapes == {}
+            assert nothing_kept(pf)
 
     def test_a_kept_shape_still_checks_each_placement(self, spec35):
         # a shape first seen outside the unit square is not kept; once a
-        # placement inside passed, a placement outside still raises
+        # placement inside passed, a placement outside still raises and
+        # adds no class
         pf = Prefractal(spec35, 2)
         tri, out = ((0, 0), (6, 0), (0, 6)), ((8, 8), (14, 8), (8, 14))
         with pytest.raises(OutOfUnitSquare):
             pf.moments(out, 12)
-        assert pf._shapes == {}
+        assert nothing_kept(pf)
         assert same_moments(pf.moments(tri, 12), hole_moments(spec35, 2, tri, 12))
-        assert len(pf._shapes) == 1
+        assert len(pf._shapes) == len(pf._classes) == 1
         for _ in range(2):
             with pytest.raises(OutOfUnitSquare):
                 pf.moments(out, 12)
-        assert list(pf._regions) == [(12, tri)]
+        assert len(pf._shapes) == len(pf._classes) == 1
 
 
-class TestRegionMemo:
+class TestRegionQueries:
     TRI = ((F(1, 7), F(1, 9)), (F(6, 7), F(1, 9)), (F(1, 3), F(5, 6)))
 
     @pytest.mark.parametrize("region, scale", [
@@ -820,15 +826,15 @@ class TestRegionMemo:
         (((0, 0), (-1, 0), (0, -1)), -1),
     ])
     def test_a_scale_below_one_is_rejected(self, spec35, region, scale):
-        # a named error on every call, before the memo: no division by zero,
-        # and nothing is stored
+        # a named error on every call, before any lookup: no division by
+        # zero, and nothing is stored
         pf = Prefractal(spec35, 2)
         for _ in range(2):
             with pytest.raises(ValueError, match="scale"):
                 pf.moments(region, scale)
             with pytest.raises(ValueError, match="scale"):
                 pf.region_measure(region, scale)
-        assert pf._regions == {} and pf._classes == {} and pf._shapes == {}
+        assert nothing_kept(pf)
 
     def test_a_list_region_is_rejected(self, spec357):
         # regions are tuples of vertex pairs; a list is neither computed nor stored
@@ -839,7 +845,7 @@ class TestRegionMemo:
             pf.moments(listed, scale)
         with pytest.raises(TypeError):
             pf.region_measure(listed, scale)
-        assert pf._regions == {}
+        assert nothing_kept(pf)
 
     def test_fraction_vertices_are_rejected(self, spec357):
         # vertices are ints over an int scale; the rectangle has no slanted
@@ -851,8 +857,8 @@ class TestRegionMemo:
             for _ in range(2):
                 with pytest.raises(TypeError):
                     pf.moments(region, over)
-        assert pf._regions == {} and pf._classes == {}
-        # equal values hash alike, so the check runs on a stored region too
+        assert nothing_kept(pf)
+        # Fraction vertices equal to a known region's ints are rejected too
         pf.moments(pts, scale)
         with pytest.raises(TypeError):
             pf.moments(tuple((F(x), F(y)) for x, y in pts), scale)
@@ -864,26 +870,18 @@ class TestRegionMemo:
         assert fraction_moments(at_60) != fraction_moments(at_420)
         assert at_60 == Prefractal(spec357, 3).moments(tri, 60)
         assert at_420 == Prefractal(spec357, 3).moments(tri, 420)
-        assert len(pf._regions) == 2
+        # the scale is part of the shape
+        assert len(pf._shapes) == 2
 
-    def test_the_memo_keys_a_region_as_given(self, spec357, monkeypatch):
-        # one polygon on two lattices is two entries with equal moments;
-        # each is computed once and then looked up
-        computed = []
-        compute = Prefractal._region_moments
-
-        def counted(self, region, scale):
-            computed.append((region, scale))
-            return compute(self, region, scale)
-
-        monkeypatch.setattr(Prefractal, "_region_moments", counted)
+    def test_one_polygon_on_two_lattices_shares_its_class(self, spec357):
+        # one polygon on two lattices is two shapes with equal moments; both
+        # refine to the level-3 side lattice, where they are one class
         pf = Prefractal(spec357, 3)
         tri = ((1, 1), (7, 1), (1, 7))
         on_420 = tuple((7 * x, 7 * y) for x, y in tri)
         assert fraction_moments(pf.moments(tri, 60)) == fraction_moments(pf.moments(on_420, 420))
         assert pf.region_measure(on_420, 420) == fraction_moments(pf.moments(tri, 60))[0]
-        assert computed == [(tri, 60), (on_420, 420)]
-        assert list(pf._regions) == [(60, tri), (420, on_420)]
+        assert len(pf._shapes) == 2 and len(pf._classes) == 1
 
     @pytest.mark.parametrize("tri, scale", [
         (((1, 1), (7, 1), (1, 7)), 60),    # axis edges and a diagonal
@@ -892,14 +890,14 @@ class TestRegionMemo:
     ])
     def test_moments_are_int_numerators_over_a_refined_scale(self, spec357, tri, scale):
         # monomial (p, q) is t[i] / (24 * s^(2+p+q)) with s a multiple of the
-        # region's scale and of the level-3 side lattice, and the memo keeps
-        # that int pair
+        # region's scale and of the level-3 side lattice, and the warm shape
+        # and class give that int pair again
         pf = Prefractal(spec357, 3)
         t, s = moments = pf.moments(tri, scale)
         assert len(t) == len(MONOMIALS)
         assert all(type(v) is int for v in (*t, s))
         assert s % scale == 0 and s % 105 == 0
-        assert pf._regions == {(scale, tri): moments}
+        assert pf.moments(tri, scale) == moments
         assert pf.region_measure(tri, scale) == F(t[0], 24 * s * s)
 
     @pytest.mark.parametrize("shift", [(F(0), F(1, 2)), (F(0), F(-1, 2)),
@@ -913,7 +911,7 @@ class TestRegionMemo:
                 pf.moments(*on_lattice(out))
             with pytest.raises(OutOfUnitSquare):
                 pf.region_measure(*on_lattice(out))
-        assert pf._regions == {}
+        assert nothing_kept(pf)
 
 
 class TestTailBounds:

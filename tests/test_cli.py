@@ -451,41 +451,48 @@ class TestVerify:
 
 class TestOnePrefractalPerLevel:
     """``verify`` shares one prefractal per level between its two sections,
-    and the prefractal integrates each region once."""
+    so the wedge section walks only the mirror orbits the witness section
+    has not walked."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        computed, built = [], []
-        compute, init = Prefractal._region_moments, Prefractal.__init__
+        # the section of each class walk, and each level built
+        walks, built, section = [], [], ["witness"]
+        walk, init, wedge = Prefractal._walk, Prefractal.__init__, cli.verify_wedge_approximation
 
-        def counted_compute(self, region, scale):
-            computed.append((region, scale))
-            return compute(self, region, scale)
+        def counted_walk(self, *args):
+            walks.append(section[0])
+            return walk(self, *args)
+
+        def marked_wedge(*args, **kwargs):
+            section[0] = "wedge"
+            return wedge(*args, **kwargs)
 
         def counted_init(self, spec, level):
             built.append(level)
             init(self, spec, level)
 
-        monkeypatch.setattr(Prefractal, "_region_moments", counted_compute)
+        monkeypatch.setattr(Prefractal, "_walk", counted_walk)
         monkeypatch.setattr(Prefractal, "__init__", counted_init)
-        return computed, built
+        monkeypatch.setattr(cli, "verify_wedge_approximation", marked_wedge)
+        return walks, built
 
     @staticmethod
     def verify(nmax, depth, out):
         return run(["verify", "--generator", "odd-reciprocal", "--nmax", str(nmax),
                     "--depth", str(depth), "--out", str(out)])
 
-    @pytest.mark.parametrize("nmax, depth, regions", [
-        # wide_stage: 4,567 with a prefractal per section and no memo, and
-        # 2,061 while every flattened patch was integrated for its measure
-        (3, 2, 2027),
-        (2, 4, 171),    # deep_walk: 277 and 189 likewise
+    @pytest.mark.parametrize("nmax, depth, witness_walks, wedge_walks", [
+        # wide_stage: the wedge section shares the level-2 prefractal
+        (3, 2, 57, 6),
+        (2, 4, 26, 12),   # deep_walk: it walks on its own level-3 one
     ])
-    def test_each_region_is_integrated_once_per_level(self, counted, tmp_path,
-                                                      nmax, depth, regions):
-        computed, _ = counted
+    def test_the_wedge_section_walks_only_new_orbits(self, counted, tmp_path, nmax, depth,
+                                                     witness_walks, wedge_walks):
+        walks, _ = counted
         self.verify(nmax, depth, tmp_path)
-        assert len(computed) == regions
+        assert walks.count("witness") == witness_walks
+        assert walks.count("wedge") == wedge_walks
 
     @pytest.mark.parametrize("depth, levels", [(2, [2]), (3, [3]), (4, [4, 3])])
     def test_the_wedge_section_reuses_the_prefractal_of_its_level(self, counted, tmp_path,

@@ -516,11 +516,25 @@ class TestTranslationClasses:
             shared = Prefractal(spec, m)
             # cold, the regions share translation classes, and
             # TestHoleComplement checks each cold value on this same grid;
-            # warm, each region's moments are looked up and must repeat them
+            # warm, each region's moments come from its kept shape and class
+            # and must repeat them
             cold = [shared.moments(r, scale) for r in regions]
             assert [shared.moments(r, scale) for r in regions] == cold, m
-            assert len(shared._regions) == len(set(regions))
-            assert all(type(v) is tuple for v in shared._regions.values())
+            assert all(type(v) is tuple for v in cold)
+
+    def test_no_state_is_kept_per_region(self):
+        # two passes over the distinct stage-3 regions give equal moments,
+        # and the prefractal keeps state per shape, class, orbit and cut
+        # square only: every dict it holds is smaller than the region count
+        regions, scale = stage_regions("odd-reciprocal", 3)
+        distinct = sorted(set(regions))
+        assert len(distinct) == 1933
+        pf = Prefractal(SPECS["odd-reciprocal"], 4)
+        first = [pf.moments(r, scale) for r in distinct]
+        assert [pf.moments(r, scale) for r in distinct] == first
+        sizes = {name: len(v) for name, v in vars(pf).items() if type(v) is dict}
+        assert sizes and all(n < len(distinct) for n in sizes.values()), sizes
+        assert sizes["_classes"] == 70
 
     def test_stage_three_at_depth_four_takes_few_walks(self, monkeypatch):
         walks = []

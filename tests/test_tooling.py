@@ -4,12 +4,14 @@ public helper that is neither called nor exported, no public method without
 a caller, no record field that nothing reads, an import of the CLI that
 loads neither ``dataclasses`` nor ``inspect``, a stage lattice built
 without ``Fraction``, region moments, integral kernels and cell fields on
-ints, and a clip chain that works on the vertices it is given.  On the
-tests' oracles: no definition or import that nothing reads.  Last, the
-committed benchmark records share one schema."""
+ints, a clip chain that works on the vertices it is given, and no private
+name quoted in a docstring, a comment or README.md that the package does
+not define.  On the tests' oracles: no definition or import that nothing
+reads.  Last, the committed benchmark records share one schema."""
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -183,7 +185,7 @@ FRACTION_NAMES = {"Fraction", "ZERO", "HALF"}
 # integral kernels over them, the cell fields the rows integrate and the
 # layout's convexity check, by module: they run on ints and leave the one
 # Fraction to their caller
-INT_KERNELS = {"carpet.py": {"Prefractal._region_moments", "Prefractal._shape",
+INT_KERNELS = {"carpet.py": {"Prefractal.moments", "Prefractal._shape",
                              "Prefractal._central_digits", "Prefractal._class_moments",
                              "Prefractal._walk", "_row_ranges", "_cut_square", "_survival",
                              "_flipped_moments"},
@@ -250,6 +252,56 @@ def test_the_clip_chain_works_on_the_given_vertices():
              for use in forbidden_uses((root / module).read_text(encoding="utf-8"), names,
                                        FRACTION_NAMES | LATTICE_NAMES)]
     assert found == []
+
+
+def bound_names(node):
+    """The names a module-level or class-body statement binds: a function or
+    class, an import, or the plain names an assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return set()
+
+
+def package_names():
+    """Every module-level name, class member and ``self.x =`` attribute the
+    package defines."""
+    names = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            names |= bound_names(node)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    names |= bound_names(item)
+        names |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                  and isinstance(n.value, ast.Name) and n.value.id == "self"}
+    return names
+
+
+# a private name, not a dunder, as it stands alone or after a dot
+PRIVATE_NAME = re.compile(r"\b_[A-Za-z]\w*")
+
+
+def test_every_quoted_private_name_is_defined():
+    # a private name quoted in double backticks in the package (its
+    # docstrings and comments) or in single backticks in README.md names a
+    # function, attribute or memo of the package, so a stale one, such as
+    # a memo that was removed, fails here
+    quoted = [(path.name, text) for path in SOURCES
+              for text in re.findall(r"``([^`]+)``", path.read_text(encoding="utf-8"))]
+    quoted += [("README.md", text) for text in
+               re.findall(r"(?<!`)`([^`]+)`(?!`)", (ROOT / "README.md").read_text(encoding="utf-8"))]
+    assert len(quoted) > 100
+    defined = package_names()
+    stale = sorted({(source, name) for source, text in quoted
+                    for name in PRIVATE_NAME.findall(text) if name not in defined})
+    assert stale == []
 
 
 TESTS = Path(__file__).resolve().parent
